@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store bench bench-json bench-plan-json bench-cluster-json bench-store-json
+.PHONY: build vet test race check check-lp check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store bench bench-json bench-plan-json bench-cluster-json bench-store-json
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,17 @@ test:
 # not license for slower tests.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# check-lp is the LP gate: the lp and milp suites uncached, then the
+# dense-oracle differential over every LP a serial cold plan solves for
+# each Table 3 model on Topo 2+2, 1+3 and 4+4 (same pivot sequence,
+# status and X/objective float bits as the retained dense kernel). It
+# takes about 2 minutes on a 2-vCPU host, and up to about 15 when the
+# default 3 s MILP time limit lets 3B on 4+4 reach its one child LP that
+# runs to the iteration limit.
+check-lp:
+	$(GO) test -count=1 ./internal/lp/ ./internal/milp/
+	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle' -v ./internal/lp/
 
 # check-faults is the fault-matrix smoke test: every fault class (link
 # degradation, straggler, transient retries, memory pressure), alone and
@@ -112,10 +123,11 @@ check-store:
 # check is the tier-1 gate: everything must compile, vet clean, pass the
 # test suite under the race detector (the planning pipeline is
 # concurrent, so plain `go test` alone is not enough), and survive the
-# fault matrix, the recovery matrix, the chaos matrix, the sharded
-# scheduler's race-clean differential suite, the scale gate, the
-# performance smoke gate, and the multi-tenant fleet gate.
-check: build vet race check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store
+# LP differential gate, the fault matrix, the recovery matrix, the chaos
+# matrix, the sharded scheduler's race-clean differential suite, the
+# scale gate, the performance smoke gate, and the multi-tenant fleet
+# gate.
+check: build vet race check-lp check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/

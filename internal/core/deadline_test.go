@@ -142,3 +142,31 @@ func TestRunWithExpiredContextStillSimulates(t *testing.T) {
 		t.Fatalf("fallback run did not simulate: oom=%v step=%v", r.OOM, r.StepTime)
 	}
 }
+
+// TestDeadlineInterruptsRootLP plans 51B on Topo 4+4, whose S = 24 root
+// LP alone takes seconds, under a 100 ms deadline. The sweep's cancel
+// reaches into the simplex every 64 pivots, so the plan must degrade to
+// the fallback within a second of the deadline instead of waiting the
+// root LP out.
+func TestDeadlineInterruptsRootLP(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	topo := hw.Commodity(hw.RTX3090Ti, 4, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	plan, err := PlanMobiusCtx(ctx, Options{
+		Model:    model.GPT51B,
+		Topology: topo,
+		MIP:      partition.MIPOptions{DisableCache: true},
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Fallback {
+		t.Skip("solver beat the deadline; nothing to interrupt")
+	}
+	if elapsed > deadline+time.Second {
+		t.Errorf("plan returned %v after a %v deadline, want within 1s of it", elapsed.Round(time.Millisecond), deadline)
+	}
+}

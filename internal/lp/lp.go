@@ -1,5 +1,5 @@
-// Package lp implements a dense two-phase primal simplex solver for
-// linear programs in the form
+// Package lp implements a two-phase primal simplex solver for linear
+// programs in the form
 //
 //	minimize    c·x
 //	subject to  A·x {<=,=,>=} b
@@ -9,9 +9,15 @@
 // together replace the Gurobi Optimizer the paper uses to solve the MIP
 // partition problem (§3.2).
 //
-// The implementation is a textbook tableau simplex with Dantzig pricing,
-// a Bland's-rule fallback to escape degenerate cycling, and a two-phase
-// start (artificial variables) for infeasible initial bases.
+// The implementation is a tableau simplex with Dantzig pricing, a
+// Bland's-rule fallback to escape degenerate cycling, and a two-phase
+// start (artificial variables) for infeasible initial bases. Lower bounds
+// are shifted out; every finite upper bound becomes an explicit row. The
+// tableau is stored densely, but a pivot updates only the nonzero columns
+// of its pivot row, and the artificial columns are compacted away once
+// phase 1 ends. Neither changes the sequence of pivots or the float bits
+// of any result; the dense textbook kernel is kept as a test-only oracle
+// that holds them to it.
 package lp
 
 import (
@@ -173,6 +179,14 @@ type Solution struct {
 	Status    Status
 	X         []float64
 	Objective float64
+
+	// Phase1Pivots and Phase2Pivots count the simplex pivots of each
+	// phase; phase 1 includes the pivots that drive zero-level
+	// artificials out of the basis.
+	Phase1Pivots, Phase2Pivots int
+	// Rows and Cols size the tableau: constraint rows plus one row per
+	// finite upper bound, by structural, slack and artificial columns.
+	Rows, Cols int
 }
 
 const (
@@ -189,13 +203,29 @@ var ErrBadProblem = errors.New("lp: invalid problem")
 // seen) but must not be shared by concurrent solves — pool one per
 // worker goroutine.
 type Scratch struct {
-	a      []float64
-	obj    []float64
-	basis  []int
-	banned []bool
-	rows   []rowSpec
-	terms  []Term
+	// Abort, when non-nil, is polled every 64 pivots; returning true
+	// stops the solve with Status IterLimit. It does not change the
+	// pivot path of a solve it never stops.
+	Abort func() bool
+
+	a     []float64
+	obj   []float64
+	basis []int
+	nz    []int
+	rows  []rowSpec
+	terms []Term
+
+	// Test hooks (export_test.go): observe sees every pivot as (row,
+	// column) before it is applied; dense replaces the sparse kernel and
+	// the artificial-column compaction with the retained dense oracle.
+	observe func(r, c int)
+	dense   func(t *tableau, r, c int)
 }
+
+// solveHook, when non-nil, sees every problem SolveWith is about to
+// solve. Only tests set it, to capture the LPs callers such as the
+// partition MIP solve.
+var solveHook func(*Problem)
 
 // Solve runs the two-phase simplex and returns a solution. The Status
 // field distinguishes optimal, infeasible and unbounded outcomes; Solve
@@ -209,6 +239,9 @@ func (p *Problem) Solve() (*Solution, error) {
 // allocations, removing the dominant allocation from hot
 // branch-and-bound loops. A nil sc behaves exactly like Solve.
 func (p *Problem) SolveWith(sc *Scratch) (*Solution, error) {
+	if solveHook != nil {
+		solveHook(p)
+	}
 	if p.buildErr != nil {
 		return nil, p.buildErr
 	}
@@ -229,16 +262,18 @@ func (p *Problem) SolveWith(sc *Scratch) (*Solution, error) {
 		sc = &Scratch{}
 	}
 	t := newTableau(p, sc)
-	st := t.phase1()
-	if st != Optimal {
-		return &Solution{Status: st}, nil
+	sol := &Solution{Rows: t.m, Cols: t.total}
+	sol.Status = t.phase1()
+	sol.Phase1Pivots = t.pivots
+	if sol.Status == Optimal {
+		sol.Status = t.phase2()
+		sol.Phase2Pivots = t.pivots - sol.Phase1Pivots
+		if sol.Status == Optimal || sol.Status == IterLimit {
+			sol.X = t.extract()
+			sol.Objective = dot(p.objective, sol.X)
+		}
 	}
-	st = t.phase2()
-	sol := &Solution{Status: st}
-	if st == Optimal || st == IterLimit {
-		sol.X = t.extract()
-		sol.Objective = dot(p.objective, sol.X)
-	}
+	sc.nz = t.nz // keep the grown pivot-row index for the next solve
 	return sol, nil
 }
 

@@ -292,15 +292,7 @@ func TestMediumScheduleLikeLP(t *testing.T) {
 func TestLargeChainPerformance(t *testing.T) {
 	// A partition-MIP-sized LP must solve in well under a second.
 	const n = 300
-	p := NewProblem(n)
-	p.SetObjectiveCoeff(n-1, 1)
-	for i := 1; i < n; i++ {
-		p.AddConstraint([]Term{{i, 1}, {i - 1, -1}}, GE, 0.1)
-		if i%7 == 0 {
-			p.AddConstraint([]Term{{i, 1}}, LE, float64(i))
-		}
-	}
-	sol := solveOK(t, p)
+	sol := solveOK(t, chainLP(n))
 	wantObj(t, sol, 0.1*(n-1))
 }
 
@@ -328,4 +320,59 @@ func TestEqualityWithNegativeRHS(t *testing.T) {
 	p.AddConstraint([]Term{{0, 1}, {1, -1}}, EQ, -3)
 	sol := solveOK(t, p)
 	wantObj(t, sol, 3)
+}
+
+// chainLP is a pipeline-order precedence chain, t_i >= t_{i-1} + 0.1,
+// with an upper bound on every seventh start time.
+func chainLP(n int) *Problem {
+	p := NewProblem(n)
+	p.SetObjectiveCoeff(n-1, 1)
+	for i := 1; i < n; i++ {
+		p.AddConstraint([]Term{{i, 1}, {i - 1, -1}}, GE, 0.1)
+		if i%7 == 0 {
+			p.AddConstraint([]Term{{i, 1}}, LE, float64(i))
+		}
+	}
+	return p
+}
+
+// TestAbortPolledEvery64Pivots checks the abort function is polled once
+// per 64 pivots without changing the pivot path, and that an abort stops
+// the solve with IterLimit within one polling interval.
+func TestAbortPolledEvery64Pivots(t *testing.T) {
+	p := chainLP(300)
+	plain := solveOK(t, p)
+	pivots := plain.Phase1Pivots + plain.Phase2Pivots
+	if pivots < 2*abortEvery {
+		t.Fatalf("only %d pivots; the test needs several polling intervals", pivots)
+	}
+
+	polls := 0
+	sol, err := p.SolveWith(&Scratch{Abort: func() bool { polls++; return false }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Phase1Pivots != plain.Phase1Pivots || sol.Phase2Pivots != plain.Phase2Pivots ||
+		math.Float64bits(sol.Objective) != math.Float64bits(plain.Objective) {
+		t.Fatalf("polling changed the solve: %+v vs %+v", sol, plain)
+	}
+	for i := range sol.X {
+		if math.Float64bits(sol.X[i]) != math.Float64bits(plain.X[i]) {
+			t.Fatalf("polling changed x[%d]: %v vs %v", i, sol.X[i], plain.X[i])
+		}
+	}
+	// One poll at the first pivot of each 64 in each phase's loop.
+	if want := pivots / abortEvery; polls < want || polls > want+2 {
+		t.Errorf("%d polls over %d pivots, want about %d", polls, pivots, want)
+	}
+
+	polls = 0
+	sol, err = p.SolveWith(&Scratch{Abort: func() bool { polls++; return polls > 1 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != IterLimit || sol.Phase1Pivots+sol.Phase2Pivots != abortEvery {
+		t.Errorf("aborted solve: status %v after %d pivots, want %v after %d",
+			sol.Status, sol.Phase1Pivots+sol.Phase2Pivots, IterLimit, abortEvery)
+	}
 }

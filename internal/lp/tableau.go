@@ -2,27 +2,38 @@ package lp
 
 import "math"
 
-// tableau is the dense simplex working state. Structural variables are
-// shifted by their lower bounds (y = x - lo >= 0); finite upper bounds
-// become explicit rows. Column layout: [0,n) structural, [n, n+slacks)
-// slack/surplus, [n+slacks, total) artificial; the last column is the RHS.
+// tableau is the simplex working state. Structural variables are shifted
+// by their lower bounds (y = x - lo >= 0); finite upper bounds become
+// explicit rows. Column layout: [0,n) structural, [n, n+slacks)
+// slack/surplus, [n+slacks, total) artificial; column total is the RHS.
+// Phase 2 retires the artificial columns, compacting every row to
+// [0, artAt) plus the RHS.
 type tableau struct {
 	p *Problem
 
-	m     int // rows
-	total int // columns excluding RHS
-	nArt  int
-	artAt int // first artificial column
+	m      int // rows
+	total  int // columns excluding RHS (the RHS is column total)
+	nArt   int
+	artAt  int // first artificial column
+	priced int // columns [0, priced) may enter the basis
 
 	a     []float64 // m x (total+1), row-major
 	obj   []float64 // total+1: reduced costs, last = -objValue
 	basis []int     // basic variable per row
-
-	banned []bool // artificial columns banned in phase 2
+	nz    []int     // nonzero columns of the current pivot row
 
 	iter    int
 	maxIter int
+	pivots  int
+
+	abort   func() bool
+	observe func(r, c int)
+	dense   func(t *tableau, r, c int)
 }
+
+// abortEvery is the pivot interval at which a solve polls its abort
+// function.
+const abortEvery = 64
 
 func (t *tableau) at(r, c int) float64     { return t.a[r*(t.total+1)+c] }
 func (t *tableau) set(r, c int, v float64) { t.a[r*(t.total+1)+c] = v }
@@ -53,17 +64,6 @@ func growInts(s []int, n int) []int {
 	s = s[:n]
 	for i := range s {
 		s[i] = 0
-	}
-	return s
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
 	}
 	return s
 }
@@ -145,18 +145,21 @@ func newTableau(p *Problem, sc *Scratch) *tableau {
 	sc.a = growFloats(sc.a, m*(total+1))
 	sc.obj = growFloats(sc.obj, total+1)
 	sc.basis = growInts(sc.basis, m)
-	sc.banned = growBools(sc.banned, total)
 	t := &tableau{
 		p:       p,
 		m:       m,
 		total:   total,
 		nArt:    nArt,
 		artAt:   p.n + nSlack,
+		priced:  total,
 		a:       sc.a,
 		obj:     sc.obj,
 		basis:   sc.basis,
-		banned:  sc.banned,
+		nz:      sc.nz[:0],
 		maxIter: 200 * (m + p.n + 10),
+		abort:   sc.Abort,
+		observe: sc.observe,
+		dense:   sc.dense,
 	}
 
 	slack := p.n
@@ -217,7 +220,7 @@ func (t *tableau) phase1() Status {
 		return Infeasible
 	}
 	// Drive any zero-level artificial out of the basis if possible, then
-	// ban artificial columns from re-entering.
+	// retire the artificial columns.
 	for r := 0; r < t.m; r++ {
 		if t.basis[r] < t.artAt {
 			continue
@@ -235,10 +238,30 @@ func (t *tableau) phase1() Status {
 			t.set(r, t.total, 0)
 		}
 	}
-	for j := t.artAt; j < t.total; j++ {
-		t.banned[j] = true
-	}
+	t.retireArtificials()
 	return Optimal
+}
+
+// retireArtificials bans the artificial columns from phase 2: they are
+// never priced or pivoted on again, so their entries would be updated and
+// never read. The sparse kernel compacts them out of every row in place;
+// the dense oracle keeps the full layout, so the differential tests hold
+// the compaction to it too. An artificial left basic in a redundant row
+// keeps its column index, so the ratio test's tie-break on basis indices
+// is unchanged.
+func (t *tableau) retireArtificials() {
+	t.priced = t.artAt
+	if t.dense != nil {
+		return
+	}
+	w, nw := t.total+1, t.artAt+1
+	for r := 0; r < t.m; r++ {
+		copy(t.a[r*nw:r*nw+t.artAt], t.a[r*w:r*w+t.artAt])
+		t.a[r*nw+t.artAt] = t.a[r*w+t.total]
+	}
+	t.a = t.a[:t.m*nw]
+	t.obj = t.obj[:nw]
+	t.total = t.artAt
 }
 
 // phase2 optimizes the real objective from the feasible basis.
@@ -266,20 +289,20 @@ func (t *tableau) subtractRow(r int, factor float64) {
 	}
 }
 
-// iterate runs simplex pivots until optimality, unboundedness or the
-// iteration limit. Dantzig pricing with a Bland fallback under prolonged
-// degeneracy guards against cycling.
+// iterate runs simplex pivots until optimality, unboundedness, the
+// iteration limit or an abort. Dantzig pricing with a Bland fallback
+// under prolonged degeneracy guards against cycling.
 func (t *tableau) iterate() Status {
 	degenerate := 0
 	for ; t.iter < t.maxIter; t.iter++ {
+		if t.abort != nil && t.iter%abortEvery == 0 && t.abort() {
+			return IterLimit
+		}
 		bland := degenerate > 2*(t.m+1)
 
 		enter := -1
 		best := -eps
-		for j := 0; j < t.total; j++ {
-			if t.banned[j] {
-				continue
-			}
+		for j := 0; j < t.priced; j++ {
 			rc := t.obj[j]
 			if rc < -eps {
 				if bland {
@@ -323,16 +346,32 @@ func (t *tableau) iterate() Status {
 	return IterLimit
 }
 
-// pivot makes column c basic in row r.
+// pivot makes column c basic in row r. Only the nonzero columns of the
+// scaled pivot row are updated: for a zero entry, row[j] - f*0 could
+// change only the sign of a zero, which no comparison reads, so the
+// sparse update takes the dense kernel's pivot path with the same float
+// bits.
 func (t *tableau) pivot(r, c int) {
+	t.pivots++
+	if t.observe != nil {
+		t.observe(r, c)
+	}
+	if t.dense != nil {
+		t.dense(t, r, c)
+		return
+	}
 	w := t.total + 1
 	prow := t.a[r*w : (r+1)*w]
-	pv := prow[c]
-	inv := 1 / pv
+	inv := 1 / prow[c]
+	nz := t.nz[:0]
 	for j := range prow {
 		prow[j] *= inv
+		if prow[j] != 0 {
+			nz = append(nz, j)
+		}
 	}
-	prow[c] = 1 // exact
+	prow[c] = 1 // exact; c is in nz, since pivots are nonzero
+	t.nz = nz
 
 	for i := 0; i < t.m; i++ {
 		if i == r {
@@ -343,14 +382,13 @@ func (t *tableau) pivot(r, c int) {
 		if f == 0 {
 			continue
 		}
-		for j := range row {
+		for _, j := range nz {
 			row[j] -= f * prow[j]
 		}
 		row[c] = 0
 	}
-	f := t.obj[c]
-	if f != 0 {
-		for j := range t.obj {
+	if f := t.obj[c]; f != 0 {
+		for _, j := range nz {
 			t.obj[j] -= f * prow[j]
 		}
 		t.obj[c] = 0

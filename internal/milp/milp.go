@@ -7,6 +7,7 @@ package milp
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"math"
 	"time"
 
@@ -32,11 +33,12 @@ type Options struct {
 	// GapTol is the relative optimality gap: nodes whose LP bound is
 	// within GapTol of the incumbent are pruned. Zero means exact.
 	GapTol float64
-	// Cancel, when non-nil, is polled between branch-and-bound nodes;
-	// returning true abandons the search early (the result is then
-	// best-effort, as if a node or time limit had been hit). It lets a
-	// caller running several solves concurrently stop work whose outcome
-	// it already knows it will discard.
+	// Cancel, when non-nil, is polled between branch-and-bound nodes and
+	// every 64 simplex pivots inside each LP; returning true abandons the
+	// search early (the result is then best-effort, as if a node or time
+	// limit had been hit). It lets a caller running several solves
+	// concurrently stop work whose outcome it already knows it will
+	// discard.
 	Cancel func() bool
 	// Scratch, when non-nil, supplies pooled working memory for the
 	// per-node LP clone and simplex tableau. One scratch serves one
@@ -87,6 +89,12 @@ type Result struct {
 	// Proven is true when the search space was exhausted, certifying
 	// optimality of X.
 	Proven bool
+	// LPSolves counts the LP relaxations solved: the root, the
+	// branch-and-bound children and the rounding heuristic's LPs.
+	// LPPivots totals their simplex pivots over both phases.
+	LPSolves, LPPivots int
+	// LPRows and LPCols size the largest LP solved (by rows × columns).
+	LPRows, LPCols int
 }
 
 type node struct {
@@ -117,6 +125,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	if sc == nil {
 		sc = NewScratch()
 	}
+	sc.lp.Abort = opts.Cancel
 	relax := func(fixes map[int][2]float64) (*lp.Solution, error) {
 		q := p.CloneInto(&sc.prob)
 		for v, b := range fixes {
@@ -129,7 +138,20 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 			}
 			q.SetBounds(v, lo, hi)
 		}
-		return q.SolveWith(&sc.lp)
+		sol, err := q.SolveWith(&sc.lp)
+		if err == nil {
+			res.LPSolves++
+			res.LPPivots += sol.Phase1Pivots + sol.Phase2Pivots
+			if sol.Rows*sol.Cols > res.LPRows*res.LPCols {
+				res.LPRows, res.LPCols = sol.Rows, sol.Cols
+			}
+		}
+		return sol, err
+	}
+	// withEffort carries the LP counters onto a result other than res.
+	withEffort := func(r *Result) *Result {
+		r.LPSolves, r.LPPivots, r.LPRows, r.LPCols = res.LPSolves, res.LPPivots, res.LPRows, res.LPCols
+		return r
 	}
 
 	// fractional returns the integer variable furthest from integrality.
@@ -147,12 +169,18 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	}
 
 	// tryRound fixes every integer variable at the rounding of x and
-	// re-solves; a feasible result becomes an incumbent.
+	// re-solves; a feasible result becomes an incumbent. That LP depends
+	// only on the rounded vector, so a repeated vector would be a
+	// bitwise-identical solve that cannot improve the incumbent again:
+	// rounded records the vectors already solved, by their float bits.
+	rounded := map[string]bool{}
+	var key []byte
 	tryRound := func(x []float64, fixes map[int][2]float64) {
 		rf := map[int][2]float64{}
 		for v, b := range fixes {
 			rf[v] = b
 		}
+		key = key[:0]
 		feasibleRound := true
 		for _, v := range intVars {
 			r := math.Round(x[v])
@@ -170,10 +198,12 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 				break
 			}
 			rf[v] = [2]float64{r, r}
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(r))
 		}
-		if !feasibleRound {
+		if !feasibleRound || rounded[string(key)] {
 			return
 		}
+		rounded[string(key)] = true
 		sol, err := relax(rf)
 		if err != nil || sol.Status != lp.Optimal {
 			return
@@ -190,10 +220,15 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	switch root.Status {
+	case lp.Optimal:
 	case lp.Infeasible:
-		return &Result{Status: lp.Infeasible, Proven: true}, nil
+		return withEffort(&Result{Status: lp.Infeasible, Proven: true}), nil
 	case lp.Unbounded:
-		return &Result{Status: lp.Unbounded}, nil
+		return withEffort(&Result{Status: lp.Unbounded}), nil
+	default:
+		// Limits or a cancel stopped the root LP: there is no relaxation
+		// to round or branch on, and no incumbent.
+		return withEffort(&Result{Status: lp.IterLimit}), nil
 	}
 
 	open := &nodeHeap{}
@@ -273,7 +308,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		return res, nil
 	}
 	if exhausted {
-		return &Result{Status: lp.Infeasible, Nodes: res.Nodes, Proven: true}, nil
+		return withEffort(&Result{Status: lp.Infeasible, Nodes: res.Nodes, Proven: true}), nil
 	}
 	return res, nil
 }

@@ -331,3 +331,63 @@ func TestTimeLimitHonored(t *testing.T) {
 		t.Log("solved at root before the deadline check; acceptable")
 	}
 }
+
+// TestNonOptimalRootReturnsIterLimit stops the root LP before it is
+// optimal, in phase 1 (no point at all) and in phase 2 (a feasible,
+// non-optimal point): neither may be rounded or branched on, and the
+// solve reports IterLimit with no incumbent instead of panicking.
+func TestNonOptimalRootReturnsIterLimit(t *testing.T) {
+	phase1 := lp.NewProblem(2) // GE rows need artificials
+	phase1.SetObjectiveCoeff(0, 1)
+	phase1.SetObjectiveCoeff(1, 1)
+	phase1.AddConstraint([]lp.Term{{Var: 0, Coeff: 2}, {Var: 1, Coeff: 1}}, lp.GE, 3.5)
+	phase2 := lp.NewProblem(2) // LE rows start feasible
+	phase2.SetObjectiveCoeff(0, -1)
+	phase2.SetObjectiveCoeff(1, -1)
+	phase2.AddConstraint([]lp.Term{{Var: 0, Coeff: 2}, {Var: 1, Coeff: 2}}, lp.LE, 5)
+	for name, p := range map[string]*lp.Problem{"phase1": phase1, "phase2": phase2} {
+		res, err := Solve(p, []int{0, 1}, Options{Cancel: func() bool { return true }})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Status != lp.IterLimit || res.X != nil || res.Proven || res.Nodes != 0 {
+			t.Errorf("%s: got status %v, x %v, proven %v, %d nodes; want iteration-limit, no incumbent",
+				name, res.Status, res.X, res.Proven, res.Nodes)
+		}
+		if res.LPSolves != 1 {
+			t.Errorf("%s: %d LP solves, want the root only", name, res.LPSolves)
+		}
+	}
+}
+
+// TestRepeatedRoundingSkipsLP pins the rounding memo on a search whose
+// up-branch child rounds to the vector the root already rounded to:
+// max x+y s.t. x+y <= 1.5 over binaries. The root (1, 0.5) rounds to
+// (1, 1), which is infeasible; the child y >= 1 at (0.5, 1) rounds to
+// (1, 1) again, and that LP is not solved a second time.
+func TestRepeatedRoundingSkipsLP(t *testing.T) {
+	p := lp.NewProblem(2)
+	p.SetObjectiveCoeff(0, -1)
+	p.SetObjectiveCoeff(1, -1)
+	p.SetBounds(0, 0, 1)
+	p.SetBounds(1, 0, 1)
+	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, lp.LE, 1.5)
+	res, err := Solve(p, []int{0, 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != lp.Optimal || !res.Proven || res.Objective != -1 {
+		t.Fatalf("status %v proven %v objective %g, want proven optimum -1", res.Status, res.Proven, res.Objective)
+	}
+	// Root, its rounding, 2 nodes x 2 children, and one rounding of the
+	// down child (1, 0): 7. Solving the repeated (1, 1) would make 8.
+	if res.Nodes != 2 || res.LPSolves != 7 {
+		t.Errorf("%d nodes, %d LP solves; want 2 nodes, 7 LP solves", res.Nodes, res.LPSolves)
+	}
+	// The largest tableau is the infeasible rounding LP: a row and two
+	// upper-bound rows, by 2 structural, 3 slack and 1 artificial columns
+	// (fixing both at 1 flips the row's sign, making it a >= row).
+	if res.LPPivots <= 0 || res.LPRows != 3 || res.LPCols != 6 {
+		t.Errorf("effort %d pivots, largest LP %dx%d; want pivots and a 3x6 tableau", res.LPPivots, res.LPRows, res.LPCols)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mobius/internal/hw"
+	"mobius/internal/lp"
 	"mobius/internal/model"
 	"mobius/internal/profile"
 )
@@ -28,4 +29,50 @@ func BenchmarkMIPPartitionSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLPRoot measures the largest single LP of a Table 3 cold plan:
+// the root relaxation of the 51B model on Topo 4+4 at S = 24 stages,
+// with the planning parameters core.PlanMobius derives for that shape.
+// The relaxation is infeasible, so phase 1 runs to its end and the sweep
+// falls back to the min-stage partition. It reports the tableau size and
+// pivot count with the time.
+func BenchmarkLPRoot(b *testing.B) {
+	topo := hw.Commodity(hw.RTX3090Ti, 4, 4)
+	prof, err := profile.Run(model.GPT51B, hw.RTX3090Ti, profile.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bw := topo.GPUs[0].Spec.LinkBW
+	for _, rc := range topo.RootComplexBW {
+		bw = min(bw, rc)
+	}
+	params := Params{
+		Profile:   prof,
+		NumGPUs:   topo.NumGPUs(),
+		GPUMem:    topo.GPUMem(0) * 0.92,
+		Bandwidth: bw,
+		Latency:   topo.TransferLatency,
+	}.withDefaults()
+	bs, err := gatherBlockStats(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := formulate(params, bs, 24)
+	if p == nil {
+		b.Fatal("S = 24 does not fit")
+	}
+	var sc lp.Scratch
+	var sol *lp.Solution
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sol, err = p.SolveWith(&sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sol.Rows), "rows")
+	b.ReportMetric(float64(sol.Cols), "cols")
+	b.ReportMetric(float64(sol.Phase1Pivots+sol.Phase2Pivots), "pivots")
 }

@@ -97,6 +97,12 @@ type MIPStats struct {
 	TriedStageCounts []int
 	// Nodes is the total branch-and-bound node count across candidates.
 	Nodes int
+	// LPSolves and LPPivots total the LP relaxations solved across
+	// candidates and their simplex pivots.
+	LPSolves, LPPivots int
+	// LPRows and LPCols size the largest LP solved (by rows × columns),
+	// as simplex tableau rows and columns.
+	LPRows, LPCols int
 	// SolveTime is the cumulative time spent in the MILP solver, summed
 	// over candidate solves (equals wall-clock when Parallelism is 1).
 	SolveTime time.Duration
@@ -117,6 +123,19 @@ type MIPStats struct {
 	// WarmWon is true when the warm partition itself beat every sweep
 	// candidate and is the returned partition.
 	WarmWon bool
+}
+
+// addEffort adds one MILP solve's node and LP counters; r may be nil.
+func (s *MIPStats) addEffort(r *milp.Result) {
+	if r == nil {
+		return
+	}
+	s.Nodes += r.Nodes
+	s.LPSolves += r.LPSolves
+	s.LPPivots += r.LPPivots
+	if r.LPRows*r.LPCols > s.LPRows*s.LPCols {
+		s.LPRows, s.LPCols = r.LPRows, r.LPCols
+	}
 }
 
 // blockStats extracts the compressed per-group statistics the MILP is
@@ -199,7 +218,7 @@ func MIPCtx(ctx context.Context, params Params, opts MIPOptions) (*Partition, *M
 		kopts.Parallelism = 0
 		kopts.Warm = nil
 		key := mipKey{
-			warm: warmFingerprint(opts.Warm),
+			warm:      warmFingerprint(opts.Warm),
 			model:     params.Profile.Model,
 			gpu:       params.Profile.GPU.Name,
 			n:         params.NumGPUs,
@@ -367,10 +386,10 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 	}
 
 	type solveRes struct {
-		part  *Partition
-		nodes int
-		dur   time.Duration
-		err   error
+		part    *Partition
+		efforts []*milp.Result // the candidate's solves, a cold retry included
+		dur     time.Duration
+		err     error
 	}
 	results := make([]chan solveRes, len(cands))
 	for i := range results {
@@ -407,16 +426,16 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 				start := time.Now()
 				incCold := math.Min(seeds[i].inc, coldBound.load())
 				inc := math.Min(incCold, warmBound)
-				part, nodes, optimal, err := solveOne(params, bs, cands[i], opts, inc, seeds[i].balanced, abort, sc)
+				part, res, optimal, err := solveOne(params, bs, cands[i], opts, inc, seeds[i].balanced, abort, sc)
+				efforts := []*milp.Result{res}
 				if err == nil && !optimal && inc < incCold && !abort() {
 					// The warm-tightened bound may have pruned this
 					// candidate's whole search; re-solve with the cold seed
 					// so warm starting never changes the sweep outcome.
-					var n2 int
-					part, n2, _, err = solveOne(params, bs, cands[i], opts, incCold, seeds[i].balanced, abort, sc)
-					nodes += n2
+					part, res, _, err = solveOne(params, bs, cands[i], opts, incCold, seeds[i].balanced, abort, sc)
+					efforts = append(efforts, res)
 				}
-				results[i] <- solveRes{part: part, nodes: nodes, dur: time.Since(start), err: err}
+				results[i] <- solveRes{part: part, efforts: efforts, dur: time.Since(start), err: err}
 			}
 		}()
 	}
@@ -446,7 +465,9 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 			return nil, nil, r.err
 		}
 		stats.SolveTime += r.dur
-		stats.Nodes += r.nodes
+		for _, e := range r.efforts {
+			stats.addEffort(e)
+		}
 		stats.TriedStageCounts = append(stats.TriedStageCounts, cands[i])
 		if r.part == nil {
 			continue // infeasible for this S
@@ -508,8 +529,59 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 // the calling worker's pooled solver scratch. The optimal result
 // reports whether the MILP itself produced the partition (false means
 // limits were hit and the balanced fallback — possibly nil — stands in,
-// which the caller may retry with a looser incumbent).
-func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, nodes int, optimal bool, err error) {
+// which the caller may retry with a looser incumbent). res is the
+// solver's result, for its effort counters; it is nil when no solve ran.
+func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, res *milp.Result, optimal bool, err error) {
+	p := formulate(params, bs, S)
+	if p == nil {
+		// A single block cannot fit some stage: infeasible S, independent
+		// of any incumbent, so the caller must not retry.
+		return nil, nil, true, nil
+	}
+	intVars := make([]int, S)
+	for j := 0; j < S; j++ {
+		intVars[j] = j
+	}
+	mopts := milp.Options{MaxNodes: opts.NodeLimit, TimeLimit: opts.TimeLimit, GapTol: mipGapTol, Scratch: sc}
+	if !math.IsInf(incumbent, 1) {
+		mopts.Incumbent = incumbent
+		mopts.IncumbentSet = true
+	}
+	if cancel != nil {
+		mopts.Cancel = cancel
+	}
+
+	res, err = milp.Solve(p, intVars, mopts)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if res.Status != lp.Optimal {
+		// Limits hit with no MILP incumbent: fall back to the balanced
+		// heuristic so the sweep still has a candidate for this S.
+		if balanced != nil {
+			return balanced, res, false, nil
+		}
+		return nil, res, false, nil
+	}
+
+	sizes := make([]int, S)
+	for j := 0; j < S; j++ {
+		sizes[j] = int(math.Round(res.X[j]))
+	}
+	sizes[0]++   // embedding layer
+	sizes[S-1]++ // head layer
+	part, err = FromBoundaries(params.Profile, sizes, AlgoMIP)
+	if err != nil {
+		return nil, res, false, err
+	}
+	return part, res, true, nil
+}
+
+// formulate builds the MILP of §3.2 for a fixed stage count S. Its
+// integer variables are the per-stage block counts, variables [0, S);
+// the objective is the step time less the embedding's backward time. It
+// returns nil when a single block cannot fit some stage.
+func formulate(params Params, bs *blockStats, S int) *lp.Problem {
 	N := params.NumGPUs
 	M := params.Microbatches
 	G := params.GPUMem * 1e-9    // GB
@@ -565,9 +637,7 @@ func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent f
 			lo = 0 // embedding/head alone is a valid stage
 		}
 		if hi < lo {
-			// A single block cannot fit: infeasible S, independent of any
-			// incumbent, so the caller must not retry.
-			return nil, 0, true, nil
+			return nil
 		}
 		p.SetBounds(nVarAt(j), lo, hi)
 	}
@@ -687,42 +757,5 @@ func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent f
 	// Objective (3): minimize tb_{0,M-1} + Tb_0.
 	p.SetObjectiveCoeff(tbAt(0, M-1), 1)
 	p.SetObjectiveCoeff(nVarAt(0), bs.tbBlk)
-
-	intVars := make([]int, S)
-	for j := 0; j < S; j++ {
-		intVars[j] = j
-	}
-	mopts := milp.Options{MaxNodes: opts.NodeLimit, TimeLimit: opts.TimeLimit, GapTol: mipGapTol, Scratch: sc}
-	if !math.IsInf(incumbent, 1) {
-		mopts.Incumbent = incumbent
-		mopts.IncumbentSet = true
-	}
-	if cancel != nil {
-		mopts.Cancel = cancel
-	}
-
-	res, err := milp.Solve(p, intVars, mopts)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if res.Status != lp.Optimal {
-		// Limits hit with no MILP incumbent: fall back to the balanced
-		// heuristic so the sweep still has a candidate for this S.
-		if balanced != nil {
-			return balanced, res.Nodes, false, nil
-		}
-		return nil, res.Nodes, false, nil
-	}
-
-	sizes := make([]int, S)
-	for j := 0; j < S; j++ {
-		sizes[j] = int(math.Round(res.X[nVarAt(j)]))
-	}
-	sizes[0]++   // embedding layer
-	sizes[S-1]++ // head layer
-	part, err = FromBoundaries(params.Profile, sizes, AlgoMIP)
-	if err != nil {
-		return nil, res.Nodes, false, err
-	}
-	return part, res.Nodes, true, nil
+	return p
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mobius/internal/hw"
 	"mobius/internal/model"
@@ -215,6 +216,35 @@ func TestMIPObjectiveMatchesEvaluator(t *testing.T) {
 	}
 	if math.Abs(tEval-stats.StepTime) > 1e-6*math.Max(1, tEval) {
 		t.Fatalf("evaluator %g vs stats %g", tEval, stats.StepTime)
+	}
+}
+
+// TestMIPEffortCountersRepeat checks the LP effort counters are a
+// function of the planning problem alone: two serial uncached sweeps,
+// and a parallel one, report the same node, LP and pivot counts and the
+// same largest LP.
+func TestMIPEffortCountersRepeat(t *testing.T) {
+	p := testParams(t, model.GPT8B, 4)
+	var first *MIPStats
+	for _, par := range []int{1, 1, 2} {
+		_, stats, err := MIP(p, MIPOptions{DisableCache: true, MaxStages: 12, Parallelism: par, TimeLimit: 10 * time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.LPSolves < len(stats.TriedStageCounts) || stats.LPPivots <= 0 || stats.LPRows <= 0 || stats.LPCols <= stats.LPRows {
+			t.Fatalf("implausible effort: %d LPs, %d pivots, largest %dx%d over %d candidates",
+				stats.LPSolves, stats.LPPivots, stats.LPRows, stats.LPCols, len(stats.TriedStageCounts))
+		}
+		if first == nil {
+			first = stats
+			continue
+		}
+		if stats.Nodes != first.Nodes || stats.LPSolves != first.LPSolves || stats.LPPivots != first.LPPivots ||
+			stats.LPRows != first.LPRows || stats.LPCols != first.LPCols {
+			t.Errorf("parallelism %d: %d nodes, %d LPs, %d pivots, largest %dx%d; first run %d, %d, %d, %dx%d",
+				par, stats.Nodes, stats.LPSolves, stats.LPPivots, stats.LPRows, stats.LPCols,
+				first.Nodes, first.LPSolves, first.LPPivots, first.LPRows, first.LPCols)
+		}
 	}
 }
 

@@ -4,11 +4,15 @@ import (
 	"math"
 	"reflect"
 	"testing"
-)
+	"time"
 
-import (
 	"mobius/internal/model"
 )
+
+// warmTestTimeLimit lifts the per-MILP wall-clock limit in these sweeps so
+// the node limit alone bounds them: under the default 3 s limit a loaded
+// machine can stop one of two compared sweeps early and change its result.
+const warmTestTimeLimit = 10 * time.Minute
 
 // TestWarmStartMatchesColdSweep solves the same planning problem cold
 // and warm-started (seeded from a neighboring problem's solution) and
@@ -21,7 +25,7 @@ func TestWarmStartMatchesColdSweep(t *testing.T) {
 		// Neighbor problem: the same model on one fewer GPU (the elastic
 		// single-GPU-loss shape).
 		neighbor := testParams(t, m, 4)
-		opts := MIPOptions{Parallelism: 2}
+		opts := MIPOptions{Parallelism: 2, TimeLimit: warmTestTimeLimit}
 		warmSrc, _, err := MIP(neighbor, opts)
 		if err != nil {
 			t.Fatalf("%s neighbor solve: %v", m.Name, err)
@@ -63,7 +67,7 @@ func TestWarmStartMatchesColdSweep(t *testing.T) {
 // and still return the cold result.
 func TestWarmStartIgnoresIncompatibleShape(t *testing.T) {
 	target := testParams(t, model.GPT8B, 4)
-	opts := MIPOptions{}
+	opts := MIPOptions{TimeLimit: warmTestTimeLimit}
 	cold, coldStats, err := MIP(target, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +95,7 @@ func TestWarmStartIgnoresIncompatibleShape(t *testing.T) {
 // left untouched — it is typically a live cache entry.
 func TestWarmStartDoesNotMutateSeed(t *testing.T) {
 	neighbor := testParams(t, model.GPT8B, 4)
-	opts := MIPOptions{}
+	opts := MIPOptions{TimeLimit: warmTestTimeLimit}
 	warmSrc, _, err := MIP(neighbor, opts)
 	if err != nil {
 		t.Fatal(err)
