@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check check-lp check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store bench bench-json bench-plan-json bench-cluster-json bench-store-json
+.PHONY: build vet test race check check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store bench bench-json bench-plan-json bench-cluster-json
 
 build:
 	$(GO) build ./...
@@ -53,32 +53,14 @@ check-chaos:
 	$(GO) test -run xxx -fuzz 'FuzzParseJSON' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz 'FuzzChaosInvariants' -fuzztime 10s ./internal/chaos/
 
-# check-sharded is the sharded-scheduler gate: the full simulator suite —
-# including the differential tests that hold the parallel scheduler
-# bitwise-identical to the serial incremental one and the oracle across
-# the chaos topologies at K ∈ {1,2,3,4,8,16} — uncached, under the race
-# detector.
-check-sharded:
-	$(GO) test -race -count=1 ./internal/sim/
-
-# check-scale is the scale gate: the skewed differential suite (serial
-# vs work-stealing parallel at K ∈ {1,2,3,4,8,16}, stealing on and off),
-# the streaming-builder bitwise-equivalence test, the Reset slab-shrink
-# regression, and the 10k-flow smoke — all uncached under the race
-# detector, so steal interleavings are exercised, not just one schedule.
-check-scale:
-	$(GO) test -race -run 'TestDifferentialParallelSkewed|TestScaleSmoke|TestBuilderMatchesNaive|TestSyntheticShape|TestResetShrinksRetainedSlabs' -count=1 ./internal/sim/
-
-# check-perf is the performance smoke gate: short in-process comparisons
+# check-perf is the performance smoke gate: short in-process checks
 # asserting the incremental flow scheduler still beats the retained
-# global-recompute oracle, the sharded scheduler still beats the serial
-# incremental one at 1024 flows with allocation-free steady state, work
-# stealing is never slower than static shard assignment on a skewed
-# partition, and streaming construction stays ≥5x leaner than the
-# pre-streaming builder (relative checks, so they hold on any machine;
-# see internal/sim/perf_test.go).
+# global-recompute oracle, steady-state Reset+Run at 1024 flows stays
+# allocation-free, and streaming construction stays ≥5x leaner than the
+# pre-streaming builder (relative checks and allocation counts, so they
+# hold on any machine; see internal/sim/perf_test.go).
 check-perf:
-	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestIncrementalBeatsOracle|TestParallelBeatsSerial|TestStealBeatsNoStealOnSkew|TestStreamConstructLean' -count=1 -timeout 30m -v ./internal/sim/
+	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestIncrementalBeatsOracle|TestSteadyStateAllocFree|TestStreamConstructLean' -count=1 -timeout 30m -v ./internal/sim/
 
 # check-plansvc is the planning-service gate: the deterministic
 # concurrency suite (cache keys, single-flight coalescing and
@@ -124,10 +106,9 @@ check-store:
 # test suite under the race detector (the planning pipeline is
 # concurrent, so plain `go test` alone is not enough), and survive the
 # LP differential gate, the fault matrix, the recovery matrix, the chaos
-# matrix, the sharded scheduler's race-clean differential suite, the
-# scale gate, the performance smoke gate, and the multi-tenant fleet
-# gate.
-check: build vet race check-lp check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store
+# matrix, the performance smoke gate, the planning-service gate, the
+# multi-tenant fleet gate, and the persistence gate.
+check: build vet race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/
@@ -146,11 +127,6 @@ bench-json:
 # BENCH_sim.json.
 bench-plan-json:
 	$(GO) test -run xxx -bench . -benchmem ./internal/plansvc/ ./internal/planstore/ | $(GO) run ./cmd/bench2json -o BENCH_plan.json
-
-# bench-store-json is bench-plan-json restricted to the plan-store
-# persistence benchmarks — quick to re-run when only the store changed.
-bench-store-json:
-	$(GO) test -run xxx -bench . -benchmem ./internal/planstore/ | $(GO) run ./cmd/bench2json -o BENCH_store.json
 
 # bench-cluster-json regenerates BENCH_cluster.json: fleet-simulation
 # throughput (jobs/s at a fixed 3-server fleet with a warm step cache)

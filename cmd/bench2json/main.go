@@ -51,11 +51,11 @@ type ScalePoint struct {
 
 // Scaling is a derived how-does-it-grow series: all sub-benchmarks of
 // one family and mode that differ only in a size parameter
-// (`BenchmarkSimScale/flows=10000/construct` and its 50k/100k siblings),
-// with points sorted by size. Reading whether construction stays linear
-// at 100k flows then takes a glance at the JSON, not a calculator.
+// (`BenchmarkSimContention/flows=64/steady` and its 256/1024 siblings),
+// with points sorted by size. Reading whether a cost stays linear in
+// flow count then takes a glance at the JSON, not a calculator.
 type Scaling struct {
-	Name   string       `json:"name"`  // family + mode, e.g. "BenchmarkSimScale/construct"
+	Name   string       `json:"name"`  // family + mode, e.g. "BenchmarkSimContention/steady"
 	Param  string       `json:"param"` // size-parameter name, e.g. "flows"
 	Points []ScalePoint `json:"points"`
 }

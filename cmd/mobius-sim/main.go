@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/elastic"
@@ -45,35 +44,6 @@ import (
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
-}
-
-// runSynthetic is the -synthetic-flows path: a pure scale exercise of
-// the simulator core (streaming construction, sharded execution, work
-// stealing) with no model or hardware topology involved. It prints the
-// build and run costs the scale benchmarks track, so the CLI reproduces
-// BENCH_sim.json's scaling numbers on any checkout.
-func runSynthetic(flows int, skew float64, parallelism int) {
-	if skew < 0 || skew >= 1 {
-		fail("-synthetic-skew must be in [0,1)")
-	}
-	s := sim.New()
-	s.Parallelism = parallelism
-	start := time.Now()
-	n := sim.BuildSynthetic(s, sim.SyntheticSpec{Flows: flows, SkewFrac: skew})
-	buildTime := time.Since(start)
-	start = time.Now()
-	makespan, err := s.Run()
-	runTime := time.Since(start)
-	if err != nil {
-		fail("synthetic run failed: %v", err)
-	}
-	fmt.Printf("synthetic topology: %d flows (%d tasks), skew %.2f\n", n, s.NumTasks(), skew)
-	if parallelism > 0 {
-		fmt.Printf("scheduler: %d workers over %d shards, %d chunks stolen\n", parallelism, s.ShardCount(), s.Steals())
-	} else {
-		fmt.Println("scheduler: serial")
-	}
-	fmt.Printf("construct %v, run %v, simulated makespan %.3fs\n", buildTime, runTime, float64(makespan))
 }
 
 func main() {
@@ -92,15 +62,7 @@ func main() {
 	corruptProb := flag.Float64("corruptions", 0, "corrupt every transfer with this per-attempt probability [0,1); merges a wildcard rule into -faults")
 	checksums := flag.Bool("checksums", false, "end-to-end transfer checksums: per-byte detection cost, bounded retransmits, structured halt (mobius/gpipe only)")
 	rollback := flag.Int("rollback", 0, "simulate a numeric-guard rollback: the 1-based step whose result is rejected (selects the rollback recovery policy; mobius multi-step runs only)")
-	synFlows := flag.Int("synthetic-flows", 0, "scale exercise: build and run a synthetic topology with this many transfer flows instead of a model (see internal/sim.BuildSynthetic)")
-	synSkew := flag.Float64("synthetic-skew", 0, "synthetic topology skew in [0,1): fraction of flows concentrated in one giant island")
-	parallelism := flag.Int("parallel", 0, "scheduler workers for -synthetic-flows (0 = serial)")
 	flag.Parse()
-
-	if *synFlows > 0 {
-		runSynthetic(*synFlows, *synSkew, *parallelism)
-		return
-	}
 
 	var m model.Config
 	found := false

@@ -292,9 +292,14 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if sol.Status == lp.Optimal && sol.Objective < res.Objective-1e-9 {
+			switch {
+			case sol.Status == lp.Optimal && sol.Objective < res.Objective-1e-9:
 				tryRound(sol.X, fixes)
 				pushNode(sol.Objective, fixes, sol.X)
+			case sol.Status != lp.Optimal && sol.Status != lp.Infeasible:
+				// Limits or a cancel stopped this child's LP: its subtree
+				// was never bounded, so the search proves nothing.
+				exhausted = false
 			}
 
 			// Second side: x >= ceil(frac).

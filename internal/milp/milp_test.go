@@ -3,6 +3,8 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -389,5 +391,49 @@ func TestRepeatedRoundingSkipsLP(t *testing.T) {
 	// (fixing both at 1 flips the row's sign, making it a >= row).
 	if res.LPPivots <= 0 || res.LPRows != 3 || res.LPCols != 6 {
 		t.Errorf("effort %d pivots, largest LP %dx%d; want pivots and a 3x6 tableau", res.LPPivots, res.LPRows, res.LPCols)
+	}
+}
+
+// TestAbortedChildLPIsNotProven aborts exactly one child LP — the first
+// LP poll after the search starts branching — and lets everything else
+// run. The search still finds the optimum, but the aborted child's
+// subtree was never bounded, so the result must not claim a proof.
+// Same problem as TestRepeatedRoundingSkipsLP: the aborted child is the
+// y <= 0 side of the first node.
+func TestAbortedChildLPIsNotProven(t *testing.T) {
+	p := lp.NewProblem(2)
+	p.SetObjectiveCoeff(0, -1)
+	p.SetObjectiveCoeff(1, -1)
+	p.SetBounds(0, 0, 1)
+	p.SetBounds(1, 0, 1)
+	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, lp.LE, 1.5)
+
+	// The node loop polls Cancel from Solve itself; the LP polls it from
+	// inside package lp. Tell them apart by the caller.
+	branching, aborted := false, 0
+	cancel := func() bool {
+		pc, _, _, _ := runtime.Caller(1)
+		fromSolve := strings.HasSuffix(runtime.FuncForPC(pc).Name(), "milp.Solve")
+		switch {
+		case fromSolve:
+			branching = true
+		case branching && aborted == 0:
+			aborted++
+			return true
+		}
+		return false
+	}
+	res, err := Solve(p, []int{0, 1}, Options{Cancel: cancel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aborted != 1 {
+		t.Fatalf("aborted %d child LPs, want exactly 1", aborted)
+	}
+	if res.Status != lp.Optimal || res.Objective != -1 {
+		t.Fatalf("status %v objective %g, want optimum -1", res.Status, res.Objective)
+	}
+	if res.Proven {
+		t.Error("a search that dropped an aborted child LP claims Proven")
 	}
 }

@@ -125,11 +125,13 @@ type MIPStats struct {
 	WarmWon bool
 }
 
-// addEffort adds one MILP solve's node and LP counters; r may be nil.
+// addEffort adds one MILP solve's node and LP counters and folds its
+// Proven flag into the sweep's; r may be nil.
 func (s *MIPStats) addEffort(r *milp.Result) {
 	if r == nil {
 		return
 	}
+	s.Proven = s.Proven && r.Proven
 	s.Nodes += r.Nodes
 	s.LPSolves += r.LPSolves
 	s.LPPivots += r.LPPivots

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobius/internal/hw"
+	"mobius/internal/milp"
 	"mobius/internal/model"
 	"mobius/internal/profile"
 )
@@ -245,6 +246,23 @@ func TestMIPEffortCountersRepeat(t *testing.T) {
 				par, stats.Nodes, stats.LPSolves, stats.LPPivots, stats.LPRows, stats.LPCols,
 				first.Nodes, first.LPSolves, first.LPPivots, first.LPRows, first.LPCols)
 		}
+	}
+}
+
+// TestMIPStatsProvenIsConjunction: the sweep is proven only if every
+// candidate solve was; one unproven solve clears it for good, and a
+// candidate with no solve (infeasible at formulation) leaves it alone.
+func TestMIPStatsProvenIsConjunction(t *testing.T) {
+	s := &MIPStats{Proven: true}
+	s.addEffort(&milp.Result{Proven: true})
+	s.addEffort(nil)
+	if !s.Proven {
+		t.Fatal("proven solves cleared Proven")
+	}
+	s.addEffort(&milp.Result{Proven: false})
+	s.addEffort(&milp.Result{Proven: true})
+	if s.Proven {
+		t.Error("an unproven candidate solve left Proven set")
 	}
 }
 

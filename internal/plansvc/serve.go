@@ -3,6 +3,7 @@ package plansvc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -33,15 +34,24 @@ type PlanRequest struct {
 
 // PlanResponse is the wire form of a served plan.
 type PlanResponse struct {
-	Key            string          `json:"key"`
-	Fingerprint    string          `json:"fingerprint"`
-	Algorithm      string          `json:"algorithm"`
-	Stages         []StageSummary  `json:"stages"`
-	MappingPerm    []int           `json:"mapping_perm"`
-	PredictedStep  float64         `json:"predicted_step_s"`
-	Fallback       bool            `json:"fallback,omitempty"`
-	FallbackReason string          `json:"fallback_reason,omitempty"`
+	Key            string         `json:"key"`
+	Fingerprint    string         `json:"fingerprint"`
+	Algorithm      string         `json:"algorithm"`
+	Stages         []StageSummary `json:"stages"`
+	MappingPerm    []int          `json:"mapping_perm"`
+	PredictedStep  float64        `json:"predicted_step_s"`
+	Fallback       bool           `json:"fallback,omitempty"`
+	FallbackReason string         `json:"fallback_reason,omitempty"`
 }
+
+// ErrorResponse is the wire form of a structured error.
+type ErrorResponse struct {
+	Error string `json:"error"`
+}
+
+// maxPlanRequestBytes bounds a /v1/plan request body. A full topology
+// plus a full model config fits in a few kilobytes.
+const maxPlanRequestBytes = 1 << 20
 
 // StageSummary is one pipeline stage of a served plan.
 type StageSummary struct {
@@ -68,9 +78,14 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var preq PlanRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPlanRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&preq); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -124,11 +139,19 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}{s.Metrics(), s.BreakerState(), s.StoreMetrics()})
 }
 
+// writeJSON encodes v before writing any header, so a value JSON cannot
+// represent (a +Inf predicted step from an infeasible partition) is
+// answered with a structured 422, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	status := http.StatusOK
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusUnprocessableEntity
+		body, _ = json.MarshalIndent(ErrorResponse{fmt.Sprintf("plansvc: response not encodable: %v", err)}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.WriteHeader(status)
+	w.Write(append(body, '\n'))
 }
 
 // options resolves the wire request to planning options.

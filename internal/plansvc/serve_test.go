@@ -2,6 +2,7 @@ package plansvc
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -132,5 +133,63 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/plan: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestServeUnencodablePlanIs422: a balanced 51B plan on 2+2 is
+// infeasible, so its predicted step is +Inf, which JSON cannot encode.
+// The handler must answer with a structured 422, not a 200 with an
+// empty body.
+func TestServeUnencodablePlanIs422(t *testing.T) {
+	svc := New(Config{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/plan", "application/json",
+		strings.NewReader(`{"model": "51B", "topo": "2+2", "partition_algo": "balanced", "balanced_stages": 4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
+	}
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("422 body is not a structured error: %v", err)
+	}
+	if !strings.Contains(er.Error, "not encodable") {
+		t.Errorf("error = %q, want it to name the encoding failure", er.Error)
+	}
+}
+
+// TestServeRejectsOversizedBody: a body past the 1 MiB cap is a 413,
+// whether it is sent with a Content-Length or chunked.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	svc := New(Config{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	// A valid request padded with whitespace past the cap: only its size
+	// can make it fail.
+	body := `{"model": "8B", "topo": "2+2"` + strings.Repeat(" ", maxPlanRequestBytes) + `}`
+	for name, r := range map[string]io.Reader{
+		"declared": strings.NewReader(body),
+		"chunked":  struct{ io.Reader }{strings.NewReader(body)},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/plan", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", name, resp.StatusCode)
+		}
+	}
+	if m := svc.Metrics(); m.Requests != 0 {
+		t.Errorf("oversized bodies reached the planner: %d requests", m.Requests)
 	}
 }

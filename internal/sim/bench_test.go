@@ -8,9 +8,9 @@ import (
 // benchFlowSim builds a simulator with a contended flow set resembling a
 // Mobius step: nFlows transfers spread over shared root complexes and
 // per-GPU links, in several priority classes. The flows are admitted
-// directly into the serial shard so rate computation can be driven
-// without running the event loop.
-func benchFlowSim(nFlows int) (*Sim, *shard) {
+// directly so rate computation can be driven without running the event
+// loop.
+func benchFlowSim(nFlows int) *Sim {
 	s := New()
 	rc := []*Resource{
 		s.NewResource("rc0", 13.1e9),
@@ -25,11 +25,11 @@ func benchFlowSim(nFlows int) (*Sim, *shard) {
 		path := Path(links[f%len(links)], rc[f%len(rc)])
 		tasks = append(tasks, s.Transfer("t", nil, path, float64(1+f)*1e8, f%4))
 	}
-	sh := s.serialShard()
+	s.begin()
 	for _, t := range tasks {
-		sh.beginFlow(t)
+		s.beginFlow(t)
 	}
-	return s, sh
+	return s
 }
 
 // BenchmarkSimRecomputeRates measures one full max-min fair rate
@@ -38,13 +38,13 @@ func benchFlowSim(nFlows int) (*Sim, *shard) {
 // through water-filling, as the pre-incremental scheduler did on every
 // event.
 func BenchmarkSimRecomputeRates(b *testing.B) {
-	s, sh := benchFlowSim(64)
+	s := benchFlowSim(64)
 	s.rateOracle = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.ratesDirty = true
-		sh.recomputeRates()
+		s.ratesDirty = true
+		s.recomputeRates()
 	}
 }
 
@@ -104,11 +104,9 @@ func benchConstruct(b *testing.B, groups, streams, chain int) {
 
 // benchSteady measures execution alone: the topology and DAG are built
 // once and every iteration replays them through Reset+Run, the shape the
-// chaos harness and experiment grids use. parallelism 0 is the serial
-// incremental scheduler; K ≥ 1 runs the sharded scheduler on K workers.
-func benchSteady(b *testing.B, groups, streams, chain, parallelism int) {
+// chaos harness and experiment grids use.
+func benchSteady(b *testing.B, groups, streams, chain int) {
 	s := New()
-	s.Parallelism = parallelism
 	buildChurn(s, groups, streams, chain)
 	if _, err := s.Run(); err != nil {
 		b.Fatal(err)
@@ -130,8 +128,7 @@ func benchSteady(b *testing.B, groups, streams, chain, parallelism int) {
 // flat while the oracle (global recompute, the pre-incremental behavior)
 // grows linearly per event — quadratic in total work. The construct and
 // steady sub-benchmarks split the historical build-plus-run shape into
-// its construction and execution halves; parallel=4 runs the steady
-// shape through the sharded scheduler.
+// its construction and execution halves.
 func BenchmarkSimContention(b *testing.B) {
 	for _, streams := range []int{8, 32, 128} {
 		flows := 8 * streams
@@ -150,10 +147,7 @@ func BenchmarkSimContention(b *testing.B) {
 			})
 		}
 		b.Run(fmt.Sprintf("flows=%d/steady", flows), func(b *testing.B) {
-			benchSteady(b, 8, streams, 8, 0)
-		})
-		b.Run(fmt.Sprintf("flows=%d/parallel=4", flows), func(b *testing.B) {
-			benchSteady(b, 8, streams, 8, 4)
+			benchSteady(b, 8, streams, 8)
 		})
 	}
 }
@@ -182,10 +176,7 @@ func BenchmarkSimSparse(b *testing.B) {
 			})
 		}
 		b.Run(fmt.Sprintf("links=%d/steady", groups), func(b *testing.B) {
-			benchSteady(b, groups, 1, 8, 0)
-		})
-		b.Run(fmt.Sprintf("links=%d/parallel=4", groups), func(b *testing.B) {
-			benchSteady(b, groups, 1, 8, 4)
+			benchSteady(b, groups, 1, 8)
 		})
 	}
 }

@@ -19,11 +19,9 @@ package sim
 // purity: it recomputes every live component on every event and must
 // produce bitwise-identical schedules.
 //
-// All state lives on the owning shard. Resources carry the union-find
-// links, but a shard only ever touches resources its own tasks use
-// (partitioning guarantees disjointness), and the generation marks are
-// drawn from globally unique sequences, so links written by another shard
-// or a previous run always read as stale.
+// The state lives on Sim. Resources carry the union-find links, and a
+// fresh run draws a fresh generation, so links written by a previous run
+// always read as stale.
 
 // component is a connected set of active flows: the union of their paths
 // is disjoint from every other component's. flows is unordered (O(1)
@@ -40,13 +38,13 @@ type component struct {
 	// invisible to an allocation that never visits them.
 	resources []*Resource
 	// dirty marks the component perturbed since the last recompute; it
-	// also guards duplicate entries in shard.dirtyComps.
+	// also guards duplicate entries in Sim.dirtyComps.
 	dirty bool
 	// dead marks a component absorbed by a union-find merge or drained of
 	// its last flow; the dirty drain recycles it.
 	dead bool
 	// visit de-duplicates components during the oracle's global sweep
-	// (compared against shard.compVisit).
+	// (compared against Sim.compVisit).
 	visit uint64
 	// finished counts flow completions charged to this component since it
 	// was created (merges carry the absorbed component's count along); it
@@ -61,16 +59,16 @@ type component struct {
 // resource (one whose flows all finished) pointing at an invalidated
 // parent; the walk cuts such stale edges instead of following them. Path
 // halving keeps chains short.
-func (sh *shard) findRoot(r *Resource) *Resource {
-	if r.ufGen != sh.ufGen {
-		r.ufGen = sh.ufGen
+func (s *Sim) findRoot(r *Resource) *Resource {
+	if r.ufGen != s.ufGen {
+		r.ufGen = s.ufGen
 		r.ufParent = r
 		r.ufRank = 0
 		r.comp = nil
 	}
 	for r.ufParent != r {
 		p := r.ufParent
-		if p.ufGen != sh.ufGen {
+		if p.ufGen != s.ufGen {
 			// The parent was invalidated out from under r: r's own flows
 			// are gone (rebuild re-admits every live flow's resources), so
 			// restart it as a bare singleton.
@@ -79,7 +77,7 @@ func (sh *shard) findRoot(r *Resource) *Resource {
 			r.comp = nil
 			return r
 		}
-		if gp := p.ufParent; gp.ufGen == sh.ufGen {
+		if gp := p.ufParent; gp.ufGen == s.ufGen {
 			r.ufParent = gp
 		}
 		r = r.ufParent
@@ -89,7 +87,7 @@ func (sh *shard) findRoot(r *Resource) *Resource {
 
 // unionRoots merges two union-find roots (and their components) and
 // returns the surviving root.
-func (sh *shard) unionRoots(a, b *Resource) *Resource {
+func (s *Sim) unionRoots(a, b *Resource) *Resource {
 	if a == b {
 		return a
 	}
@@ -106,7 +104,7 @@ func (sh *shard) unionRoots(a, b *Resource) *Resource {
 	case ca == nil:
 		a.comp = cb
 	default:
-		sh.mergeComponents(ca, cb)
+		s.mergeComponents(ca, cb)
 	}
 	b.comp = nil
 	return a
@@ -116,13 +114,13 @@ func (sh *shard) unionRoots(a, b *Resource) *Resource {
 // dst's list, dirtiness and the finished-count debt are inherited, and
 // src is retired through the dirty drain so its buffer returns to the
 // pool.
-func (sh *shard) mergeComponents(dst, src *component) {
+func (s *Sim) mergeComponents(dst, src *component) {
 	for _, f := range src.flows {
 		f.compIdx = len(dst.flows)
 		dst.flows = append(dst.flows, f)
 	}
 	for _, r := range src.resources {
-		if r.listedGen == sh.ufGen && r.listedComp == src {
+		if r.listedGen == s.ufGen && r.listedComp == src {
 			r.listedComp = dst
 		}
 		dst.resources = append(dst.resources, r)
@@ -131,7 +129,7 @@ func (sh *shard) mergeComponents(dst, src *component) {
 	dst.finished += src.finished
 
 	if src.dirty && !dst.dirty {
-		sh.markDirty(dst)
+		s.markDirty(dst)
 	}
 	src.flows = src.flows[:0]
 	src.finished = 0
@@ -139,36 +137,36 @@ func (sh *shard) mergeComponents(dst, src *component) {
 	if !src.dirty {
 		// Route the corpse through dirtyComps so the next drain recycles
 		// it; dead components are skipped before any rate work.
-		sh.markDirty(src)
+		s.markDirty(src)
 	}
 }
 
 // markDirty queues c for the next rate recompute (once).
-func (sh *shard) markDirty(c *component) {
-	sh.ratesDirty = true
+func (s *Sim) markDirty(c *component) {
+	s.ratesDirty = true
 	if !c.dirty {
 		c.dirty = true
-		sh.dirtyComps = append(sh.dirtyComps, c)
+		s.dirtyComps = append(s.dirtyComps, c)
 	}
 }
 
 // newComponent takes a component from the pool (or allocates one).
-func (sh *shard) newComponent() *component {
-	if n := len(sh.compPool); n > 0 {
-		c := sh.compPool[n-1]
-		sh.compPool[n-1] = nil
-		sh.compPool = sh.compPool[:n-1]
+func (s *Sim) newComponent() *component {
+	if n := len(s.compPool); n > 0 {
+		c := s.compPool[n-1]
+		s.compPool[n-1] = nil
+		s.compPool = s.compPool[:n-1]
 		return c
 	}
 	return &component{}
 }
 
-func (sh *shard) recycleComponent(c *component) {
+func (s *Sim) recycleComponent(c *component) {
 	c.flows = c.flows[:0]
 	// Unlist only resources still pointing here: one that has since been
 	// re-admitted into a younger component stays on that list.
 	for i, r := range c.resources {
-		if r.listedGen == sh.ufGen && r.listedComp == c {
+		if r.listedGen == s.ufGen && r.listedComp == c {
 			r.listedComp = nil
 		}
 		c.resources[i] = nil
@@ -177,38 +175,38 @@ func (sh *shard) recycleComponent(c *component) {
 	c.dirty = false
 	c.dead = false
 	c.finished = 0
-	sh.compPool = append(sh.compPool, c)
+	s.compPool = append(s.compPool, c)
 }
 
 // componentAdmit links a newly admitted flow into the union-find: its
 // path's resources are unioned into one component, the flow joins that
 // component's member list, and the component is marked dirty. Empty-path
 // flows are unconstrained and never join a component.
-func (sh *shard) componentAdmit(f *flow) {
+func (s *Sim) componentAdmit(f *flow) {
 	path := f.task.path
 	if len(path) == 0 {
 		return
 	}
-	root := sh.findRoot(path[0].Res)
+	root := s.findRoot(path[0].Res)
 	for _, pe := range path[1:] {
-		root = sh.unionRoots(root, sh.findRoot(pe.Res))
+		root = s.unionRoots(root, s.findRoot(pe.Res))
 	}
 	c := root.comp
 	if c == nil {
-		c = sh.newComponent()
+		c = s.newComponent()
 		root.comp = c
 	}
 	for _, pe := range path {
 		r := pe.Res
-		if r.listedGen != sh.ufGen || r.listedComp != c {
-			r.listedGen = sh.ufGen
+		if r.listedGen != s.ufGen || r.listedComp != c {
+			r.listedGen = s.ufGen
 			r.listedComp = c
 			c.resources = append(c.resources, r)
 		}
 	}
 	f.compIdx = len(c.flows)
 	c.flows = append(c.flows, f)
-	sh.markDirty(c)
+	s.markDirty(c)
 }
 
 // componentFinish removes a completed flow from its component and marks
@@ -216,11 +214,11 @@ func (sh *shard) componentAdmit(f *flow) {
 // survivors). Finishes are also what can split a component, which
 // union-find cannot express, so they feed the component's rebuild
 // counter; a component drained of its last flow is retired on the spot.
-func (sh *shard) componentFinish(f *flow) {
+func (s *Sim) componentFinish(f *flow) {
 	if len(f.task.path) == 0 {
 		return
 	}
-	root := sh.findRoot(f.task.path[0].Res)
+	root := s.findRoot(f.task.path[0].Res)
 	c := root.comp
 	last := len(c.flows) - 1
 	moved := c.flows[last]
@@ -229,7 +227,7 @@ func (sh *shard) componentFinish(f *flow) {
 	c.flows[last] = nil
 	c.flows = c.flows[:last]
 	c.finished++
-	sh.markDirty(c)
+	s.markDirty(c)
 	if len(c.flows) == 0 {
 		root.comp = nil
 		c.dead = true
@@ -241,15 +239,15 @@ func (sh *shard) componentFinish(f *flow) {
 // every member flow re-admitted in list order, which recovers any splits
 // finishes have produced. Newly formed components enter the dirty queue,
 // so the recompute that triggered the rebuild drains them immediately.
-func (sh *shard) rebuildComponent(c *component) {
-	fs := append(sh.rebuildScratch[:0], c.flows...)
+func (s *Sim) rebuildComponent(c *component) {
+	fs := append(s.rebuildScratch[:0], c.flows...)
 	// Detach the component from its union-find root before the
 	// invalidation orphans the tree: the root can be a resource whose own
 	// flows all finished — still current-generation, not on any live
 	// flow's path — and a dangling comp pointer there would resurrect the
 	// recycled component on a later capacity event.
 	if len(fs) > 0 {
-		root := sh.findRoot(fs[0].task.path[0].Res)
+		root := s.findRoot(fs[0].task.path[0].Res)
 		root.comp = nil
 	}
 	for _, f := range fs {
@@ -257,12 +255,12 @@ func (sh *shard) rebuildComponent(c *component) {
 			pe.Res.ufGen = 0
 		}
 	}
-	sh.recycleComponent(c)
+	s.recycleComponent(c)
 	for _, f := range fs {
-		sh.componentAdmit(f)
+		s.componentAdmit(f)
 	}
 	for i := range fs {
 		fs[i] = nil
 	}
-	sh.rebuildScratch = fs[:0]
+	s.rebuildScratch = fs[:0]
 }

@@ -8,17 +8,15 @@ import (
 )
 
 // admitForTest arms all dependency-free tasks and drains the cascade so
-// their flows are active, mirroring what Run's seeding does. It returns
-// the serial shard the event loop runs in, for direct state inspection.
-func admitForTest(s *Sim) *shard {
-	sh := s.serialShard()
+// their flows are active, mirroring what Run's seeding does.
+func admitForTest(s *Sim) {
+	s.begin()
 	for _, t := range s.tasks {
 		if t.state == statePending && t.waiting == 0 {
-			sh.ready = append(sh.ready, t)
+			s.ready = append(s.ready, t)
 		}
 	}
-	sh.drain()
-	return sh
+	s.drain()
 }
 
 func TestComponentsDisjointResourcesStaySeparate(t *testing.T) {
@@ -27,11 +25,11 @@ func TestComponentsDisjointResourcesStaySeparate(t *testing.T) {
 	r2 := s.NewResource("r2", 1e9)
 	s.Transfer("a", nil, Path(r1), 1e9, 0)
 	s.Transfer("b", nil, Path(r2), 1e9, 0)
-	sh := admitForTest(s)
-	if sh.findRoot(r1) == sh.findRoot(r2) {
+	admitForTest(s)
+	if s.findRoot(r1) == s.findRoot(r2) {
 		t.Fatal("flows on disjoint resources must be in separate components")
 	}
-	ca, cb := sh.findRoot(r1).comp, sh.findRoot(r2).comp
+	ca, cb := s.findRoot(r1).comp, s.findRoot(r2).comp
 	if ca == nil || cb == nil || len(ca.flows) != 1 || len(cb.flows) != 1 {
 		t.Fatalf("each component should hold exactly its own flow: %+v %+v", ca, cb)
 	}
@@ -44,9 +42,9 @@ func TestComponentsBridgeFlowMerges(t *testing.T) {
 	s.Transfer("a", nil, Path(r1), 1e9, 0)
 	s.Transfer("b", nil, Path(r2), 1e9, 0)
 	s.Transfer("bridge", nil, Path(r1, r2), 1e9, 0)
-	sh := admitForTest(s)
-	root := sh.findRoot(r1)
-	if root != sh.findRoot(r2) {
+	admitForTest(s)
+	root := s.findRoot(r1)
+	if root != s.findRoot(r2) {
 		t.Fatal("bridge flow must union the two resource groups")
 	}
 	if root.comp == nil || len(root.comp.flows) != 3 {
@@ -68,22 +66,22 @@ func TestComponentsRebuildSplitsAfterBridgeFinishes(t *testing.T) {
 	s.Transfer("a", nil, Path(r1), 100e9, 0)
 	s.Transfer("b", nil, Path(r2), 100e9, 0)
 	s.Transfer("bridge", nil, Path(r1, r2), 1e6, 0)
-	sh := admitForTest(s)
-	sh.recomputeRates()
-	if sh.findRoot(r1) != sh.findRoot(r2) {
+	admitForTest(s)
+	s.recomputeRates()
+	if s.findRoot(r1) != s.findRoot(r2) {
 		t.Fatal("expected merged component while bridge is active")
 	}
 	// Force the rebuild (normally amortized over finishes).
-	sh.rebuildComponent(sh.findRoot(r1).comp)
-	if sh.findRoot(r1) != sh.findRoot(r2) {
+	s.rebuildComponent(s.findRoot(r1).comp)
+	if s.findRoot(r1) != s.findRoot(r2) {
 		t.Fatal("bridge still active: rebuild must keep the merge")
 	}
 	// Finish the bridge via the simulator and rebuild: split recovered.
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sh.flows) != 0 {
-		t.Fatalf("all flows should have completed, %d active", len(sh.flows))
+	if len(s.flows) != 0 {
+		t.Fatalf("all flows should have completed, %d active", len(s.flows))
 	}
 }
 
@@ -97,17 +95,17 @@ func TestComponentRecomputeIsLocal(t *testing.T) {
 	r2 := s.NewResource("r2", 10e9)
 	s.Transfer("a", nil, Path(r1), 100e9, 0)
 	s.Transfer("b", nil, Path(r2), 100e9, 0)
-	sh := admitForTest(s)
-	sh.recomputeRates()
+	admitForTest(s)
+	s.recomputeRates()
 
-	fa, fb := sh.flows[0], sh.flows[1]
+	fa, fb := s.flows[0], s.flows[1]
 	// Poison the scratch: a recompute of that flow would overwrite it.
 	fa.nextRate = -1
 	fb.nextRate = -1
 	// Perturb only r2's component.
 	s.Transfer("b2", nil, Path(r2), 1e9, 0)
 	admitForTest(s)
-	sh.recomputeRates()
+	s.recomputeRates()
 	if fa.nextRate != -1 {
 		t.Fatal("admitting a flow on r2 recomputed the r1 component")
 	}
@@ -124,15 +122,15 @@ func TestCapacityEventDirtiesOnlyItsComponent(t *testing.T) {
 	r2 := s.NewResource("r2", 10e9)
 	s.Transfer("a", nil, Path(r1), 100e9, 0)
 	s.Transfer("b", nil, Path(r2), 100e9, 0)
-	sh := admitForTest(s)
-	sh.recomputeRates()
-	fa, fb := sh.flows[0], sh.flows[1]
+	admitForTest(s)
+	s.recomputeRates()
+	fa, fb := s.flows[0], s.flows[1]
 	fa.nextRate = -1
 	fb.nextRate = -1
 
 	r2.capacity = 5e9
-	sh.touchResource(r2)
-	sh.recomputeRates()
+	s.touchResource(r2)
+	s.recomputeRates()
 	if fa.nextRate != -1 {
 		t.Fatal("capacity change on r2 recomputed the r1 component")
 	}
@@ -223,7 +221,7 @@ func TestFlowStructPooling(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.serial.flowPool) == 0 {
+	if len(s.flowPool) == 0 {
 		t.Fatal("flow pool empty after chained transfers; structs are not recycled")
 	}
 }

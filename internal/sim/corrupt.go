@@ -133,11 +133,9 @@ func (s *Sim) Integrity() IntegrityStats { return s.integrity }
 // and returns the extra setup latency (checksum compute for retransmitted
 // attempts plus backoff waits). The first attempt's checksum cost is
 // charged unconditionally by the caller. Must only be called for
-// transfers with payload. All bookkeeping is recorded on the task itself —
-// never on shared run-level accumulators — so shards stay write-disjoint;
+// transfers with payload. All bookkeeping is recorded on the task itself;
 // finalizeIntegrity derives the aggregate when the run completes.
-func (sh *shard) injectCorruption(t *Task) (extra Time) {
-	s := sh.sim
+func (s *Sim) injectCorruption(t *Task) (extra Time) {
 	if s.Checksums.Enabled {
 		max := s.Checksums.maxRetransmits()
 		n := 0
@@ -170,8 +168,8 @@ func (sh *shard) injectCorruption(t *Task) (extra Time) {
 
 // finalizeIntegrity derives the run-level IntegrityStats from the
 // per-task counters, scanning tasks in id order. Summation order is
-// therefore a property of the DAG, not of event interleaving — serial,
-// sharded, and oracle runs produce bitwise-identical aggregates.
+// therefore a property of the DAG, not of event interleaving — the
+// incremental and oracle schedulers produce bitwise-identical aggregates.
 func (s *Sim) finalizeIntegrity() {
 	st := IntegrityStats{}
 	if s.Checksums.Enabled || s.CorruptionPolicy != nil {

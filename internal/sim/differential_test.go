@@ -177,10 +177,9 @@ func diffScenario(r *rand.Rand, s *Sim) {
 }
 
 // diffScenarioIsolated builds a scenario whose groups share nothing — no
-// bridges, per-group engines and pools — so the build-time partition
-// splits it into one shard per group. This is the workload that actually
-// exercises the sharded scheduler: the shared-state scenario above
-// mostly collapses into one shard through its global engines and pool.
+// bridges, per-group engines and pools — so the run carries many
+// independent components at once, which the shared-state scenario above
+// mostly merges through its global engines and pool.
 func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 	if r.Intn(3) == 0 {
 		s.TransferLatency = Time(r.Float64() * 5e-4)
@@ -279,10 +278,8 @@ func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 
 // diffScenarioSkewed builds an adversarially skewed isolated topology:
 // one giant group carrying most of the tasks plus a swarm of tiny
-// single-stream groups. The partition becomes one huge shard and many
-// small ones — the shape that serializes a static shard assignment and
-// that chunked work-stealing exists to spread. Groups share nothing, so
-// determinism must hold for every steal interleaving.
+// single-stream groups: one large, churning component beside a swarm of
+// short-lived tiny ones.
 func diffScenarioSkewed(r *rand.Rand, s *Sim) {
 	if r.Intn(3) == 0 {
 		s.TransferLatency = Time(r.Float64() * 5e-4)
@@ -389,13 +386,11 @@ func captureRecord(s *Sim, obs *timelineObserver, makespan Time, err error) runR
 }
 
 // runScenarioMode executes a seed's scenario under one scheduler mode —
-// oracle, serial incremental (parallelism 0), or sharded with a given
-// worker bound — and records every observable bit.
-func runScenarioMode(seed int64, oracle bool, parallelism int, build func(*rand.Rand, *Sim)) runRecord {
+// oracle or incremental — and records every observable bit.
+func runScenarioMode(seed int64, oracle bool, build func(*rand.Rand, *Sim)) runRecord {
 	r := rand.New(rand.NewSource(seed))
 	s := New()
 	s.rateOracle = oracle
-	s.Parallelism = parallelism
 	obs := &timelineObserver{}
 	s.Observe(obs)
 	build(r, s)
@@ -404,9 +399,9 @@ func runScenarioMode(seed int64, oracle bool, parallelism int, build func(*rand.
 	return captureRecord(s, obs, makespan, err)
 }
 
-// runScenario executes the seed's shared-state scenario serially.
+// runScenario executes the seed's shared-state scenario.
 func runScenario(seed int64, oracle bool) runRecord {
-	return runScenarioMode(seed, oracle, 0, diffScenario)
+	return runScenarioMode(seed, oracle, diffScenario)
 }
 
 func diffRecords(t *testing.T, seed int64, inc, ora runRecord) {
@@ -455,15 +450,27 @@ func diffRecords(t *testing.T, seed int64, inc, ora runRecord) {
 }
 
 // TestDifferentialIncrementalVsOracle runs 64 randomized chaos topologies
-// under both schedulers and requires bit-for-bit identical behavior.
+// from each scenario builder under both schedulers and requires
+// bit-for-bit identical behavior.
 func TestDifferentialIncrementalVsOracle(t *testing.T) {
-	for seed := int64(1); seed <= 64; seed++ {
-		inc := runScenario(seed, false)
-		ora := runScenario(seed, true)
-		diffRecords(t, seed, inc, ora)
-		if t.Failed() {
-			t.Fatalf("seed %d: differential divergence (stopping)", seed)
-		}
+	for _, sc := range []struct {
+		name  string
+		build func(*rand.Rand, *Sim)
+	}{
+		{"shared", diffScenario},
+		{"isolated", diffScenarioIsolated},
+		{"skewed", diffScenarioSkewed},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 64; seed++ {
+				inc := runScenarioMode(seed, false, sc.build)
+				ora := runScenarioMode(seed, true, sc.build)
+				diffRecords(t, seed, inc, ora)
+				if t.Failed() {
+					t.Fatalf("seed %d: differential divergence (stopping)", seed)
+				}
+			}
+		})
 	}
 }
 
@@ -479,106 +486,29 @@ func TestDifferentialReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelVsSerial is the sharded-scheduler gate: over 64
-// isolated chaos topologies (one shard per group), parallel execution at
-// K ∈ {1,2,3,4,8,16} workers — non-power-of-two and oversubscribed
-// included — must be bitwise-identical to the serial incremental
-// scheduler, which in turn must match the oracle.
-func TestDifferentialParallelVsSerial(t *testing.T) {
-	for seed := int64(1); seed <= 64; seed++ {
-		serial := runScenarioMode(seed, false, 0, diffScenarioIsolated)
-		oracle := runScenarioMode(seed, true, 0, diffScenarioIsolated)
-		diffRecords(t, seed, serial, oracle)
-		if t.Failed() {
-			t.Fatalf("seed %d: serial vs oracle divergence (stopping)", seed)
-		}
-		for _, k := range []int{1, 2, 3, 4, 8, 16} {
-			par := runScenarioMode(seed, false, k, diffScenarioIsolated)
-			diffRecords(t, seed, serial, par)
-			if t.Failed() {
-				t.Fatalf("seed %d: parallel K=%d vs serial divergence (stopping)", seed, k)
-			}
-		}
-	}
-}
-
-// TestDifferentialParallelSkewed pins stealing determinism on the
-// partition shape built to break it: one giant shard plus a swarm of tiny
-// ones. Every worker count — including K=3 (chunks wrap unevenly) and
-// K=16 (more workers than meaningful shards on small seeds) — and both
-// steal settings must reproduce the serial schedule bit for bit, which
-// must itself match the oracle.
-func TestDifferentialParallelSkewed(t *testing.T) {
-	for seed := int64(1); seed <= 64; seed++ {
-		serial := runScenarioMode(seed, false, 0, diffScenarioSkewed)
-		oracle := runScenarioMode(seed, true, 0, diffScenarioSkewed)
-		diffRecords(t, seed, serial, oracle)
-		if t.Failed() {
-			t.Fatalf("seed %d: serial vs oracle divergence (stopping)", seed)
-		}
-		for _, k := range []int{1, 2, 3, 4, 8, 16} {
-			for _, noSteal := range []bool{false, true} {
-				build := diffScenarioSkewed
-				if noSteal {
-					build = func(r *rand.Rand, s *Sim) {
-						s.NoSteal = true
-						diffScenarioSkewed(r, s)
-					}
-				}
-				par := runScenarioMode(seed, false, k, build)
-				diffRecords(t, seed, serial, par)
-				if t.Failed() {
-					t.Fatalf("seed %d: skewed parallel K=%d noSteal=%v divergence (stopping)", seed, k, noSteal)
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialParallelSharedState runs the shared-state scenarios —
-// global engines, one pool, bridges, permanent failures — with
-// Parallelism set. Most collapse to a single shard or hit the
-// serial-fallback gates (failure events, structured errors); either way
-// the result must stay bitwise-identical to the serial scheduler.
-func TestDifferentialParallelSharedState(t *testing.T) {
-	for seed := int64(1); seed <= 64; seed++ {
-		serial := runScenario(seed, false)
-		for _, k := range []int{2, 8} {
-			par := runScenarioMode(seed, false, k, diffScenario)
-			diffRecords(t, seed, serial, par)
-		}
-		if t.Failed() {
-			t.Fatalf("seed %d: shared-state parallel divergence (stopping)", seed)
-		}
-	}
-}
-
 // TestRewindReplayBitwise pins topology reuse: rewinding an executed
 // simulator and re-running the same DAG — the shape Reset gives the
 // chaos harness and experiment grids — must replay every observable bit,
-// in both serial and sharded modes, including scheduled faults.
+// including scheduled faults.
 func TestRewindReplayBitwise(t *testing.T) {
 	for _, seed := range []int64{3, 17, 42, 58} {
 		for _, build := range []func(*rand.Rand, *Sim){diffScenario, diffScenarioIsolated} {
-			for _, k := range []int{0, 4} {
-				r := rand.New(rand.NewSource(seed))
-				s := New()
-				s.Parallelism = k
-				obs := &timelineObserver{}
-				s.Observe(obs)
-				build(r, s)
+			r := rand.New(rand.NewSource(seed))
+			s := New()
+			obs := &timelineObserver{}
+			s.Observe(obs)
+			build(r, s)
 
-				makespan, err := s.Run()
-				first := captureRecord(s, obs, makespan, err)
+			makespan, err := s.Run()
+			first := captureRecord(s, obs, makespan, err)
 
-				s.rewind()
-				obs.events = nil
-				makespan, err = s.Run()
-				second := captureRecord(s, obs, makespan, err)
-				diffRecords(t, seed, first, second)
-				if t.Failed() {
-					t.Fatalf("seed %d K=%d: rewind replay diverged (stopping)", seed, k)
-				}
+			s.rewind()
+			obs.events = nil
+			makespan, err = s.Run()
+			second := captureRecord(s, obs, makespan, err)
+			diffRecords(t, seed, first, second)
+			if t.Failed() {
+				t.Fatalf("seed %d: rewind replay diverged (stopping)", seed)
 			}
 		}
 	}

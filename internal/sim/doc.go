@@ -26,7 +26,8 @@
 // All times are float64 seconds and all sizes float64 bytes. The simulator
 // is fully deterministic: ties are broken by task creation order.
 //
-// The event loop is incremental: flows are grouped into connected
+// One serial event loop (loop.go) executes the whole DAG; its state lives
+// on Sim. The loop is incremental: flows are grouped into connected
 // components by a union-find over the resources their paths touch, and an
 // event re-runs the fair-sharing computation only for the components it
 // perturbed (component.go). Flow progress is settled lazily when a flow's

@@ -12,8 +12,8 @@ type Engine struct {
 	queue   engineQueue
 
 	// kicked guards duplicate entries in the drain cascade's idle-engine
-	// list (shard.kicked), replacing the per-drain map the serial loop
-	// used to allocate. Only ever true inside shard.drain.
+	// list (Sim.kicked), replacing the per-drain map the event loop
+	// used to allocate. Only ever true inside Sim.drain.
 	kicked bool
 
 	// throughput scales compute durations (0 means the default of 1).

@@ -20,11 +20,11 @@ type flow struct {
 	// lastUpdate is the simulated instant remaining was last settled.
 	lastUpdate Time
 	// pred is the predicted completion time (lastUpdate+remaining/rate),
-	// the flow's key in shard.flowQueue.
+	// the flow's key in Sim.flowQueue.
 	pred Time
-	// heapIdx is the flow's position in shard.flowQueue (-1 when absent).
+	// heapIdx is the flow's position in Sim.flowQueue (-1 when absent).
 	heapIdx int
-	// listIdx is the flow's position in the unordered shard.flows list.
+	// listIdx is the flow's position in the unordered Sim.flows list.
 	listIdx int
 	// compIdx is the flow's position in its component's member list.
 	compIdx int
@@ -35,7 +35,7 @@ const infiniteRate = 1e30
 
 // predSlackFloor is the absolute remaining-bytes tolerance under which a
 // flow counts as complete regardless of rate (matching the completion
-// slack in shard.advance).
+// slack in Sim.advance).
 const predSlackFloor = 1e-9
 
 // predict returns the completion-time key for the heap. A starved flow
@@ -56,23 +56,23 @@ func (f *flow) predict() Time {
 // added to each path resource's carried counter. Rates are piecewise
 // constant between recomputes, so settling only at rate changes and
 // completion is exact.
-func (sh *shard) settleFlow(f *flow) {
-	dt := sh.now - f.lastUpdate
+func (s *Sim) settleFlow(f *flow) {
+	dt := s.now - f.lastUpdate
 	if dt > 0 && f.rate != 0 {
 		f.remaining -= f.rate * dt
 		for _, pe := range f.task.path {
 			pe.Res.carried += f.rate * pe.Weight * dt
 		}
 	}
-	f.lastUpdate = sh.now
+	f.lastUpdate = s.now
 }
 
-// settleAllFlows settles every active flow; called once when a shard's
-// run exits so utilization accounting and invariant checks see fully
+// settleAllFlows settles every active flow; called once when the event
+// loop exits so utilization accounting and invariant checks see fully
 // settled state even on halted runs.
-func (sh *shard) settleAllFlows() {
-	for _, f := range sh.flows {
-		sh.settleFlow(f)
+func (s *Sim) settleAllFlows() {
+	for _, f := range s.flows {
+		s.settleFlow(f)
 	}
 }
 
@@ -92,49 +92,49 @@ func (sh *shard) settleAllFlows() {
 // twice.
 //
 // Water-filling runs component by component in every mode. Components
-// share no resources, so filling them separately is exact — and it makes
-// the result independent of which other components happen to be dirty at
-// the same instant, which is what lets the sharded scheduler (one
-// component set per shard) reproduce the serial schedule bitwise. The
-// incremental path fills only the components marked dirty since the last
-// call; the retained test-only oracle (rateOracle) fills every live
-// component on every event. Both must produce identical schedules — the
-// differential tests assert exactly that.
+// share no resources, so filling them separately is exact, and the
+// result is independent of which other components happen to be dirty at
+// the same instant. The incremental path fills only the components
+// marked dirty since the last call; the retained test-only oracle
+// (rateOracle) fills every live component on every event. Both must
+// produce identical schedules — the differential tests assert exactly
+// that.
 //
 // The computation is allocation-free in steady state: it reuses the
-// scratch slices on the shard and the scratch fields on Resource
-// (epoch-marked residual/demand, the per-round binding flag) instead of
+// scratch slices on Sim and the scratch fields on Resource
+// (residual/demand reset per component fill, the per-round binding
+// flag) instead of
 // building maps per event, and relies on each component's flow list
 // providing a deterministic iteration order shared by all scheduler
 // modes, so no per-call sort is needed.
-func (sh *shard) recomputeRates() {
-	if !sh.ratesDirty {
+func (s *Sim) recomputeRates() {
+	if !s.ratesDirty {
 		return
 	}
-	sh.ratesDirty = false
+	s.ratesDirty = false
 
-	if sh.sim.rateOracle {
+	if s.rateOracle {
 		// Oracle mode: drain the dirty queue for its side effects only
 		// (recycling dead components, recovering splits), then fill every
 		// live component, de-duplicated by visit epoch.
-		sh.resolveDirty(false)
-		sh.compVisit++
-		for _, f := range sh.flows {
+		s.resolveDirty(false)
+		s.compVisit++
+		for _, f := range s.flows {
 			if len(f.task.path) == 0 {
 				continue
 			}
-			c := sh.findRoot(f.task.path[0].Res).comp
-			if c == nil || c.visit == sh.compVisit {
+			c := s.findRoot(f.task.path[0].Res).comp
+			if c == nil || c.visit == s.compVisit {
 				continue
 			}
-			c.visit = sh.compVisit
-			sh.fillComponent(c)
+			c.visit = s.compVisit
+			s.fillComponent(c)
 		}
 		return
 	}
 
-	for _, c := range sh.resolveDirty(true) {
-		sh.fillComponent(c)
+	for _, c := range s.resolveDirty(true) {
+		s.fillComponent(c)
 	}
 }
 
@@ -143,13 +143,13 @@ func (sh *shard) recomputeRates() {
 // rebuilt (their replacements re-enter the queue and are drained by this
 // same call), and — when collect is set — the surviving components are
 // returned for filling.
-func (sh *shard) resolveDirty(collect bool) []*component {
-	work := sh.compScratch[:0]
-	for i := 0; i < len(sh.dirtyComps); i++ {
-		c := sh.dirtyComps[i]
+func (s *Sim) resolveDirty(collect bool) []*component {
+	work := s.compScratch[:0]
+	for i := 0; i < len(s.dirtyComps); i++ {
+		c := s.dirtyComps[i]
 		c.dirty = false
 		if c.dead {
-			sh.recycleComponent(c)
+			s.recycleComponent(c)
 			continue
 		}
 		if c.finished > len(c.flows)+16 {
@@ -157,21 +157,21 @@ func (sh *shard) resolveDirty(collect bool) []*component {
 			// flows together: re-derive this component's partition. The
 			// rebuild appends its results to dirtyComps, so the loop picks
 			// them up.
-			sh.rebuildComponent(c)
+			s.rebuildComponent(c)
 			continue
 		}
 		if collect {
 			work = append(work, c)
 		}
 	}
-	sh.dirtyComps = sh.dirtyComps[:0]
-	sh.compScratch = work
+	s.dirtyComps = s.dirtyComps[:0]
+	s.compScratch = work
 	return work
 }
 
 // fillComponent runs the strict-priority water-fill over one component
 // and applies the resulting rates.
-func (sh *shard) fillComponent(c *component) {
+func (s *Sim) fillComponent(c *component) {
 	set := c.flows
 	if len(set) == 0 {
 		return
@@ -189,8 +189,8 @@ func (sh *shard) fillComponent(c *component) {
 	// its class's reusable scratch slice, preserving the relative order
 	// within the component. The distinct class count is tiny, so the
 	// per-flow class lookup is a short linear probe, not a map.
-	prios := sh.prioScratch[:0]
-	buckets := sh.classBuckets
+	prios := s.prioScratch[:0]
+	buckets := s.classBuckets
 	for _, f := range set {
 		p := f.task.priority
 		k := -1
@@ -219,13 +219,13 @@ func (sh *shard) fillComponent(c *component) {
 			buckets[j], buckets[j-1] = buckets[j-1], buckets[j]
 		}
 	}
-	sh.prioScratch = prios
-	sh.classBuckets = buckets
+	s.prioScratch = prios
+	s.classBuckets = buckets
 
 	for k := range prios {
-		sh.waterFill(buckets[k])
+		s.waterFill(buckets[k])
 	}
-	sh.applyRates(set)
+	s.applyRates(set)
 }
 
 // applyRates promotes the water-fill results: every flow whose new rate
@@ -233,15 +233,15 @@ func (sh *shard) fillComponent(c *component) {
 // re-keyed in the completion heap. Flows whose rate is reproduced exactly
 // are untouched, which is what makes a conservative (over-large)
 // recompute set behaviorally invisible.
-func (sh *shard) applyRates(set []*flow) {
+func (s *Sim) applyRates(set []*flow) {
 	for _, f := range set {
 		if f.nextRate == f.rate {
 			continue
 		}
-		sh.settleFlow(f)
+		s.settleFlow(f)
 		f.rate = f.nextRate
 		f.pred = f.predict()
-		sh.flowQueue.fix(f)
+		s.flowQueue.fix(f)
 	}
 }
 
@@ -256,19 +256,19 @@ func (sh *shard) applyRates(set []*flow) {
 // order-independent, so the allocation stays bitwise-identical to the
 // per-hop formulation; only the freeze pass, whose flow order decides
 // the residual subtraction order, still iterates flows.
-func (sh *shard) waterFill(class []*flow) {
-	fixed := sh.fixedScratch[:0]
+func (s *Sim) waterFill(class []*flow) {
+	fixed := s.fixedScratch[:0]
 	for range class {
 		fixed = append(fixed, false)
 	}
-	sh.fixedScratch = fixed
+	s.fixedScratch = fixed
 	unfixed := len(class)
 
 	for unfixed > 0 {
 		// Demand per resource: sum of path weights of unfixed flows. A
 		// resource's first contribution this round registers it in the
 		// distinct-resource list (demand is zero between rounds).
-		res := sh.resScratch[:0]
+		res := s.resScratch[:0]
 		for i, f := range class {
 			if fixed[i] {
 				continue
@@ -280,7 +280,7 @@ func (sh *shard) waterFill(class []*flow) {
 				pe.Res.demand += pe.Weight
 			}
 		}
-		sh.resScratch = res
+		s.resScratch = res
 
 		// The binding share is the smallest residual/demand over resources
 		// that carry at least one unfixed flow.

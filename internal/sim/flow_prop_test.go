@@ -58,16 +58,16 @@ func (sc fairnessScenario) rates() ([]float64, []*Resource) {
 		s.Transfer("f", nil, path, 1e12, sc.prios[i])
 	}
 	// Arm the flows without running to completion: seed ready queue.
-	sh := s.serialShard()
+	s.begin()
 	for _, t := range s.tasks {
 		if t.waiting == 0 {
-			sh.ready = append(sh.ready, t)
+			s.ready = append(s.ready, t)
 		}
 	}
-	sh.drain()
-	sh.recomputeRates()
-	rates := make([]float64, len(sh.flows))
-	for i, f := range sh.flows {
+	s.drain()
+	s.recomputeRates()
+	rates := make([]float64, len(s.flows))
+	for i, f := range s.flows {
 		rates[i] = f.rate
 	}
 	return rates, res
@@ -162,16 +162,16 @@ func TestEqualFlowsGetEqualRates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Transfer("f", nil, Path(rc), 1e12, 0)
 	}
-	sh := s.serialShard()
+	s.begin()
 	for _, task := range s.tasks {
 		if task.waiting == 0 {
-			sh.ready = append(sh.ready, task)
+			s.ready = append(s.ready, task)
 		}
 	}
-	sh.drain()
-	sh.recomputeRates()
+	s.drain()
+	s.recomputeRates()
 	want := 12e9 / 5.0
-	for _, f := range sh.flows {
+	for _, f := range s.flows {
 		almost(t, f.rate, want, 1, "equal split")
 	}
 }

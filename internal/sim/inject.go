@@ -45,16 +45,15 @@ func sortCapEvents(evs []capEvent) {
 }
 
 // applyCapEvents applies every capacity event due at (or before) the
-// shard's clock and marks the affected resource's component dirty when
-// anything changed. Parallel runs route each event to the shard owning
-// its resource, so two shards never race on a capacity write.
-func (sh *shard) applyCapEvents() {
-	for sh.nextCap < len(sh.capEvents) && sh.capEvents[sh.nextCap].at <= sh.now+timeEpsilon {
-		ev := sh.capEvents[sh.nextCap]
-		sh.nextCap++
+// clock and marks the affected resource's component dirty when anything
+// changed.
+func (s *Sim) applyCapEvents() {
+	for s.nextCap < len(s.capEvents) && s.capEvents[s.nextCap].at <= s.now+timeEpsilon {
+		ev := s.capEvents[s.nextCap]
+		s.nextCap++
 		if ev.res.capacity != ev.capacity {
 			ev.res.capacity = ev.capacity
-			sh.touchResource(ev.res)
+			s.touchResource(ev.res)
 		}
 	}
 }
@@ -62,12 +61,12 @@ func (sh *shard) applyCapEvents() {
 // touchResource marks the component of r dirty, if any active flow
 // crosses it. A capacity change on an idle resource perturbs nobody: the
 // new capacity is simply what the next admission will water-fill against.
-func (sh *shard) touchResource(r *Resource) {
-	if r.ufGen != sh.ufGen {
+func (s *Sim) touchResource(r *Resource) {
+	if r.ufGen != s.ufGen {
 		return
 	}
-	if root := sh.findRoot(r); root.comp != nil {
-		sh.markDirty(root.comp)
+	if root := s.findRoot(r); root.comp != nil {
+		s.markDirty(root.comp)
 	}
 }
 

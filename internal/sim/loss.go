@@ -69,14 +69,12 @@ func sortFailEvents(evs []failEvent) {
 
 // applyFailEvents fires every failure event due at (or before) the current
 // clock. The first one to fire records the structured error; the run stops
-// at the next loop boundary. Scheduled failures force serial execution
-// (victim collection needs the global flow set), so only the serial shard
-// ever sees a non-empty failEvents list.
-func (sh *shard) applyFailEvents() {
-	for sh.nextFail < len(sh.failEvents) && sh.failEvents[sh.nextFail].at <= sh.now+timeEpsilon {
-		ev := sh.failEvents[sh.nextFail]
-		sh.nextFail++
-		sh.fail(&ResourceLostError{Resource: ev.label, At: sh.now, Victims: sh.collectVictims(ev)})
+// at the next loop boundary.
+func (s *Sim) applyFailEvents() {
+	for s.nextFail < len(s.failEvents) && s.failEvents[s.nextFail].at <= s.now+timeEpsilon {
+		ev := s.failEvents[s.nextFail]
+		s.nextFail++
+		s.fail(&ResourceLostError{Resource: ev.label, At: s.now, Victims: s.collectVictims(ev)})
 	}
 }
 
@@ -84,7 +82,7 @@ func (sh *shard) applyFailEvents() {
 // crosses a dead resource, and the current occupant of each dead engine
 // (covering computes and transfers still in their setup phase). A flowing
 // transfer on a dead engine appears once.
-func (sh *shard) collectVictims(ev failEvent) []string {
+func (s *Sim) collectVictims(ev failEvent) []string {
 	dead := make(map[*Resource]bool, len(ev.res))
 	for _, r := range ev.res {
 		if r != nil {
@@ -93,7 +91,7 @@ func (sh *shard) collectVictims(ev failEvent) []string {
 	}
 	seen := make(map[*Task]bool)
 	var victims []*Task
-	for _, f := range sh.flows {
+	for _, f := range s.flows {
 		for _, pe := range f.task.path {
 			if dead[pe.Res] && !seen[f.task] {
 				seen[f.task] = true

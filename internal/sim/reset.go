@@ -10,8 +10,7 @@ package sim
 
 // rewind restores every task, resource, engine, and pool to its pre-Run
 // state, keeping scheduled fault events and pre-run mutations (pool
-// capacity, engine throughput) intact — it is also how a failed parallel
-// attempt returns to pristine state before the serial rerun. Dependencies
+// capacity, engine throughput) intact. Dependencies
 // that were already finished when a task was created were never counted
 // in its waiting count; they replay that way, so DAGs built incrementally
 // across runs keep the dependency structure they were created with.
@@ -54,13 +53,8 @@ func (s *Sim) rewind() {
 		p.peak = 0
 		p.waiters = p.waiters[:0]
 	}
-	// Shards re-prepare on next use.
-	if s.serial != nil {
-		s.serial.used = false
-	}
-	for _, sh := range s.shards[:s.nShards] {
-		sh.used = false
-	}
+	// The event loop re-prepares on next use.
+	s.prepared = false
 	s.now = 0
 	s.pending = len(s.tasks)
 	s.err = nil
@@ -79,14 +73,13 @@ func (s *Sim) rewind() {
 //
 // Reset also shrinks (not just truncates) pooled run buffers that grew
 // past the high-water mark observed since the previous Reset, so one
-// 100k-flow run does not pin its peak memory for every later small run
+// large run does not pin its peak memory for every later small run
 // in a grid. Buffers the last run actually filled keep their capacity —
 // steady-state Reset+Run loops stay allocation-free.
 func (s *Sim) Reset() {
 	s.rewind()
 	s.capEvents = s.capEvents[:0]
 	s.failEvents = s.failEvents[:0]
-	s.orphanCap = s.orphanCap[:0]
 	s.RetryPolicy = nil
 	s.CorruptionPolicy = nil
 	s.Checksums = ChecksumConfig{}
@@ -118,29 +111,18 @@ func shrinkSlice[T any](buf []T, hwm int) []T {
 	return make([]T, 0, hwm)
 }
 
-// shrinkRetained releases oversized pooled buffers on every shard and the
-// observer merge scratch, then rearms the high-water marks for the next
-// Reset window.
+// shrinkRetained releases oversized pooled run buffers, then rearms the
+// high-water marks for the next Reset window.
 func (s *Sim) shrinkRetained() {
-	shrink := func(sh *shard) {
-		sh.events = shrinkSlice(sh.events, sh.eventsHWM)
-		sh.ready = shrinkSlice(sh.ready, sh.readyHWM)
-		if n := len(sh.flowPool); n > shrinkMinCap && n > 2*sh.flowsHWM {
-			// The pool is a stack of recycled flow structs (len == available);
-			// drop the excess so the GC can take the slab chunks behind them.
-			keep := sh.flowsHWM
-			np := make([]*flow, keep)
-			copy(np, sh.flowPool[:keep])
-			sh.flowPool = np
-		}
-		sh.eventsHWM, sh.flowsHWM, sh.readyHWM = 0, 0, 0
+	s.events = shrinkSlice(s.events, s.eventsHWM)
+	s.ready = shrinkSlice(s.ready, s.readyHWM)
+	if n := len(s.flowPool); n > shrinkMinCap && n > 2*s.flowsHWM {
+		// The pool is a stack of recycled flow structs (len == available);
+		// drop the excess so the GC can take the slab chunks behind them.
+		keep := s.flowsHWM
+		np := make([]*flow, keep)
+		copy(np, s.flowPool[:keep])
+		s.flowPool = np
 	}
-	if s.serial != nil {
-		shrink(s.serial)
-	}
-	for _, sh := range s.shards[:s.nShards] {
-		shrink(sh)
-	}
-	s.eventScratch = shrinkSlice(s.eventScratch, s.eventScratchHWM)
-	s.eventScratchHWM = 0
+	s.eventsHWM, s.flowsHWM, s.readyHWM = 0, 0, 0
 }

@@ -13,11 +13,6 @@ type Resource struct {
 	// restore it (scheduled capacity events mutate capacity mid-run).
 	baseCapacity float64
 
-	// shardIdx routes this resource's capacity events to the shard whose
-	// tasks use it (-1 when no task touches it); see parallel.go. Valid
-	// only while Sim.shardsValid.
-	shardIdx int32
-
 	// residual is scratch state used during rate computation.
 	residual float64
 	// demand is scratch: sum of weights of unfixed flows on this resource.
@@ -30,7 +25,7 @@ type Resource struct {
 
 	// Union-find state grouping resources into connected components of
 	// active flows (see component.go). ufGen lazily invalidates the
-	// structure: a resource whose generation differs from its shard's
+	// structure: a resource whose generation differs from the run's
 	// reads as a fresh singleton. comp is only meaningful on a root.
 	ufParent *Resource
 	ufRank   int
@@ -39,8 +34,7 @@ type Resource struct {
 
 	// listedComp/listedGen track which component's cached resource list
 	// this resource sits on (see component.resources); the generation
-	// guard makes entries written by another shard or a previous run read
-	// as absent.
+	// guard makes entries written by a previous run read as absent.
 	listedComp *component
 	listedGen  uint64
 }

@@ -1,15 +1,9 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// Scale coverage for the synthetic topology generator, the streaming
-// Builder, work-stealing dispatch at 10k+ flows, and Reset's
-// high-water-mark shrink. BenchmarkSimScale is the family BENCH_sim.json
-// records and the acceptance target (100k-flow construct+run in
-// single-digit seconds) is measured against.
+// Scale coverage for the streaming Builder and Reset's high-water-mark
+// shrink, over the synthetic topologies of synthetic_test.go.
 
 // buildSyntheticNaive is the pre-Builder twin of BuildSynthetic: the same
 // DAG emitted through the variadic public constructors. It exists so the
@@ -57,12 +51,9 @@ func buildSyntheticNaive(s *Sim, spec SyntheticSpec) int {
 }
 
 // runSyntheticRecord builds a synthetic topology one way or the other and
-// runs it under the given scheduler settings, capturing every observable
-// bit.
-func runSyntheticRecord(spec SyntheticSpec, naive bool, parallelism int, noSteal bool) runRecord {
+// runs it, capturing every observable bit.
+func runSyntheticRecord(spec SyntheticSpec, naive bool) runRecord {
 	s := New()
-	s.Parallelism = parallelism
-	s.NoSteal = noSteal
 	obs := &timelineObserver{}
 	s.Observe(obs)
 	if naive {
@@ -79,55 +70,9 @@ func runSyntheticRecord(spec SyntheticSpec, naive bool, parallelism int, noSteal
 // order, same schedule, bit for bit.
 func TestBuilderMatchesNaive(t *testing.T) {
 	spec := SyntheticSpec{Flows: 2000, SkewFrac: 0.3}
-	naive := runSyntheticRecord(spec, true, 0, false)
-	stream := runSyntheticRecord(spec, false, 0, false)
+	naive := runSyntheticRecord(spec, true)
+	stream := runSyntheticRecord(spec, false)
 	diffRecords(t, 0, stream, naive)
-}
-
-// TestScaleSmoke is the 10k-flow smoke for `make check-scale`: a skewed
-// synthetic topology must produce bitwise-identical schedules across the
-// serial scheduler and work-stealing parallel runs at non-power-of-two
-// and oversubscribed worker counts, with stealing on and off.
-func TestScaleSmoke(t *testing.T) {
-	spec := SyntheticSpec{Flows: 10000, SkewFrac: 0.4}
-	serial := runSyntheticRecord(spec, false, 0, false)
-	for _, k := range []int{3, 8} {
-		for _, noSteal := range []bool{false, true} {
-			par := runSyntheticRecord(spec, false, k, noSteal)
-			diffRecords(t, int64(k), serial, par)
-			if t.Failed() {
-				t.Fatalf("K=%d noSteal=%v: scale smoke divergence (stopping)", k, noSteal)
-			}
-		}
-	}
-}
-
-// TestSyntheticShape sanity-checks the generator's contract: exact flow
-// count, one shard per island, and a giant-first partition under skew.
-func TestSyntheticShape(t *testing.T) {
-	s := New()
-	s.Parallelism = 2
-	flows := BuildSynthetic(s, SyntheticSpec{Flows: 1000, SkewFrac: 0.5})
-	if flows != 1000 {
-		t.Fatalf("BuildSynthetic emitted %d flows, want 1000", flows)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	n := s.ShardCount()
-	// 500 skewed flows in one island + 500 spread at 32 per island.
-	want := 1 + (500+31)/32
-	if n != want {
-		t.Fatalf("ShardCount = %d, want %d", n, want)
-	}
-	// The cached schedule leads with the giant shard.
-	giant := s.shards[s.stealOrder[0]]
-	for _, i := range s.stealOrder[1:] {
-		if len(s.shards[i].tasks) > len(giant.tasks) {
-			t.Fatalf("steal order not size-descending: shard %d (%d tasks) after head (%d tasks)",
-				i, len(s.shards[i].tasks), len(giant.tasks))
-		}
-	}
 }
 
 // TestResetShrinksRetainedSlabs is the regression gate for the Reset
@@ -145,24 +90,23 @@ func TestResetShrinksRetainedSlabs(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	sh := s.serial
-	if len(sh.flowPool) <= shrinkMinCap {
-		t.Fatalf("test setup: flow pool only %d entries, need > %d to exercise shrink", len(sh.flowPool), shrinkMinCap)
+	if len(s.flowPool) <= shrinkMinCap {
+		t.Fatalf("test setup: flow pool only %d entries, need > %d to exercise shrink", len(s.flowPool), shrinkMinCap)
 	}
-	if cap(sh.events) <= shrinkMinCap {
-		t.Fatalf("test setup: events cap only %d, need > %d", cap(sh.events), shrinkMinCap)
+	if cap(s.events) <= shrinkMinCap {
+		t.Fatalf("test setup: events cap only %d, need > %d", cap(s.events), shrinkMinCap)
 	}
 
 	// Reset right after the big run: the window's high-water marks equal
 	// the retained capacity, so nothing may shrink (steady-state reruns
 	// of the same DAG must stay allocation-free).
-	bigEvents, bigPool := cap(sh.events), len(sh.flowPool)
+	bigEvents, bigPool := cap(s.events), len(s.flowPool)
 	s.Reset()
-	if cap(sh.events) != bigEvents {
-		t.Fatalf("Reset after full run shrank events: cap %d -> %d", bigEvents, cap(sh.events))
+	if cap(s.events) != bigEvents {
+		t.Fatalf("Reset after full run shrank events: cap %d -> %d", bigEvents, cap(s.events))
 	}
-	if len(sh.flowPool) != bigPool {
-		t.Fatalf("Reset after full run shrank flow pool: %d -> %d", bigPool, len(sh.flowPool))
+	if len(s.flowPool) != bigPool {
+		t.Fatalf("Reset after full run shrank flow pool: %d -> %d", bigPool, len(s.flowPool))
 	}
 
 	// A failure at t=0 halts the next run immediately: the window sees
@@ -174,57 +118,16 @@ func TestResetShrinksRetainedSlabs(t *testing.T) {
 		t.Fatal("expected halted run to report an error")
 	}
 	s.Reset()
-	if c := cap(sh.events); c > shrinkMinCap {
+	if c := cap(s.events); c > shrinkMinCap {
 		t.Errorf("events capacity not shrunk: cap %d > %d", c, shrinkMinCap)
 	}
-	if n := len(sh.flowPool); n > shrinkMinCap {
+	if n := len(s.flowPool); n > shrinkMinCap {
 		t.Errorf("flow pool not shrunk: %d entries > %d", n, shrinkMinCap)
-	}
-	if c := cap(s.eventScratch); c > shrinkMinCap {
-		t.Errorf("event scratch not shrunk: cap %d > %d", c, shrinkMinCap)
 	}
 
 	// The shrunk simulator still replays the fault-free schedule.
 	obs.events = obs.events[:0]
 	if _, err := s.Run(); err != nil {
 		t.Fatalf("run after shrink: %v", err)
-	}
-}
-
-// BenchmarkSimScale is the scale family BENCH_sim.json records: DAG
-// construction, serial execution, and work-stealing parallel execution
-// at 10k/50k/100k flows. Sub-benchmark names use plain integers so
-// bench2json's scaling derivation can parse the flow counts.
-func BenchmarkSimScale(b *testing.B) {
-	for _, flows := range []int{10000, 50000, 100000} {
-		spec := SyntheticSpec{Flows: flows}
-		b.Run(fmt.Sprintf("flows=%d/construct", flows), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := New()
-				BuildSynthetic(s, spec)
-			}
-		})
-		b.Run(fmt.Sprintf("flows=%d/run", flows), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := New()
-				BuildSynthetic(s, spec)
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("flows=%d/parallel", flows), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := New()
-				s.Parallelism = 8
-				BuildSynthetic(s, spec)
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

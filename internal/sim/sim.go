@@ -11,8 +11,8 @@ import (
 //
 // Notifications are buffered during Run and dispatched when it returns,
 // sorted by (time, task id, start-before-finish). The order is canonical
-// across scheduler modes: serial, sharded-parallel, and the test oracle
-// all deliver the same sequence for the same DAG.
+// across scheduler modes: the incremental scheduler and the test oracle
+// deliver the same sequence for the same DAG.
 type Observer interface {
 	// TaskStarted fires when a task begins running (a compute occupies its
 	// engine, a transfer's flow is admitted, an alloc succeeds).
@@ -22,11 +22,8 @@ type Observer interface {
 }
 
 // Sim owns the simulated hardware (resources, engines, pools) and the work
-// DAG, and executes the DAG to completion. The event loop itself lives in
-// shard (shard.go): the serial scheduler runs the whole DAG in one shard;
-// setting Parallelism partitions the DAG into independent shards executed
-// on a bounded worker pool with a deterministic merge (parallel.go). Both
-// produce bitwise-identical results.
+// DAG, and executes the DAG to completion. The event loop lives in
+// loop.go, rate computation in flow.go and component.go.
 type Sim struct {
 	now     Time
 	pending int
@@ -37,13 +34,6 @@ type Sim struct {
 	resources []*Resource
 	engines   []*Engine
 	pools     []*MemPool
-
-	// Parallelism bounds the worker pool for sharded execution: 0 (the
-	// default) runs the classic serial event loop; K ≥ 1 partitions the
-	// DAG into independent shards (parallel.go) and runs up to K of them
-	// concurrently. Schedules, observer timelines, carried-byte
-	// accounting, and errors are bitwise-identical across all settings.
-	Parallelism int
 
 	// TransferLatency is the fixed per-transfer setup time applied to
 	// every Transfer task (DMA descriptor setup, host staging
@@ -70,36 +60,23 @@ type Sim struct {
 	// rateOracle switches rate computation to the retained global
 	// reference implementation (every live component, every event) —
 	// test-only; the differential tests assert it is schedule-identical
-	// to the incremental path. Oracle runs are always serial.
+	// to the incremental path.
 	rateOracle bool
 
 	// Scheduled capacity changes and permanent failures (fault
-	// injection), applied in time order. The serial shard consumes these
-	// directly; parallel runs route capacity events to the owning shard
-	// (failure events force serial execution).
+	// injection), applied in time order; nextCap and nextFail are the
+	// event loop's cursors into them.
 	capEvents  []capEvent
+	nextCap    int
 	failEvents []failEvent
+	nextFail   int
 
-	// serial is the single shard the serial scheduler runs the whole DAG
-	// in (created lazily); shards[:nShards] is the partition parallel
-	// runs execute, cached while shardsValid. active lists the shards
-	// that executed the most recent Run (their buffered observer events
-	// are dispatched and drained by finishRun).
-	serial      *shard
-	shards      []*shard
-	nShards     int
-	shardsValid bool
-	active      []*shard
-
-	// orphanCap holds capacity events for resources no task's path
-	// touches; they cannot perturb any shard, so a parallel run applies
-	// the due ones at merge time (the serial loop applies them inline).
-	orphanCap []capEvent
-
-	// started records that a Run consumed builder-time state: continuing
-	// an existing schedule (tasks added after a Run) stays on the serial
-	// path, whose shard retains the in-flight event-loop state.
-	started bool
+	// started records that a Run consumed builder-time state: tasks added
+	// after a Run continue the existing schedule, whose in-flight
+	// event-loop state is kept. prepared records that the event-loop
+	// state was reset for the current run (see begin).
+	started  bool
+	prepared bool
 	// ran short-circuits repeated Run calls: the DAG is executed once and
 	// (now, finalErr) replayed until new tasks arrive or Reset is called.
 	ran      bool
@@ -109,36 +86,48 @@ type Sim struct {
 	// checks distinguish halted from completed runs by it).
 	err error
 
-	// Global generation/epoch sequences. Each shard draws fresh ranges
-	// per run (prepare), so the per-Resource scratch marks — which
-	// persist on the shared Resource structs — can never collide across
-	// shards or reruns.
-	ufGenSeq uint64
-	visitSeq uint64
+	// ready is the instantaneous-cascade worklist, consumed FIFO through
+	// readyHead so the backing array is reused instead of abandoned one
+	// pop at a time; drain resets both once the queue empties.
+	ready     []*Task
+	readyHead int
 
-	// Partition scratch (parallel.go).
-	taskUF       []int32
-	shardOf      []int32
-	engineAnchor []int32
-	poolAnchor   []int32
-	resAnchor    []int32
+	flows []*flow
 
-	// eventScratch merges the shards' buffered observer notifications.
-	eventScratch []obsEvent
+	ratesDirty bool
+	computes   computeHeap
+	flowQueue  flowHeap
 
-	// Work-stealing dispatch state (parallel.go). stealOrder is the
-	// size-descending shard schedule cached with the partition;
-	// stealDeques are the per-worker chunk deques reused across runs;
-	// steals counts the chunks stolen during the last parallel run.
-	stealOrder  []int32
-	stealDeques []*stealDeque
-	steals      int
+	// Component state (component.go). ufGen advances once per fresh run
+	// and compVisit once per oracle sweep; neither is ever reset, so a
+	// mark a previous run left on a Resource or component can never read
+	// as current.
+	dirtyComps []*component
+	compPool   []*component
+	ufGen      uint64
+	compVisit  uint64
 
-	// NoSteal disables chunk stealing between workers in parallel runs,
-	// leaving the static round-robin chunk assignment in place — an
-	// ablation knob for benchmarks and the perf gate. Results are
-	// bitwise-identical either way; only wall-clock under skew differs.
-	NoSteal bool
+	// Scratch reused across events (allocation-free steady state).
+	prioScratch    []int
+	classBuckets   [][]*flow
+	fixedScratch   []bool
+	resScratch     []*Resource
+	compScratch    []*component
+	rebuildScratch []*flow
+	doneScratch    []*flow
+	doneTasks      []*Task
+	kicked         []*Engine
+	flowPool       []*flow
+	flowSlab       []flow
+
+	events []obsEvent // buffered observer notifications
+
+	// High-water marks since the last public Reset. Reset uses them to
+	// shrink pooled buffers a larger earlier run left pinned (reset.go);
+	// they cost one comparison at each growth site.
+	eventsHWM int
+	flowsHWM  int
+	readyHWM  int
 
 	// Arenas DAG construction carves from: Task structs, successor-edge
 	// slices, and the hardware registry (resources, engines, pools) all
@@ -150,11 +139,6 @@ type Sim struct {
 	engSlab   []Engine
 	poolSlab  []MemPool
 	pathCache map[pathKey][]PathElem
-
-	// eventScratchHWM tracks the high-water mark of the observer merge
-	// buffer since the last Reset; Reset shrinks capacity that a larger
-	// earlier run left pinned (reset.go).
-	eventScratchHWM int
 }
 
 // New creates an empty simulator.
@@ -176,7 +160,6 @@ func (s *Sim) NewResource(name string, capacity float64) *Resource {
 	s.resSlab = s.resSlab[1:]
 	r.id, r.name, r.capacity, r.baseCapacity = len(s.resources), name, capacity, capacity
 	s.resources = append(s.resources, r)
-	s.shardsValid = false
 	return r
 }
 
@@ -189,7 +172,6 @@ func (s *Sim) NewEngine(name string) *Engine {
 	s.engSlab = s.engSlab[1:]
 	e.id, e.name = len(s.engines), name
 	s.engines = append(s.engines, e)
-	s.shardsValid = false
 	return e
 }
 
@@ -202,27 +184,11 @@ func (s *Sim) NewMemPool(name string, capacity float64) *MemPool {
 	s.poolSlab = s.poolSlab[1:]
 	p.id, p.name, p.capacity, p.baseCapacity = len(s.pools), name, capacity, capacity
 	s.pools = append(s.pools, p)
-	s.shardsValid = false
 	return p
 }
 
 // NumTasks reports how many tasks the DAG holds.
 func (s *Sim) NumTasks() int { return len(s.tasks) }
-
-// ShardCount reports the number of independent shards in the cached
-// partition, or 0 when no partition has been computed since the topology
-// last changed.
-func (s *Sim) ShardCount() int {
-	if !s.shardsValid {
-		return 0
-	}
-	return s.nShards
-}
-
-// Steals reports how many chunks were stolen between workers during the
-// last parallel run. It is a throughput diagnostic only: the schedule is
-// bitwise-identical whatever the count.
-func (s *Sim) Steals() int { return s.steals }
 
 // allocTask carves a Task from the arena: DAG construction allocates one
 // 256-task chunk at a time instead of one object per task.
@@ -284,7 +250,6 @@ func (s *Sim) newTask(name string, kind TaskKind, deps []*Task) *Task {
 	s.tasks = append(s.tasks, t)
 	s.pending++
 	s.ran = false
-	s.shardsValid = false
 	return t
 }
 
@@ -338,72 +303,26 @@ func (s *Sim) After(name string, deps ...*Task) *Task {
 // capacity yields an *OOMError, a Free returning more bytes than are
 // allocated yields a *MemAccountError.
 //
-// With Parallelism ≥ 1, fresh runs execute the DAG's independent shards
-// on a worker pool (see parallel.go); runs that cannot shard — oracle
-// mode, scheduled permanent failures, or continuations of an already
-// started schedule — fall back to the serial loop. Either way the result
-// is bitwise-identical. Calling Run again without changing the DAG
-// replays the recorded result.
+// Calling Run again without changing the DAG replays the recorded result;
+// tasks added after a Run continue the existing schedule.
 func (s *Sim) Run() (Time, error) {
 	if s.ran {
 		return s.now, s.finalErr
 	}
 	sortCapEvents(s.capEvents)
 	sortFailEvents(s.failEvents)
-	parallel := s.Parallelism > 0 && !s.started && !s.rateOracle && len(s.failEvents) == 0
-	if !parallel || !s.runParallel() {
-		s.runSerial()
-	}
-	s.finishRun()
-	return s.now, s.finalErr
-}
-
-// serialShard returns the single shard the serial scheduler runs the
-// whole DAG in, creating it on first use. On a fresh (not started, not
-// yet prepared since the last rewind) shard it recycles leftover state
-// and draws fresh generation ranges; an already-started schedule keeps
-// its in-flight flows, heaps, and event cursors intact. Test harnesses
-// call this to drive the event loop manually before Run.
-func (s *Sim) serialShard() *shard {
-	sh := s.serial
-	if sh == nil {
-		sh = &shard{sim: s}
-		s.serial = sh
-	}
-	sh.tasks = s.tasks
-	sh.capEvents = s.capEvents
-	sh.failEvents = s.failEvents
-	if !s.started && !sh.used {
-		sh.prepare()
-		sh.used = true
-	}
-	return sh
-}
-
-// runSerial executes the whole DAG in the serial shard.
-func (s *Sim) runSerial() {
-	sh := s.serialShard()
-	sh.now = s.now
-	// Test harnesses drain tasks through the shard directly before Run;
-	// recount so the shard's pending matches actual task state.
+	s.begin()
+	// Test harnesses drain tasks through the event loop directly before
+	// Run; recount so pending matches actual task state.
 	pending := 0
 	for _, t := range s.tasks {
 		if t.state != stateFinished {
 			pending++
 		}
 	}
-	sh.pending = pending
-	sh.run()
-	s.now = sh.now
-	s.pending = sh.pending
-	s.err = sh.err
-	s.active = append(s.active[:0], sh)
-}
+	s.pending = pending
+	s.run()
 
-// finishRun derives the run-level results from the merged shard state:
-// the error Run reports, the integrity statistics, and the canonical
-// observer dispatch.
-func (s *Sim) finishRun() {
 	s.started = true
 	s.ran = true
 	switch {
@@ -416,26 +335,20 @@ func (s *Sim) finishRun() {
 	}
 	s.finalizeIntegrity()
 	s.dispatchEvents()
+	return s.now, s.finalErr
 }
 
-// dispatchEvents delivers the buffered observer notifications of the
-// shards that executed this run, in the canonical (time, task id,
-// start-before-finish) order. Keys are strictly unique — a task starts
-// and finishes at most once — so the comparison is a total order.
+// dispatchEvents delivers the run's buffered observer notifications in
+// the canonical (time, task id, start-before-finish) order. Keys are
+// strictly unique — a task starts and finishes at most once — so the
+// comparison is a total order.
 func (s *Sim) dispatchEvents() {
 	if len(s.observers) == 0 {
 		return
 	}
-	evs := s.eventScratch[:0]
-	for _, sh := range s.active {
-		if n := len(sh.events); n > sh.eventsHWM {
-			sh.eventsHWM = n
-		}
-		evs = append(evs, sh.events...)
-		sh.events = sh.events[:0]
-	}
-	if len(evs) > s.eventScratchHWM {
-		s.eventScratchHWM = len(evs)
+	evs := s.events
+	if len(evs) > s.eventsHWM {
+		s.eventsHWM = len(evs)
 	}
 	sort.Slice(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
@@ -461,7 +374,7 @@ func (s *Sim) dispatchEvents() {
 	for i := range evs {
 		evs[i] = obsEvent{}
 	}
-	s.eventScratch = evs[:0]
+	s.events = evs[:0]
 }
 
 // timeEpsilon groups events that complete within a femtosecond of each

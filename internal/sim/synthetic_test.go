@@ -1,19 +1,14 @@
 package sim
 
 // Synthetic scale topologies: parameterized islands of contending
-// transfer chains, built through the streaming Builder. One generator
-// serves the scale benchmarks (scale_test.go), the perf gates
-// (perf_test.go), and `mobius-sim -synthetic-flows` — so the numbers the
-// CLI prints are the numbers the gates hold.
+// transfer chains, built through the streaming Builder. They feed the
+// Builder equivalence and Reset shrink tests (scale_test.go) and the
+// construction-allocation gate (perf_test.go).
 //
 // An island is one root-complex resource, a few links, and one engine;
 // its streams are chains of transfers (each hop depends on the previous)
-// headed by a small compute on the island engine. Islands share nothing,
-// so each island is exactly one shard: island count and size directly
-// control the partition shape. SkewFrac concentrates a fraction of all
-// flows into one giant island — the adversarial partition (one huge
-// shard plus many tiny ones) that serializes static shard assignment and
-// that work-stealing exists to spread.
+// headed by a small compute on the island engine. Islands share nothing.
+// SkewFrac concentrates a fraction of all flows into one giant island.
 
 // SyntheticSpec sizes a synthetic scale topology. The zero value of every
 // field except Flows picks a sensible default.
@@ -51,9 +46,7 @@ func (sp SyntheticSpec) withDefaults() SyntheticSpec {
 // coordinates. Sizes and durations derive from it so they carry full
 // mantissa richness: completion instants in different islands then tie
 // either exactly (bit-equal, which the canonical event order handles) or
-// by more than the scheduler's float-dust slack — never in between,
-// where the serial loop's same-instant batching and the sharded loop's
-// per-shard batching could disagree.
+// by more than the scheduler's float-dust slack, never in between.
 func synthMix(island, st, k int) uint64 {
 	h := uint64(island)*0x9e3779b97f4a7c15 + uint64(st)*0xbf58476d1ce4e5b9 + uint64(k)*0x94d049bb133111eb
 	h ^= h >> 30

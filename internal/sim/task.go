@@ -76,10 +76,6 @@ type Task struct {
 	initWaiting int
 	succs       []*Task
 
-	// shardIdx is the partition this task belongs to, assigned by
-	// Sim.partition (see parallel.go). Valid only while Sim.shardsValid.
-	shardIdx int32
-
 	state   taskState
 	readyAt Time
 	startAt Time
@@ -89,10 +85,9 @@ type Task struct {
 	retries      int
 	retryLatency Time
 
-	// Corruption bookkeeping (see corrupt.go). The counters are per-task
-	// so shards never touch shared accumulators mid-run; finalizeIntegrity
-	// derives the run-level IntegrityStats from them in task-id order,
-	// making the aggregate independent of event interleaving.
+	// Corruption bookkeeping (see corrupt.go). finalizeIntegrity derives
+	// the run-level IntegrityStats from these per-task counters in task-id
+	// order, making the aggregate independent of event interleaving.
 	retransmits      int  // detected-corruption retransmits performed
 	tainted          bool // carries (or consumed) a silently corrupted payload
 	corruptExhausted bool // every delivery attempt in the budget corrupted
