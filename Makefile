@@ -19,14 +19,19 @@ race:
 
 # check-lp is the LP gate: the lp and milp suites uncached, then the
 # dense-oracle differential over every LP a serial cold plan solves for
-# each Table 3 model on Topo 2+2, 1+3 and 4+4 (same pivot sequence,
-# status and X/objective float bits as the retained dense kernel). It
-# takes about 2 minutes on a 2-vCPU host, and up to about 15 when the
-# default 3 s MILP time limit lets 3B on 4+4 reach its one child LP that
-# runs to the iteration limit.
+# each Table 3 model on Topo 2+2, 1+3 and 4+4 (the oracle runs without
+# the presolve and the breakdown guard: a checked solve's pivots must be
+# a prefix of the oracle's, a guard stop must be on an LP the oracle does
+# not solve to optimality, a presolve rejection on one it calls
+# infeasible, and every other solve must match its status and
+# X/objective float bits), then the twelve cold-plan fingerprints against
+# internal/lp/testdata/plans.golden. It takes about 9 minutes on a 2-vCPU
+# host, 6 of them in the oracle's re-run of the one 3B on 4+4 node LP the
+# guard stops after about 2,000 pivots: unchecked, the dense tableau
+# pivots on to the iteration limit (263,200 pivots).
 check-lp:
 	$(GO) test -count=1 ./internal/lp/ ./internal/milp/
-	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle' -v ./internal/lp/
+	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle|TestColdPlanFingerprints' -v ./internal/lp/
 
 # check-faults is the fault-matrix smoke test: every fault class (link
 # degradation, straggler, transient retries, memory pressure), alone and

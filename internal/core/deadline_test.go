@@ -144,7 +144,8 @@ func TestRunWithExpiredContextStillSimulates(t *testing.T) {
 }
 
 // TestDeadlineInterruptsRootLP plans 51B on Topo 4+4, whose S = 24 root
-// LP alone takes seconds, under a 100 ms deadline. The sweep's cancel
+// LP alone takes about a second (some 1,790 pivots before the simplex's
+// breakdown guard stops it), under a 100 ms deadline. The sweep's cancel
 // reaches into the simplex every 64 pivots, so the plan must degrade to
 // the fallback within a second of the deadline instead of waiting the
 // root LP out.

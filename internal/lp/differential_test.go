@@ -16,50 +16,80 @@ import (
 	"mobius/internal/partition"
 )
 
-// sameSolve solves p with the sparse kernel and with the dense oracle and
-// reports the first difference: pivot sequence, status, effort counters,
-// or the float bits of X and the objective.
-func sameSolve(p *lp.Problem) error {
-	sparse, sTrace, err := lp.SolveTraced(p, false)
+// check names the lp check, if any, that decided a solve early.
+type check int
+
+const (
+	noCheck check = iota
+	presolved
+	guarded
+)
+
+// againstOracle solves p as Solve does and with the oracle (the dense
+// kernel, presolve and breakdown guard off) and reports the check that
+// decided the solve, with both outcomes when one did, or the first way
+// the two disagree. The solve's pivots must be a prefix of the oracle's.
+// A guard stop must be on an LP the oracle does not solve to optimality;
+// a presolve rejection, with no pivot, on one the oracle calls
+// infeasible. Otherwise the two must be the same solve: pivot sequence,
+// status, effort counters, and the float bits of X and the objective.
+func againstOracle(p *lp.Problem) (check, string, error) {
+	sol, trace, err := lp.SolveTraced(p, false)
 	if err != nil {
-		return err
+		return noCheck, "", err
 	}
-	dense, dTrace, err := lp.SolveTraced(p, true)
+	ora, oTrace, err := lp.SolveTraced(p, true)
 	if err != nil {
-		return err
+		return noCheck, "", err
 	}
-	for k := 0; k < len(sTrace) && k < len(dTrace); k++ {
-		if sTrace[k] != dTrace[k] {
-			return fmt.Errorf("pivot %d: sparse %+v, dense %+v", k, sTrace[k], dTrace[k])
+	if len(trace) > len(oTrace) {
+		return noCheck, "", fmt.Errorf("made %d pivots, oracle %d", len(trace), len(oTrace))
+	}
+	for k := range trace {
+		if trace[k] != oTrace[k] {
+			return noCheck, "", fmt.Errorf("pivot %d: %+v, oracle %+v", k, trace[k], oTrace[k])
 		}
 	}
-	if len(sTrace) != len(dTrace) {
-		return fmt.Errorf("sparse made %d pivots, dense %d", len(sTrace), len(dTrace))
+	if sol.Phase1Pivots+sol.Phase2Pivots != len(trace) {
+		return noCheck, "", fmt.Errorf("counted %d+%d pivots, traced %d", sol.Phase1Pivots, sol.Phase2Pivots, len(trace))
 	}
-	if sparse.Status != dense.Status {
-		return fmt.Errorf("status: sparse %v, dense %v", sparse.Status, dense.Status)
+	outcome := fmt.Sprintf("%v after %d pivots, oracle %v after %d", sol.Status, len(trace), ora.Status, len(oTrace))
+	switch {
+	case sol.Status == lp.Numerical:
+		if ora.Status == lp.Optimal {
+			return guarded, "", fmt.Errorf("guard stopped an LP the oracle solves: %s", outcome)
+		}
+		return guarded, outcome, nil
+	case sol.Status == lp.Infeasible && sol.Rows == 0 && ora.Rows > 0:
+		if ora.Status != lp.Infeasible || len(trace) > 0 {
+			return presolved, "", fmt.Errorf("presolve rejected an LP the oracle does not: %s", outcome)
+		}
+		return presolved, outcome, nil
 	}
-	if sparse.Phase1Pivots != dense.Phase1Pivots || sparse.Phase2Pivots != dense.Phase2Pivots ||
-		sparse.Rows != dense.Rows || sparse.Cols != dense.Cols {
-		return fmt.Errorf("counters: sparse %d+%d pivots %dx%d, dense %d+%d pivots %dx%d",
-			sparse.Phase1Pivots, sparse.Phase2Pivots, sparse.Rows, sparse.Cols,
-			dense.Phase1Pivots, dense.Phase2Pivots, dense.Rows, dense.Cols)
+	if len(trace) != len(oTrace) {
+		return noCheck, "", fmt.Errorf("made %d pivots, oracle %d", len(trace), len(oTrace))
 	}
-	if sparse.Phase1Pivots+sparse.Phase2Pivots != len(sTrace) {
-		return fmt.Errorf("counted %d+%d pivots, traced %d", sparse.Phase1Pivots, sparse.Phase2Pivots, len(sTrace))
+	if sol.Status != ora.Status {
+		return noCheck, "", fmt.Errorf("status %v, oracle %v", sol.Status, ora.Status)
 	}
-	if math.Float64bits(sparse.Objective) != math.Float64bits(dense.Objective) {
-		return fmt.Errorf("objective: sparse %v, dense %v", sparse.Objective, dense.Objective)
+	if sol.Phase1Pivots != ora.Phase1Pivots || sol.Phase2Pivots != ora.Phase2Pivots ||
+		sol.Rows != ora.Rows || sol.Cols != ora.Cols {
+		return noCheck, "", fmt.Errorf("counters: %d+%d pivots %dx%d, oracle %d+%d pivots %dx%d",
+			sol.Phase1Pivots, sol.Phase2Pivots, sol.Rows, sol.Cols,
+			ora.Phase1Pivots, ora.Phase2Pivots, ora.Rows, ora.Cols)
 	}
-	if len(sparse.X) != len(dense.X) {
-		return fmt.Errorf("len(X): sparse %d, dense %d", len(sparse.X), len(dense.X))
+	if math.Float64bits(sol.Objective) != math.Float64bits(ora.Objective) {
+		return noCheck, "", fmt.Errorf("objective %v, oracle %v", sol.Objective, ora.Objective)
 	}
-	for i := range sparse.X {
-		if math.Float64bits(sparse.X[i]) != math.Float64bits(dense.X[i]) {
-			return fmt.Errorf("x[%d]: sparse %v, dense %v", i, sparse.X[i], dense.X[i])
+	if len(sol.X) != len(ora.X) {
+		return noCheck, "", fmt.Errorf("len(X) %d, oracle %d", len(sol.X), len(ora.X))
+	}
+	for i := range sol.X {
+		if math.Float64bits(sol.X[i]) != math.Float64bits(ora.X[i]) {
+			return noCheck, "", fmt.Errorf("x[%d] %v, oracle %v", i, sol.X[i], ora.X[i])
 		}
 	}
-	return nil
+	return noCheck, "", nil
 }
 
 // randomLP builds a small LP mixing every row relation, negative
@@ -133,18 +163,21 @@ func randomLP(r *rand.Rand) *lp.Problem {
 	return p
 }
 
-// TestSparseKernelMatchesDenseOracleRandom holds the sparse kernel to the
-// dense oracle on random LPs, and checks the random suite reaches every
+// TestSparseKernelMatchesDenseOracleRandom holds the solver to the dense
+// oracle on random LPs, and checks the random suite reaches every
 // outcome the partition LPs can.
 func TestSparseKernelMatchesDenseOracleRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	seen := map[lp.Status]int{}
+	caught := map[check]int{}
 	bothPhases := 0
 	for k := 0; k < 2000; k++ {
 		p := randomLP(r)
-		if err := sameSolve(p); err != nil {
+		c, _, err := againstOracle(p)
+		if err != nil {
 			t.Fatalf("LP %d: %v", k, err)
 		}
+		caught[c]++
 		sol, err := p.Solve()
 		if err != nil {
 			t.Fatal(err)
@@ -159,17 +192,23 @@ func TestSparseKernelMatchesDenseOracleRandom(t *testing.T) {
 			t.Errorf("no random LP ended %v (outcomes %v)", st, seen)
 		}
 	}
+	if seen[lp.Infeasible] == caught[presolved] {
+		t.Errorf("the presolve decided all %d infeasible random LPs; none reached phase 1's verdict", caught[presolved])
+	}
 	if bothPhases == 0 {
 		t.Errorf("no random LP pivoted in both phases")
 	}
-	t.Logf("outcomes %v, %d with pivots in both phases", seen, bothPhases)
+	t.Logf("outcomes %v, %d with pivots in both phases, %d presolved, %d guarded",
+		seen, bothPhases, caught[presolved], caught[guarded])
 }
 
 // TestSparseKernelMatchesDenseOraclePartitionLPs captures every LP a
 // serial cold plan solves (roots, branch-and-bound children, rounding
 // LPs, and the roots of candidates the sweep starts and then cancels)
 // and holds each one to the dense oracle. The search is a function of
-// its LP outcomes, so this holds the plans to the oracle too. By default
+// its LP outcomes, and milp and the sweep treat Numerical like every
+// other non-optimal, non-infeasible status, so this holds the plans to
+// the oracle too. By default
 // it covers one small sweep; with MOBIUS_CHECK_LP set (make check-lp) it
 // covers a default cold plan of every Table 3 model on Topo 2+2, 1+3 and
 // 4+4. The default per-MILP time limit keeps that bounded; which LPs a
@@ -210,8 +249,10 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 			if plan.MIPStats == nil || len(probs) < plan.MIPStats.LPSolves {
 				t.Fatalf("captured %d LPs, plan reports %+v", len(probs), plan.MIPStats)
 			}
-			// The dense side dominates; compare on every CPU.
+			// The oracle side dominates; compare on every CPU.
 			errs := make([]error, len(probs))
+			caught := make([]check, len(probs))
+			outcomes := make([]string, len(probs))
 			next := make(chan int)
 			var wg sync.WaitGroup
 			for w := 0; w < runtime.GOMAXPROCS(0); w++ {
@@ -219,7 +260,7 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for k := range next {
-						errs[k] = sameSolve(probs[k])
+						caught[k], outcomes[k], errs[k] = againstOracle(probs[k])
 					}
 				}()
 			}
@@ -228,12 +269,18 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 			}
 			close(next)
 			wg.Wait()
+			n := map[check]int{}
 			for k, err := range errs {
 				if err != nil {
 					t.Fatalf("LP %d of %d: %v", k, len(probs), err)
 				}
+				n[caught[k]]++
+				if caught[k] == guarded {
+					t.Logf("LP %d: %s", k, outcomes[k])
+				}
 			}
-			t.Logf("%d LPs (%d counted), %d nodes", len(probs), plan.MIPStats.LPSolves, plan.MIPStats.Nodes)
+			t.Logf("%d LPs (%d counted), %d nodes, %d presolved, %d guarded",
+				len(probs), plan.MIPStats.LPSolves, plan.MIPStats.Nodes, n[presolved], n[guarded])
 		})
 	}
 }

@@ -44,13 +44,15 @@ func densePivot(t *tableau, r, c int) {
 // Pivot is one simplex pivot: the entering column and the leaving row.
 type Pivot struct{ Enter, Leave int }
 
-// SolveTraced solves p with the sparse kernel, or with the dense oracle
-// when dense is set, and returns every pivot in order.
-func SolveTraced(p *Problem, dense bool) (*Solution, []Pivot, error) {
+// SolveTraced solves p as Solve does, or, when oracle is set, with the
+// dense kernel and without the presolve and the breakdown guard, and
+// returns every pivot in order.
+func SolveTraced(p *Problem, oracle bool) (*Solution, []Pivot, error) {
 	var trace []Pivot
 	sc := &Scratch{observe: func(r, c int) { trace = append(trace, Pivot{Enter: c, Leave: r}) }}
-	if dense {
+	if oracle {
 		sc.dense = densePivot
+		sc.unchecked = true
 	}
 	sol, err := p.SolveWith(sc)
 	return sol, trace, err

@@ -18,6 +18,14 @@
 // phase 1 ends. Neither changes the sequence of pivots or the float bits
 // of any result; the dense textbook kernel is kept as a test-only oracle
 // that holds them to it.
+//
+// Two checks stop solves whose outcome is already decided, without
+// changing any pivot before they fire. A row whose activity range over
+// the variable bounds misses its right-hand side makes the LP Infeasible
+// before a tableau is built. A basic value below -feasTol, seen by the
+// ratio test, or a phase-1 ray means the tableau has broken down, and
+// the solve stops with Numerical: the pivots after a breakdown can only
+// end in a status nobody can trust.
 package lp
 
 import (
@@ -57,6 +65,11 @@ const (
 	Infeasible
 	Unbounded
 	IterLimit
+	// Numerical means the tableau lost primal feasibility (a basic
+	// value fell below -feasTol) or phase 1 claimed an unbounded ray,
+	// which exact arithmetic rules out. The solve stops there: its
+	// outcome is unknown, not Infeasible.
+	Numerical
 )
 
 func (s Status) String() string {
@@ -69,6 +82,8 @@ func (s Status) String() string {
 		return "unbounded"
 	case IterLimit:
 		return "iteration-limit"
+	case Numerical:
+		return "numerical"
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }
@@ -146,6 +161,13 @@ func (p *Problem) Bounds(i int) (lo, hi float64) { return p.lower[i], p.upper[i]
 // NumConstraints returns the number of explicit constraints.
 func (p *Problem) NumConstraints() int { return len(p.constraints) }
 
+// Constraint returns explicit constraint i. The terms are the problem's
+// own and must not be modified.
+func (p *Problem) Constraint(i int) (terms []Term, rel Rel, rhs float64) {
+	c := p.constraints[i]
+	return c.terms, c.rel, c.rhs
+}
+
 // Clone returns an independent copy of the problem (constraint rows are
 // shared: they are immutable after AddConstraint).
 func (p *Problem) Clone() *Problem {
@@ -186,12 +208,18 @@ type Solution struct {
 	Phase1Pivots, Phase2Pivots int
 	// Rows and Cols size the tableau: constraint rows plus one row per
 	// finite upper bound, by structural, slack and artificial columns.
+	// Both are zero when the row-activity presolve decided the LP.
 	Rows, Cols int
 }
 
 const (
 	eps      = 1e-9
 	pivotEps = 1e-8
+	// feasTol is the primal feasibility tolerance: phase 1 calls an LP
+	// infeasible when its artificials sum to more, the presolve when a
+	// row misses its right-hand side by more, and a basic value below
+	// -feasTol is a breakdown.
+	feasTol = 1e-6
 )
 
 // ErrBadProblem reports a structurally invalid problem.
@@ -217,9 +245,11 @@ type Scratch struct {
 
 	// Test hooks (export_test.go): observe sees every pivot as (row,
 	// column) before it is applied; dense replaces the sparse kernel and
-	// the artificial-column compaction with the retained dense oracle.
-	observe func(r, c int)
-	dense   func(t *tableau, r, c int)
+	// the artificial-column compaction with the retained dense oracle;
+	// unchecked turns off the presolve and the breakdown guard.
+	observe   func(r, c int)
+	dense     func(t *tableau, r, c int)
+	unchecked bool
 }
 
 // solveHook, when non-nil, sees every problem SolveWith is about to
@@ -261,6 +291,9 @@ func (p *Problem) SolveWith(sc *Scratch) (*Solution, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
+	if !sc.unchecked && p.rowInfeasible() {
+		return &Solution{Status: Infeasible}, nil
+	}
 	t := newTableau(p, sc)
 	sol := &Solution{Rows: t.m, Cols: t.total}
 	sol.Status = t.phase1()
@@ -275,6 +308,42 @@ func (p *Problem) SolveWith(sc *Scratch) (*Solution, error) {
 	}
 	sc.nz = t.nz // keep the grown pivot-row index for the next solve
 	return sol, nil
+}
+
+// rowInfeasible reports whether some row cannot be met anywhere in the
+// variable bounds: its activity range misses the right-hand side by more
+// than feasTol. The range is summed term by term, so duplicate terms only
+// widen it. A zero coefficient is skipped and an infinite upper bound is
+// tracked apart from the finite sum, so 0·∞ and ∞−∞ never occur.
+func (p *Problem) rowInfeasible() bool {
+	for _, c := range p.constraints {
+		var lo, hi float64
+		loInf, hiInf := false, false
+		for _, tm := range c.terms {
+			l, u := p.lower[tm.Var], p.upper[tm.Var]
+			switch {
+			case tm.Coeff > 0:
+				lo += tm.Coeff * l
+				if math.IsInf(u, 1) {
+					hiInf = true
+				} else {
+					hi += tm.Coeff * u
+				}
+			case tm.Coeff < 0:
+				hi += tm.Coeff * l
+				if math.IsInf(u, 1) {
+					loInf = true
+				} else {
+					lo += tm.Coeff * u
+				}
+			}
+		}
+		if (c.rel != GE && !loInf && lo > c.rhs+feasTol) ||
+			(c.rel != LE && !hiInf && hi < c.rhs-feasTol) {
+			return true
+		}
+	}
+	return false
 }
 
 func dot(a, b []float64) float64 {

@@ -300,6 +300,7 @@ func TestStatusStrings(t *testing.T) {
 	for st, want := range map[Status]string{
 		Optimal: "optimal", Infeasible: "infeasible",
 		Unbounded: "unbounded", IterLimit: "iteration-limit",
+		Numerical: "numerical",
 	} {
 		if st.String() != want {
 			t.Errorf("%d: %q", st, st.String())
@@ -374,5 +375,73 @@ func TestAbortPolledEvery64Pivots(t *testing.T) {
 	if sol.Status != IterLimit || sol.Phase1Pivots+sol.Phase2Pivots != abortEvery {
 		t.Errorf("aborted solve: status %v after %d pivots, want %v after %d",
 			sol.Status, sol.Phase1Pivots+sol.Phase2Pivots, IterLimit, abortEvery)
+	}
+}
+
+// TestPresolveRejectsInfeasibleFixing: an LP that fixes x + y <= 1.5 at
+// x = y = 1, as a rounding heuristic does, is infeasible from the row's
+// activity alone: no tableau is built and no pivot made. Without the
+// presolve, phase 1 reaches the same verdict.
+func TestPresolveRejectsInfeasibleFixing(t *testing.T) {
+	p := NewProblem(2)
+	p.SetObjectiveCoeff(0, -1)
+	p.SetObjectiveCoeff(1, -1)
+	p.SetBounds(0, 1, 1)
+	p.SetBounds(1, 1, 1)
+	p.AddConstraint([]Term{{0, 1}, {1, 1}}, LE, 1.5)
+	sol, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Infeasible || sol.Phase1Pivots+sol.Phase2Pivots != 0 || sol.Rows != 0 {
+		t.Errorf("%v after %d pivots on a %dx%d tableau, want infeasible with no tableau",
+			sol.Status, sol.Phase1Pivots+sol.Phase2Pivots, sol.Rows, sol.Cols)
+	}
+	sol, err = p.SolveWith(&Scratch{unchecked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Infeasible || sol.Rows == 0 {
+		t.Errorf("unchecked: %v on a %dx%d tableau, want infeasible from phase 1", sol.Status, sol.Rows, sol.Cols)
+	}
+}
+
+// TestPresolveSkipsUndecidableRows: rows that reach an unbounded
+// variable, through a zero coefficient (0·∞) or through terms of both
+// signs (∞−∞), decide nothing, so the solve goes to the tableau.
+func TestPresolveSkipsUndecidableRows(t *testing.T) {
+	p := NewProblem(3)
+	p.SetObjectiveCoeff(1, 1)
+	p.SetBounds(1, 0, 2)
+	p.AddConstraint([]Term{{0, 0}, {1, 1}}, GE, 1)
+	p.AddConstraint([]Term{{0, 0}, {1, -1}}, LE, -1)
+	p.AddConstraint([]Term{{0, 1}, {2, -1}}, EQ, 5)
+	p.AddConstraint([]Term{{0, 0}, {1, 1}}, EQ, 1)
+	sol := solveOK(t, p)
+	wantObj(t, sol, 1)
+}
+
+// TestPhase1RayIsNumerical: the phase-1 objective is bounded below by
+// zero, so a phase-1 ray is a numerical breakdown. A coefficient below
+// the pivot tolerance makes one: the column prices in (reduced cost
+// -5e-9) but the ratio test skips its only entry. The LP is feasible
+// (x = 2e8), so the unchecked tableau's Infeasible is wrong; the solver
+// reports Numerical.
+func TestPhase1RayIsNumerical(t *testing.T) {
+	p := NewProblem(1)
+	p.AddConstraint([]Term{{0, 5e-9}}, EQ, 1)
+	sol, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Numerical || sol.X != nil {
+		t.Errorf("%v with x=%v, want numerical and no point", sol.Status, sol.X)
+	}
+	sol, err = p.SolveWith(&Scratch{unchecked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Infeasible {
+		t.Errorf("unchecked: %v, want the phase-1 ray called infeasible", sol.Status)
 	}
 }

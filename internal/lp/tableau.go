@@ -29,6 +29,7 @@ type tableau struct {
 	abort   func() bool
 	observe func(r, c int)
 	dense   func(t *tableau, r, c int)
+	guard   bool // stop with Numerical on a basic value below -feasTol
 }
 
 // abortEvery is the pivot interval at which a solve polls its abort
@@ -160,6 +161,7 @@ func newTableau(p *Problem, sc *Scratch) *tableau {
 		abort:   sc.Abort,
 		observe: sc.observe,
 		dense:   sc.dense,
+		guard:   !sc.unchecked,
 	}
 
 	slack := p.n
@@ -209,14 +211,18 @@ func (t *tableau) phase1() Status {
 	}
 	st := t.iterate()
 	if st == Unbounded {
-		// Phase-1 objective is bounded below by zero; treat as numeric
-		// trouble and report infeasible.
+		// The phase-1 objective is bounded below by zero: a ray means
+		// the tableau has broken down, which proves nothing. The
+		// unchecked oracle calls it Infeasible.
+		if t.guard {
+			return Numerical
+		}
 		return Infeasible
 	}
 	if st != Optimal {
 		return st
 	}
-	if -t.obj[t.total] > 1e-6 {
+	if -t.obj[t.total] > feasTol {
 		return Infeasible
 	}
 	// Drive any zero-level artificial out of the basis if possible, then
@@ -290,8 +296,12 @@ func (t *tableau) subtractRow(r int, factor float64) {
 }
 
 // iterate runs simplex pivots until optimality, unboundedness, the
-// iteration limit or an abort. Dantzig pricing with a Bland fallback
-// under prolonged degeneracy guards against cycling.
+// iteration limit, an abort or a breakdown. Dantzig pricing with a Bland
+// fallback under prolonged degeneracy guards against cycling. The ratio
+// test reads every basic value, so it also checks them: a value below
+// -feasTol means the tableau has lost primal feasibility (a healthy solve
+// stays within float noise of zero), and the solve stops with Numerical
+// before the pivot it would have made.
 func (t *tableau) iterate() Status {
 	degenerate := 0
 	for ; t.iter < t.maxIter; t.iter++ {
@@ -323,11 +333,15 @@ func (t *tableau) iterate() Status {
 		leave := -1
 		bestRatio := math.Inf(1)
 		for r := 0; r < t.m; r++ {
+			rhs := t.at(r, t.total)
+			if t.guard && rhs < -feasTol {
+				return Numerical
+			}
 			arj := t.at(r, enter)
 			if arj <= pivotEps {
 				continue
 			}
-			ratio := t.at(r, t.total) / arj
+			ratio := rhs / arj
 			if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave < 0 || t.basis[r] < t.basis[leave])) {
 				bestRatio = ratio
 				leave = r

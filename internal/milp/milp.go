@@ -80,7 +80,8 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	// Status is Optimal when an integer solution was found (Proven tells
 	// whether optimality was certified), Infeasible when no integer point
-	// exists, IterLimit when limits were hit with no incumbent.
+	// exists, IterLimit when limits were hit, or the root LP broke down
+	// (lp.Numerical), with no incumbent.
 	Status    lp.Status
 	X         []float64
 	Objective float64
@@ -95,6 +96,10 @@ type Result struct {
 	LPSolves, LPPivots int
 	// LPRows and LPCols size the largest LP solved (by rows × columns).
 	LPRows, LPCols int
+	// LPNumerical counts the LPs stopped on a numerical breakdown
+	// (lp.Numerical). Such a root leaves no incumbent and such a child
+	// leaves the search unproven, as a limit-bound LP does.
+	LPNumerical int
 }
 
 type node struct {
@@ -142,6 +147,9 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		if err == nil {
 			res.LPSolves++
 			res.LPPivots += sol.Phase1Pivots + sol.Phase2Pivots
+			if sol.Status == lp.Numerical {
+				res.LPNumerical++
+			}
 			if sol.Rows*sol.Cols > res.LPRows*res.LPCols {
 				res.LPRows, res.LPCols = sol.Rows, sol.Cols
 			}
@@ -151,6 +159,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	// withEffort carries the LP counters onto a result other than res.
 	withEffort := func(r *Result) *Result {
 		r.LPSolves, r.LPPivots, r.LPRows, r.LPCols = res.LPSolves, res.LPPivots, res.LPRows, res.LPCols
+		r.LPNumerical = res.LPNumerical
 		return r
 	}
 
@@ -226,8 +235,8 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	case lp.Unbounded:
 		return withEffort(&Result{Status: lp.Unbounded}), nil
 	default:
-		// Limits or a cancel stopped the root LP: there is no relaxation
-		// to round or branch on, and no incumbent.
+		// Limits, a cancel or a breakdown stopped the root LP: there is
+		// no relaxation to round or branch on, and no incumbent.
 		return withEffort(&Result{Status: lp.IterLimit}), nil
 	}
 
@@ -297,8 +306,9 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 				tryRound(sol.X, fixes)
 				pushNode(sol.Objective, fixes, sol.X)
 			case sol.Status != lp.Optimal && sol.Status != lp.Infeasible:
-				// Limits or a cancel stopped this child's LP: its subtree
-				// was never bounded, so the search proves nothing.
+				// Limits, a cancel or a breakdown stopped this child's LP:
+				// its subtree was never bounded, so the search proves
+				// nothing.
 				exhausted = false
 			}
 

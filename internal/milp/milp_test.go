@@ -386,11 +386,12 @@ func TestRepeatedRoundingSkipsLP(t *testing.T) {
 	if res.Nodes != 2 || res.LPSolves != 7 {
 		t.Errorf("%d nodes, %d LP solves; want 2 nodes, 7 LP solves", res.Nodes, res.LPSolves)
 	}
-	// The largest tableau is the infeasible rounding LP: a row and two
-	// upper-bound rows, by 2 structural, 3 slack and 1 artificial columns
-	// (fixing both at 1 flips the row's sign, making it a >= row).
-	if res.LPPivots <= 0 || res.LPRows != 3 || res.LPCols != 6 {
-		t.Errorf("effort %d pivots, largest LP %dx%d; want pivots and a 3x6 tableau", res.LPPivots, res.LPRows, res.LPCols)
+	// The infeasible rounding LP (x+y = 2 > 1.5) never builds a tableau:
+	// the row-activity presolve rejects it. The largest tableau is the
+	// root's: a row and two upper-bound rows, by 2 structural and 3 slack
+	// columns.
+	if res.LPPivots <= 0 || res.LPRows != 3 || res.LPCols != 5 {
+		t.Errorf("effort %d pivots, largest LP %dx%d; want pivots and a 3x5 tableau", res.LPPivots, res.LPRows, res.LPCols)
 	}
 }
 

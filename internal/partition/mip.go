@@ -103,6 +103,10 @@ type MIPStats struct {
 	// LPRows and LPCols size the largest LP solved (by rows × columns),
 	// as simplex tableau rows and columns.
 	LPRows, LPCols int
+	// LPNumerical counts the LPs stopped on a numerical breakdown; a
+	// candidate whose root broke down falls back to the balanced
+	// partition, as a limit-bound one does.
+	LPNumerical int
 	// SolveTime is the cumulative time spent in the MILP solver, summed
 	// over candidate solves (equals wall-clock when Parallelism is 1).
 	SolveTime time.Duration
@@ -135,6 +139,7 @@ func (s *MIPStats) addEffort(r *milp.Result) {
 	s.Nodes += r.Nodes
 	s.LPSolves += r.LPSolves
 	s.LPPivots += r.LPPivots
+	s.LPNumerical += r.LPNumerical
 	if r.LPRows*r.LPCols > s.LPRows*s.LPCols {
 		s.LPRows, s.LPCols = r.LPRows, r.LPCols
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobius/internal/hw"
+	"mobius/internal/lp"
 	"mobius/internal/milp"
 	"mobius/internal/model"
 	"mobius/internal/profile"
@@ -264,6 +265,118 @@ func TestMIPStatsProvenIsConjunction(t *testing.T) {
 	if s.Proven {
 		t.Error("an unproven candidate solve left Proven set")
 	}
+}
+
+// TestMIPStatsSumsNumericalLPs: the sweep's count of LPs stopped on a
+// breakdown is the sum over its solves.
+func TestMIPStatsSumsNumericalLPs(t *testing.T) {
+	s := &MIPStats{}
+	s.addEffort(&milp.Result{LPNumerical: 1})
+	s.addEffort(nil)
+	s.addEffort(&milp.Result{LPNumerical: 2})
+	if s.LPNumerical != 3 {
+		t.Errorf("LPNumerical %d, want 3", s.LPNumerical)
+	}
+}
+
+// TestRoot51BIsFeasibleButBreaksDown pins the two facts the simplex's
+// breakdown guard rests on, on the largest LP of a Table 3 cold plan.
+// The S = 24 root of 51B on Topo 4+4 is feasible: block counts within
+// their bounds summing to the block count, zero prefetch, and every start
+// time at the longest path to it meet every row to 1e-9. Yet the tableau
+// loses primal feasibility on it, and the solve stops as Numerical within
+// 2,000 pivots; without the guard it pivots on to a false Infeasible
+// after 5,669.
+func TestRoot51BIsFeasibleButBreaksDown(t *testing.T) {
+	p, params := root51B(t)
+	const S = 24
+	M := params.Microbatches
+	x := make([]float64, p.NumVars())
+	left := float64(model.GPT51B.Layers)
+	for j := 0; j < S; j++ {
+		x[j], _ = p.Bounds(j)
+		left -= x[j]
+	}
+	for left > 0 {
+		grew := false
+		for j := 0; j < S && left > 0; j++ {
+			if _, hi := p.Bounds(j); x[j] < hi {
+				x[j]++
+				left--
+				grew = true
+			}
+		}
+		if !grew {
+			t.Fatalf("block-count upper bounds sum below %d blocks", model.GPT51B.Layers)
+		}
+	}
+	// With block counts and prefetch fixed, each >= row bounds one start
+	// time (coefficient 1) from below by others: raise the start times
+	// until no such row is violated, which reaches the longest paths.
+	isStart := func(v int) bool { return v >= S && v < S+2*S*M }
+	for pass := 0; ; pass++ {
+		if pass > p.NumVars() {
+			t.Fatal("start times did not settle: the precedence rows have a cycle")
+		}
+		raised := false
+		for i := 0; i < p.NumConstraints(); i++ {
+			terms, rel, rhs := p.Constraint(i)
+			if rel != lp.GE {
+				continue
+			}
+			head, rest := -1, 0.0
+			for _, tm := range terms {
+				if isStart(tm.Var) && tm.Coeff == 1 {
+					head = tm.Var
+				} else {
+					rest += tm.Coeff * x[tm.Var]
+				}
+			}
+			if head >= 0 && rhs-rest > x[head] {
+				x[head] = rhs - rest
+				raised = true
+			}
+		}
+		if !raised {
+			break
+		}
+	}
+	for i := 0; i < p.NumVars(); i++ {
+		if lo, hi := p.Bounds(i); x[i] < lo || x[i] > hi {
+			t.Errorf("x[%d] = %g outside [%g, %g]", i, x[i], lo, hi)
+		}
+	}
+	worst := 0.0
+	for i := 0; i < p.NumConstraints(); i++ {
+		terms, rel, rhs := p.Constraint(i)
+		act := 0.0
+		for _, tm := range terms {
+			act += tm.Coeff * x[tm.Var]
+		}
+		var miss float64
+		switch rel {
+		case lp.LE:
+			miss = act - rhs
+		case lp.GE:
+			miss = rhs - act
+		case lp.EQ:
+			miss = math.Abs(act - rhs)
+		}
+		if miss > 1e-9 {
+			t.Errorf("row %d: %g %v %g misses by %g", i, act, rel, rhs, miss)
+		}
+		worst = math.Max(worst, miss)
+	}
+
+	sol, err := p.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pivots := sol.Phase1Pivots + sol.Phase2Pivots; sol.Status != lp.Numerical || pivots > 2000 {
+		t.Errorf("root LP %v after %d pivots, want %v within 2000", sol.Status, pivots, lp.Numerical)
+	}
+	t.Logf("a point misses no row by more than %.2g; the root LP stops %v after %d pivots",
+		worst, sol.Status, sol.Phase1Pivots+sol.Phase2Pivots)
 }
 
 func TestMIPStageCountMultipleOfGPUs(t *testing.T) {
