@@ -17,19 +17,24 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# check-lp is the LP gate: the lp and milp suites uncached, then the
-# dense-oracle differential over every LP a serial cold plan solves for
-# each Table 3 model on Topo 2+2, 1+3 and 4+4 (the oracle runs without
-# the presolve and the breakdown guard: a checked solve's pivots must be
-# a prefix of the oracle's, a guard stop must be on an LP the oracle does
-# not solve to optimality, a presolve rejection on one it calls
-# infeasible, and every other solve must match its status and
+# check-lp is the LP gate: internal/lp vetted for arm64, so the pure-Go
+# fallback of the amd64 column-update kernel always compiles (plain vet's
+# asmdecl check covers the assembly), the lp and milp suites uncached,
+# then the dense-oracle differential over every LP a serial cold plan
+# solves for each Table 3 model on Topo 2+2, 1+3 and 4+4 (the oracle runs
+# without the presolve and the breakdown guard: a checked solve's pivots
+# must be a prefix of the oracle's, a guard stop must be on an LP the
+# oracle does not solve to optimality, a presolve rejection on one it
+# calls infeasible, and every other solve must match its status and
 # X/objective float bits), then the twelve cold-plan fingerprints against
-# internal/lp/testdata/plans.golden. It takes about 9 minutes on a 2-vCPU
-# host, 6 of them in the oracle's re-run of the one 3B on 4+4 node LP the
-# guard stops after about 2,000 pivots: unchecked, the dense tableau
-# pivots on to the iteration limit (263,200 pivots).
+# internal/lp/testdata/plans.golden. On a 2-vCPU host it takes about 3
+# minutes if the 3 s-limited 3B on 4+4 search stops before its two node
+# LPs that break down, and about 12 if it reaches them: the guard stops
+# each after 2,000-2,700 pivots, but unchecked the dense tableau pivots
+# both on to the iteration limit (263,200 pivots, about 9 minutes side
+# by side).
 check-lp:
+	GOARCH=arm64 $(GO) vet ./internal/lp/
 	$(GO) test -count=1 ./internal/lp/ ./internal/milp/
 	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle|TestColdPlanFingerprints' -v ./internal/lp/
 

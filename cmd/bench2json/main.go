@@ -26,6 +26,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds every other unit on the line: MB/s from b.SetBytes
+	// and the custom units of b.ReportMetric.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Speedup is a derived ratio between two sub-benchmarks of the same
@@ -162,11 +165,48 @@ func deriveScaling(benchmarks []Result) []Scaling {
 	return kept
 }
 
-// benchLine matches e.g.
+// benchLine matches a result line's name, with any GOMAXPROCS suffix
+// cut, its iteration count and the rest: value-unit pairs, e.g.
 //
 //	BenchmarkSimContention/flows=256/incremental-8  472  2541625 ns/op  701360 B/op  7603 allocs/op
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+//	BenchmarkLPRoot-2  1  1061234567 ns/op  2051 cols  1788 pivots  866.0 rows  4.000 status  5120 B/op  3 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+
+// parseResult parses one result line, or reports false for any other
+// line, including one without an ns/op pair.
+func parseResult(line, pkg string) (Result, bool) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return Result{}, false
+	}
+	fields := strings.Fields(m[3])
+	if len(fields)%2 != 0 {
+		return Result{}, false
+	}
+	iters, _ := strconv.ParseInt(m[2], 10, 64)
+	res := Result{Name: m[1], Package: pkg, Iterations: iters}
+	sawNs := false
+	for i := 0; i < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return Result{}, false
+		}
+		switch unit := fields[i+1]; unit {
+		case "ns/op":
+			res.NsPerOp, sawNs = v, true
+		case "B/op":
+			res.BytesPerOp = int64(v)
+		case "allocs/op":
+			res.AllocsPerOp = int64(v)
+		default:
+			if res.Metrics == nil {
+				res.Metrics = make(map[string]float64)
+			}
+			res.Metrics[unit] = v
+		}
+	}
+	return res, sawNs
+}
 
 func parse(r io.Reader) (Document, error) {
 	var doc Document
@@ -185,20 +225,9 @@ func parse(r io.Reader) (Document, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
+		if res, ok := parseResult(line, pkg); ok {
+			doc.Benchmarks = append(doc.Benchmarks, res)
 		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, _ := strconv.ParseFloat(m[3], 64)
-		res := Result{Name: m[1], Package: pkg, Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			res.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			res.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		}
-		doc.Benchmarks = append(doc.Benchmarks, res)
 	}
 	doc.Speedups = deriveSpeedups(doc.Benchmarks)
 	doc.Scaling = deriveScaling(doc.Benchmarks)

@@ -40,6 +40,44 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// lpOutput is real `go test -bench` output: BenchmarkLPRoot's custom
+// metrics sit between ns/op and B/op, and b.SetBytes adds MB/s.
+const lpOutput = `pkg: mobius/internal/partition
+BenchmarkLPRoot-2   	       2	 378322233 ns/op	      2051 cols	      1788 pivots	       866.0 rows	         4.000 status	 7176816 B/op	      15 allocs/op
+pkg: mobius/internal/lp
+BenchmarkAxpyNeg/m=518/kernel-2         	 4962595	       250.4 ns/op	33096.94 MB/s
+BenchmarkAxpyNeg
+PASS
+`
+
+func TestParseKeepsEveryMetric(t *testing.T) {
+	doc, err := parse(strings.NewReader(lpOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	root := doc.Benchmarks[0]
+	if root.Name != "BenchmarkLPRoot" || root.Iterations != 2 || root.NsPerOp != 378322233 ||
+		root.BytesPerOp != 7176816 || root.AllocsPerOp != 15 {
+		t.Errorf("BenchmarkLPRoot parsed as %+v", root)
+	}
+	want := map[string]float64{"cols": 2051, "pivots": 1788, "rows": 866, "status": 4}
+	if len(root.Metrics) != len(want) {
+		t.Errorf("metrics = %v, want %v", root.Metrics, want)
+	}
+	for unit, v := range want {
+		if root.Metrics[unit] != v {
+			t.Errorf("metric %q = %v, want %v", unit, root.Metrics[unit], v)
+		}
+	}
+	axpy := doc.Benchmarks[1]
+	if axpy.NsPerOp != 250.4 || axpy.Metrics["MB/s"] != 33096.94 || axpy.Package != "mobius/internal/lp" {
+		t.Errorf("BenchmarkAxpyNeg parsed as %+v", axpy)
+	}
+}
+
 func TestDeriveSpeedups(t *testing.T) {
 	doc, err := parse(strings.NewReader(sampleOutput))
 	if err != nil {

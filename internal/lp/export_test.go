@@ -3,38 +3,51 @@ package lp
 import "sync"
 
 // densePivot is the dense textbook kernel, kept as the oracle: it
-// rewrites every column of every row with a nonzero multiplier,
+// rewrites every entry of every row with a nonzero multiplier,
 // artificial columns included. The differential tests hold the sparse
 // kernel and the phase-2 compaction to it, pivot for pivot and bit for
-// bit.
+// bit. Each such entry gets the textbook row[j] -= f*prow[j] through the
+// Go reference loop, which the kernel test holds the assembly to; the
+// order of the entries cannot change their bits, so the oracle walks the
+// column-major tableau a column at a time, over runs of consecutive rows
+// with a nonzero multiplier. Column c, whose entries are the
+// multipliers, goes last.
 func densePivot(t *tableau, r, c int) {
-	w := t.total + 1
-	prow := t.a[r*w : (r+1)*w]
-	pv := prow[c]
-	inv := 1 / pv
-	for j := range prow {
-		prow[j] *= inv
+	m := t.m
+	inv := 1 / t.at(r, c)
+	for j := 0; j <= t.total; j++ {
+		t.a[j*m+r] *= inv
 	}
-	prow[c] = 1 // exact
+	t.set(r, c, 1) // exact
 
-	for i := 0; i < t.m; i++ {
-		if i == r {
+	f := t.col(c)
+	var runs [][2]int // [lo, hi): rows i != r with f[i] != 0
+	for i := 0; i < m; i++ {
+		if i == r || f[i] == 0 {
 			continue
 		}
-		row := t.a[i*w : (i+1)*w]
-		f := row[c]
-		if f == 0 {
-			continue
+		lo := i
+		for i < m && i != r && f[i] != 0 {
+			i++
 		}
-		for j := range row {
-			row[j] -= f * prow[j]
-		}
-		row[c] = 0
+		runs = append(runs, [2]int{lo, i})
 	}
-	f := t.obj[c]
-	if f != 0 {
+	for j := 0; j <= t.total; j++ {
+		if j == c {
+			continue
+		}
+		col := t.col(j)
+		p := col[r]
+		for _, run := range runs {
+			axpyNegGo(col[run[0]:run[1]], f[run[0]:run[1]], p)
+		}
+	}
+	for _, run := range runs {
+		clear(f[run[0]:run[1]])
+	}
+	if g := t.obj[c]; g != 0 {
 		for j := range t.obj {
-			t.obj[j] -= f * prow[j]
+			t.obj[j] -= g * t.at(r, j)
 		}
 		t.obj[c] = 0
 	}

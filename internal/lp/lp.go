@@ -13,11 +13,18 @@
 // Bland's-rule fallback to escape degenerate cycling, and a two-phase
 // start (artificial variables) for infeasible initial bases. Lower bounds
 // are shifted out; every finite upper bound becomes an explicit row. The
-// tableau is stored densely, but a pivot updates only the nonzero columns
-// of its pivot row, and the artificial columns are compacted away once
-// phase 1 ends. Neither changes the sequence of pivots or the float bits
-// of any result; the dense textbook kernel is kept as a test-only oracle
-// that holds them to it.
+// tableau is stored densely and column-major, so each column is one
+// contiguous vector. A pivot updates only the nonzero columns of its
+// scaled pivot row, each as col_j -= f*p_j with f the pivot column, in an
+// SSE2 kernel on amd64 (MULPD then SUBPD, no FMA) and a Go loop
+// elsewhere; the artificial columns are dropped once phase 1 ends. Every
+// updated entry gets the textbook kernel's one rounded multiply and one
+// rounded subtract of the same operands (multiplication commutes), and
+// an entry the textbook kernel skips or leaves out can differ only in
+// the sign of a zero, which no comparison reads. So neither the layout
+// nor the kernel changes the sequence of pivots or the float bits of any
+// result; the dense textbook kernel is kept as a test-only oracle that
+// holds them to it.
 //
 // Two checks stop solves whose outcome is already decided, without
 // changing any pivot before they fire. A row whose activity range over

@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "regenerate testdata/plans.golden")
 // and bound and the plans do not depend on the host's speed. A change to
 // the LP kernel that claims to keep every plan must leave this file
 // alone. It runs under MOBIUS_CHECK_LP (make check-lp): the twelve plans
-// take about 70 s on a 2-vCPU host.
+// take about 35 s on a 2-vCPU host.
 func TestColdPlanFingerprints(t *testing.T) {
 	if os.Getenv("MOBIUS_CHECK_LP") == "" && !*update {
 		t.Skip("set MOBIUS_CHECK_LP=1 (make check-lp) to plan every Table 3 shape")

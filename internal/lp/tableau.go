@@ -6,8 +6,9 @@ import "math"
 // by their lower bounds (y = x - lo >= 0); finite upper bounds become
 // explicit rows. Column layout: [0,n) structural, [n, n+slacks)
 // slack/surplus, [n+slacks, total) artificial; column total is the RHS.
-// Phase 2 retires the artificial columns, compacting every row to
-// [0, artAt) plus the RHS.
+// The entries are stored column-major, so a column is one contiguous
+// length-m vector. Phase 2 retires the artificial columns, moving the RHS
+// to column artAt.
 type tableau struct {
 	p *Problem
 
@@ -17,7 +18,7 @@ type tableau struct {
 	artAt  int // first artificial column
 	priced int // columns [0, priced) may enter the basis
 
-	a     []float64 // m x (total+1), row-major
+	a     []float64 // m x (total+1), column-major: a[c*m+r]
 	obj   []float64 // total+1: reduced costs, last = -objValue
 	basis []int     // basic variable per row
 	nz    []int     // nonzero columns of the current pivot row
@@ -36,8 +37,11 @@ type tableau struct {
 // function.
 const abortEvery = 64
 
-func (t *tableau) at(r, c int) float64     { return t.a[r*(t.total+1)+c] }
-func (t *tableau) set(r, c int, v float64) { t.a[r*(t.total+1)+c] = v }
+func (t *tableau) at(r, c int) float64     { return t.a[c*t.m+r] }
+func (t *tableau) set(r, c int, v float64) { t.a[c*t.m+r] = v }
+
+// col returns column c of the tableau.
+func (t *tableau) col(c int) []float64 { return t.a[c*t.m : (c+1)*t.m] }
 
 type rowSpec struct {
 	terms []Term
@@ -250,23 +254,19 @@ func (t *tableau) phase1() Status {
 
 // retireArtificials bans the artificial columns from phase 2: they are
 // never priced or pivoted on again, so their entries would be updated and
-// never read. The sparse kernel compacts them out of every row in place;
-// the dense oracle keeps the full layout, so the differential tests hold
-// the compaction to it too. An artificial left basic in a redundant row
-// keeps its column index, so the ratio test's tie-break on basis indices
-// is unchanged.
+// never read. The sparse kernel drops them by moving the RHS column down
+// to column artAt; the dense oracle keeps the full layout, so the
+// differential tests hold the compaction to it too. An artificial left
+// basic in a redundant row keeps its column index, so the ratio test's
+// tie-break on basis indices is unchanged.
 func (t *tableau) retireArtificials() {
 	t.priced = t.artAt
 	if t.dense != nil {
 		return
 	}
-	w, nw := t.total+1, t.artAt+1
-	for r := 0; r < t.m; r++ {
-		copy(t.a[r*nw:r*nw+t.artAt], t.a[r*w:r*w+t.artAt])
-		t.a[r*nw+t.artAt] = t.a[r*w+t.total]
-	}
-	t.a = t.a[:t.m*nw]
-	t.obj = t.obj[:nw]
+	copy(t.col(t.artAt), t.col(t.total))
+	t.a = t.a[:t.m*(t.artAt+1)]
+	t.obj = t.obj[:t.artAt+1]
 	t.total = t.artAt
 }
 
@@ -289,9 +289,8 @@ func (t *tableau) phase2() Status {
 
 // subtractRow does obj -= factor * row r (pricing out a basic column).
 func (t *tableau) subtractRow(r int, factor float64) {
-	row := t.a[r*(t.total+1) : (r+1)*(t.total+1)]
-	for j := range t.obj {
-		t.obj[j] -= factor * row[j]
+	for j, k := 0, r; j < len(t.obj); j, k = j+1, k+t.m {
+		t.obj[j] -= factor * t.a[k]
 	}
 }
 
@@ -332,16 +331,16 @@ func (t *tableau) iterate() Status {
 		// Ratio test.
 		leave := -1
 		bestRatio := math.Inf(1)
+		rhs, ec := t.col(t.total), t.col(enter)
 		for r := 0; r < t.m; r++ {
-			rhs := t.at(r, t.total)
-			if t.guard && rhs < -feasTol {
+			if t.guard && rhs[r] < -feasTol {
 				return Numerical
 			}
-			arj := t.at(r, enter)
+			arj := ec[r]
 			if arj <= pivotEps {
 				continue
 			}
-			ratio := rhs / arj
+			ratio := rhs[r] / arj
 			if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave < 0 || t.basis[r] < t.basis[leave])) {
 				bestRatio = ratio
 				leave = r
@@ -360,11 +359,17 @@ func (t *tableau) iterate() Status {
 	return IterLimit
 }
 
-// pivot makes column c basic in row r. Only the nonzero columns of the
-// scaled pivot row are updated: for a zero entry, row[j] - f*0 could
-// change only the sign of a zero, which no comparison reads, so the
-// sparse update takes the dense kernel's pivot path with the same float
-// bits.
+// pivot makes column c basic in row r. It scales row r, then updates
+// each nonzero column j of the scaled row as one vector,
+// col_j -= f*p_j, where f is column c with its row-r entry zeroed and p_j
+// is row r's entry in column j; column c then becomes the unit vector.
+// Every updated entry gets the dense kernel's one rounded multiply and
+// one rounded subtract of the same operands (multiplication commutes).
+// A row whose multiplier is zero, which the dense kernel skips, gets
+// y - 0*p_j, and a column left out for a zero p_j is one the dense kernel
+// would give y - f*0: for finite entries either can change only the sign
+// of a zero, which no comparison reads. So the sparse update takes the
+// dense kernel's pivot path with the same float bits.
 func (t *tableau) pivot(r, c int) {
 	t.pivots++
 	if t.observe != nil {
@@ -374,39 +379,36 @@ func (t *tableau) pivot(r, c int) {
 		t.dense(t, r, c)
 		return
 	}
-	w := t.total + 1
-	prow := t.a[r*w : (r+1)*w]
-	inv := 1 / prow[c]
+	m, a := t.m, t.a
+	inv := 1 / a[c*m+r]
 	nz := t.nz[:0]
-	for j := range prow {
-		prow[j] *= inv
-		if prow[j] != 0 {
+	for j, k := 0, r; j <= t.total; j, k = j+1, k+m {
+		a[k] *= inv
+		if a[k] != 0 {
 			nz = append(nz, j)
 		}
 	}
-	prow[c] = 1 // exact; c is in nz, since pivots are nonzero
 	t.nz = nz
 
-	for i := 0; i < t.m; i++ {
-		if i == r {
+	f := t.col(c)
+	f[r] = 0 // row r keeps its scaled entries: y - 0*p = y
+	g := t.obj[c]
+	for _, j := range nz {
+		if j == c {
 			continue
 		}
-		row := t.a[i*w : (i+1)*w]
-		f := row[c]
-		if f == 0 {
-			continue
+		col := t.col(j)
+		p := col[r]
+		axpyNeg(col, f, p)
+		if g != 0 {
+			t.obj[j] -= g * p
 		}
-		for _, j := range nz {
-			row[j] -= f * prow[j]
-		}
-		row[c] = 0
 	}
-	if f := t.obj[c]; f != 0 {
-		for _, j := range nz {
-			t.obj[j] -= f * prow[j]
-		}
+	if g != 0 {
 		t.obj[c] = 0
 	}
+	clear(f)
+	f[r] = 1
 	t.basis[r] = c
 }
 
