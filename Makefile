@@ -72,26 +72,32 @@ check-chaos:
 check-perf:
 	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestIncrementalBeatsOracle|TestSteadyStateAllocFree|TestStreamConstructLean' -count=1 -timeout 30m -v ./internal/sim/
 
-# check-plansvc is the planning-service gate: the deterministic
-# concurrency suite (cache keys, single-flight coalescing and
-# cancelled-leader handoff, corrupt-entry degradation, the
-# retry/backoff/breaker ladder on a virtual clock, HTTP surface) plus
+# check-plansvc is the planning-service gate: the shared resilience
+# primitives its ladder is built on (internal/resil: the decision hash
+# and backoff held to golden vectors, the breaker to its transition
+# table), the deterministic concurrency suite (cache keys, single-flight
+# coalescing and cancelled-leader handoff, corrupt-entry degradation,
+# the retry/backoff/breaker ladder on a virtual clock, HTTP surface) plus
 # the seed-derived planner-fault chaos matrix (serial bitwise replay and
 # the concurrent fan-out), all under the race detector. -short skips the
 # two MIP-heavy tests (warm-start equivalence, zero-solve elastic
 # recovery); plain `make race` runs them.
 check-plansvc:
+	$(GO) test -race -count=1 ./internal/resil/
 	$(GO) test -race -short -count=1 ./internal/plansvc/
 	$(GO) test -race -run 'TestPlanning' -count=1 ./internal/chaos/
 
-# check-cluster is the fleet gate: the multi-tenant cluster suite
-# (conservation and fairness identities, the admission/backpressure/
-# degrade/shed ladder, server-loss recovery with zero-solve re-landing,
-# the bitwise differential against single-job core.Run) plus the
+# check-cluster is the fleet gate: the shared resilience primitives its
+# dispatch retries and per-server breakers are built on (internal/resil),
+# the multi-tenant cluster suite (conservation and fairness identities,
+# the admission/backpressure/degrade/shed ladder, server-loss recovery
+# with zero-solve re-landing, the bitwise differential against
+# single-job core.Run) plus the
 # seed-derived cluster chaos matrix (serial bitwise replay, concurrent
 # fan-out over a shared step cache) and the overload-sweep shape
 # assertions, all under the race detector.
 check-cluster:
+	$(GO) test -race -count=1 ./internal/resil/
 	$(GO) test -race -run 'TestCluster|TestJain|TestBucket|TestGamma' -count=1 ./internal/cluster/
 	$(GO) test -race -run 'TestClusterChaos' -count=1 ./internal/chaos/
 	$(GO) test -race -run 'TestOverload' -count=1 ./internal/experiments/

@@ -40,6 +40,7 @@ import (
 	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
+	"mobius/internal/resil"
 )
 
 // Class is one tenant class: an arrival process, a job shape, an
@@ -162,16 +163,9 @@ type Config struct {
 	// queues pushes back by rejecting. Re-landed jobs are exempt —
 	// they already spent their admission token.
 	QueueCap int
-	// DispatchTimeoutS is the virtual time burned by one failed
-	// dispatch before its retry is scheduled (default 0.05).
 	// DispatchAttempts bounds attempts per job routing round (default
-	// 4); past it the job fails. BackoffBaseS/BackoffMaxS shape the
-	// exponential retry backoff (defaults 0.025, 2), jittered
-	// deterministically per job.
-	DispatchTimeoutS float64
+	// 4); past it the job fails.
 	DispatchAttempts int
-	BackoffBaseS     float64
-	BackoffMaxS      float64
 	// BreakerThreshold consecutive dispatch failures trip a server's
 	// circuit breaker open for BreakerCooldownS of virtual time
 	// (defaults 3, 30); while open the router skips the server, then
@@ -261,17 +255,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8
 	}
-	if c.DispatchTimeoutS <= 0 {
-		c.DispatchTimeoutS = 0.05
-	}
 	if c.DispatchAttempts <= 0 {
 		c.DispatchAttempts = 4
-	}
-	if c.BackoffBaseS <= 0 {
-		c.BackoffBaseS = 0.025
-	}
-	if c.BackoffMaxS <= 0 {
-		c.BackoffMaxS = 2
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -519,7 +504,7 @@ func (r *run) allDead() bool {
 func (r *run) route(j *job) error {
 	best, bestAff, bestLoad := -1, false, 0
 	for _, s := range r.servers {
-		if s.detected || !s.br.routable(r.now) {
+		if s.detected || !s.br.Routable(r.now) {
 			continue
 		}
 		if !j.reland && s.load() >= r.cfg.QueueCap {
@@ -552,15 +537,15 @@ func (r *run) route(j *job) error {
 	}
 
 	s := r.servers[best]
-	s.br.allow(r.now)
+	s.br.Allow(r.now)
 	if s.dead || r.transientFail(j, s) {
 		r.rep.DispatchFailures++
-		if s.br.failure(r.now) {
+		if s.br.Failure(r.now) {
 			r.rep.BreakerTrips++
 		}
 		return r.retryOrFail(j)
 	}
-	s.br.success()
+	s.br.Success()
 	j.attempts = 0
 	j.enqueuedAt = r.now
 	j.state = jsQueued
@@ -576,29 +561,21 @@ func (r *run) retryOrFail(j *job) error {
 	}
 	r.rep.DispatchRetries++
 	j.state = jsRetry
-	r.push(&event{at: r.now + r.cfg.DispatchTimeoutS + r.backoff(j), kind: evRetry, job: j})
+	r.push(&event{at: r.now + dispatchTimeoutS + r.backoff(j), kind: evRetry, job: j})
 	return nil
 }
 
 // backoff is exponential in the attempt with a deterministic jitter in
 // [1, 1.5) derived from (seed, job, attempt).
 func (r *run) backoff(j *job) float64 {
-	d := r.cfg.BackoffBaseS
-	for a := 1; a < j.attempts; a++ {
-		d *= 2
-		if d >= r.cfg.BackoffMaxS {
-			d = r.cfg.BackoffMaxS
-			break
-		}
-	}
-	frac := hash01(r.cfg.Seed, saltBackoff, uint64(j.id), uint64(j.attempts))
-	return d * (1 + 0.5*frac)
+	frac := resil.Hash01(r.cfg.Seed, saltBackoff, uint64(j.id), uint64(j.attempts))
+	return resil.Backoff(backoffBaseS, backoffMaxS, j.attempts-1, frac)
 }
 
 // transientFail decides the injected dispatch failure for this attempt.
 func (r *run) transientFail(j *job, s *server) bool {
 	p := r.cfg.DispatchFailProb
-	return p > 0 && hash01(r.cfg.Seed, saltDispatch, uint64(j.id), uint64(s.id), uint64(j.attempts)) < p
+	return p > 0 && resil.Hash01(r.cfg.Seed, saltDispatch, uint64(j.id), uint64(s.id), uint64(j.attempts)) < p
 }
 
 func (r *run) fail(j *job) {
@@ -739,7 +716,7 @@ func (r *run) restartUp(s *server) error {
 	s.gen++
 	s.dead = false
 	s.detected = false
-	s.br = breaker{threshold: r.cfg.BreakerThreshold, cooldownS: r.cfg.BreakerCooldownS}
+	s.br = resil.Breaker[float64]{Threshold: r.cfg.BreakerThreshold, Cooldown: r.cfg.BreakerCooldownS}
 	if err := s.reopen(r.cfg, rf.Cold); err != nil {
 		return err
 	}
@@ -845,21 +822,17 @@ func (r *run) audit() error {
 	return nil
 }
 
-// Salts separating the cluster's hash-decision domains.
+// Salts separating the cluster's resil.Hash01 decision domains.
 const (
 	saltDispatch = 0xd15b47c8
 	saltBackoff  = 0xbac0ff
 )
 
-// hash01 maps (seed, vals...) to a uniform [0, 1) float via splitmix64,
-// mirroring internal/fault's decision streams.
-func hash01(seed int64, vals ...uint64) float64 {
-	x := uint64(seed) ^ 0x9e3779b97f4a7c15
-	for _, v := range vals {
-		x += v + 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
-	}
-	return float64(x>>11) / (1 << 53)
-}
+// The dispatch retry ladder, in virtual seconds: a failed dispatch
+// burns dispatchTimeoutS, then waits resil.Backoff from backoffBaseS,
+// capped at backoffMaxS and jittered per (seed, job, attempt).
+const (
+	dispatchTimeoutS = 0.05
+	backoffBaseS     = 0.025
+	backoffMaxS      = 2
+)

@@ -248,6 +248,11 @@ func TestClusterDispatchFailuresTripBreaker(t *testing.T) {
 	if rep.Completed == 0 {
 		t.Errorf("retries never got a job through: %+v", rep)
 	}
+	// The dispatch-failure hash, the jittered retry ladder and the
+	// breaker all feed the report: pin its fingerprint.
+	if got, want := rep.Fingerprint(), "28583c2972d9ec58"; got != want {
+		t.Errorf("fingerprint = %s, want %s", got, want)
+	}
 }
 
 // TestClusterDeterministicReplay: the same config replays bit for bit,

@@ -9,6 +9,7 @@ import (
 	"mobius/internal/core"
 	"mobius/internal/planstore"
 	"mobius/internal/plansvc"
+	"mobius/internal/resil"
 )
 
 // server is one Mobius box of the fleet: a bounded queue, one job in
@@ -40,16 +41,13 @@ type server struct {
 	dead     bool
 	detected bool
 
-	br breaker
+	br resil.Breaker[float64]
 }
 
 func newServer(id int, cfg Config) (*server, error) {
 	s := &server{
 		id: id,
-		br: breaker{
-			threshold: cfg.BreakerThreshold,
-			cooldownS: cfg.BreakerCooldownS,
-		},
+		br: resil.Breaker[float64]{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldownS},
 	}
 	if cfg.StoreRoot == "" {
 		s.svc = plansvc.New(plansvc.Config{})
@@ -159,79 +157,4 @@ func (s *server) planLatency(cfg Config, j *job) (float64, error) {
 func (s *server) warm(opts core.Options) error {
 	_, err := s.svc.PlanMobius(context.Background(), opts)
 	return err
-}
-
-// breaker is the dispatch circuit breaker in virtual float seconds —
-// the same closed/open/half-open machine as plansvc's planning breaker,
-// driven by the fleet clock instead of time.Time.
-type breaker struct {
-	threshold int
-	cooldownS float64
-
-	state    breakerState
-	fails    int
-	openedAt float64
-}
-
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-func (st breakerState) String() string {
-	switch st {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
-
-// routable is the router's non-mutating view: closed, or open past its
-// cooldown (choosing it would probe). Half-open means a probe is
-// already out.
-func (b *breaker) routable(now float64) bool {
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		return now-b.openedAt >= b.cooldownS
-	default:
-		return false
-	}
-}
-
-// allow consumes the routing decision: an open breaker past cooldown
-// transitions to half-open (the dispatch is its probe).
-func (b *breaker) allow(now float64) {
-	if b.state == breakerOpen && now-b.openedAt >= b.cooldownS {
-		b.state = breakerHalfOpen
-	}
-}
-
-func (b *breaker) success() {
-	b.state = breakerClosed
-	b.fails = 0
-}
-
-func (b *breaker) failure(now float64) (tripped bool) {
-	if b.state == breakerHalfOpen {
-		b.state = breakerOpen
-		b.openedAt = now
-		return true
-	}
-	b.fails++
-	if b.state == breakerClosed && b.fails >= b.threshold {
-		b.state = breakerOpen
-		b.openedAt = now
-		b.fails = 0
-		return true
-	}
-	return false
 }

@@ -7,6 +7,7 @@ import (
 
 	"mobius/internal/core"
 	"mobius/internal/plansvc"
+	"mobius/internal/resil"
 )
 
 // jobState is where a job currently is in its lifecycle; the paranoid
@@ -164,10 +165,5 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 
 // deriveSeed gives each class an independent stream.
 func deriveSeed(seed int64, class int) int64 {
-	x := uint64(seed) ^ 0x5eed
-	x += uint64(class) + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x >> 1) // keep it positive for readability in dumps
+	return int64(resil.Mix(uint64(seed)^0x5eed, uint64(class)) >> 1) // keep it positive for readability in dumps
 }

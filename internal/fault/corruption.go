@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 
+	"mobius/internal/resil"
 	"mobius/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func (inj *Injection) corruptionPolicy(t *sim.Task, attempt int) bool {
 		if rule.Probability <= 0 {
 			return false
 		}
-		if hash01(inj.Spec.Seed^corruptionSalt, uint64(t.ID()), uint64(ri), uint64(attempt)) < rule.Probability {
+		if resil.Hash01(inj.Spec.Seed^corruptionSalt, uint64(t.ID()), uint64(ri), uint64(attempt)) < rule.Probability {
 			inj.Corruptions++
 			return true
 		}

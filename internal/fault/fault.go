@@ -6,12 +6,13 @@
 // engine throughput multipliers, retry policies, pool resizing).
 //
 // Determinism: every effect is a pure function of the spec. Transient
-// failures are decided by a splitmix64 hash of (seed, task id, rule,
-// attempt), never by a shared RNG stream, so the injected retries do not
-// depend on the order the simulator happens to start transfers in — two
-// runs of the same DAG under the same spec produce identical schedules,
-// and adding an unrelated fault clause never reshuffles the failures of
-// an existing one.
+// failures are decided by resil.Hash01, a splitmix64 hash of (seed, task
+// id, rule, attempt) and the only randomness in the package, never by a
+// shared RNG stream, so the injected retries do not depend on the order
+// the simulator happens to start transfers in — two runs of the same DAG
+// under the same spec produce identical schedules, and adding an
+// unrelated fault clause never reshuffles the failures of an existing
+// one.
 package fault
 
 import (
@@ -19,6 +20,7 @@ import (
 	"sort"
 
 	"mobius/internal/hw"
+	"mobius/internal/resil"
 	"mobius/internal/sim"
 )
 
@@ -166,7 +168,7 @@ func (s *Spec) PlannerAttempt(model string, key uint64, attempt int) (latencyS f
 		if attempt >= max {
 			return latencyS, false
 		}
-		fail = hash01(s.Seed, plannerSalt, uint64(ri), key, uint64(attempt)) < rule.Probability
+		fail = resil.Hash01(s.Seed, plannerSalt, uint64(ri), key, uint64(attempt)) < rule.Probability
 		return latencyS, fail
 	}
 	return 0, false
@@ -408,7 +410,7 @@ func (inj *Injection) retryPolicy(t *sim.Task) (int, sim.Time) {
 		}
 		fails := 0
 		for a := 0; a < max; a++ {
-			if hash01(inj.Spec.Seed, uint64(t.ID()), uint64(ri), uint64(a)) >= rule.Probability {
+			if resil.Hash01(inj.Spec.Seed, uint64(t.ID()), uint64(ri), uint64(a)) >= rule.Probability {
 				break
 			}
 			fails++
@@ -434,19 +436,4 @@ func matchesRoute(match string, path []sim.PathElem) bool {
 		}
 	}
 	return false
-}
-
-// hash01 maps (seed, vals...) to a uniform float64 in [0, 1) via
-// splitmix64, the standard 64-bit finalizer mix. It is the sole source of
-// randomness in the package.
-func hash01(seed int64, vals ...uint64) float64 {
-	x := uint64(seed) ^ 0x9e3779b97f4a7c15
-	for _, v := range vals {
-		x += v + 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
-	}
-	// Top 53 bits give a dyadic rational in [0, 1).
-	return float64(x>>11) / (1 << 53)
 }

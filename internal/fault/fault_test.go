@@ -116,31 +116,6 @@ func TestNilSpecSemantics(t *testing.T) {
 	}
 }
 
-// TestHash01Deterministic pins down the sole randomness source: equal
-// inputs hash equally, any differing coordinate decorrelates, and values
-// stay in [0, 1).
-func TestHash01Deterministic(t *testing.T) {
-	base := hash01(42, 7, 1, 0)
-	if base != hash01(42, 7, 1, 0) {
-		t.Fatal("hash01 not deterministic")
-	}
-	for _, v := range []float64{
-		hash01(43, 7, 1, 0), // seed
-		hash01(42, 8, 1, 0), // task
-		hash01(42, 7, 2, 0), // rule
-		hash01(42, 7, 1, 1), // attempt
-	} {
-		if v == base {
-			t.Fatalf("coordinate change did not change hash (%g)", v)
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		if v := hash01(1, uint64(i)); v < 0 || v >= 1 {
-			t.Fatalf("hash01 out of [0,1): %g", v)
-		}
-	}
-}
-
 func buildServer(t *testing.T) *hw.Server {
 	t.Helper()
 	srv, err := hw.Build(hw.Commodity(hw.RTX3090Ti, 2, 2))

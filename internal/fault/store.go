@@ -3,6 +3,8 @@ package fault
 import (
 	"fmt"
 	"sort"
+
+	"mobius/internal/resil"
 )
 
 // This file declares the persistence-layer fault clauses: I/O faults on
@@ -86,13 +88,13 @@ func (s *Spec) StoreOp(op string, key, seq uint64) StoreDecision {
 		if rule.Probability <= 0 {
 			return d
 		}
-		if hash01(s.Seed, storeSalt, uint64(ri), key, seq) >= rule.Probability {
+		if resil.Hash01(s.Seed, storeSalt, uint64(ri), key, seq) >= rule.Probability {
 			return d
 		}
 		if rule.Mode == StoreModeTorn && op == StoreOpPut {
 			d.Torn = true
 			d.TornAtByte = rule.TornAtByte
-			d.TornHash = hash01(s.Seed, tearSalt, uint64(ri), key, seq)
+			d.TornHash = resil.Hash01(s.Seed, tearSalt, uint64(ri), key, seq)
 		} else {
 			d.Fail = true
 		}

@@ -18,9 +18,9 @@
 //
 // Fault injection: a fault.Spec's store_faults clauses inject clean
 // write failures, torn writes at a byte offset, and device latency into
-// the worker, decided by the same seed-driven splitmix hash as every
-// other clause — per (seed, rule, key, operation sequence), so a
-// scenario replays bitwise.
+// the worker, decided by the same seed-driven splitmix hash
+// (resil.Hash01) as every other clause — per (seed, rule, key,
+// operation sequence), so a scenario replays bitwise.
 package planstore
 
 import (

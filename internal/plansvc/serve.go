@@ -53,6 +53,13 @@ type ErrorResponse struct {
 // plus a full model config fits in a few kilobytes.
 const maxPlanRequestBytes = 1 << 20
 
+// maxPlanGPUs bounds the topology a /v1/plan request may ask for, in
+// either form: the largest any caller plans is 4+4 (or dc8). The cross
+// mapping search grows factorially with the GPU count (milliseconds on
+// 4+4, seconds on 5+5, ten or more on 6+6) and does not watch the
+// request deadline, so a larger topology is refused before planning.
+const maxPlanGPUs = 8
+
 // StageSummary is one pipeline stage of a served plan.
 type StageSummary struct {
 	First      int     `json:"first"`
@@ -91,7 +98,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	opts, err := preq.options()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})
 		return
 	}
 	ctx := r.Context()
@@ -124,7 +131,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 			First: st.First, Last: st.Last, GPU: plan.Mapping.GPUOf(j), ParamBytes: st.ParamBytes,
 		})
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -132,7 +139,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Metrics
 		Breaker string             `json:"breaker"`
 		Store   *planstore.Metrics `json:"store,omitempty"`
@@ -142,8 +149,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // writeJSON encodes v before writing any header, so a value JSON cannot
 // represent (a +Inf predicted step from an infeasible partition) is
 // answered with a structured 422, not a 200 with an empty body.
-func writeJSON(w http.ResponseWriter, v any) {
-	status := http.StatusOK
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		status = http.StatusUnprocessableEntity
@@ -185,6 +191,9 @@ func (p *PlanRequest) options() (core.Options, error) {
 			return opts, err
 		}
 		opts.Topology = topo
+	}
+	if n := opts.Topology.NumGPUs(); n > maxPlanGPUs {
+		return opts, fmt.Errorf("plansvc: topology has %d GPUs, over the %d-GPU limit of a plan request", n, maxPlanGPUs)
 	}
 	return opts, nil
 }

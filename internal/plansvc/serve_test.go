@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mobius/internal/hw"
 )
 
 // TestServePlanAndMetrics drives the HTTP surface end to end: a plan
@@ -133,6 +135,60 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/plan: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestServeRejectsOversizedTopology: a topology over eight GPUs, as a
+// compact spec or in full, is a structured 400 that never reaches the
+// planner; 6+6 would otherwise spend seconds in the cross mapping search
+// whatever the deadline. Eight GPUs still plan.
+func TestServeRejectsOversizedTopology(t *testing.T) {
+	svc := New(Config{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	full, err := json.Marshal(PlanRequest{
+		ModelName: "3B", Topology: hw.Commodity(hw.RTX3090Ti, 5, 4),
+		PartitionAlgo: "balanced", BalancedStages: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"6+6":  `{"model":"3B","topo":"6+6","partition_algo":"balanced","balanced_stages":12,"deadline_ms":100}`,
+		"9":    `{"model":"3B","topo":"9","partition_algo":"balanced","balanced_stages":9}`,
+		"dc9":  `{"model":"3B","topo":"dc9","partition_algo":"balanced","balanced_stages":9}`,
+		"5+4":  `{"model":"3B","topo":"5+4"}`,
+		"full": string(full),
+	} {
+		resp := post(body)
+		var er ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+			continue
+		}
+		if err != nil || !strings.Contains(er.Error, "8-GPU limit") {
+			t.Errorf("%s: body %+v (%v), want a structured error naming the limit", name, er, err)
+		}
+	}
+	if m := svc.Metrics(); m.Requests != 0 {
+		t.Errorf("oversized topologies reached the planner: %d requests", m.Requests)
+	}
+
+	resp := post(`{"model":"3B","topo":"4+4","partition_algo":"balanced","balanced_stages":8}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("4+4: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"mobius/internal/fault"
 	"mobius/internal/partition"
 	"mobius/internal/planstore"
+	"mobius/internal/resil"
 )
 
 // Config tunes a Service. The zero value is usable: direct planner,
@@ -24,13 +25,10 @@ type Config struct {
 	// nothing.
 	Faults *fault.Spec
 	// MaxAttempts bounds solve attempts per request, injected transient
-	// failures included (default 4: one try, three retries).
+	// failures included (default 4: one try, three retries). Retry k
+	// sleeps 25ms·2^k capped at 2s, stretched by a deterministic
+	// per-key jitter in [1, 1.5).
 	MaxAttempts int
-	// BackoffBase is the first retry backoff; attempt k sleeps
-	// base·2^k stretched by a deterministic jitter in [1, 1.5), capped
-	// at BackoffMax (defaults 25ms, 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips the
 	// circuit breaker (default 3); BreakerCooldown is how long it stays
 	// open before admitting a half-open probe (default 30s).
@@ -74,12 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
@@ -94,6 +86,12 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// The retry ladder's resil.Backoff base and cap.
+const (
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
 
 func realSleep(ctx context.Context, d time.Duration) {
 	if d <= 0 {
@@ -120,7 +118,11 @@ type Service struct {
 	cache   map[Key]*entry
 	useSeq  uint64 // logical recency clock; bumped on every cache use
 	flights map[Key]*flight
-	breaker breaker
+	// breaker runs on the service clock as a Duration since epoch, the
+	// first cfg.Now(): integer nanoseconds, so its cooldown test is the
+	// exact now.Sub(openedAt) >= cooldown.
+	breaker resil.Breaker[time.Duration]
+	epoch   time.Time
 	m       Metrics
 }
 
@@ -135,7 +137,8 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		cache:   make(map[Key]*entry),
 		flights: make(map[Key]*flight),
-		breaker: breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown, now: cfg.Now},
+		breaker: resil.Breaker[time.Duration]{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown},
+		epoch:   cfg.Now(),
 	}
 	s.warmStart()
 	return s
@@ -267,8 +270,9 @@ func (s *Service) plan(ctx context.Context, req *Request) (*core.Plan, error) {
 // bounded retries over injected transient failures, warm-started solve,
 // greedy floor. It never holds s.mu across a solve or a sleep.
 func (s *Service) solve(ctx context.Context, req *Request) (*core.Plan, error) {
+	now := s.clock()
 	s.mu.Lock()
-	ok, probe := s.breaker.allow()
+	ok, probe := s.breaker.Allow(now)
 	if !ok {
 		s.m.BreakerShorted++
 		s.m.GreedyFallbacks++
@@ -293,7 +297,7 @@ func (s *Service) solve(ctx context.Context, req *Request) (*core.Plan, error) {
 				return s.greedy(req, fmt.Sprintf("plansvc: %d transient solver failures, retries exhausted", attempt+1))
 			}
 			s.count(func(m *Metrics) { m.Retries++ })
-			s.cfg.Sleep(ctx, s.backoff(req.Key, attempt))
+			s.cfg.Sleep(ctx, backoff(req.Key, attempt))
 			continue
 		}
 		if ctx.Err() != nil {
@@ -330,7 +334,7 @@ func (s *Service) solve(ctx context.Context, req *Request) (*core.Plan, error) {
 			return plan, nil
 		}
 		s.mu.Lock()
-		s.breaker.success()
+		s.breaker.Success()
 		s.mu.Unlock()
 		return plan, nil
 	}
@@ -347,19 +351,19 @@ func (s *Service) greedy(req *Request, reason string) (*core.Plan, error) {
 // attempt with a deterministic jitter derived from the request key, so
 // replays of a scenario back off identically while distinct keys
 // desynchronize.
-func (s *Service) backoff(key Key, attempt int) time.Duration {
-	d := s.cfg.BackoffBase << uint(attempt)
-	if d > s.cfg.BackoffMax || d <= 0 {
-		d = s.cfg.BackoffMax
-	}
-	h := splitmix64(key.Uint64() ^ (uint64(attempt)+1)*0x9e3779b97f4a7c15)
-	frac := float64(h>>11) / (1 << 53) // [0, 1)
-	return time.Duration(float64(d) * (1 + 0.5*frac))
+func backoff(key Key, attempt int) time.Duration {
+	frac := resil.Unit(resil.Mix(key.Uint64()^(uint64(attempt)+1)*0x9e3779b97f4a7c15, 0))
+	return time.Duration(resil.Backoff(float64(backoffBase), float64(backoffMax), attempt, frac))
 }
 
+// clock is the breaker's now: the service clock as a Duration since
+// epoch.
+func (s *Service) clock() time.Duration { return s.cfg.Now().Sub(s.epoch) }
+
 func (s *Service) breakerFailure() {
+	now := s.clock()
 	s.mu.Lock()
-	if s.breaker.failure() {
+	if s.breaker.Failure(now) {
 		s.m.BreakerTrips++
 	}
 	s.mu.Unlock()
@@ -376,14 +380,5 @@ func (s *Service) count(f func(*Metrics)) {
 func (s *Service) BreakerState() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.breaker.state.String()
-}
-
-// splitmix64 is the standard 64-bit finalizer used for every derived
-// decision stream.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return s.breaker.State()
 }

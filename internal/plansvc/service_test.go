@@ -3,6 +3,7 @@ package plansvc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -460,8 +461,15 @@ func TestRetryBackoffBreakerLadder(t *testing.T) {
 		}
 	}
 
-	// Backoff sleeps are exponential with deterministic jitter, and the
-	// whole scenario replays bitwise.
+	// The sleeps are the injected 2ms latency before each attempt and the
+	// jittered backoff before each retry (25ms·[1, 1.5) at attempt 0),
+	// pinned to the nanosecond.
+	wantSleeps := []time.Duration{2000000, 35738974, 2000000, 2000000, 27663392, 2000000}
+	if !slices.Equal(sleeps, wantSleeps) {
+		t.Errorf("sleeps = %d, want %d", sleeps, wantSleeps)
+	}
+
+	// The whole scenario replays bitwise.
 	m2, sleeps2, states2, _ := run()
 	if m != m2 {
 		t.Errorf("metrics diverged across replays:\n first  %+v\n replay %+v", m, m2)
