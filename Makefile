@@ -79,13 +79,15 @@ check-perf:
 # coalescing and cancelled-leader handoff, corrupt-entry degradation,
 # the retry/backoff/breaker ladder on a virtual clock, HTTP surface) plus
 # the seed-derived planner-fault chaos matrix (serial bitwise replay and
-# the concurrent fan-out), all under the race detector. -short skips the
-# two MIP-heavy tests (warm-start equivalence, zero-solve elastic
-# recovery); plain `make race` runs them.
+# the concurrent fan-out), all under the race detector, then a short
+# native-fuzz smoke of the /v1/plan handler over a greedy inner planner.
+# -short skips the two MIP-heavy tests (a plan independent of cache
+# history, zero-solve elastic recovery); plain `make race` runs them.
 check-plansvc:
 	$(GO) test -race -count=1 ./internal/resil/
 	$(GO) test -race -short -count=1 ./internal/plansvc/
 	$(GO) test -race -run 'TestPlanning' -count=1 ./internal/chaos/
+	$(GO) test -run xxx -fuzz 'FuzzPlanRequest' -fuzztime 10s ./internal/plansvc/
 
 # check-cluster is the fleet gate: the shared resilience primitives its
 # dispatch retries and per-server breakers are built on (internal/resil),

@@ -77,7 +77,7 @@ func main() {
 	}
 	if *cacheStats {
 		ms := svc.Metrics()
-		fmt.Printf("\nplansvc: %d requests, %d hits, %d solves, %d warm starts, %d cached plans, breaker %s\n",
-			ms.Requests, ms.Hits, ms.Solves, ms.WarmStarts, ms.CacheEntries, svc.BreakerState())
+		fmt.Printf("\nplansvc: %d requests, %d hits, %d solves, %d cached plans, breaker %s\n",
+			ms.Requests, ms.Hits, ms.Solves, ms.CacheEntries, svc.BreakerState())
 	}
 }

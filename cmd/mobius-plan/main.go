@@ -125,8 +125,8 @@ func main() {
 			store.Flush() // settle the write-behind queue so the counters are final
 		}
 		ms := svc.Metrics()
-		fmt.Fprintf(os.Stderr, "plansvc:   %d requests, %d hits, %d solves, %d warm starts, %d cached plans, breaker %s\n",
-			ms.Requests, ms.Hits, ms.Solves, ms.WarmStarts, ms.CacheEntries, svc.BreakerState())
+		fmt.Fprintf(os.Stderr, "plansvc:   %d requests, %d hits, %d solves, %d cached plans, breaker %s\n",
+			ms.Requests, ms.Hits, ms.Solves, ms.CacheEntries, svc.BreakerState())
 		if sm := svc.StoreMetrics(); sm != nil {
 			fmt.Fprintf(os.Stderr, "planstore: %d adopted at start (%d hits served warm), %d persisted, %d deleted, %d queued",
 				ms.WarmStartEntries, ms.WarmHits, sm.Persisted, sm.Deletes, sm.QueueDepth)

@@ -249,7 +249,6 @@ func (h *StoreHarness) executeStore(sc *StoreScenario, scratch string) (StoreRun
 		}
 		s.Put(planstore.Entry{
 			Key:      key,
-			ModelSig: uint64(op.KeyIdx + 1),
 			Plan:     h.plan,
 			Topology: h.topo,
 		})

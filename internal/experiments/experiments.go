@@ -19,12 +19,8 @@ import (
 // re-plan the same inputs; routing them through one plan service turns
 // those repeat solves into validated cache hits. Options.Planner is not
 // part of runKey for the same reason it is excluded from plan cache
-// keys: a correct planner never changes what is planned. Warm starting
-// is off here: every distinct problem in the grids is solved exactly
-// once (then cached), and a cross-topology incumbent that prunes a
-// candidate to non-optimality forces the outcome-preserving cold
-// re-solve — all cost, no reuse.
-var planService = plansvc.New(plansvc.Config{DisableWarm: true})
+// keys: a correct planner never changes what is planned.
+var planService = plansvc.New(plansvc.Config{})
 
 // PlanMetrics exposes the shared plan service's counters so drivers can
 // report how much planning work the grids actually deduplicated.

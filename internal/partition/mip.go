@@ -46,15 +46,6 @@ type MIPOptions struct {
 	// experiments. The overhead benchmark (Figure 12) disables the cache
 	// to measure true solve time.
 	DisableCache bool
-	// Warm, when non-nil, warm-starts the sweep from a previously solved
-	// partition of a nearby problem: its stage boundaries are re-evaluated
-	// under the current params and, when feasible, seal the shared
-	// branch-and-bound incumbent bound before the fan-out and compete as
-	// an explicit candidate. A candidate solve that exhausts its limits
-	// under the warm-tightened bound is re-solved cold, so warm starting
-	// changes solve effort, never the sweep outcome. The warm partition is
-	// never mutated.
-	Warm *Partition
 }
 
 // Normalized returns the options with every solver default applied for a
@@ -121,12 +112,6 @@ type MIPStats struct {
 	// MaxStages) beat every MIP candidate — the regime of Figure 9's
 	// second observation.
 	UsedMinStageFallback bool
-	// WarmStart is true when a feasible warm partition sealed the shared
-	// incumbent bound before the fan-out.
-	WarmStart bool
-	// WarmWon is true when the warm partition itself beat every sweep
-	// candidate and is the returned partition.
-	WarmWon bool
 }
 
 // addEffort adds one MILP solve's node and LP counters and folds its
@@ -218,14 +203,9 @@ func MIPCtx(ctx context.Context, params Params, opts MIPOptions) (*Partition, *M
 	if !opts.DisableCache {
 		// Parallelism does not change the result, so it is stripped from
 		// the cache key: runs at different worker counts share entries.
-		// The warm pointer is replaced by a fingerprint of its stage
-		// boundaries: identical warm shapes share an entry regardless of
-		// which allocation supplied them.
 		kopts := opts
 		kopts.Parallelism = 0
-		kopts.Warm = nil
 		key := mipKey{
-			warm:      warmFingerprint(opts.Warm),
 			model:     params.Profile.Model,
 			gpu:       params.Profile.GPU.Name,
 			n:         params.NumGPUs,
@@ -260,21 +240,7 @@ type mipKey struct {
 	mem       float64
 	bandwidth float64
 	latency   float64
-	warm      string
 	opts      MIPOptions
-}
-
-// warmFingerprint canonicalizes a warm partition to its stage boundary
-// shape for cache keying.
-func warmFingerprint(p *Partition) string {
-	if p == nil {
-		return ""
-	}
-	var b []byte
-	for _, st := range p.Stages {
-		b = append(b, fmt.Sprintf("%d-%d;", st.First, st.Last)...)
-	}
-	return string(b)
 }
 
 type mipCacheEntry struct {
@@ -287,27 +253,6 @@ var (
 	mipCacheMu sync.Mutex
 	mipCache   = map[mipKey]mipCacheEntry{}
 )
-
-// atomicBound is a lock-free monotonically decreasing float64, used to
-// share the best known incumbent objective across concurrent solves.
-type atomicBound struct{ bits atomic.Uint64 }
-
-func (b *atomicBound) store(v float64) { b.bits.Store(math.Float64bits(v)) }
-
-func (b *atomicBound) load() float64 { return math.Float64frombits(b.bits.Load()) }
-
-// min lowers the bound to v if v is smaller.
-func (b *atomicBound) min(v float64) {
-	for {
-		old := b.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
 
 func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, *MIPStats, error) {
 	bs, err := gatherBlockStats(params)
@@ -343,60 +288,34 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		cands = append(cands, s)
 	}
 
-	// Balanced-heuristic incumbent seeds for every candidate, computed
-	// before the fan-out. The shared bound is sealed at the minimum over
-	// all seeds: every solve prunes against the same value no matter when
-	// it starts, so the sweep result is identical at every parallelism
-	// level (mid-flight tightening would make pruning timing-dependent).
-	type seeded struct {
-		balanced *Partition
-		inc      float64
-	}
-	seeds := make([]seeded, len(cands))
-	var coldBound atomicBound
-	coldBound.store(math.Inf(1))
+	// Balanced-heuristic partitions for every candidate, computed before
+	// the fan-out; each is its candidate's fallback and seeds the shared
+	// incumbent bound. The bound is sealed at the minimum over all seeds:
+	// every solve prunes against the same value no matter when it starts,
+	// so the sweep result is identical at every parallelism level
+	// (mid-flight tightening would make pruning timing-dependent).
+	balanced := make([]*Partition, len(cands))
+	bound := math.Inf(1)
 	for i, s := range cands {
-		balanced, balErr := Balanced(params, s)
-		if balErr != nil {
-			seeds[i].inc = math.Inf(1)
+		b, err := Balanced(params, s)
+		if err != nil {
 			continue
 		}
-		seeds[i] = seeded{balanced: balanced, inc: math.Inf(1)}
-		if t, err := StepTime(params, balanced); err == nil && !math.IsInf(t, 1) {
+		balanced[i] = b
+		if t, err := StepTime(params, b); err == nil && !math.IsInf(t, 1) {
 			// Seed with slack: the analytic evaluator and the LP agree on
 			// the model, but the seed must never over-prune the optimum.
-			seeds[i].inc = (t - bs.tbEmb) * 1.001
-			coldBound.min(seeds[i].inc)
-		}
-	}
-
-	// Warm start: re-evaluate the warm partition's stage boundaries under
-	// the current profile; when feasible, its (slacked) objective value
-	// joins the sealed bound and the shape competes as an explicit
-	// candidate after the sweep. Rebuilding from boundaries recomputes all
-	// per-stage statistics, so a warm shape solved on a different topology
-	// or GPU spec cannot smuggle stale costs in.
-	warmBound := coldBound.load()
-	var warmPart *Partition
-	if opts.Warm != nil {
-		sizes := make([]int, len(opts.Warm.Stages))
-		for i, st := range opts.Warm.Stages {
-			sizes[i] = st.NumLayers()
-		}
-		if wc, wErr := FromBoundaries(params.Profile, sizes, AlgoMIP); wErr == nil {
-			if t, tErr := StepTime(params, wc); tErr == nil && !math.IsInf(t, 1) {
-				warmPart = wc
-				stats.WarmStart = true
-				warmBound = math.Min(warmBound, (t-bs.tbEmb)*1.001)
+			if inc := (t - bs.tbEmb) * 1.001; inc < bound {
+				bound = inc
 			}
 		}
 	}
 
 	type solveRes struct {
-		part    *Partition
-		efforts []*milp.Result // the candidate's solves, a cold retry included
-		dur     time.Duration
-		err     error
+		part   *Partition
+		effort *milp.Result
+		dur    time.Duration
+		err    error
 	}
 	results := make([]chan solveRes, len(cands))
 	for i := range results {
@@ -431,18 +350,8 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 					continue
 				}
 				start := time.Now()
-				incCold := math.Min(seeds[i].inc, coldBound.load())
-				inc := math.Min(incCold, warmBound)
-				part, res, optimal, err := solveOne(params, bs, cands[i], opts, inc, seeds[i].balanced, abort, sc)
-				efforts := []*milp.Result{res}
-				if err == nil && !optimal && inc < incCold && !abort() {
-					// The warm-tightened bound may have pruned this
-					// candidate's whole search; re-solve with the cold seed
-					// so warm starting never changes the sweep outcome.
-					part, res, _, err = solveOne(params, bs, cands[i], opts, incCold, seeds[i].balanced, abort, sc)
-					efforts = append(efforts, res)
-				}
-				results[i] <- solveRes{part: part, efforts: efforts, dur: time.Since(start), err: err}
+				part, res, err := solveOne(params, bs, cands[i], opts, bound, balanced[i], abort, sc)
+				results[i] <- solveRes{part: part, effort: res, dur: time.Since(start), err: err}
 			}
 		}()
 	}
@@ -472,9 +381,7 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 			return nil, nil, r.err
 		}
 		stats.SolveTime += r.dur
-		for _, e := range r.efforts {
-			stats.addEffort(e)
-		}
+		stats.addEffort(r.effort)
 		stats.TriedStageCounts = append(stats.TriedStageCounts, cands[i])
 		if r.part == nil {
 			continue // infeasible for this S
@@ -504,16 +411,6 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		}
 	}
 
-	// The warm shape competes last and loses ties, so a warm start can
-	// only win where the sweep found nothing at least as good — adding a
-	// warm hint never worsens and (on ties) never alters the result.
-	if warmPart != nil {
-		if err := consider(warmPart, len(warmPart.Stages), true); err != nil {
-			return nil, nil, err
-		}
-		stats.WarmWon = best == warmPart
-	}
-
 	// A deadline that expired mid-sweep invalidates the whole result, even
 	// if some candidates finished: which ones did is timing-dependent, and
 	// the contract is all-or-nothing (see ErrCancelled).
@@ -533,17 +430,15 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 // balanced-heuristic fallback partition are computed by the caller so
 // they can be shared across concurrent solves; cancel is polled by
 // the solver to abandon work whose result the sweep will discard; sc is
-// the calling worker's pooled solver scratch. The optimal result
-// reports whether the MILP itself produced the partition (false means
-// limits were hit and the balanced fallback — possibly nil — stands in,
-// which the caller may retry with a looser incumbent). res is the
-// solver's result, for its effort counters; it is nil when no solve ran.
-func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, res *milp.Result, optimal bool, err error) {
+// the calling worker's pooled solver scratch. When limits are hit before
+// the MILP produces a partition, the balanced fallback — possibly nil —
+// stands in. res is the solver's result, for its effort counters; it is
+// nil when no solve ran.
+func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, res *milp.Result, err error) {
 	p := formulate(params, bs, S)
 	if p == nil {
-		// A single block cannot fit some stage: infeasible S, independent
-		// of any incumbent, so the caller must not retry.
-		return nil, nil, true, nil
+		// A single block cannot fit some stage: infeasible S.
+		return nil, nil, nil
 	}
 	intVars := make([]int, S)
 	for j := 0; j < S; j++ {
@@ -560,15 +455,12 @@ func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent f
 
 	res, err = milp.Solve(p, intVars, mopts)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	if res.Status != lp.Optimal {
 		// Limits hit with no MILP incumbent: fall back to the balanced
 		// heuristic so the sweep still has a candidate for this S.
-		if balanced != nil {
-			return balanced, res, false, nil
-		}
-		return nil, res, false, nil
+		return balanced, res, nil
 	}
 
 	sizes := make([]int, S)
@@ -579,9 +471,9 @@ func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent f
 	sizes[S-1]++ // head layer
 	part, err = FromBoundaries(params.Profile, sizes, AlgoMIP)
 	if err != nil {
-		return nil, res, false, err
+		return nil, res, err
 	}
-	return part, res, true, nil
+	return part, res, nil
 }
 
 // formulate builds the MILP of §3.2 for a fixed stage count S. Its

@@ -33,6 +33,20 @@ func writeRecord(t testing.TB, dir string, key Key, data []byte) {
 	}
 }
 
+// frameRecord wraps a raw payload in a valid version-1 header for key, so
+// a test can land a payload encodeRecord would never write.
+func frameRecord(key Key, body []byte) []byte {
+	rec := make([]byte, headerLen+len(body))
+	copy(rec[0:8], recordMagic[:])
+	binary.BigEndian.PutUint32(rec[8:12], recordVersion)
+	copy(rec[12:44], key[:])
+	binary.BigEndian.PutUint64(rec[44:52], uint64(len(body)))
+	sum := sha256.Sum256(body)
+	copy(rec[52:84], sum[:])
+	copy(rec[headerLen:], body)
+	return rec
+}
+
 // TestLoadTruncatedAtEveryByte truncates a record at every byte offset:
 // the replay must never panic, never load the truncated record, and
 // always quarantine exactly it. Failing fast is part of the contract —
@@ -178,17 +192,8 @@ func TestLoadQuarantineZoo(t *testing.T) {
 
 	// Garbage JSON with a correct checksum: the header lies about
 	// nothing, the payload is just not a plan.
-	junk := []byte(`{"model_sig": "not a number"}`)
 	k := testKey("zoo-json")
-	rec := make([]byte, headerLen+len(junk))
-	copy(rec[0:8], recordMagic[:])
-	binary.BigEndian.PutUint32(rec[8:12], recordVersion)
-	copy(rec[12:44], k[:])
-	binary.BigEndian.PutUint64(rec[44:52], uint64(len(junk)))
-	sum := sha256.Sum256(junk)
-	copy(rec[52:84], sum[:])
-	copy(rec[headerLen:], junk)
-	writeRecord(t, dir, k, rec)
+	writeRecord(t, dir, k, frameRecord(k, []byte(`{"topology": "not an object"}`)))
 
 	// Semantically invalid: a well-formed record whose plan does not
 	// validate against its persisted topology (wrong machine size).

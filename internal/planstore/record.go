@@ -24,11 +24,10 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 
 // Entry is one persisted plan: the key it is cached under, the plan
-// itself, the topology it was planned for (hits re-validate against
-// it), and the model signature the nearest-incumbent index uses.
+// itself, and the topology it was planned for (hits re-validate against
+// it).
 type Entry struct {
 	Key      Key
-	ModelSig uint64
 	Plan     *core.Plan
 	Topology *hw.Topology
 }
@@ -61,9 +60,10 @@ var recordMagic = [8]byte{'M', 'O', 'B', 'P', 'L', 'A', 'N', '1'}
 // payload is the JSON body of a record. It carries the full plan —
 // profile, partition, mapping, solver stats — not the summary wire
 // form: a loaded entry must serve exactly like the entry that was
-// persisted (warm hits, nearest-incumbent warm starts, step pricing).
+// persisted (warm hits, step pricing). Records written with the retired
+// model_sig key, or with the retired MIPStats WarmStart/WarmWon fields,
+// still decode: json.Unmarshal skips keys the struct does not declare.
 type payload struct {
-	ModelSig      uint64               `json:"model_sig"`
 	Topology      *hw.Topology         `json:"topology"`
 	Profile       *profile.Profile     `json:"profile"`
 	Partition     *partition.Partition `json:"partition"`
@@ -80,7 +80,6 @@ func encodeRecord(e Entry) ([]byte, error) {
 		return nil, fmt.Errorf("planstore: incomplete plan for %s", e.Key)
 	}
 	body, err := json.Marshal(payload{
-		ModelSig:      e.ModelSig,
 		Topology:      e.Topology,
 		Profile:       e.Plan.Profile,
 		Partition:     e.Plan.Partition,
@@ -154,7 +153,6 @@ func decodeRecord(data []byte, wantKey Key) (Entry, error) {
 	for i := range seq {
 		p.Profile.Layers[i].Layer = seq[i]
 	}
-	e.ModelSig = p.ModelSig
 	e.Topology = p.Topology
 	e.Plan = &core.Plan{
 		Profile:       p.Profile,

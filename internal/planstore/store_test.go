@@ -2,6 +2,7 @@ package planstore
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,7 +41,7 @@ func testKey(label string) Key {
 func testEntry(t testing.TB, m model.Config, label string) Entry {
 	t.Helper()
 	plan, topo := testPlan(t, m)
-	return Entry{Key: testKey(label), ModelSig: 42, Plan: plan, Topology: topo}
+	return Entry{Key: testKey(label), Plan: plan, Topology: topo}
 }
 
 func openStore(t testing.TB, cfg Config) *Store {
@@ -66,8 +67,8 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Key != e.Key || got.ModelSig != e.ModelSig {
-		t.Fatalf("identity fields did not round-trip: %+v", got)
+	if got.Key != e.Key {
+		t.Fatalf("key did not round-trip: %s, want %s", got.Key, e.Key)
 	}
 	if err := got.Plan.Validate(got.Topology); err != nil {
 		t.Fatalf("decoded plan fails validation: %v", err)
@@ -96,6 +97,45 @@ func TestRecordRoundTrip(t *testing.T) {
 		if want := e.Plan.Profile.Layers[i].Layer.Params(); ls.Layer.Params() != want {
 			t.Fatalf("rebuilt layer %d prices %d params, want %d", i, ls.Layer.Params(), want)
 		}
+	}
+}
+
+// TestLoadAcceptsRetiredKeys: a version-1 record may carry payload keys
+// the format no longer declares — the model signature and the MIP
+// warm-start stats of the retired incumbent warm start. Such a record
+// must still load and validate, so a store written before their removal
+// still restarts warm.
+func TestLoadAcceptsRetiredKeys(t *testing.T) {
+	e := testEntry(t, model.GPT3B, "retired-keys")
+	rec, err := encodeRecord(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(rec[headerLen:], &body); err != nil {
+		t.Fatal(err)
+	}
+	body["model_sig"] = json.RawMessage(`1234567890123456789`)
+	body["mip_stats"] = json.RawMessage(`{"Nodes":3,"Proven":true,"WarmStart":true,"WarmWon":false}`)
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	writeRecord(t, dir, e.Key, frameRecord(e.Key, raw))
+	entries, rep := loadDir(t, dir)
+	if rep.Entries != 1 || rep.Quarantined != 0 || len(entries) != 1 {
+		t.Fatalf("load %+v: the record with retired keys must load", rep)
+	}
+	got := entries[0]
+	if err := got.Plan.Validate(got.Topology); err != nil {
+		t.Fatalf("loaded plan fails validation: %v", err)
+	}
+	if ms := got.Plan.MIPStats; ms == nil || ms.Nodes != 3 || !ms.Proven {
+		t.Errorf("MIPStats %+v: the declared fields must still decode", ms)
+	}
+	if got.Plan.PredictedStep != e.Plan.PredictedStep {
+		t.Errorf("PredictedStep %g, want %g", got.Plan.PredictedStep, e.Plan.PredictedStep)
 	}
 }
 
@@ -330,7 +370,6 @@ func TestStoreOverwriteSettlesLast(t *testing.T) {
 	e1 := testEntry(t, model.GPT3B, "samekey")
 	e2 := testEntry(t, model.GPT8B, "otherplan")
 	e2.Key = e1.Key
-	e2.ModelSig = 77
 	s.Put(e1)
 	s.Put(e2)
 	s.Flush()
@@ -338,8 +377,8 @@ func TestStoreOverwriteSettlesLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Entries != 1 || entries[0].ModelSig != 77 {
-		t.Fatalf("load %+v (sig %d): want the second write to win", rep, entries[0].ModelSig)
+	if rep.Entries != 1 || entries[0].Plan.Profile.Model.Name != model.GPT8B.Name {
+		t.Fatalf("load %+v (model %s): want the second write to win", rep, entries[0].Plan.Profile.Model.Name)
 	}
 }
 

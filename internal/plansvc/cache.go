@@ -6,25 +6,20 @@ import (
 
 	"mobius/internal/core"
 	"mobius/internal/hw"
-	"mobius/internal/partition"
 	"mobius/internal/planstore"
 )
 
 // entry is one cached plan. Cached plans are treated as immutable by
-// the service and must be by callers; the MIP warm-start path rebuilds
-// partitions from stage boundaries, so borrowing an incumbent never
-// mutates the entry either.
+// the service and must be by callers.
 type entry struct {
 	plan *core.Plan
 	// topo is the topology the plan was computed for; hits re-validate
 	// against the requester's topology, which keys guarantee is
 	// content-identical.
 	topo *hw.Topology
-	// modelSig / numGPUs index the entry for the nearest-incumbent
-	// search; key breaks ties deterministically.
-	modelSig uint64
-	numGPUs  int
-	key      Key
+	// key is the entry's own cache key; LRU eviction breaks recency ties
+	// by it.
+	key Key
 	// storedAt dates the entry for TTL expiry; lastUsed is the logical
 	// recency stamp (service useSeq) the LRU sweep orders by.
 	storedAt time.Time
@@ -79,8 +74,6 @@ func (s *Service) cachePut(req *Request, plan *core.Plan) {
 	s.cache[req.Key] = &entry{
 		plan:     plan,
 		topo:     req.Opts.Topology,
-		modelSig: req.ModelSig,
-		numGPUs:  req.Opts.Topology.NumGPUs(),
 		key:      req.Key,
 		storedAt: s.cfg.Now(),
 		lastUsed: s.useSeq,
@@ -92,7 +85,6 @@ func (s *Service) cachePut(req *Request, plan *core.Plan) {
 		// request.
 		s.cfg.Store.Put(planstore.Entry{
 			Key:      planstore.Key(req.Key),
-			ModelSig: req.ModelSig,
 			Plan:     plan,
 			Topology: req.Opts.Topology,
 		})
@@ -173,52 +165,6 @@ func (s *Service) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// nearestWarm picks the cached incumbent nearest to the request: same
-// model content, minimal GPU-count distance, ties broken toward the
-// smaller machine and then by key — a total order, so the choice is
-// deterministic whatever the map iteration order. Only MIP-planned
-// partitions are borrowed (a greedy or balanced shape would still be
-// outcome-preserving, but it is a uselessly loose incumbent). Caller
-// holds s.mu.
-func (s *Service) nearestWarm(req *Request) *partition.Partition {
-	var best *entry
-	for _, e := range s.cache {
-		if e.modelSig != req.ModelSig || e.key == req.Key {
-			continue
-		}
-		if e.plan.Partition == nil || e.plan.Partition.Algorithm != partition.AlgoMIP {
-			continue
-		}
-		if best == nil || closerWarm(e, best, req.Opts.Topology.NumGPUs()) {
-			best = e
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	return best.plan.Partition
-}
-
-// closerWarm reports whether a beats b as a warm incumbent for an
-// n-GPU request.
-func closerWarm(a, b *entry, n int) bool {
-	da, db := absInt(a.numGPUs-n), absInt(b.numGPUs-n)
-	if da != db {
-		return da < db
-	}
-	if a.numGPUs != b.numGPUs {
-		return a.numGPUs < b.numGPUs
-	}
-	return lessKey(a.key, b.key)
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func lessKey(a, b Key) bool {

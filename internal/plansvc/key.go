@@ -1,7 +1,8 @@
 // Package plansvc is a hardened planning service in front of the Mobius
-// planner (core.PlanMobiusCtx). Plans are pure functions of (model,
-// topology, planning options), so the service can be aggressive about
-// reuse without ever changing a result:
+// planner (core.PlanMobiusCtx). Each content key is planned by one cold
+// solve that reads nothing else in the cache, so the plan a key gets
+// does not depend on what was planned before it. Around that solve the
+// service adds:
 //
 //   - a content-addressed plan cache keyed by a canonical hash of the
 //     planning inputs, with Plan.Validate re-checked on every hit so a
@@ -11,11 +12,11 @@
 //     key cost one solve, and a leader whose own context dies hands the
 //     key off to a waiter instead of poisoning it;
 //   - a deadline-aware degradation ladder — exact cache hit, then a
-//     warm-started MIP seeded from the nearest cached incumbent, then
-//     the deterministic greedy fallback — with bounded retries,
-//     exponential backoff and deterministic jitter for transient solver
-//     failures, and a circuit breaker that trips to greedy-only after
-//     repeated deadline blowups and half-opens on a probe;
+//     cold MIP solve, then the deterministic greedy fallback — with
+//     bounded retries, exponential backoff and deterministic jitter for
+//     transient solver failures, and a circuit breaker that trips to
+//     greedy-only after repeated deadline blowups and half-opens on a
+//     probe;
 //   - speculative pre-planning of every surviving single-GPU-loss
 //     topology, so an elastic recovery's re-plan is a cache lookup.
 //
@@ -55,10 +56,6 @@ type Request struct {
 	Opts core.Options
 	// Key is the content address.
 	Key Key
-	// ModelSig hashes the model content alone; the warm-start index
-	// groups cache entries by it so an incumbent is only ever borrowed
-	// across topologies of the same model.
-	ModelSig uint64
 }
 
 // NewRequest canonicalizes opts and computes its content key.
@@ -73,8 +70,7 @@ type Request struct {
 // on: Parallelism (plans are identical at every level), fault and
 // integrity scenarios, checkpoint policy, the prefetch ablation flags
 // (execution-time, not plan-time), the Planner itself, and the MIP
-// cache/warm-start controls (warm starting is outcome-preserving by
-// construction).
+// cache control (DisableCache re-solves the same problem).
 func NewRequest(opts core.Options) (*Request, error) {
 	norm, err := opts.Normalized()
 	if err != nil {
@@ -89,11 +85,8 @@ func NewRequest(opts core.Options) (*Request, error) {
 	w.str("plansvc/v1")
 
 	w.str("model")
-	mw := newHasher()
-	for _, h := range []*hasher{w, mw} {
-		h.ints(norm.Model.Layers, norm.Model.Hidden, norm.Model.Heads,
-			norm.Model.VocabSize, norm.Model.SeqLen, norm.Model.MicrobatchSize)
-	}
+	w.ints(norm.Model.Layers, norm.Model.Hidden, norm.Model.Heads,
+		norm.Model.VocabSize, norm.Model.SeqLen, norm.Model.MicrobatchSize)
 
 	topo := norm.Topology
 	w.str("topo")
@@ -119,7 +112,7 @@ func NewRequest(opts core.Options) (*Request, error) {
 	w.ints(norm.ProfileOptions.Repeats)
 	w.bools(norm.ProfileOptions.DisableSimilarity)
 
-	return &Request{Opts: norm, Key: w.sum(), ModelSig: mw.sumLow()}, nil
+	return &Request{Opts: norm, Key: w.sum()}, nil
 }
 
 // KeyOf is NewRequest reduced to the key.
@@ -175,13 +168,6 @@ func (w *hasher) sum() Key {
 	var k Key
 	w.h.Sum(k[:0])
 	return k
-}
-
-// sumLow is the first 64 bits of the current digest.
-func (w *hasher) sumLow() uint64 {
-	var k Key
-	w.h.Sum(k[:0])
-	return binary.BigEndian.Uint64(k[:8])
 }
 
 // Fingerprint hashes the deterministic content of a plan — partition

@@ -39,8 +39,6 @@ type Metrics struct {
 
 	// Solves counts inner planner invocations (full MIP + mapping).
 	Solves uint64
-	// WarmStarts counts solves seeded with a nearest-cached incumbent.
-	WarmStarts uint64
 	// Retries counts injected-transient-failure retries (backoff slept).
 	Retries uint64
 	// InjectedFailures counts injected transient solver failures.

@@ -52,8 +52,7 @@ func (r *PrewarmReport) String() string {
 // plans are far fewer than the scenarios. Survivor plans keep the full
 // request's microbatch count, matching elastic recovery semantics (the
 // global batch size is preserved across a recovery). Each survivor
-// solve is warm-started from the already-cached full plan via the
-// nearest-incumbent index.
+// is solved cold, exactly as a later request for it would be.
 func (s *Service) Prewarm(ctx context.Context, opts core.Options) (*PrewarmReport, error) {
 	return s.PrewarmDepth(ctx, opts, 1)
 }

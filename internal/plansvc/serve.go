@@ -60,6 +60,22 @@ const maxPlanRequestBytes = 1 << 20
 // request deadline, so a larger topology is refused before planning.
 const maxPlanGPUs = 8
 
+// maxPlanLayers bounds model_config.layers. Table 3's deepest model has
+// 64 blocks; the profile and the partition allocate per layer before any
+// deadline applies, so a huge count would cost memory up front.
+const maxPlanLayers = 256
+
+// maxPlanMicrobatches bounds microbatches. The microbatch ablation
+// sweeps up to 16; the MIP has two timing variables per stage and
+// microbatch, so its dense LP tableau grows with the square of the count
+// (a 15B plan on Topo 2+2 peaks near 130 MB at 16 and 280 MB at 32).
+const maxPlanMicrobatches = 32
+
+// maxPlanBalancedStages bounds balanced_stages: every stage holds at
+// least one layer, and a model has at most maxPlanLayers blocks plus its
+// embedding and head.
+const maxPlanBalancedStages = maxPlanLayers + 2
+
 // StageSummary is one pipeline stage of a served plan.
 type StageSummary struct {
 	First      int     `json:"first"`
@@ -81,7 +97,7 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"POST only"})
 		return
 	}
 	var preq PlanRequest
@@ -90,10 +106,10 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&preq); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+			writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{"request body too large"})
 			return
 		}
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{fmt.Sprintf("bad request: %v", err)})
 		return
 	}
 	opts, err := preq.options()
@@ -109,12 +125,12 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := NewRequest(opts)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})
 		return
 	}
 	plan, err := s.plan(ctx, req)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{err.Error()})
 		return
 	}
 	resp := PlanResponse{
@@ -136,7 +152,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"})
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
@@ -192,8 +208,20 @@ func (p *PlanRequest) options() (core.Options, error) {
 		}
 		opts.Topology = topo
 	}
+	if err := opts.Topology.Validate(); err != nil {
+		return opts, err
+	}
 	if n := opts.Topology.NumGPUs(); n > maxPlanGPUs {
 		return opts, fmt.Errorf("plansvc: topology has %d GPUs, over the %d-GPU limit of a plan request", n, maxPlanGPUs)
+	}
+	if n := opts.Model.Layers; n > maxPlanLayers {
+		return opts, fmt.Errorf("plansvc: model has %d layers, over the %d-layer limit of a plan request", n, maxPlanLayers)
+	}
+	if n := opts.Microbatches; n > maxPlanMicrobatches {
+		return opts, fmt.Errorf("plansvc: %d microbatches, over the %d-microbatch limit of a plan request", n, maxPlanMicrobatches)
+	}
+	if n := opts.BalancedStages; n > maxPlanBalancedStages {
+		return opts, fmt.Errorf("plansvc: %d balanced stages, over the %d-stage limit of a plan request", n, maxPlanBalancedStages)
 	}
 	return opts, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mobius/internal/hw"
+	"mobius/internal/model"
 )
 
 // TestServePlanAndMetrics drives the HTTP surface end to end: a plan
@@ -106,42 +107,64 @@ func TestServeBalancedStages(t *testing.T) {
 }
 
 // TestServeRejectsBadRequests: malformed JSON, unknown fields, unknown
-// models and missing topologies are 400s, and GET /v1/plan is 405.
+// models and missing or invalid topologies are 400s, and GET /v1/plan is
+// 405, each with a structured error body.
 func TestServeRejectsBadRequests(t *testing.T) {
 	svc := New(Config{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
 	for name, body := range map[string]string{
-		"malformed":     `{"model": `,
-		"unknown-field": `{"model": "8B", "topo": "2+2", "bogus": 1}`,
-		"unknown-model": `{"model": "9000B", "topo": "2+2"}`,
-		"no-topology":   `{"model": "8B"}`,
+		"malformed":      `{"model": `,
+		"unknown-field":  `{"model": "8B", "topo": "2+2", "bogus": 1}`,
+		"unknown-model":  `{"model": "9000B", "topo": "2+2"}`,
+		"no-topology":    `{"model": "8B"}`,
+		"empty-topology": `{"model": "8B", "topology": {"GPUs": []}}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+		requireErrorResponse(t, name, resp)
 	}
 
 	resp, err := http.Get(srv.URL + "/v1/plan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/plan: status %d, want 405", resp.StatusCode)
 	}
+	requireErrorResponse(t, "GET /v1/plan", resp)
+}
+
+// requireErrorResponse closes resp after checking that it carries a
+// structured error: an application/json body that decodes as an
+// ErrorResponse with a message.
+func requireErrorResponse(t *testing.T, name string, resp *http.Response) ErrorResponse {
+	t.Helper()
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s: Content-Type %q, want application/json", name, ct)
+	}
+	var er ErrorResponse
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&er); err != nil || er.Error == "" {
+		t.Errorf("%s: body %+v (%v), want a structured error", name, er, err)
+	}
+	return er
 }
 
 // TestServeRejectsOversizedTopology: a topology over eight GPUs, as a
 // compact spec or in full, is a structured 400 that never reaches the
 // planner; 6+6 would otherwise spend seconds in the cross mapping search
-// whatever the deadline. Eight GPUs still plan.
+// whatever the deadline. So are a model over 256 layers, more than 32
+// microbatches and more than 258 balanced stages. Eight GPUs, 32
+// microbatches and 258 balanced stages of a 256-layer model still plan.
 func TestServeRejectsOversizedTopology(t *testing.T) {
 	svc := New(Config{})
 	srv := httptest.NewServer(svc.Handler())
@@ -162,33 +185,53 @@ func TestServeRejectsOversizedTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string]string{
-		"6+6":  `{"model":"3B","topo":"6+6","partition_algo":"balanced","balanced_stages":12,"deadline_ms":100}`,
-		"9":    `{"model":"3B","topo":"9","partition_algo":"balanced","balanced_stages":9}`,
-		"dc9":  `{"model":"3B","topo":"dc9","partition_algo":"balanced","balanced_stages":9}`,
-		"5+4":  `{"model":"3B","topo":"5+4"}`,
-		"full": string(full),
+	deep := model.GPT3B
+	deep.Name = "deep"
+	deep.Layers = 2000000000
+	deepBody, err := json.Marshal(PlanRequest{Model: deep, Topo: "2+2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct{ body, limit string }{
+		"6+6":               {`{"model":"3B","topo":"6+6","partition_algo":"balanced","balanced_stages":12,"deadline_ms":100}`, "8-GPU limit"},
+		"9":                 {`{"model":"3B","topo":"9","partition_algo":"balanced","balanced_stages":9}`, "8-GPU limit"},
+		"dc9":               {`{"model":"3B","topo":"dc9","partition_algo":"balanced","balanced_stages":9}`, "8-GPU limit"},
+		"5+4":               {`{"model":"3B","topo":"5+4"}`, "8-GPU limit"},
+		"full":              {string(full), "8-GPU limit"},
+		"layers":            {string(deepBody), "256-layer limit"},
+		"microbatches":      {`{"model":"3B","topo":"2+2","microbatches":33}`, "32-microbatch limit"},
+		"microbatches-huge": {`{"model":"3B","topo":"2+2","microbatches":2000000000}`, "32-microbatch limit"},
+		"balanced-stages":   {`{"model":"3B","topo":"2+2","partition_algo":"balanced","balanced_stages":259}`, "258-stage limit"},
 	} {
-		resp := post(body)
-		var er ErrorResponse
-		err := json.NewDecoder(resp.Body).Decode(&er)
-		resp.Body.Close()
+		resp := post(tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
-			continue
 		}
-		if err != nil || !strings.Contains(er.Error, "8-GPU limit") {
-			t.Errorf("%s: body %+v (%v), want a structured error naming the limit", name, er, err)
+		if er := requireErrorResponse(t, name, resp); !strings.Contains(er.Error, tc.limit) {
+			t.Errorf("%s: error %q, want it to name the %s", name, er.Error, tc.limit)
 		}
 	}
 	if m := svc.Metrics(); m.Requests != 0 {
-		t.Errorf("oversized topologies reached the planner: %d requests", m.Requests)
+		t.Errorf("oversized requests reached the planner: %d requests", m.Requests)
 	}
 
-	resp := post(`{"model":"3B","topo":"4+4","partition_algo":"balanced","balanced_stages":8}`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("4+4: status %d, want 200", resp.StatusCode)
+	atLimit := model.GPT3B
+	atLimit.Name = "at-limit"
+	atLimit.Layers = maxPlanLayers
+	atLimitBody, err := json.Marshal(PlanRequest{Model: atLimit, Topo: "4+4",
+		Microbatches: maxPlanMicrobatches, PartitionAlgo: "balanced", BalancedStages: maxPlanBalancedStages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"4+4":      `{"model":"3B","topo":"4+4","partition_algo":"balanced","balanced_stages":8}`,
+		"at-limit": string(atLimitBody),
+	} {
+		resp := post(body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", name, resp.StatusCode)
+		}
 	}
 }
 
@@ -240,10 +283,10 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: status %d, want 413", name, resp.StatusCode)
 		}
+		requireErrorResponse(t, name, resp)
 	}
 	if m := svc.Metrics(); m.Requests != 0 {
 		t.Errorf("oversized bodies reached the planner: %d requests", m.Requests)

@@ -8,7 +8,6 @@ import (
 
 	"mobius/internal/core"
 	"mobius/internal/fault"
-	"mobius/internal/partition"
 	"mobius/internal/planstore"
 	"mobius/internal/resil"
 )
@@ -34,10 +33,6 @@ type Config struct {
 	// open before admitting a half-open probe (default 30s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// DisableWarm turns off warm-starting MIP solves from the nearest
-	// cached incumbent (the solve outcome is identical either way; only
-	// effort changes).
-	DisableWarm bool
 	// CacheTTL bounds a cached plan's lifetime: an entry older than the
 	// TTL is evicted on its next lookup (and by the capacity sweep) and
 	// the request recomputes. Zero means entries never expire. Plans are
@@ -163,8 +158,6 @@ func (s *Service) warmStart() {
 		s.cache[Key(e.Key)] = &entry{
 			plan:      e.Plan,
 			topo:      e.Topology,
-			modelSig:  e.ModelSig,
-			numGPUs:   e.Topology.NumGPUs(),
 			key:       Key(e.Key),
 			storedAt:  now,
 			lastUsed:  s.useSeq,
@@ -199,8 +192,8 @@ type flight struct {
 }
 
 // PlanMobius serves one planning request through the ladder:
-// validated cache hit, single-flight coalescing, warm-started solve
-// with retries, greedy floor.
+// validated cache hit, single-flight coalescing, cold solve with
+// retries, greedy floor.
 func (s *Service) PlanMobius(ctx context.Context, opts core.Options) (*core.Plan, error) {
 	req, err := NewRequest(opts)
 	if err != nil {
@@ -267,8 +260,8 @@ func (s *Service) plan(ctx context.Context, req *Request) (*core.Plan, error) {
 }
 
 // solve runs the degradation ladder below the cache: breaker gate,
-// bounded retries over injected transient failures, warm-started solve,
-// greedy floor. It never holds s.mu across a solve or a sleep.
+// bounded retries over injected transient failures, cold solve, greedy
+// floor. It never holds s.mu across a solve or a sleep.
 func (s *Service) solve(ctx context.Context, req *Request) (*core.Plan, error) {
 	now := s.clock()
 	s.mu.Lock()
@@ -309,17 +302,8 @@ func (s *Service) solve(ctx context.Context, req *Request) (*core.Plan, error) {
 			return s.greedy(req, "plansvc: deadline expired before solve ("+ctx.Err().Error()+")")
 		}
 
-		opts := req.Opts
-		if !s.cfg.DisableWarm && opts.PartitionAlgo == partition.AlgoMIP {
-			s.mu.Lock()
-			if w := s.nearestWarm(req); w != nil {
-				opts.MIP.Warm = w
-				s.m.WarmStarts++
-			}
-			s.mu.Unlock()
-		}
 		s.count(func(m *Metrics) { m.Solves++ })
-		plan, err := s.cfg.Inner.PlanMobius(ctx, opts)
+		plan, err := s.cfg.Inner.PlanMobius(ctx, req.Opts)
 		if err != nil {
 			// A structural planner error (invalid model, infeasible
 			// problem) is the caller's to see; the breaker watches

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mobius/internal/core"
+	"mobius/internal/elastic"
 	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
@@ -489,37 +490,38 @@ func TestRetryBackoffBreakerLadder(t *testing.T) {
 	}
 }
 
-// TestWarmStartUsesNearestIncumbent: with a 4-GPU MIP plan cached, a
-// 3-GPU solve of the same model is warm-started — and the result is
-// identical to a cold service's.
-func TestWarmStartUsesNearestIncumbent(t *testing.T) {
+// TestPlanIndependentOfCacheHistory: the plan a key gets does not
+// depend on what the service planned before it. The 15B survivor of
+// losing GPU 1 on Topo 2+2 is planned on a fresh service, then on a
+// service that first planned the intact 4-GPU shape; both must return
+// the same plan.
+func TestPlanIndependentOfCacheHistory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MIP solves in -short mode")
 	}
-	full := core.Options{Model: model.GPT8B, Topology: topo22()}
-	lossy := core.Options{Model: model.GPT8B, Topology: hw.Commodity(hw.RTX3090Ti, 2, 1)}
-
-	warm := New(Config{})
-	if _, err := warm.PlanMobius(context.Background(), full); err != nil {
-		t.Fatal(err)
-	}
-	warmPlan, err := warm.PlanMobius(context.Background(), lossy)
+	ctx := context.Background()
+	full := core.Options{Model: model.GPT15B, Topology: topo22(), Microbatches: 4}
+	surv, _, err := elastic.SurvivingTopology(full.Topology, &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := warm.Metrics(); m.WarmStarts != 1 {
-		t.Errorf("WarmStarts = %d, want 1", m.WarmStarts)
-	}
+	survivor := full
+	survivor.Topology = surv
 
-	cold := New(Config{DisableWarm: true})
-	coldPlan, err := cold.PlanMobius(context.Background(), lossy)
+	fresh, err := New(Config{}).PlanMobius(ctx, survivor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Fingerprint(warmPlan) != Fingerprint(coldPlan) {
-		t.Errorf("warm-started plan differs from cold plan")
+	svc := New(Config{})
+	if _, err := svc.PlanMobius(ctx, full); err != nil {
+		t.Fatal(err)
 	}
-	if warmPlan.PredictedStep != coldPlan.PredictedStep {
-		t.Errorf("objective diverged: warm %v cold %v", warmPlan.PredictedStep, coldPlan.PredictedStep)
+	after, err := svc.PlanMobius(ctx, survivor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Fingerprint(after), Fingerprint(fresh); got != want {
+		t.Errorf("survivor plan after the full plan: fingerprint %s (%d stages), want the fresh service's %s (%d stages)",
+			got, len(after.Partition.Stages), want, len(fresh.Partition.Stages))
 	}
 }
