@@ -20,6 +20,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -66,7 +67,7 @@ func NewHarness() (*Harness, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: partition: %w", err)
 	}
-	m, err := mapping.Cross(topo, part.NumStages())
+	m, err := mapping.Cross(context.Background(), topo, part.NumStages())
 	if err != nil {
 		return nil, fmt.Errorf("chaos: mapping: %w", err)
 	}

@@ -81,9 +81,10 @@ type Options struct {
 	MIP partition.MIPOptions
 	// ProfileOptions control layer profiling.
 	ProfileOptions profile.Options
-	// Parallelism bounds the worker goroutines of the planning pipeline —
-	// the MIP stage-count sweep and the cross-mapping search (0 means
-	// GOMAXPROCS, 1 means serial). Plans are identical at every level.
+	// Parallelism bounds the worker goroutines of the MIP stage-count
+	// sweep, when MIP.Parallelism is unset (0 means GOMAXPROCS, 1 means
+	// serial). Plans are identical at every level; the cross mapping
+	// search is always serial.
 	Parallelism int
 	// Faults injects a degraded-hardware scenario into the simulated
 	// server (Mobius and GPipe only; nil means nominal hardware). The
@@ -241,11 +242,12 @@ func PlanMobius(opts Options) (*Plan, error) {
 }
 
 // PlanMobiusCtx is PlanMobius honoring a context deadline: when ctx
-// expires before the MIP sweep completes, the plan degrades to the
-// guaranteed-feasible greedy partition with a sequential mapping instead
-// of failing. The fallback is a pure function of the profile — no solver,
-// no timing dependence — so every caller at every parallelism level
-// derives the identical degraded plan (Plan.Fallback reports it).
+// expires before the MIP sweep and the cross mapping search complete,
+// the plan degrades to the guaranteed-feasible greedy partition with a
+// sequential mapping instead of failing. The fallback is a pure function
+// of the profile — no solver, no timing dependence — so every caller at
+// every parallelism level derives the identical degraded plan
+// (Plan.Fallback reports it).
 func PlanMobiusCtx(ctx context.Context, opts Options) (*Plan, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -285,24 +287,24 @@ func PlanMobiusCtx(ctx context.Context, opts Options) (*Plan, error) {
 		return nil, err
 	}
 
-	// The mapping search is branch-and-bound too; a deadline that expired
-	// after partitioning degrades the whole plan, not just the mapping —
-	// mixing an optimal partition with a fallback mapping would make the
-	// result depend on where exactly the deadline hit.
-	if cerr := ctx.Err(); cerr != nil {
-		return fallbackPlan(plan, params, opts, cerr)
-	}
-
 	start := time.Now()
 	switch opts.MappingScheme {
 	case mapping.SchemeCross:
-		plan.Mapping, err = mapping.CrossN(opts.Topology, plan.Partition.NumStages(), opts.Parallelism)
+		plan.Mapping, err = mapping.Cross(ctx, opts.Topology, plan.Partition.NumStages())
 	case mapping.SchemeSequential:
 		plan.Mapping, err = mapping.Sequential(opts.Topology, plan.Partition.NumStages())
 	default:
 		return nil, fmt.Errorf("core: unknown mapping scheme %q", opts.MappingScheme)
 	}
 	plan.CrossMapTime = time.Since(start)
+	// The cross mapping search stops on the deadline too. A deadline that
+	// expired after partitioning, in or after the mapping, degrades the
+	// whole plan, not just the mapping — mixing an optimal partition with
+	// a fallback mapping would make the result depend on where exactly
+	// the deadline hit.
+	if cerr := ctx.Err(); cerr != nil {
+		return fallbackPlan(plan, params, opts, cerr)
+	}
 	if err != nil {
 		return nil, err
 	}

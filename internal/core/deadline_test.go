@@ -171,3 +171,34 @@ func TestDeadlineInterruptsRootLP(t *testing.T) {
 		t.Errorf("plan returned %v after a %v deadline, want within 1s of it", elapsed.Round(time.Millisecond), deadline)
 	}
 }
+
+// TestPlanDeadlineStopsMapping plans 3B on Topo 6+6 with a balanced
+// 12-stage partition, whose cross mapping search over 12! GPU orders
+// runs for seconds unbounded, under a 100 ms deadline. The search stops
+// on the deadline, so the plan must degrade to a valid fallback within
+// 2 s instead of waiting the search out.
+func TestPlanDeadlineStopsMapping(t *testing.T) {
+	topo := hw.Commodity(hw.RTX3090Ti, 6, 6)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	plan, err := PlanMobiusCtx(ctx, Options{
+		Model:          model.GPT3B,
+		Topology:       topo,
+		PartitionAlgo:  partition.AlgoBalanced,
+		BalancedStages: 12,
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Fallback {
+		t.Fatalf("plan did not fall back under a 100ms deadline (perm %v)", plan.Mapping.Perm)
+	}
+	if err := plan.Validate(topo); err != nil {
+		t.Fatalf("fallback plan failed validation: %v", err)
+	}
+	if elapsed > 2*time.Second {
+		t.Errorf("plan returned %v after a 100ms deadline, want within 2s", elapsed.Round(time.Millisecond))
+	}
+}

@@ -92,8 +92,6 @@ type Config struct {
 	// topology); it stays constant after recovery so the global batch
 	// size — and hence training semantics — is preserved.
 	Microbatches int
-	// Parallelism bounds planner worker goroutines.
-	Parallelism int
 	// Planner, when non-nil, computes every plan of the run — the full
 	// machine's and the recovery's — in place of direct PlanMobiusCtx
 	// calls. With a prewarmed plansvc.Service here, the recovery re-plan
@@ -480,7 +478,6 @@ func planOn(cfg Config, topo *hw.Topology, mb int) (*core.Plan, error) {
 		Model:        cfg.Model,
 		Topology:     topo,
 		Microbatches: mb,
-		Parallelism:  cfg.Parallelism,
 	}
 	if cfg.Planner != nil {
 		return cfg.Planner.PlanMobius(ctx, opts)

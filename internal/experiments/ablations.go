@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -147,7 +148,7 @@ func Figure12() (*Table, error) {
 			return nil, fmt.Errorf("experiments: figure 12 partition %s: %w", m.Name, err)
 		}
 		start := time.Now()
-		if _, err := mapping.Cross(topo, part.NumStages()); err != nil {
+		if _, err := mapping.Cross(context.Background(), topo, part.NumStages()); err != nil {
 			return nil, fmt.Errorf("experiments: figure 12 mapping %s: %w", m.Name, err)
 		}
 		mapTime := time.Since(start)

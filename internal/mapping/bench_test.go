@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"testing"
 
 	"mobius/internal/hw"
@@ -13,7 +14,7 @@ func BenchmarkCrossMapping8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cross(topo, 32); err != nil {
+		if _, err := Cross(context.Background(), topo, 32); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,9 +16,8 @@
 package mapping
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"mobius/internal/hw"
 )
@@ -99,42 +98,41 @@ func Sequential(topo *hw.Topology, numStages int) (*Mapping, error) {
 	}, nil
 }
 
-// Cross returns the permutation with minimal contention degree, searching
-// with all available cores. Ties keep the first minimum in enumeration
-// order, starting from the identity, so the result is deterministic.
-func Cross(topo *hw.Topology, numStages int) (*Mapping, error) {
-	return CrossN(topo, numStages, 0)
-}
+// pollLeft is the smallest number of positions a child subtree must
+// still have to fill for the search to check the context before entering
+// it. On 8 GPUs that is at most 65 checks in all, and the work between
+// two checks is one subtree of at most 6! = 720 leaves, so a deadline
+// stops the search promptly without a check in the hot inner nodes.
+const pollLeft = 6
 
-// CrossN is Cross with an explicit parallelism bound: the number of
-// goroutines exploring top-level search branches (0 means GOMAXPROCS).
-// The result is identical for every parallelism level.
+// Cross returns the permutation with minimal contention degree. Ties keep
+// the first minimum in enumeration order, starting from the identity, so
+// the result is deterministic. When ctx expires mid-search, Cross returns
+// ctx.Err() and no mapping.
 //
-// The search is an incremental branch and bound over partial permutations
-// rather than a brute-force scan of all N! orders: filling position k adds
-// only the contention of stage pairs whose positions are both decided, and
-// since every pair contributes a nonnegative term, the accumulated prefix
-// contention is a lower bound on every completion of the prefix. A branch
-// whose prefix cost cannot beat the best known score (within the float
-// tie tolerance) is pruned whole.
-//
-// The N top-level branches (the choice of GPU for position 0, in the same
-// swap order as the brute-force enumeration) are explored by a worker
-// pool. Each branch runs independently and reports the best permutation
-// of its subtree; the results are then merged in branch order with the
-// same first-strict-improvement rule the serial scan applies, which keeps
-// the deterministic first-minimum tie-break independent of goroutine
-// scheduling.
-func CrossN(topo *hw.Topology, numStages, parallelism int) (*Mapping, error) {
+// The search is one depth-first branch and bound over partial
+// permutations rather than a brute-force scan of all N! orders: filling
+// position k adds only the contention of stage pairs whose positions are
+// both decided, and since every pair contributes a nonnegative term, the
+// accumulated prefix contention is a lower bound on every completion of
+// the prefix. A branch whose prefix cost cannot beat the incumbent (within
+// the float tie tolerance) is pruned whole. The incumbent starts at the
+// identity's score and is carried across all N top-level branches, which
+// are visited in the brute-force enumeration's swap order.
+func Cross(ctx context.Context, topo *hw.Topology, numStages int) (*Mapping, error) {
 	if err := checkArgs(topo, numStages); err != nil {
 		return nil, err
 	}
-	n := topo.NumGPUs()
-	identity := make([]int, n)
-	for i := range identity {
-		identity[i] = i
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	identityScore := ContentionDegree(topo, identity, numStages)
+	n := topo.NumGPUs()
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	best := append([]int(nil), p...)
+	bestScore := ContentionDegree(topo, p, numStages)
 
 	w := pairWeights(n, numStages)
 	rcOf := make([]int, n)
@@ -144,40 +142,35 @@ func CrossN(topo *hw.Topology, numStages, parallelism int) (*Mapping, error) {
 		szOf[g] = float64(topo.GroupSize(g))
 	}
 
-	results := make([]branchResult, n)
-
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	branches := make(chan int)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range branches {
-				results[k] = exploreBranch(identity, k, identityScore, w, rcOf, szOf)
-			}
-		}()
-	}
-	for k := 0; k < n; k++ {
-		branches <- k
-	}
-	close(branches)
-	wg.Wait()
-
-	// Merge in branch order with the serial acceptance rule.
-	best := identity
-	bestScore := identityScore
-	for k := 0; k < n; k++ {
-		if results[k].found && results[k].score < bestScore-1e-12 {
-			bestScore = results[k].score
-			best = results[k].perm
+	var err error
+	var dfs func(i int, cost float64)
+	dfs = func(i int, cost float64) {
+		if cost >= bestScore-1e-12 {
+			return // lower bound cannot beat the incumbent
 		}
+		if i == n {
+			bestScore = cost
+			copy(best, p)
+			return
+		}
+		poll := n-i-1 >= pollLeft
+		for j := i; j < n; j++ {
+			if poll {
+				if err = ctx.Err(); err != nil {
+					return
+				}
+			}
+			p[i], p[j] = p[j], p[i]
+			dfs(i+1, cost+placementCost(p, i, w, rcOf, szOf))
+			p[i], p[j] = p[j], p[i]
+			if err != nil {
+				return
+			}
+		}
+	}
+	dfs(0, 0)
+	if err != nil {
+		return nil, err
 	}
 	return &Mapping{
 		Perm:       best,
@@ -185,44 +178,6 @@ func CrossN(topo *hw.Topology, numStages, parallelism int) (*Mapping, error) {
 		Scheme:     SchemeCross,
 		Contention: bestScore,
 	}, nil
-}
-
-// branchResult is the best permutation found in one top-level subtree.
-type branchResult struct {
-	found bool
-	score float64
-	perm  []int
-}
-
-// exploreBranch runs the branch-and-bound DFS over the subtree rooted at
-// the top-level swap of positions 0 and k, seeded with the identity score
-// so the exploration is independent of every other branch.
-func exploreBranch(identity []int, k int, seedScore float64, w [][]float64, rcOf []int, szOf []float64) (res branchResult) {
-	n := len(identity)
-	p := append([]int(nil), identity...)
-	p[0], p[k] = p[k], p[0]
-	res.score = seedScore
-	res.perm = make([]int, n)
-
-	var dfs func(i int, cost float64)
-	dfs = func(i int, cost float64) {
-		if cost >= res.score-1e-12 {
-			return // lower bound cannot beat the incumbent
-		}
-		if i == n {
-			res.found = true
-			res.score = cost
-			copy(res.perm, p)
-			return
-		}
-		for j := i; j < n; j++ {
-			p[i], p[j] = p[j], p[i]
-			dfs(i+1, cost+placementCost(p, i, w, rcOf, szOf))
-			p[i], p[j] = p[j], p[i]
-		}
-	}
-	dfs(1, placementCost(p, 0, w, rcOf, szOf))
-	return res
 }
 
 // placementCost returns the contention added by deciding position i of

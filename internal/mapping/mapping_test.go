@@ -1,8 +1,14 @@
 package mapping
 
 import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mobius/internal/hw"
 )
@@ -38,7 +44,7 @@ func TestCrossNeverWorseThanSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cross, err := Cross(topo, stages)
+			cross, err := Cross(context.Background(), topo, stages)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +59,7 @@ func TestCrossAlternatesRootComplexes(t *testing.T) {
 	// Topo 2+2: cross mapping must put adjacent stages under different
 	// root complexes (the Figure 4b illustration).
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
-	m, err := Cross(topo, 8)
+	m, err := Cross(context.Background(), topo, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +80,7 @@ func TestCrossOnSingleRootComplexIsNeutral(t *testing.T) {
 	// crash and must return the identity (first in enumeration order).
 	topo := hw.Commodity(hw.RTX3090Ti, 4)
 	seq, _ := Sequential(topo, 8)
-	cross, err := Cross(topo, 8)
+	cross, err := Cross(context.Background(), topo, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +113,7 @@ func TestContentionZeroAcrossRootComplexes(t *testing.T) {
 
 func TestUploadPriorityOrdering(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
-	m, _ := Cross(topo, 8)
+	m, _ := Cross(context.Background(), topo, 8)
 	for j := 1; j < 8; j++ {
 		if m.UploadPriority(j) >= m.UploadPriority(j-1) {
 			t.Fatalf("earlier stages must have higher priority: p(%d)=%d p(%d)=%d",
@@ -132,8 +138,8 @@ func TestStagesPerGPU(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 1, 3)
-	a, _ := Cross(topo, 12)
-	b, _ := Cross(topo, 12)
+	a, _ := Cross(context.Background(), topo, 12)
+	b, _ := Cross(context.Background(), topo, 12)
 	for i := range a.Perm {
 		if a.Perm[i] != b.Perm[i] {
 			t.Fatalf("non-deterministic cross mapping: %v vs %v", a.Perm, b.Perm)
@@ -143,7 +149,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestArgValidation(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2)
-	if _, err := Cross(topo, 0); err == nil {
+	if _, err := Cross(context.Background(), topo, 0); err == nil {
 		t.Fatal("zero stages must fail")
 	}
 	if _, err := Sequential(nil, 4); err == nil {
@@ -159,7 +165,7 @@ func TestCrossOptimalByBruteForce(t *testing.T) {
 		g2 := int(g2Raw%3) + 1
 		stages := (int(stagesRaw%3) + 1) * (g1 + g2)
 		topo := hw.Commodity(hw.RTX3090Ti, g1, g2)
-		m, err := Cross(topo, stages)
+		m, err := Cross(context.Background(), topo, stages)
 		if err != nil {
 			return false
 		}
@@ -196,7 +202,7 @@ func TestCrossMappingEightGPUScale(t *testing.T) {
 	// The permutation search must stay fast at the maximum evaluated
 	// scale: 8 GPUs (40320 permutations) and 32 stages.
 	topo := hw.Commodity(hw.RTX3090Ti, 4, 4)
-	m, err := Cross(topo, 32)
+	m, err := Cross(context.Background(), topo, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,40 +220,107 @@ func TestCrossMappingEightGPUScale(t *testing.T) {
 	}
 }
 
-// TestCrossNDeterministicAcrossParallelism checks that the branch-order
-// merge makes the search result independent of the worker count,
-// including the first-minimum tie-break.
-func TestCrossNDeterministicAcrossParallelism(t *testing.T) {
-	cases := []struct {
-		topo   *hw.Topology
+// crossBranchMerge is the oracle for Cross: the search as it stood when
+// the N top-level branches ran on a worker pool. Each branch is explored
+// on its own, seeded with the identity score, and the branch results are
+// merged in branch order with the first-strict-improvement rule.
+func crossBranchMerge(topo *hw.Topology, numStages int) ([]int, float64) {
+	n := topo.NumGPUs()
+	identity := make([]int, n)
+	for i := range identity {
+		identity[i] = i
+	}
+	identityScore := ContentionDegree(topo, identity, numStages)
+	w := pairWeights(n, numStages)
+	rcOf := make([]int, n)
+	szOf := make([]float64, n)
+	for g := 0; g < n; g++ {
+		rcOf[g] = topo.GPUs[g].RootComplex
+		szOf[g] = float64(topo.GroupSize(g))
+	}
+
+	best, bestScore := identity, identityScore
+	for k := 0; k < n; k++ {
+		p := append([]int(nil), identity...)
+		p[0], p[k] = p[k], p[0]
+		found, score, perm := false, identityScore, make([]int, n)
+		var dfs func(i int, cost float64)
+		dfs = func(i int, cost float64) {
+			if cost >= score-1e-12 {
+				return
+			}
+			if i == n {
+				found, score = true, cost
+				copy(perm, p)
+				return
+			}
+			for j := i; j < n; j++ {
+				p[i], p[j] = p[j], p[i]
+				dfs(i+1, cost+placementCost(p, i, w, rcOf, szOf))
+				p[i], p[j] = p[j], p[i]
+			}
+		}
+		dfs(1, placementCost(p, 0, w, rcOf, szOf))
+		if found && score < bestScore-1e-12 {
+			best, bestScore = perm, score
+		}
+	}
+	return best, bestScore
+}
+
+// TestCrossMatchesBranchMerge holds the serial search to the branch-merge
+// oracle: the same permutation and bitwise the same contention, including
+// the first-minimum tie-break, on the named shapes and on seeded random
+// group layouts of up to 8 GPUs whose stage counts need not be multiples
+// of the GPU count.
+func TestCrossMatchesBranchMerge(t *testing.T) {
+	type tc struct {
+		groups []int
 		stages int
-	}{
-		{hw.Commodity(hw.RTX3090Ti, 2, 2), 8},
-		{hw.Commodity(hw.RTX3090Ti, 1, 3), 12},
-		{hw.Commodity(hw.RTX3090Ti, 4, 4), 16},
-		{hw.Commodity(hw.RTX3090Ti, 2, 3, 3), 24},
+	}
+	cases := []tc{{[]int{2, 2}, 8}, {[]int{1, 3}, 12}, {[]int{4, 4}, 16}, {[]int{2, 3, 3}, 24}}
+	rng := rand.New(rand.NewSource(1))
+	for len(cases) < 1004 {
+		var groups []int
+		for left := rng.Intn(8) + 1; left > 0; {
+			g := rng.Intn(left) + 1
+			groups = append(groups, g)
+			left -= g
+		}
+		cases = append(cases, tc{groups, rng.Intn(40) + 1})
 	}
 	for _, c := range cases {
-		serial, err := CrossN(c.topo, c.stages, 1)
+		topo := hw.Commodity(hw.RTX3090Ti, c.groups...)
+		got, err := Cross(context.Background(), topo, c.stages)
 		if err != nil {
-			t.Fatalf("%s: %v", c.topo.Name, err)
+			t.Fatalf("%s stages=%d: %v", topo.Name, c.stages, err)
 		}
-		for _, par := range []int{2, 8} {
-			got, err := CrossN(c.topo, c.stages, par)
-			if err != nil {
-				t.Fatalf("%s parallelism %d: %v", c.topo.Name, par, err)
-			}
-			if got.Contention != serial.Contention {
-				t.Errorf("%s: contention %v at parallelism %d vs %v serial",
-					c.topo.Name, got.Contention, par, serial.Contention)
-			}
-			for i := range serial.Perm {
-				if got.Perm[i] != serial.Perm[i] {
-					t.Errorf("%s: perm %v at parallelism %d vs %v serial",
-						c.topo.Name, got.Perm, par, serial.Perm)
-					break
-				}
-			}
+		perm, score := crossBranchMerge(topo, c.stages)
+		if math.Float64bits(got.Contention) != math.Float64bits(score) || !slices.Equal(got.Perm, perm) {
+			t.Fatalf("%s stages=%d: perm %v contention %v, branch merge %v contention %v",
+				topo.Name, c.stages, got.Perm, got.Contention, perm, score)
 		}
+	}
+}
+
+// TestCrossHonoursDeadline: on Topo 6+6 (12 GPUs, 12! orders) the search
+// runs for seconds unbounded; under a 50 ms deadline it must stop well
+// within half a second and report the deadline. An expired context also
+// stops a search too small to check it at any node (Topo 2+2).
+func TestCrossHonoursDeadline(t *testing.T) {
+	topo := hw.Commodity(hw.RTX3090Ti, 6, 6)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	m, err := Cross(ctx, topo, 48)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got mapping %v, error %v; want context.DeadlineExceeded", m, err)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("search returned %v after a 50ms deadline, want within 500ms", elapsed.Round(time.Millisecond))
+	}
+	if _, err := Cross(ctx, hw.Commodity(hw.RTX3090Ti, 2, 2), 8); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired context on Topo 2+2: error %v, want context.DeadlineExceeded", err)
 	}
 }

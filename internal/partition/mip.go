@@ -28,9 +28,6 @@ type MIPOptions struct {
 	// 24)). Partitions with more stages than the cap are still covered by
 	// the min-stage comparison below.
 	MaxStages int
-	// Patience stops the sweep over S after this many consecutive
-	// non-improving candidates (default 2).
-	Patience int
 	// NodeLimit and TimeLimit bound each MILP solve.
 	NodeLimit int
 	TimeLimit time.Duration
@@ -64,9 +61,6 @@ func (o MIPOptions) withDefaults(blocks int) MIPOptions {
 	if o.MaxStages > blocks+2 {
 		o.MaxStages = blocks + 2
 	}
-	if o.Patience <= 0 {
-		o.Patience = 2
-	}
 	if o.NodeLimit <= 0 {
 		o.NodeLimit = 150
 	}
@@ -80,6 +74,10 @@ func (o MIPOptions) withDefaults(blocks int) MIPOptions {
 // estimates are only accurate to a few percent, so proving the last 0.5%
 // of optimality is wasted effort.
 const mipGapTol = 0.005
+
+// mipPatience stops the sweep over S after this many consecutive
+// non-improving candidates.
+const mipPatience = 2
 
 // MIPStats reports the solver effort, feeding the Figure 12 overhead
 // experiment.
@@ -395,7 +393,7 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 			sinceImprove = 0
 		} else {
 			sinceImprove++
-			if sinceImprove >= opts.Patience {
+			if sinceImprove >= mipPatience {
 				cancelled.Store(true)
 				break
 			}

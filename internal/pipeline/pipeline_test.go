@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,7 +38,7 @@ func planMobius(t *testing.T, cfg model.Config, topo *hw.Topology, scheme string
 	if scheme == mapping.SchemeSequential {
 		m, err = mapping.Sequential(topo, part.NumStages())
 	} else {
-		m, err = mapping.Cross(topo, part.NumStages())
+		m, err = mapping.Cross(context.Background(), topo, part.NumStages())
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +294,7 @@ func TestSimulatorMatchesAnalyticEvaluator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _ := mapping.Cross(topo, stages)
+		m, _ := mapping.Cross(context.Background(), topo, stages)
 		res, err := RunMobius(topo, MobiusConfig{Partition: part, Mapping: m, Microbatches: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/hw"
@@ -17,8 +19,9 @@ import (
 // inner planner is the greedy floor, so every input stays cheap whatever
 // it asks for. The handler must never panic, must answer 200, 400, 413 or
 // 422 with a body that decodes as a PlanResponse (200) or an
-// ErrorResponse (every other status), and may only serve a plan for a
-// topology of at most maxPlanGPUs GPUs. Seeds are valid requests of each
+// ErrorResponse (every other status), may only serve a plan for a
+// topology of at most maxPlanGPUs GPUs, and must hand every solve a
+// deadline at most maxPlanDeadline away. Seeds are valid requests of each
 // form, requests at and over every limit, and malformed bodies, plus the
 // checked-in corpus under testdata/fuzz/FuzzPlanRequest.
 func FuzzPlanRequest(f *testing.F) {
@@ -40,13 +43,23 @@ func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{"model": `))
 	f.Add([]byte(``))
 
-	svc := New(Config{Inner: core.PlannerFunc(func(_ context.Context, opts core.Options) (*core.Plan, error) {
+	// unbounded records a solve whose deadline is missing or later than
+	// maxPlanDeadline from now; the handler solves on the calling goroutine.
+	var unbounded error
+	svc := New(Config{Inner: core.PlannerFunc(func(ctx context.Context, opts core.Options) (*core.Plan, error) {
+		if d, ok := ctx.Deadline(); !ok || d.After(time.Now().Add(maxPlanDeadline)) {
+			unbounded = fmt.Errorf("solve deadline %v from now (set: %v), want at most %v", time.Until(d), ok, maxPlanDeadline)
+		}
 		return core.GreedyPlan(opts, "fuzz: greedy inner planner")
 	})})
 	h := svc.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
+		unbounded = nil
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		if unbounded != nil {
+			t.Fatal(unbounded)
+		}
 		dec := json.NewDecoder(rec.Body)
 		dec.DisallowUnknownFields()
 		switch rec.Code {

@@ -106,7 +106,8 @@ func NewRequest(opts core.Options) (*Request, error) {
 	w.str(norm.MappingScheme)
 
 	w.str("mip")
-	w.ints(norm.MIP.MaxStages, norm.MIP.Patience, norm.MIP.NodeLimit, int(norm.MIP.TimeLimit))
+	// The sweep's fixed patience, 2, keeps its old slot so stored keys stay bit for bit.
+	w.ints(norm.MIP.MaxStages, 2, norm.MIP.NodeLimit, int(norm.MIP.TimeLimit))
 
 	w.str("profile")
 	w.ints(norm.ProfileOptions.Repeats)

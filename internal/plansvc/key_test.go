@@ -88,7 +88,7 @@ func TestKeyCanonicalization(t *testing.T) {
 		Microbatches:   4,
 		PartitionAlgo:  partition.AlgoMIP,
 		MappingScheme:  "cross",
-		MIP:            partition.MIPOptions{MaxStages: 24, Patience: 2, NodeLimit: 150, TimeLimit: 3 * time.Second},
+		MIP:            partition.MIPOptions{MaxStages: 24, NodeLimit: 150, TimeLimit: 3 * time.Second},
 		ProfileOptions: profile.Options{Repeats: 3},
 	}
 	if k, _ := KeyOf(explicit); k != k0 {

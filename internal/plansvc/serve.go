@@ -17,8 +17,8 @@ import (
 // PlanRequest is the wire form of a planning request. The model is
 // named (a Table 3 configuration) or given in full; the topology is a
 // compact spec ("2+2", "4", "dc") or a full structure. DeadlineMS
-// bounds the solve — past it the ladder degrades, exactly as an
-// in-process caller with a context deadline.
+// bounds the solve, never past maxPlanDeadline — past it the ladder
+// degrades, exactly as an in-process caller with a context deadline.
 type PlanRequest struct {
 	ModelName string       `json:"model,omitempty"`
 	Model     model.Config `json:"model_config,omitempty"`
@@ -54,11 +54,19 @@ type ErrorResponse struct {
 const maxPlanRequestBytes = 1 << 20
 
 // maxPlanGPUs bounds the topology a /v1/plan request may ask for, in
-// either form: the largest any caller plans is 4+4 (or dc8). The cross
-// mapping search grows factorially with the GPU count (milliseconds on
-// 4+4, seconds on 5+5, ten or more on 6+6) and does not watch the
-// request deadline, so a larger topology is refused before planning.
+// either form: the largest any caller plans is 4+4 (or dc8). It is input
+// validation: the cross mapping search grows factorially with the GPU
+// count (milliseconds on 4+4, seconds on 5+5, ten or more on 6+6), so a
+// larger topology could only ever be served the greedy floor once its
+// deadline ran out, and is refused before planning instead.
 const maxPlanGPUs = 8
+
+// maxPlanDeadline bounds every /v1/plan solve, and is the whole budget of
+// a request that sets no deadline_ms. It is about 9x the slowest cold
+// plan with the MIP time limit lifted (15B on Topo 4+4, 6.9 s serial on
+// a 2-vCPU host), so it cuts no solve that would finish; a request that
+// runs into it is served the greedy floor with Fallback set.
+const maxPlanDeadline = 60 * time.Second
 
 // maxPlanLayers bounds model_config.layers. Table 3's deepest model has
 // 64 blocks; the profile and the partition allocate per layer before any
@@ -117,12 +125,14 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})
 		return
 	}
-	ctx := r.Context()
-	if preq.DeadlineMS > 0 {
-		var cancel func()
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(preq.DeadlineMS*float64(time.Millisecond)))
-		defer cancel()
+	// Clamp in float64: converting a huge deadline_ms to a Duration
+	// overflows to a negative, already expired deadline.
+	deadline := maxPlanDeadline
+	if preq.DeadlineMS > 0 && preq.DeadlineMS < float64(maxPlanDeadline/time.Millisecond) {
+		deadline = time.Duration(preq.DeadlineMS * float64(time.Millisecond))
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	defer cancel()
 	req, err := NewRequest(opts)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})

@@ -1,13 +1,16 @@
 package plansvc
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"mobius/internal/core"
 	"mobius/internal/hw"
 	"mobius/internal/model"
 )
@@ -290,5 +293,38 @@ func TestServeRejectsOversizedBody(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.Requests != 0 {
 		t.Errorf("oversized bodies reached the planner: %d requests", m.Requests)
+	}
+}
+
+// TestServeBoundsEveryDeadline: every solve runs under a deadline no
+// later than maxPlanDeadline from now, whether the request sets no
+// deadline_ms or one so large that converting it to a Duration would
+// overflow to an already expired deadline.
+func TestServeBoundsEveryDeadline(t *testing.T) {
+	for name, body := range map[string]string{
+		"none": `{"model":"3B","topo":"2+2"}`,
+		"huge": `{"model":"3B","topo":"2+2","deadline_ms":1e300}`,
+	} {
+		var deadline, now time.Time
+		var hasDeadline bool
+		svc := New(Config{Inner: core.PlannerFunc(func(ctx context.Context, opts core.Options) (*core.Plan, error) {
+			now = time.Now()
+			deadline, hasDeadline = ctx.Deadline()
+			return core.GreedyPlan(opts, "test: greedy inner planner")
+		})})
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		}
+		if now.IsZero() {
+			t.Fatalf("%s: the request never reached the planner: %s", name, rec.Body)
+		}
+		if !hasDeadline {
+			t.Fatalf("%s: solve ran without a deadline", name)
+		}
+		if !deadline.After(now) || deadline.After(now.Add(maxPlanDeadline)) {
+			t.Errorf("%s: deadline %v from now, want in (0, %v]", name, deadline.Sub(now), maxPlanDeadline)
+		}
 	}
 }
