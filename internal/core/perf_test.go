@@ -1,0 +1,93 @@
+package core
+
+import (
+	"context"
+	"os"
+	"testing"
+
+	"mobius/internal/hw"
+	"mobius/internal/model"
+)
+
+// greedyPlanner plans with the deterministic greedy floor, so a Mobius
+// step benchmark measures the step alone: no MIP, no wall-clock limit
+// that could move the plan between machines.
+func greedyPlanner(b testing.TB, opts Options) Planner {
+	plan, err := GreedyPlan(opts, "benchmark")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return PlannerFunc(func(context.Context, Options) (*Plan, error) { return plan, nil })
+}
+
+func benchStep(b *testing.B, system System, m model.Config, topo *hw.Topology) {
+	opts := Options{Model: m, Topology: topo}
+	if system == SystemMobius {
+		opts.Planner = greedyPlanner(b, opts)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(system, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStepDSHetero15B is one DeepSpeed ZeRO-3 heterogeneous-memory
+// step (DAG build, simulation, report aggregates) on 15B, Topo 2+2.
+func BenchmarkStepDSHetero15B(b *testing.B) {
+	benchStep(b, SystemDSHetero, model.GPT15B, hw.Commodity(hw.RTX3090Ti, 2, 2))
+}
+
+// BenchmarkStepDSHetero51B is the same step on 51B, Topo 4+4.
+func BenchmarkStepDSHetero51B(b *testing.B) {
+	benchStep(b, SystemDSHetero, model.GPT51B, hw.Commodity(hw.RTX3090Ti, 4, 4))
+}
+
+// BenchmarkStepMobius15B is one Mobius step on a fixed greedy plan for
+// 15B, Topo 2+2.
+func BenchmarkStepMobius15B(b *testing.B) {
+	benchStep(b, SystemMobius, model.GPT15B, hw.Commodity(hw.RTX3090Ti, 2, 2))
+}
+
+// Allocation ceilings for one simulated step on 15B, Topo 2+2, measured
+// after the step path dropped its reflective sorts and per-task Sprintf
+// (5,616 and 372 allocs/op on linux/amd64, go1.24) plus about 3% slack; the
+// parent measured 7,611 and 505. Allocation counts do not depend on
+// machine speed, so the gate holds on any machine.
+const (
+	dsHeteroStepAllocCeiling = 5800
+	mobiusStepAllocCeiling   = 385
+)
+
+// TestStepAllocCeilings is the step gate of `make check-perf`: one
+// core.Run step of DeepSpeed-hetero and of Mobius (on its greedy plan)
+// must stay under its allocation ceiling.
+func TestStepAllocCeilings(t *testing.T) {
+	if os.Getenv("MOBIUS_CHECK_PERF") == "" {
+		t.Skip("set MOBIUS_CHECK_PERF=1 (or run `make check-perf`) to run the performance smoke gate")
+	}
+	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
+	for _, c := range []struct {
+		system  System
+		ceiling float64
+	}{
+		{SystemDSHetero, dsHeteroStepAllocCeiling},
+		{SystemMobius, mobiusStepAllocCeiling},
+	} {
+		opts := Options{Model: model.GPT15B, Topology: topo}
+		if c.system == SystemMobius {
+			opts.Planner = greedyPlanner(t, opts)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Run(c.system, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s 15B on %s: %.0f allocs/step (ceiling %.0f)", c.system, topo.Name, allocs, c.ceiling)
+		if allocs > c.ceiling {
+			t.Errorf("%s step allocates %.0f times, over its ceiling of %.0f", c.system, allocs, c.ceiling)
+		}
+	}
+}

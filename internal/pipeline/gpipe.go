@@ -105,6 +105,8 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 		return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: stage, Microbatch: mb}
 	}
 
+	var nm Namer
+
 	// Forward.
 	for j := 0; j < N; j++ {
 		for m := 0; m < M; m++ {
@@ -113,12 +115,12 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 				deps = append(deps, F[j][m-1])
 			}
 			if j > 0 {
-				act := s.Transfer(fmt.Sprintf("A%d.%d", j, m), srv.DownloadEngine[j-1],
+				act := s.Transfer(nm.Name2("A", j, ".", m), srv.DownloadEngine[j-1],
 					srv.Route(hw.GPUEnd(j-1), hw.GPUEnd(j)), stg[j].ActInBytes, prioActivation, F[j-1][m])
 				act.Tag = tag(trace.KindActTransfer, j-1, j, j, m)
 				deps = append(deps, act)
 			}
-			F[j][m] = s.Compute(fmt.Sprintf("F%d.%d", j, m), srv.ComputeEngines[j], stg[j].FwdTime, deps...)
+			F[j][m] = s.Compute(nm.Name2("F", j, ".", m), srv.ComputeEngines[j], stg[j].FwdTime, deps...)
 			F[j][m].Tag = tag(trace.KindCompute, j, -1, j, m)
 		}
 	}
@@ -133,12 +135,12 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 			if j == N-1 {
 				deps = append(deps, F[N-1][M-1])
 			} else {
-				gr := s.Transfer(fmt.Sprintf("G%d.%d", j, m), srv.DownloadEngine[j+1],
+				gr := s.Transfer(nm.Name2("G", j, ".", m), srv.DownloadEngine[j+1],
 					srv.Route(hw.GPUEnd(j+1), hw.GPUEnd(j)), stg[j].ActOutBytes, prioActivation, B[j+1][m])
 				gr.Tag = tag(trace.KindActTransfer, j+1, j, j, m)
 				deps = append(deps, gr)
 			}
-			B[j][m] = s.Compute(fmt.Sprintf("B%d.%d", j, m), srv.ComputeEngines[j], stg[j].BwdTime, deps...)
+			B[j][m] = s.Compute(nm.Name2("B", j, ".", m), srv.ComputeEngines[j], stg[j].BwdTime, deps...)
 			B[j][m].Tag = tag(trace.KindCompute, j, -1, j, m)
 		}
 	}

@@ -162,9 +162,9 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		var ready *sim.Task
 		if j < N {
 			// First-round stages upload at step start.
-			alloc := sb.Alloc(sb.NameJ("allocF", j, ""), mem, stg[j].MemFwd())
+			alloc := sb.Alloc(sb.Name("allocF", j, ""), mem, stg[j].MemFwd())
 			sb.Dep(alloc)
-			xfer := sb.Transfer(sb.NameJ("C", j, ""), up, dramToGPU, stg[j].UploadFwd(), uploadPrio(j))
+			xfer := sb.Transfer(sb.Name("C", j, ""), up, dramToGPU, stg[j].UploadFwd(), uploadPrio(j))
 			xfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
 			ready = xfer
 		} else {
@@ -180,17 +180,17 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// Prefetch starts once the previous stage has begun computing
 			// (its first microbatch forward is the observable trigger).
 			sb.Dep(sb.F(j-N, 0))
-			preAlloc := sb.Alloc(sb.NameJ("allocPreF", j, ""), mem, resv)
+			preAlloc := sb.Alloc(sb.Name("allocPreF", j, ""), mem, resv)
 			sb.Dep(preAlloc)
-			preXfer := sb.Transfer(sb.NameJ("C", j, ".pre"), up, dramToGPU, pf, uploadPrio(j))
+			preXfer := sb.Transfer(sb.Name("C", j, ".pre"), up, dramToGPU, pf, uploadPrio(j))
 			preXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
 			sb.Dep(sb.FreeF(j - N))
-			restAlloc := sb.Alloc(sb.NameJ("allocRestF", j, ""), mem, stg[j].MemFwd()-resv)
+			restAlloc := sb.Alloc(sb.Name("allocRestF", j, ""), mem, stg[j].MemFwd()-resv)
 			sb.Dep(restAlloc).Dep(preXfer)
-			restXfer := sb.Transfer(sb.NameJ("C", j, ".rest"), up, dramToGPU, stg[j].UploadFwd()-pf, uploadPrio(j))
+			restXfer := sb.Transfer(sb.Name("C", j, ".rest"), up, dramToGPU, stg[j].UploadFwd()-pf, uploadPrio(j))
 			restXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
 			sb.Dep(preXfer).Dep(restXfer)
-			ready = sb.After(sb.NameJ("readyF", j, ""))
+			ready = sb.After(sb.Name("readyF", j, ""))
 		}
 
 		for m := 0; m < M; m++ {
@@ -200,7 +200,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 				// through DRAM on commodity servers.
 				src := gpuOf(j - 1)
 				sb.Dep(sb.F(j-1, m))
-				act = sb.Transfer(sb.NameJM("A", j, m), srv.DownloadEngine[src],
+				act = sb.Transfer(sb.Name2("A", j, ".", m), srv.DownloadEngine[src],
 					srv.Route(hw.GPUEnd(src), hw.GPUEnd(g)), stg[j].ActInBytes, prioActivation)
 				act.Tag = tag(trace.KindActTransfer, src, g, j, m)
 			}
@@ -209,14 +209,14 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 				sb.Dep(sb.F(j, m-1))
 			}
 			sb.Dep(act)
-			f := sb.Compute(sb.NameJM("F", j, m), srv.ComputeEngines[g], stg[j].FwdTime)
+			f := sb.Compute(sb.Name2("F", j, ".", m), srv.ComputeEngines[g], stg[j].FwdTime)
 			f.Tag = tag(trace.KindCompute, g, -1, j, m)
 			sb.SetF(j, m, f)
 
 			// Offload the boundary checkpoint for the backward pass.
 			if stg[j].ActOutBytes > 0 {
 				sb.Dep(f)
-				off := sb.Transfer(sb.NameJM("O", j, m), srv.DownloadEngine[g],
+				off := sb.Transfer(sb.Name2("O", j, ".", m), srv.DownloadEngine[g],
 					srv.Route(hw.GPUEnd(g), hw.DRAMEnd), stg[j].ActOutBytes, prioGradFlush)
 				off.Tag = tag(trace.KindActOffload, g, -1, j, m)
 				sb.SetOff(j, m, off)
@@ -230,7 +230,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			for m := 0; m < M; m++ {
 				sb.Dep(sb.Off(j, m))
 			}
-			sb.SetFreeF(j, sb.Free(sb.NameJ("freeF", j, ""), mem, stg[j].MemFwd()))
+			sb.SetFreeF(j, sb.Free(sb.Name("freeF", j, ""), mem, stg[j].MemFwd()))
 		}
 	}
 
@@ -247,7 +247,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// Still resident from forward; grow to the backward footprint.
 			extra := stg[j].MemBwd() - stg[j].MemFwd()
 			sb.Dep(sb.F(j, M-1))
-			ready = sb.Alloc(sb.NameJ("gradAllocB", j, ""), mem, maxf(0, extra))
+			ready = sb.Alloc(sb.Name("gradAllocB", j, ""), mem, maxf(0, extra))
 		} else {
 			nxt := stg[j+N] // executes before this stage in backward order
 			resv := minf(stg[j].MemBwd(), maxf(0, gpuMem(j)-nxt.MemBwd()))
@@ -258,17 +258,17 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// activations are re-uploaded per microbatch below.
 			pb := stg[j].ParamBytes * resv / stg[j].MemBwd()
 			sb.Dep(sb.B(j+N, 0))
-			preAlloc := sb.Alloc(sb.NameJ("allocPreB", j, ""), mem, resv)
+			preAlloc := sb.Alloc(sb.Name("allocPreB", j, ""), mem, resv)
 			sb.Dep(preAlloc)
-			preXfer := sb.Transfer(sb.NameJ("CB", j, ".pre"), up, dramToGPU, pb, uploadPrio(j))
+			preXfer := sb.Transfer(sb.Name("CB", j, ".pre"), up, dramToGPU, pb, uploadPrio(j))
 			preXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
 			sb.Dep(sb.FreeB(j + N))
-			restAlloc := sb.Alloc(sb.NameJ("allocRestB", j, ""), mem, stg[j].MemBwd()-resv)
+			restAlloc := sb.Alloc(sb.Name("allocRestB", j, ""), mem, stg[j].MemBwd()-resv)
 			sb.Dep(restAlloc).Dep(preXfer)
-			restXfer := sb.Transfer(sb.NameJ("CB", j, ".rest"), up, dramToGPU, stg[j].ParamBytes-pb, uploadPrio(j))
+			restXfer := sb.Transfer(sb.Name("CB", j, ".rest"), up, dramToGPU, stg[j].ParamBytes-pb, uploadPrio(j))
 			restXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
 			sb.Dep(preXfer).Dep(restXfer)
-			ready = sb.After(sb.NameJ("readyB", j, ""))
+			ready = sb.After(sb.Name("readyB", j, ""))
 		}
 
 		for m := 0; m < M; m++ {
@@ -277,14 +277,14 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 				// Activation gradient from the downstream stage.
 				src := gpuOf(j + 1)
 				sb.Dep(sb.B(j+1, m))
-				gr = sb.Transfer(sb.NameJM("G", j, m), srv.DownloadEngine[src],
+				gr = sb.Transfer(sb.Name2("G", j, ".", m), srv.DownloadEngine[src],
 					srv.Route(hw.GPUEnd(src), hw.GPUEnd(g)), stg[j].ActOutBytes, prioActivation)
 				gr.Tag = tag(trace.KindActTransfer, src, g, j, m)
 			}
 			// Re-upload the input checkpoint for recomputation.
 			if j > 0 && stg[j].ActInBytes > 0 && sb.Off(j-1, m) != nil {
 				sb.Dep(sb.Off(j-1, m)).Dep(ready)
-				actUp = sb.Transfer(sb.NameJM("AU", j, m), up, dramToGPU, stg[j].ActInBytes, prioActivation)
+				actUp = sb.Transfer(sb.Name2("AU", j, ".", m), up, dramToGPU, stg[j].ActInBytes, prioActivation)
 				actUp.Tag = tag(trace.KindActUpload, g, -1, j, m)
 			}
 			sb.Dep(ready)
@@ -298,7 +298,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 				sb.Dep(gr)
 			}
 			sb.Dep(actUp)
-			bt := sb.Compute(sb.NameJM("B", j, m), srv.ComputeEngines[g], stg[j].BwdTime)
+			bt := sb.Compute(sb.Name2("B", j, ".", m), srv.ComputeEngines[g], stg[j].BwdTime)
 			bt.Tag = tag(trace.KindCompute, g, -1, j, m)
 			sb.SetB(j, m, bt)
 		}
@@ -306,11 +306,11 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		// Flush accumulated gradients to DRAM for the CPU optimizer, then
 		// free the stage.
 		sb.Dep(sb.B(j, M-1))
-		flush := sb.Transfer(sb.NameJ("GF", j, ""), down, srv.Route(hw.GPUEnd(g), hw.DRAMEnd),
+		flush := sb.Transfer(sb.Name("GF", j, ""), down, srv.Route(hw.GPUEnd(g), hw.DRAMEnd),
 			stg[j].GradBytes, prioGradFlush)
 		flush.Tag = tag(trace.KindGradFlush, g, -1, j, -1)
 		sb.Dep(flush)
-		sb.SetFreeB(j, sb.Free(sb.NameJ("freeB", j, ""), mem, stg[j].MemBwd()))
+		sb.SetFreeB(j, sb.Free(sb.Name("freeB", j, ""), mem, stg[j].MemBwd()))
 
 		// Snapshot the stage's share of the training state once its
 		// gradients have landed in DRAM (the CPU optimizer updates the
@@ -326,11 +326,14 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 				share = cfg.Checkpoint.Bytes * stg[j].ParamBytes / totalParam
 			}
 			sb.Dep(flush)
-			ck := sb.Transfer(sb.NameJ("CK", j, ""), nil, srv.Route(hw.DRAMEnd, dst), share, prioGradFlush)
+			ck := sb.Transfer(sb.Name("CK", j, ""), nil, srv.Route(hw.DRAMEnd, dst), share, prioGradFlush)
 			ck.Tag = tag(trace.KindCheckpoint, -1, -1, j, -1)
 		}
 	}
 
+	// 2SM computes; the other tasks are transfers and a few joins,
+	// allocs and frees per stage.
+	rec.Grow(srv.Sim.NumTasks()-2*S*M, 2*S*M)
 	return st, nil
 }
 

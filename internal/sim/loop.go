@@ -12,10 +12,11 @@ import (
 // component.go.
 
 // obsEvent is one buffered observer notification. Notifications are
-// dispatched after the run, sorted by (time, task id, start-before-
-// finish): a canonical order shared by the incremental scheduler and
-// the oracle, so observed timelines are mode-independent by
-// construction rather than by matching cascade orders.
+// buffered in clock order and dispatched after the run, each run of
+// equal times sorted by (task id, start-before-finish): a canonical
+// order shared by the incremental scheduler and the oracle, so observed
+// timelines are mode-independent by construction rather than by
+// matching cascade orders.
 type obsEvent struct {
 	task   *Task
 	at     Time

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -12,7 +13,9 @@ import (
 // Notifications are buffered during Run and dispatched when it returns,
 // sorted by (time, task id, start-before-finish). The order is canonical
 // across scheduler modes: the incremental scheduler and the test oracle
-// deliver the same sequence for the same DAG.
+// deliver the same sequence for the same DAG. The clock never goes back,
+// so the buffer is already in time order and only each run of equal
+// times is sorted, by (task id, start-before-finish).
 type Observer interface {
 	// TaskStarted fires when a task begins running (a compute occupies its
 	// engine, a transfer's flow is admitted, an alloc succeeds).
@@ -306,9 +309,16 @@ func (s *Sim) After(name string, deps ...*Task) *Task {
 // Calling Run again without changing the DAG replays the recorded result;
 // tasks added after a Run continue the existing schedule.
 func (s *Sim) Run() (Time, error) {
-	if s.ran {
-		return s.now, s.finalErr
+	if !s.ran {
+		s.execute()
+		s.dispatchEvents()
 	}
+	return s.now, s.finalErr
+}
+
+// execute is Run up to the observer dispatch: it runs the event loop and
+// records the outcome, leaving the run's notifications in s.events.
+func (s *Sim) execute() {
 	sortCapEvents(s.capEvents)
 	sortFailEvents(s.failEvents)
 	s.begin()
@@ -321,6 +331,10 @@ func (s *Sim) Run() (Time, error) {
 		}
 	}
 	s.pending = pending
+	if len(s.observers) != 0 {
+		// Each pending task starts and finishes at most once more.
+		s.events = slices.Grow(s.events, 2*pending)
+	}
 	s.run()
 
 	s.started = true
@@ -334,14 +348,17 @@ func (s *Sim) Run() (Time, error) {
 		s.finalErr = nil
 	}
 	s.finalizeIntegrity()
-	s.dispatchEvents()
-	return s.now, s.finalErr
 }
 
 // dispatchEvents delivers the run's buffered observer notifications in
 // the canonical (time, task id, start-before-finish) order. Keys are
 // strictly unique — a task starts and finishes at most once — so the
 // comparison is a total order.
+//
+// The clock never goes back, so the buffer is already in time order:
+// only each run of equal times is sorted, by (task id, start before
+// finish). A buffer that is not in time order (it cannot happen, but it
+// is checked, not assumed) is sorted whole by the full comparison.
 func (s *Sim) dispatchEvents() {
 	if len(s.observers) == 0 {
 		return
@@ -350,16 +367,7 @@ func (s *Sim) dispatchEvents() {
 	if len(evs) > s.eventsHWM {
 		s.eventsHWM = len(evs)
 	}
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.task.id != b.task.id {
-			return a.task.id < b.task.id
-		}
-		return !a.finish && b.finish
-	})
+	sortEvents(evs)
 	for _, ev := range evs {
 		if ev.finish {
 			for _, o := range s.observers {
@@ -375,6 +383,52 @@ func (s *Sim) dispatchEvents() {
 		evs[i] = obsEvent{}
 	}
 	s.events = evs[:0]
+}
+
+// sortEvents puts a run's buffered notifications in the canonical order.
+func sortEvents(evs []obsEvent) {
+	lo := 0
+	for i := 1; i <= len(evs); i++ {
+		if i < len(evs) {
+			if evs[i].at == evs[lo].at {
+				continue
+			}
+			if !(evs[i-1].at <= evs[i].at) {
+				slices.SortFunc(evs, compareEvents)
+				return
+			}
+		}
+		if i-lo > 1 {
+			slices.SortFunc(evs[lo:i], compareEventsAtSameTime)
+		}
+		lo = i
+	}
+}
+
+// compareEvents is the canonical order: time, then task id, then start
+// before finish.
+func compareEvents(a, b obsEvent) int {
+	if a.at != b.at {
+		if a.at < b.at {
+			return -1
+		}
+		return 1
+	}
+	return compareEventsAtSameTime(a, b)
+}
+
+// compareEventsAtSameTime is the canonical order within one time.
+func compareEventsAtSameTime(a, b obsEvent) int {
+	if a.task.id != b.task.id {
+		return cmp.Compare(a.task.id, b.task.id)
+	}
+	switch {
+	case a.finish == b.finish:
+		return 0
+	case b.finish:
+		return -1
+	}
+	return 1
 }
 
 // timeEpsilon groups events that complete within a femtosecond of each

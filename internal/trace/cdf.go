@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -24,20 +25,39 @@ type CDF struct {
 // NewCDF builds a CDF from samples; zero- or negative-weight samples are
 // dropped.
 func NewCDF(samples []Sample) CDF {
-	kept := samples[:0:0]
+	kept := make([]Sample, 0, len(samples))
 	for _, s := range samples {
 		if s.Weight > 0 {
 			kept = append(kept, s)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Value < kept[j].Value })
-	c := CDF{}
-	for _, s := range kept {
+	slices.SortFunc(kept, func(a, b Sample) int { return compareLess(a.Value, b.Value) })
+	n := len(kept)
+	if n == 0 {
+		return CDF{}
+	}
+	buf := make([]float64, 2*n)
+	c := CDF{values: buf[:n:n], cumul: buf[n:]}
+	for i, s := range kept {
 		c.totalW += s.Weight
-		c.values = append(c.values, s.Value)
-		c.cumul = append(c.cumul, c.totalW)
+		c.values[i] = s.Value
+		c.cumul[i] = c.totalW
 	}
 	return c
+}
+
+// compareLess orders a before b exactly when a < b: the sort then makes
+// the same comparisons and swaps as a sort.Slice on a < b, so equal
+// values keep the same relative order and cumulative sums round the
+// same way.
+func compareLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // Empty reports whether the CDF has no mass.

@@ -5,7 +5,7 @@
 package trace
 
 import (
-	"sort"
+	"slices"
 
 	"mobius/internal/sim"
 )
@@ -100,6 +100,14 @@ func (r *Recorder) Reset() {
 	r.Computes = r.Computes[:0]
 }
 
+// Grow reserves room for flows more flow records and computes more
+// compute records, so a scheduler that knows the size of its DAG records
+// a step without regrowing the buffers.
+func (r *Recorder) Grow(flows, computes int) {
+	r.Flows = slices.Grow(r.Flows, flows)
+	r.Computes = slices.Grow(r.Computes, computes)
+}
+
 // TaskStarted implements sim.Observer.
 func (r *Recorder) TaskStarted(t *sim.Task, at float64) {}
 
@@ -135,7 +143,7 @@ func (r *Recorder) TotalBytes(match func(Tag) bool) float64 {
 // over flows matching the filter, reproducing the methodology of
 // Figures 2 and 7: "fraction of data transferred at bandwidth <= x".
 func (r *Recorder) BandwidthCDF(match func(Tag) bool) CDF {
-	var samples []Sample
+	samples := make([]Sample, 0, len(r.Flows))
 	for _, f := range r.Flows {
 		if match == nil || match(f.Tag) {
 			samples = append(samples, Sample{Value: f.Bandwidth(), Weight: f.Bytes})
@@ -152,7 +160,7 @@ func normalize(iv []interval) []interval {
 	if len(iv) == 0 {
 		return nil
 	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i].a < iv[j].a })
+	slices.SortFunc(iv, func(x, y interval) int { return compareLess(x.a, y.a) })
 	out := iv[:1]
 	for _, x := range iv[1:] {
 		last := &out[len(out)-1]
@@ -229,16 +237,45 @@ func (r *Recorder) NonOverlappedComm(gpu int) float64 {
 }
 
 // NonOverlappedCommFraction averages NonOverlappedComm over GPUs and
-// normalizes by the step time — the y-axis of Figure 8.
+// normalizes by the step time — the y-axis of Figure 8. It buckets the
+// records by GPU instead of scanning them all once per GPU: one pass
+// counts, one fills buckets carved from a single array, each in record
+// order as NonOverlappedComm collects it.
 func (r *Recorder) NonOverlappedCommFraction(numGPUs int, stepTime float64) float64 {
 	if stepTime <= 0 || numGPUs <= 0 {
 		return 0
 	}
-	var total float64
-	for g := 0; g < numGPUs; g++ {
-		total += r.NonOverlappedComm(g)
+	// Bucket 2g holds GPU g's flows, bucket 2g+1 its computes.
+	each := func(visit func(bucket int, iv interval)) {
+		for _, f := range r.Flows {
+			iv := interval{f.Start, f.End}
+			if g := f.Tag.GPU; g >= 0 && g < numGPUs {
+				visit(2*g, iv)
+			}
+			if h := f.Tag.PeerGPU; h != f.Tag.GPU && h >= 0 && h < numGPUs {
+				visit(2*h, iv)
+			}
+		}
+		for _, c := range r.Computes {
+			if g := c.Tag.GPU; g >= 0 && g < numGPUs {
+				visit(2*g+1, interval{c.Start, c.End})
+			}
+		}
 	}
-	return total / (float64(numGPUs) * stepTime)
+	counts := make([]int, 2*numGPUs)
+	total := 0
+	each(func(b int, _ interval) { counts[b]++; total++ })
+	buckets := make([][]interval, 2*numGPUs)
+	buf := make([]interval, total)
+	for b, n := range counts {
+		buckets[b], buf = buf[:0:n], buf[n:]
+	}
+	each(func(b int, iv interval) { buckets[b] = append(buckets[b], iv) })
+	var sum float64
+	for g := 0; g < numGPUs; g++ {
+		sum += subtractLength(buckets[2*g], buckets[2*g+1])
+	}
+	return sum / (float64(numGPUs) * stepTime)
 }
 
 // ComputeBusy returns the total compute-busy time of a GPU.

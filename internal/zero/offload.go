@@ -50,6 +50,9 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 	}
 
 	s := srv.Sim
+	fromDRAM, toDRAM := hostRoutes(srv, hw.DRAMEnd)
+	p2p := peerRoutes(srv)
+	var nm pipeline.Namer
 	tag := func(kind trace.Kind, gpu, peer, layer int) trace.Tag {
 		return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: layer, Microbatch: -1}
 	}
@@ -63,12 +66,12 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 			if l > 0 {
 				deps = append(deps, fwdDone[l-1][g])
 			}
-			c := s.Compute(fmt.Sprintf("F%d.g%d", l, g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
+			c := s.Compute(nm.Name2("F", l, ".g", g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
 			c.Tag = tag(trace.KindCompute, g, -1, l)
 			fwdDone[l][g] = c
 			if layers[l].ActOutBytes > 0 {
-				off := s.Transfer(fmt.Sprintf("O%d.g%d", l, g), srv.DownloadEngine[g],
-					srv.Route(hw.GPUEnd(g), hw.DRAMEnd), layers[l].ActOutBytes, 0, c)
+				off := s.Transfer(nm.Name2("O", l, ".g", g), srv.DownloadEngine[g],
+					toDRAM[g], layers[l].ActOutBytes, 0, c)
 				off.Tag = tag(trace.KindActOffload, g, -1, l)
 			}
 		}
@@ -90,12 +93,12 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 				deps = append(deps, fwdDone[L-1]...)
 			}
 			if l > 0 && layers[l-1].ActOutBytes > 0 {
-				au := s.Transfer(fmt.Sprintf("AU%d.g%d", l, g), srv.UploadEngines[g],
-					srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), layers[l-1].ActOutBytes, 0, deps...)
+				au := s.Transfer(nm.Name2("AU", l, ".g", g), srv.UploadEngines[g],
+					fromDRAM[g], layers[l-1].ActOutBytes, 0, deps...)
 				au.Tag = tag(trace.KindActUpload, g, -1, l)
 				deps = append(deps, au)
 			}
-			c := s.Compute(fmt.Sprintf("B%d.g%d", l, g), srv.ComputeEngines[g], layers[l].BwdTime, deps...)
+			c := s.Compute(nm.Name2("B", l, ".g", g), srv.ComputeEngines[g], layers[l].BwdTime, deps...)
 			c.Tag = tag(trace.KindCompute, g, -1, l)
 			bwdDone[l][g] = c
 
@@ -105,25 +108,25 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 				if h == g {
 					continue
 				}
-				ex := s.Transfer(fmt.Sprintf("RS%d.g%d-%d", l, g, h), srv.DownloadEngine[g],
-					srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)), shard, 0, c)
+				ex := s.Transfer(nm.Name3("RS", l, ".g", g, "-", h), srv.DownloadEngine[g],
+					p2p[g*N+h], shard, 0, c)
 				ex.Tag = tag(trace.KindCollective, g, h, l)
 				rs = append(rs, ex)
 			}
 			// Flush the reduced shard, then pull the refreshed shard and
 			// exchange it with the peers (the parameter refresh path).
-			gf := s.Transfer(fmt.Sprintf("GF%d.g%d", l, g), srv.DownloadEngine[g],
-				srv.Route(hw.GPUEnd(g), hw.DRAMEnd), shard, 0, append(rs, c)...)
+			gf := s.Transfer(nm.Name2("GF", l, ".g", g), srv.DownloadEngine[g],
+				toDRAM[g], shard, 0, append(rs, c)...)
 			gf.Tag = tag(trace.KindGradFlush, g, -1, l)
-			pu := s.Transfer(fmt.Sprintf("PU%d.g%d", l, g), srv.UploadEngines[g],
-				srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), shard, 0, gf)
+			pu := s.Transfer(nm.Name2("PU", l, ".g", g), srv.UploadEngines[g],
+				fromDRAM[g], shard, 0, gf)
 			pu.Tag = tag(trace.KindParamUpload, g, -1, l)
 			for h := 0; h < N; h++ {
 				if h == g {
 					continue
 				}
-				ex := s.Transfer(fmt.Sprintf("PX%d.g%d-%d", l, g, h), srv.DownloadEngine[g],
-					srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)), shard, 0, pu)
+				ex := s.Transfer(nm.Name3("PX", l, ".g", g, "-", h), srv.DownloadEngine[g],
+					p2p[g*N+h], shard, 0, pu)
 				ex.Tag = tag(trace.KindCollective, g, h, l)
 			}
 		}
@@ -169,29 +172,33 @@ func RunInfinityNVMe(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 	s := srv.Sim
 	layers := cfg.Profile.Layers
 	L := len(layers)
+	fromSSD, toSSD := hostRoutes(srv, hw.SSDEnd)
+	fromDRAM, toDRAM := hostRoutes(srv, hw.DRAMEnd)
+	p2p := peerRoutes(srv)
+	var nm pipeline.Namer
 	tag := func(kind trace.Kind, gpu, peer, layer int) trace.Tag {
 		return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: layer, Microbatch: -1}
 	}
 
-	gather := func(name string, l int, trigger *sim.Task) *sim.Task {
+	gather := func(prefix string, l int, trigger *sim.Task) *sim.Task {
 		shard := layers[l].ParamBytes / float64(N)
-		var done []*sim.Task
+		done := make([]*sim.Task, 0, N*N)
 		for g := 0; g < N; g++ {
-			up := s.Transfer(fmt.Sprintf("%s.shard%d", name, g), srv.UploadEngines[g],
-				srv.Route(hw.SSDEnd, hw.GPUEnd(g)), shard, 0, trigger)
+			up := s.Transfer(nm.Name2(prefix, l, ".shard", g), srv.UploadEngines[g],
+				fromSSD[g], shard, 0, trigger)
 			up.Tag = tag(trace.KindParamUpload, g, -1, l)
 			done = append(done, up)
 			for h := 0; h < N; h++ {
 				if h == g {
 					continue
 				}
-				ex := s.Transfer(fmt.Sprintf("%s.ag%d-%d", name, g, h), srv.DownloadEngine[g],
-					srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)), shard, 0, up)
+				ex := s.Transfer(nm.Name3(prefix, l, ".ag", g, "-", h), srv.DownloadEngine[g],
+					p2p[g*N+h], shard, 0, up)
 				ex.Tag = tag(trace.KindCollective, g, h, l)
 				done = append(done, ex)
 			}
 		}
-		return s.After(name+".done", done...)
+		return s.After(nm.Name(prefix, l, ".done"), done...)
 	}
 
 	fwdDone := make([][]*sim.Task, L)
@@ -200,19 +207,19 @@ func RunInfinityNVMe(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 		if l >= look {
 			trigger = fwdDone[l-look][0]
 		}
-		g := gather(fmt.Sprintf("gf%d", l), l, trigger)
+		g := gather("gf", l, trigger)
 		fwdDone[l] = make([]*sim.Task, N)
 		for gi := 0; gi < N; gi++ {
 			deps := []*sim.Task{g}
 			if l > 0 {
 				deps = append(deps, fwdDone[l-1][gi])
 			}
-			c := s.Compute(fmt.Sprintf("F%d.g%d", l, gi), srv.ComputeEngines[gi], layers[l].FwdTime, deps...)
+			c := s.Compute(nm.Name2("F", l, ".g", gi), srv.ComputeEngines[gi], layers[l].FwdTime, deps...)
 			c.Tag = tag(trace.KindCompute, gi, -1, l)
 			fwdDone[l][gi] = c
 			if layers[l].ActOutBytes > 0 {
-				off := s.Transfer(fmt.Sprintf("O%d.g%d", l, gi), srv.DownloadEngine[gi],
-					srv.Route(hw.GPUEnd(gi), hw.DRAMEnd), layers[l].ActOutBytes, 0, c)
+				off := s.Transfer(nm.Name2("O", l, ".g", gi), srv.DownloadEngine[gi],
+					toDRAM[gi], layers[l].ActOutBytes, 0, c)
 				off.Tag = tag(trace.KindActOffload, gi, -1, l)
 			}
 		}
@@ -224,9 +231,9 @@ func RunInfinityNVMe(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 		if l+look < L {
 			trigger = bwdDone[l+look][0]
 		} else {
-			trigger = s.After(fmt.Sprintf("fwdDrain%d", l), fwdDone[L-1]...)
+			trigger = s.After(nm.Name("fwdDrain", l, ""), fwdDone[L-1]...)
 		}
-		g := gather(fmt.Sprintf("gb%d", l), l, trigger)
+		g := gather("gb", l, trigger)
 		bwdDone[l] = make([]*sim.Task, N)
 		for gi := 0; gi < N; gi++ {
 			deps := []*sim.Task{g}
@@ -234,16 +241,16 @@ func RunInfinityNVMe(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 				deps = append(deps, bwdDone[l+1][gi])
 			}
 			if l > 0 && layers[l-1].ActOutBytes > 0 {
-				au := s.Transfer(fmt.Sprintf("AU%d.g%d", l, gi), srv.UploadEngines[gi],
-					srv.Route(hw.DRAMEnd, hw.GPUEnd(gi)), layers[l-1].ActOutBytes, 0, g)
+				au := s.Transfer(nm.Name2("AU", l, ".g", gi), srv.UploadEngines[gi],
+					fromDRAM[gi], layers[l-1].ActOutBytes, 0, g)
 				au.Tag = tag(trace.KindActUpload, gi, -1, l)
 				deps = append(deps, au)
 			}
-			c := s.Compute(fmt.Sprintf("B%d.g%d", l, gi), srv.ComputeEngines[gi], layers[l].BwdTime, deps...)
+			c := s.Compute(nm.Name2("B", l, ".g", gi), srv.ComputeEngines[gi], layers[l].BwdTime, deps...)
 			c.Tag = tag(trace.KindCompute, gi, -1, l)
 			bwdDone[l][gi] = c
-			gf := s.Transfer(fmt.Sprintf("GF%d.g%d", l, gi), srv.DownloadEngine[gi],
-				srv.Route(hw.GPUEnd(gi), hw.SSDEnd), layers[l].GradBytes, 0, c)
+			gf := s.Transfer(nm.Name2("GF", l, ".g", gi), srv.DownloadEngine[gi],
+				toSSD[gi], layers[l].GradBytes, 0, c)
 			gf.Tag = tag(trace.KindGradFlush, gi, -1, l)
 		}
 	}

@@ -59,32 +59,36 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 	s := srv.Sim
 	layers := cfg.Profile.Layers
 	L := len(layers)
+	fromDRAM, toDRAM := hostRoutes(srv, hw.DRAMEnd)
+	p2p := peerRoutes(srv)
+	var nm pipeline.Namer
 
 	tag := func(kind trace.Kind, gpu, peer, layer int) trace.Tag {
 		return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: layer, Microbatch: -1}
 	}
 
-	// gather emits the parameter-gather flows for one layer: N shard
-	// uploads plus N*(N-1) shard exchanges, gated on the trigger task.
-	gather := func(name string, l int, trigger *sim.Task) *sim.Task {
+	// gather emits the parameter-gather flows for layer l, named
+	// prefix+l: N shard uploads plus N*(N-1) shard exchanges, gated on
+	// the trigger task.
+	gather := func(prefix string, l int, trigger *sim.Task) *sim.Task {
 		shard := layers[l].ParamBytes / float64(N)
-		var done []*sim.Task
+		done := make([]*sim.Task, 0, N*N)
 		for g := 0; g < N; g++ {
-			up := s.Transfer(fmt.Sprintf("%s.shard%d", name, g), srv.UploadEngines[g],
-				srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), shard, 0, trigger)
+			up := s.Transfer(nm.Name2(prefix, l, ".shard", g), srv.UploadEngines[g],
+				fromDRAM[g], shard, 0, trigger)
 			up.Tag = tag(trace.KindParamUpload, g, -1, l)
 			done = append(done, up)
 			for h := 0; h < N; h++ {
 				if h == g {
 					continue
 				}
-				ex := s.Transfer(fmt.Sprintf("%s.ag%d-%d", name, g, h), srv.DownloadEngine[g],
-					srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)), shard, 0, up)
+				ex := s.Transfer(nm.Name3(prefix, l, ".ag", g, "-", h), srv.DownloadEngine[g],
+					p2p[g*N+h], shard, 0, up)
 				ex.Tag = tag(trace.KindCollective, g, h, l)
 				done = append(done, ex)
 			}
 		}
-		return s.After(name+".done", done...)
+		return s.After(nm.Name(prefix, l, ".done"), done...)
 	}
 
 	// Forward.
@@ -98,7 +102,7 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 			// lockstep in data parallelism).
 			trigger = fwdDone[l-look][0]
 		}
-		gatherF[l] = gather(fmt.Sprintf("gf%d", l), l, trigger)
+		gatherF[l] = gather("gf", l, trigger)
 		fwdDone[l] = make([]*sim.Task, N)
 		for g := 0; g < N; g++ {
 			var deps []*sim.Task
@@ -106,12 +110,12 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 			if l > 0 {
 				deps = append(deps, fwdDone[l-1][g])
 			}
-			c := s.Compute(fmt.Sprintf("F%d.g%d", l, g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
+			c := s.Compute(nm.Name2("F", l, ".g", g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
 			c.Tag = tag(trace.KindCompute, g, -1, l)
 			fwdDone[l][g] = c
 			if layers[l].ActOutBytes > 0 {
-				off := s.Transfer(fmt.Sprintf("O%d.g%d", l, g), srv.DownloadEngine[g],
-					srv.Route(hw.GPUEnd(g), hw.DRAMEnd), layers[l].ActOutBytes, 0, c)
+				off := s.Transfer(nm.Name2("O", l, ".g", g), srv.DownloadEngine[g],
+					toDRAM[g], layers[l].ActOutBytes, 0, c)
 				off.Tag = tag(trace.KindActOffload, g, -1, l)
 			}
 		}
@@ -125,9 +129,9 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 			trigger = bwdDone[l+look][0]
 		} else {
 			// The first backward gathers wait for the forward to drain.
-			trigger = s.After(fmt.Sprintf("fwdDrain%d", l), fwdDone[L-1]...)
+			trigger = s.After(nm.Name("fwdDrain", l, ""), fwdDone[L-1]...)
 		}
-		g := gather(fmt.Sprintf("gb%d", l), l, trigger)
+		g := gather("gb", l, trigger)
 		bwdDone[l] = make([]*sim.Task, N)
 		for gi := 0; gi < N; gi++ {
 			deps := []*sim.Task{g}
@@ -136,12 +140,12 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 			}
 			// Re-upload the checkpointed input activation.
 			if l > 0 && layers[l-1].ActOutBytes > 0 {
-				au := s.Transfer(fmt.Sprintf("AU%d.g%d", l, gi), srv.UploadEngines[gi],
-					srv.Route(hw.DRAMEnd, hw.GPUEnd(gi)), layers[l-1].ActOutBytes, 0, g)
+				au := s.Transfer(nm.Name2("AU", l, ".g", gi), srv.UploadEngines[gi],
+					fromDRAM[gi], layers[l-1].ActOutBytes, 0, g)
 				au.Tag = tag(trace.KindActUpload, gi, -1, l)
 				deps = append(deps, au)
 			}
-			c := s.Compute(fmt.Sprintf("B%d.g%d", l, gi), srv.ComputeEngines[gi], layers[l].BwdTime, deps...)
+			c := s.Compute(nm.Name2("B", l, ".g", gi), srv.ComputeEngines[gi], layers[l].BwdTime, deps...)
 			c.Tag = tag(trace.KindCompute, gi, -1, l)
 			bwdDone[l][gi] = c
 			if topo.HasP2P() {
@@ -154,21 +158,21 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 					if h == gi {
 						continue
 					}
-					ex := s.Transfer(fmt.Sprintf("RS%d.g%d-%d", l, gi, h), srv.DownloadEngine[gi],
-						srv.Route(hw.GPUEnd(gi), hw.GPUEnd(h)), shard, 0, c)
+					ex := s.Transfer(nm.Name3("RS", l, ".g", gi, "-", h), srv.DownloadEngine[gi],
+						p2p[gi*N+h], shard, 0, c)
 					ex.Tag = tag(trace.KindCollective, gi, h, l)
 					rs = append(rs, ex)
 				}
-				gf := s.Transfer(fmt.Sprintf("GF%d.g%d", l, gi), srv.DownloadEngine[gi],
-					srv.Route(hw.GPUEnd(gi), hw.DRAMEnd), shard, 0, append(rs, c)...)
+				gf := s.Transfer(nm.Name2("GF", l, ".g", gi), srv.DownloadEngine[gi],
+					toDRAM[gi], shard, 0, append(rs, c)...)
 				gf.Tag = tag(trace.KindGradFlush, gi, -1, l)
 				continue
 			}
 			// Without P2P every GPU's gradients travel to DRAM (the
 			// all-reduce-through-host path of Eq. 2: N copies of the
 			// layer gradient).
-			gf := s.Transfer(fmt.Sprintf("GF%d.g%d", l, gi), srv.DownloadEngine[gi],
-				srv.Route(hw.GPUEnd(gi), hw.DRAMEnd), layers[l].GradBytes, 0, c)
+			gf := s.Transfer(nm.Name2("GF", l, ".g", gi), srv.DownloadEngine[gi],
+				toDRAM[gi], layers[l].GradBytes, 0, c)
 			gf.Tag = tag(trace.KindGradFlush, gi, -1, l)
 		}
 	}
@@ -176,6 +180,8 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 	if err := srv.RouteErr(); err != nil {
 		return nil, fmt.Errorf("zero: schedule: %w", err)
 	}
+	// 2LN computes; every other task but a few joins is a transfer.
+	rec.Grow(s.NumTasks()-2*L*N, 2*L*N)
 	end, err := s.Run()
 	if err != nil {
 		return nil, fmt.Errorf("zero: schedule: %w", err)
@@ -193,4 +199,31 @@ func RunPipelineMode(topo *hw.Topology, prof *profile.Profile, microbatches int)
 		Microbatches: microbatches,
 		SystemName:   "DeepSpeed (pipeline)",
 	})
+}
+
+// hostRoutes resolves the host -> GPU g (up) and GPU g -> host (down)
+// paths once per step. They go through srv.Route, so a routing error
+// still lands in srv.RouteErr.
+func hostRoutes(srv *hw.Server, host hw.Endpoint) (up, down [][]sim.PathElem) {
+	n := srv.Topo.NumGPUs()
+	up = make([][]sim.PathElem, n)
+	down = make([][]sim.PathElem, n)
+	for g := range up {
+		up[g] = srv.Route(host, hw.GPUEnd(g))
+		down[g] = srv.Route(hw.GPUEnd(g), host)
+	}
+	return up, down
+}
+
+// peerRoutes resolves every GPU g -> GPU h path once per step, at
+// [g*N+h].
+func peerRoutes(srv *hw.Server) [][]sim.PathElem {
+	n := srv.Topo.NumGPUs()
+	p := make([][]sim.PathElem, n*n)
+	for g := 0; g < n; g++ {
+		for h := 0; h < n; h++ {
+			p[g*n+h] = srv.Route(hw.GPUEnd(g), hw.GPUEnd(h))
+		}
+	}
+	return p
 }
