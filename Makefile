@@ -67,13 +67,16 @@ check-chaos:
 # asserting the incremental flow scheduler still beats the retained
 # global-recompute oracle, steady-state Reset+Run at 1024 flows stays
 # allocation-free, streaming construction stays ≥5x leaner than the
-# pre-streaming builder, and one core.Run step of DeepSpeed-hetero and
-# of Mobius (greedy plan) on 15B, Topo 2+2 stays under its allocation
-# ceiling (relative checks and allocation counts, so they hold on any
-# machine; see internal/sim/perf_test.go and internal/core/perf_test.go).
+# pre-streaming builder, one core.Run step of DeepSpeed-hetero and of
+# Mobius (greedy plan) on 15B, Topo 2+2 stays under its allocation
+# ceiling, and so does one benchmark-shaped fleet run with a cold step
+# cache (relative checks and allocation counts, so they hold on any
+# machine; see internal/sim/perf_test.go, internal/core/perf_test.go and
+# internal/cluster/perf_test.go).
 check-perf:
 	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestIncrementalBeatsOracle|TestSteadyStateAllocFree|TestStreamConstructLean' -count=1 -timeout 30m -v ./internal/sim/
 	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestStepAllocCeilings' -count=1 -v ./internal/core/
+	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestFleetAllocCeiling' -count=1 -v ./internal/cluster/
 
 # check-plansvc is the planning-service gate: the shared resilience
 # primitives its ladder is built on (internal/resil: the decision hash

@@ -22,8 +22,9 @@
 //     the server whose plan cache already holds its plan (zero-solve
 //     when the fleet was prewarmed).
 //
-// Determinism: the event loop is a single goroutine over a (time, seq)
-// ordered heap; arrival processes and step counts come from per-class
+// Determinism: the event loop is a single goroutine over (time, seq)
+// ordered events — the pre-sorted arrivals merged with a heap of
+// everything else; arrival processes and step counts come from per-class
 // seeded streams, and every tie is broken by construction order — the
 // same Config replays the same Report bit for bit. The chaos harness
 // (internal/chaos) asserts this, plus the job-conservation identity
@@ -34,7 +35,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 
 	"mobius/internal/fault"
@@ -320,8 +320,8 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Event kinds, in the order they tie-break at equal virtual time (the
-// seq counter decides; kinds are only for dispatch).
+// Event kinds, for dispatch only: at equal virtual time an arrival runs
+// before any other event, and the others run in push (seq) order.
 type eventKind int
 
 const (
@@ -343,46 +343,25 @@ type event struct {
 	gen  uint64
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // run is the mutable state of one fleet simulation.
 type run struct {
-	cfg      Config
-	now      float64
-	seq      uint64
-	events   eventHeap
-	servers  []*server
-	buckets  []bucket
-	jobs     []*job
-	stats    []ClassStats
-	stepSpec *fault.Spec
-	restarts map[int]fault.ServerRestartFault
-	rep      *Report
-	nEvents  int
-}
-
-func (r *run) push(e *event) {
-	e.seq = r.seq
-	r.seq++
-	heap.Push(&r.events, e)
+	cfg     Config
+	now     float64
+	events  eventQueue
+	servers []*server
+	buckets []bucket
+	// shapes holds each class's planning options and their key,
+	// computed once per run; jobs refer to theirs by class index.
+	shapes []shape
+	jobs   []job
+	stats  []ClassStats
+	// stepSpec is the per-server fault scenario every step runs under,
+	// and stepFaults its fingerprint, the pricing caches' fault key.
+	stepSpec   *fault.Spec
+	stepFaults string
+	restarts   map[int]fault.ServerRestartFault
+	rep        *Report
+	nEvents    int
 }
 
 // Run executes the fleet scenario and returns its report. The returned
@@ -394,7 +373,13 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, stepSpec: cfg.Faults.WithoutCluster(), restarts: map[int]fault.ServerRestartFault{}}
+	shapes, err := classShapes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	stepSpec := cfg.Faults.WithoutCluster()
+	r := &run{cfg: cfg, shapes: shapes, stepSpec: stepSpec, stepFaults: stepSpec.Fingerprint(),
+		restarts: map[int]fault.ServerRestartFault{}}
 	r.rep = &Report{Servers: cfg.Servers, HorizonS: cfg.HorizonS, Seed: cfg.Seed}
 
 	for i := 0; i < cfg.Servers; i++ {
@@ -409,10 +394,9 @@ func Run(cfg Config) (*Report, error) {
 			s.closeStore()
 		}
 	}()
-	for ci, cl := range cfg.Classes {
+	for _, cl := range cfg.Classes {
 		r.buckets = append(r.buckets, newBucket(cl))
 		r.stats = append(r.stats, ClassStats{Name: cl.Name, SLO: cl.SLO})
-		_ = ci
 	}
 	if cfg.Prewarm {
 		if err := r.prewarm(); err != nil {
@@ -421,21 +405,22 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	r.jobs = generateJobs(cfg)
-	for _, j := range r.jobs {
-		r.push(&event{at: j.arrival, kind: evArrival, job: j})
-	}
+	r.events.arrivals = r.jobs
 	if cfg.Faults != nil {
 		for _, sf := range cfg.Faults.ServerFailures() {
-			r.push(&event{at: sf.At, kind: evServerFail, srv: sf.Server})
+			r.events.push(event{at: sf.At, kind: evServerFail, srv: sf.Server})
 		}
 		for _, rf := range cfg.Faults.RestartSchedule() {
 			r.restarts[rf.Server] = rf
-			r.push(&event{at: rf.At, kind: evRestartDown, srv: rf.Server})
+			r.events.push(event{at: rf.At, kind: evRestartDown, srv: rf.Server})
 		}
 	}
 
-	for r.events.Len() > 0 {
-		e := heap.Pop(&r.events).(*event)
+	for {
+		e, ok := r.events.pop()
+		if !ok {
+			break
+		}
 		r.now = e.at
 		r.nEvents++
 		if err := r.handle(e); err != nil {
@@ -451,7 +436,7 @@ func Run(cfg Config) (*Report, error) {
 	return r.rep, nil
 }
 
-func (r *run) handle(e *event) error {
+func (r *run) handle(e event) error {
 	switch e.kind {
 	case evArrival:
 		return r.arrive(e.job)
@@ -510,7 +495,7 @@ func (r *run) route(j *job) error {
 		if !j.reland && s.load() >= r.cfg.QueueCap {
 			continue
 		}
-		aff := s.svc.Has(j.key)
+		aff := s.svc.Has(r.shapes[j.class].key)
 		load := s.load()
 		switch {
 		case best == -1, aff && !bestAff:
@@ -561,7 +546,7 @@ func (r *run) retryOrFail(j *job) error {
 	}
 	r.rep.DispatchRetries++
 	j.state = jsRetry
-	r.push(&event{at: r.now + dispatchTimeoutS + r.backoff(j), kind: evRetry, job: j})
+	r.events.push(event{at: r.now + dispatchTimeoutS + r.backoff(j), kind: evRetry, job: j})
 	return nil
 }
 
@@ -605,17 +590,18 @@ func (r *run) kick(s *server) error {
 		}
 		st.waitSamples = append(st.waitSamples, waited)
 
-		planLat, err := s.planLatency(r.cfg, j)
+		sh := &r.shapes[j.class]
+		planLat, err := s.planLatency(r.cfg, sh, j.degraded)
 		if err != nil {
 			return err
 		}
-		times, err := r.cfg.Cache.StepTimes(s.svc, j.opts, cl.CheckpointEvery, j.degraded, r.stepSpec)
+		times, err := r.cfg.Cache.StepTimes(s.svc, sh.opts, sh.key, cl.CheckpointEvery, j.degraded, r.stepSpec, r.stepFaults)
 		if err != nil {
 			return err
 		}
 		mig := 0.0
 		if j.reland && j.resumeStep > 0 {
-			if mig, err = r.cfg.Cache.Migration(r.cfg.Topology, r.stepSpec, cl.Model.ModelStatesBytes()); err != nil {
+			if mig, err = r.cfg.Cache.Migration(r.cfg.Topology, r.stepSpec, r.stepFaults, cl.Model.ModelStatesBytes()); err != nil {
 				return err
 			}
 			st.MigrationS += mig
@@ -629,7 +615,7 @@ func (r *run) kick(s *server) error {
 		j.state = jsRunning
 		s.inflight = j
 		end := j.execStart + execSeconds(j)
-		r.push(&event{at: end, kind: evComplete, srv: s.id, gen: s.gen})
+		r.events.push(event{at: end, kind: evComplete, srv: s.id, gen: s.gen})
 		j.endAt = end
 	}
 	return nil
@@ -676,7 +662,7 @@ func (r *run) restartDown(s *server) {
 	if lat <= 0 {
 		lat = r.cfg.RestartLatencyS
 	}
-	r.push(&event{at: r.now + lat, kind: evRestartUp, srv: s.id})
+	r.events.push(event{at: r.now + lat, kind: evRestartUp, srv: s.id})
 }
 
 // takeDown crashes a server: its generation bumps (stale completions
@@ -699,7 +685,7 @@ func (r *run) takeDown(s *server) {
 		s.parked = append(s.parked, j)
 	}
 	s.queue = s.queue[:0]
-	r.push(&event{at: r.now + r.cfg.DetectLatencyS, kind: evDetect, srv: s.id, gen: s.gen})
+	r.events.push(event{at: r.now + r.cfg.DetectLatencyS, kind: evDetect, srv: s.id, gen: s.gen})
 }
 
 // restartUp rejoins a bounced server: fresh process (fresh breaker,
@@ -776,9 +762,8 @@ func (r *run) detect(s *server, gen uint64) error {
 // and post-loss re-landings are plan-cache hits.
 func (r *run) prewarm() error {
 	for _, s := range r.servers {
-		for ci := range r.cfg.Classes {
-			opts := classOptions(r.cfg, ci)
-			if err := s.warm(opts); err != nil {
+		for ci, sh := range r.shapes {
+			if err := s.warm(sh.opts); err != nil {
 				return fmt.Errorf("cluster: prewarm server %d class %q: %w", s.id, r.cfg.Classes[ci].Name, err)
 			}
 		}
@@ -791,7 +776,8 @@ func (r *run) prewarm() error {
 func (r *run) audit() error {
 	type acc struct{ sub, rej, shed, failed, done, live int }
 	per := make([]acc, len(r.stats))
-	for _, j := range r.jobs {
+	for i := range r.jobs {
+		j := &r.jobs[i]
 		a := &per[j.class]
 		switch j.state {
 		case jsPending:

@@ -45,24 +45,29 @@ type stepKey struct {
 type StepCache struct {
 	mu    sync.Mutex
 	steps map[stepKey]StepTimes
-	mig   map[string]float64
+	mig   map[migKey]float64
+}
+
+// migKey addresses one priced checkpoint migration.
+type migKey struct {
+	topo   string
+	bytes  uint64
+	faults string
 }
 
 // NewStepCache builds an empty cache.
 func NewStepCache() *StepCache {
-	return &StepCache{steps: make(map[stepKey]StepTimes), mig: make(map[string]float64)}
+	return &StepCache{steps: make(map[stepKey]StepTimes), mig: make(map[migKey]float64)}
 }
 
-// StepTimes prices opts under the given checkpoint interval and
-// degradation state. A non-degraded shape plans through svc — warming
-// that server's cache and its affinity signal — while a degraded one
-// uses the deterministic greedy floor directly.
-func (c *StepCache) StepTimes(svc *plansvc.Service, opts core.Options, every int, degraded bool, spec *fault.Spec) (StepTimes, error) {
-	key, err := plansvc.KeyOf(opts)
-	if err != nil {
-		return StepTimes{}, err
-	}
-	sk := stepKey{plan: key, every: every, degraded: degraded, faults: spec.Fingerprint()}
+// StepTimes prices opts, whose plan key is key, under the given
+// checkpoint interval and degradation state, with every step under the
+// fault scenario spec, whose fingerprint is faults (spec.Fingerprint();
+// the caller computes both keys once). A non-degraded shape plans
+// through svc — warming that server's cache and its affinity signal —
+// while a degraded one uses the deterministic greedy floor directly.
+func (c *StepCache) StepTimes(svc *plansvc.Service, opts core.Options, key plansvc.Key, every int, degraded bool, spec *fault.Spec, faults string) (StepTimes, error) {
+	sk := stepKey{plan: key, every: every, degraded: degraded, faults: faults}
 	c.mu.Lock()
 	if st, ok := c.steps[sk]; ok {
 		c.mu.Unlock()
@@ -116,9 +121,9 @@ func priceStep(opts core.Options, every int) (StepTimes, error) {
 // Migration prices restoring a job's checkpoint snapshot on the server
 // it re-lands on, via the same machinery elastic recovery uses
 // (elastic.MigrationSeconds), under the fleet's standing per-server
-// fault conditions.
-func (c *StepCache) Migration(topo *hw.Topology, spec *fault.Spec, bytes float64) (float64, error) {
-	mk := fmt.Sprintf("%s/%x/%x", topo.Name, uint64(bytes), foldString(spec.Fingerprint()))
+// fault conditions spec, whose fingerprint is faults.
+func (c *StepCache) Migration(topo *hw.Topology, spec *fault.Spec, faults string, bytes float64) (float64, error) {
+	mk := migKey{topo: topo.Name, bytes: uint64(bytes), faults: faults}
 	c.mu.Lock()
 	if m, ok := c.mig[mk]; ok {
 		c.mu.Unlock()
@@ -133,14 +138,4 @@ func (c *StepCache) Migration(topo *hw.Topology, spec *fault.Spec, bytes float64
 	c.mig[mk] = m
 	c.mu.Unlock()
 	return m, nil
-}
-
-// foldString is FNV-1a, for compact cache keys and fingerprints.
-func foldString(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -146,7 +146,9 @@ func (r *run) finish() {
 		rep.PlanSolves += m.Solves + s.retiredSolves
 		rep.PlanHits += m.Hits + s.retiredHits
 	}
-	for _, j := range r.jobs {
+	rep.Jobs = make([]JobRecord, 0, len(r.jobs))
+	for i := range r.jobs {
+		j := &r.jobs[i]
 		rec := JobRecord{
 			ID:         j.id,
 			Class:      r.cfg.Classes[j.class].Name,
@@ -191,7 +193,7 @@ func waitStats(samples []float64) (mean, p99, max float64) {
 		return 0, 0, 0
 	}
 	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
+	slices.Sort(sorted)
 	sum := 0.0
 	for _, v := range sorted {
 		sum += v
@@ -292,4 +294,14 @@ func (r *Report) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// foldString is FNV-1a, for compact fingerprints.
+func foldString(s string) uint64 {
+	var h uint64 = 1469598103934665603
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }

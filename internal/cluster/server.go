@@ -135,19 +135,19 @@ func (s *server) popBest(classes []Class) *job {
 	return j
 }
 
-// planLatency charges the virtual planning cost of dispatching j here
-// and makes the server's plan cache warm for its key: a greedy-floor
-// job pays the greedy latency; a cached plan pays a lookup; anything
-// else pays a full solve (and is then cached, so the next job of this
-// shape — or this job re-landing — hits).
-func (s *server) planLatency(cfg Config, j *job) (float64, error) {
-	if j.degraded {
+// planLatency charges the virtual planning cost of dispatching a job of
+// shape sh here and makes the server's plan cache warm for its key: a
+// greedy-floor (degraded) job pays the greedy latency; a cached plan
+// pays a lookup; anything else pays a full solve (and is then cached,
+// so the next job of this shape — or this job re-landing — hits).
+func (s *server) planLatency(cfg Config, sh *shape, degraded bool) (float64, error) {
+	if degraded {
 		return cfg.PlanGreedyLatencyS, nil
 	}
-	if s.svc.Has(j.key) {
+	if s.svc.Has(sh.key) {
 		return cfg.PlanHitLatencyS, nil
 	}
-	if err := s.warm(j.opts); err != nil {
+	if err := s.warm(sh.opts); err != nil {
 		return 0, err
 	}
 	return cfg.PlanSolveLatencyS, nil

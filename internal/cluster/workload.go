@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"mobius/internal/core"
 	"mobius/internal/plansvc"
@@ -29,14 +31,9 @@ const (
 // job is one fine-tuning request flowing through the fleet.
 type job struct {
 	id      int
-	class   int
+	class   int // indexes Config.Classes and run.shapes
 	arrival float64
 	steps   int
-
-	// opts is the job's planning request; key is its content address,
-	// shared by every server that has the plan cached (affinity).
-	opts core.Options
-	key  plansvc.Key
 
 	state      jobState
 	attempts   int
@@ -68,27 +65,43 @@ func classOptions(cfg Config, ci int) core.Options {
 	}
 }
 
+// shape is one class's planning request and its content key, shared by
+// every job of the class and by every server that has the plan cached
+// (affinity).
+type shape struct {
+	opts core.Options
+	key  plansvc.Key
+}
+
+// classShapes keys every class once per run. A class whose options
+// cannot be keyed cannot be planned either, so its KeyOf error fails
+// the run before any event.
+func classShapes(cfg Config) ([]shape, error) {
+	shapes := make([]shape, len(cfg.Classes))
+	for ci := range cfg.Classes {
+		opts := classOptions(cfg, ci)
+		key, err := plansvc.KeyOf(opts)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: class %q: %w", cfg.Classes[ci].Name, err)
+		}
+		shapes[ci] = shape{opts: opts, key: key}
+	}
+	return shapes, nil
+}
+
 // generateJobs derives the whole arrival trace from the seed: one
 // independent stream per class (interarrivals and step counts
 // interleaved, so adding a class never reshuffles another's jobs),
 // merged and id-stamped in deterministic (arrival, class, index) order.
-func generateJobs(cfg Config) []*job {
-	var jobs []*job
-	type order struct {
-		j     *job
-		class int
-		idx   int
+func generateJobs(cfg Config) []job {
+	type draw struct {
+		at         float64
+		class, idx int
+		steps      int
 	}
-	var all []order
+	var all []draw
 	for ci, cl := range cfg.Classes {
 		rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, ci)))
-		opts := classOptions(cfg, ci)
-		key, err := plansvc.KeyOf(opts)
-		if err != nil {
-			// Surfaced later by the first planning call; an unkeyable
-			// class still produces a (failing) trace deterministically.
-			key = plansvc.Key{}
-		}
 		t := 0.0
 		for idx := 0; ; idx++ {
 			t += interarrival(rng, cl)
@@ -99,25 +112,22 @@ func generateJobs(cfg Config) []*job {
 			if t >= cfg.HorizonS {
 				break
 			}
-			all = append(all, order{
-				j:     &job{class: ci, arrival: t, steps: steps, opts: opts, key: key, startedAt: -1, server: -1},
-				class: ci,
-				idx:   idx,
-			})
+			all = append(all, draw{at: t, class: ci, idx: idx, steps: steps})
 		}
 	}
-	sort.Slice(all, func(i, k int) bool {
-		if all[i].j.arrival != all[k].j.arrival {
-			return all[i].j.arrival < all[k].j.arrival
+	// A strict total order: every sort algorithm yields this one result.
+	slices.SortFunc(all, func(a, b draw) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if all[i].class != all[k].class {
-			return all[i].class < all[k].class
+		if a.class != b.class {
+			return a.class - b.class
 		}
-		return all[i].idx < all[k].idx
+		return a.idx - b.idx
 	})
-	for i, o := range all {
-		o.j.id = i
-		jobs = append(jobs, o.j)
+	jobs := make([]job, len(all))
+	for i, d := range all {
+		jobs[i] = job{id: i, class: d.class, arrival: d.at, steps: d.steps, startedAt: -1, server: -1}
 	}
 	return jobs
 }

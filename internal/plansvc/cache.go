@@ -135,12 +135,13 @@ func (s *Service) evictOverCap() {
 
 // Has reports whether a validated plan for key is cached and unexpired
 // right now — a peek: it bumps no recency and counts no metric. The
-// cluster's plan-cache-affinity routing asks it before dispatching.
+// cluster's plan-cache-affinity routing asks it before dispatching, so
+// without a TTL it reads no clock.
 func (s *Service) Has(key Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.cache[key]
-	return ok && !s.expired(e, s.cfg.Now())
+	return ok && (s.cfg.CacheTTL <= 0 || !s.expired(e, s.cfg.Now()))
 }
 
 // CheckInvariants verifies the structural invariants of the service's

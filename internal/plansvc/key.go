@@ -30,8 +30,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"io"
 	"math"
 
 	"mobius/internal/core"
@@ -125,18 +123,18 @@ func KeyOf(opts core.Options) (Key, error) {
 	return req.Key, nil
 }
 
-// hasher is an incremental canonical encoder over SHA-256.
+// hasher is a canonical encoder: every field is appended to one buffer
+// as big-endian 8-byte words (strings as their length, then their
+// bytes), and sum hashes the buffer with one SHA-256.
 type hasher struct {
-	h   hash.Hash
-	buf [8]byte
+	b []byte
 }
 
-func newHasher() *hasher { return &hasher{h: sha256.New()} }
+// newHasher sizes the buffer so a request on up to 8 GPUs (about 700
+// bytes) never grows it.
+func newHasher() *hasher { return &hasher{b: make([]byte, 0, 1024)} }
 
-func (w *hasher) u64(v uint64) {
-	binary.BigEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
-}
+func (w *hasher) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
 
 func (w *hasher) ints(vs ...int) {
 	for _, v := range vs {
@@ -162,14 +160,10 @@ func (w *hasher) bools(vs ...bool) {
 
 func (w *hasher) str(s string) {
 	w.u64(uint64(len(s)))
-	io.WriteString(w.h, s)
+	w.b = append(w.b, s...)
 }
 
-func (w *hasher) sum() Key {
-	var k Key
-	w.h.Sum(k[:0])
-	return k
-}
+func (w *hasher) sum() Key { return sha256.Sum256(w.b) }
 
 // Fingerprint hashes the deterministic content of a plan — partition
 // stages, mapping, predicted step, fallback state — excluding the
