@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store bench bench-json bench-plan-json bench-cluster-json
+.PHONY: build vet test race check check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench bench bench-json bench-plan-json bench-cluster-json
 
 build:
 	$(GO) build ./...
@@ -129,13 +129,21 @@ check-store:
 	$(GO) test -run xxx -fuzz 'FuzzStoreLoad' -fuzztime 10s ./internal/planstore/
 	$(GO) test -run xxx -fuzz 'FuzzStoreChaosInvariants' -fuzztime 10s ./internal/chaos/
 
+# check-bench vets and tests the benchmark module under bench/. It has
+# its own go.mod, so the root `go test ./...` does not see it; an
+# internal API change that breaks the benchmark's build fails here
+# instead of in the benchmark pipeline.
+check-bench:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 # check is the tier-1 gate: everything must compile, vet clean, pass the
 # test suite under the race detector (the planning pipeline is
 # concurrent, so plain `go test` alone is not enough), and survive the
 # LP differential gate, the fault matrix, the recovery matrix, the chaos
 # matrix, the performance smoke gate, the planning-service gate, the
-# multi-tenant fleet gate, and the persistence gate.
-check: build vet race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store
+# multi-tenant fleet gate, the persistence gate, and the benchmark
+# module's own vet and tests.
+check: build vet race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/

@@ -445,17 +445,23 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 			states/1e9, opts.Topology.DRAMBytes/1e9)
 	}
 
+	// The baselines all run on the model's profile on this GPU; Mobius
+	// profiles inside its planner.
+	var prof *profile.Profile
+	if system != SystemMobius {
+		if prof, err = profile.Run(opts.Model, opts.Topology.GPUs[0].Spec, opts.ProfileOptions); err != nil {
+			return nil, err
+		}
+	}
 	var res *pipeline.Result
 	switch system {
 	case SystemMobius:
-		plan, err := planMobius(ctx, opts)
-		if err != nil {
+		if report.Plan, err = planMobius(ctx, opts); err != nil {
 			return nil, err
 		}
-		report.Plan = plan
 		res, err = pipeline.RunMobius(opts.Topology, pipeline.MobiusConfig{
-			Partition:               plan.Partition,
-			Mapping:                 plan.Mapping,
+			Partition:               report.Plan.Partition,
+			Mapping:                 report.Plan.Mapping,
 			Microbatches:            opts.Microbatches,
 			DisablePrefetchPriority: opts.DisablePrefetchPriority,
 			DisablePrefetch:         opts.DisablePrefetch,
@@ -463,50 +469,18 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 			Checkpoint:              opts.Checkpoint,
 			Checksums:               opts.Checksums,
 		})
-		if err != nil {
-			return nil, err
-		}
 	case SystemGPipe:
-		prof, err := profile.Run(opts.Model, opts.Topology.GPUs[0].Spec, opts.ProfileOptions)
-		if err != nil {
-			return nil, err
-		}
 		res, err = pipeline.RunGPipe(opts.Topology, pipeline.GPipeConfig{Profile: prof, Microbatches: opts.Microbatches, Faults: opts.Faults, Checksums: opts.Checksums})
-		if err != nil {
-			return nil, err
-		}
 	case SystemDSPipeline:
-		prof, err := profile.Run(opts.Model, opts.Topology.GPUs[0].Spec, opts.ProfileOptions)
-		if err != nil {
-			return nil, err
-		}
-		res, err = zero.RunPipelineMode(opts.Topology, prof, opts.Microbatches)
-		if err != nil {
-			return nil, err
-		}
+		// DeepSpeed's pipeline mode keeps all model states in GPU memory;
+		// it shares GPipe's execution model and OOM behaviour (§4,
+		// "Baselines").
+		res, err = pipeline.RunGPipe(opts.Topology, pipeline.GPipeConfig{Profile: prof, Microbatches: opts.Microbatches, SystemName: string(SystemDSPipeline)})
 	case SystemDSHetero:
-		prof, err := profile.Run(opts.Model, opts.Topology.GPUs[0].Spec, opts.ProfileOptions)
-		if err != nil {
-			return nil, err
-		}
 		res, err = zero.Run(opts.Topology, zero.Config{Profile: prof})
-		if err != nil {
-			return nil, err
-		}
 	case SystemZeROOffload:
-		prof, err := profile.Run(opts.Model, opts.Topology.GPUs[0].Spec, opts.ProfileOptions)
-		if err != nil {
-			return nil, err
-		}
 		res, err = zero.RunOffload(opts.Topology, zero.Config{Profile: prof})
-		if err != nil {
-			return nil, err
-		}
 	case SystemZeRONVMe:
-		prof, err := profile.Run(opts.Model, opts.Topology.GPUs[0].Spec, opts.ProfileOptions)
-		if err != nil {
-			return nil, err
-		}
 		topo := opts.Topology
 		if !topo.HasSSD() {
 			// Attach the default commodity NVMe tier; ZeRO-Infinity's
@@ -515,11 +489,11 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 			topo = (&clone).WithSSD(hw.CommoditySSDBW, hw.CommoditySSDBytes)
 		}
 		res, err = zero.RunInfinityNVMe(topo, zero.Config{Profile: prof})
-		if err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("core: unknown system %q", system)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	fillReport(report, res, opts.Topology)

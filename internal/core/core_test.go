@@ -245,3 +245,15 @@ func TestUnmarshalPlanRejectsGarbage(t *testing.T) {
 		t.Fatal("stage-less plan must fail")
 	}
 }
+
+func TestDSPipelineModeOOMsOnLargeModels(t *testing.T) {
+	// DeepSpeed's pipeline mode keeps all model states in GPU memory, so
+	// like GPipe it cannot hold 15B on Topo 2+2.
+	r, err := Run(SystemDSPipeline, Options{Model: model.GPT15B, Topology: topo22(), Microbatches: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.OOM {
+		t.Fatal("DeepSpeed pipeline mode must OOM on 15B")
+	}
+}

@@ -151,7 +151,8 @@ func TestRecoveryMatrix(t *testing.T) {
 }
 
 // TestRecoveryDeterministic replays the same recovery twice: everything
-// except the wall-clock re-plan time must be bit-identical.
+// except the wall-clock re-plan time, the totals included, must be
+// bit-identical.
 func TestRecoveryDeterministic(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	step := nominalStep(t, topo)
@@ -170,13 +171,14 @@ func TestRecoveryDeterministic(t *testing.T) {
 		},
 	}
 	// Everything simulated must be bit-identical; only ReplanSeconds is
-	// wall-clock, so it (and the totals that embed it) is excluded.
+	// wall-clock, and the totals leave it out.
 	deterministic := func(r *RecoveryReport) []float64 {
 		return []float64{
 			r.PlainStep, r.CkptStep, r.FaultFreeTime, r.DetectedAt,
 			r.MigrationSeconds, r.SurvivorStep, r.SurvivorCkptStep,
 			r.LostWork, r.CheckpointOverheadPre, r.CheckpointOverheadPost,
 			r.ResumePenalty, float64(r.FailedStep), float64(r.ResumeStep),
+			r.TotalTime, r.Overhead(),
 		}
 	}
 	var prev []float64

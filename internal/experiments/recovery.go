@@ -73,6 +73,6 @@ func recoveryTable(deadline time.Duration) (*Table, error) {
 	}
 	t.Note("fault-free run: %d x %.2fs = %.2fs; checkpoint = %.1f GB of model states over the simulated topology", steps, clean.PlainStep, float64(steps)*clean.PlainStep, clean.CheckpointBytes/1e9)
 	t.Note("restart loses all finished work; resume keeps the old (now degraded) plan; re-plan pays planner time for faster survivor steps")
-	t.Note("re-plan column is wall-clock planning time: it varies across machines and collapses to ~0 once the MIP cache is warm (the restart row pays the cold solve here); all other columns are simulated and deterministic")
+	t.Note("re-plan column is wall-clock planning time, reported beside the run and not part of total or overhead: it varies across machines and collapses to ~0 once the MIP cache is warm (the restart row pays the cold solve here); all other columns are simulated and deterministic")
 	return t, nil
 }

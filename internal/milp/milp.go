@@ -14,14 +14,16 @@ import (
 	"mobius/internal/lp"
 )
 
+// intTol is the integrality tolerance: an integer variable within intTol
+// of an integer counts as integral.
+const intTol = 1e-6
+
 // Options bound the search effort.
 type Options struct {
 	// MaxNodes caps the number of branch-and-bound nodes (default 5000).
 	MaxNodes int
 	// TimeLimit caps wall-clock solve time (default 10s).
 	TimeLimit time.Duration
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Incumbent seeds the upper bound with a known feasible objective so
 	// the search can prune immediately. The zero value of Options means
 	// "no incumbent"; to seed a legitimate zero-valued bound, set
@@ -66,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TimeLimit <= 0 {
 		o.TimeLimit = 10 * time.Second
-	}
-	if o.IntTol <= 0 {
-		o.IntTol = 1e-6
 	}
 	if math.IsNaN(o.Incumbent) || (o.Incumbent == 0 && !o.IncumbentSet) {
 		o.Incumbent = math.Inf(1)
@@ -165,7 +164,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 
 	// fractional returns the integer variable furthest from integrality.
 	fractional := func(x []float64) (int, float64) {
-		best, bestDist := -1, opts.IntTol
+		best, bestDist := -1, intTol
 		var bestVal float64
 		for _, v := range intVars {
 			f := x[v] - math.Floor(x[v])
@@ -202,7 +201,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 					hi = b[1]
 				}
 			}
-			if r < lo-opts.IntTol || r > hi+opts.IntTol {
+			if r < lo-intTol || r > hi+intTol {
 				feasibleRound = false
 				break
 			}

@@ -8,6 +8,7 @@ import (
 
 	"mobius/internal/hw"
 	"mobius/internal/model"
+	"mobius/internal/pipeline"
 	"mobius/internal/profile"
 	"mobius/internal/sim"
 )
@@ -15,9 +16,9 @@ import (
 // sprintfNames lists, in creation order, the task names Run emitted when
 // it formatted each one with fmt.Sprintf: the reference the strconv
 // formatting must reproduce (the names appear in deadlock, OOM and
-// corruption errors).
-func sprintfNames(topo *hw.Topology, p *profile.Profile, look int) []string {
-	N, layers := topo.NumGPUs(), p.Layers
+// corruption errors). reduceScatter adds the P2P gradient exchanges.
+func sprintfNames(p *profile.Profile, N, look int, reduceScatter bool) []string {
+	layers := p.Layers
 	L := len(layers)
 	var names []string
 	gather := func(name string) {
@@ -50,7 +51,7 @@ func sprintfNames(topo *hw.Topology, p *profile.Profile, look int) []string {
 				names = append(names, fmt.Sprintf("AU%d.g%d", l, g))
 			}
 			names = append(names, fmt.Sprintf("B%d.g%d", l, g))
-			if topo.HasP2P() {
+			if reduceScatter {
 				for h := 0; h < N; h++ {
 					if h != g {
 						names = append(names, fmt.Sprintf("RS%d.g%d-%d", l, g, h))
@@ -78,7 +79,9 @@ func (n *nameLog) TaskFinished(t *sim.Task, _ sim.Time) {
 // TestRunNamesMatchSprintf replays Run's DAG and requires every task
 // name, in creation order, to equal the fmt.Sprintf format, on a
 // commodity 2+2 and 4+4 server and on a P2P server (the reduce-scatter
-// branch).
+// branch). RunInfinityNVMe on the same servers with an SSD must emit
+// Run's names in Run's order, less the reduce-scatter, which only the
+// DRAM tier takes.
 func TestRunNamesMatchSprintf(t *testing.T) {
 	for _, c := range []struct {
 		m    model.Config
@@ -88,26 +91,37 @@ func TestRunNamesMatchSprintf(t *testing.T) {
 		{model.GPT51B, hw.Commodity(hw.RTX3090Ti, 4, 4)},
 		{model.GPT8B, hw.DataCenter(hw.V100, 4, 300*hw.GB)},
 	} {
-		label := c.m.Name + " on " + c.topo.Name
 		p := prof(t, c.m)
-		res, err := Run(c.topo, Config{Profile: p})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		log := &nameLog{}
-		s := res.Server.Sim
-		s.Observe(log)
-		s.Reset()
-		if _, err := s.Run(); err != nil {
-			t.Fatalf("%s: replay: %v", label, err)
-		}
-		want := sprintfNames(c.topo, p, 2)
-		if len(log.names) != len(want) || s.NumTasks() != len(want) {
-			t.Fatalf("%s: %d tasks (%d finished), Sprintf reference has %d", label, s.NumTasks(), len(log.names), len(want))
-		}
-		for id := range want {
-			if log.names[id] != want[id] {
-				t.Fatalf("%s: task %d is named %q, Sprintf gives %q", label, id, log.names[id], want[id])
+		clone := *c.topo
+		ssd := (&clone).WithSSD(hw.CommoditySSDBW, hw.CommoditySSDBytes)
+		for _, r := range []struct {
+			name string
+			run  func(*hw.Topology, Config) (*pipeline.Result, error)
+			topo *hw.Topology
+			want []string
+		}{
+			{"Run", Run, c.topo, sprintfNames(p, c.topo.NumGPUs(), 2, c.topo.HasP2P())},
+			{"RunInfinityNVMe", RunInfinityNVMe, ssd, sprintfNames(p, c.topo.NumGPUs(), 2, false)},
+		} {
+			label := r.name + " " + c.m.Name + " on " + r.topo.Name
+			res, err := r.run(r.topo, Config{Profile: p})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			log := &nameLog{}
+			s := res.Server.Sim
+			s.Observe(log)
+			s.Reset()
+			if _, err := s.Run(); err != nil {
+				t.Fatalf("%s: replay: %v", label, err)
+			}
+			if len(log.names) != len(r.want) || s.NumTasks() != len(r.want) {
+				t.Fatalf("%s: %d tasks (%d finished), Sprintf reference has %d", label, s.NumTasks(), len(log.names), len(r.want))
+			}
+			for id := range r.want {
+				if log.names[id] != r.want[id] {
+					t.Fatalf("%s: task %d is named %q, Sprintf gives %q", label, id, log.names[id], r.want[id])
+				}
 			}
 		}
 	}

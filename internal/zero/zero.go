@@ -1,24 +1,32 @@
 // Package zero models DeepSpeed's ZeRO-3 data parallelism with
-// heterogeneous memory (ZeRO-Infinity style offload), the paper's main
-// baseline (§2.3). Model states live in DRAM; every GPU processes its own
-// microbatch of every layer, so each layer's FP16 parameters must be
-// gathered onto all GPUs for forward and again for backward, and every
-// GPU's gradients travel back to DRAM — the ~7.3x-model-size traffic and
-// all-to-all contention the paper measures.
+// heterogeneous memory, the paper's main baseline (§2.3), and the §5
+// baselines built on it. Model states live on an offload tier: DRAM for
+// DeepSpeed hetero (Run), the NVMe SSD for ZeRO-Infinity
+// (RunInfinityNVMe). Every GPU processes its own microbatch of every
+// layer, so each layer's FP16 parameters must be gathered onto all GPUs
+// for forward and again for backward, and every GPU's gradients travel
+// back to the tier — the ~7.3x-model-size traffic and all-to-all
+// contention the paper measures.
 //
 // The emitted communication pattern per layer and pass:
 //
-//   - shard upload: every GPU pulls its 1/N parameter shard from DRAM;
+//   - shard upload: every GPU pulls its 1/N parameter shard from the
+//     offload tier;
 //   - all-gather: every GPU sends its shard to the other N-1 GPUs
 //     (staged through DRAM on commodity servers without GPUDirect P2P);
 //   - backward additionally flushes each GPU's full layer gradient to
-//     DRAM for the CPU optimizer (the all-reduce-through-host path).
+//     the tier for the CPU optimizer (the all-reduce-through-host path);
+//     with P2P and the DRAM tier the gradients reduce-scatter over
+//     NVLink first, and only each GPU's reduced shard is flushed.
 //
-// DeepSpeed overlaps the next layer's gather with the current layer's
-// compute (a bounded lookahead window), which the schedule reproduces.
+// Activation checkpoints are offloaded to DRAM and re-uploaded for
+// backward on either tier. DeepSpeed overlaps the next layer's gather
+// with the current layer's compute (a bounded lookahead window), which
+// the schedule reproduces.
 package zero
 
 import (
+	"errors"
 	"fmt"
 
 	"mobius/internal/hw"
@@ -28,44 +36,60 @@ import (
 	"mobius/internal/trace"
 )
 
-// Config describes one ZeRO-3 heterogeneous-memory training step.
+// gatherWindow is how many layers ahead parameter gathers may run,
+// mirroring DeepSpeed's prefetch window.
+const gatherWindow = 2
+
+var errNoProfile = errors.New("zero: profile is required")
+
+// Config describes one baseline training step.
 type Config struct {
 	Profile *profile.Profile
-	// Lookahead is how many layers ahead parameter gathers may run
-	// (default 2, mirroring DeepSpeed's prefetch window).
-	Lookahead int
 }
 
 // Run simulates one DeepSpeed-ZeRO-3-with-heterogeneous-memory training
-// step on the topology.
+// step on the topology, with DRAM as the offload tier.
 func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
-	if cfg.Profile == nil {
-		return nil, fmt.Errorf("zero: profile is required")
-	}
-	look := cfg.Lookahead
-	if look <= 0 {
-		look = 2
-	}
-	N := topo.NumGPUs()
+	return runZeRO3(topo, cfg, hw.DRAMEnd, "DeepSpeed (hetero)", "schedule")
+}
 
-	srv, err := hw.Build(topo)
+// RunInfinityNVMe simulates ZeRO-Infinity with NVMe offload [36] (§5):
+// the same communication pattern as ZeRO-3 with heterogeneous memory,
+// but parameter shards and gradients live on the SSD tier, whose few
+// GB/s of bandwidth bottleneck every gather — the reason Mobius extends
+// GPU memory with DRAM only (§3.1).
+func RunInfinityNVMe(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
+	if cfg.Profile == nil {
+		return nil, errNoProfile
+	}
+	if !topo.HasSSD() {
+		return nil, fmt.Errorf("zero: topology %q has no NVMe tier (use WithSSD)", topo.Name)
+	}
+	return runZeRO3(topo, cfg, hw.SSDEnd, "ZeRO-Infinity (NVMe)", "nvme schedule")
+}
+
+// runZeRO3 builds and simulates one ZeRO-3 step whose parameter shards
+// and gradients live on tier; schedule names the step in errors.
+func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint, system, schedule string) (*pipeline.Result, error) {
+	srv, res, err := newStep(topo, cfg, system)
 	if err != nil {
 		return nil, err
 	}
-	rec := trace.NewRecorder()
-	srv.Sim.Observe(rec)
-	res := &pipeline.Result{System: "DeepSpeed (hetero)", Recorder: rec, Server: srv}
-
 	s := srv.Sim
+	N := topo.NumGPUs()
 	layers := cfg.Profile.Layers
 	L := len(layers)
-	fromDRAM, toDRAM := hostRoutes(srv, hw.DRAMEnd)
-	p2p := peerRoutes(srv)
-	var nm pipeline.Namer
-
-	tag := func(kind trace.Kind, gpu, peer, layer int) trace.Tag {
-		return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: layer, Microbatch: -1}
+	fromTier, toTier := hostRoutes(srv, tier)
+	fromDRAM, toDRAM := fromTier, toTier
+	if !tier.IsDRAM() {
+		fromDRAM, toDRAM = hostRoutes(srv, hw.DRAMEnd)
 	}
+	p2p := peerRoutes(srv)
+	// DeepSpeed reduce-scatters over NVLink only when gradients go to
+	// DRAM; with the SSD tier every GPU flushes its full gradients even
+	// on a P2P server (a fidelity question tracked in ROADMAP.md).
+	reduceScatter := tier.IsDRAM() && topo.HasP2P()
+	var nm pipeline.Namer
 
 	// gather emits the parameter-gather flows for layer l, named
 	// prefix+l: N shard uploads plus N*(N-1) shard exchanges, gated on
@@ -75,8 +99,8 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 		done := make([]*sim.Task, 0, N*N)
 		for g := 0; g < N; g++ {
 			up := s.Transfer(nm.Name2(prefix, l, ".shard", g), srv.UploadEngines[g],
-				fromDRAM[g], shard, 0, trigger)
-			up.Tag = tag(trace.KindParamUpload, g, -1, l)
+				fromTier[g], shard, 0, trigger)
+			up.Tag = layerTag(trace.KindParamUpload, g, -1, l)
 			done = append(done, up)
 			for h := 0; h < N; h++ {
 				if h == g {
@@ -84,7 +108,7 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 				}
 				ex := s.Transfer(nm.Name3(prefix, l, ".ag", g, "-", h), srv.DownloadEngine[g],
 					p2p[g*N+h], shard, 0, up)
-				ex.Tag = tag(trace.KindCollective, g, h, l)
+				ex.Tag = layerTag(trace.KindCollective, g, h, l)
 				done = append(done, ex)
 			}
 		}
@@ -93,30 +117,28 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 
 	// Forward.
 	fwdDone := make([][]*sim.Task, L) // per layer, per GPU
-	gatherF := make([]*sim.Task, L)
 	for l := 0; l < L; l++ {
 		var trigger *sim.Task
-		if l >= look {
+		if l >= gatherWindow {
 			// The gather window: layer l's gather may start once layer
-			// l-look finished computing on GPU 0 (all GPUs advance in
-			// lockstep in data parallelism).
-			trigger = fwdDone[l-look][0]
+			// l-gatherWindow finished computing on GPU 0 (all GPUs
+			// advance in lockstep in data parallelism).
+			trigger = fwdDone[l-gatherWindow][0]
 		}
-		gatherF[l] = gather("gf", l, trigger)
+		gf := gather("gf", l, trigger)
 		fwdDone[l] = make([]*sim.Task, N)
 		for g := 0; g < N; g++ {
-			var deps []*sim.Task
-			deps = append(deps, gatherF[l])
+			deps := []*sim.Task{gf}
 			if l > 0 {
 				deps = append(deps, fwdDone[l-1][g])
 			}
 			c := s.Compute(nm.Name2("F", l, ".g", g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
-			c.Tag = tag(trace.KindCompute, g, -1, l)
+			c.Tag = layerTag(trace.KindCompute, g, -1, l)
 			fwdDone[l][g] = c
 			if layers[l].ActOutBytes > 0 {
 				off := s.Transfer(nm.Name2("O", l, ".g", g), srv.DownloadEngine[g],
 					toDRAM[g], layers[l].ActOutBytes, 0, c)
-				off.Tag = tag(trace.KindActOffload, g, -1, l)
+				off.Tag = layerTag(trace.KindActOffload, g, -1, l)
 			}
 		}
 	}
@@ -125,80 +147,90 @@ func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 	bwdDone := make([][]*sim.Task, L)
 	for l := L - 1; l >= 0; l-- {
 		var trigger *sim.Task
-		if l+look < L {
-			trigger = bwdDone[l+look][0]
+		if l+gatherWindow < L {
+			trigger = bwdDone[l+gatherWindow][0]
 		} else {
 			// The first backward gathers wait for the forward to drain.
 			trigger = s.After(nm.Name("fwdDrain", l, ""), fwdDone[L-1]...)
 		}
-		g := gather("gb", l, trigger)
+		gb := gather("gb", l, trigger)
 		bwdDone[l] = make([]*sim.Task, N)
-		for gi := 0; gi < N; gi++ {
-			deps := []*sim.Task{g}
+		for g := 0; g < N; g++ {
+			deps := []*sim.Task{gb}
 			if l < L-1 {
-				deps = append(deps, bwdDone[l+1][gi])
+				deps = append(deps, bwdDone[l+1][g])
 			}
 			// Re-upload the checkpointed input activation.
 			if l > 0 && layers[l-1].ActOutBytes > 0 {
-				au := s.Transfer(nm.Name2("AU", l, ".g", gi), srv.UploadEngines[gi],
-					fromDRAM[gi], layers[l-1].ActOutBytes, 0, g)
-				au.Tag = tag(trace.KindActUpload, gi, -1, l)
+				au := s.Transfer(nm.Name2("AU", l, ".g", g), srv.UploadEngines[g],
+					fromDRAM[g], layers[l-1].ActOutBytes, 0, gb)
+				au.Tag = layerTag(trace.KindActUpload, g, -1, l)
 				deps = append(deps, au)
 			}
-			c := s.Compute(nm.Name2("B", l, ".g", gi), srv.ComputeEngines[gi], layers[l].BwdTime, deps...)
-			c.Tag = tag(trace.KindCompute, gi, -1, l)
-			bwdDone[l][gi] = c
-			if topo.HasP2P() {
-				// With GPUDirect P2P the gradients reduce-scatter over
-				// NVLink, and only each GPU's reduced shard travels to
-				// DRAM.
-				shard := layers[l].GradBytes / float64(N)
-				var rs []*sim.Task
+			c := s.Compute(nm.Name2("B", l, ".g", g), srv.ComputeEngines[g], layers[l].BwdTime, deps...)
+			c.Tag = layerTag(trace.KindCompute, g, -1, l)
+			bwdDone[l][g] = c
+			// Every GPU flushes its layer gradient to the tier (the
+			// all-reduce-through-host path of Eq. 2: N copies of the
+			// layer gradient), or, after a reduce-scatter, only its
+			// reduced shard.
+			flush := layers[l].GradBytes
+			var rs []*sim.Task
+			if reduceScatter {
+				flush /= float64(N)
 				for h := 0; h < N; h++ {
-					if h == gi {
+					if h == g {
 						continue
 					}
-					ex := s.Transfer(nm.Name3("RS", l, ".g", gi, "-", h), srv.DownloadEngine[gi],
-						p2p[gi*N+h], shard, 0, c)
-					ex.Tag = tag(trace.KindCollective, gi, h, l)
+					ex := s.Transfer(nm.Name3("RS", l, ".g", g, "-", h), srv.DownloadEngine[g],
+						p2p[g*N+h], flush, 0, c)
+					ex.Tag = layerTag(trace.KindCollective, g, h, l)
 					rs = append(rs, ex)
 				}
-				gf := s.Transfer(nm.Name2("GF", l, ".g", gi), srv.DownloadEngine[gi],
-					toDRAM[gi], shard, 0, append(rs, c)...)
-				gf.Tag = tag(trace.KindGradFlush, gi, -1, l)
-				continue
 			}
-			// Without P2P every GPU's gradients travel to DRAM (the
-			// all-reduce-through-host path of Eq. 2: N copies of the
-			// layer gradient).
-			gf := s.Transfer(nm.Name2("GF", l, ".g", gi), srv.DownloadEngine[gi],
-				toDRAM[gi], layers[l].GradBytes, 0, c)
-			gf.Tag = tag(trace.KindGradFlush, gi, -1, l)
+			gf := s.Transfer(nm.Name2("GF", l, ".g", g), srv.DownloadEngine[g],
+				toTier[g], flush, 0, append(rs, c)...)
+			gf.Tag = layerTag(trace.KindGradFlush, g, -1, l)
 		}
 	}
 
-	if err := srv.RouteErr(); err != nil {
-		return nil, fmt.Errorf("zero: schedule: %w", err)
-	}
 	// 2LN computes; every other task but a few joins is a transfer.
-	rec.Grow(s.NumTasks()-2*L*N, 2*L*N)
-	end, err := s.Run()
+	res.Recorder.Grow(s.NumTasks()-2*L*N, 2*L*N)
+	return finish(srv, res, schedule)
+}
+
+// newStep checks cfg and builds the server one step runs on, with a
+// trace recorder observing it.
+func newStep(topo *hw.Topology, cfg Config, system string) (*hw.Server, *pipeline.Result, error) {
+	if cfg.Profile == nil {
+		return nil, nil, errNoProfile
+	}
+	srv, err := hw.Build(topo)
 	if err != nil {
-		return nil, fmt.Errorf("zero: schedule: %w", err)
+		return nil, nil, err
+	}
+	rec := trace.NewRecorder()
+	srv.Sim.Observe(rec)
+	return srv, &pipeline.Result{System: system, Recorder: rec, Server: srv}, nil
+}
+
+// finish simulates the schedule built on srv into res; schedule names it
+// in errors.
+func finish(srv *hw.Server, res *pipeline.Result, schedule string) (*pipeline.Result, error) {
+	if err := srv.RouteErr(); err != nil {
+		return nil, fmt.Errorf("zero: %s: %w", schedule, err)
+	}
+	end, err := srv.Sim.Run()
+	if err != nil {
+		return nil, fmt.Errorf("zero: %s: %w", schedule, err)
 	}
 	res.StepTime = end
 	return res, nil
 }
 
-// RunPipelineMode simulates DeepSpeed's pipeline-parallel mode, which
-// keeps all model states in GPU memory; it shares GPipe's execution model
-// and OOM behaviour (§4, "Baselines").
-func RunPipelineMode(topo *hw.Topology, prof *profile.Profile, microbatches int) (*pipeline.Result, error) {
-	return pipeline.RunGPipe(topo, pipeline.GPipeConfig{
-		Profile:      prof,
-		Microbatches: microbatches,
-		SystemName:   "DeepSpeed (pipeline)",
-	})
+// layerTag tags a baseline task; baselines have no microbatch axis.
+func layerTag(kind trace.Kind, gpu, peer, layer int) trace.Tag {
+	return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: layer, Microbatch: -1}
 }
 
 // hostRoutes resolves the host -> GPU g (up) and GPU g -> host (down)

@@ -90,20 +90,6 @@ func TestZeroBandwidthCollapsesUnderContention(t *testing.T) {
 	}
 }
 
-func TestZeroPipelineModeOOMsOnLargeModels(t *testing.T) {
-	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
-	res, err := RunPipelineMode(topo, prof(t, model.GPT15B), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OOM {
-		t.Fatal("DeepSpeed pipeline mode must OOM on 15B")
-	}
-	if res.System != "DeepSpeed (pipeline)" {
-		t.Fatalf("system label %q", res.System)
-	}
-}
-
 func TestZeroFasterOnNVLinkServer(t *testing.T) {
 	// Figures 15/16: with NVLink + P2P the all-gather no longer fights
 	// the root complex, so DeepSpeed improves dramatically on the data
