@@ -66,10 +66,11 @@ check-chaos:
 # check-perf is the performance smoke gate: short in-process checks
 # asserting the incremental flow scheduler still beats the retained
 # global-recompute oracle, steady-state Reset+Run at 1024 flows stays
-# allocation-free, streaming construction stays ≥5x leaner than the
-# pre-streaming builder, one core.Run step of DeepSpeed-hetero and of
-# Mobius (greedy plan) on 15B, Topo 2+2 stays under its allocation
-# ceiling, and so does one benchmark-shaped fleet run with a cold step
+# allocation-free, slab-backed construction stays ≥5x leaner than the
+# pre-slab builder, one core.Run step of DeepSpeed-hetero and of Mobius
+# (greedy plan) on 15B, Topo 2+2, and of GPipe on 3B, Topo 2+2, stays
+# under its allocation ceiling, and so does one benchmark-shaped fleet
+# run with a cold step
 # cache (relative checks and allocation counts, so they hold on any
 # machine; see internal/sim/perf_test.go, internal/core/perf_test.go and
 # internal/cluster/perf_test.go).

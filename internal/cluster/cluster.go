@@ -183,14 +183,6 @@ type Config struct {
 	// reroutes its queue and in-flight job.
 	DetectLatencyS float64
 
-	// Virtual planning costs charged to a job at dispatch: a plan-cache
-	// hit, a full solve, and the greedy floor (defaults 0.02, 5,
-	// 0.005). Affinity routing exists to turn the middle one into the
-	// first.
-	PlanHitLatencyS    float64
-	PlanSolveLatencyS  float64
-	PlanGreedyLatencyS float64
-
 	// Faults is the fleet fault scenario. ServerFails clauses are
 	// consumed here (whole servers dropping), as are ServerRestarts
 	// (servers bouncing: crash, then rejoin after RestartLatencyS);
@@ -269,15 +261,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.DetectLatencyS <= 0 {
 		c.DetectLatencyS = 2
-	}
-	if c.PlanHitLatencyS <= 0 {
-		c.PlanHitLatencyS = 0.02
-	}
-	if c.PlanSolveLatencyS <= 0 {
-		c.PlanSolveLatencyS = 5
-	}
-	if c.PlanGreedyLatencyS <= 0 {
-		c.PlanGreedyLatencyS = 0.005
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -591,7 +574,7 @@ func (r *run) kick(s *server) error {
 		st.waitSamples = append(st.waitSamples, waited)
 
 		sh := &r.shapes[j.class]
-		planLat, err := s.planLatency(r.cfg, sh, j.degraded)
+		planLat, err := s.planLatency(sh, j.degraded)
 		if err != nil {
 			return err
 		}

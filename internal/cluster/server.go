@@ -135,22 +135,31 @@ func (s *server) popBest(classes []Class) *job {
 	return j
 }
 
+// Virtual planning costs, in seconds, charged to a job at dispatch: a
+// plan-cache hit, a full solve, and the greedy floor. Affinity routing
+// exists to turn the middle one into the first.
+const (
+	planHitLatencyS    = 0.02
+	planSolveLatencyS  = 5
+	planGreedyLatencyS = 0.005
+)
+
 // planLatency charges the virtual planning cost of dispatching a job of
 // shape sh here and makes the server's plan cache warm for its key: a
 // greedy-floor (degraded) job pays the greedy latency; a cached plan
 // pays a lookup; anything else pays a full solve (and is then cached,
 // so the next job of this shape — or this job re-landing — hits).
-func (s *server) planLatency(cfg Config, sh *shape, degraded bool) (float64, error) {
+func (s *server) planLatency(sh *shape, degraded bool) (float64, error) {
 	if degraded {
-		return cfg.PlanGreedyLatencyS, nil
+		return planGreedyLatencyS, nil
 	}
 	if s.svc.Has(sh.key) {
-		return cfg.PlanHitLatencyS, nil
+		return planHitLatencyS, nil
 	}
 	if err := s.warm(sh.opts); err != nil {
 		return 0, err
 	}
-	return cfg.PlanSolveLatencyS, nil
+	return planSolveLatencyS, nil
 }
 
 // warm plans opts into this server's cache.

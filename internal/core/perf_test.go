@@ -51,19 +51,21 @@ func BenchmarkStepMobius15B(b *testing.B) {
 	benchStep(b, SystemMobius, model.GPT15B, hw.Commodity(hw.RTX3090Ti, 2, 2))
 }
 
-// Allocation ceilings for one simulated step on 15B, Topo 2+2, measured
-// after the step path dropped its reflective sorts and per-task Sprintf
-// (5,616 and 372 allocs/op on linux/amd64, go1.24) plus about 3% slack; the
-// parent measured 7,611 and 505. Allocation counts do not depend on
-// machine speed, so the gate holds on any machine.
+// Allocation ceilings for one simulated step on Topo 2+2: DeepSpeed-hetero
+// and Mobius on 15B, measured after the step path dropped its reflective
+// sorts and per-task Sprintf (5,616 and 372 allocs/op on linux/amd64,
+// go1.24; the parent measured 7,611 and 505), and GPipe on 3B, the largest
+// Table 3 model it fits (528), each plus about 3% slack. Allocation counts
+// do not depend on machine speed, so the gate holds on any machine.
 const (
 	dsHeteroStepAllocCeiling = 5800
 	mobiusStepAllocCeiling   = 385
+	gpipeStepAllocCeiling    = 545
 )
 
 // TestStepAllocCeilings is the step gate of `make check-perf`: one
-// core.Run step of DeepSpeed-hetero and of Mobius (on its greedy plan)
-// must stay under its allocation ceiling.
+// core.Run step of DeepSpeed-hetero, of Mobius (on its greedy plan) and
+// of GPipe must stay under its allocation ceiling.
 func TestStepAllocCeilings(t *testing.T) {
 	if os.Getenv("MOBIUS_CHECK_PERF") == "" {
 		t.Skip("set MOBIUS_CHECK_PERF=1 (or run `make check-perf`) to run the performance smoke gate")
@@ -71,12 +73,14 @@ func TestStepAllocCeilings(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	for _, c := range []struct {
 		system  System
+		model   model.Config
 		ceiling float64
 	}{
-		{SystemDSHetero, dsHeteroStepAllocCeiling},
-		{SystemMobius, mobiusStepAllocCeiling},
+		{SystemDSHetero, model.GPT15B, dsHeteroStepAllocCeiling},
+		{SystemMobius, model.GPT15B, mobiusStepAllocCeiling},
+		{SystemGPipe, model.GPT3B, gpipeStepAllocCeiling},
 	} {
-		opts := Options{Model: model.GPT15B, Topology: topo}
+		opts := Options{Model: c.model, Topology: topo}
 		if c.system == SystemMobius {
 			opts.Planner = greedyPlanner(t, opts)
 		}
@@ -85,7 +89,7 @@ func TestStepAllocCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s 15B on %s: %.0f allocs/step (ceiling %.0f)", c.system, topo.Name, allocs, c.ceiling)
+		t.Logf("%s %s on %s: %.0f allocs/step (ceiling %.0f)", c.system, c.model.Name, topo.Name, allocs, c.ceiling)
 		if allocs > c.ceiling {
 			t.Errorf("%s step allocates %.0f times, over its ceiling of %.0f", c.system, allocs, c.ceiling)
 		}

@@ -56,9 +56,7 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := trace.NewRecorder()
-	srv.Sim.Observe(rec)
-	res := &Result{System: name, Recorder: rec, Server: srv}
+	res := &Result{System: name, Recorder: trace.NewRecorder(), Server: srv}
 	srv.Sim.Checksums = cfg.Checksums
 	if err := applyFaults(srv, cfg.Faults, res); err != nil {
 		return nil, err

@@ -111,7 +111,6 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		return nil, err
 	}
 	rec := trace.NewRecorder()
-	srv.Sim.Observe(rec)
 	st := &MobiusStep{srv: srv, rec: rec}
 
 	stg := cfg.Partition.Stages

@@ -90,20 +90,21 @@ func applyFaults(srv *hw.Server, spec *fault.Spec, res *Result) error {
 	return nil
 }
 
-// finishRun validates the routed DAG and executes the simulation. A
-// structured OOM (fault-injected memory pressure shrank a pool below a
+// finishRun validates the routed DAG, executes the simulation and records
+// its finished tasks into res.Recorder. A structured OOM (fault-injected memory pressure shrank a pool below a
 // stage's footprint) degrades the result to OOM instead of failing the
 // call; a permanent failure halting the step surfaces as Result.Lost and
 // an exhausted retransmit budget as Result.Corruption, both with the
 // elapsed time up to detection; every other simulation error — deadlock,
-// memory accounting — is returned. The simulator's integrity accounting
-// is captured on every path so callers can read retransmit counts and
-// silent-corruption exposure even from failed steps.
+// memory accounting — is returned. The trace records and the simulator's
+// integrity accounting are captured on every path so callers can read
+// retransmit counts and silent-corruption exposure even from failed steps.
 func finishRun(srv *hw.Server, res *Result) error {
 	if err := srv.RouteErr(); err != nil {
 		return fmt.Errorf("pipeline: %s schedule: %w", res.System, err)
 	}
 	end, err := srv.Sim.Run()
+	res.Recorder.Record(srv.Sim.Finished())
 	res.Integrity = srv.Sim.Integrity()
 	if err != nil {
 		var oom *sim.OOMError

@@ -6,11 +6,13 @@ import (
 	"mobius/internal/sim"
 )
 
-// StreamBuilder is the streaming construction layer BuildMobius emits
-// through. It wraps sim.Builder (staged dependencies, slab-backed task
-// and successor storage) with the two things a pipeline schedule needs
-// on top:
+// StreamBuilder is the construction layer BuildMobius emits through. It
+// adds three things a pipeline schedule needs on top of the simulator's
+// task constructors:
 //
+//   - staged dependencies: Dep stages one predecessor at a time into a
+//     reused buffer, and the next emitted task consumes the staged set in
+//     staging order, exactly as the equivalent variadic call lists it;
 //   - compact struct-of-arrays task storage: the stage×microbatch
 //     forward/backward/offload handles live in three flat arrays indexed
 //     by j*M+m instead of S separately allocated inner slices, and the
@@ -21,7 +23,8 @@ import (
 // At 100k tasks this keeps DAG construction a single-digit fraction of
 // step wall-clock instead of dominating it (see EXPERIMENTS.md).
 type StreamBuilder struct {
-	*sim.Builder
+	s    *sim.Sim
+	deps []*sim.Task
 	S, M int
 
 	fwd, bwd, off []*sim.Task // flat [S*M] stage×microbatch handles
@@ -34,15 +37,60 @@ type StreamBuilder struct {
 func NewStreamBuilder(s *sim.Sim, S, M int) *StreamBuilder {
 	n := S * M
 	return &StreamBuilder{
-		Builder: s.NewBuilder(),
-		S:       S,
-		M:       M,
-		fwd:     make([]*sim.Task, n),
-		bwd:     make([]*sim.Task, n),
-		off:     make([]*sim.Task, n),
-		freeF:   make([]*sim.Task, S),
-		freeB:   make([]*sim.Task, S),
+		s:     s,
+		deps:  make([]*sim.Task, 0, 8),
+		S:     S,
+		M:     M,
+		fwd:   make([]*sim.Task, n),
+		bwd:   make([]*sim.Task, n),
+		off:   make([]*sim.Task, n),
+		freeF: make([]*sim.Task, S),
+		freeB: make([]*sim.Task, S),
 	}
+}
+
+// Dep stages a dependency for the next emitted task. Nil is ignored, so
+// optional predecessors ("previous microbatch, if any") stage cleanly.
+// Returns the builder for chaining.
+func (sb *StreamBuilder) Dep(t *sim.Task) *StreamBuilder {
+	if t != nil {
+		sb.deps = append(sb.deps, t)
+	}
+	return sb
+}
+
+// staged hands the staged dependencies to one constructor call and
+// clears the buffer for the next task.
+func (sb *StreamBuilder) staged() []*sim.Task {
+	deps := sb.deps
+	sb.deps = sb.deps[:0]
+	return deps
+}
+
+// Compute emits a compute task over the staged deps; see sim.Sim.Compute.
+func (sb *StreamBuilder) Compute(name string, e *sim.Engine, d sim.Time) *sim.Task {
+	return sb.s.Compute(name, e, d, sb.staged()...)
+}
+
+// Transfer emits a transfer task over the staged deps; see
+// sim.Sim.Transfer.
+func (sb *StreamBuilder) Transfer(name string, engine *sim.Engine, path []sim.PathElem, bytes float64, priority int) *sim.Task {
+	return sb.s.Transfer(name, engine, path, bytes, priority, sb.staged()...)
+}
+
+// Alloc emits a pool reservation over the staged deps; see sim.Sim.Alloc.
+func (sb *StreamBuilder) Alloc(name string, pool *sim.MemPool, amount float64) *sim.Task {
+	return sb.s.Alloc(name, pool, amount, sb.staged()...)
+}
+
+// Free emits a pool release over the staged deps; see sim.Sim.Free.
+func (sb *StreamBuilder) Free(name string, pool *sim.MemPool, amount float64) *sim.Task {
+	return sb.s.Free(name, pool, amount, sb.staged()...)
+}
+
+// After emits a zero-duration join over the staged deps.
+func (sb *StreamBuilder) After(name string) *sim.Task {
+	return sb.s.After(name, sb.staged()...)
 }
 
 // F and SetF access the forward compute of stage j, microbatch m.

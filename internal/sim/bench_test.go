@@ -25,7 +25,6 @@ func benchFlowSim(nFlows int) *Sim {
 		path := Path(links[f%len(links)], rc[f%len(rc)])
 		tasks = append(tasks, s.Transfer("t", nil, path, float64(1+f)*1e8, f%4))
 	}
-	s.begin()
 	for _, t := range tasks {
 		s.beginFlow(t)
 	}

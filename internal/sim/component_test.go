@@ -10,7 +10,6 @@ import (
 // admitForTest arms all dependency-free tasks and drains the cascade so
 // their flows are active, mirroring what Run's seeding does.
 func admitForTest(s *Sim) {
-	s.begin()
 	for _, t := range s.tasks {
 		if t.state == statePending && t.waiting == 0 {
 			s.ready = append(s.ready, t)

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,7 +18,7 @@ import (
 // retained global recompute oracle. Any divergence, even one ulp, means
 // the component decomposition changed an observable schedule.
 
-// timelineEvent is one observer notification with the timestamp's exact
+// timelineEvent is one task start or finish with the timestamp's exact
 // bit pattern.
 type timelineEvent struct {
 	taskID  int
@@ -24,16 +26,65 @@ type timelineEvent struct {
 	timeBit uint64
 }
 
-type timelineObserver struct {
-	events []timelineEvent
+// started reports whether a run began executing t: it finished; it holds
+// an engine or a flow (a running Alloc is only queued on its pool); or it
+// is a Free that began releasing and failed the run with a
+// *MemAccountError. Engine tasks still queued and Allocs refused with an
+// *OOMError stay ready without starting.
+func started(t *Task) bool {
+	switch t.state {
+	case stateFinished:
+		return true
+	case stateRunning:
+		return t.kind != KindAlloc
+	case stateReady:
+		return t.kind == KindFree
+	}
+	return false
 }
 
-func (o *timelineObserver) TaskStarted(t *Task, at Time) {
-	o.events = append(o.events, timelineEvent{t.ID(), "start", math.Float64bits(at)})
-}
-
-func (o *timelineObserver) TaskFinished(t *Task, at Time) {
-	o.events = append(o.events, timelineEvent{t.ID(), "finish", math.Float64bits(at)})
+// timelineOf derives a run's canonical timeline from its final task
+// state: every started task's start at startAt and every finished task's
+// finish at endAt, ordered by (time, task id, start before finish).
+func timelineOf(s *Sim) []timelineEvent {
+	type event struct {
+		id     int
+		at     Time
+		finish bool
+	}
+	var evs []event
+	for _, t := range s.tasks {
+		if started(t) {
+			evs = append(evs, event{t.id, t.startAt, false})
+		}
+		if t.state == stateFinished {
+			evs = append(evs, event{t.id, t.endAt, true})
+		}
+	}
+	slices.SortFunc(evs, func(a, b event) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		switch {
+		case a.finish == b.finish:
+			return 0
+		case b.finish:
+			return -1
+		}
+		return 1
+	})
+	out := make([]timelineEvent, len(evs))
+	for i, ev := range evs {
+		kind := "start"
+		if ev.finish {
+			kind = "finish"
+		}
+		out[i] = timelineEvent{ev.id, kind, math.Float64bits(ev.at)}
+	}
+	return out
 }
 
 // runRecord is everything observable about one run, bit-exact.
@@ -364,10 +415,10 @@ func diffScenarioSkewed(r *rand.Rand, s *Sim) {
 }
 
 // captureRecord snapshots everything observable about a finished run.
-func captureRecord(s *Sim, obs *timelineObserver, makespan Time, err error) runRecord {
+func captureRecord(s *Sim, makespan Time, err error) runRecord {
 	rec := runRecord{
 		makespanBits: math.Float64bits(makespan),
-		events:       obs.events,
+		events:       timelineOf(s),
 	}
 	if err != nil {
 		rec.errText = err.Error()
@@ -391,12 +442,10 @@ func runScenarioMode(seed int64, oracle bool, build func(*rand.Rand, *Sim)) runR
 	r := rand.New(rand.NewSource(seed))
 	s := New()
 	s.rateOracle = oracle
-	obs := &timelineObserver{}
-	s.Observe(obs)
 	build(r, s)
 
 	makespan, err := s.Run()
-	return captureRecord(s, obs, makespan, err)
+	return captureRecord(s, makespan, err)
 }
 
 // runScenario executes the seed's shared-state scenario.
@@ -495,17 +544,14 @@ func TestRewindReplayBitwise(t *testing.T) {
 		for _, build := range []func(*rand.Rand, *Sim){diffScenario, diffScenarioIsolated} {
 			r := rand.New(rand.NewSource(seed))
 			s := New()
-			obs := &timelineObserver{}
-			s.Observe(obs)
 			build(r, s)
 
 			makespan, err := s.Run()
-			first := captureRecord(s, obs, makespan, err)
+			first := captureRecord(s, makespan, err)
 
 			s.rewind()
-			obs.events = nil
 			makespan, err = s.Run()
-			second := captureRecord(s, obs, makespan, err)
+			second := captureRecord(s, makespan, err)
 			diffRecords(t, seed, first, second)
 			if t.Failed() {
 				t.Fatalf("seed %d: rewind replay diverged (stopping)", seed)

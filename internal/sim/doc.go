@@ -18,10 +18,14 @@
 //     Alloc tasks complete only once capacity is available; waiters are
 //     served strictly FIFO so schedules remain deterministic.
 //
-// Work is described as a DAG of Tasks (Compute, Transfer, Alloc, Free and
-// virtual join nodes). A Transfer becomes a flow across a path of
-// Resources once its dependencies complete and its copy engine is free.
-// Run executes the DAG to completion and returns the makespan.
+// Work is described as a DAG of Tasks, built with one set of
+// constructors on Sim (Compute, Transfer, Alloc, Free and the virtual join
+// After). A Transfer becomes a flow across a path of Resources once its
+// dependencies complete and its copy engine is free. Run executes the DAG
+// to completion and returns the makespan; a Sim runs once per Reset.
+// Results are read from the finished DAG after Run: Finished lists the
+// completed tasks in (end time, task id) order, each task carries its
+// start and end times, and each resource the bytes it carried.
 //
 // All times are float64 seconds and all sizes float64 bytes. The simulator
 // is fully deterministic: ties are broken by task creation order.

@@ -58,7 +58,6 @@ func (sc fairnessScenario) rates() ([]float64, []*Resource) {
 		s.Transfer("f", nil, path, 1e12, sc.prios[i])
 	}
 	// Arm the flows without running to completion: seed ready queue.
-	s.begin()
 	for _, t := range s.tasks {
 		if t.waiting == 0 {
 			s.ready = append(s.ready, t)
@@ -162,7 +161,6 @@ func TestEqualFlowsGetEqualRates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Transfer("f", nil, Path(rc), 1e12, 0)
 	}
-	s.begin()
 	for _, task := range s.tasks {
 		if task.waiting == 0 {
 			s.ready = append(s.ready, task)

@@ -11,34 +11,10 @@ import (
 // union-find component structure it drives live in flow.go and
 // component.go.
 
-// obsEvent is one buffered observer notification. Notifications are
-// buffered in clock order and dispatched after the run, each run of
-// equal times sorted by (task id, start-before-finish): a canonical
-// order shared by the incremental scheduler and the oracle, so observed
-// timelines are mode-independent by construction rather than by
-// matching cascade orders.
-type obsEvent struct {
-	task   *Task
-	at     Time
-	finish bool
-}
-
-// begin readies the event-loop state for the current run. A fresh
-// schedule (not started, not yet prepared since the last rewind) recycles
-// leftover state and draws a fresh generation; an already-started
-// schedule keeps its in-flight flows, heaps, and event cursors intact.
-// Test harnesses call this to drive the event loop manually before Run.
-func (s *Sim) begin() {
-	if !s.started && !s.prepared {
-		s.prepare()
-		s.prepared = true
-	}
-}
-
 // prepare resets the event-loop state for a fresh run, recycling flow
-// and component structs and drawing a fresh union-find generation. Task,
-// resource, engine, and pool state is NOT touched here — that is
-// rewind's job (reset.go).
+// and component structs and drawing a fresh union-find generation; rewind
+// (reset.go) calls it after restoring task, resource, engine, and pool
+// state. A new Sim starts in the prepared state.
 func (s *Sim) prepare() {
 	for _, c := range s.dirtyComps {
 		c.dirty = false
@@ -60,7 +36,7 @@ func (s *Sim) prepare() {
 	s.flowQueue.items = s.flowQueue.items[:0]
 	s.ready = s.ready[:0]
 	s.readyHead = 0
-	s.events = s.events[:0]
+	s.finished = s.finished[:0]
 	s.ratesDirty = false
 	s.err = nil
 	s.now = 0
@@ -84,9 +60,6 @@ func (s *Sim) run() {
 		if t.state == statePending && t.waiting == 0 {
 			s.ready = append(s.ready, t)
 		}
-	}
-	if len(s.ready) > s.readyHWM {
-		s.readyHWM = len(s.ready)
 	}
 	s.drain()
 
@@ -263,7 +236,6 @@ func (s *Sim) drainOne(t *Task) {
 	switch t.kind {
 	case KindVirtual:
 		t.startAt = s.now
-		s.notifyStart(t)
 		s.complete(t)
 	case KindAlloc:
 		if t.amount > t.pool.capacity+memEpsilon {
@@ -275,7 +247,6 @@ func (s *Sim) drainOne(t *Task) {
 		}
 		if t.pool.tryAlloc(t) {
 			t.startAt = s.now
-			s.notifyStart(t)
 			s.complete(t)
 		} else {
 			t.state = stateRunning
@@ -283,7 +254,6 @@ func (s *Sim) drainOne(t *Task) {
 		}
 	case KindFree:
 		t.startAt = s.now
-		s.notifyStart(t)
 		woken, below := t.pool.release(t.amount)
 		if below > 0 {
 			s.fail(&MemAccountError{Pool: t.pool.name, Task: t.name, Freed: t.amount, Below: below})
@@ -292,7 +262,6 @@ func (s *Sim) drainOne(t *Task) {
 		s.complete(t)
 		for _, w := range woken {
 			w.startAt = s.now
-			s.notifyStart(w)
 			s.complete(w)
 		}
 	case KindCompute, KindTransfer:
@@ -315,7 +284,6 @@ func (s *Sim) startOnEngine(t *Task) {
 	if t.engine != nil {
 		t.engine.current = t
 	}
-	s.notifyStart(t)
 
 	switch t.kind {
 	case KindCompute:
@@ -397,9 +365,6 @@ func (s *Sim) beginFlow(t *Task) {
 	// iteration order for rate computation lives in the component lists.
 	f.listIdx = len(s.flows)
 	s.flows = append(s.flows, f)
-	if len(s.flows) > s.flowsHWM {
-		s.flowsHWM = len(s.flows)
-	}
 	s.flowQueue.push(f)
 	s.componentAdmit(f)
 }
@@ -441,7 +406,7 @@ func (s *Sim) complete(t *Task) {
 	t.state = stateFinished
 	t.endAt = s.now
 	s.pending--
-	s.notifyFinish(t)
+	s.finished = append(s.finished, t)
 	for _, succ := range t.succs {
 		if t.tainted {
 			// Silent corruption poisons everything downstream.
@@ -450,25 +415,10 @@ func (s *Sim) complete(t *Task) {
 		succ.waiting--
 		if succ.waiting == 0 && succ.state == statePending {
 			s.ready = append(s.ready, succ)
-			if len(s.ready) > s.readyHWM {
-				s.readyHWM = len(s.ready)
-			}
 		}
 	}
 	if t.corruptExhausted {
 		s.fail(&CorruptionError{Task: t.name, At: s.now, Attempts: 1 + t.retransmits})
-	}
-}
-
-func (s *Sim) notifyStart(t *Task) {
-	if len(s.observers) != 0 {
-		s.events = append(s.events, obsEvent{task: t, at: s.now})
-	}
-}
-
-func (s *Sim) notifyFinish(t *Task) {
-	if len(s.observers) != 0 {
-		s.events = append(s.events, obsEvent{task: t, at: s.now, finish: true})
 	}
 }
 

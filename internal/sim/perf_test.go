@@ -79,12 +79,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 const prePRConstructAllocs = 22924
 
 // TestStreamConstructLean is the construction gate in `make check-perf`:
-// building the 10k-flow synthetic topology through the streaming Builder
+// building the 10k-flow synthetic topology through the task constructors
 // must allocate at least 5x less than the pre-PR construction path did,
 // and must stay under an absolute ceiling so the slab allocators cannot
-// quietly erode. (The in-tree variadic constructors now share the slab
-// and interning wins — buildSyntheticNaive exists for the bitwise
-// equivalence test, not as the baseline here.)
+// quietly erode. The variadic dependency lists do not escape, so they
+// cost no allocation.
 func TestStreamConstructLean(t *testing.T) {
 	if os.Getenv("MOBIUS_CHECK_PERF") == "" {
 		t.Skip("set MOBIUS_CHECK_PERF=1 (or run `make check-perf`) to run the performance smoke gate")
@@ -97,7 +96,7 @@ func TestStreamConstructLean(t *testing.T) {
 			BuildSynthetic(s, spec)
 		}
 	})
-	t.Logf("stream builder: %d ns/op, %d allocs/op, %d B/op (pre-PR: %d allocs/op)",
+	t.Logf("construction: %d ns/op, %d allocs/op, %d B/op (pre-PR: %d allocs/op)",
 		stream.NsPerOp(), stream.AllocsPerOp(), stream.AllocedBytesPerOp(), int64(prePRConstructAllocs))
 
 	if stream.AllocsPerOp()*5 > prePRConstructAllocs {

@@ -4,16 +4,13 @@ package sim
 // fraction of short-run cost (experiment grids, chaos replays), so rewind
 // returns an executed simulator to its pre-Run state without rebuilding
 // anything: task states, resource/engine/pool state, and the run results
-// are cleared, while the DAG, the topology, and registered observers
-// survive. The public Reset additionally clears injected faults, making
-// the simulator ready for the next experiment cell on the same topology.
+// are cleared, while the DAG and the topology survive. The public Reset
+// additionally clears injected faults, making the simulator ready for the
+// next experiment cell on the same topology.
 
 // rewind restores every task, resource, engine, and pool to its pre-Run
-// state, keeping scheduled fault events and pre-run mutations (pool
-// capacity, engine throughput) intact. Dependencies
-// that were already finished when a task was created were never counted
-// in its waiting count; they replay that way, so DAGs built incrementally
-// across runs keep the dependency structure they were created with.
+// state and resets the event loop, keeping scheduled fault events and
+// pre-run mutations (pool capacity, engine throughput) intact.
 func (s *Sim) rewind() {
 	for _, t := range s.tasks {
 		t.state = statePending
@@ -53,13 +50,8 @@ func (s *Sim) rewind() {
 		p.peak = 0
 		p.waiters = p.waiters[:0]
 	}
-	// The event loop re-prepares on next use.
-	s.prepared = false
-	s.now = 0
+	s.prepare()
 	s.pending = len(s.tasks)
-	s.err = nil
-	s.finalErr = nil
-	s.started = false
 	s.ran = false
 	s.integrity = IntegrityStats{}
 }
@@ -68,13 +60,8 @@ func (s *Sim) rewind() {
 // topology and DAG can be executed again: rewind plus removal of every
 // injected fault — scheduled capacity and failure events, retry and
 // corruption policies, checksum configuration, engine throughput
-// overrides, and pool resizes. Observers stay registered; a run after
-// Reset replays the fault-free schedule bitwise.
-//
-// Reset also shrinks (not just truncates) pooled run buffers that grew
-// past the high-water mark observed since the previous Reset, so one
-// large run does not pin its peak memory for every later small run
-// in a grid. Buffers the last run actually filled keep their capacity —
+// overrides, and pool resizes. A run after Reset replays the fault-free
+// schedule bitwise; pooled run buffers keep their capacity, so
 // steady-state Reset+Run loops stay allocation-free.
 func (s *Sim) Reset() {
 	s.rewind()
@@ -89,40 +76,4 @@ func (s *Sim) Reset() {
 	for _, p := range s.pools {
 		p.capacity = p.baseCapacity
 	}
-	s.shrinkRetained()
-}
-
-// shrinkMinCap is the retained capacity below which Reset never shrinks:
-// small buffers are noise, and reclaiming them would just cause regrow
-// churn in steady-state loops.
-const shrinkMinCap = 4096
-
-// shrinkSlice reclaims buf's backing array when its capacity dwarfs the
-// high-water mark of the last runs (and is big enough to matter),
-// returning an empty slice sized to the mark. Otherwise it returns
-// buf[:0] with capacity intact.
-func shrinkSlice[T any](buf []T, hwm int) []T {
-	if cap(buf) <= shrinkMinCap || cap(buf) <= 2*hwm {
-		return buf[:0]
-	}
-	if hwm == 0 {
-		return nil
-	}
-	return make([]T, 0, hwm)
-}
-
-// shrinkRetained releases oversized pooled run buffers, then rearms the
-// high-water marks for the next Reset window.
-func (s *Sim) shrinkRetained() {
-	s.events = shrinkSlice(s.events, s.eventsHWM)
-	s.ready = shrinkSlice(s.ready, s.readyHWM)
-	if n := len(s.flowPool); n > shrinkMinCap && n > 2*s.flowsHWM {
-		// The pool is a stack of recycled flow structs (len == available);
-		// drop the excess so the GC can take the slab chunks behind them.
-		keep := s.flowsHWM
-		np := make([]*flow, keep)
-		copy(np, s.flowPool[:keep])
-		s.flowPool = np
-	}
-	s.eventsHWM, s.flowsHWM, s.readyHWM = 0, 0, 0
 }

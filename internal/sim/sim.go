@@ -2,27 +2,11 @@ package sim
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 )
-
-// Observer receives task lifecycle notifications. The trace package
-// implements Observer to collect bandwidth statistics and timelines.
-//
-// Notifications are buffered during Run and dispatched when it returns,
-// sorted by (time, task id, start-before-finish). The order is canonical
-// across scheduler modes: the incremental scheduler and the test oracle
-// deliver the same sequence for the same DAG. The clock never goes back,
-// so the buffer is already in time order and only each run of equal
-// times is sorted, by (task id, start-before-finish).
-type Observer interface {
-	// TaskStarted fires when a task begins running (a compute occupies its
-	// engine, a transfer's flow is admitted, an alloc succeeds).
-	TaskStarted(t *Task, at Time)
-	// TaskFinished fires when a task completes.
-	TaskFinished(t *Task, at Time)
-}
 
 // Sim owns the simulated hardware (resources, engines, pools) and the work
 // DAG, and executes the DAG to completion. The event loop lives in
@@ -32,7 +16,9 @@ type Sim struct {
 	pending int
 	tasks   []*Task
 
-	observers []Observer
+	// finished lists the tasks of the current run in completion order;
+	// Run sorts each run of equal end times by task id (see Finished).
+	finished []*Task
 
 	resources []*Resource
 	engines   []*Engine
@@ -74,16 +60,8 @@ type Sim struct {
 	failEvents []failEvent
 	nextFail   int
 
-	// started records that a Run consumed builder-time state: tasks added
-	// after a Run continue the existing schedule, whose in-flight
-	// event-loop state is kept. prepared records that the event-loop
-	// state was reset for the current run (see begin).
-	started  bool
-	prepared bool
-	// ran short-circuits repeated Run calls: the DAG is executed once and
-	// (now, finalErr) replayed until new tasks arrive or Reset is called.
-	ran      bool
-	finalErr error
+	// ran records that Run executed the DAG since the last Reset.
+	ran bool
 
 	// err is the first structured failure of the last run (invariant
 	// checks distinguish halted from completed runs by it).
@@ -123,15 +101,6 @@ type Sim struct {
 	flowPool       []*flow
 	flowSlab       []flow
 
-	events []obsEvent // buffered observer notifications
-
-	// High-water marks since the last public Reset. Reset uses them to
-	// shrink pooled buffers a larger earlier run left pinned (reset.go);
-	// they cost one comparison at each growth site.
-	eventsHWM int
-	flowsHWM  int
-	readyHWM  int
-
 	// Arenas DAG construction carves from: Task structs, successor-edge
 	// slices, and the hardware registry (resources, engines, pools) all
 	// come from chunked slabs instead of one allocation per object;
@@ -144,14 +113,12 @@ type Sim struct {
 	pathCache map[pathKey][]PathElem
 }
 
-// New creates an empty simulator.
-func New() *Sim { return &Sim{} }
+// New creates an empty simulator. Its union-find generation starts at 1,
+// so the zero generation of a fresh Resource never reads as current.
+func New() *Sim { return &Sim{ufGen: 1} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
-
-// Observe registers an observer for task lifecycle events.
-func (s *Sim) Observe(o Observer) { s.observers = append(s.observers, o) }
 
 // NewResource adds a bandwidth-shared resource with the given capacity in
 // bytes per second.
@@ -243,16 +210,12 @@ func (s *Sim) newTask(name string, kind TaskKind, deps []*Task) *Task {
 		if d == nil {
 			continue
 		}
-		if d.state == stateFinished {
-			continue
-		}
 		s.appendSucc(d, t)
 		t.waiting++
 	}
 	t.initWaiting = t.waiting
 	s.tasks = append(s.tasks, t)
 	s.pending++
-	s.ran = false
 	return t
 }
 
@@ -300,135 +263,60 @@ func (s *Sim) After(name string, deps ...*Task) *Task {
 	return s.newTask(name, KindVirtual, deps)
 }
 
+// errRunTwice is Run's answer to a second call without Reset.
+var errRunTwice = errors.New("sim: Run called twice without Reset")
+
 // Run executes the DAG to completion and returns the makespan. It returns
 // an error when the DAG deadlocks (tasks remain but no event can fire) or
 // when a structured failure occurs: an Alloc larger than its pool's total
 // capacity yields an *OOMError, a Free returning more bytes than are
 // allocated yields a *MemAccountError.
 //
-// Calling Run again without changing the DAG replays the recorded result;
-// tasks added after a Run continue the existing schedule.
+// A Sim runs once per Reset: a second Run without Reset returns an error
+// and leaves the finished run untouched. After Run, the run's results are
+// read from its tasks (Finished, Task.Start, Task.End) and resources.
 func (s *Sim) Run() (Time, error) {
-	if !s.ran {
-		s.execute()
-		s.dispatchEvents()
+	if s.ran {
+		return s.now, errRunTwice
 	}
-	return s.now, s.finalErr
-}
-
-// execute is Run up to the observer dispatch: it runs the event loop and
-// records the outcome, leaving the run's notifications in s.events.
-func (s *Sim) execute() {
+	s.ran = true
 	sortCapEvents(s.capEvents)
 	sortFailEvents(s.failEvents)
-	s.begin()
-	// Test harnesses drain tasks through the event loop directly before
-	// Run; recount so pending matches actual task state.
-	pending := 0
-	for _, t := range s.tasks {
-		if t.state != stateFinished {
-			pending++
-		}
-	}
-	s.pending = pending
-	if len(s.observers) != 0 {
-		// Each pending task starts and finishes at most once more.
-		s.events = slices.Grow(s.events, 2*pending)
-	}
+	// Each pending task finishes at most once.
+	s.finished = slices.Grow(s.finished, s.pending)
 	s.run()
-
-	s.started = true
-	s.ran = true
+	sortFinished(s.finished)
+	s.finalizeIntegrity()
 	switch {
 	case s.err != nil:
-		s.finalErr = s.err
+		return s.now, s.err
 	case s.pending > 0:
-		s.finalErr = s.deadlockError()
-	default:
-		s.finalErr = nil
+		return s.now, s.deadlockError()
 	}
-	s.finalizeIntegrity()
+	return s.now, nil
 }
 
-// dispatchEvents delivers the run's buffered observer notifications in
-// the canonical (time, task id, start-before-finish) order. Keys are
-// strictly unique — a task starts and finishes at most once — so the
-// comparison is a total order.
-//
-// The clock never goes back, so the buffer is already in time order:
-// only each run of equal times is sorted, by (task id, start before
-// finish). A buffer that is not in time order (it cannot happen, but it
-// is checked, not assumed) is sorted whole by the full comparison.
-func (s *Sim) dispatchEvents() {
-	if len(s.observers) == 0 {
-		return
-	}
-	evs := s.events
-	if len(evs) > s.eventsHWM {
-		s.eventsHWM = len(evs)
-	}
-	sortEvents(evs)
-	for _, ev := range evs {
-		if ev.finish {
-			for _, o := range s.observers {
-				o.TaskFinished(ev.task, ev.at)
-			}
-		} else {
-			for _, o := range s.observers {
-				o.TaskStarted(ev.task, ev.at)
-			}
-		}
-	}
-	for i := range evs {
-		evs[i] = obsEvent{}
-	}
-	s.events = evs[:0]
-}
+// Finished returns the tasks the last Run completed, ordered by (end
+// time, task id): a canonical order shared by the incremental scheduler
+// and the test oracle. A halted or deadlocked run lists only the tasks
+// that finished before it stopped. The slice is the simulator's own and
+// is reused by the next run after Reset.
+func (s *Sim) Finished() []*Task { return s.finished }
 
-// sortEvents puts a run's buffered notifications in the canonical order.
-func sortEvents(evs []obsEvent) {
+// sortFinished puts a run's completions in (end time, task id) order.
+// Tasks complete in clock order and the clock never goes back, so only
+// each run of equal end times needs sorting.
+func sortFinished(ts []*Task) {
 	lo := 0
-	for i := 1; i <= len(evs); i++ {
-		if i < len(evs) {
-			if evs[i].at == evs[lo].at {
-				continue
-			}
-			if !(evs[i-1].at <= evs[i].at) {
-				slices.SortFunc(evs, compareEvents)
-				return
-			}
+	for i := 1; i <= len(ts); i++ {
+		if i < len(ts) && ts[i].endAt == ts[lo].endAt {
+			continue
 		}
 		if i-lo > 1 {
-			slices.SortFunc(evs[lo:i], compareEventsAtSameTime)
+			slices.SortFunc(ts[lo:i], func(a, b *Task) int { return cmp.Compare(a.id, b.id) })
 		}
 		lo = i
 	}
-}
-
-// compareEvents is the canonical order: time, then task id, then start
-// before finish.
-func compareEvents(a, b obsEvent) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	}
-	return compareEventsAtSameTime(a, b)
-}
-
-// compareEventsAtSameTime is the canonical order within one time.
-func compareEventsAtSameTime(a, b obsEvent) int {
-	if a.task.id != b.task.id {
-		return cmp.Compare(a.task.id, b.task.id)
-	}
-	switch {
-	case a.finish == b.finish:
-		return 0
-	case b.finish:
-		return -1
-	}
-	return 1
 }
 
 // timeEpsilon groups events that complete within a femtosecond of each

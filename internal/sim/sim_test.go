@@ -340,9 +340,8 @@ func TestVirtualJoin(t *testing.T) {
 }
 
 func TestDependencyOnFinishedTask(t *testing.T) {
-	// Dependencies registered on already-finished tasks (possible when a
-	// DAG is built incrementally) must not block successors. Here all deps
-	// are wired before Run, so this exercises the nil/finished-dep path.
+	// A nil dependency is ignored: it neither blocks the task nor gains
+	// a successor.
 	s := New()
 	e := s.NewEngine("e")
 	a := s.Compute("a", e, 1)
@@ -355,30 +354,31 @@ func TestDependencyOnFinishedTask(t *testing.T) {
 	almost(t, end, 2, 1e-9, "makespan")
 }
 
-type recordingObserver struct {
-	started  []string
-	finished []string
-}
-
-func (r *recordingObserver) TaskStarted(t *Task, at Time)  { r.started = append(r.started, t.Name()) }
-func (r *recordingObserver) TaskFinished(t *Task, at Time) { r.finished = append(r.finished, t.Name()) }
-
-func TestObserverSeesLifecycle(t *testing.T) {
+// TestFinishedSeesLifecycle reads a run back from its finished tasks, and
+// pins the run-once contract: a second Run without Reset is an error that
+// leaves the result alone, and Reset makes the DAG runnable again.
+func TestFinishedSeesLifecycle(t *testing.T) {
 	s := New()
-	obs := &recordingObserver{}
-	s.Observe(obs)
 	e := s.NewEngine("e")
 	link := s.NewResource("link", 1e9)
 	a := s.Compute("a", e, 1)
-	s.Transfer("t", nil, Path(link), 1e9, 0, a)
-	if _, err := s.Run(); err != nil {
+	tr := s.Transfer("t", nil, Path(link), 1e9, 0, a)
+	end, err := s.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(obs.started) != 2 || len(obs.finished) != 2 {
-		t.Fatalf("observer missed events: started=%v finished=%v", obs.started, obs.finished)
+	fin := s.Finished()
+	if len(fin) != 2 || fin[0] != a || fin[1] != tr {
+		t.Fatalf("finished tasks: %v", fin)
 	}
-	if obs.finished[0] != "a" || obs.finished[1] != "t" {
-		t.Fatalf("unexpected finish order: %v", obs.finished)
+	almost(t, tr.Start(), 1, 1e-9, "transfer starts after compute")
+	almost(t, tr.End(), 2, 1e-9, "transfer end")
+	if again, err := s.Run(); err == nil || again != end || len(s.Finished()) != 2 {
+		t.Fatalf("second Run without Reset: end %g, err %v, %d finished", again, err, len(s.Finished()))
+	}
+	s.Reset()
+	if again, err := s.Run(); err != nil || again != end || len(s.Finished()) != 2 {
+		t.Fatalf("Run after Reset: end %g, err %v, %d finished", again, err, len(s.Finished()))
 	}
 }
 

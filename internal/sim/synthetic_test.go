@@ -1,9 +1,8 @@
 package sim
 
 // Synthetic scale topologies: parameterized islands of contending
-// transfer chains, built through the streaming Builder. They feed the
-// Builder equivalence and Reset shrink tests (scale_test.go) and the
-// construction-allocation gate (perf_test.go).
+// transfer chains. They feed the construction-allocation gate
+// (perf_test.go).
 //
 // An island is one root-complex resource, a few links, and one engine;
 // its streams are chains of transfers (each hop depends on the previous)
@@ -76,7 +75,6 @@ func synthDur(island, st int) Time {
 // the identical DAG.
 func BuildSynthetic(s *Sim, spec SyntheticSpec) int {
 	sp := spec.withDefaults()
-	b := s.NewBuilder()
 	var linkScratch []*Resource
 	total, island := 0, 0
 
@@ -92,10 +90,9 @@ func BuildSynthetic(s *Sim, spec SyntheticSpec) int {
 		eng := s.NewEngine("eng")
 		emitted := 0
 		for st := 0; st < streams && emitted < flowsCap; st++ {
-			prev := b.Compute("hd", eng, synthDur(island, st))
+			prev := s.Compute("hd", eng, synthDur(island, st))
 			for k := 0; k < sp.Chain && emitted < flowsCap; k++ {
-				b.Dep(prev)
-				prev = b.Transfer("fl", nil, s.Path(links[st%len(links)], rc), synthBytes(island, st, k), st%4)
+				prev = s.Transfer("fl", nil, s.Path(links[st%len(links)], rc), synthBytes(island, st, k), st%4, prev)
 				emitted++
 			}
 		}

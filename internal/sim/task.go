@@ -70,8 +70,7 @@ type Task struct {
 
 	// Dependency bookkeeping. initWaiting is the dependency count at
 	// creation; rewind/Reset restore waiting from it when re-running a
-	// reused DAG (deps that were already finished at creation never
-	// counted, so the value stays consistent across reruns).
+	// reused DAG.
 	waiting     int
 	initWaiting int
 	succs       []*Task
@@ -95,7 +94,9 @@ type Task struct {
 	silentCorrupt    bool // accepted a corrupted payload (checksums off)
 	checksumCharged  bool // paid the per-attempt checksum latency
 
-	// Tag carries caller metadata through to observers.
+	// Tag carries caller metadata. It is read back from the finished
+	// tasks after Run (Sim.Finished); the trace package records the tasks
+	// tagged with a trace.Tag.
 	Tag any
 }
 

@@ -1,7 +1,9 @@
 // Package trace collects execution metrics from simulator runs: per-flow
 // achieved bandwidth (the CDFs of Figures 2, 7, 11 and 16), communication
 // traffic accounting (Figure 6), and compute/communication overlap
-// analysis (the non-overlapped communication time of Figure 8).
+// analysis (the non-overlapped communication time of Figure 8). Every
+// metric aggregates what one run leaves behind, so a Recorder reads the
+// run's finished tasks once Sim.Run returns.
 package trace
 
 import (
@@ -82,19 +84,21 @@ type ComputeRecord struct {
 	Start, End float64
 }
 
-// Recorder implements sim.Observer, collecting flow and compute records
-// for tasks tagged with a trace.Tag. Untagged tasks are ignored.
+// Recorder holds the flow and compute records of one run's tasks tagged
+// with a trace.Tag, in the run's (end time, task id) completion order.
+// Untagged tasks are ignored.
 type Recorder struct {
 	Flows    []FlowRecord
 	Computes []ComputeRecord
 }
 
-// NewRecorder returns an empty recorder; register it with sim.Observe.
+// NewRecorder returns an empty recorder; fill it with Record after
+// sim.Run.
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Reset clears the collected records, keeping the backing arrays, so a
-// recorder can stay registered across sim.Reset replays of the same
-// schedule without accumulating stale records.
+// recorder can be reused across sim.Reset replays of the same schedule
+// without accumulating stale records.
 func (r *Recorder) Reset() {
 	r.Flows = r.Flows[:0]
 	r.Computes = r.Computes[:0]
@@ -108,22 +112,24 @@ func (r *Recorder) Grow(flows, computes int) {
 	r.Computes = slices.Grow(r.Computes, computes)
 }
 
-// TaskStarted implements sim.Observer.
-func (r *Recorder) TaskStarted(t *sim.Task, at float64) {}
-
-// TaskFinished implements sim.Observer.
-func (r *Recorder) TaskFinished(t *sim.Task, at float64) {
-	tag, ok := t.Tag.(Tag)
-	if !ok {
-		return
-	}
-	switch t.Kind() {
-	case sim.KindTransfer:
-		if t.Bytes() > 0 {
-			r.Flows = append(r.Flows, FlowRecord{Tag: tag, Start: t.Start(), End: t.End(), Bytes: t.Bytes()})
+// Record appends the records of a run's finished tasks, in the order
+// given: pass sim.Sim.Finished after Run, on every path — a halted or
+// deadlocked run records the tasks that finished before it stopped.
+// Transfers with payload become flow records, computes compute records.
+func (r *Recorder) Record(finished []*sim.Task) {
+	for _, t := range finished {
+		tag, ok := t.Tag.(Tag)
+		if !ok {
+			continue
 		}
-	case sim.KindCompute:
-		r.Computes = append(r.Computes, ComputeRecord{Tag: tag, Start: t.Start(), End: t.End()})
+		switch t.Kind() {
+		case sim.KindTransfer:
+			if t.Bytes() > 0 {
+				r.Flows = append(r.Flows, FlowRecord{Tag: tag, Start: t.Start(), End: t.End(), Bytes: t.Bytes()})
+			}
+		case sim.KindCompute:
+			r.Computes = append(r.Computes, ComputeRecord{Tag: tag, Start: t.Start(), End: t.End()})
+		}
 	}
 }
 

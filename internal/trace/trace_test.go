@@ -13,8 +13,6 @@ import (
 
 func TestRecorderCapturesTaggedTasks(t *testing.T) {
 	s := sim.New()
-	rec := NewRecorder()
-	s.Observe(rec)
 	e := s.NewEngine("gpu0")
 	link := s.NewResource("link", 10e9)
 
@@ -27,6 +25,8 @@ func TestRecorderCapturesTaggedTasks(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	rec := NewRecorder()
+	rec.Record(s.Finished())
 	if len(rec.Computes) != 1 {
 		t.Fatalf("computes: %d", len(rec.Computes))
 	}

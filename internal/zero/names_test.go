@@ -64,21 +64,21 @@ func sprintfNames(p *profile.Profile, N, look int, reduceScatter bool) []string 
 	return names
 }
 
-// nameLog records every finished task's name at its id.
-type nameLog struct{ names []string }
-
-func (n *nameLog) TaskStarted(*sim.Task, sim.Time) {}
-
-func (n *nameLog) TaskFinished(t *sim.Task, _ sim.Time) {
-	for len(n.names) <= t.ID() {
-		n.names = append(n.names, "")
+// finishedNames lists every finished task's name at its id.
+func finishedNames(s *sim.Sim) []string {
+	var names []string
+	for _, t := range s.Finished() {
+		for len(names) <= t.ID() {
+			names = append(names, "")
+		}
+		names[t.ID()] = t.Name()
 	}
-	n.names[t.ID()] = t.Name()
+	return names
 }
 
-// TestRunNamesMatchSprintf replays Run's DAG and requires every task
-// name, in creation order, to equal the fmt.Sprintf format, on a
-// commodity 2+2 and 4+4 server and on a P2P server (the reduce-scatter
+// TestRunNamesMatchSprintf reads the tasks Run finished and requires
+// every task name, in creation order, to equal the fmt.Sprintf format, on
+// a commodity 2+2 and 4+4 server and on a P2P server (the reduce-scatter
 // branch). RunInfinityNVMe on the same servers with an SSD must emit
 // Run's names in Run's order, less the reduce-scatter, which only the
 // DRAM tier takes.
@@ -108,19 +108,14 @@ func TestRunNamesMatchSprintf(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			log := &nameLog{}
 			s := res.Server.Sim
-			s.Observe(log)
-			s.Reset()
-			if _, err := s.Run(); err != nil {
-				t.Fatalf("%s: replay: %v", label, err)
-			}
-			if len(log.names) != len(r.want) || s.NumTasks() != len(r.want) {
-				t.Fatalf("%s: %d tasks (%d finished), Sprintf reference has %d", label, s.NumTasks(), len(log.names), len(r.want))
+			names := finishedNames(s)
+			if len(names) != len(r.want) || s.NumTasks() != len(r.want) {
+				t.Fatalf("%s: %d tasks (%d finished), Sprintf reference has %d", label, s.NumTasks(), len(names), len(r.want))
 			}
 			for id := range r.want {
-				if log.names[id] != r.want[id] {
-					t.Fatalf("%s: task %d is named %q, Sprintf gives %q", label, id, log.names[id], r.want[id])
+				if names[id] != r.want[id] {
+					t.Fatalf("%s: task %d is named %q, Sprintf gives %q", label, id, names[id], r.want[id])
 				}
 			}
 		}

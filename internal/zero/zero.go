@@ -199,8 +199,8 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint, system, schedule 
 	return finish(srv, res, schedule)
 }
 
-// newStep checks cfg and builds the server one step runs on, with a
-// trace recorder observing it.
+// newStep checks cfg and builds the server one step runs on, with an
+// empty trace recorder that finish fills from the run's finished tasks.
 func newStep(topo *hw.Topology, cfg Config, system string) (*hw.Server, *pipeline.Result, error) {
 	if cfg.Profile == nil {
 		return nil, nil, errNoProfile
@@ -209,18 +209,17 @@ func newStep(topo *hw.Topology, cfg Config, system string) (*hw.Server, *pipelin
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := trace.NewRecorder()
-	srv.Sim.Observe(rec)
-	return srv, &pipeline.Result{System: system, Recorder: rec, Server: srv}, nil
+	return srv, &pipeline.Result{System: system, Recorder: trace.NewRecorder(), Server: srv}, nil
 }
 
-// finish simulates the schedule built on srv into res; schedule names it
-// in errors.
+// finish simulates the schedule built on srv and records its finished
+// tasks into res; schedule names it in errors.
 func finish(srv *hw.Server, res *pipeline.Result, schedule string) (*pipeline.Result, error) {
 	if err := srv.RouteErr(); err != nil {
 		return nil, fmt.Errorf("zero: %s: %w", schedule, err)
 	}
 	end, err := srv.Sim.Run()
+	res.Recorder.Record(srv.Sim.Finished())
 	if err != nil {
 		return nil, fmt.Errorf("zero: %s: %w", schedule, err)
 	}
