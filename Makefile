@@ -17,22 +17,23 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# check-lp is the LP gate: internal/lp vetted for arm64, so the pure-Go
-# fallback of the amd64 column-update kernel always compiles (plain vet's
-# asmdecl check covers the assembly), the lp and milp suites uncached,
-# then the dense-oracle differential over every LP a serial cold plan
+# check-lp is the LP gate: internal/lp vetted for arm64, where the Go
+# loop is the only column update (plain vet's asmdecl check covers the
+# amd64 assembly), the lp and milp suites uncached, then the
+# dense-oracle differential over every LP a serial cold plan
 # solves for each Table 3 model on Topo 2+2, 1+3 and 4+4 (the oracle runs
 # without the presolve and the breakdown guard: a checked solve's pivots
 # must be a prefix of the oracle's, a guard stop must be on an LP the
 # oracle does not solve to optimality, a presolve rejection on one it
 # calls infeasible, and every other solve must match its status and
 # X/objective float bits), then the twelve cold-plan fingerprints against
-# internal/lp/testdata/plans.golden. On a 2-vCPU host it takes about 3
-# minutes if the 3 s-limited 3B on 4+4 search stops before its two node
-# LPs that break down, and about 12 if it reaches them: the guard stops
-# each after 2,000-2,700 pivots, but unchecked the dense tableau pivots
-# both on to the iteration limit (263,200 pivots, about 9 minutes side
-# by side).
+# internal/lp/testdata/plans.golden and the search effort behind them
+# against internal/lp/testdata/effort.golden. On a 2-vCPU host it takes
+# about 3 minutes if the 3 s-limited 3B on 4+4 search stops before its
+# two node LPs that break down, and about 14 if it reaches them, as it
+# does with the AVX2 column update: the guard stops each after
+# 2,000-2,700 pivots, but unchecked the dense tableau pivots both on to
+# the iteration limit (263,200 pivots, about 10 minutes side by side).
 check-lp:
 	GOARCH=arm64 $(GO) vet ./internal/lp/
 	$(GO) test -count=1 ./internal/lp/ ./internal/milp/
@@ -147,14 +148,14 @@ check-bench:
 check: build vet race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench
 
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ ./internal/lp/
 
-# bench-json regenerates BENCH_sim.json: the simulator, mapping, and
-# partition benchmarks parsed into a diffable JSON document (see
-# cmd/bench2json). Run on an idle machine; EXPERIMENTS.md documents the
-# methodology and the recorded pre-optimization baselines.
+# bench-json regenerates BENCH_sim.json: the simulator, mapping,
+# partition and LP column-update benchmarks parsed into a diffable JSON
+# document (see cmd/bench2json). Run on an idle machine; EXPERIMENTS.md
+# documents the methodology and the recorded pre-optimization baselines.
 bench-json:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ | $(GO) run ./cmd/bench2json -o BENCH_sim.json
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ ./internal/lp/ | $(GO) run ./cmd/bench2json -o BENCH_sim.json
 
 # bench-plan-json regenerates BENCH_plan.json: the planning-service
 # latency benchmarks (cache hit, key derivation, greedy floor) plus the

@@ -1,56 +1,71 @@
 #include "textflag.h"
 
-// func axpyNeg(y, x []float64, p float64)
-TEXT ·axpyNeg(SB), NOSPLIT, $0-56
-	MOVQ  y_base+0(FP), DI
-	MOVQ  y_len+8(FP), CX
-	MOVQ  x_base+24(FP), SI
-	MOVSD p+48(FP), X0
-	UNPCKLPD X0, X0       // X0 = [p, p]
-	CMPQ  CX, $8
-	JLT   tail
+// func axpyNegAVX2(y, x []float64, p float64)
+TEXT ·axpyNegAVX2(SB), NOSPLIT, $0-56
+	MOVQ         y_base+0(FP), DI
+	MOVQ         y_len+8(FP), CX
+	MOVQ         x_base+24(FP), SI
+	VBROADCASTSD p+48(FP), Y0 // Y0 = [p, p, p, p]
+	CMPQ         CX, $16
+	JLT          tail
 
-body:                     // eight elements per iteration, unaligned
-	MOVUPD (SI), X1
-	MOVUPD 16(SI), X2
-	MOVUPD 32(SI), X5
-	MOVUPD 48(SI), X6
-	MULPD  X0, X1
-	MULPD  X0, X2
-	MULPD  X0, X5
-	MULPD  X0, X6
-	MOVUPD (DI), X3
-	MOVUPD 16(DI), X4
-	MOVUPD 32(DI), X7
-	MOVUPD 48(DI), X8
-	SUBPD  X1, X3
-	SUBPD  X2, X4
-	SUBPD  X5, X7
-	SUBPD  X6, X8
-	MOVUPD X3, (DI)
-	MOVUPD X4, 16(DI)
-	MOVUPD X7, 32(DI)
-	MOVUPD X8, 48(DI)
-	ADDQ   $64, SI
-	ADDQ   $64, DI
-	SUBQ   $8, CX
-	CMPQ   CX, $8
-	JGE    body
+body:                             // sixteen elements per iteration, unaligned
+	VMULPD  (SI), Y0, Y1          // Y1 = x*p, rounded
+	VMULPD  32(SI), Y0, Y2
+	VMULPD  64(SI), Y0, Y3
+	VMULPD  96(SI), Y0, Y4
+	VMOVUPD (DI), Y5
+	VMOVUPD 32(DI), Y6
+	VMOVUPD 64(DI), Y7
+	VMOVUPD 96(DI), Y8
+	VSUBPD  Y1, Y5, Y5            // Y5 = y - x*p, rounded
+	VSUBPD  Y2, Y6, Y6
+	VSUBPD  Y3, Y7, Y7
+	VSUBPD  Y4, Y8, Y8
+	VMOVUPD Y5, (DI)
+	VMOVUPD Y6, 32(DI)
+	VMOVUPD Y7, 64(DI)
+	VMOVUPD Y8, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     body
 
 tail:
 	TESTQ CX, CX
 	JEQ   done
 
 scalar:
-	MOVSD (SI), X1
-	MULSD X0, X1
-	MOVSD (DI), X3
-	SUBSD X1, X3
-	MOVSD X3, (DI)
-	ADDQ  $8, SI
-	ADDQ  $8, DI
-	DECQ  CX
-	JNZ   scalar
+	VMOVSD (SI), X1
+	VMULSD X0, X1, X1
+	VMOVSD (DI), X5
+	VSUBSD X1, X5, X5
+	VMOVSD X5, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    scalar
 
 done:
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
 	RET

@@ -25,7 +25,7 @@ const (
 	guarded
 )
 
-// againstOracle solves p as Solve does and with the oracle (the dense
+// againstOracle solves p with kernel k and with the oracle (the dense
 // kernel, presolve and breakdown guard off) and reports the check that
 // decided the solve, with both outcomes when one did, or the first way
 // the two disagree. The solve's pivots must be a prefix of the oracle's.
@@ -33,12 +33,12 @@ const (
 // a presolve rejection, with no pivot, on one the oracle calls
 // infeasible. Otherwise the two must be the same solve: pivot sequence,
 // status, effort counters, and the float bits of X and the objective.
-func againstOracle(p *lp.Problem) (check, string, error) {
-	sol, trace, err := lp.SolveTraced(p, false)
+func againstOracle(p *lp.Problem, k lp.Kernel) (check, string, error) {
+	sol, trace, err := lp.SolveTraced(p, k)
 	if err != nil {
 		return noCheck, "", err
 	}
-	ora, oTrace, err := lp.SolveTraced(p, true)
+	ora, oTrace, err := lp.SolveTraced(p, lp.Oracle)
 	if err != nil {
 		return noCheck, "", err
 	}
@@ -164,16 +164,26 @@ func randomLP(r *rand.Rand) *lp.Problem {
 }
 
 // TestSparseKernelMatchesDenseOracleRandom holds the solver to the dense
-// oracle on random LPs, and checks the random suite reaches every
+// oracle on random LPs, once with the column update package init chose
+// and once with the Go loop, and checks the random suite reaches every
 // outcome the partition LPs can.
 func TestSparseKernelMatchesDenseOracleRandom(t *testing.T) {
+	for _, k := range []struct {
+		name   string
+		kernel lp.Kernel
+	}{{"dispatched", lp.Dispatched}, {"go", lp.GoLoop}} {
+		t.Run(k.name, func(t *testing.T) { matchesOracleRandom(t, k.kernel) })
+	}
+}
+
+func matchesOracleRandom(t *testing.T, kernel lp.Kernel) {
 	r := rand.New(rand.NewSource(13))
 	seen := map[lp.Status]int{}
 	caught := map[check]int{}
 	bothPhases := 0
 	for k := 0; k < 2000; k++ {
 		p := randomLP(r)
-		c, _, err := againstOracle(p)
+		c, _, err := againstOracle(p, kernel)
 		if err != nil {
 			t.Fatalf("LP %d: %v", k, err)
 		}
@@ -260,7 +270,7 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for k := range next {
-						caught[k], outcomes[k], errs[k] = againstOracle(probs[k])
+						caught[k], outcomes[k], errs[k] = againstOracle(probs[k], lp.Dispatched)
 					}
 				}()
 			}

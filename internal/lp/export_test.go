@@ -57,13 +57,29 @@ func densePivot(t *tableau, r, c int) {
 // Pivot is one simplex pivot: the entering column and the leaving row.
 type Pivot struct{ Enter, Leave int }
 
-// SolveTraced solves p as Solve does, or, when oracle is set, with the
-// dense kernel and without the presolve and the breakdown guard, and
-// returns every pivot in order.
-func SolveTraced(p *Problem, oracle bool) (*Solution, []Pivot, error) {
+// Kernel names the pivot kernel SolveTraced runs.
+type Kernel int
+
+const (
+	// Dispatched is the sparse kernel as Solve runs it, with the column
+	// update package init chose from CPUID.
+	Dispatched Kernel = iota
+	// GoLoop is the sparse kernel with the column update forced to the
+	// Go loop axpyNegGo.
+	GoLoop
+	// Oracle is the dense kernel, without the presolve and the breakdown
+	// guard.
+	Oracle
+)
+
+// SolveTraced solves p with kernel k and returns every pivot in order.
+func SolveTraced(p *Problem, k Kernel) (*Solution, []Pivot, error) {
 	var trace []Pivot
 	sc := &Scratch{observe: func(r, c int) { trace = append(trace, Pivot{Enter: c, Leave: r}) }}
-	if oracle {
+	switch k {
+	case GoLoop:
+		sc.axpy = axpyNegGo
+	case Oracle:
 		sc.dense = densePivot
 		sc.unchecked = true
 	}

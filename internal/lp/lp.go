@@ -15,16 +15,20 @@
 // are shifted out; every finite upper bound becomes an explicit row. The
 // tableau is stored densely and column-major, so each column is one
 // contiguous vector. A pivot updates only the nonzero columns of its
-// scaled pivot row, each as col_j -= f*p_j with f the pivot column, in an
-// SSE2 kernel on amd64 (MULPD then SUBPD, no FMA) and a Go loop
-// elsewhere; the artificial columns are dropped once phase 1 ends. Every
+// scaled pivot row, each as col_j -= f*p_j with f the pivot column: in
+// an AVX2 kernel (VMULPD then VSUBPD, no FMA) on amd64 hosts where CPUID
+// reports AVX2, chosen once at package init, and in a Go loop everywhere
+// else. The artificial columns are dropped once phase 1 ends. Every
 // updated entry gets the textbook kernel's one rounded multiply and one
 // rounded subtract of the same operands (multiplication commutes), and
 // an entry the textbook kernel skips or leaves out can differ only in
-// the sign of a zero, which no comparison reads. So neither the layout
-// nor the kernel changes the sequence of pivots or the float bits of any
-// result; the dense textbook kernel is kept as a test-only oracle that
-// holds them to it.
+// the sign of a zero, which no comparison reads. The pass that scales the
+// pivot row skips the basic columns other than the leaving one: each is
+// an exact unit vector with its one in another row, so its entry there
+// is a zero that scaling could change only in sign. So neither the
+// layout nor the kernel changes the sequence of pivots or the float bits
+// of any result; the dense textbook kernel is kept as a test-only oracle
+// that holds them to it.
 //
 // Two checks stop solves whose outcome is already decided, without
 // changing any pivot before they fire. A row whose activity range over
@@ -246,6 +250,7 @@ type Scratch struct {
 	a     []float64
 	obj   []float64
 	basis []int
+	basic []bool
 	nz    []int
 	rows  []rowSpec
 	terms []Term
@@ -253,9 +258,11 @@ type Scratch struct {
 	// Test hooks (export_test.go): observe sees every pivot as (row,
 	// column) before it is applied; dense replaces the sparse kernel and
 	// the artificial-column compaction with the retained dense oracle;
-	// unchecked turns off the presolve and the breakdown guard.
+	// axpy replaces the sparse kernel's column update axpyNeg; unchecked
+	// turns off the presolve and the breakdown guard.
 	observe   func(r, c int)
 	dense     func(t *tableau, r, c int)
+	axpy      func(y, x []float64, p float64)
 	unchecked bool
 }
 

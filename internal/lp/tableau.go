@@ -21,6 +21,7 @@ type tableau struct {
 	a     []float64 // m x (total+1), column-major: a[c*m+r]
 	obj   []float64 // total+1: reduced costs, last = -objValue
 	basis []int     // basic variable per row
+	basic []bool    // whether each column is basic (the RHS never is)
 	nz    []int     // nonzero columns of the current pivot row
 
 	iter    int
@@ -30,6 +31,7 @@ type tableau struct {
 	abort   func() bool
 	observe func(r, c int)
 	dense   func(t *tableau, r, c int)
+	axpy    func(y, x []float64, p float64)
 	guard   bool // stop with Numerical on a basic value below -feasTol
 }
 
@@ -70,6 +72,15 @@ func growInts(s []int, n int) []int {
 	for i := range s {
 		s[i] = 0
 	}
+	return s
+}
+
+func growBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	clear(s)
 	return s
 }
 
@@ -150,6 +161,7 @@ func newTableau(p *Problem, sc *Scratch) *tableau {
 	sc.a = growFloats(sc.a, m*(total+1))
 	sc.obj = growFloats(sc.obj, total+1)
 	sc.basis = growInts(sc.basis, m)
+	sc.basic = growBools(sc.basic, total+1)
 	t := &tableau{
 		p:       p,
 		m:       m,
@@ -160,12 +172,17 @@ func newTableau(p *Problem, sc *Scratch) *tableau {
 		a:       sc.a,
 		obj:     sc.obj,
 		basis:   sc.basis,
+		basic:   sc.basic,
 		nz:      sc.nz[:0],
 		maxIter: 200 * (m + p.n + 10),
 		abort:   sc.Abort,
 		observe: sc.observe,
 		dense:   sc.dense,
+		axpy:    sc.axpy,
 		guard:   !sc.unchecked,
+	}
+	if t.axpy == nil {
+		t.axpy = axpyNeg
 	}
 
 	slack := p.n
@@ -191,6 +208,7 @@ func newTableau(p *Problem, sc *Scratch) *tableau {
 			t.basis[r] = art
 			art++
 		}
+		t.basic[t.basis[r]] = true
 	}
 	return t
 }
@@ -258,7 +276,9 @@ func (t *tableau) phase1() Status {
 // to column artAt; the dense oracle keeps the full layout, so the
 // differential tests hold the compaction to it too. An artificial left
 // basic in a redundant row keeps its column index, so the ratio test's
-// tie-break on basis indices is unchanged.
+// tie-break on basis indices is unchanged. The retired columns' basic
+// flags are cleared: column artAt now holds the RHS, which the pivot row
+// pass must scale.
 func (t *tableau) retireArtificials() {
 	t.priced = t.artAt
 	if t.dense != nil {
@@ -267,6 +287,7 @@ func (t *tableau) retireArtificials() {
 	copy(t.col(t.artAt), t.col(t.total))
 	t.a = t.a[:t.m*(t.artAt+1)]
 	t.obj = t.obj[:t.artAt+1]
+	clear(t.basic[t.artAt:])
 	t.total = t.artAt
 }
 
@@ -368,7 +389,10 @@ func (t *tableau) iterate() Status {
 // A row whose multiplier is zero, which the dense kernel skips, gets
 // y - 0*p_j, and a column left out for a zero p_j is one the dense kernel
 // would give y - f*0: for finite entries either can change only the sign
-// of a zero, which no comparison reads. So the sparse update takes the
+// of a zero, which no comparison reads. The row pass skips every basic
+// column but basis[r]: each is an exact unit vector with its one in
+// another row, so its row-r entry is a zero that scaling could change
+// only in sign, and it is never updated. So the sparse update takes the
 // dense kernel's pivot path with the same float bits.
 func (t *tableau) pivot(r, c int) {
 	t.pivots++
@@ -382,7 +406,11 @@ func (t *tableau) pivot(r, c int) {
 	m, a := t.m, t.a
 	inv := 1 / a[c*m+r]
 	nz := t.nz[:0]
+	basic, leaving := t.basic[:t.total+1], t.basis[r]
 	for j, k := 0, r; j <= t.total; j, k = j+1, k+m {
+		if basic[j] && j != leaving {
+			continue
+		}
 		a[k] *= inv
 		if a[k] != 0 {
 			nz = append(nz, j)
@@ -393,13 +421,14 @@ func (t *tableau) pivot(r, c int) {
 	f := t.col(c)
 	f[r] = 0 // row r keeps its scaled entries: y - 0*p = y
 	g := t.obj[c]
+	axpy := t.axpy
 	for _, j := range nz {
 		if j == c {
 			continue
 		}
 		col := t.col(j)
 		p := col[r]
-		axpyNeg(col, f, p)
+		axpy(col, f, p)
 		if g != 0 {
 			t.obj[j] -= g * p
 		}
@@ -409,6 +438,7 @@ func (t *tableau) pivot(r, c int) {
 	}
 	clear(f)
 	f[r] = 1
+	basic[leaving], basic[c] = false, true
 	t.basis[r] = c
 }
 
