@@ -81,12 +81,12 @@ check-perf:
 	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestFleetAllocCeiling' -count=1 -v ./internal/cluster/
 
 # check-plansvc is the planning-service gate: the shared resilience
-# primitives its ladder is built on (internal/resil: the decision hash
-# and backoff held to golden vectors, the breaker to its transition
-# table), the deterministic concurrency suite (cache keys, single-flight
+# primitives (internal/resil: the decision hash and backoff held to
+# golden vectors, the breaker its ladder uses to its transition table),
+# the deterministic concurrency suite (cache keys, single-flight
 # coalescing and cancelled-leader handoff, corrupt-entry degradation,
-# the retry/backoff/breaker ladder on a virtual clock, HTTP surface) plus
-# the seed-derived planner-fault chaos matrix (serial bitwise replay and
+# the deadline/breaker ladder on a virtual clock, HTTP surface) plus
+# the seed-derived deadline chaos matrix (serial bitwise replay and
 # the concurrent fan-out), all under the race detector, then the
 # deadline-stopped cross mapping search, alone and inside a plan, also
 # under the race detector, and a short native-fuzz smoke of the /v1/plan
@@ -118,14 +118,14 @@ check-cluster:
 # check-store is the persistence gate: the crash-safe plan store's full
 # suite (record grammar, truncate-at-every-byte and bit-flip-at-every-
 # byte properties, quarantine semantics, write-behind queue bounds), the
-# warm-restart recovery suite in plansvc (zero-solve restart, eviction
-# coherence, capacity-capped adoption), the fleet restart suite, and the
-# seed-derived store chaos matrix with its decision mirror — all under
-# the race detector — then a short native-fuzz smoke of the record
+# warm-restart recovery suite in plansvc (zero-solve restart, a
+# validation drop deleting its record on disk), the fleet restart suite,
+# and the seed-derived store chaos matrix with its decision mirror — all
+# under the race detector — then a short native-fuzz smoke of the record
 # loader and the store chaos invariants.
 check-store:
 	$(GO) test -race -count=1 ./internal/planstore/
-	$(GO) test -race -run 'TestWarmRestart|TestWarmStart|TestEviction|TestTTLEviction|TestCorruptStore|TestMetricsEndpoint|TestPrewarmDepth' -count=1 ./internal/plansvc/
+	$(GO) test -race -run 'TestWarmRestart|TestValidateDrop|TestCorruptStore|TestMetricsEndpoint|TestPrewarmDepth' -count=1 ./internal/plansvc/
 	$(GO) test -race -run 'TestClusterRestart|TestClusterWarmRestart|TestClusterColdRestart' -count=1 ./internal/cluster/
 	$(GO) test -race -run 'TestStoreChaos' -count=1 ./internal/chaos/
 	$(GO) test -run xxx -fuzz 'FuzzStoreLoad' -fuzztime 10s ./internal/planstore/

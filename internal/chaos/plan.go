@@ -2,13 +2,14 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mobius/internal/core"
-	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
 	"mobius/internal/partition"
@@ -17,18 +18,21 @@ import (
 
 // PlanHarness stress-tests the planning service the way the main
 // harness stresses the integrity layer: from a single seed it derives a
-// planner-fault scenario (injected solver latency and transient
-// failures), a retry/breaker configuration and a request sequence,
-// drives them through a plansvc.Service on a virtual clock, and checks
-// the invariants that must hold for every seed:
+// request sequence in which some requests arrive with an
+// already-cancelled context (the deadline rung a /v1/plan request with
+// a tiny deadline_ms reaches), drives it through a plansvc.Service on a
+// virtual clock, and checks the invariants that must hold for every
+// seed:
 //
 //   - every request returns a plan that validates on its topology (a
 //     degraded request returns the greedy fallback, never an error);
 //   - request conservation: every request is accounted as exactly one
 //     of hit, led, coalesced or wait-abort;
 //   - ladder conservation: every led request either solved or took the
-//     greedy floor, and injected failures decompose exactly into
-//     retries plus exhausted requests;
+//     greedy floor;
+//   - deadline accounting: every handoff is a dead-context lead, and
+//     every greedy answer is either a breaker short or a dead-context
+//     lead;
 //   - the cache never holds a degraded or invalid plan;
 //   - replaying the seed reproduces metrics, breaker state and the
 //     full returned-plan sequence bit for bit.
@@ -57,37 +61,21 @@ func NewPlanHarness() *PlanHarness {
 
 // PlanScenario is the derived configuration for one seed.
 type PlanScenario struct {
-	Spec             *fault.Spec
-	MaxAttempts      int
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Requests indexes the harness menu; Advances[i] is virtual time
-	// inserted before request i (letting breaker cooldowns elapse).
+	// inserted before request i (letting breaker cooldowns elapse), and
+	// Dead[i] sends request i with an already-cancelled context.
 	Requests []int
 	Advances []time.Duration
+	Dead     []bool
 }
 
-// PlanScenario derives the scenario for a seed. Everything is inside
-// documented ranges, so the spec always validates — asserted again per
-// run.
+// PlanScenario derives the scenario for a seed. The dead-context rate
+// varies per seed, so some seeds trip the breaker repeatedly and others
+// never do.
 func (h *PlanHarness) PlanScenario(seed int64) *PlanScenario {
 	rng := rand.New(rand.NewSource(seed))
-	spec := &fault.Spec{Seed: seed}
-	matches := []string{"3B", "8B", "*"}
-	for i, n := 0, 1+rng.Intn(2); i < n; i++ {
-		spec.Planner = append(spec.Planner, fault.PlannerFault{
-			Match:       matches[rng.Intn(len(matches))],
-			Probability: 0.95 * rng.Float64(),
-			LatencyMS:   20 * rng.Float64(),
-			MaxFailures: rng.Intn(9), // 0 means the clause default
-		})
-	}
-	sc := &PlanScenario{
-		Spec:             spec,
-		MaxAttempts:      1 + rng.Intn(4),
-		BreakerThreshold: 1 + rng.Intn(3),
-		BreakerCooldown:  time.Duration(5+rng.Intn(25)) * time.Second,
-	}
+	deadRate := 0.2 + 0.6*rng.Float64()
+	sc := &PlanScenario{}
 	n := 20 + rng.Intn(21)
 	for i := 0; i < n; i++ {
 		sc.Requests = append(sc.Requests, rng.Intn(len(h.Menu)))
@@ -96,8 +84,25 @@ func (h *PlanHarness) PlanScenario(seed int64) *PlanScenario {
 			adv = time.Duration(rng.Intn(40)) * time.Second
 		}
 		sc.Advances = append(sc.Advances, adv)
+		sc.Dead = append(sc.Dead, rng.Float64() < deadRate)
 	}
 	return sc
+}
+
+// deadContext is an already-cancelled context: a request sent with it
+// reaches the ladder's deadline rung.
+func deadContext() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// contextFor returns request i's context under the scenario.
+func (sc *PlanScenario) contextFor(i int, dead context.Context) context.Context {
+	if sc.Dead[i] {
+		return dead
+	}
+	return context.Background()
 }
 
 // PlanRunStats is the deterministic outcome of one scenario execution.
@@ -107,6 +112,11 @@ type PlanRunStats struct {
 	// PlanSeq fingerprints the full sequence of returned plans in
 	// request order; replays must reproduce it exactly.
 	PlanSeq string
+	// DeadLeads counts dead-context requests answered by the greedy
+	// floor: the ones that missed the cache and led.
+	DeadLeads uint64
+	// Greedy counts requests answered with a fallback plan.
+	Greedy uint64
 }
 
 // PlanReport is the outcome of one planning-chaos seed.
@@ -118,12 +128,12 @@ type PlanReport struct {
 
 func (r *PlanReport) String() string {
 	m := r.Stats.Metrics
-	return fmt.Sprintf("plan chaos seed %d: %d requests, %d solves, %d retries, %d greedy, %d trips (breaker %s)",
-		r.Seed, m.Requests, m.Solves, m.Retries, m.GreedyFallbacks, m.BreakerTrips, r.Stats.Breaker)
+	return fmt.Sprintf("plan chaos seed %d: %d requests, %d solves, %d handoffs, %d greedy, %d trips (breaker %s)",
+		r.Seed, m.Requests, m.Solves, m.Handoffs, m.GreedyFallbacks, m.BreakerTrips, r.Stats.Breaker)
 }
 
-// virtualClock advances only via Sleep and Advance, so backoff and
-// breaker cooldowns are deterministic and free.
+// virtualClock advances only via Advance, so breaker cooldowns are
+// deterministic and free.
 type virtualClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -133,10 +143,6 @@ func (v *virtualClock) Now() time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.t
-}
-
-func (v *virtualClock) Sleep(_ context.Context, d time.Duration) {
-	v.Advance(d)
 }
 
 func (v *virtualClock) Advance(d time.Duration) {
@@ -150,10 +156,6 @@ func (v *virtualClock) Advance(d time.Duration) {
 // non-nil error when any invariant is violated.
 func (h *PlanHarness) RunPlanning(seed int64) (*PlanReport, error) {
 	sc := h.PlanScenario(seed)
-	if err := sc.Spec.Validate(); err != nil {
-		return nil, fmt.Errorf("chaos: seed %d generated an invalid planner spec: %w", seed, err)
-	}
-
 	first, err := h.execute(sc)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: seed %d: %w", seed, err)
@@ -174,33 +176,35 @@ func (h *PlanHarness) RunPlanning(seed int64) (*PlanReport, error) {
 // execute runs the scenario once on a fresh service and virtual clock.
 func (h *PlanHarness) execute(sc *PlanScenario) (PlanRunStats, error) {
 	vc := &virtualClock{t: time.Unix(1_700_000_000, 0)}
-	svc := plansvc.New(plansvc.Config{
-		Faults:           sc.Spec,
-		MaxAttempts:      sc.MaxAttempts,
-		BreakerThreshold: sc.BreakerThreshold,
-		BreakerCooldown:  sc.BreakerCooldown,
-		Now:              vc.Now,
-		Sleep:            vc.Sleep,
-	})
+	svc := plansvc.New(plansvc.Config{Now: vc.Now})
+	dead := deadContext()
+	var st PlanRunStats
 	seq := ""
 	for i, mi := range sc.Requests {
 		if sc.Advances[i] > 0 {
 			vc.Advance(sc.Advances[i])
 		}
 		opts := h.Menu[mi]
-		plan, err := svc.PlanMobius(context.Background(), opts)
+		plan, err := svc.PlanMobius(sc.contextFor(i, dead), opts)
 		if err != nil {
 			return PlanRunStats{}, fmt.Errorf("request %d: %w", i, err)
 		}
 		if verr := plan.Validate(opts.Topology); verr != nil {
 			return PlanRunStats{}, fmt.Errorf("request %d returned an invalid plan: %w", i, verr)
 		}
+		if plan.Fallback {
+			st.Greedy++
+			if sc.Dead[i] {
+				st.DeadLeads++
+			}
+		}
 		seq += plansvc.Fingerprint(plan)
 	}
 	if err := svc.CheckInvariants(); err != nil {
 		return PlanRunStats{}, err
 	}
-	return PlanRunStats{Metrics: svc.Metrics(), Breaker: svc.BreakerState(), PlanSeq: foldSeq(seq)}, nil
+	st.Metrics, st.Breaker, st.PlanSeq = svc.Metrics(), svc.BreakerState(), foldSeq(seq)
+	return st, nil
 }
 
 // foldSeq collapses the concatenated fingerprint string to a short
@@ -225,25 +229,36 @@ func (h *PlanHarness) checkPlanInvariants(sc *PlanScenario, st PlanRunStats) err
 		return fmt.Errorf("accounted %d requests, sent %d", m.Requests, len(sc.Requests))
 	}
 	// Serial execution never coalesces or aborts a wait.
-	if m.Coalesced != 0 || m.WaitAborts != 0 || m.Handoffs != 0 {
-		return fmt.Errorf("serial run coalesced=%d waitAborts=%d handoffs=%d, want 0", m.Coalesced, m.WaitAborts, m.Handoffs)
+	if m.Coalesced != 0 || m.WaitAborts != 0 {
+		return fmt.Errorf("serial run coalesced=%d waitAborts=%d, want 0", m.Coalesced, m.WaitAborts)
 	}
-	// Every led request either solved or took the greedy floor; no
-	// context deadlines exist on the virtual clock, so the solver never
-	// degrades mid-flight.
+	// Every led request either solved or took the greedy floor; live
+	// requests run on context.Background, so the solver never degrades
+	// mid-flight.
 	if m.Led != m.Solves+m.GreedyFallbacks {
 		return fmt.Errorf("ladder conservation violated: Led %d != Solves %d + GreedyFallbacks %d", m.Led, m.Solves, m.GreedyFallbacks)
 	}
 	if m.DeadlineFallbacks != 0 {
 		return fmt.Errorf("deadline fallbacks on a virtual clock: %d", m.DeadlineFallbacks)
 	}
-	// Injected failures decompose exactly: each retried attempt plus a
-	// final failure per exhausted request (breaker shorts never reach
-	// injection).
-	exhausted := m.GreedyFallbacks - m.BreakerShorted
-	if m.InjectedFailures != m.Retries+exhausted {
-		return fmt.Errorf("injection accounting violated: InjectedFailures %d != Retries %d + exhausted %d",
-			m.InjectedFailures, m.Retries, exhausted)
+	// Every handoff is a dead-context lead, and every dead-context lead
+	// hands off.
+	if m.Handoffs != st.DeadLeads {
+		return fmt.Errorf("handoff accounting violated: Handoffs %d != dead-context leads %d", m.Handoffs, st.DeadLeads)
+	}
+	// Every greedy answer is a breaker short or a dead-context lead: a
+	// live request degrades only when shorted.
+	if m.GreedyFallbacks != st.Greedy {
+		return fmt.Errorf("greedy accounting violated: GreedyFallbacks %d != fallback answers %d", m.GreedyFallbacks, st.Greedy)
+	}
+	if live := st.Greedy - st.DeadLeads; live > m.BreakerShorted || m.BreakerShorted > st.Greedy {
+		return fmt.Errorf("%d live greedy answer(s), %d breaker short(s), %d greedy answer(s): want live <= shorts <= greedy",
+			live, m.BreakerShorted, st.Greedy)
+	}
+	// The greedy answers not shorted are the deadline rung's breaker
+	// failures; every trip follows at least one.
+	if failures := m.GreedyFallbacks - m.BreakerShorted; m.BreakerTrips > failures {
+		return fmt.Errorf("breaker tripped %d time(s) on %d deadline failure(s)", m.BreakerTrips, failures)
 	}
 	// A breaker short implies the breaker tripped at least once.
 	if m.BreakerShorted > 0 && m.BreakerTrips == 0 {
@@ -256,28 +271,28 @@ func (h *PlanHarness) checkPlanInvariants(sc *PlanScenario, st PlanRunStats) err
 // conc goroutines on a fresh service. Outcome counts are
 // schedule-dependent (the breaker is shared global state), but the
 // structural invariants are not: conservation, ladder accounting and
-// cache validity must hold under any interleaving — this is the -race
-// surface for single-flight and breaker state.
+// cache validity must hold under any interleaving, and the only errors
+// are dead-context waiters giving up (one per wait-abort) — this is the
+// -race surface for single-flight, handoff and breaker state.
 func (h *PlanHarness) RunPlanningConcurrent(seed int64, conc int) error {
 	sc := h.PlanScenario(seed)
 	vc := &virtualClock{t: time.Unix(1_700_000_000, 0)}
-	svc := plansvc.New(plansvc.Config{
-		Faults:           sc.Spec,
-		MaxAttempts:      sc.MaxAttempts,
-		BreakerThreshold: sc.BreakerThreshold,
-		BreakerCooldown:  sc.BreakerCooldown,
-		Now:              vc.Now,
-		Sleep:            vc.Sleep,
-	})
+	svc := plansvc.New(plansvc.Config{Now: vc.Now})
+	dead := deadContext()
 	var wg sync.WaitGroup
 	errs := make([]error, conc)
+	var aborted atomic.Uint64
 	for g := 0; g < conc; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i, mi := range sc.Requests {
 				opts := h.Menu[(mi+g)%len(h.Menu)]
-				plan, err := svc.PlanMobius(context.Background(), opts)
+				plan, err := svc.PlanMobius(sc.contextFor(i, dead), opts)
+				if err != nil && sc.Dead[i] && errors.Is(err, context.Canceled) {
+					aborted.Add(1)
+					continue
+				}
 				if err != nil {
 					errs[g] = fmt.Errorf("goroutine %d request %d: %w", g, i, err)
 					return
@@ -305,6 +320,9 @@ func (h *PlanHarness) RunPlanningConcurrent(seed int64, conc int) error {
 	if m.Led != m.Solves+m.GreedyFallbacks {
 		return fmt.Errorf("chaos: seed %d concurrent: Led %d != Solves %d + GreedyFallbacks %d",
 			seed, m.Led, m.Solves, m.GreedyFallbacks)
+	}
+	if m.WaitAborts != aborted.Load() {
+		return fmt.Errorf("chaos: seed %d concurrent: WaitAborts %d != %d cancelled answers", seed, m.WaitAborts, aborted.Load())
 	}
 	return nil
 }

@@ -4,35 +4,31 @@ import (
 	"testing"
 )
 
-// TestPlanningChaosSeeds drives seed-derived planner-fault scenarios
-// through the planning service: injected transient failures and
-// latency, randomized retry budgets and breaker settings, and a
-// randomized request sequence with cooldown gaps. Each seed asserts the
-// conservation identities, cache validity, and a bitwise replay.
+// TestPlanningChaosSeeds drives seed-derived deadline scenarios through
+// the planning service: a randomized request sequence with cooldown
+// gaps in which a seeded subset of requests arrives already cancelled.
+// Each seed asserts the conservation identities, cache validity, and a
+// bitwise replay.
 func TestPlanningChaosSeeds(t *testing.T) {
 	h := NewPlanHarness()
-	var retries, trips, shorted, probes, injected uint64
+	var handoffs, trips, shorted, probes uint64
 	for seed := int64(1); seed <= 24; seed++ {
 		rep, err := h.RunPlanning(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		m := rep.Stats.Metrics
-		retries += m.Retries
+		handoffs += m.Handoffs
 		trips += m.BreakerTrips
 		shorted += m.BreakerShorted
 		probes += m.BreakerProbes
-		injected += m.InjectedFailures
 		t.Log(rep)
 	}
 	// Coverage: across the seed sweep the scenarios must actually have
 	// exercised every rung of the ladder, or the harness is testing
 	// nothing.
-	if injected == 0 {
-		t.Error("no seed injected a solver failure; fault derivation is broken")
-	}
-	if retries == 0 {
-		t.Error("no seed retried a transient failure")
+	if handoffs == 0 {
+		t.Error("no seed led a request with a dead context")
 	}
 	if trips == 0 {
 		t.Error("no seed tripped the circuit breaker")

@@ -39,11 +39,6 @@ type Spec struct {
 	// corruption.go); detection depends on the run's checksum config.
 	Corruptions []CorruptionFault `json:"corruptions,omitempty"`
 
-	// Planner injects latency and transient failures into the planning
-	// service (internal/plansvc); the simulator-level Apply ignores this
-	// clause, since planning happens before any server is built.
-	Planner []PlannerFault `json:"planner,omitempty"`
-
 	// HorizonS, when positive, bounds the simulated window the spec was
 	// written for: permanent-failure onsets must land inside [0, HorizonS).
 	// Zero means unbounded.
@@ -56,8 +51,7 @@ type Spec struct {
 
 	// ServerFails are fleet-level failure domains (see server.go): whole
 	// servers dropping out of a cluster run. The per-server Apply ignores
-	// them, like the Planner clauses — they are consumed by
-	// internal/cluster.
+	// them — they are consumed by internal/cluster.
 	ServerFails []ServerFailFault `json:"server_fails,omitempty"`
 
 	// StoreFaults inject I/O failures (clean write failures, torn
@@ -117,62 +111,6 @@ const defaultMaxRetries = 4
 // injected latency dwarfs any step time and the spec is almost surely a
 // mistake.
 const maxRetriesCap = 16
-
-// PlannerFault injects failures into the planning service's solver path
-// (internal/plansvc): each solve attempt of a matching plan request
-// suffers LatencyMS of injected solver latency and then fails
-// transiently with Probability. Decisions are a pure function of (seed,
-// request key, rule, attempt) — the same spec replays the same failures
-// no matter how many goroutines drive the service or in which order
-// requests coalesce.
-type PlannerFault struct {
-	// Match selects requests by model name ("15B"); "*" matches every
-	// request. The first matching rule in spec order decides a request's
-	// fate.
-	Match string `json:"match"`
-	// Probability of each solve attempt failing transiently; [0, 1).
-	Probability float64 `json:"probability"`
-	// LatencyMS is added to every matching solve attempt before the
-	// solver runs, modeling a contended or slow planning backend.
-	LatencyMS float64 `json:"latency_ms,omitempty"`
-	// MaxFailures caps injected failures per request (default 4): the
-	// following attempt always reaches the real solver, so a retry loop
-	// with enough budget eventually succeeds.
-	MaxFailures int `json:"max_failures,omitempty"`
-}
-
-// PlannerAttempt decides the fate of one planning-service solve attempt
-// (0-based) for the request identified by key — a stable hash of the
-// content-addressed plan cache key — and its model name. It returns the
-// injected solver latency in seconds and whether the attempt fails
-// transiently. The first matching rule decides; a nil spec injects
-// nothing.
-func (s *Spec) PlannerAttempt(model string, key uint64, attempt int) (latencyS float64, fail bool) {
-	if s == nil {
-		return 0, false
-	}
-	// Salt separating the planner hash domain from transfer retries.
-	const plannerSalt = 0x706c616e
-	for ri, rule := range s.Planner {
-		if rule.Match != "*" && rule.Match != model {
-			continue
-		}
-		latencyS = rule.LatencyMS * 1e-3
-		if rule.Probability <= 0 {
-			return latencyS, false
-		}
-		max := rule.MaxFailures
-		if max == 0 {
-			max = defaultMaxRetries
-		}
-		if attempt >= max {
-			return latencyS, false
-		}
-		fail = resil.Hash01(s.Seed, plannerSalt, uint64(ri), key, uint64(attempt)) < rule.Probability
-		return latencyS, fail
-	}
-	return 0, false
-}
 
 // MemPressureFault withholds bytes from a memory pool, modeling co-tenant
 // allocations. An allocation larger than the shrunken pool surfaces as a
@@ -246,20 +184,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("fault: mem_pressure[%d] (%s): reserve_bytes %g must be positive", i, m.Pool, m.ReserveBytes)
 		}
 	}
-	for i, p := range s.Planner {
-		if p.Match == "" {
-			return fmt.Errorf("fault: planner[%d]: missing match", i)
-		}
-		if p.Probability < 0 || p.Probability >= 1 {
-			return fmt.Errorf("fault: planner[%d] (%s): probability %g out of range [0, 1)", i, p.Match, p.Probability)
-		}
-		if p.LatencyMS < 0 {
-			return fmt.Errorf("fault: planner[%d] (%s): negative latency_ms %g", i, p.Match, p.LatencyMS)
-		}
-		if p.MaxFailures < 0 || p.MaxFailures > maxRetriesCap {
-			return fmt.Errorf("fault: planner[%d] (%s): max_failures %d out of range [0, %d]", i, p.Match, p.MaxFailures, maxRetriesCap)
-		}
-	}
 	if err := s.validateCorruptions(); err != nil {
 		return err
 	}
@@ -285,7 +209,7 @@ func endLabel(end float64) string {
 // Empty reports whether the spec injects nothing.
 func (s *Spec) Empty() bool {
 	return s == nil || (len(s.Links) == 0 && len(s.Stragglers) == 0 && len(s.Transient) == 0 &&
-		len(s.MemPressure) == 0 && len(s.Corruptions) == 0 && len(s.Planner) == 0 &&
+		len(s.MemPressure) == 0 && len(s.Corruptions) == 0 &&
 		len(s.GPUFails) == 0 && len(s.LinkFails) == 0 && len(s.ServerFails) == 0 &&
 		len(s.StoreFaults) == 0 && len(s.ServerRestarts) == 0)
 }

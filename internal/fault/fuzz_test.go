@@ -29,6 +29,10 @@ func FuzzParseJSON(f *testing.F) {
 	f.Add([]byte(`{"seed": 1, "corruptions": [{"match": "*", "probability": 0.5}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
+	// Specs written for the removed planner clause must fail as an unknown
+	// field with a structured error, whatever the clause holds.
+	f.Add([]byte(`{"seed": 7, "planner": [{"match": "*", "probability": 1.0}]}`))
+	f.Add([]byte(`{"seed": 7, "planner": [{"probability": 0.1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseJSON(data)
 		if err != nil {

@@ -6,12 +6,11 @@ import (
 )
 
 // This file declares fleet-level failure domains: whole simulated servers
-// dropping out of a cluster run. Like the Planner clauses, server_fails
-// is not bound by the per-server Apply — a single machine cannot lose
-// itself mid-step and keep simulating — it is consumed by
-// internal/cluster, which halts the victim's in-flight job, prices the
-// checkpoint-consistent drain with the elastic machinery, and re-lands
-// the work on the survivors.
+// dropping out of a cluster run. Server_fails is not bound by the
+// per-server Apply — a single machine cannot lose itself mid-step and
+// keep simulating — it is consumed by internal/cluster, which halts the
+// victim's in-flight job, prices the checkpoint-consistent drain with
+// the elastic machinery, and re-lands the work on the survivors.
 
 // ServerFailFault removes one whole server from a cluster permanently at
 // time At: its running job is interrupted at the onset, its queue is
@@ -68,12 +67,11 @@ func (s *Spec) ServerFailures() []ServerFailFault {
 
 // WithoutCluster returns a copy of the spec with the fleet-level clauses
 // removed: server_fails and server_restarts (consumed by the cluster
-// event loop), planner clauses (consumed by the planning service),
-// store_faults (consumed by the plan store), plus the horizon that
-// scopes them. What remains are the per-server conditions — degraded
-// links, stragglers, transient retries, memory pressure — that every
-// server of the fleet simulates its training steps under. Nil in, nil
-// out.
+// event loop), store_faults (consumed by the plan store), plus the
+// horizon that scopes them. What remains are the per-server conditions
+// — degraded links, stragglers, transient retries, memory pressure —
+// that every server of the fleet simulates its training steps under.
+// Nil in, nil out.
 func (s *Spec) WithoutCluster() *Spec {
 	if s == nil {
 		return nil
@@ -81,7 +79,6 @@ func (s *Spec) WithoutCluster() *Spec {
 	c := *s
 	c.ServerFails = nil
 	c.ServerRestarts = nil
-	c.Planner = nil
 	c.StoreFaults = nil
 	c.HorizonS = 0
 	if c.Empty() {

@@ -54,11 +54,10 @@ func TestWithoutCluster(t *testing.T) {
 		Seed:        11,
 		HorizonS:    60,
 		ServerFails: []ServerFailFault{{Server: 0, At: 5}},
-		Planner:     []PlannerFault{{Match: "*", Probability: 0.1}},
 		Stragglers:  []StragglerFault{{GPU: 1, Throughput: 0.5}},
 	}
 	c := s.WithoutCluster()
-	if c == nil || len(c.ServerFails) != 0 || len(c.Planner) != 0 || c.HorizonS != 0 {
+	if c == nil || len(c.ServerFails) != 0 || c.HorizonS != 0 {
 		t.Fatalf("fleet clauses not stripped: %+v", c)
 	}
 	if len(c.Stragglers) != 1 || c.Seed != 11 {

@@ -9,8 +9,8 @@ import (
 
 // This file declares the persistence-layer fault clauses: I/O faults on
 // the plan store's write-behind path (store_faults) and whole-server
-// process restarts (server_restarts). Like the Planner and ServerFails
-// clauses, neither is bound by the per-server Apply — store faults are
+// process restarts (server_restarts). Like the ServerFails clauses,
+// neither is bound by the per-server Apply — store faults are
 // consumed by internal/planstore, restarts by internal/cluster.
 
 // StoreFault injects I/O failures into the plan store's write-behind

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -21,7 +22,7 @@ import (
 type Key [sha256.Size]byte
 
 // String renders the key as lowercase hex, the on-disk file basename.
-func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
+func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Entry is one persisted plan: the key it is cached under, the plan
 // itself, and the topology it was planned for (hits re-validate against

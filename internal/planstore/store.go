@@ -24,6 +24,7 @@
 package planstore
 
 import (
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -419,32 +420,19 @@ func (s *Store) quarantine(path string, rep *LoadReport, cause error) {
 	_ = os.Rename(path, dst)
 }
 
-// keyFromName parses `<64 hex chars>.plan` back into a Key.
+// keyFromName parses `<64 hex chars>.plan` back into a Key. Only the
+// lowercase spelling Key.String writes names a record: hex.Decode also
+// accepts uppercase, so the name must round-trip.
 func keyFromName(name string) (Key, bool) {
 	var k Key
 	base := strings.TrimSuffix(name, recordExt)
 	if len(base) != 2*len(k) {
 		return k, false
 	}
-	for i := 0; i < len(k); i++ {
-		hi, ok1 := hexVal(base[2*i])
-		lo, ok2 := hexVal(base[2*i+1])
-		if !ok1 || !ok2 {
-			return k, false
-		}
-		k[i] = hi<<4 | lo
+	if _, err := hex.Decode(k[:], []byte(base)); err != nil || k.String() != base {
+		return k, false
 	}
 	return k, true
-}
-
-func hexVal(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	}
-	return 0, false
 }
 
 // keyHash folds a key into the 64-bit hash the fault-decision stream is

@@ -7,23 +7,20 @@
 //   - a content-addressed plan cache keyed by a canonical hash of the
 //     planning inputs, with Plan.Validate re-checked on every hit so a
 //     corrupt or stale entry degrades to a recompute instead of serving
-//     garbage;
+//     garbage. The cache is unbounded: a fine-tuning job plans a few
+//     dozen keys, once;
 //   - single-flight deduplication: N concurrent requests for the same
 //     key cost one solve, and a leader whose own context dies hands the
 //     key off to a waiter instead of poisoning it;
-//   - a deadline-aware degradation ladder — exact cache hit, then a
-//     cold MIP solve, then the deterministic greedy fallback — with
-//     bounded retries, exponential backoff and deterministic jitter for
-//     transient solver failures, and a circuit breaker that trips to
-//     greedy-only after repeated deadline blowups and half-opens on a
-//     probe;
+//   - a deadline-aware degradation ladder — validated hit, then a cold
+//     MIP solve, then the deterministic greedy fallback — with a
+//     circuit breaker that trips to greedy-only after repeated deadline
+//     blowups and half-opens on a probe;
 //   - speculative pre-planning of every surviving single-GPU-loss
 //     topology, so an elastic recovery's re-plan is a cache lookup.
 //
-// Planner-side failures are part of the fault-injection surface: a
-// fault.Spec planner clause injects solver latency and transient errors
-// (fault.Spec.PlannerAttempt), which the chaos suite drives through the
-// ladder under -race.
+// The chaos suite drives the ladder under -race with seeded requests
+// whose deadline has already expired.
 package plansvc
 
 import (
@@ -41,10 +38,6 @@ type Key [sha256.Size]byte
 
 // String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// Uint64 folds the key to 64 bits for hash-streamed decisions (fault
-// injection, backoff jitter).
-func (k Key) Uint64() uint64 { return binary.BigEndian.Uint64(k[:8]) }
 
 // Request is a canonicalized planning request: options with every
 // planning default applied, plus the content key derived from them.

@@ -30,25 +30,15 @@ type Metrics struct {
 	// ValidateDrops counts cached entries dropped because Plan.Validate
 	// failed on a hit (corrupt or stale entry degraded to a recompute).
 	ValidateDrops uint64
-	// EvictionsTTL counts entries evicted past Config.CacheTTL (on
-	// lookup or by the capacity sweep); EvictionsLRU counts live entries
-	// evicted by the Config.CacheMaxEntries capacity bound, least
-	// recently used first.
-	EvictionsTTL uint64
-	EvictionsLRU uint64
 
 	// Solves counts inner planner invocations (full MIP + mapping).
 	Solves uint64
-	// Retries counts injected-transient-failure retries (backoff slept).
-	Retries uint64
-	// InjectedFailures counts injected transient solver failures.
-	InjectedFailures uint64
 	// DeadlineFallbacks counts solves that came back deadline-degraded
 	// (Plan.Fallback set by the planner).
 	DeadlineFallbacks uint64
 	// GreedyFallbacks counts requests answered by the ladder's greedy
-	// floor without attempting a solve (breaker open, retries
-	// exhausted, or deadline already expired).
+	// floor without attempting a solve (breaker open, or deadline
+	// already expired).
 	GreedyFallbacks uint64
 
 	// BreakerTrips counts closed->open transitions; BreakerProbes

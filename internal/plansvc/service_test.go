@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,13 +25,12 @@ func balancedOpts(m model.Config) core.Options {
 	return core.Options{Model: m, Topology: topo22(), PartitionAlgo: partition.AlgoBalanced, BalancedStages: 4}
 }
 
-// virtualTime is the injectable clock + sleep used by the deterministic
-// tests: Sleep advances Now, so backoff and breaker cooldowns take no
-// wall time and every replay sees the same timeline.
+// virtualTime is the injectable clock used by the deterministic tests:
+// it moves only on Advance, so breaker cooldowns take no wall time and
+// every replay sees the same timeline.
 type virtualTime struct {
-	mu     sync.Mutex
-	t      time.Time
-	sleeps []time.Duration
+	mu sync.Mutex
+	t  time.Time
 }
 
 func newVirtualTime() *virtualTime {
@@ -41,13 +41,6 @@ func (v *virtualTime) Now() time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.t
-}
-
-func (v *virtualTime) Sleep(_ context.Context, d time.Duration) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.t = v.t.Add(d)
-	v.sleeps = append(v.sleeps, d)
 }
 
 func (v *virtualTime) Advance(d time.Duration) {
@@ -362,131 +355,70 @@ func TestCorruptCacheEntryDegradesToRecompute(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffBreakerLadder drives injected transient solver
-// failures through the full chain — retry, deterministic backoff,
-// breaker trip, greedy-only, half-open probe, close — on a virtual
-// clock, and replays the scenario to prove it is bitwise deterministic.
-func TestRetryBackoffBreakerLadder(t *testing.T) {
-	spec := &fault.Spec{
-		Seed: 42,
-		Planner: []fault.PlannerFault{
-			// 3B requests always fail (well, with probability 1-1e-9)
-			// until the per-request attempt cap; everything else is
-			// clean.
-			{Match: "3B", Probability: 0.999999999, LatencyMS: 2, MaxFailures: 16},
-		},
-	}
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
+// TestDeadlineBreakerLadder drives the breaker on its real trigger —
+// requests whose deadline expired before the solve — on a virtual
+// clock: three dead-context leads trip it, the next live request is
+// shorted to greedy, and after the cooldown a probe solves and closes
+// it. The scenario replays bitwise.
+func TestDeadlineBreakerLadder(t *testing.T) {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
 
-	run := func() (Metrics, []time.Duration, []string, *virtualTime) {
+	run := func() (Metrics, []string, []string) {
 		vt := newVirtualTime()
-		svc := New(Config{
-			Faults:           spec,
-			MaxAttempts:      2,
-			BreakerThreshold: 2,
-			BreakerCooldown:  10 * time.Second,
-			Now:              vt.Now,
-			Sleep:            vt.Sleep,
-		})
-		var states []string
-		ctx := context.Background()
-
-		// Two distinct failing requests: each exhausts its attempts and
-		// degrades to greedy; the second trips the breaker.
-		a := balancedOpts(model.GPT3B)
-		b := balancedOpts(model.GPT3B)
-		b.BalancedStages = 6
-		for _, o := range []core.Options{a, b} {
+		svc := New(Config{Now: vt.Now})
+		var states, prints []string
+		step := func(ctx context.Context, o core.Options, wantFallback bool, wantReason string) {
+			t.Helper()
 			plan, err := svc.PlanMobius(ctx, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !plan.Fallback {
-				t.Fatalf("injected failures did not degrade the plan")
+			if plan.Fallback != wantFallback || !strings.Contains(plan.FallbackReason, wantReason) {
+				t.Fatalf("step %d: Fallback=%v reason %q, want %v containing %q",
+					len(states), plan.Fallback, plan.FallbackReason, wantFallback, wantReason)
 			}
 			states = append(states, svc.BreakerState())
+			prints = append(prints, Fingerprint(plan))
 		}
 
-		// Open: requests short to greedy without touching the solver.
-		c := balancedOpts(model.GPT3B)
-		c.BalancedStages = 8
-		plan, err := svc.PlanMobius(ctx, c)
-		if err != nil {
-			t.Fatal(err)
+		// Three leads on uncached keys, each already past its deadline:
+		// each takes the greedy floor and hands its key off; the third
+		// trips the breaker.
+		for _, stages := range []int{4, 6, 8} {
+			o := balancedOpts(model.GPT3B)
+			o.BalancedStages = stages
+			step(dead, o, true, "deadline expired before solve")
 		}
-		if !plan.Fallback {
-			t.Fatalf("open breaker served a non-degraded plan")
-		}
-		states = append(states, svc.BreakerState())
-
-		// Past the cooldown, a clean request becomes the probe and
-		// closes the breaker.
-		vt.Advance(11 * time.Second)
-		d := balancedOpts(model.GPT8B)
-		plan, err = svc.PlanMobius(ctx, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.Fallback {
-			t.Fatalf("probe solve degraded unexpectedly")
-		}
-		states = append(states, svc.BreakerState())
-
-		return svc.Metrics(), append([]time.Duration(nil), vt.sleeps...), states, vt
+		// Open: a live request shorts to greedy without touching the
+		// solver.
+		live := balancedOpts(model.GPT8B)
+		step(context.Background(), live, true, "circuit breaker open")
+		// Past the cooldown the same request becomes the probe, solves
+		// and closes the breaker.
+		vt.Advance(breakerCooldown + time.Second)
+		step(context.Background(), live, false, "")
+		return svc.Metrics(), states, prints
 	}
 
-	m, sleeps, states, _ := run()
+	m, states, prints := run()
 	checkConservation(t, m)
-	if m.InjectedFailures != 4 { // 2 failing requests x MaxAttempts 2
-		t.Errorf("InjectedFailures = %d, want 4", m.InjectedFailures)
+	want := Metrics{
+		Requests: 5, Led: 5, Handoffs: 3,
+		Solves: 1, GreedyFallbacks: 4, // 3 dead-context leads + 1 short
+		BreakerTrips: 1, BreakerProbes: 1, BreakerShorted: 1,
+		CacheEntries: 1,
 	}
-	if m.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", m.Retries)
+	if m != want {
+		t.Errorf("metrics\n got  %+v\n want %+v", m, want)
 	}
-	if m.GreedyFallbacks != 3 { // 2 exhaustions + 1 breaker short
-		t.Errorf("GreedyFallbacks = %d, want 3", m.GreedyFallbacks)
-	}
-	if m.BreakerTrips != 1 || m.BreakerShorted != 1 || m.BreakerProbes != 1 {
-		t.Errorf("breaker counters trips=%d shorted=%d probes=%d, want 1/1/1",
-			m.BreakerTrips, m.BreakerShorted, m.BreakerProbes)
-	}
-	if m.Solves != 1 { // only the probe reached the solver
-		t.Errorf("Solves = %d, want 1", m.Solves)
-	}
-	wantStates := []string{"closed", "open", "open", "closed"}
-	for i, w := range wantStates {
-		if states[i] != w {
-			t.Errorf("breaker state after step %d = %s, want %s", i, states[i], w)
-		}
+	if wantStates := []string{"closed", "closed", "open", "open", "closed"}; !slices.Equal(states, wantStates) {
+		t.Errorf("breaker states %v, want %v", states, wantStates)
 	}
 
-	// The sleeps are the injected 2ms latency before each attempt and the
-	// jittered backoff before each retry (25ms·[1, 1.5) at attempt 0),
-	// pinned to the nanosecond.
-	wantSleeps := []time.Duration{2000000, 35738974, 2000000, 2000000, 27663392, 2000000}
-	if !slices.Equal(sleeps, wantSleeps) {
-		t.Errorf("sleeps = %d, want %d", sleeps, wantSleeps)
-	}
-
-	// The whole scenario replays bitwise.
-	m2, sleeps2, states2, _ := run()
-	if m != m2 {
-		t.Errorf("metrics diverged across replays:\n first  %+v\n replay %+v", m, m2)
-	}
-	if len(sleeps) != len(sleeps2) {
-		t.Fatalf("sleep counts diverged: %d vs %d", len(sleeps), len(sleeps2))
-	}
-	for i := range sleeps {
-		if sleeps[i] != sleeps2[i] {
-			t.Errorf("sleep %d diverged: %v vs %v", i, sleeps[i], sleeps2[i])
-		}
-	}
-	for i := range states {
-		if states[i] != states2[i] {
-			t.Errorf("breaker state %d diverged: %s vs %s", i, states[i], states2[i])
-		}
+	m2, states2, prints2 := run()
+	if m != m2 || !slices.Equal(states, states2) || !slices.Equal(prints, prints2) {
+		t.Errorf("replay diverged:\n first  %+v %v %v\n replay %+v %v %v", m, states, prints, m2, states2, prints2)
 	}
 }
 

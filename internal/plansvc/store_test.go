@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/elastic"
@@ -161,136 +160,72 @@ func TestWarmRestartCoversPrewarmedSurvivors(t *testing.T) {
 	}
 }
 
-// TestEvictionCoherence: entries aged out by the LRU capacity bound are
-// deleted from the disk store too — a restart serves exactly the
-// surviving cache, never a resurrected entry.
-func TestEvictionCoherence(t *testing.T) {
+// TestValidateDropCoherence: a cached entry that fails Plan.Validate on
+// a hit is dropped from memory and its record deleted from the store, so
+// a restart does not bring it back. The dropping request runs past its
+// deadline, so it takes the greedy floor and nothing re-persists the key.
+func TestValidateDropCoherence(t *testing.T) {
 	dir := t.TempDir()
 	st1 := storeAt(t, dir)
-	svc1 := New(Config{Store: st1, CacheMaxEntries: 2})
+	svc1 := New(Config{Store: st1})
 	victim := balancedOpts(model.GPT3B)
-	keep1 := balancedOpts(model.GPT8B)
-	keep2 := core.Options{Model: model.GPT3B, Topology: hw.Commodity(hw.RTX3090Ti, 4),
-		PartitionAlgo: partition.AlgoBalanced, BalancedStages: 4}
-	for _, o := range []core.Options{victim, keep1, keep2} {
+	keep := balancedOpts(model.GPT8B)
+	for _, o := range []core.Options{victim, keep} {
 		if _, err := svc1.PlanMobius(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if m := svc1.Metrics(); m.EvictionsLRU != 1 {
-		t.Fatalf("EvictionsLRU = %d, want 1", m.EvictionsLRU)
-	}
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Exactly two records on disk: the eviction's delete went through.
-	files, err := filepath.Glob(filepath.Join(dir, "*.plan"))
-	if err != nil || len(files) != 2 {
-		t.Fatalf("%d record(s) on disk, want 2 (%v)", len(files), err)
-	}
-
-	st2 := storeAt(t, dir)
-	svc2 := New(Config{Store: st2, CacheMaxEntries: 2})
-	if m := svc2.Metrics(); m.WarmStartEntries != 2 {
-		t.Fatalf("restart adopted %d entries, want 2", m.WarmStartEntries)
 	}
 	vkey, err := KeyOf(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc2.Has(vkey) {
-		t.Fatal("the LRU-evicted entry came back from the dead")
-	}
-	for _, o := range []core.Options{keep1, keep2} {
-		k, err := KeyOf(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !svc2.Has(k) {
-			t.Fatalf("survivor %s lost across restart", k)
-		}
-	}
-}
+	// Corrupt the victim in memory: break the layer coverage invariant.
+	svc1.mu.Lock()
+	e := svc1.cache[vkey]
+	corrupt := *e.plan
+	part := *corrupt.Partition
+	part.Stages = part.Stages[:len(part.Stages)-1]
+	corrupt.Partition = &part
+	e.plan = &corrupt
+	svc1.mu.Unlock()
 
-// TestTTLEvictionCoherence: the TTL sweep's evictions propagate to disk
-// the same way — an expired entry does not outlive the restart.
-func TestTTLEvictionCoherence(t *testing.T) {
-	dir := t.TempDir()
-	vt := newVirtualTime()
-	st1 := storeAt(t, dir)
-	svc1 := New(Config{Store: st1, CacheTTL: time.Hour, CacheMaxEntries: 1, Now: vt.Now})
-	old := balancedOpts(model.GPT3B)
-	if _, err := svc1.PlanMobius(context.Background(), old); err != nil {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	plan, err := svc1.PlanMobius(dead, victim)
+	if err != nil {
 		t.Fatal(err)
 	}
-	vt.Advance(2 * time.Hour)
-	fresh := balancedOpts(model.GPT8B)
-	// Inserting over the cap sweeps the expired entry out — and deletes
-	// its record.
-	if _, err := svc1.PlanMobius(context.Background(), fresh); err != nil {
-		t.Fatal(err)
+	if !plan.Fallback {
+		t.Fatal("dead-context request after the drop was not served the greedy floor")
 	}
-	if m := svc1.Metrics(); m.EvictionsTTL != 1 {
-		t.Fatalf("EvictionsTTL = %d, want 1", m.EvictionsTTL)
+	if m := svc1.Metrics(); m.ValidateDrops != 1 || m.CacheEntries != 1 {
+		t.Fatalf("ValidateDrops=%d CacheEntries=%d, want 1/1", m.ValidateDrops, m.CacheEntries)
 	}
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if sm := svc1.StoreMetrics(); sm.Persisted != 2 || sm.Deletes != 1 {
+		t.Fatalf("store persisted %d and deleted %d, want 2/1", sm.Persisted, sm.Deletes)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.plan"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("%d record(s) on disk, want 1 (%v)", len(files), err)
 	}
 
 	st2 := storeAt(t, dir)
 	svc2 := New(Config{Store: st2})
-	oldKey, err := KeyOf(old)
+	if m := svc2.Metrics(); m.WarmStartEntries != 1 {
+		t.Fatalf("restart adopted %d entries, want 1", m.WarmStartEntries)
+	}
+	if svc2.Has(vkey) {
+		t.Fatal("the dropped entry came back after the restart")
+	}
+	kkey, err := KeyOf(keep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshKey, err := KeyOf(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc2.Has(oldKey) {
-		t.Fatal("the TTL-expired entry survived the restart")
-	}
-	if !svc2.Has(freshKey) {
-		t.Fatal("the live entry was lost across the restart")
-	}
-}
-
-// TestWarmStartRespectsCapacity: adopting a store larger than the cache
-// cap evicts back down — and shrinks the store to match.
-func TestWarmStartRespectsCapacity(t *testing.T) {
-	dir := t.TempDir()
-	st1 := storeAt(t, dir)
-	svc1 := New(Config{Store: st1})
-	shapes := []core.Options{
-		balancedOpts(model.GPT3B),
-		balancedOpts(model.GPT8B),
-		{Model: model.GPT3B, Topology: hw.Commodity(hw.RTX3090Ti, 4),
-			PartitionAlgo: partition.AlgoBalanced, BalancedStages: 4},
-	}
-	for _, o := range shapes {
-		if _, err := svc1.PlanMobius(context.Background(), o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2 := storeAt(t, dir)
-	svc2 := New(Config{Store: st2, CacheMaxEntries: 2})
-	m := svc2.Metrics()
-	if m.WarmStartEntries != 3 || m.CacheEntries != 2 {
-		t.Fatalf("adopted %d, holds %d: want 3 adopted, 2 after the cap", m.WarmStartEntries, m.CacheEntries)
-	}
-	if err := svc2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.plan"))
-	if err != nil || len(files) != 2 {
-		t.Fatalf("%d record(s) on disk after capped warm start, want 2 (%v)", len(files), err)
+	if !svc2.Has(kkey) {
+		t.Fatal("the intact entry was lost across the restart")
 	}
 }
 

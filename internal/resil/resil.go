@@ -1,8 +1,8 @@
 // Package resil holds the one copy of each resilience primitive the
-// planning service, the fleet simulator and the fault injector share:
+// fleet simulator, the fault injector and the planning service share:
 // the splitmix64 decision hash behind every seed-driven choice, the
-// jittered exponential backoff ladder, and the closed/open/half-open
-// circuit breaker. Callers keep their own salts, units and clocks; the
+// jittered exponential backoff ladder of the fleet's dispatch retries,
+// and the closed/open/half-open circuit breaker. Callers keep their own salts, units and clocks; the
 // bits of every decision come from here.
 package resil
 
