@@ -117,14 +117,17 @@ check-cluster:
 
 # check-store is the persistence gate: the crash-safe plan store's full
 # suite (record grammar, truncate-at-every-byte and bit-flip-at-every-
-# byte properties, quarantine semantics, write-behind queue bounds), the
-# warm-restart recovery suite in plansvc (zero-solve restart, a
+# byte properties, quarantine semantics, write-behind queue bounds, the
+# I/O-error path), the server_fails/server_restarts clauses of the fault
+# spec, the warm-restart recovery suite in plansvc (zero-solve restart, a
 # validation drop deleting its record on disk), the fleet restart suite,
-# and the seed-derived store chaos matrix with its decision mirror — all
+# and the seed-derived store chaos matrix, whose harness tears records on
+# disk and predicts the surviving set from the operation list — all
 # under the race detector — then a short native-fuzz smoke of the record
 # loader and the store chaos invariants.
 check-store:
 	$(GO) test -race -count=1 ./internal/planstore/
+	$(GO) test -race -run 'TestServerFail|TestRestart|TestWithoutCluster' -count=1 ./internal/fault/
 	$(GO) test -race -run 'TestWarmRestart|TestValidateDrop|TestCorruptStore|TestMetricsEndpoint|TestPrewarmDepth' -count=1 ./internal/plansvc/
 	$(GO) test -race -run 'TestClusterRestart|TestClusterWarmRestart|TestClusterColdRestart' -count=1 ./internal/cluster/
 	$(GO) test -race -run 'TestStoreChaos' -count=1 ./internal/chaos/

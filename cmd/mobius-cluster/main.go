@@ -86,7 +86,7 @@ func main() {
 	jobs := flag.Bool("jobs", false, "append the per-job audit trail")
 	cacheDir := flag.String("cache-dir", "", "root directory for per-server persistent plan stores (warm restarts reload from disk)")
 	restartCold := flag.Bool("restart-cold", false, "restarted servers rejoin with a cold plan cache")
-	restartLatency := flag.Float64("restart-latency", 0, "default downtime of a -restart bounce in seconds (0 = built-in default)")
+	restartLatency := flag.Float64("restart-latency", 0, "downtime of every -restart bounce in seconds (0 = built-in default)")
 	var fails failList
 	flag.Var(&fails, "fail", "server loss as server@seconds (repeatable)")
 	var restarts restartList
@@ -146,13 +146,11 @@ func main() {
 		DispatchFailProb: *dispatchFailProb,
 		Prewarm:          *prewarm,
 		StoreRoot:        *cacheDir,
-		RestartLatencyS:  *restartLatency,
 	}
 	if len(fails) > 0 || len(restarts) > 0 {
-		if *restartCold {
-			for i := range restarts {
-				restarts[i].Cold = true
-			}
+		for i := range restarts {
+			restarts[i].Cold = *restartCold
+			restarts[i].RestartLatencyS = *restartLatency
 		}
 		cfg.Faults = &fault.Spec{ServerFails: fails, ServerRestarts: restarts}
 	}

@@ -100,6 +100,11 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
+		// Server losses and bounces only mean something to a fleet; a
+		// single simulated step would silently ignore them.
+		if spec.HasServerFails() || spec.HasServerRestarts() {
+			fail("%s: server_fails and server_restarts are fleet clauses; run them with mobius-cluster", *faultsPath)
+		}
 	}
 	if *corruptProb != 0 {
 		if spec == nil {

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"mobius/internal/core"
-	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
 	"mobius/internal/partition"
@@ -18,21 +17,20 @@ import (
 )
 
 // StoreHarness stress-tests the crash-safe plan store the way the main
-// harness stresses the integrity layer: from a single seed it derives a
-// store-fault scenario — clean write failures, torn writes at derived
-// offsets, injected device latency — and an operation sequence over a
-// small key population, executes it against a real directory, and
-// checks the invariants that must hold for every seed:
+// harness stresses the integrity layer: from a single seed it derives an
+// operation sequence of puts, deletes and tears over a small key
+// population, executes it against a real directory, and checks the
+// invariants that must hold for every seed. A tear is a put the harness
+// lets land and then truncates on disk to a strict prefix — the crash
+// the store's temp+rename protocol cannot absorb (overwrite in place,
+// partial page flush).
 //
-//   - the harness mirrors the store's fault decisions (same hash
-//     inputs: seed, rule, key, operation sequence number) to compute
-//     the exact expected final disk state, so Load must recover
-//     precisely the entries whose last effective write was clean and
-//     quarantine precisely the torn ones — no survivor lost, no
-//     corpse resurrected;
-//   - the store's own counters (persisted, deletes, injected
-//     failures, torn writes, injected latency) match the mirror
-//     exactly, with zero drops and zero real I/O errors;
+//   - the harness computes the exact expected final disk state from the
+//     operation list alone, so Load must recover precisely the entries
+//     whose last operation was a clean put and quarantine precisely the
+//     torn ones — no survivor lost, no corpse resurrected;
+//   - the store's own counters (persisted, deletes) match that mirror
+//     exactly, with zero drops and zero I/O errors;
 //   - quarantine sticks: a second replay of the damaged directory
 //     sees only the survivors;
 //   - re-running the scenario in a fresh directory reproduces
@@ -45,7 +43,7 @@ type StoreHarness struct {
 // NewStoreHarness builds the template plan every scenario persists:
 // the cheapest real validated plan (balanced 4-stage GPT-3B on the 2+2
 // commodity box), shared across all seeds and entries — scenarios vary
-// keys and signatures, not plan content.
+// keys, not plan content.
 func NewStoreHarness() (*StoreHarness, error) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	plan, err := core.PlanMobius(core.Options{
@@ -64,93 +62,77 @@ type StoreChaosOp struct {
 	KeyIdx int
 	// Delete removes the key instead of writing it.
 	Delete bool
+	// Tear writes the key, flushes, then truncates its record to
+	// 1 + ⌊TearFrac·(size−1)⌋ bytes, TearFrac in [0, 1).
+	Tear     bool
+	TearFrac float64
 }
 
 // StoreScenario is the derived configuration for one seed.
 type StoreScenario struct {
-	Spec *fault.Spec
 	Keys []planstore.Key
 	Ops  []StoreChaosOp
 }
 
-// StoreScenario derives the scenario for a seed. Every clause stays
-// inside its documented ranges — torn mode only on put-capable rules,
-// torn offsets only alongside torn mode — so the spec always validates,
-// asserted again per run.
+// StoreScenario derives the scenario for a seed: 2–6 keys, 15–40
+// operations, a quarter of them deletes, and each write torn with a
+// per-seed rate below one half, so the matrix spans quiet and heavily
+// damaged directories.
 func (h *StoreHarness) StoreScenario(seed int64) *StoreScenario {
 	rng := rand.New(rand.NewSource(seed))
-	sc := &StoreScenario{Spec: &fault.Spec{Seed: seed}}
+	sc := &StoreScenario{}
 	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
 		sc.Keys = append(sc.Keys, planstore.Key(
 			sha256.Sum256([]byte(fmt.Sprintf("store-chaos-%d-%d", seed, i)))))
 	}
-	ops := []string{"put", "delete", "*"}
-	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-		f := fault.StoreFault{
-			Op:          ops[rng.Intn(len(ops))],
-			Mode:        fault.StoreModeFail,
-			Probability: 0.7 * rng.Float64(),
-			LatencyMS:   2 * rng.Float64(),
-		}
-		// Torn writes only make sense where a write can happen; Validate
-		// rejects a torn delete rule outright.
-		if f.Op != "delete" && rng.Intn(2) == 0 {
-			f.Mode = fault.StoreModeTorn
-			if rng.Intn(2) == 0 {
-				f.TornAtByte = 1 + rng.Intn(200)
-			}
-		}
-		sc.Spec.StoreFaults = append(sc.Spec.StoreFaults, f)
-	}
+	tearRate := 0.5 * rng.Float64()
 	for i, n := 0, 15+rng.Intn(26); i < n; i++ {
-		sc.Ops = append(sc.Ops, StoreChaosOp{
-			KeyIdx: rng.Intn(len(sc.Keys)),
-			Delete: rng.Intn(4) == 0,
-		})
+		op := StoreChaosOp{KeyIdx: rng.Intn(len(sc.Keys)), Delete: rng.Intn(4) == 0}
+		if !op.Delete && rng.Float64() < tearRate {
+			op.Tear, op.TearFrac = true, rng.Float64()
+		}
+		sc.Ops = append(sc.Ops, op)
 	}
 	return sc
 }
 
-// storeMirror is the expected outcome, computed without touching the
-// store: the harness replays the scenario's fault decisions through the
-// public fault.Spec.StoreOp with the store's exact hash inputs.
-type storeMirror struct {
-	intact   map[planstore.Key]bool
-	torn     map[planstore.Key]bool
-	persisted, deletes,
-	failures, tornWrites uint64
-	latencyS float64
+// tears counts the scenario's torn writes.
+func (sc *StoreScenario) tears() int {
+	n := 0
+	for _, op := range sc.Ops {
+		if op.Tear {
+			n++
+		}
+	}
+	return n
 }
 
-// mirror computes the expected final disk state. Operation i carries
-// sequence number i — the store assigns sequence numbers at enqueue, in
-// call order — and keys hash with the store's documented FNV-1a fold.
+// storeMirror is the expected outcome, computed without touching the
+// store.
+type storeMirror struct {
+	intact, torn       map[planstore.Key]bool
+	persisted, deletes uint64
+}
+
+// mirror computes the expected final disk state from the operation list.
+// The store drains FIFO, so the last operation on a key decides its
+// record.
 func (h *StoreHarness) mirror(sc *StoreScenario) *storeMirror {
 	m := &storeMirror{intact: map[planstore.Key]bool{}, torn: map[planstore.Key]bool{}}
-	for i, op := range sc.Ops {
+	for _, op := range sc.Ops {
 		key := sc.Keys[op.KeyIdx]
-		opName := fault.StoreOpPut
-		if op.Delete {
-			opName = fault.StoreOpDelete
-		}
-		d := sc.Spec.StoreOp(opName, fnvKey(key), uint64(i))
-		m.latencyS += d.LatencyS
-		if d.Fail {
-			m.failures++
-			continue
-		}
 		switch {
 		case op.Delete:
 			// Removing an absent file still completes (idempotent).
 			delete(m.intact, key)
 			delete(m.torn, key)
 			m.deletes++
-		case d.Torn:
-			// The torn prefix lands on the final path, destroying any
-			// intact predecessor; a strict prefix can never decode.
+		case op.Tear:
+			// The write persists whole before the harness tears it; a
+			// strict prefix can never decode.
 			delete(m.intact, key)
 			m.torn[key] = true
-			m.tornWrites++
+			m.persisted++
 		default:
 			delete(m.torn, key)
 			m.intact[key] = true
@@ -158,17 +140,6 @@ func (h *StoreHarness) mirror(sc *StoreScenario) *storeMirror {
 		}
 	}
 	return m
-}
-
-// fnvKey folds a key exactly like the store salts its fault stream:
-// FNV-1a over the raw key bytes.
-func fnvKey(k planstore.Key) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range k {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
 }
 
 // StoreRunStats is the deterministic outcome of one scenario execution.
@@ -189,9 +160,9 @@ type StoreReport struct {
 
 func (r *StoreReport) String() string {
 	m := r.Stats.Metrics
-	return fmt.Sprintf("store chaos seed %d: %d ops over %d keys, %d persisted, %d deleted, %d failed, %d torn -> %d loaded, %d quarantined",
+	return fmt.Sprintf("store chaos seed %d: %d ops over %d keys, %d persisted, %d deleted, %d torn -> %d loaded, %d quarantined",
 		r.Seed, len(r.Scenario.Ops), len(r.Scenario.Keys),
-		m.Persisted, m.Deletes, m.InjectedFailures, m.TornWrites,
+		m.Persisted, m.Deletes, r.Scenario.tears(),
 		r.Stats.Report.Entries, r.Stats.Report.Quarantined)
 }
 
@@ -202,9 +173,6 @@ func (r *StoreReport) String() string {
 // invariant was violated.
 func (h *StoreHarness) RunStore(seed int64, scratch string) (*StoreReport, error) {
 	sc := h.StoreScenario(seed)
-	if err := sc.Spec.Validate(); err != nil {
-		return nil, fmt.Errorf("chaos: seed %d generated an invalid store spec: %w", seed, err)
-	}
 	first, err := h.executeStore(sc, scratch)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: seed %d: %w", seed, err)
@@ -230,13 +198,7 @@ func (h *StoreHarness) executeStore(sc *StoreScenario, scratch string) (StoreRun
 		return StoreRunStats{}, err
 	}
 	defer os.RemoveAll(dir)
-	s, err := planstore.Open(planstore.Config{
-		Dir:    dir,
-		Faults: sc.Spec,
-		// Injected latency is accounted in the metrics; burning real
-		// wall clock on it would only slow the matrix down.
-		Sleep: func(time.Duration) {},
-	})
+	s, err := planstore.Open(planstore.Config{Dir: dir})
 	if err != nil {
 		return StoreRunStats{}, err
 	}
@@ -252,6 +214,13 @@ func (h *StoreHarness) executeStore(sc *StoreScenario, scratch string) (StoreRun
 			Plan:     h.plan,
 			Topology: h.topo,
 		})
+		if op.Tear {
+			s.Flush()
+			// The store names a record <keyhex>.plan.
+			if err := tearRecord(filepath.Join(dir, key.String()+".plan"), op.TearFrac); err != nil {
+				return StoreRunStats{}, fmt.Errorf("tear: %w", err)
+			}
+		}
 	}
 	s.Flush()
 	entries, rep, err := s.Load()
@@ -289,6 +258,16 @@ func (h *StoreHarness) executeStore(sc *StoreScenario, scratch string) (StoreRun
 	return StoreRunStats{Metrics: m, Report: rep, KeySet: foldSeq(seq)}, nil
 }
 
+// tearRecord truncates a record to a strict prefix of
+// 1 + ⌊frac·(size−1)⌋ bytes, frac in [0, 1).
+func tearRecord(path string, frac float64) error {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	return os.Truncate(path, 1+int64(frac*float64(fi.Size()-1)))
+}
+
 // checkStoreInvariants compares one execution against the mirror.
 func (h *StoreHarness) checkStoreInvariants(sc *StoreScenario, st StoreRunStats) error {
 	m := h.mirror(sc)
@@ -299,7 +278,7 @@ func (h *StoreHarness) checkStoreInvariants(sc *StoreScenario, st StoreRunStats)
 		return fmt.Errorf("quarantined %d records, mirror expects %d torn", st.Report.Quarantined, len(m.torn))
 	}
 	if st.Report.Stale != 0 || st.Report.Invalid != 0 {
-		return fmt.Errorf("scenario injects no stale or invalid records, got %+v", st.Report)
+		return fmt.Errorf("scenario writes no stale or invalid records, got %+v", st.Report)
 	}
 	keys := make([]string, 0, len(m.intact))
 	for k := range m.intact {
@@ -314,17 +293,12 @@ func (h *StoreHarness) checkStoreInvariants(sc *StoreScenario, st StoreRunStats)
 		return fmt.Errorf("recovered key set diverges from the mirror's survivors")
 	}
 	got := st.Metrics
-	if got.Persisted != m.persisted || got.Deletes != m.deletes ||
-		got.InjectedFailures != m.failures || got.TornWrites != m.tornWrites {
-		return fmt.Errorf("counters diverge from mirror: store persisted/deletes/failures/torn %d/%d/%d/%d, mirror %d/%d/%d/%d",
-			got.Persisted, got.Deletes, got.InjectedFailures, got.TornWrites,
-			m.persisted, m.deletes, m.failures, m.tornWrites)
-	}
-	if diff := got.InjectedLatencyS - m.latencyS; diff > 1e-12 || diff < -1e-12 {
-		return fmt.Errorf("injected latency %.9fs, mirror %.9fs", got.InjectedLatencyS, m.latencyS)
+	if got.Persisted != m.persisted || got.Deletes != m.deletes {
+		return fmt.Errorf("counters diverge from mirror: store persisted/deletes %d/%d, mirror %d/%d",
+			got.Persisted, got.Deletes, m.persisted, m.deletes)
 	}
 	if got.WriteDrops != 0 || got.IOErrors != 0 {
-		return fmt.Errorf("serial scenario dropped %d writes, hit %d real I/O errors", got.WriteDrops, got.IOErrors)
+		return fmt.Errorf("serial scenario dropped %d writes, hit %d I/O errors", got.WriteDrops, got.IOErrors)
 	}
 	return nil
 }

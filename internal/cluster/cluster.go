@@ -203,10 +203,6 @@ type Config struct {
 	// store would reload) and a cold restart discards them.
 	StoreRoot string
 
-	// RestartLatencyS is the default downtime of a server_restarts
-	// bounce whose clause leaves RestartLatencyS 0 (default 5).
-	RestartLatencyS float64
-
 	// Prewarm plans every class's shape on every server at t=0, so
 	// first dispatches — and re-landings after a server loss — are
 	// cache hits: the zero-solve recovery path.
@@ -293,9 +289,6 @@ func (c Config) withDefaults() (Config, error) {
 				return c, fmt.Errorf("cluster: server %d restarts at %gs, past the %gs horizon", rf.Server, rf.At, c.HorizonS)
 			}
 		}
-	}
-	if c.RestartLatencyS <= 0 {
-		c.RestartLatencyS = 5
 	}
 	if c.Cache == nil {
 		c.Cache = NewStepCache()
@@ -638,12 +631,15 @@ func (r *run) serverFail(s *server) {
 	r.takeDown(s)
 }
 
+// defaultRestartLatencyS is the downtime of a server_restarts bounce
+// whose clause leaves restart_latency_s 0.
+const defaultRestartLatencyS = 5
+
 func (r *run) restartDown(s *server) {
 	r.takeDown(s)
-	rf := r.restarts[s.id]
-	lat := rf.RestartLatencyS
+	lat := r.restarts[s.id].RestartLatencyS
 	if lat <= 0 {
-		lat = r.cfg.RestartLatencyS
+		lat = defaultRestartLatencyS
 	}
 	r.events.push(event{at: r.now + lat, kind: evRestartUp, srv: s.id})
 }

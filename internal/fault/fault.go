@@ -54,13 +54,8 @@ type Spec struct {
 	// them — they are consumed by internal/cluster.
 	ServerFails []ServerFailFault `json:"server_fails,omitempty"`
 
-	// StoreFaults inject I/O failures (clean write failures, torn
-	// writes, device latency) into the plan store's write-behind path
-	// (see store.go); they are consumed by internal/planstore.
-	StoreFaults []StoreFault `json:"store_faults,omitempty"`
-
 	// ServerRestarts bounce whole fleet servers: crash at At, rejoin
-	// warm or cold after RestartLatencyS (see store.go); consumed by
+	// warm or cold after RestartLatencyS (see server.go); consumed by
 	// internal/cluster.
 	ServerRestarts []ServerRestartFault `json:"server_restarts,omitempty"`
 }
@@ -193,9 +188,6 @@ func (s *Spec) Validate() error {
 	if err := s.validateRestarts(); err != nil {
 		return err
 	}
-	if err := s.validateStore(); err != nil {
-		return err
-	}
 	return s.validatePermanent()
 }
 
@@ -211,7 +203,7 @@ func (s *Spec) Empty() bool {
 	return s == nil || (len(s.Links) == 0 && len(s.Stragglers) == 0 && len(s.Transient) == 0 &&
 		len(s.MemPressure) == 0 && len(s.Corruptions) == 0 &&
 		len(s.GPUFails) == 0 && len(s.LinkFails) == 0 && len(s.ServerFails) == 0 &&
-		len(s.StoreFaults) == 0 && len(s.ServerRestarts) == 0)
+		len(s.ServerRestarts) == 0)
 }
 
 // Injection is the record of a spec bound to one server: what was applied

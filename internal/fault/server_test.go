@@ -1,8 +1,6 @@
 package fault
 
-import (
-	"testing"
-)
+import "testing"
 
 func TestServerFailValidation(t *testing.T) {
 	cases := []struct {
@@ -76,5 +74,62 @@ func TestWithoutCluster(t *testing.T) {
 	}
 	if (&Spec{ServerFails: []ServerFailFault{{Server: 0}}}).Empty() {
 		t.Fatal("server_fails spec must not be Empty")
+	}
+}
+
+// TestRestartSchedule: sorted by onset, stable for ties, nil-safe.
+func TestRestartSchedule(t *testing.T) {
+	spec := &Spec{ServerRestarts: []ServerRestartFault{
+		{Server: 2, At: 9},
+		{Server: 0, At: 3},
+		{Server: 1, At: 9, Cold: true},
+	}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !spec.HasServerRestarts() {
+		t.Fatal("HasServerRestarts = false")
+	}
+	sched := spec.RestartSchedule()
+	if len(sched) != 3 || sched[0].Server != 0 || sched[1].Server != 2 || sched[2].Server != 1 {
+		t.Fatalf("schedule order %+v", sched)
+	}
+	// The spec's own slice is untouched.
+	if spec.ServerRestarts[0].Server != 2 {
+		t.Fatal("RestartSchedule mutated the spec")
+	}
+	var nilSpec *Spec
+	if nilSpec.HasServerRestarts() || nilSpec.RestartSchedule() != nil {
+		t.Fatal("nil spec should have no restarts")
+	}
+}
+
+// TestWithoutClusterStripsRestartClauses: the per-server spec a fleet
+// member consumes must not re-apply a server bounce.
+func TestWithoutClusterStripsRestartClauses(t *testing.T) {
+	spec := &Spec{
+		Seed:           9,
+		ServerFails:    []ServerFailFault{{Server: 0, At: 1}},
+		ServerRestarts: []ServerRestartFault{{Server: 1, At: 2}},
+	}
+	// Only cluster-level clauses: the per-server residue is empty, nil.
+	if stripped := spec.WithoutCluster(); stripped != nil {
+		t.Fatalf("all-cluster spec should strip to nil, got %+v", stripped)
+	}
+	// With a per-server clause alongside, it survives — without the
+	// cluster-level ones.
+	spec.Stragglers = []StragglerFault{{GPU: 0, Throughput: 0.5}}
+	stripped := spec.WithoutCluster()
+	if stripped == nil {
+		t.Fatal("spec with per-server clauses should survive stripping")
+	}
+	if len(stripped.ServerFails) != 0 || len(stripped.ServerRestarts) != 0 {
+		t.Fatalf("cluster-level clauses leaked: %+v", stripped)
+	}
+	if len(stripped.Stragglers) != 1 {
+		t.Fatal("per-server clause lost in stripping")
+	}
+	if len(spec.ServerRestarts) != 1 {
+		t.Fatal("WithoutCluster mutated the original")
 	}
 }

@@ -15,12 +15,6 @@
 // torn, bit-flipped, stale-version, or semantically invalid records —
 // is quarantined (renamed aside and counted), never fatal: a damaged
 // store degrades toward a cold start one entry at a time.
-//
-// Fault injection: a fault.Spec's store_faults clauses inject clean
-// write failures, torn writes at a byte offset, and device latency into
-// the worker, decided by the same seed-driven splitmix hash
-// (resil.Hash01) as every other clause — per (seed, rule, key,
-// operation sequence), so a scenario replays bitwise.
 package planstore
 
 import (
@@ -31,9 +25,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
-
-	"mobius/internal/fault"
 )
 
 // Config tunes a Store.
@@ -45,13 +36,6 @@ type Config struct {
 	// deletes always enqueue — dropping one would let a restart
 	// resurrect an entry the cache already evicted.
 	QueueDepth int
-	// Faults injects store I/O faults via its store_faults clauses
-	// (fault.Spec.StoreOp); nil injects nothing.
-	Faults *fault.Spec
-	// Sleep absorbs injected device latency (default time.Sleep); the
-	// chaos harness substitutes a recorder so latency clauses stay
-	// deterministic in wall-clock-free tests.
-	Sleep func(d time.Duration)
 }
 
 // Metrics counts what the store did. Counters are cumulative since
@@ -63,15 +47,8 @@ type Metrics struct {
 	Deletes   uint64 `json:"deletes"`
 	// WriteDrops counts puts dropped at a full queue.
 	WriteDrops uint64 `json:"write_drops"`
-	// InjectedFailures counts operations failed cleanly by store_faults;
-	// TornWrites counts injected torn writes (a partial record reached
-	// the final path).
-	InjectedFailures uint64 `json:"injected_failures"`
-	TornWrites       uint64 `json:"torn_writes"`
-	// IOErrors counts real filesystem errors the worker survived.
+	// IOErrors counts filesystem errors the worker survived.
 	IOErrors uint64 `json:"io_errors"`
-	// InjectedLatencyS is the total injected device latency.
-	InjectedLatencyS float64 `json:"injected_latency_s"`
 	// QueueDepth is the write-behind backlog at snapshot time.
 	QueueDepth int `json:"queue_depth"`
 
@@ -111,7 +88,6 @@ const (
 type storeOp struct {
 	kind opKind
 	e    Entry
-	seq  uint64
 }
 
 // Store is the crash-safe plan store. All methods are safe for
@@ -123,7 +99,6 @@ type Store struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []storeOp
-	seq    uint64
 	closed bool
 	idle   bool
 	m      Metrics
@@ -134,26 +109,28 @@ type Store struct {
 // Open creates the directory if needed and starts the write-behind
 // worker.
 func Open(cfg Config) (*Store, error) {
+	s, err := newStore(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go s.worker()
+	return s, nil
+}
+
+// newStore is Open without the worker: operations queue up until a
+// worker is started.
+func newStore(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("planstore: a directory is required")
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("planstore: %w", err)
 	}
 	s := &Store{cfg: cfg, workerDone: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
-	go s.worker()
 	return s, nil
 }
 
@@ -173,8 +150,7 @@ func (s *Store) Put(e Entry) {
 		s.m.WriteDrops++
 		return
 	}
-	s.queue = append(s.queue, storeOp{kind: opPut, e: e, seq: s.seq})
-	s.seq++
+	s.queue = append(s.queue, storeOp{kind: opPut, e: e})
 	s.cond.Broadcast()
 }
 
@@ -187,8 +163,7 @@ func (s *Store) Delete(k Key) {
 	if s.closed {
 		return
 	}
-	s.queue = append(s.queue, storeOp{kind: opDelete, e: Entry{Key: k}, seq: s.seq})
-	s.seq++
+	s.queue = append(s.queue, storeOp{kind: opDelete, e: Entry{Key: k}})
 	s.cond.Broadcast()
 }
 
@@ -253,21 +228,8 @@ func (s *Store) worker() {
 	}
 }
 
-// process executes one drained operation, injected faults first.
+// process executes one drained operation.
 func (s *Store) process(op storeOp) {
-	opName := fault.StoreOpPut
-	if op.kind == opDelete {
-		opName = fault.StoreOpDelete
-	}
-	d := s.cfg.Faults.StoreOp(opName, keyHash(op.e.Key), op.seq)
-	if d.LatencyS > 0 {
-		s.count(func(m *Metrics) { m.InjectedLatencyS += d.LatencyS })
-		s.cfg.Sleep(time.Duration(d.LatencyS * float64(time.Second)))
-	}
-	if d.Fail {
-		s.count(func(m *Metrics) { m.InjectedFailures++ })
-		return
-	}
 	path := filepath.Join(s.cfg.Dir, op.e.Key.String()+recordExt)
 	switch op.kind {
 	case opDelete:
@@ -280,22 +242,6 @@ func (s *Store) process(op storeOp) {
 		rec, err := encodeRecord(op.e)
 		if err != nil {
 			s.count(func(m *Metrics) { m.IOErrors++ })
-			return
-		}
-		if d.Torn {
-			// A torn write bypasses the temp+rename protocol — it models
-			// the crash that protocol cannot save you from (overwrite in
-			// place, partial page flush): a prefix of the record lands on
-			// the final path, destroying any intact predecessor.
-			tear := d.TornAtByte
-			if tear <= 0 || tear >= len(rec) {
-				tear = 1 + int(d.TornHash*float64(len(rec)-1))
-			}
-			if err := os.WriteFile(path, rec[:tear], 0o644); err != nil {
-				s.count(func(m *Metrics) { m.IOErrors++ })
-				return
-			}
-			s.count(func(m *Metrics) { m.TornWrites++ })
 			return
 		}
 		if err := atomicWrite(path, rec); err != nil {
@@ -433,15 +379,4 @@ func keyFromName(name string) (Key, bool) {
 		return k, false
 	}
 	return k, true
-}
-
-// keyHash folds a key into the 64-bit hash the fault-decision stream is
-// salted with (FNV-1a over the raw key bytes).
-func keyHash(k Key) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range k {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
 }

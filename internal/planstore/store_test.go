@@ -8,10 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mobius/internal/core"
-	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
 	"mobius/internal/partition"
@@ -259,91 +257,80 @@ func TestStoreDeleteCoherence(t *testing.T) {
 // TestStoreQueueBound: puts drop at a full queue (counted, never
 // blocking); deletes are exempt so eviction coherence always holds.
 func TestStoreQueueBound(t *testing.T) {
-	release := make(chan struct{})
-	var once sync.Once
-	spec := &fault.Spec{StoreFaults: []fault.StoreFault{{Op: "put", LatencyMS: 1}}}
-	s := openStore(t, Config{
-		Dir:        t.TempDir(),
-		QueueDepth: 2,
-		Faults:     spec,
-		Sleep:      func(time.Duration) { <-release },
-	})
-	e := testEntry(t, model.GPT3B, "q0")
-	s.Put(e) // worker picks this up and parks in Sleep
-	for {
-		s.mu.Lock()
-		busy := !s.idle && len(s.queue) == 0
-		s.mu.Unlock()
-		if busy {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	s, err := newStore(Config{Dir: t.TempDir(), QueueDepth: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	// No worker yet: every operation stays queued.
+	s.Put(testEntry(t, model.GPT3B, "q0"))
 	s.Put(testEntry(t, model.GPT3B, "q1"))
-	s.Put(testEntry(t, model.GPT3B, "q2"))
-	s.Put(testEntry(t, model.GPT3B, "q3")) // queue full: dropped
+	s.Put(testEntry(t, model.GPT3B, "q2")) // queue full: dropped
 	s.Delete(testKey("q9"))                // exempt from the bound
 	m := s.Metrics()
 	if m.WriteDrops != 1 {
 		t.Errorf("WriteDrops = %d, want 1", m.WriteDrops)
 	}
-	if m.QueueDepth != 3 { // q1, q2 and the delete
+	if m.QueueDepth != 3 { // q0, q1 and the delete
 		t.Errorf("QueueDepth = %d, want 3", m.QueueDepth)
 	}
-	once.Do(func() { close(release) })
+	go s.worker()
+	t.Cleanup(func() { s.Close() })
 	s.Flush()
-	if m := s.Metrics(); m.Persisted != 3 || m.InjectedLatencyS <= 0 {
+	if m := s.Metrics(); m.Persisted != 2 || m.Deletes != 1 || m.QueueDepth != 0 {
 		t.Errorf("after drain: %+v", m)
 	}
 }
 
-// TestStoreInjectedFailures: probability-1 clean failures mean nothing
-// reaches the directory — and the store survives a fully broken disk.
-func TestStoreInjectedFailures(t *testing.T) {
-	spec := &fault.Spec{StoreFaults: []fault.StoreFault{{Op: "*", Mode: "fail", Probability: 1}}}
-	dir := t.TempDir()
-	s := openStore(t, Config{Dir: dir, Faults: spec})
-	s.Put(testEntry(t, model.GPT3B, "f1"))
-	s.Put(testEntry(t, model.GPT3B, "f2"))
-	s.Delete(testKey("f1"))
-	s.Flush()
-	m := s.Metrics()
-	if m.InjectedFailures != 3 || m.Persisted != 0 || m.Deletes != 0 {
-		t.Fatalf("metrics %+v, want 3 injected failures and nothing persisted", m)
+// TestStoreSurvivesIOErrors: when the directory stops being one, a put
+// fails as a counted I/O error without stalling the worker, Load reports
+// a directory-level error, and the store persists again once the
+// directory is back.
+func TestStoreSurvivesIOErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := openStore(t, Config{Dir: dir})
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
 	}
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 0 {
-		t.Fatalf("%d file(s) reached a fully failed store", len(ents))
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(testEntry(t, model.GPT3B, "lost"))
+	s.Flush()
+	if m := s.Metrics(); m.IOErrors != 1 || m.Persisted != 0 {
+		t.Fatalf("metrics %+v, want one I/O error and nothing persisted", m)
+	}
+	if _, _, err := s.Load(); err == nil || !strings.HasPrefix(err.Error(), "planstore:") {
+		t.Fatalf("Load over a regular file: err %v, want a planstore: error", err)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(testEntry(t, model.GPT3B, "kept"))
+	s.Flush()
+	if m := s.Metrics(); m.IOErrors != 1 || m.Persisted != 1 {
+		t.Fatalf("metrics %+v, want the next put persisted", m)
 	}
 }
 
-// TestStoreTornWrite: a torn put lands a partial record on the final
-// path; a replay quarantines it and keeps every intact sibling.
+// TestStoreTornWrite: a record torn on disk (a strict prefix on the
+// final path, the crash temp+rename cannot absorb) is quarantined by a
+// replay, and every intact sibling is kept.
 func TestStoreTornWrite(t *testing.T) {
-	spec := &fault.Spec{StoreFaults: []fault.StoreFault{
-		{Op: "put", Mode: "torn", Probability: 1, TornAtByte: 100},
-	}}
 	dir := t.TempDir()
+	s := openStore(t, Config{Dir: dir})
 	intact := testEntry(t, model.GPT3B, "intact")
-	// First store writes one intact record, fault-free.
-	s0 := openStore(t, Config{Dir: dir})
-	s0.Put(intact)
-	s0.Flush()
-	s0.Close()
-	// Second store tears every put.
-	s := openStore(t, Config{Dir: dir, Faults: spec})
 	torn := testEntry(t, model.GPT3B, "torn")
+	s.Put(intact)
 	s.Put(torn)
 	s.Flush()
-	if m := s.Metrics(); m.TornWrites != 1 || m.Persisted != 0 {
-		t.Fatalf("metrics %+v, want exactly one torn write", m)
+	if m := s.Metrics(); m.Persisted != 2 {
+		t.Fatalf("metrics %+v, want both records persisted", m)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, torn.Key.String()+recordExt))
-	if err != nil {
+	if err := os.Truncate(filepath.Join(dir, torn.Key.String()+recordExt), 100); err != nil {
 		t.Fatal(err)
-	}
-	if len(data) != 100 {
-		t.Fatalf("torn record holds %d bytes, want the 100-byte prefix", len(data))
 	}
 	entries, rep, err := s.Load()
 	if err != nil {
@@ -430,11 +417,6 @@ func TestStoreConcurrentOps(t *testing.T) {
 func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(Config{}); err == nil {
 		t.Fatal("Open without a directory should fail")
-	}
-	if _, err := Open(Config{Dir: t.TempDir(), Faults: &fault.Spec{
-		StoreFaults: []fault.StoreFault{{Op: "bogus"}},
-	}}); err == nil {
-		t.Fatal("Open with an invalid fault spec should fail")
 	}
 }
 
