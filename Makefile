@@ -111,7 +111,7 @@ check-plansvc:
 # assertions, all under the race detector.
 check-cluster:
 	$(GO) test -race -count=1 ./internal/resil/
-	$(GO) test -race -run 'TestCluster|TestJain|TestBucket|TestGamma' -count=1 ./internal/cluster/
+	$(GO) test -race -run 'TestCluster|TestJain|TestBucket' -count=1 ./internal/cluster/
 	$(GO) test -race -run 'TestClusterChaos' -count=1 ./internal/chaos/
 	$(GO) test -race -run 'TestOverload' -count=1 ./internal/experiments/
 

@@ -13,15 +13,17 @@
 //	mobius-cluster -restart 0@200                 # server bounce: down, then warm rejoin
 //	mobius-cluster -restart 0@200 -restart-cold   # rejoin with a cold plan cache
 //	mobius-cluster -cache-dir /tmp/fleet-plans    # per-server persistent plan stores
-//	mobius-cluster -dispatch-fail-prob 0.2        # transient dispatch failures
 //	mobius-cluster -no-admission                  # drop the token budgets
 //	mobius-cluster -jobs                          # append the per-job audit trail
 //
 // The default workload is the overload experiment's: gold (SLO 0,
 // token-budgeted), silver (SLO 1, budgeted, degrades to the greedy
 // floor past its queue patience) and best-effort (SLO 2, unbudgeted,
-// deadline-shed). Every run is deterministic in -seed and ends with the
-// conservation check: Submitted = Completed + Rejected + Shed + Failed.
+// deadline-shed), each arriving as a Poisson stream. A dispatch fails
+// only into a server that died and is not yet detected (-fail, -restart),
+// which is what drives the retry and breaker counters. Every run is
+// deterministic in -seed and ends with the conservation check:
+// Submitted = Completed + Rejected + Shed + Failed.
 package main
 
 import (
@@ -81,7 +83,6 @@ func main() {
 	modelName := flag.String("model", "3B", "job model: 3B, 8B, 15B, 51B")
 	queueCap := flag.Int("queue-cap", 6, "per-server bounded queue capacity")
 	noAdmission := flag.Bool("no-admission", false, "drop the token budgets (admit everything)")
-	dispatchFailProb := flag.Float64("dispatch-fail-prob", 0, "transient dispatch failure probability [0,1)")
 	prewarm := flag.Bool("prewarm", true, "prewarm every server's plan cache before arrivals")
 	jobs := flag.Bool("jobs", false, "append the per-job audit trail")
 	cacheDir := flag.String("cache-dir", "", "root directory for per-server persistent plan stores (warm restarts reload from disk)")
@@ -137,15 +138,14 @@ func main() {
 	be.DeadlineS = 40
 
 	cfg := cluster.Config{
-		Servers:          *servers,
-		Topology:         topo,
-		Classes:          []cluster.Class{gold, silver, be},
-		HorizonS:         *horizon,
-		Seed:             *seed,
-		QueueCap:         *queueCap,
-		DispatchFailProb: *dispatchFailProb,
-		Prewarm:          *prewarm,
-		StoreRoot:        *cacheDir,
+		Servers:   *servers,
+		Topology:  topo,
+		Classes:   []cluster.Class{gold, silver, be},
+		HorizonS:  *horizon,
+		Seed:      *seed,
+		QueueCap:  *queueCap,
+		Prewarm:   *prewarm,
+		StoreRoot: *cacheDir,
 	}
 	if len(fails) > 0 || len(restarts) > 0 {
 		for i := range restarts {

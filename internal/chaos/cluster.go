@@ -17,10 +17,10 @@ import (
 
 // ClusterHarness stress-tests the fleet simulator the way PlanHarness
 // stresses the planning service: from a single seed it derives a whole
-// cluster scenario — fleet size, tenant classes with arrival processes
-// and admission budgets, server losses, transient dispatch failures —
-// runs it with the paranoid per-event audit on, and checks the
-// invariants that must hold for every seed:
+// cluster scenario — fleet size, tenant classes with Poisson arrival
+// rates and admission budgets, server losses and bounces — runs it with
+// the paranoid per-event audit on, and checks the invariants that must
+// hold for every seed:
 //
 //   - job conservation, fleet-wide and per class: every submitted job
 //     is accounted as exactly one of completed, rejected, shed or
@@ -74,19 +74,14 @@ func NewClusterHarness() *ClusterHarness {
 func (h *ClusterHarness) ClusterScenario(seed int64) cluster.Config {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := cluster.Config{
-		Servers:          2 + rng.Intn(3),
-		Topology:         h.topo,
-		HorizonS:         float64(200 + rng.Intn(400)),
-		Seed:             seed,
-		QueueCap:         2 + rng.Intn(7),
-		DispatchAttempts: 3 + rng.Intn(3),
-		BreakerThreshold: 1 + rng.Intn(3),
-		BreakerCooldownS: float64(5 + rng.Intn(16)),
-		DetectLatencyS:   0.5 + 3.5*rng.Float64(),
-		DispatchFailProb: 0.25 * rng.Float64() * float64(rng.Intn(2)),
-		Prewarm:          rng.Intn(2) == 0,
-		Paranoid:         true,
-		Cache:            h.Cache,
+		Servers:  2 + rng.Intn(3),
+		Topology: h.topo,
+		HorizonS: float64(200 + rng.Intn(400)),
+		Seed:     seed,
+		QueueCap: 2 + rng.Intn(7),
+		Prewarm:  rng.Intn(2) == 0,
+		Paranoid: true,
+		Cache:    h.Cache,
 	}
 	nClasses := 2 + rng.Intn(2)
 	for i := 0; i < nClasses; i++ {
@@ -94,10 +89,6 @@ func (h *ClusterHarness) ClusterScenario(seed int64) cluster.Config {
 		cl.Name = fmt.Sprintf("t%d", i)
 		cl.SLO = i
 		cl.RatePerS = 0.01 + 0.11*rng.Float64()
-		if rng.Intn(2) == 0 {
-			cl.Arrival = cluster.ArrivalGamma
-			cl.GammaShape = 0.3 + 1.2*rng.Float64()
-		}
 		cl.StepsMin = 1 + rng.Intn(2)
 		cl.StepsMax = cl.StepsMin + rng.Intn(3)
 		cl.CheckpointEvery = rng.Intn(4)
@@ -153,8 +144,9 @@ type ClusterReport struct {
 
 func (r *ClusterReport) String() string {
 	rep := r.Report
-	return fmt.Sprintf("cluster chaos seed %d: %d servers, %d jobs (%d done, %d rej, %d shed, %d failed), %d server losses, Jain %.3f",
-		r.Seed, rep.Servers, rep.Submitted, rep.Completed, rep.Rejected, rep.Shed, rep.Failed, rep.ServerFailures, rep.Jain)
+	return fmt.Sprintf("cluster chaos seed %d: %d servers, %d jobs (%d done, %d rej, %d shed, %d failed), %d server losses, %d retries, %d breaker trips, Jain %.3f",
+		r.Seed, rep.Servers, rep.Submitted, rep.Completed, rep.Rejected, rep.Shed, rep.Failed, rep.ServerFailures,
+		rep.DispatchRetries, rep.BreakerTrips, rep.Jain)
 }
 
 // RunCluster executes one seed: serial run, invariant checks, and a
@@ -256,7 +248,6 @@ func (h *ClusterHarness) distinctShapes(cfg cluster.Config) int {
 		opts := core.Options{
 			Model:          cl.Model,
 			Topology:       cfg.Topology,
-			Microbatches:   cl.Microbatches,
 			PartitionAlgo:  cl.PartitionAlgo,
 			BalancedStages: cl.BalancedStages,
 		}

@@ -6,15 +6,16 @@ import (
 
 // TestClusterChaosMatrix sweeps seeds through the cluster harness:
 // each derives a fleet scenario (2-4 servers, 2-3 tenant classes with
-// mixed arrival processes, token budgets, deadlines, degrade patience,
-// transient dispatch failures and up to two server losses), runs it
-// with the paranoid per-event audit, checks conservation / fairness /
-// failure-accounting invariants, and replays it bitwise.
+// Poisson arrivals, token budgets, deadlines, degrade patience, up to
+// two server losses and up to two bounces), runs it with the paranoid
+// per-event audit, checks conservation / fairness / failure-accounting
+// invariants, and replays it bitwise.
 func TestClusterChaosMatrix(t *testing.T) {
 	h := NewClusterHarness()
 	h.StoreScratch = t.TempDir()
 	sawFaults, sawRelands, sawRejections := false, false, false
 	sawRestarts, sawWarmRestart := false, false
+	sawRetries, sawTrips := false, false
 	for seed := int64(1); seed <= 24; seed++ {
 		rep, err := h.RunCluster(seed)
 		if err != nil {
@@ -32,6 +33,12 @@ func TestClusterChaosMatrix(t *testing.T) {
 		}
 		if rep.Report.Rejected > 0 {
 			sawRejections = true
+		}
+		if rep.Report.DispatchRetries > 0 {
+			sawRetries = true
+		}
+		if rep.Report.BreakerTrips > 0 {
+			sawTrips = true
 		}
 		for _, c := range rep.Report.Classes {
 			if c.Relands > 0 {
@@ -55,6 +62,12 @@ func TestClusterChaosMatrix(t *testing.T) {
 	}
 	if !sawWarmRestart {
 		t.Error("no seed bounced a prewarmed server, so the fleet zero-solve-through-restart identity went untested")
+	}
+	if !sawRetries {
+		t.Error("no seed retried a dispatch into a dead-but-undetected server; widen the scenario space")
+	}
+	if !sawTrips {
+		t.Error("no seed tripped a dispatch breaker; widen the scenario space")
 	}
 }
 

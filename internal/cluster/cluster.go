@@ -13,8 +13,8 @@
 //     planner's greedy floor for jobs that waited past their class's
 //     patience — reject, queue, degrade, shed, in that order;
 //   - dispatch retries with exponential backoff and a per-server
-//     circuit breaker, so a dead-but-undetected or flaky server is
-//     routed around instead of hammered;
+//     circuit breaker, so a dead-but-undetected server is routed
+//     around instead of hammered;
 //   - server-loss failure domains: fault.Spec's server_fails clauses
 //     drop whole servers mid-run; in-flight work resumes from its last
 //     checkpoint on a survivor, priced through the same
@@ -24,7 +24,7 @@
 //
 // Determinism: the event loop is a single goroutine over (time, seq)
 // ordered events — the pre-sorted arrivals merged with a heap of
-// everything else; arrival processes and step counts come from per-class
+// everything else; Poisson arrivals and step counts come from per-class
 // seeded streams, and every tie is broken by construction order — the
 // same Config replays the same Report bit for bit. The chaos harness
 // (internal/chaos) asserts this, plus the job-conservation identity
@@ -43,7 +43,7 @@ import (
 	"mobius/internal/resil"
 )
 
-// Class is one tenant class: an arrival process, a job shape, an
+// Class is one tenant class: a Poisson arrival rate, a job shape, an
 // admission budget and an SLO.
 type Class struct {
 	// Name labels the class in reports.
@@ -53,15 +53,9 @@ type Class struct {
 	// lowest classes first because they wait longest.
 	SLO int
 
-	// Arrival selects the interarrival process: "poisson" (default) or
-	// "gamma" (bursty; see GammaShape). RatePerS is the mean arrival
-	// rate in jobs per virtual second.
-	Arrival  string
+	// RatePerS is the mean Poisson arrival rate in jobs per virtual
+	// second.
 	RatePerS float64
-	// GammaShape is the gamma shape parameter k (default 0.5); the
-	// coefficient of variation is 1/sqrt(k), so k < 1 means burstier
-	// than Poisson at the same mean rate.
-	GammaShape float64
 
 	// Model and the planning knobs fix the job shape. PartitionAlgo
 	// defaults to the core default (the MIP); simulations at fleet
@@ -69,7 +63,6 @@ type Class struct {
 	Model          model.Config
 	PartitionAlgo  string
 	BalancedStages int
-	Microbatches   int
 	// StepsMin/StepsMax bound the per-job fine-tuning step count,
 	// drawn uniformly from the class stream (defaults 1/StepsMin).
 	StepsMin, StepsMax int
@@ -98,18 +91,8 @@ func (c Class) withDefaults(i int) (Class, error) {
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("class%d", i)
 	}
-	if c.Arrival == "" {
-		c.Arrival = ArrivalPoisson
-	}
-	if c.Arrival != ArrivalPoisson && c.Arrival != ArrivalGamma {
-		return c, fmt.Errorf("cluster: class %q: unknown arrival process %q (want %q or %q)",
-			c.Name, c.Arrival, ArrivalPoisson, ArrivalGamma)
-	}
 	if c.RatePerS <= 0 {
 		return c, fmt.Errorf("cluster: class %q: arrival rate %g must be positive", c.Name, c.RatePerS)
-	}
-	if c.GammaShape <= 0 {
-		c.GammaShape = 0.5
 	}
 	if c.SLO < 0 {
 		return c, fmt.Errorf("cluster: class %q: negative SLO %d", c.Name, c.SLO)
@@ -138,12 +121,6 @@ func (c Class) withDefaults(i int) (Class, error) {
 	return c, nil
 }
 
-// Arrival process names.
-const (
-	ArrivalPoisson = "poisson"
-	ArrivalGamma   = "gamma"
-)
-
 // Config describes one fleet run.
 type Config struct {
 	// Servers is the fleet size; every server runs Topology (default:
@@ -156,32 +133,13 @@ type Config struct {
 	// admitted before the horizon drain to completion after it.
 	HorizonS float64
 	// Seed drives every stochastic stream (arrivals, step counts,
-	// dispatch-failure hashes). Same seed, same Report, bit for bit.
+	// backoff jitter). Same seed, same Report, bit for bit.
 	Seed int64
 
 	// QueueCap bounds each server's queue (default 8); a fleet of full
 	// queues pushes back by rejecting. Re-landed jobs are exempt —
 	// they already spent their admission token.
 	QueueCap int
-	// DispatchAttempts bounds attempts per job routing round (default
-	// 4); past it the job fails.
-	DispatchAttempts int
-	// BreakerThreshold consecutive dispatch failures trip a server's
-	// circuit breaker open for BreakerCooldownS of virtual time
-	// (defaults 3, 30); while open the router skips the server, then
-	// probes it half-open.
-	BreakerThreshold int
-	BreakerCooldownS float64
-	// DispatchFailProb injects transient dispatch failures on healthy
-	// servers, decided by a deterministic per-(job, server, attempt)
-	// hash — the chaos knob that exercises retry and breaker paths
-	// without killing anything.
-	DispatchFailProb float64
-	// DetectLatencyS is the failure-detection window (default 2): a
-	// dead server stays in the routing tables that long, so dispatches
-	// keep failing into it (and tripping its breaker) until detection
-	// reroutes its queue and in-flight job.
-	DetectLatencyS float64
 
 	// Faults is the fleet fault scenario. ServerFails clauses are
 	// consumed here (whole servers dropping), as are ServerRestarts
@@ -242,21 +200,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8
-	}
-	if c.DispatchAttempts <= 0 {
-		c.DispatchAttempts = 4
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldownS <= 0 {
-		c.BreakerCooldownS = 30
-	}
-	if c.DispatchFailProb < 0 || c.DispatchFailProb >= 1 {
-		return c, fmt.Errorf("cluster: dispatch failure probability %g out of range [0, 1)", c.DispatchFailProb)
-	}
-	if c.DetectLatencyS <= 0 {
-		c.DetectLatencyS = 2
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -460,8 +403,8 @@ func (r *run) allDead() bool {
 // route places a job on a server: plan-cache affinity first, then
 // least load, skipping known-dead and breaker-open servers and (for
 // fresh jobs) full queues. A routed dispatch can still fail — into a
-// dead-but-undetected server, or by injected transient failure — which
-// burns the timeout, backs off, and feeds the server's breaker.
+// dead-but-undetected server — which burns the timeout, backs off, and
+// feeds the server's breaker.
 func (r *run) route(j *job) error {
 	best, bestAff, bestLoad := -1, false, 0
 	for _, s := range r.servers {
@@ -499,7 +442,7 @@ func (r *run) route(j *job) error {
 
 	s := r.servers[best]
 	s.br.Allow(r.now)
-	if s.dead || r.transientFail(j, s) {
+	if s.dead {
 		r.rep.DispatchFailures++
 		if s.br.Failure(r.now) {
 			r.rep.BreakerTrips++
@@ -516,7 +459,7 @@ func (r *run) route(j *job) error {
 
 func (r *run) retryOrFail(j *job) error {
 	j.attempts++
-	if j.attempts >= r.cfg.DispatchAttempts {
+	if j.attempts >= dispatchAttempts {
 		r.fail(j)
 		return nil
 	}
@@ -531,12 +474,6 @@ func (r *run) retryOrFail(j *job) error {
 func (r *run) backoff(j *job) float64 {
 	frac := resil.Hash01(r.cfg.Seed, saltBackoff, uint64(j.id), uint64(j.attempts))
 	return resil.Backoff(backoffBaseS, backoffMaxS, j.attempts-1, frac)
-}
-
-// transientFail decides the injected dispatch failure for this attempt.
-func (r *run) transientFail(j *job, s *server) bool {
-	p := r.cfg.DispatchFailProb
-	return p > 0 && resil.Hash01(r.cfg.Seed, saltDispatch, uint64(j.id), uint64(s.id), uint64(j.attempts)) < p
 }
 
 func (r *run) fail(j *job) {
@@ -664,7 +601,7 @@ func (r *run) takeDown(s *server) {
 		s.parked = append(s.parked, j)
 	}
 	s.queue = s.queue[:0]
-	r.events.push(event{at: r.now + r.cfg.DetectLatencyS, kind: evDetect, srv: s.id, gen: s.gen})
+	r.events.push(event{at: r.now + detectLatencyS, kind: evDetect, srv: s.id, gen: s.gen})
 }
 
 // restartUp rejoins a bounced server: fresh process (fresh breaker,
@@ -681,7 +618,7 @@ func (r *run) restartUp(s *server) error {
 	s.gen++
 	s.dead = false
 	s.detected = false
-	s.br = resil.Breaker[float64]{Threshold: r.cfg.BreakerThreshold, Cooldown: r.cfg.BreakerCooldownS}
+	s.br = newBreaker()
 	if err := s.reopen(r.cfg, rf.Cold); err != nil {
 		return err
 	}
@@ -787,17 +724,29 @@ func (r *run) audit() error {
 	return nil
 }
 
-// Salts separating the cluster's resil.Hash01 decision domains.
-const (
-	saltDispatch = 0xd15b47c8
-	saltBackoff  = 0xbac0ff
-)
+// saltBackoff separates the backoff jitter's resil.Hash01 domain.
+const saltBackoff = 0xbac0ff
 
 // The dispatch retry ladder, in virtual seconds: a failed dispatch
 // burns dispatchTimeoutS, then waits resil.Backoff from backoffBaseS,
-// capped at backoffMaxS and jittered per (seed, job, attempt).
+// capped at backoffMaxS and jittered per (seed, job, attempt); past
+// dispatchAttempts attempts in one routing round the job fails.
+// breakerThreshold consecutive failures trip a server's breaker open
+// for breakerCooldownS, during which the router skips it before probing
+// it half-open. A dead server stays in the routing tables for
+// detectLatencyS, so dispatches keep failing into it (and tripping its
+// breaker) until detection reroutes its queue and in-flight job.
 const (
 	dispatchTimeoutS = 0.05
 	backoffBaseS     = 0.025
 	backoffMaxS      = 2
+	dispatchAttempts = 4
+	breakerThreshold = 3
+	breakerCooldownS = 30
+	detectLatencyS   = 2
 )
+
+// newBreaker is a fresh server's closed dispatch breaker.
+func newBreaker() resil.Breaker[float64] {
+	return resil.Breaker[float64]{Threshold: breakerThreshold, Cooldown: breakerCooldownS}
+}

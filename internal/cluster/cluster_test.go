@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"mobius/internal/fault"
@@ -231,26 +230,29 @@ func TestClusterAllServersDead(t *testing.T) {
 	}
 }
 
-// TestClusterDispatchFailuresTripBreaker: injected transient dispatch
-// failures drive retries and the per-server breaker.
+// TestClusterDispatchFailuresTripBreaker: two server losses under a
+// dense arrival stream drive the retry ladder and the per-server
+// breaker. Until detection the dead servers stay routable, and with their
+// queues parked they look least loaded, so fresh jobs keep dispatching
+// into them.
 func TestClusterDispatchFailuresTripBreaker(t *testing.T) {
-	cfg := baseConfig(cheapClass("prod", 0, model.GPT3B, 0.05))
-	cfg.DispatchFailProb = 0.6
-	cfg.BreakerThreshold = 2
+	cfg := baseConfig(cheapClass("prod", 0, model.GPT3B, 0.5))
+	cfg.Servers = 3
 	cfg.Seed = 11
+	cfg.Faults = &fault.Spec{ServerFails: []fault.ServerFailFault{{Server: 0, At: 120}, {Server: 1, At: 200}}}
 	rep := mustRun(t, cfg)
 	if rep.DispatchFailures == 0 || rep.DispatchRetries == 0 {
-		t.Fatalf("no injected dispatch failures at p=0.6: %+v", rep)
+		t.Fatalf("no dispatch failed into a dead-but-undetected server: %+v", rep)
 	}
 	if rep.BreakerTrips == 0 {
-		t.Errorf("breaker never tripped under sustained dispatch failures: %+v", rep)
+		t.Errorf("breaker never tripped on a dead server: %+v", rep)
 	}
 	if rep.Completed == 0 {
 		t.Errorf("retries never got a job through: %+v", rep)
 	}
-	// The dispatch-failure hash, the jittered retry ladder and the
-	// breaker all feed the report: pin its fingerprint.
-	if got, want := rep.Fingerprint(), "28583c2972d9ec58"; got != want {
+	// The jittered retry ladder and the breaker both feed the report:
+	// pin its fingerprint.
+	if got, want := rep.Fingerprint(), "8f3edb5a561740a0"; got != want {
 		t.Errorf("fingerprint = %s, want %s", got, want)
 	}
 }
@@ -262,11 +264,9 @@ func TestClusterDeterministicReplay(t *testing.T) {
 		prod := cheapClass("prod", 0, model.GPT3B, 0.04)
 		prod.TokenRatePerS = 0.03
 		batch := cheapClass("batch", 1, model.GPT8B, 0.03)
-		batch.Arrival = ArrivalGamma
 		batch.DeadlineS = 90
 		cfg := baseConfig(prod, batch)
 		cfg.Cache = cache
-		cfg.DispatchFailProb = 0.1
 		cfg.Faults = &fault.Spec{ServerFails: []fault.ServerFailFault{{Server: 1, At: 150}}}
 		return cfg
 	}
@@ -343,39 +343,22 @@ func TestBucket(t *testing.T) {
 	}
 }
 
-// TestGammaMean: the gamma arrival process has the configured mean
-// rate (statistical, fixed seed).
-func TestGammaMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	cl := Class{Arrival: ArrivalGamma, RatePerS: 2, GammaShape: 0.5}
-	n, sum := 20000, 0.0
-	for i := 0; i < n; i++ {
-		sum += interarrival(rng, cl)
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-0.5) > 0.05 {
-		t.Errorf("gamma interarrival mean %g, want ~0.5", mean)
-	}
-}
-
 // TestClusterConfigValidation: the config rejects what the fleet
 // cannot simulate.
 func TestClusterConfigValidation(t *testing.T) {
 	good := baseConfig(cheapClass("a", 0, model.GPT3B, 0.1))
 	for name, mut := range map[string]func(*Config){
-		"no servers":  func(c *Config) { c.Servers = 0 },
-		"no classes":  func(c *Config) { c.Classes = nil },
-		"no horizon":  func(c *Config) { c.HorizonS = 0 },
-		"bad rate":    func(c *Config) { c.Classes[0].RatePerS = 0 },
-		"bad arrival": func(c *Config) { c.Classes[0].Arrival = "uniform" },
-		"gpu fail":    func(c *Config) { c.Faults = &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: 0}}} },
+		"no servers": func(c *Config) { c.Servers = 0 },
+		"no classes": func(c *Config) { c.Classes = nil },
+		"no horizon": func(c *Config) { c.HorizonS = 0 },
+		"bad rate":   func(c *Config) { c.Classes[0].RatePerS = 0 },
+		"gpu fail":   func(c *Config) { c.Faults = &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: 0}}} },
 		"fail off-fleet": func(c *Config) {
 			c.Faults = &fault.Spec{ServerFails: []fault.ServerFailFault{{Server: 9, At: 1}}}
 		},
 		"fail past horizon": func(c *Config) {
 			c.Faults = &fault.Spec{ServerFails: []fault.ServerFailFault{{Server: 0, At: 1e9}}}
 		},
-		"dispatch prob": func(c *Config) { c.DispatchFailProb = 1.5 },
 	} {
 		cfg := good
 		cfg.Classes = append([]Class(nil), good.Classes...)

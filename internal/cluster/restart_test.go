@@ -124,14 +124,13 @@ func TestClusterRestartCountsRetiredSolves(t *testing.T) {
 	}
 }
 
-// TestClusterRestartBeforeDetect: a bounce faster than the detection
-// window. The restart re-routes the parked work itself and bumps the
+// TestClusterRestartBeforeDetect: a 0.5 s bounce, faster than the 2 s
+// detection window. The restart re-routes the parked work itself and bumps the
 // generation, so the stale detection must not mark the healthy rejoined
 // server down or double-route anything (the paranoid audit would catch
 // it).
 func TestClusterRestartBeforeDetect(t *testing.T) {
 	cfg := restartConfig(2, fault.ServerRestartFault{Server: 0, At: 100, RestartLatencyS: 0.5})
-	cfg.DetectLatencyS = 5
 	rep := mustRun(t, cfg)
 	if rep.ServerRestarts != 1 {
 		t.Fatalf("ServerRestarts = %d, want 1", rep.ServerRestarts)
@@ -163,7 +162,6 @@ func TestClusterRestartDeterministicReplay(t *testing.T) {
 		cfg := restartConfig(3, fault.ServerRestartFault{Server: 2, At: 80, Cold: true})
 		cfg.Faults.ServerRestarts = append(cfg.Faults.ServerRestarts,
 			fault.ServerRestartFault{Server: 0, At: 160})
-		cfg.DispatchFailProb = 0.1
 		cfg.StoreRoot = root
 		return cfg
 	}

@@ -45,10 +45,7 @@ type server struct {
 }
 
 func newServer(id int, cfg Config) (*server, error) {
-	s := &server{
-		id: id,
-		br: resil.Breaker[float64]{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldownS},
-	}
+	s := &server{id: id, br: newBreaker()}
 	if cfg.StoreRoot == "" {
 		s.svc = plansvc.New(plansvc.Config{})
 		return s, nil

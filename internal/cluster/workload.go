@@ -3,7 +3,6 @@ package cluster
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 
@@ -59,7 +58,6 @@ func classOptions(cfg Config, ci int) core.Options {
 	return core.Options{
 		Model:          cl.Model,
 		Topology:       cfg.Topology,
-		Microbatches:   cl.Microbatches,
 		PartitionAlgo:  cl.PartitionAlgo,
 		BalancedStages: cl.BalancedStages,
 	}
@@ -104,7 +102,7 @@ func generateJobs(cfg Config) []job {
 		rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, ci)))
 		t := 0.0
 		for idx := 0; ; idx++ {
-			t += interarrival(rng, cl)
+			t += rng.ExpFloat64() / cl.RatePerS
 			steps := cl.StepsMin
 			if cl.StepsMax > cl.StepsMin {
 				steps += rng.Intn(cl.StepsMax - cl.StepsMin + 1)
@@ -130,47 +128,6 @@ func generateJobs(cfg Config) []job {
 		jobs[i] = job{id: i, class: d.class, arrival: d.at, steps: d.steps, startedAt: -1, server: -1}
 	}
 	return jobs
-}
-
-// interarrival draws one gap from the class's arrival process.
-func interarrival(rng *rand.Rand, cl Class) float64 {
-	switch cl.Arrival {
-	case ArrivalGamma:
-		// Gamma with shape k and mean 1/rate: burstier than Poisson
-		// for k < 1 (CV = 1/sqrt(k)).
-		return gammaSample(rng, cl.GammaShape) / (cl.GammaShape * cl.RatePerS)
-	default:
-		return rng.ExpFloat64() / cl.RatePerS
-	}
-}
-
-// gammaSample draws Gamma(shape, 1) via Marsaglia-Tsang, with the
-// standard boost for shape < 1.
-func gammaSample(rng *rand.Rand, shape float64) float64 {
-	if shape < 1 {
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return gammaSample(rng, shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
 }
 
 // deriveSeed gives each class an independent stream.

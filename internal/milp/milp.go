@@ -25,12 +25,9 @@ type Options struct {
 	// TimeLimit caps wall-clock solve time (default 10s).
 	TimeLimit time.Duration
 	// Incumbent seeds the upper bound with a known feasible objective so
-	// the search can prune immediately. The zero value of Options means
-	// "no incumbent"; to seed a legitimate zero-valued bound, set
-	// IncumbentSet (an unset incumbent can also be spelled NaN).
-	Incumbent float64
-	// IncumbentSet marks Incumbent as meaningful even when it is zero.
-	// Any nonzero finite Incumbent is treated as set for compatibility.
+	// the search can prune immediately. It counts only when IncumbentSet
+	// is true; the zero value of Options means "no incumbent".
+	Incumbent    float64
 	IncumbentSet bool
 	// GapTol is the relative optimality gap: nodes whose LP bound is
 	// within GapTol of the incumbent are pruned. Zero means exact.
@@ -69,7 +66,7 @@ func (o Options) withDefaults() Options {
 	if o.TimeLimit <= 0 {
 		o.TimeLimit = 10 * time.Second
 	}
-	if math.IsNaN(o.Incumbent) || (o.Incumbent == 0 && !o.IncumbentSet) {
+	if !o.IncumbentSet {
 		o.Incumbent = math.Inf(1)
 	}
 	return o

@@ -93,7 +93,7 @@ func TestIncumbentSeedPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := Solve(p, []int{0, 1}, Options{Incumbent: 3.0})
+	seeded, err := Solve(p, []int{0, 1}, Options{Incumbent: 3.0, IncumbentSet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +131,6 @@ func TestZeroIncumbentIsHonored(t *testing.T) {
 	}
 	if seeded.Status == lp.Optimal && seeded.Objective > 1e-9 {
 		t.Fatalf("seeded solve returned objective %g worse than the incumbent", seeded.Objective)
-	}
-
-	// NaN spells "unset" explicitly.
-	nan, err := Solve(build(), []int{0, 1}, Options{Incumbent: math.NaN()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nan.Status != lp.Optimal || math.Abs(nan.Objective) > 1e-9 {
-		t.Fatalf("NaN incumbent must behave as unset: status=%v obj=%g", nan.Status, nan.Objective)
 	}
 
 	// The zero value of Options still means "no incumbent": the solve must
@@ -292,7 +283,7 @@ func TestGapToleranceAcceptsNearOptimal(t *testing.T) {
 	p.SetObjectiveCoeff(0, 1)
 	p.SetObjectiveCoeff(1, 1)
 	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, lp.GE, 10)
-	res, err := Solve(p, []int{0, 1}, Options{Incumbent: 10.4, GapTol: 0.05})
+	res, err := Solve(p, []int{0, 1}, Options{Incumbent: 10.4, IncumbentSet: true, GapTol: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,13 @@ import (
 type Config struct {
 	// Dir is the store directory; Open creates it.
 	Dir string
-	// QueueDepth bounds the write-behind queue (default 256). Puts
-	// arriving at a full queue are dropped and counted (WriteDrops);
-	// deletes always enqueue — dropping one would let a restart
-	// resurrect an entry the cache already evicted.
-	QueueDepth int
 }
+
+// queueDepth bounds the write-behind queue. Puts arriving at a full
+// queue are dropped and counted (WriteDrops); deletes always enqueue —
+// dropping one would let a restart resurrect an entry the cache already
+// evicted.
+const queueDepth = 256
 
 // Metrics counts what the store did. Counters are cumulative since
 // Open; a snapshot is taken under the store lock.
@@ -123,9 +124,6 @@ func newStore(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("planstore: a directory is required")
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("planstore: %w", err)
 	}
@@ -146,7 +144,7 @@ func (s *Store) Put(e Entry) {
 	if s.closed {
 		return
 	}
-	if len(s.queue) >= s.cfg.QueueDepth {
+	if len(s.queue) >= queueDepth {
 		s.m.WriteDrops++
 		return
 	}

@@ -257,26 +257,28 @@ func TestStoreDeleteCoherence(t *testing.T) {
 // TestStoreQueueBound: puts drop at a full queue (counted, never
 // blocking); deletes are exempt so eviction coherence always holds.
 func TestStoreQueueBound(t *testing.T) {
-	s, err := newStore(Config{Dir: t.TempDir(), QueueDepth: 2})
+	s, err := newStore(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No worker yet: every operation stays queued.
-	s.Put(testEntry(t, model.GPT3B, "q0"))
-	s.Put(testEntry(t, model.GPT3B, "q1"))
-	s.Put(testEntry(t, model.GPT3B, "q2")) // queue full: dropped
-	s.Delete(testKey("q9"))                // exempt from the bound
+	e := testEntry(t, model.GPT3B, "q")
+	for i := 0; i <= queueDepth; i++ { // the last put finds the queue full
+		e.Key[0], e.Key[1] = byte(i), byte(i>>8)
+		s.Put(e)
+	}
+	s.Delete(testKey("q9")) // exempt from the bound
 	m := s.Metrics()
 	if m.WriteDrops != 1 {
 		t.Errorf("WriteDrops = %d, want 1", m.WriteDrops)
 	}
-	if m.QueueDepth != 3 { // q0, q1 and the delete
-		t.Errorf("QueueDepth = %d, want 3", m.QueueDepth)
+	if m.QueueDepth != queueDepth+1 { // every kept put and the delete
+		t.Errorf("QueueDepth = %d, want %d", m.QueueDepth, queueDepth+1)
 	}
 	go s.worker()
 	t.Cleanup(func() { s.Close() })
 	s.Flush()
-	if m := s.Metrics(); m.Persisted != 2 || m.Deletes != 1 || m.QueueDepth != 0 {
+	if m := s.Metrics(); m.Persisted != queueDepth || m.Deletes != 1 || m.QueueDepth != 0 {
 		t.Errorf("after drain: %+v", m)
 	}
 }
@@ -385,7 +387,7 @@ func TestStoreClosedRejectsOps(t *testing.T) {
 // TestStoreConcurrentOps drives puts, deletes, flushes and metric
 // snapshots from many goroutines; the race detector is the assertion.
 func TestStoreConcurrentOps(t *testing.T) {
-	s := openStore(t, Config{Dir: t.TempDir(), QueueDepth: 8})
+	s := openStore(t, Config{Dir: t.TempDir()})
 	e := testEntry(t, model.GPT3B, "base")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -29,58 +29,28 @@ import "fmt"
 // deterministic functions of (t, attempt) — see RetryPolicy for why.
 type CorruptionPolicy func(t *Task, attempt int) bool
 
-// Checksum model defaults.
+// Checksum model constants.
 const (
 	// DefaultChecksumCostPerByte prices the end-to-end CRC at ~25 GB/s of
 	// host-side throughput — one core's worth of hardware-assisted CRC32C,
 	// paid once per delivery attempt.
 	DefaultChecksumCostPerByte = 1.0 / 25e9
 	// defaultMaxRetransmits bounds detected-corruption retransmits per
-	// transfer when the config leaves MaxRetransmits 0.
+	// transfer: a transfer with defaultMaxRetransmits+1 corrupted
+	// attempts halts the run with a *CorruptionError.
 	defaultMaxRetransmits = 2
-	// defaultRetransmitBackoff is the initial wait before a retransmit,
-	// in seconds, when the config leaves Backoff 0.
+	// defaultRetransmitBackoff is the wait in seconds before the first
+	// retransmit, doubling per attempt like RetryPolicy's model.
 	defaultRetransmitBackoff = 1e-3
 )
 
 // ChecksumConfig configures end-to-end transfer checksums. The zero
 // value disables them (corruption, if injected, is silent).
 type ChecksumConfig struct {
-	// Enabled turns on detection: every transfer pays CostPerByte of
-	// setup latency per delivery attempt, and corrupted attempts are
-	// retransmitted instead of accepted.
+	// Enabled turns on detection: every transfer pays
+	// DefaultChecksumCostPerByte of setup latency per delivery attempt,
+	// and corrupted attempts are retransmitted instead of accepted.
 	Enabled bool
-	// CostPerByte is the checksum compute latency in seconds per payload
-	// byte per attempt (0 means DefaultChecksumCostPerByte).
-	CostPerByte float64
-	// MaxRetransmits bounds retransmits per transfer (0 means
-	// defaultMaxRetransmits). A transfer with MaxRetransmits+1 corrupted
-	// attempts halts the run with a *CorruptionError.
-	MaxRetransmits int
-	// Backoff is the wait before the k-th retransmit, doubling per
-	// attempt like RetryPolicy's model (0 means defaultRetransmitBackoff).
-	Backoff Time
-}
-
-func (c ChecksumConfig) costPerByte() float64 {
-	if c.CostPerByte > 0 {
-		return c.CostPerByte
-	}
-	return DefaultChecksumCostPerByte
-}
-
-func (c ChecksumConfig) maxRetransmits() int {
-	if c.MaxRetransmits > 0 {
-		return c.MaxRetransmits
-	}
-	return defaultMaxRetransmits
-}
-
-func (c ChecksumConfig) backoff() Time {
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return defaultRetransmitBackoff
 }
 
 // CorruptionError is the structured failure Run returns when a transfer
@@ -93,7 +63,7 @@ type CorruptionError struct {
 	// At is the simulated time the final corrupted attempt completed.
 	At Time
 	// Attempts is the total delivery attempts, all corrupted
-	// (1 + MaxRetransmits).
+	// (1 + defaultMaxRetransmits).
 	Attempts int
 }
 
@@ -137,25 +107,24 @@ func (s *Sim) Integrity() IntegrityStats { return s.integrity }
 // finalizeIntegrity derives the aggregate when the run completes.
 func (s *Sim) injectCorruption(t *Task) (extra Time) {
 	if s.Checksums.Enabled {
-		max := s.Checksums.maxRetransmits()
 		n := 0
-		for a := 0; a <= max && s.CorruptionPolicy(t, a); a++ {
+		for a := 0; a <= defaultMaxRetransmits && s.CorruptionPolicy(t, a); a++ {
 			n++
 		}
 		if n == 0 {
 			return 0
 		}
 		retr := n
-		if retr > max {
+		if retr > defaultMaxRetransmits {
 			// Every attempt in the budget corrupted: the final completion
 			// surfaces the structured error (see complete).
-			retr = max
+			retr = defaultMaxRetransmits
 			t.corruptExhausted = true
 		}
 		t.retransmits = retr
 		t.corruptAttempts = n
-		wait := s.Checksums.backoff() * Time((uint64(1)<<retr)-1)
-		ck := float64(retr) * t.bytes * s.Checksums.costPerByte()
+		wait := defaultRetransmitBackoff * Time((uint64(1)<<retr)-1)
+		ck := float64(retr) * t.bytes * DefaultChecksumCostPerByte
 		return wait + Time(ck)
 	}
 	if s.CorruptionPolicy(t, 0) {
@@ -173,8 +142,6 @@ func (s *Sim) injectCorruption(t *Task) (extra Time) {
 func (s *Sim) finalizeIntegrity() {
 	st := IntegrityStats{}
 	if s.Checksums.Enabled || s.CorruptionPolicy != nil {
-		bo := s.Checksums.backoff()
-		cpb := s.Checksums.costPerByte()
 		for _, t := range s.tasks {
 			if t.corruptAttempts > 0 {
 				st.CorruptedAttempts += t.corruptAttempts
@@ -182,11 +149,11 @@ func (s *Sim) finalizeIntegrity() {
 					st.SilentCorruptions++
 				} else {
 					st.Retransmits += t.retransmits
-					st.RetransmitWait += bo * Time((uint64(1)<<t.retransmits)-1)
+					st.RetransmitWait += defaultRetransmitBackoff * Time((uint64(1)<<t.retransmits)-1)
 				}
 			}
 			if t.checksumCharged {
-				st.ChecksumCost += Time(float64(1+t.retransmits) * t.bytes * cpb)
+				st.ChecksumCost += Time(float64(1+t.retransmits) * t.bytes * DefaultChecksumCostPerByte)
 			}
 			if t.tainted && t.state == stateFinished {
 				st.TaintedTasks++

@@ -6,37 +6,37 @@ import (
 )
 
 // TestChecksumCostAddsLatency checks the detection price: with checksums
-// on and no corruption injected, every transfer pays CostPerByte of
-// setup latency exactly once.
+// on and no corruption injected, every transfer pays
+// DefaultChecksumCostPerByte of setup latency exactly once.
 func TestChecksumCostAddsLatency(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Checksums = ChecksumConfig{Enabled: true, CostPerByte: 1e-11}
+	s.Checksums = ChecksumConfig{Enabled: true}
 	s.Transfer("t", nil, Path(link), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	almost(t, end, 1+0.1, 1e-9, "1s payload plus 0.1s checksum")
-	almost(t, s.Integrity().ChecksumCost, 0.1, 1e-12, "checksum cost accounted")
+	almost(t, end, 1+0.4, 1e-9, "1s payload plus 0.4s checksum at 25 GB/s")
+	almost(t, s.Integrity().ChecksumCost, 0.4, 1e-12, "checksum cost accounted")
 }
 
 // TestDetectedCorruptionRetransmits checks the detect-and-retransmit
 // path: one corrupted first attempt re-flows the payload (real link
-// traffic), waits the backoff, and re-pays the checksum.
+// traffic), waits the 1ms backoff, and re-pays the checksum.
 func TestDetectedCorruptionRetransmits(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Checksums = ChecksumConfig{Enabled: true, CostPerByte: 1e-11, Backoff: 1e-3, MaxRetransmits: 2}
+	s.Checksums = ChecksumConfig{Enabled: true}
 	s.CorruptionPolicy = func(task *Task, attempt int) bool { return attempt == 0 }
 	tr := s.Transfer("t", nil, Path(link), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Payload flows twice (2s), plus two checksum passes (0.2s) and the
+	// Payload flows twice (2s), plus two checksum passes (0.8s) and the
 	// 1ms backoff before the retransmit.
-	almost(t, end, 2+0.2+0.001, 1e-9, "retransmitted payload")
+	almost(t, end, 2+0.8+0.001, 1e-9, "retransmitted payload")
 	if tr.Retransmits() != 1 {
 		t.Fatalf("retransmits: got %d, want 1", tr.Retransmits())
 	}
@@ -55,11 +55,11 @@ func TestDetectedCorruptionRetransmits(t *testing.T) {
 
 // TestExhaustedRetransmitBudgetIsStructuredError checks that a transfer
 // whose every delivery attempt is corrupted halts the run with a
-// *CorruptionError naming the task.
+// *CorruptionError naming the task after its two retransmits.
 func TestExhaustedRetransmitBudgetIsStructuredError(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Checksums = ChecksumConfig{Enabled: true, CostPerByte: 1e-11, Backoff: 1e-3, MaxRetransmits: 2}
+	s.Checksums = ChecksumConfig{Enabled: true}
 	s.CorruptionPolicy = func(*Task, int) bool { return true }
 	s.Transfer("grad-flush", nil, Path(link), 10e9, 0)
 	_, err := s.Run()
@@ -134,7 +134,7 @@ func TestCorruptionDeterministicReplay(t *testing.T) {
 	build := func() *Sim {
 		s := New()
 		link := s.NewResource("link", 8e9)
-		s.Checksums = ChecksumConfig{Enabled: true, CostPerByte: 2e-11, Backoff: 1e-3, MaxRetransmits: 3}
+		s.Checksums = ChecksumConfig{Enabled: true}
 		s.CorruptionPolicy = func(task *Task, attempt int) bool {
 			return (task.ID()+attempt)%3 == 0
 		}

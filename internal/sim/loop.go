@@ -321,7 +321,7 @@ func (s *Sim) startOnEngine(t *Task) {
 				// injectCorruption. Recorded on the task; the run-level
 				// totals are derived by finalizeIntegrity.
 				t.checksumCharged = true
-				lat += Time(t.bytes * s.Checksums.costPerByte())
+				lat += Time(t.bytes * DefaultChecksumCostPerByte)
 			}
 			if s.CorruptionPolicy != nil {
 				lat += s.injectCorruption(t)
