@@ -39,10 +39,10 @@ check-lp:
 	$(GO) test -count=1 ./internal/lp/ ./internal/milp/
 	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle|TestColdPlanFingerprints' -v ./internal/lp/
 
-# check-faults is the fault-matrix smoke test: every fault class (link
-# degradation, straggler, transient retries, memory pressure), alone and
-# combined, replayed end-to-end through core.Run for Mobius and GPipe
-# under the race detector.
+# check-faults is the fault-matrix smoke test: link degradation windows,
+# alone and combined (an unbounded window beside a bounded one on
+# another link), replayed end-to-end through core.Run for Mobius and
+# GPipe under the race detector.
 check-faults:
 	$(GO) test -race -run 'TestFaultMatrix' -count=1 ./internal/fault/
 

@@ -82,7 +82,7 @@ var chaosMatches = []string{"*", "rc0", "rc1", "gpu0.link", "gpu1.link", "gpu2.l
 // only emits clauses inside their documented ranges, so every generated
 // spec passes Validate — asserted again on each run as a harness
 // invariant. The spec's own Seed field is the chaos seed, which also
-// decorrelates the transient and corruption hash streams per seed.
+// seeds the corruption hash stream.
 func (h *Harness) Spec(seed int64) *fault.Spec {
 	rng := rand.New(rand.NewSource(seed))
 	spec := &fault.Spec{Seed: seed}
@@ -126,22 +126,6 @@ func (h *Harness) Spec(seed int64) *fault.Spec {
 			})
 			at = end + 0.05 + 0.1*rng.Float64()
 		}
-	}
-	// Optional transient retry rule, competing with corruption for the
-	// same transfers.
-	if rng.Intn(2) == 0 {
-		spec.Transient = append(spec.Transient, fault.TransientFault{
-			Match:       chaosMatches[rng.Intn(len(chaosMatches))],
-			Probability: 0.2 * rng.Float64(),
-			BackoffMS:   0.5,
-		})
-	}
-	// Optional straggler GPU.
-	if rng.Intn(3) == 0 {
-		spec.Stragglers = append(spec.Stragglers, fault.StragglerFault{
-			GPU:        rng.Intn(h.Topo.NumGPUs()),
-			Throughput: 0.5 + 0.5*rng.Float64(),
-		})
 	}
 	return spec
 }

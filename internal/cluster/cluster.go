@@ -141,14 +141,12 @@ type Config struct {
 	// they already spent their admission token.
 	QueueCap int
 
-	// Faults is the fleet fault scenario. ServerFails clauses are
-	// consumed here (whole servers dropping), as are ServerRestarts
-	// (servers bouncing: crash, then rejoin after RestartLatencyS);
-	// the per-server clauses that survive WithoutCluster (stragglers,
-	// unbounded link degradation, transients, memory pressure) hold on
-	// every step of every server. Permanent GPU/link failures and
-	// corruptions are the single-server elastic/integrity domain and
-	// are rejected.
+	// Faults is the fleet fault scenario: ServerFails (whole servers
+	// dropping) and ServerRestarts (servers bouncing: crash, then
+	// rejoin after RestartLatencyS), plus the horizon that scopes them.
+	// Every per-server clause — link windows, corruptions, permanent
+	// GPU/link failures, the single-server resilience, integrity and
+	// elastic domains — is rejected, so every step runs fault-free.
 	Faults *fault.Spec
 
 	// StoreRoot, when set, backs every server's plan cache with a real
@@ -205,16 +203,8 @@ func (c Config) withDefaults() (Config, error) {
 		if err := c.Faults.Validate(); err != nil {
 			return c, err
 		}
-		if len(c.Faults.GPUFails) > 0 || len(c.Faults.LinkFails) > 0 {
-			return c, fmt.Errorf("cluster: permanent GPU/link failures are the single-server elastic domain; a fleet scenario uses server_fails")
-		}
-		if len(c.Faults.Corruptions) > 0 {
-			return c, fmt.Errorf("cluster: corruption clauses are the single-server integrity domain")
-		}
-		for i, l := range c.Faults.Links {
-			if l.Start > 0 || l.End > 0 {
-				return c, fmt.Errorf("cluster: links[%d] (%s): windowed link faults use single-step time; use an unbounded window", i, l.Link)
-			}
+		if c.Faults.WithoutCluster() != nil {
+			return c, fmt.Errorf("cluster: a fleet scenario takes only server_fails and server_restarts; link, corruption and permanent GPU/link clauses are single-server domains")
 		}
 		for _, sf := range c.Faults.ServerFails {
 			if sf.Server >= c.Servers {
@@ -271,16 +261,12 @@ type run struct {
 	buckets []bucket
 	// shapes holds each class's planning options and their key,
 	// computed once per run; jobs refer to theirs by class index.
-	shapes []shape
-	jobs   []job
-	stats  []ClassStats
-	// stepSpec is the per-server fault scenario every step runs under,
-	// and stepFaults its fingerprint, the pricing caches' fault key.
-	stepSpec   *fault.Spec
-	stepFaults string
-	restarts   map[int]fault.ServerRestartFault
-	rep        *Report
-	nEvents    int
+	shapes   []shape
+	jobs     []job
+	stats    []ClassStats
+	restarts map[int]fault.ServerRestartFault
+	rep      *Report
+	nEvents  int
 }
 
 // Run executes the fleet scenario and returns its report. The returned
@@ -296,9 +282,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	stepSpec := cfg.Faults.WithoutCluster()
-	r := &run{cfg: cfg, shapes: shapes, stepSpec: stepSpec, stepFaults: stepSpec.Fingerprint(),
-		restarts: map[int]fault.ServerRestartFault{}}
+	r := &run{cfg: cfg, shapes: shapes, restarts: map[int]fault.ServerRestartFault{}}
 	r.rep = &Report{Servers: cfg.Servers, HorizonS: cfg.HorizonS, Seed: cfg.Seed}
 
 	for i := 0; i < cfg.Servers; i++ {
@@ -508,13 +492,13 @@ func (r *run) kick(s *server) error {
 		if err != nil {
 			return err
 		}
-		times, err := r.cfg.Cache.StepTimes(s.svc, sh.opts, sh.key, cl.CheckpointEvery, j.degraded, r.stepSpec, r.stepFaults)
+		times, err := r.cfg.Cache.StepTimes(s.svc, sh.opts, sh.key, cl.CheckpointEvery, j.degraded)
 		if err != nil {
 			return err
 		}
 		mig := 0.0
 		if j.reland && j.resumeStep > 0 {
-			if mig, err = r.cfg.Cache.Migration(r.cfg.Topology, r.stepSpec, r.stepFaults, cl.Model.ModelStatesBytes()); err != nil {
+			if mig, err = r.cfg.Cache.Migration(r.cfg.Topology, cl.Model.ModelStatesBytes()); err != nil {
 				return err
 			}
 			st.MigrationS += mig

@@ -353,6 +353,9 @@ func TestClusterConfigValidation(t *testing.T) {
 		"no horizon": func(c *Config) { c.HorizonS = 0 },
 		"bad rate":   func(c *Config) { c.Classes[0].RatePerS = 0 },
 		"gpu fail":   func(c *Config) { c.Faults = &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: 0}}} },
+		"unbounded link": func(c *Config) {
+			c.Faults = &fault.Spec{Links: []fault.LinkFault{{Link: "rc0", Multiplier: 0.5}}}
+		},
 		"fail off-fleet": func(c *Config) {
 			c.Faults = &fault.Spec{ServerFails: []fault.ServerFailFault{{Server: 9, At: 1}}}
 		},

@@ -7,7 +7,6 @@ import (
 
 	"mobius/internal/core"
 	"mobius/internal/elastic"
-	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/pipeline"
 	"mobius/internal/plansvc"
@@ -33,13 +32,12 @@ type stepKey struct {
 	plan     plansvc.Key
 	every    int
 	degraded bool
-	faults   string
 }
 
 // StepCache memoizes step-time and checkpoint-migration pricing. The
 // fleet loop calls it synchronously; the real compute behind a miss is
 // one or two core.Run simulations per distinct (shape, checkpoint,
-// degradation, faults) combination — everything after that is a map
+// degradation) combination — everything after that is a map
 // lookup. Safe for concurrent use (the chaos matrix shares one across
 // its -race fan-out).
 type StepCache struct {
@@ -50,9 +48,8 @@ type StepCache struct {
 
 // migKey addresses one priced checkpoint migration.
 type migKey struct {
-	topo   string
-	bytes  uint64
-	faults string
+	topo  string
+	bytes uint64
 }
 
 // NewStepCache builds an empty cache.
@@ -61,13 +58,11 @@ func NewStepCache() *StepCache {
 }
 
 // StepTimes prices opts, whose plan key is key, under the given
-// checkpoint interval and degradation state, with every step under the
-// fault scenario spec, whose fingerprint is faults (spec.Fingerprint();
-// the caller computes both keys once). A non-degraded shape plans
+// checkpoint interval and degradation state. A non-degraded shape plans
 // through svc — warming that server's cache and its affinity signal —
 // while a degraded one uses the deterministic greedy floor directly.
-func (c *StepCache) StepTimes(svc *plansvc.Service, opts core.Options, key plansvc.Key, every int, degraded bool, spec *fault.Spec, faults string) (StepTimes, error) {
-	sk := stepKey{plan: key, every: every, degraded: degraded, faults: faults}
+func (c *StepCache) StepTimes(svc *plansvc.Service, opts core.Options, key plansvc.Key, every int, degraded bool) (StepTimes, error) {
+	sk := stepKey{plan: key, every: every, degraded: degraded}
 	c.mu.Lock()
 	if st, ok := c.steps[sk]; ok {
 		c.mu.Unlock()
@@ -76,7 +71,6 @@ func (c *StepCache) StepTimes(svc *plansvc.Service, opts core.Options, key plans
 	c.mu.Unlock()
 
 	ropts := opts
-	ropts.Faults = spec
 	if degraded {
 		ropts.Planner = core.PlannerFunc(func(ctx context.Context, o core.Options) (*core.Plan, error) {
 			return core.GreedyPlan(o, "cluster: queue patience exhausted, degraded to the greedy floor")
@@ -120,17 +114,16 @@ func priceStep(opts core.Options, every int) (StepTimes, error) {
 
 // Migration prices restoring a job's checkpoint snapshot on the server
 // it re-lands on, via the same machinery elastic recovery uses
-// (elastic.MigrationSeconds), under the fleet's standing per-server
-// fault conditions spec, whose fingerprint is faults.
-func (c *StepCache) Migration(topo *hw.Topology, spec *fault.Spec, faults string, bytes float64) (float64, error) {
-	mk := migKey{topo: topo.Name, bytes: uint64(bytes), faults: faults}
+// (elastic.MigrationSeconds), on a fault-free server.
+func (c *StepCache) Migration(topo *hw.Topology, bytes float64) (float64, error) {
+	mk := migKey{topo: topo.Name, bytes: uint64(bytes)}
 	c.mu.Lock()
 	if m, ok := c.mig[mk]; ok {
 		c.mu.Unlock()
 		return m, nil
 	}
 	c.mu.Unlock()
-	m, err := elastic.MigrationSeconds(topo, spec, bytes, elastic.DestDRAM)
+	m, err := elastic.MigrationSeconds(topo, nil, bytes, elastic.DestDRAM)
 	if err != nil {
 		return 0, err
 	}

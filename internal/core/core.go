@@ -395,12 +395,12 @@ type StepReport struct {
 	// Server exposes the simulated hardware (resource utilization,
 	// memory peaks) after the run.
 	Server *hw.Server
-	// FaultInjection records the applied fault scenario and the retry
-	// traffic it induced; nil for nominal runs.
+	// FaultInjection records the applied fault scenario and the
+	// corruptions it injected; nil for nominal runs.
 	FaultInjection *fault.Injection
 	// OOMCause describes the structured OOM event when OOM is true and
-	// the failure surfaced during simulation (fault-injected memory
-	// pressure) rather than in the pre-run memory check.
+	// the failure surfaced during simulation (sim.OOMError) rather than
+	// in the pre-run memory check.
 	OOMCause string
 	// ResourceLost is set when a scheduled permanent failure halted the
 	// step mid-flight; StepTime then holds the elapsed time up to

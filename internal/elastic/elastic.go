@@ -75,7 +75,7 @@ type Config struct {
 	// one.
 	CheckpointDest Dest
 	// Faults is the fault scenario. At most one permanent failure is
-	// supported; its onset is in global run time. The transient clauses
+	// supported; its onset is in global run time. The other clauses
 	// hold for every step (windowed link faults are rejected for
 	// multi-step runs — their windows are in single-step time).
 	Faults *fault.Spec
@@ -455,8 +455,8 @@ func ckWhen(every, i int, ck *pipeline.CheckpointWrite) *pipeline.CheckpointWrit
 	return nil
 }
 
-// shiftPermanent rebuilds a single-step spec: the base transient clauses
-// plus the permanent failure at its step-local onset.
+// shiftPermanent rebuilds a single-step spec: the base non-permanent
+// clauses plus the permanent failure at its step-local onset.
 func shiftPermanent(base *fault.Spec, p fault.Permanent, at float64) *fault.Spec {
 	var out fault.Spec
 	if base != nil {

@@ -165,9 +165,9 @@ func TestRecoveryDeterministic(t *testing.T) {
 		Faults: &fault.Spec{
 			Seed:     7,
 			GPUFails: []fault.GPUFailFault{{GPU: 1, At: 3.4 * step}},
-			Transient: []fault.TransientFault{
-				{Match: "*", Probability: 0.05, BackoffMS: 1},
-			},
+			// A whole-run slowdown on a link that survives the loss:
+			// remapSpec carries it onto the survivor topology.
+			Links: []fault.LinkFault{{Link: "rc1", Multiplier: 0.8}},
 		},
 	}
 	// Everything simulated must be bit-identical; only ReplanSeconds is
@@ -192,6 +192,17 @@ func TestRecoveryDeterministic(t *testing.T) {
 			t.Fatalf("recovery diverged across replays:\n%v\n%v", got, prev)
 		}
 		prev = got
+	}
+	// The slowdown reaches the survivor: without it, the survivor's step
+	// is faster.
+	bare := cfg
+	bare.Faults = &fault.Spec{Seed: 7, GPUFails: cfg.Faults.GPUFails}
+	rep, err := Run(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SurvivorStep >= prev[5] {
+		t.Fatalf("survivor step %.6f without the rc1 slowdown is not faster than %.6f with it", rep.SurvivorStep, prev[5])
 	}
 }
 

@@ -73,50 +73,20 @@ func survive(topo *hw.Topology, spec *fault.Spec) (*hw.Topology, []int, []int, e
 	return surv, gpuMap, rcMap, nil
 }
 
-// remapSpec translates the transient clauses of a spec onto the renumbered
-// surviving topology: straggler and per-GPU names follow gpuMap, root
-// complexes follow rcMap, and clauses bound to dead hardware are dropped
-// (the fault died with the device). Permanent clauses are removed — the
+// remapSpec translates the link degradation windows of a spec onto the
+// renumbered surviving topology: per-GPU link names follow gpuMap, root
+// complexes follow rcMap, and windows on dead hardware are dropped (the
+// fault died with the device). Permanent clauses are removed — the
 // failure already happened. Returns nil when nothing survives translation.
 func remapSpec(spec *fault.Spec, gpuMap, rcMap []int) *fault.Spec {
-	base := spec.WithoutPermanent()
-	if base.Empty() {
+	if spec == nil {
 		return nil
 	}
-	out := &fault.Spec{Seed: base.Seed}
-	for _, l := range base.Links {
+	out := &fault.Spec{Seed: spec.Seed}
+	for _, l := range spec.Links {
 		if name, ok := remapName(l.Link, gpuMap, rcMap); ok {
 			l.Link = name
 			out.Links = append(out.Links, l)
-		}
-	}
-	for _, g := range base.Stragglers {
-		if g.GPU < len(gpuMap) && gpuMap[g.GPU] >= 0 {
-			g.GPU = gpuMap[g.GPU]
-			out.Stragglers = append(out.Stragglers, g)
-		}
-	}
-	for _, tr := range base.Transient {
-		if tr.Match == "*" {
-			out.Transient = append(out.Transient, tr)
-			continue
-		}
-		if name, ok := remapName(tr.Match, gpuMap, rcMap); ok {
-			tr.Match = name
-			out.Transient = append(out.Transient, tr)
-		}
-	}
-	for _, m := range base.MemPressure {
-		if m.Pool == "dram" {
-			out.MemPressure = append(out.MemPressure, m)
-			continue
-		}
-		var id int
-		if _, err := fmt.Sscanf(m.Pool, "gpu%d.mem", &id); err == nil && strings.HasSuffix(m.Pool, ".mem") {
-			if id < len(gpuMap) && gpuMap[id] >= 0 {
-				m.Pool = fmt.Sprintf("gpu%d.mem", gpuMap[id])
-				out.MemPressure = append(out.MemPressure, m)
-			}
 		}
 	}
 	if out.Empty() {

@@ -57,8 +57,8 @@ func TestSurvivingTopologyDRAMBusNotSurvivable(t *testing.T) {
 	}
 }
 
-// TestRemapSpec checks the transient clauses follow the renumbering and
-// clauses bound to dead hardware are dropped.
+// TestRemapSpec checks the link windows follow the renumbering and
+// windows on dead hardware are dropped.
 func TestRemapSpec(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 1, 3)
 	spec := &fault.Spec{
@@ -67,13 +67,8 @@ func TestRemapSpec(t *testing.T) {
 		Links: []fault.LinkFault{
 			{Link: "gpu2.link", Multiplier: 0.5, Start: 0},
 			{Link: "rc1", Multiplier: 0.8, Start: 0},
+			{Link: "gpu0.link", Multiplier: 0.9, Start: 0, End: 0.5}, // dies with gpu0
 		},
-		Stragglers: []fault.StragglerFault{
-			{GPU: 3, Throughput: 0.5},
-			{GPU: 0, Throughput: 0.9}, // dies with gpu0
-		},
-		Transient:   []fault.TransientFault{{Match: "*", Probability: 0.1, BackoffMS: 1}},
-		MemPressure: []fault.MemPressureFault{{Pool: "gpu1.mem", ReserveBytes: 1e9}, {Pool: "dram", ReserveBytes: 1e9}},
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -89,16 +84,10 @@ func TestRemapSpec(t *testing.T) {
 	if len(out.Links) != 2 || out.Links[0].Link != "gpu1.link" || out.Links[1].Link != "rc0" {
 		t.Fatalf("links: %+v", out.Links)
 	}
-	if len(out.Stragglers) != 1 || out.Stragglers[0].GPU != 2 {
-		t.Fatalf("stragglers: %+v", out.Stragglers)
-	}
-	if len(out.Transient) != 1 || out.Transient[0].Match != "*" {
-		t.Fatalf("transient: %+v", out.Transient)
-	}
-	if len(out.MemPressure) != 2 || out.MemPressure[0].Pool != "gpu0.mem" || out.MemPressure[1].Pool != "dram" {
-		t.Fatalf("mem pressure: %+v", out.MemPressure)
-	}
 	if out.Seed != 7 {
 		t.Fatalf("seed not carried: %d", out.Seed)
+	}
+	if remapSpec(&fault.Spec{GPUFails: spec.GPUFails}, gpuMap, rcMap) != nil {
+		t.Fatal("a spec with nothing left to carry should remap to nil")
 	}
 }

@@ -30,9 +30,9 @@ type CorruptionFault struct {
 	Probability float64 `json:"probability"`
 }
 
-// corruptionSalt decorrelates the corruption hash stream from the
-// transient-retry stream, so a spec using both clauses with the same
-// seed does not corrupt exactly the transfers it also retries.
+// corruptionSalt offsets the seed of the corruption hash stream. It is
+// fixed: changing it would move the corrupted deliveries of every
+// existing spec and seed.
 const corruptionSalt int64 = 0x7c15bd1e
 
 // validateCorruptions checks the corruption clauses against their
@@ -66,6 +66,20 @@ func (inj *Injection) corruptionPolicy(t *sim.Task, attempt int) bool {
 			return true
 		}
 		return false
+	}
+	return false
+}
+
+// matchesRoute reports whether a rule's match ("*" or a resource name)
+// selects a transfer routed over path.
+func matchesRoute(match string, path []sim.PathElem) bool {
+	if match == "*" {
+		return true
+	}
+	for _, pe := range path {
+		if pe.Res.Name() == match {
+			return true
+		}
 	}
 	return false
 }

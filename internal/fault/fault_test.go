@@ -126,38 +126,36 @@ func buildServer(t *testing.T) *hw.Server {
 }
 
 // TestApplyBindsSpec checks the bookkeeping of a successful Apply: one
-// capacity event per unbounded window, two per bounded one, straggler and
-// pool counts, and the retry policy installed only when transient rules
-// exist.
+// capacity event per unbounded window, two per bounded one, and the
+// corruption policy installed only when corruption rules exist.
 func TestApplyBindsSpec(t *testing.T) {
 	srv := buildServer(t)
+	inj, err := Apply(srv, &Spec{Links: []LinkFault{{Link: "rc0", Multiplier: 0.25}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Sim.CorruptionPolicy != nil {
+		t.Fatal("corruption policy installed without corruption rules")
+	}
+	srv = buildServer(t)
 	spec := &Spec{
 		Links: []LinkFault{
 			{Link: "rc0", Multiplier: 0.25, Start: 0},
 			{Link: "drambus", Multiplier: 0.5, Start: 1, End: 2},
 		},
-		Stragglers:  []StragglerFault{{GPU: 3, Throughput: 0.5}},
-		Transient:   []TransientFault{{Match: "*", Probability: 0.1, BackoffMS: 1}},
-		MemPressure: []MemPressureFault{{Pool: "dram", ReserveBytes: 1e9}},
+		Corruptions: []CorruptionFault{{Match: "*", Probability: 0.1}},
 	}
-	inj, err := Apply(srv, spec)
-	if err != nil {
+	if inj, err = Apply(srv, spec); err != nil {
 		t.Fatal(err)
 	}
 	if inj.LinkEvents != 3 {
 		t.Fatalf("link events: got %d, want 3 (degrade+degrade+restore)", inj.LinkEvents)
 	}
-	if inj.Stragglers != 1 || inj.PoolsSqueezed != 1 {
-		t.Fatalf("counts wrong: %+v", inj)
+	if srv.Sim.CorruptionPolicy == nil {
+		t.Fatal("corruption policy not installed")
 	}
-	if srv.Sim.RetryPolicy == nil {
-		t.Fatal("retry policy not installed")
-	}
-	if got := srv.ComputeEngines[3].Throughput(); got != 0.5 {
-		t.Fatalf("straggler throughput: got %g", got)
-	}
-	if !strings.Contains(inj.String(), "1 stragglers") {
-		t.Fatalf("summary: %s", inj)
+	if got := inj.String(); got != "faults: 3 link events" {
+		t.Fatalf("summary: %s", got)
 	}
 }
 
@@ -169,22 +167,11 @@ func TestApplyRejectsUnknownNames(t *testing.T) {
 		want string
 	}{
 		{&Spec{Links: []LinkFault{{Link: "rc9", Multiplier: 0.5}}}, `no resource "rc9"`},
-		{&Spec{Stragglers: []StragglerFault{{GPU: 99, Throughput: 0.5}}}, "gpu 99 out of range"},
-		{&Spec{MemPressure: []MemPressureFault{{Pool: "hbm", ReserveBytes: 1}}}, `no pool "hbm"`},
+		{&Spec{LinkFails: []LinkFailFault{{Link: "gpu9.link", At: 1}}}, `no resource "gpu9.link"`},
 	}
 	for _, c := range cases {
 		if _, err := Apply(buildServer(t), c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("want error containing %q, got %v", c.want, err)
 		}
-	}
-}
-
-// TestApplyRejectsEmptyingAPool checks that reserving a pool's whole
-// capacity fails loudly instead of guaranteeing a later deadlock.
-func TestApplyRejectsEmptyingAPool(t *testing.T) {
-	srv := buildServer(t)
-	spec := &Spec{MemPressure: []MemPressureFault{{Pool: "dram", ReserveBytes: 1e18}}}
-	if _, err := Apply(srv, spec); err == nil || !strings.Contains(err.Error(), "empties pool") {
-		t.Fatalf("want 'empties pool' error, got %v", err)
 	}
 }

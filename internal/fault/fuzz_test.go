@@ -33,6 +33,13 @@ func FuzzParseJSON(f *testing.F) {
 	// field with a structured error, whatever the clause holds.
 	f.Add([]byte(`{"seed": 7, "planner": [{"match": "*", "probability": 1.0}]}`))
 	f.Add([]byte(`{"seed": 7, "planner": [{"probability": 0.1}]}`))
+	// So must specs written for the removed transient, stragglers and
+	// mem_pressure clauses; these are the corpus entries that used them
+	// before the clauses went.
+	f.Add([]byte(`{"seed": 1, "links": [{"link": "rc0", "multiplier": 0.5, "start_s": 0, "end_s": 2}], "transient": [{"match": "*", "probability": 0.1, "backoff_ms": 1}], "corruptions": [{"match": "*", "probability": 0.05}], "gpu_fails": [{"gpu": 3, "at_s": 4}], "horizon_s": 10}`))
+	f.Add([]byte(`{"seed": 1, "seed": 2, "mem_pressure": [{"pool": "dram", "reserve_bytes": 1e9}]}`))
+	f.Add([]byte(`{"seed": 0, "transient": [{"match": "rc1", "probability": -0, "backoff_ms": 1}]}`))
+	f.Add([]byte(`{"seed": 42, "links": [{"link": "rc0", "multiplier": 0.25, "start_s": 0}], "stragglers": [{"gpu": 2, "throughput": 0.5}], "transient": [{"match": "drambus", "probability": 0.05, "backoff_ms": 2}], "mem_pressure": [{"pool": "gpu0.mem", "reserve_bytes": 2e9}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseJSON(data)
 		if err != nil {

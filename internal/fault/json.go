@@ -14,10 +14,11 @@ import (
 //
 //	{
 //	  "seed": 42,
-//	  "links": [{"link": "rc0", "multiplier": 0.25, "start_s": 0}],
-//	  "stragglers": [{"gpu": 2, "throughput": 0.5}],
-//	  "transient": [{"match": "drambus", "probability": 0.05, "backoff_ms": 2}],
-//	  "mem_pressure": [{"pool": "gpu0.mem", "reserve_bytes": 2e9}]
+//	  "links": [
+//	    {"link": "rc0", "multiplier": 0.25, "start_s": 0},
+//	    {"link": "gpu2.link", "multiplier": 0.5, "start_s": 0.1, "end_s": 0.4}
+//	  ],
+//	  "corruptions": [{"match": "drambus", "probability": 0.05}]
 //	}
 func ParseJSON(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))

@@ -1,38 +1,35 @@
 package fault_test
 
 // The fault matrix is the smoke test of the whole injection stack (the
-// Makefile's check-faults target runs it under -race): every fault class,
-// alone and combined, applied to Mobius and GPipe end-to-end through
-// core.Run. The invariants are coarse on purpose — no errors, no panics,
+// Makefile's check-faults target runs it under -race): link degradation
+// windows, alone and combined, applied to Mobius and GPipe end-to-end
+// through core.Run. The invariants are coarse on purpose — no errors, no panics,
 // injection recorded, and a faulted run never finishes faster than the
 // nominal one.
 
 import (
+	"context"
 	"testing"
 
 	"mobius/internal/core"
 	"mobius/internal/fault"
 	"mobius/internal/hw"
+	"mobius/internal/mapping"
 	"mobius/internal/model"
+	"mobius/internal/partition"
+	"mobius/internal/profile"
 )
 
 func matrixSpecs() map[string]*fault.Spec {
 	link := fault.LinkFault{Link: "rc0", Multiplier: 0.25, Start: 0, End: 2}
-	straggler := fault.StragglerFault{GPU: 1, Throughput: 0.5}
-	transient := fault.TransientFault{Match: "*", Probability: 0.2, BackoffMS: 1}
-	pressure := fault.MemPressureFault{Pool: "dram", ReserveBytes: 4e9}
 	return map[string]*fault.Spec{
-		"link":      {Links: []fault.LinkFault{link}},
-		"straggler": {Stragglers: []fault.StragglerFault{straggler}},
-		"transient": {Seed: 7, Transient: []fault.TransientFault{transient}},
-		"pressure":  {MemPressure: []fault.MemPressureFault{pressure}},
-		"combined": {
-			Seed:        7,
-			Links:       []fault.LinkFault{link},
-			Stragglers:  []fault.StragglerFault{straggler},
-			Transient:   []fault.TransientFault{transient},
-			MemPressure: []fault.MemPressureFault{pressure},
-		},
+		"link": {Links: []fault.LinkFault{link}},
+		// An unbounded whole-run slowdown on one link beside a bounded
+		// window on another: windows on different links overlap freely.
+		"combined": {Links: []fault.LinkFault{
+			{Link: "drambus", Multiplier: 0.5, Start: 0},
+			{Link: "rc1", Multiplier: 0.25, Start: 0.5, End: 1.5},
+		}},
 	}
 }
 
@@ -61,29 +58,41 @@ func TestFaultMatrix(t *testing.T) {
 			if r.StepTime < nom.StepTime-1e-9 {
 				t.Errorf("%s/%s: faulted step %.4f faster than nominal %.4f", sys, name, r.StepTime, nom.StepTime)
 			}
-			if len(spec.Transient) > 0 && r.FaultInjection.Retries == 0 {
-				t.Errorf("%s/%s: transient rule injected no retries", sys, name)
+			if r.FaultInjection.LinkEvents == 0 {
+				t.Errorf("%s/%s: no link events scheduled", sys, name)
 			}
 		}
 	}
 }
 
-// TestFaultMatrixSevereMemPressureIsStructuredOOM squeezes one GPU's pool
-// until the plan cannot fit: the run must end in a structured OOM report,
-// not a panic or a deadlock.
-func TestFaultMatrixSevereMemPressureIsStructuredOOM(t *testing.T) {
+// TestFaultMatrixOversizedPlanReportsOOM drives a Mobius step whose plan
+// cannot fit GPU memory (all of GPT-51B in one stage) through core.Run,
+// nominal and faulted: each run must end in an OOM report, not an error,
+// a panic or a deadlock.
+func TestFaultMatrixOversizedPlanReportsOOM(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
-	spec := &fault.Spec{MemPressure: []fault.MemPressureFault{{Pool: "gpu0.mem", ReserveBytes: 23.8e9}}}
-	for _, sys := range []core.System{core.SystemMobius, core.SystemGPipe} {
-		r, err := core.Run(sys, core.Options{Model: model.GPT3B, Topology: topo, Faults: spec})
+	giant := core.PlannerFunc(func(ctx context.Context, o core.Options) (*core.Plan, error) {
+		prof, err := profile.Run(o.Model, o.Topology.GPUs[0].Spec, profile.Options{})
 		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
+			return nil, err
 		}
-		if !r.OOM {
-			t.Fatalf("%s: squeezing gpu0.mem to 0.2 GB should OOM", sys)
+		part, err := partition.FromBoundaries(prof, []int{prof.NumLayers()}, "giant")
+		if err != nil {
+			return nil, err
 		}
-		if r.OOMCause == "" {
-			t.Fatalf("%s: OOM without a structured cause", sys)
+		m, err := mapping.Sequential(o.Topology, 1)
+		if err != nil {
+			return nil, err
+		}
+		return &core.Plan{Profile: prof, Partition: part, Mapping: m}, nil
+	})
+	for name, spec := range map[string]*fault.Spec{"nominal": nil, "link": matrixSpecs()["link"]} {
+		r, err := core.Run(core.SystemMobius, core.Options{Model: model.GPT51B, Topology: topo, Planner: giant, Faults: spec})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !r.OOM || r.StepTime != 0 {
+			t.Fatalf("%s: one-stage 51B plan should report OOM, got oom=%v step=%g", name, r.OOM, r.StepTime)
 		}
 	}
 }

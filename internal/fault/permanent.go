@@ -11,7 +11,7 @@ import (
 
 // This file declares permanent failures — a GPU dropping off the bus, a
 // PCIe link dying — and binds them to the simulator's failure events
-// (sim.ScheduleFailure). Unlike the transient clauses in fault.go, a
+// (sim.ScheduleFailure). Unlike the link degradations in fault.go, a
 // permanent failure halts the run with a structured sim.ResourceLostError;
 // the elastic package consumes the error to re-plan on the surviving
 // topology.
@@ -35,8 +35,8 @@ type LinkFailFault struct {
 }
 
 // validatePermanent checks the permanent-failure clauses and their
-// interaction with the transient ones: a degradation window or transient
-// retry rule that targets a resource after its permanent death would be
+// interaction with the other ones: a degradation window or corruption
+// rule that targets a resource after its permanent death would be
 // undefined interleaving, so the spec is rejected outright.
 func (s *Spec) validatePermanent() error {
 	if s.HorizonS < 0 {
@@ -90,12 +90,6 @@ func (s *Spec) validatePermanent() error {
 		if dead && (l.End == 0 || l.End > at) {
 			return fmt.Errorf("fault: links[%d] (%s): degradation window [%g, %s) overlaps permanent failure of %q at t=%g",
 				i, l.Link, l.Start, endLabel(l.End), l.Link, at)
-		}
-	}
-	for i, tr := range s.Transient {
-		if at, dead := deadAt[tr.Match]; dead {
-			return fmt.Errorf("fault: transient[%d] (%s): retry rule matches resource %q permanently failed at t=%g; "+
-				"remove the rule or scope it to a surviving resource", i, tr.Match, tr.Match, at)
 		}
 	}
 	for i, c := range s.Corruptions {
@@ -155,8 +149,8 @@ func (s *Spec) Permanents() []Permanent {
 }
 
 // WithoutPermanent returns a copy of the spec with the permanent-failure
-// clauses (and the horizon that scopes them) removed — the transient
-// conditions that keep holding on the surviving machine. Nil in, nil out.
+// clauses (and the horizon that scopes them) removed — the conditions
+// that keep holding on the surviving machine. Nil in, nil out.
 func (s *Spec) WithoutPermanent() *Spec {
 	if s == nil {
 		return nil

@@ -145,9 +145,9 @@ func (s *Spec) RestartSchedule() []ServerRestartFault {
 // WithoutCluster returns a copy of the spec with the fleet-level clauses
 // removed: server_fails and server_restarts (consumed by the cluster
 // event loop), plus the horizon that scopes them. What remains are the
-// per-server conditions — degraded links, stragglers, transient
-// retries, memory pressure — that every server of the fleet simulates
-// its training steps under. Nil in, nil out.
+// per-server clauses, which a fleet scenario may not carry:
+// cluster.Run rejects a spec whose remainder is non-nil. Nil in, nil
+// out.
 func (s *Spec) WithoutCluster() *Spec {
 	if s == nil {
 		return nil

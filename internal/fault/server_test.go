@@ -52,13 +52,13 @@ func TestWithoutCluster(t *testing.T) {
 		Seed:        11,
 		HorizonS:    60,
 		ServerFails: []ServerFailFault{{Server: 0, At: 5}},
-		Stragglers:  []StragglerFault{{GPU: 1, Throughput: 0.5}},
+		Links:       []LinkFault{{Link: "rc0", Multiplier: 0.5}},
 	}
 	c := s.WithoutCluster()
 	if c == nil || len(c.ServerFails) != 0 || c.HorizonS != 0 {
 		t.Fatalf("fleet clauses not stripped: %+v", c)
 	}
-	if len(c.Stragglers) != 1 || c.Seed != 11 {
+	if len(c.Links) != 1 || c.Seed != 11 {
 		t.Fatalf("per-server conditions lost: %+v", c)
 	}
 	if len(s.ServerFails) != 1 {
@@ -118,7 +118,7 @@ func TestWithoutClusterStripsRestartClauses(t *testing.T) {
 	}
 	// With a per-server clause alongside, it survives — without the
 	// cluster-level ones.
-	spec.Stragglers = []StragglerFault{{GPU: 0, Throughput: 0.5}}
+	spec.Links = []LinkFault{{Link: "rc0", Multiplier: 0.5}}
 	stripped := spec.WithoutCluster()
 	if stripped == nil {
 		t.Fatal("spec with per-server clauses should survive stripping")
@@ -126,7 +126,7 @@ func TestWithoutClusterStripsRestartClauses(t *testing.T) {
 	if len(stripped.ServerFails) != 0 || len(stripped.ServerRestarts) != 0 {
 		t.Fatalf("cluster-level clauses leaked: %+v", stripped)
 	}
-	if len(stripped.Stragglers) != 1 {
+	if len(stripped.Links) != 1 {
 		t.Fatal("per-server clause lost in stripping")
 	}
 	if len(spec.ServerRestarts) != 1 {

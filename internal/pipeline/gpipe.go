@@ -74,20 +74,11 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 	stg := part.Stages
 
 	// OOM check: full training state plus retained boundary checkpoints
-	// for every in-flight microbatch must fit. The budget is the simulated
-	// pool's capacity, not the nominal topology's, so fault-injected memory
-	// pressure surfaces here as a structured OOM.
+	// for every in-flight microbatch must fit.
 	for j, st := range stg {
 		need := st.ParamBytes*gpipeStateFactor + st.WorkingBytes + float64(M)*(st.ActInBytes+st.ActOutBytes)
-		avail := topo.GPUMem(j)
-		if pool := srv.PoolByName(fmt.Sprintf("gpu%d.mem", j)); pool != nil && pool.Capacity() < avail {
-			avail = pool.Capacity()
-		}
-		if need > avail {
+		if need > topo.GPUMem(j) {
 			res.OOM = true
-			if avail < topo.GPUMem(j) {
-				res.OOMCause = fmt.Sprintf("memory pressure: stage %d needs %.3g bytes but gpu%d.mem capacity is %.3g", j, need, j, avail)
-			}
 			return res, nil
 		}
 	}

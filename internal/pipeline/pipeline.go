@@ -25,9 +25,9 @@ type Result struct {
 	// OOM reports that the schedule cannot fit in GPU memory; StepTime is
 	// meaningless when set.
 	OOM bool
-	// OOMCause describes a structured OOM surfaced during simulation
-	// (fault-injected memory pressure); empty when the pre-run memory
-	// check caught the overflow.
+	// OOMCause describes a structured OOM surfaced during simulation (an
+	// allocation larger than its pool, sim.OOMError); empty when the
+	// pre-run memory check caught the overflow.
 	OOMCause string
 	// Lost is set when a scheduled permanent failure halted the step
 	// mid-flight; StepTime then holds the elapsed time up to detection,
@@ -91,9 +91,9 @@ func applyFaults(srv *hw.Server, spec *fault.Spec, res *Result) error {
 }
 
 // finishRun validates the routed DAG, executes the simulation and records
-// its finished tasks into res.Recorder. A structured OOM (fault-injected memory pressure shrank a pool below a
-// stage's footprint) degrades the result to OOM instead of failing the
-// call; a permanent failure halting the step surfaces as Result.Lost and
+// its finished tasks into res.Recorder. A structured OOM (an allocation
+// larger than its whole pool) degrades the result to OOM instead of
+// failing the call; a permanent failure halting the step surfaces as Result.Lost and
 // an exhausted retransmit budget as Result.Corruption, both with the
 // elapsed time up to detection; every other simulation error — deadlock,
 // memory accounting — is returned. The trace records and the simulator's

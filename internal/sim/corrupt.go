@@ -3,10 +3,9 @@ package sim
 import "fmt"
 
 // This file is the silent-data-corruption surface of the simulator. A
-// CorruptionPolicy (installed by the fault package, like RetryPolicy)
-// decides per delivery attempt whether a transfer's payload arrives
-// corrupted. What happens next depends on whether end-to-end checksums
-// are enabled:
+// CorruptionPolicy (installed by the fault package) decides per delivery
+// attempt whether a transfer's payload arrives corrupted. What happens
+// next depends on whether end-to-end checksums are enabled:
 //
 //   - Checksums on: the corruption is detected at the receiver and the
 //     payload is retransmitted after an exponential backoff, re-paying
@@ -26,7 +25,9 @@ import "fmt"
 
 // CorruptionPolicy decides whether delivery attempt `attempt` (0 is the
 // first transmission) of transfer t arrives corrupted. Policies must be
-// deterministic functions of (t, attempt) — see RetryPolicy for why.
+// deterministic functions of (t, attempt) (e.g. a hash of a seed, the
+// task id and the attempt), never of call order: tasks start in
+// simulation order, which shifts when unrelated faults change timing.
 type CorruptionPolicy func(t *Task, attempt int) bool
 
 // Checksum model constants.
@@ -40,7 +41,7 @@ const (
 	// attempts halts the run with a *CorruptionError.
 	defaultMaxRetransmits = 2
 	// defaultRetransmitBackoff is the wait in seconds before the first
-	// retransmit, doubling per attempt like RetryPolicy's model.
+	// retransmit, doubling per attempt.
 	defaultRetransmitBackoff = 1e-3
 )
 

@@ -142,17 +142,6 @@ func diffScenario(r *rand.Rand, s *Sim) {
 	}
 	if r.Intn(3) == 0 {
 		seed := r.Int63()
-		s.RetryPolicy = func(t *Task) (int, Time) {
-			h := uint64(seed) ^ uint64(t.ID())*0x9e3779b97f4a7c15
-			h ^= h >> 33
-			if h%7 == 0 {
-				return 1 + int(h%2), Time(1e-4)
-			}
-			return 0, 0
-		}
-	}
-	if r.Intn(3) == 0 {
-		seed := r.Int63()
 		s.CorruptionPolicy = func(t *Task, attempt int) bool {
 			h := uint64(seed) ^ uint64(t.ID())*0xbf58476d1ce4e5b9 ^ uint64(attempt)<<32
 			h ^= h >> 29
@@ -234,17 +223,6 @@ func diffScenario(r *rand.Rand, s *Sim) {
 func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 	if r.Intn(3) == 0 {
 		s.TransferLatency = Time(r.Float64() * 5e-4)
-	}
-	if r.Intn(3) == 0 {
-		seed := r.Int63()
-		s.RetryPolicy = func(t *Task) (int, Time) {
-			h := uint64(seed) ^ uint64(t.ID())*0x9e3779b97f4a7c15
-			h ^= h >> 33
-			if h%7 == 0 {
-				return 1 + int(h%2), Time(1e-4)
-			}
-			return 0, 0
-		}
 	}
 	if r.Intn(3) == 0 {
 		seed := r.Int63()
@@ -334,17 +312,6 @@ func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 func diffScenarioSkewed(r *rand.Rand, s *Sim) {
 	if r.Intn(3) == 0 {
 		s.TransferLatency = Time(r.Float64() * 5e-4)
-	}
-	if r.Intn(3) == 0 {
-		seed := r.Int63()
-		s.RetryPolicy = func(t *Task) (int, Time) {
-			h := uint64(seed) ^ uint64(t.ID())*0x9e3779b97f4a7c15
-			h ^= h >> 33
-			if h%7 == 0 {
-				return 1 + int(h%2), Time(1e-4)
-			}
-			return 0, 0
-		}
 	}
 	if r.Intn(3) == 0 {
 		seed := r.Int63()

@@ -15,26 +15,10 @@ type Engine struct {
 	// list (Sim.kicked), replacing the per-drain map the event loop
 	// used to allocate. Only ever true inside Sim.drain.
 	kicked bool
-
-	// throughput scales compute durations (0 means the default of 1).
-	throughput float64
 }
 
 // Name returns the engine's label.
 func (e *Engine) Name() string { return e.name }
-
-// SetThroughput sets the engine's compute-throughput multiplier: compute
-// durations are divided by f, so 0 < f < 1 models a straggler running at
-// a fraction of nominal speed. The default is 1.
-func (e *Engine) SetThroughput(f float64) { e.throughput = f }
-
-// Throughput returns the engine's compute-throughput multiplier.
-func (e *Engine) Throughput() float64 {
-	if e.throughput == 0 {
-		return 1
-	}
-	return e.throughput
-}
 
 // Busy reports whether a task currently occupies the engine.
 func (e *Engine) Busy() bool { return e.current != nil }

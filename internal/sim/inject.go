@@ -3,20 +3,10 @@ package sim
 import "sort"
 
 // This file is the fault-injection surface of the simulator: scheduled
-// capacity changes, straggler throughput, transfer retry policies, and the
-// structured errors Run returns instead of panicking. The knobs are
-// deliberately low-level and deterministic; the fault package translates
-// declarative specs into calls here.
-
-// RetryPolicy decides, per transfer task, how many transient failures to
-// inject and the initial backoff between attempts. The sim models the k-th
-// retry as a wait of backoff*2^(k-1); the total wait is added to the
-// transfer's setup latency and recorded on the task (see Task.Retries and
-// Task.RetryLatency). Policies must be deterministic functions of the task
-// itself (e.g. a hash of a seed and the task id), never of call order:
-// tasks start in simulation order, which shifts when unrelated faults
-// change timing.
-type RetryPolicy func(t *Task) (retries int, backoff Time)
+// capacity changes and the structured errors Run returns instead of
+// panicking. The knobs are deliberately low-level and deterministic; the
+// fault package translates declarative specs into calls here (permanent
+// failures live in loss.go, corruption in corrupt.go).
 
 // capEvent is a scheduled change of a resource's capacity.
 type capEvent struct {

@@ -51,61 +51,6 @@ func TestCapacityEventBeforeFlowStart(t *testing.T) {
 	almost(t, end, 4, 1e-9, "quarter bandwidth from t=0")
 }
 
-// TestStragglerThroughputScalesCompute checks the engine throughput
-// multiplier: a 0.5x straggler takes twice as long per compute task.
-func TestStragglerThroughputScalesCompute(t *testing.T) {
-	s := New()
-	fast := s.NewEngine("gpu0")
-	slow := s.NewEngine("gpu1")
-	slow.SetThroughput(0.5)
-	a := s.Compute("a", fast, 2)
-	b := s.Compute("b", slow, 2)
-	end, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, a.End(), 2, 1e-12, "nominal engine")
-	almost(t, b.End(), 4, 1e-12, "straggler at half speed")
-	almost(t, end, 4, 1e-12, "makespan")
-}
-
-// TestRetryPolicyInjectsExponentialBackoff checks the transient-failure
-// model: n failures with initial backoff b delay the payload by
-// b*(2^n - 1) and are recorded on the task.
-func TestRetryPolicyInjectsExponentialBackoff(t *testing.T) {
-	s := New()
-	link := s.NewResource("link", 10e9)
-	s.RetryPolicy = func(*Task) (int, Time) { return 3, 1e-3 }
-	tr := s.Transfer("t", nil, Path(link), 10e9, 0)
-	end, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, end, 1+0.007, 1e-9, "1s payload plus 1+2+4 ms backoff")
-	if tr.Retries() != 3 {
-		t.Fatalf("retries: got %d, want 3", tr.Retries())
-	}
-	almost(t, tr.RetryLatency(), 0.007, 1e-12, "recorded retry latency")
-}
-
-// TestRetryPolicySkipsZeroByteTransfers checks that control-flow edges
-// (zero-byte transfers) are never subjected to the retry policy.
-func TestRetryPolicySkipsZeroByteTransfers(t *testing.T) {
-	s := New()
-	link := s.NewResource("link", 10e9)
-	called := false
-	s.RetryPolicy = func(*Task) (int, Time) { called = true; return 5, 1 }
-	s.Transfer("ctl", nil, Path(link), 0, 0)
-	end, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Fatal("retry policy consulted for a zero-byte transfer")
-	}
-	almost(t, end, 0, 1e-12, "zero-byte transfer is instant")
-}
-
 // TestOversizedAllocIsStructuredOOM checks that an allocation larger than
 // the pool's total capacity surfaces as *OOMError naming the task, not a
 // deadlock.
@@ -123,17 +68,21 @@ func TestOversizedAllocIsStructuredOOM(t *testing.T) {
 	}
 }
 
-// TestShrunkenPoolTriggersOOM models fault-injected memory pressure: an
-// allocation that fit the nominal pool fails after SetCapacity shrinks it.
+// TestShrunkenPoolTriggersOOM: an allocation that can never fit a small
+// pool is a structured OOM even while an earlier allocation that fit is
+// still held, not a wait for that allocation's free.
 func TestShrunkenPoolTriggersOOM(t *testing.T) {
 	s := New()
-	pool := s.NewMemPool("dram", 100)
-	pool.SetCapacity(30)
-	s.Alloc("states", pool, 50)
+	pool := s.NewMemPool("dram", 30)
+	weights := s.Alloc("weights", pool, 20)
+	s.Alloc("states", pool, 50, weights)
 	_, err := s.Run()
 	var oom *OOMError
 	if !errors.As(err, &oom) {
-		t.Fatalf("want *OOMError after pool squeeze, got %v", err)
+		t.Fatalf("want *OOMError, got %v", err)
+	}
+	if oom.Task != "states" || oom.Need != 50 || oom.Capacity != 30 {
+		t.Fatalf("OOM fields wrong: %+v", oom)
 	}
 }
 
@@ -161,10 +110,8 @@ func TestCapacityEventsDeterministic(t *testing.T) {
 		s := New()
 		link := s.NewResource("link", 8e9)
 		e := s.NewEngine("gpu0")
-		e.SetThroughput(0.75)
 		s.ScheduleCapacity(link, 0.5, 2e9)
 		s.ScheduleCapacity(link, 1.5, 8e9)
-		s.RetryPolicy = func(task *Task) (int, Time) { return task.ID() % 3, 1e-3 }
 		c := s.Compute("c", e, 1)
 		tr := s.Transfer("t", nil, Path(link), 12e9, 0, c)
 		return s, c, tr

@@ -239,9 +239,8 @@ func (s *Sim) drainOne(t *Task) {
 		s.complete(t)
 	case KindAlloc:
 		if t.amount > t.pool.capacity+memEpsilon {
-			// The request can never be satisfied (e.g. memory pressure
-			// shrank the pool): a structured OOM beats an eventual
-			// deadlock report.
+			// The request can never be satisfied: a structured OOM
+			// beats an eventual deadlock report.
 			s.fail(&OOMError{Pool: t.pool.name, Task: t.name, Need: t.amount, Capacity: t.pool.capacity})
 			return
 		}
@@ -287,33 +286,10 @@ func (s *Sim) startOnEngine(t *Task) {
 
 	switch t.kind {
 	case KindCompute:
-		d := t.duration
-		if t.engine != nil {
-			if f := t.engine.Throughput(); f != 1 {
-				d /= f
-			}
-		}
-		t.endAt = s.now + d
+		t.endAt = s.now + t.duration
 		heap.Push(&s.computes, t)
 	case KindTransfer:
-		lat := t.latency
-		if lat <= 0 {
-			lat = s.TransferLatency
-		}
-		if s.RetryPolicy != nil && t.bytes > 0 {
-			if n, backoff := s.RetryPolicy(t); n > 0 && backoff > 0 {
-				// Failed attempts wait backoff, 2*backoff, ... before the
-				// payload is finally admitted.
-				extra, step := Time(0), backoff
-				for i := 0; i < n; i++ {
-					extra += step
-					step *= 2
-				}
-				t.retries = n
-				t.retryLatency = extra
-				lat += extra
-			}
-		}
+		lat := s.TransferLatency
 		if t.bytes > 0 {
 			if s.Checksums.Enabled {
 				// Detection price of the first delivery attempt;

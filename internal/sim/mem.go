@@ -13,10 +13,6 @@ type MemPool struct {
 	used     float64
 	peak     float64
 	waiters  []*Task
-
-	// baseCapacity is the construction-time capacity; Sim.Reset restores
-	// it (the fault layer shrinks capacity to model memory pressure).
-	baseCapacity float64
 }
 
 // Name returns the pool's label.
@@ -31,15 +27,10 @@ func (p *MemPool) Used() float64 { return p.used }
 // Peak returns the high-water mark of allocated bytes.
 func (p *MemPool) Peak() float64 { return p.peak }
 
-// SetCapacity resizes the pool to capacity bytes. The fault layer uses it
-// to model memory pressure; call before Run — shrinking a pool below its
-// live allocation mid-run is not re-checked.
-func (p *MemPool) SetCapacity(capacity float64) { p.capacity = capacity }
-
 // OOMError reports an allocation that can never succeed because the
-// requested amount exceeds the pool's total capacity. Under memory-pool
-// pressure this converts what used to be a deadlock (or, for accounting
-// bugs, a panic) into a structured out-of-memory event naming the task.
+// requested amount exceeds the pool's total capacity. It converts what
+// would otherwise be a deadlock into a structured out-of-memory event
+// naming the task.
 type OOMError struct {
 	Pool     string  // pool name
 	Task     string  // name of the requesting task

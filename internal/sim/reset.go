@@ -9,8 +9,8 @@ package sim
 // next experiment cell on the same topology.
 
 // rewind restores every task, resource, engine, and pool to its pre-Run
-// state and resets the event loop, keeping scheduled fault events and
-// pre-run mutations (pool capacity, engine throughput) intact.
+// state and resets the event loop, keeping scheduled fault events
+// intact.
 func (s *Sim) rewind() {
 	for _, t := range s.tasks {
 		t.state = statePending
@@ -19,8 +19,6 @@ func (s *Sim) rewind() {
 		t.startAt = 0
 		t.endAt = 0
 		t.flowStarted = false
-		t.retries = 0
-		t.retryLatency = 0
 		t.retransmits = 0
 		t.tainted = false
 		t.corruptExhausted = false
@@ -58,22 +56,14 @@ func (s *Sim) rewind() {
 
 // Reset returns the simulator to its just-built state so the constructed
 // topology and DAG can be executed again: rewind plus removal of every
-// injected fault — scheduled capacity and failure events, retry and
-// corruption policies, checksum configuration, engine throughput
-// overrides, and pool resizes. A run after Reset replays the fault-free
+// injected fault — scheduled capacity and failure events, the
+// corruption policy and the checksum configuration. A run after Reset replays the fault-free
 // schedule bitwise; pooled run buffers keep their capacity, so
 // steady-state Reset+Run loops stay allocation-free.
 func (s *Sim) Reset() {
 	s.rewind()
 	s.capEvents = s.capEvents[:0]
 	s.failEvents = s.failEvents[:0]
-	s.RetryPolicy = nil
 	s.CorruptionPolicy = nil
 	s.Checksums = ChecksumConfig{}
-	for _, e := range s.engines {
-		e.throughput = 0
-	}
-	for _, p := range s.pools {
-		p.capacity = p.baseCapacity
-	}
 }

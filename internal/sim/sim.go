@@ -30,10 +30,6 @@ type Sim struct {
 	// hardware layer sets a topology-appropriate value.
 	TransferLatency Time
 
-	// RetryPolicy, when non-nil, is consulted once per transfer task as
-	// it starts; see the RetryPolicy type in inject.go.
-	RetryPolicy RetryPolicy
-
 	// CorruptionPolicy, when non-nil, is consulted per delivery attempt
 	// of every transfer with payload; see corrupt.go.
 	CorruptionPolicy CorruptionPolicy
@@ -152,7 +148,7 @@ func (s *Sim) NewMemPool(name string, capacity float64) *MemPool {
 	}
 	p := &s.poolSlab[0]
 	s.poolSlab = s.poolSlab[1:]
-	p.id, p.name, p.capacity, p.baseCapacity = len(s.pools), name, capacity, capacity
+	p.id, p.name, p.capacity = len(s.pools), name, capacity
 	s.pools = append(s.pools, p)
 	return p
 }

@@ -57,7 +57,6 @@ type Task struct {
 	// Transfer fields.
 	path        []PathElem
 	bytes       float64
-	latency     Time // fixed setup time before bytes start flowing
 	flowStarted bool
 
 	// Alloc/Free fields.
@@ -79,10 +78,6 @@ type Task struct {
 	readyAt Time
 	startAt Time
 	endAt   Time
-
-	// Fault-injection bookkeeping (see Sim.RetryPolicy).
-	retries      int
-	retryLatency Time
 
 	// Corruption bookkeeping (see corrupt.go). finalizeIntegrity derives
 	// the run-level IntegrityStats from these per-task counters in task-id
@@ -132,14 +127,6 @@ func (t *Task) End() Time { return t.endAt }
 
 // Finished reports whether the task completed.
 func (t *Task) Finished() bool { return t.state == stateFinished }
-
-// Retries returns the number of injected transient failures this transfer
-// survived before its payload was admitted.
-func (t *Task) Retries() int { return t.retries }
-
-// RetryLatency returns the total exponential-backoff wait injected before
-// the transfer's payload was admitted.
-func (t *Task) RetryLatency() Time { return t.retryLatency }
 
 // Retransmits returns the number of detected-corruption retransmissions
 // this transfer performed (checksums on).

@@ -58,11 +58,11 @@ type (
 	// CDF is a weighted cumulative distribution (bandwidth statistics).
 	CDF = trace.CDF
 	// FaultSpec is a declarative degraded-hardware scenario (link
-	// bandwidth windows, straggler GPUs, transient transfer failures,
-	// memory pressure) for Options.Faults.
+	// bandwidth windows, silent data corruption, permanent GPU and link
+	// failures) for Options.Faults.
 	FaultSpec = fault.Spec
-	// FaultInjection records an applied fault scenario and the retry
-	// traffic it induced.
+	// FaultInjection records an applied fault scenario and the
+	// corruptions it injected.
 	FaultInjection = fault.Injection
 )
 
