@@ -55,14 +55,14 @@ check-recovery:
 	$(GO) test -race -run 'TestResume|TestCheckpoint' -count=1 ./internal/train/
 
 # check-chaos is the integrity gate: the deterministic chaos matrix
-# (randomized corruption scenarios, invariants and replay determinism,
-# plus the rollback accounting identity) under the race detector,
-# followed by a short native-fuzz smoke of the spec parser and the chaos
-# invariants.
+# (randomized corruption scenarios, invariants and replay determinism;
+# internal/sim/chaos_test.go) plus the seeded rollback accounting
+# identity (internal/elastic) under the race detector, followed by a
+# short native-fuzz smoke of the spec parser and the chaos invariants.
 check-chaos:
-	$(GO) test -race -run 'TestChaos' -count=1 ./internal/chaos/
+	$(GO) test -race -run 'TestChaos' -count=1 ./internal/sim/ ./internal/elastic/
 	$(GO) test -run xxx -fuzz 'FuzzParseJSON' -fuzztime 10s ./internal/fault/
-	$(GO) test -run xxx -fuzz 'FuzzChaosInvariants' -fuzztime 10s ./internal/chaos/
+	$(GO) test -run xxx -fuzz 'FuzzChaosInvariants' -fuzztime 10s ./internal/sim/
 
 # check-perf is the performance smoke gate: short in-process checks
 # asserting the incremental flow scheduler still beats the retained
@@ -85,9 +85,9 @@ check-perf:
 # golden vectors, the breaker its ladder uses to its transition table),
 # the deterministic concurrency suite (cache keys, single-flight
 # coalescing and cancelled-leader handoff, corrupt-entry degradation,
-# the deadline/breaker ladder on a virtual clock, HTTP surface) plus
-# the seed-derived deadline chaos matrix (serial bitwise replay and
-# the concurrent fan-out), all under the race detector, then the
+# the deadline/breaker ladder on a virtual clock, HTTP surface, and the
+# seed-derived deadline chaos matrix in chaos_test.go: serial bitwise
+# replay and the concurrent fan-out), all under the race detector, then the
 # deadline-stopped cross mapping search, alone and inside a plan, also
 # under the race detector, and a short native-fuzz smoke of the /v1/plan
 # handler over a greedy inner planner.
@@ -96,7 +96,6 @@ check-perf:
 check-plansvc:
 	$(GO) test -race -count=1 ./internal/resil/
 	$(GO) test -race -short -count=1 ./internal/plansvc/
-	$(GO) test -race -run 'TestPlanning' -count=1 ./internal/chaos/
 	$(GO) test -race -run 'TestCross|TestPlanDeadline' -count=1 ./internal/mapping/ ./internal/core/
 	$(GO) test -run xxx -fuzz 'FuzzPlanRequest' -fuzztime 10s ./internal/plansvc/
 
@@ -105,34 +104,33 @@ check-plansvc:
 # the multi-tenant cluster suite (conservation and fairness identities,
 # the admission/backpressure/degrade/shed ladder, server-loss recovery
 # with zero-solve re-landing, the bitwise differential against
-# single-job core.Run) plus the
-# seed-derived cluster chaos matrix (serial bitwise replay, concurrent
-# fan-out over a shared step cache) and the overload-sweep shape
-# assertions, all under the race detector.
+# single-job core.Run, and the seed-derived cluster chaos matrix in
+# chaos_test.go: serial bitwise replay, concurrent fan-out over a shared
+# step cache) plus the overload-sweep shape assertions, all under the
+# race detector.
 check-cluster:
 	$(GO) test -race -count=1 ./internal/resil/
 	$(GO) test -race -run 'TestCluster|TestJain|TestBucket' -count=1 ./internal/cluster/
-	$(GO) test -race -run 'TestClusterChaos' -count=1 ./internal/chaos/
 	$(GO) test -race -run 'TestOverload' -count=1 ./internal/experiments/
 
 # check-store is the persistence gate: the crash-safe plan store's full
 # suite (record grammar, truncate-at-every-byte and bit-flip-at-every-
 # byte properties, quarantine semantics, write-behind queue bounds, the
-# I/O-error path), the server_fails/server_restarts clauses of the fault
-# spec, the warm-restart recovery suite in plansvc (zero-solve restart, a
-# validation drop deleting its record on disk), the fleet restart suite,
-# and the seed-derived store chaos matrix, whose harness tears records on
-# disk and predicts the surviving set from the operation list — all
-# under the race detector — then a short native-fuzz smoke of the record
-# loader and the store chaos invariants.
+# I/O-error path, and the seed-derived store chaos matrix in
+# chaos_test.go, whose harness tears records on disk and predicts the
+# surviving set from the operation list), the server_fails/
+# server_restarts clauses of the fault spec, the warm-restart recovery
+# suite in plansvc (zero-solve restart, a validation drop deleting its
+# record on disk) and the fleet restart suite — all under the race
+# detector — then a short native-fuzz smoke of the record loader and the
+# store chaos invariants.
 check-store:
 	$(GO) test -race -count=1 ./internal/planstore/
 	$(GO) test -race -run 'TestServerFail|TestRestart|TestWithoutCluster' -count=1 ./internal/fault/
 	$(GO) test -race -run 'TestWarmRestart|TestValidateDrop|TestCorruptStore|TestMetricsEndpoint|TestPrewarmDepth' -count=1 ./internal/plansvc/
 	$(GO) test -race -run 'TestClusterRestart|TestClusterWarmRestart|TestClusterColdRestart' -count=1 ./internal/cluster/
-	$(GO) test -race -run 'TestStoreChaos' -count=1 ./internal/chaos/
 	$(GO) test -run xxx -fuzz 'FuzzStoreLoad' -fuzztime 10s ./internal/planstore/
-	$(GO) test -run xxx -fuzz 'FuzzStoreChaosInvariants' -fuzztime 10s ./internal/chaos/
+	$(GO) test -run xxx -fuzz 'FuzzStoreChaosInvariants' -fuzztime 10s ./internal/planstore/
 
 # check-bench vets and tests the benchmark module under bench/. It has
 # its own go.mod, so the root `go test ./...` does not see it; an

@@ -35,7 +35,11 @@ func printOnce(id string) {
 		return
 	}
 	printed[id] = true
-	tab, err := experiments.All()[id]()
+	e, ok := experiments.Lookup(id)
+	if !ok {
+		panic(fmt.Sprintf("unknown experiment %s", id))
+	}
+	tab, err := e.Gen()
 	if err != nil {
 		panic(fmt.Sprintf("experiment %s: %v", id, err))
 	}

@@ -27,10 +27,9 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines prewarming the evaluation grid (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
-	all := experiments.All()
 	if *list {
-		for _, id := range experiments.Order() {
-			fmt.Println(id)
+		for _, e := range experiments.All() {
+			fmt.Println(e.ID)
 		}
 		return
 	}
@@ -57,7 +56,9 @@ func main() {
 
 	var ids []string
 	if *exp == "all" {
-		ids = experiments.Order()
+		for _, e := range experiments.All() {
+			ids = append(ids, e.ID)
+		}
 	} else {
 		ids = strings.Split(*exp, ",")
 	}
@@ -70,13 +71,13 @@ func main() {
 
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		gen, ok := all[id]
+		e, ok := experiments.Lookup(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
 			os.Exit(2)
 		}
 		start := time.Now()
-		table, err := gen()
+		table, err := e.Gen()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)

@@ -27,7 +27,7 @@
 // everything else; Poisson arrivals and step counts come from per-class
 // seeded streams, and every tie is broken by construction order — the
 // same Config replays the same Report bit for bit. The chaos harness
-// (internal/chaos) asserts this, plus the job-conservation identity
+// (chaos_test.go) asserts this, plus the job-conservation identity
 //
 //	Submitted == Completed + Rejected + Shed + Failed + InFlight
 //
@@ -168,9 +168,9 @@ type Config struct {
 	// job's actual state after every event, not just at the end.
 	Paranoid bool
 
-	// Cache shares step-time pricing across runs (optional); the chaos
-	// matrix reuses one so a thousand scenarios price each distinct
-	// (plan, checkpoint, degradation) combination once.
+	// Cache shares step-time pricing across runs (optional); the
+	// overload and restart sweeps reuse one so every run prices each
+	// distinct (plan, checkpoint, degradation) combination once.
 	Cache *StepCache
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -211,8 +212,8 @@ func TestPlanSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := UnmarshalPlan(data)
-	if err != nil {
+	var sum PlanSummary
+	if err := json.Unmarshal(data, &sum); err != nil {
 		t.Fatal(err)
 	}
 	if sum.Model != "8B" || sum.NumGPUs != 4 {
@@ -234,15 +235,6 @@ func TestPlanSerializationRoundTrip(t *testing.T) {
 	}
 	if next != plan.Profile.NumLayers() {
 		t.Fatalf("stages cover %d layers", next)
-	}
-}
-
-func TestUnmarshalPlanRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalPlan([]byte("{")); err == nil {
-		t.Fatal("bad JSON must fail")
-	}
-	if _, err := UnmarshalPlan([]byte(`{"model":"x"}`)); err == nil {
-		t.Fatal("stage-less plan must fail")
 	}
 }
 

@@ -89,15 +89,3 @@ func MarshalPlan(p *Plan, opts Options) ([]byte, error) {
 	}
 	return json.MarshalIndent(sum, "", "  ")
 }
-
-// UnmarshalPlan parses a serialized plan summary.
-func UnmarshalPlan(data []byte) (*PlanSummary, error) {
-	var out PlanSummary
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("core: bad plan JSON: %w", err)
-	}
-	if len(out.Stages) == 0 {
-		return nil, fmt.Errorf("core: plan JSON has no stages")
-	}
-	return &out, nil
-}

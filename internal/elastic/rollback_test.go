@@ -115,3 +115,29 @@ func TestRecoveryRollbackRejects(t *testing.T) {
 		})
 	}
 }
+
+// TestChaosRollbackIdentity folds the elastic accounting identity into
+// the chaos surface: seed-derived rollback scenarios must decompose
+// TotalTime into the report's overhead terms exactly.
+func TestChaosRollbackIdentity(t *testing.T) {
+	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
+	for _, seed := range []int64{3, 7} {
+		steps := 4 + int(seed%4)
+		every := int(seed % 3) // 0 = uncheckpointed rollback
+		rep, err := Run(Config{
+			Model:           model.GPT3B,
+			Topology:        topo,
+			Steps:           steps,
+			CheckpointEvery: every,
+			Policy:          PolicyRollback,
+			AnomalyStep:     1 + int(seed)%steps,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if diff := math.Abs(rep.TotalTime - rep.AccountedTotal()); diff > 1e-9*rep.TotalTime {
+			t.Fatalf("seed %d: accounting identity broken: total %.12f vs accounted %.12f",
+				seed, rep.TotalTime, rep.AccountedTotal())
+		}
+	}
+}

@@ -22,10 +22,6 @@ import (
 // keys: a correct planner never changes what is planned.
 var planService = plansvc.New(plansvc.Config{})
 
-// PlanMetrics exposes the shared plan service's counters so drivers can
-// report how much planning work the grids actually deduplicated.
-func PlanMetrics() plansvc.Metrics { return planService.Metrics() }
-
 // Topologies of the main evaluation (§4 "GPU topologies"), ordered from
 // least to most communication contention.
 func commodityTopologies() []*hw.Topology {
@@ -296,8 +292,8 @@ func Figure8() (*Table, error) {
 	return sr.table(t)
 }
 
-// TrafficByKind decomposes one system's step traffic, an auxiliary view
-// used by the examples and tests.
+// TrafficByKind decomposes one system's step traffic by transfer kind,
+// an auxiliary view; only the package's tests read it.
 func TrafficByKind(r *core.StepReport) map[trace.Kind]float64 {
 	out := map[trace.Kind]float64{}
 	if r.Recorder == nil {

@@ -199,14 +199,15 @@ func TestTrafficByKindDecomposes(t *testing.T) {
 }
 
 func TestAllRegistryComplete(t *testing.T) {
-	all := All()
-	for _, id := range Order() {
-		if all[id] == nil {
-			t.Errorf("experiment %q missing from registry", id)
+	seen := map[string]bool{}
+	for _, e := range All() {
+		if seen[e.ID] {
+			t.Errorf("experiment %q registered twice", e.ID)
 		}
-	}
-	if len(all) != len(Order()) {
-		t.Errorf("registry size %d != order size %d", len(all), len(Order()))
+		seen[e.ID] = true
+		if e.Gen == nil {
+			t.Errorf("experiment %q has no generator", e.ID)
+		}
 	}
 }
 

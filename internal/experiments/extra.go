@@ -190,49 +190,53 @@ func Figure16() (*Table, error) {
 	return sr.table(t)
 }
 
-// All returns every experiment generator keyed by its paper id, for the
-// CLI. Generators return an error instead of panicking; the CLI converts
-// it into a non-zero exit code.
-func All() map[string]func() (*Table, error) {
-	return map[string]func() (*Table, error){
-		"table1":   Table1,
-		"table3":   Table3Models,
-		"figure2":  Figure2,
-		"figure5":  Figure5,
-		"figure6":  Figure6,
-		"figure7":  Figure7,
-		"figure8":  Figure8,
-		"figure9":  Figure9,
-		"figure10": Figure10,
-		"figure11": Figure11,
-		"figure12": Figure12,
-		"figure13": func() (*Table, error) { return Figure13(120) },
-		"figure14": Figure14,
-		"figure15": Figure15,
-		"figure16": Figure16,
+// Experiment is one table or figure of the evaluation: its paper id and
+// its generator. Generators return an error instead of panicking; the
+// CLI converts it into a non-zero exit code.
+type Experiment struct {
+	ID  string
+	Gen func() (*Table, error)
+}
+
+// All lists every experiment in paper order, for the CLI.
+func All() []Experiment {
+	return []Experiment{
+		{"table1", Table1},
+		{"table3", Table3Models},
+		{"figure2", Figure2},
+		{"figure5", Figure5},
+		{"figure6", Figure6},
+		{"figure7", Figure7},
+		{"figure8", Figure8},
+		{"figure9", Figure9},
+		{"figure10", Figure10},
+		{"figure11", Figure11},
+		{"figure12", Figure12},
+		{"figure13", func() (*Table, error) { return Figure13(120) }},
+		{"figure14", Figure14},
+		{"figure15", Figure15},
+		{"figure16", Figure16},
 		// Ablations beyond the paper's own figures.
-		"ablation-prefetch":      AblationPrefetch,
-		"ablation-priority":      AblationPriority,
-		"ablation-microbatches":  AblationMicrobatches,
-		"related-work":           RelatedWork,
-		"convergence-async":      ConvergenceAsync,
-		"ablation-checkpointing": AblationCheckpointing,
-		"resilience":             Resilience,
-		"recovery":               Recovery,
-		"integrity":              Integrity,
-		"overload":               Overload,
-		"restart":                Restart,
+		{"ablation-prefetch", AblationPrefetch},
+		{"ablation-priority", AblationPriority},
+		{"ablation-microbatches", AblationMicrobatches},
+		{"related-work", RelatedWork},
+		{"convergence-async", ConvergenceAsync},
+		{"ablation-checkpointing", AblationCheckpointing},
+		{"resilience", Resilience},
+		{"recovery", Recovery},
+		{"integrity", Integrity},
+		{"overload", Overload},
+		{"restart", Restart},
 	}
 }
 
-// Order lists experiment ids in paper order.
-func Order() []string {
-	return []string{
-		"table1", "table3", "figure2", "figure5", "figure6", "figure7",
-		"figure8", "figure9", "figure10", "figure11", "figure12",
-		"figure13", "figure14", "figure15", "figure16",
-		"ablation-prefetch", "ablation-priority", "ablation-microbatches",
-		"related-work", "convergence-async", "ablation-checkpointing",
-		"resilience", "recovery", "integrity", "overload", "restart",
+// Lookup finds an experiment by its paper id.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range All() {
+		if e.ID == id {
+			return e, true
+		}
 	}
+	return Experiment{}, false
 }

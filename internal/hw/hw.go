@@ -354,20 +354,6 @@ func (srv *Server) allResources() []*sim.Resource {
 	return rs
 }
 
-// PoolByName finds a memory pool by its simulator name ("dram",
-// "gpu0.mem"); nil when absent.
-func (srv *Server) PoolByName(name string) *sim.MemPool {
-	if srv.DRAM != nil && srv.DRAM.Name() == name {
-		return srv.DRAM
-	}
-	for _, p := range srv.GPUMems {
-		if p.Name() == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // Build instantiates the topology on a fresh simulator.
 func Build(t *Topology) (*Server, error) {
 	if err := t.Validate(); err != nil {

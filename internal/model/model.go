@@ -143,9 +143,6 @@ func (l Layer) ParamBytesFP16() float64 { return float64(l.Params()) * FP16Bytes
 // GradBytesFP16 returns the layer's FP16 gradient footprint.
 func (l Layer) GradBytesFP16() float64 { return float64(l.Params()) * FP16Bytes }
 
-// OptimStateBytes returns the DRAM-resident optimizer state footprint.
-func (l Layer) OptimStateBytes() float64 { return float64(l.Params()) * OptimBytesPerP }
-
 // ActivationOutBytes returns the boundary activation a layer passes to its
 // successor for one microbatch — the inter-stage transfer unit of the
 // Mobius pipeline. The head emits only a scalar loss.
@@ -256,16 +253,6 @@ func (c Config) ParamBytesFP32() float64 { return float64(c.TotalParams()) * FP3
 // params + fp16 grads + fp32 master + Adam moments), the quantity that
 // must fit in aggregate GPU memory for all-in-GPU systems like GPipe.
 func (c Config) ModelStatesBytes() float64 { return float64(c.TotalParams()) * StateBytesPerP }
-
-// ActivationBytesPerMicrobatch returns the checkpointed boundary
-// activation footprint of the whole model for one microbatch.
-func (c Config) ActivationBytesPerMicrobatch() float64 {
-	var total float64
-	for _, l := range c.LayerSeq() {
-		total += l.ActivationOutBytes(c.MicrobatchSize)
-	}
-	return total
-}
 
 func (c Config) String() string {
 	return fmt.Sprintf("%s (%.1fB params, %d layers, hidden %d, heads %d, mbs %d)",

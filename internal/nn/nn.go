@@ -106,12 +106,3 @@ func (m *Model) Params() []*Param {
 	}
 	return out
 }
-
-// NumParams returns the total scalar parameter count.
-func (m *Model) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.W.D)
-	}
-	return n
-}

@@ -43,7 +43,7 @@ func CheckFinite(params []*Param) error {
 }
 
 // GradNorm returns the global L2 norm over all gradients without
-// modifying them (ClipGradNorm's measurement half).
+// modifying them.
 func GradNorm(params []*Param) float64 {
 	var sq float64
 	for _, p := range params {

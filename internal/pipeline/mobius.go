@@ -57,7 +57,8 @@ type CheckpointWrite struct {
 // simulator and the step DAG constructed. One step can be executed many
 // times under different fault and checksum configurations — each Run
 // rewinds the simulator (sim.Reset) instead of rebuilding topology and
-// DAG, the shape the chaos harness and experiment grids rely on.
+// DAG, the shape the simulator's chaos tests and the experiment grids
+// rely on.
 type MobiusStep struct {
 	srv *hw.Server
 	rec *trace.Recorder

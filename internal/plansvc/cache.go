@@ -1,8 +1,6 @@
 package plansvc
 
 import (
-	"fmt"
-
 	"mobius/internal/core"
 	"mobius/internal/hw"
 	"mobius/internal/planstore"
@@ -77,25 +75,4 @@ func (s *Service) Has(key Key) bool {
 	defer s.mu.Unlock()
 	_, ok := s.cache[key]
 	return ok
-}
-
-// CheckInvariants verifies the structural invariants of the service's
-// state: every cached plan is complete, non-degraded (fallback plans
-// are never cached) and valid for its topology. The chaos harness calls
-// it after every scenario.
-func (s *Service) CheckInvariants() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, e := range s.cache {
-		if e.plan == nil {
-			return fmt.Errorf("plansvc: cache entry %s holds a nil plan", k)
-		}
-		if e.plan.Fallback {
-			return fmt.Errorf("plansvc: degraded plan cached under %s (%s)", k, e.plan.FallbackReason)
-		}
-		if err := e.plan.Validate(e.topo); err != nil {
-			return fmt.Errorf("plansvc: cache entry %s invalid: %w", k, err)
-		}
-	}
-	return nil
 }

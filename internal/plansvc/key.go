@@ -19,8 +19,8 @@
 //   - speculative pre-planning of every surviving single-GPU-loss
 //     topology, so an elastic recovery's re-plan is a cache lookup.
 //
-// The chaos suite drives the ladder under -race with seeded requests
-// whose deadline has already expired.
+// The package's chaos test drives the ladder under -race with seeded
+// requests whose deadline has already expired.
 package plansvc
 
 import (

@@ -1,7 +1,5 @@
 package plansvc
 
-import "fmt"
-
 // Metrics counts what the service did. Every counter is cumulative; a
 // Snapshot is taken under the service lock, so the conservation identity
 //
@@ -59,17 +57,6 @@ type Metrics struct {
 	// signal. Both are 0 without a configured store.
 	WarmStartEntries uint64
 	WarmHits         uint64
-}
-
-// ConservationError checks the request conservation identity on a
-// quiescent snapshot; nil means every request is accounted for exactly
-// once.
-func (m Metrics) ConservationError() error {
-	if m.Requests != m.Hits+m.Led+m.Coalesced+m.WaitAborts {
-		return fmt.Errorf("plansvc: conservation violated: Requests %d != Hits %d + Led %d + Coalesced %d + WaitAborts %d",
-			m.Requests, m.Hits, m.Led, m.Coalesced, m.WaitAborts)
-	}
-	return nil
 }
 
 // Metrics returns a consistent snapshot of the counters.

@@ -25,8 +25,8 @@ type Config struct {
 	// request. The Service does not own the store; the caller closes it
 	// (after the Service is quiescent) to drain the write-behind queue.
 	Store *planstore.Store
-	// Now is the breaker's clock; tests and the chaos harness substitute
-	// a virtual clock to drive the cooldown deterministically. Default:
+	// Now is the breaker's clock; the package's tests substitute a
+	// virtual clock to drive the cooldown deterministically. Default:
 	// time.Now.
 	Now func() time.Time
 }
