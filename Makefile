@@ -26,14 +26,17 @@ race:
 # must be a prefix of the oracle's, a guard stop must be on an LP the
 # oracle does not solve to optimality, a presolve rejection on one it
 # calls infeasible, and every other solve must match its status and
-# X/objective float bits), then the twelve cold-plan fingerprints against
-# internal/lp/testdata/plans.golden and the search effort behind them
-# against internal/lp/testdata/effort.golden. On a 2-vCPU host it takes
-# about 3 minutes if the 3 s-limited 3B on 4+4 search stops before its
-# two node LPs that break down, and about 14 if it reaches them, as it
+# X/objective float bits; a solve whose phase 1 ends feasible must also
+# match the oracle's whole tableau there), then the twelve cold-plan
+# fingerprints against internal/lp/testdata/plans.golden and the search
+# effort behind them against internal/lp/testdata/effort.golden. On a
+# 2-vCPU host it takes
+# about 4 minutes if the 3 s-limited 3B on 4+4 search stops before its
+# two node LPs that break down, and 15-18 if it reaches them, as it
 # does with the AVX2 column update: the guard stops each after
 # 2,000-2,700 pivots, but unchecked the dense tableau pivots both on to
-# the iteration limit (263,200 pivots, about 10 minutes side by side).
+# the iteration limit (263,200 pivots; the 3B on 4+4 differential takes
+# 11-13.5 minutes side by side).
 check-lp:
 	GOARCH=arm64 $(GO) vet ./internal/lp/
 	$(GO) test -count=1 ./internal/lp/ ./internal/milp/

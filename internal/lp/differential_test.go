@@ -25,71 +25,114 @@ const (
 	guarded
 )
 
+// verdict is what againstOracle found: the check that decided the
+// solve, if any, with both outcomes when one did, the solve's trace
+// without its tableau, and whether the tableaus were compared at the end
+// of phase 1.
+type verdict struct {
+	check   check
+	outcome string
+	trace   lp.Trace
+	phase1  bool
+}
+
 // againstOracle solves p with kernel k and with the oracle (the dense
-// kernel, presolve and breakdown guard off) and reports the check that
-// decided the solve, with both outcomes when one did, or the first way
-// the two disagree. The solve's pivots must be a prefix of the oracle's.
+// kernel, presolve and breakdown guard off) and reports its verdict, or
+// the first way the two disagree. The solve's pivots must be a prefix of
+// the oracle's, and a solve whose phase 1 ends feasible must match the
+// oracle's whole tableau there, artificial columns included.
 // A guard stop must be on an LP the oracle does not solve to optimality;
 // a presolve rejection, with no pivot, on one the oracle calls
 // infeasible. Otherwise the two must be the same solve: pivot sequence,
 // status, effort counters, and the float bits of X and the objective.
-func againstOracle(p *lp.Problem, k lp.Kernel) (check, string, error) {
-	sol, trace, err := lp.SolveTraced(p, k)
+func againstOracle(p *lp.Problem, k lp.Kernel) (verdict, error) {
+	sol, tr, err := lp.SolveTraced(p, k)
 	if err != nil {
-		return noCheck, "", err
+		return verdict{}, err
 	}
-	ora, oTrace, err := lp.SolveTraced(p, lp.Oracle)
+	v := verdict{trace: tr, phase1: tr.Phase1End != nil}
+	v.trace.Phase1End = nil // a whole tableau; compared below, not kept
+	ora, oTr, err := lp.SolveTraced(p, lp.Oracle)
 	if err != nil {
-		return noCheck, "", err
+		return v, err
 	}
+	trace, oTrace := tr.Pivots, oTr.Pivots
 	if len(trace) > len(oTrace) {
-		return noCheck, "", fmt.Errorf("made %d pivots, oracle %d", len(trace), len(oTrace))
+		return v, fmt.Errorf("made %d pivots, oracle %d", len(trace), len(oTrace))
 	}
 	for k := range trace {
 		if trace[k] != oTrace[k] {
-			return noCheck, "", fmt.Errorf("pivot %d: %+v, oracle %+v", k, trace[k], oTrace[k])
+			return v, fmt.Errorf("pivot %d: %+v, oracle %+v", k, trace[k], oTrace[k])
+		}
+	}
+	if tr.Phase1End != nil {
+		if err := sameTableau(tr.Phase1End, oTr.Phase1End, sol.Rows); err != nil {
+			return v, fmt.Errorf("at the end of phase 1: %v", err)
 		}
 	}
 	if sol.Phase1Pivots+sol.Phase2Pivots != len(trace) {
-		return noCheck, "", fmt.Errorf("counted %d+%d pivots, traced %d", sol.Phase1Pivots, sol.Phase2Pivots, len(trace))
+		return v, fmt.Errorf("counted %d+%d pivots, traced %d", sol.Phase1Pivots, sol.Phase2Pivots, len(trace))
 	}
 	outcome := fmt.Sprintf("%v after %d pivots, oracle %v after %d", sol.Status, len(trace), ora.Status, len(oTrace))
 	switch {
 	case sol.Status == lp.Numerical:
 		if ora.Status == lp.Optimal {
-			return guarded, "", fmt.Errorf("guard stopped an LP the oracle solves: %s", outcome)
+			return v, fmt.Errorf("guard stopped an LP the oracle solves: %s", outcome)
 		}
-		return guarded, outcome, nil
+		v.check, v.outcome = guarded, outcome
+		return v, nil
 	case sol.Status == lp.Infeasible && sol.Rows == 0 && ora.Rows > 0:
 		if ora.Status != lp.Infeasible || len(trace) > 0 {
-			return presolved, "", fmt.Errorf("presolve rejected an LP the oracle does not: %s", outcome)
+			return v, fmt.Errorf("presolve rejected an LP the oracle does not: %s", outcome)
 		}
-		return presolved, outcome, nil
+		v.check, v.outcome = presolved, outcome
+		return v, nil
 	}
 	if len(trace) != len(oTrace) {
-		return noCheck, "", fmt.Errorf("made %d pivots, oracle %d", len(trace), len(oTrace))
+		return v, fmt.Errorf("made %d pivots, oracle %d", len(trace), len(oTrace))
 	}
 	if sol.Status != ora.Status {
-		return noCheck, "", fmt.Errorf("status %v, oracle %v", sol.Status, ora.Status)
+		return v, fmt.Errorf("status %v, oracle %v", sol.Status, ora.Status)
 	}
 	if sol.Phase1Pivots != ora.Phase1Pivots || sol.Phase2Pivots != ora.Phase2Pivots ||
 		sol.Rows != ora.Rows || sol.Cols != ora.Cols {
-		return noCheck, "", fmt.Errorf("counters: %d+%d pivots %dx%d, oracle %d+%d pivots %dx%d",
+		return v, fmt.Errorf("counters: %d+%d pivots %dx%d, oracle %d+%d pivots %dx%d",
 			sol.Phase1Pivots, sol.Phase2Pivots, sol.Rows, sol.Cols,
 			ora.Phase1Pivots, ora.Phase2Pivots, ora.Rows, ora.Cols)
 	}
 	if math.Float64bits(sol.Objective) != math.Float64bits(ora.Objective) {
-		return noCheck, "", fmt.Errorf("objective %v, oracle %v", sol.Objective, ora.Objective)
+		return v, fmt.Errorf("objective %v, oracle %v", sol.Objective, ora.Objective)
 	}
 	if len(sol.X) != len(ora.X) {
-		return noCheck, "", fmt.Errorf("len(X) %d, oracle %d", len(sol.X), len(ora.X))
+		return v, fmt.Errorf("len(X) %d, oracle %d", len(sol.X), len(ora.X))
 	}
 	for i := range sol.X {
 		if math.Float64bits(sol.X[i]) != math.Float64bits(ora.X[i]) {
-			return noCheck, "", fmt.Errorf("x[%d] %v, oracle %v", i, sol.X[i], ora.X[i])
+			return v, fmt.Errorf("x[%d] %v, oracle %v", i, sol.X[i], ora.X[i])
 		}
 	}
-	return noCheck, "", nil
+	return v, nil
+}
+
+// sameTableau reports the first entry where tableau a, m rows stored
+// column-major and then the objective row, differs from the oracle's o.
+// Entries must have the same float bits, except that a zero may differ
+// in sign.
+func sameTableau(a, o []float64, m int) error {
+	if len(a) != len(o) {
+		return fmt.Errorf("%d entries, oracle %d", len(a), len(o))
+	}
+	cols := len(a) / (m + 1) // the RHS included
+	for i := range a {
+		if math.Float64bits(a[i]) == math.Float64bits(o[i]) || a[i] == 0 && o[i] == 0 {
+			continue
+		}
+		if i >= m*cols {
+			return fmt.Errorf("obj[%d] %v, oracle %v", i-m*cols, a[i], o[i])
+		}
+		return fmt.Errorf("a[%d][%d] %v, oracle %v", i%m, i/m, a[i], o[i])
+	}
+	return nil
 }
 
 // randomLP builds a small LP mixing every row relation, negative
@@ -166,7 +209,10 @@ func randomLP(r *rand.Rand) *lp.Problem {
 // TestSparseKernelMatchesDenseOracleRandom holds the solver to the dense
 // oracle on random LPs, once with the column update package init chose
 // and once with the Go loop, and checks the random suite reaches every
-// outcome the partition LPs can.
+// outcome the partition LPs can and both mirror outcomes: a mirrored
+// artificial entering, and a pair written out for good. A missing or
+// misplaced write-out shows in the tableau compared at the end of
+// phase 1.
 func TestSparseKernelMatchesDenseOracleRandom(t *testing.T) {
 	for _, k := range []struct {
 		name   string
@@ -180,14 +226,19 @@ func matchesOracleRandom(t *testing.T, kernel lp.Kernel) {
 	r := rand.New(rand.NewSource(13))
 	seen := map[lp.Status]int{}
 	caught := map[check]int{}
-	bothPhases := 0
+	bothPhases, entered, writtenOut, phase1Ends := 0, 0, 0, 0
 	for k := 0; k < 2000; k++ {
 		p := randomLP(r)
-		c, _, err := againstOracle(p, kernel)
+		v, err := againstOracle(p, kernel)
 		if err != nil {
 			t.Fatalf("LP %d: %v", k, err)
 		}
-		caught[c]++
+		caught[v.check]++
+		entered += v.trace.MirrorEntered
+		writtenOut += v.trace.MirrorWrittenOut
+		if v.phase1 {
+			phase1Ends++
+		}
 		sol, err := p.Solve()
 		if err != nil {
 			t.Fatal(err)
@@ -208,8 +259,15 @@ func matchesOracleRandom(t *testing.T, kernel lp.Kernel) {
 	if bothPhases == 0 {
 		t.Errorf("no random LP pivoted in both phases")
 	}
-	t.Logf("outcomes %v, %d with pivots in both phases, %d presolved, %d guarded",
-		seen, bothPhases, caught[presolved], caught[guarded])
+	if entered == 0 || writtenOut == 0 {
+		t.Errorf("mirrored artificials entered %d times and %d pairs were written out for good; want both",
+			entered, writtenOut)
+	}
+	if phase1Ends == 0 {
+		t.Errorf("no random LP compared its tableau at the end of phase 1")
+	}
+	t.Logf("outcomes %v, %d with pivots in both phases, %d presolved, %d guarded, %d mirrored entries, %d pairs written out, %d tableaus compared at the end of phase 1",
+		seen, bothPhases, caught[presolved], caught[guarded], entered, writtenOut, phase1Ends)
 }
 
 // TestSparseKernelMatchesDenseOraclePartitionLPs captures every LP a
@@ -261,8 +319,7 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 			}
 			// The oracle side dominates; compare on every CPU.
 			errs := make([]error, len(probs))
-			caught := make([]check, len(probs))
-			outcomes := make([]string, len(probs))
+			verdicts := make([]verdict, len(probs))
 			next := make(chan int)
 			var wg sync.WaitGroup
 			for w := 0; w < runtime.GOMAXPROCS(0); w++ {
@@ -270,7 +327,7 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for k := range next {
-						caught[k], outcomes[k], errs[k] = againstOracle(probs[k], lp.Dispatched)
+						verdicts[k], errs[k] = againstOracle(probs[k], lp.Dispatched)
 					}
 				}()
 			}
@@ -280,17 +337,21 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 			close(next)
 			wg.Wait()
 			n := map[check]int{}
+			entered, writtenOut := 0, 0
 			for k, err := range errs {
 				if err != nil {
 					t.Fatalf("LP %d of %d: %v", k, len(probs), err)
 				}
-				n[caught[k]]++
-				if caught[k] == guarded {
-					t.Logf("LP %d: %s", k, outcomes[k])
+				v := verdicts[k]
+				n[v.check]++
+				entered += v.trace.MirrorEntered
+				writtenOut += v.trace.MirrorWrittenOut
+				if v.check == guarded {
+					t.Logf("LP %d: %s", k, v.outcome)
 				}
 			}
-			t.Logf("%d LPs (%d counted), %d nodes, %d presolved, %d guarded",
-				len(probs), plan.MIPStats.LPSolves, plan.MIPStats.Nodes, n[presolved], n[guarded])
+			t.Logf("%d LPs (%d counted), %d nodes, %d presolved, %d guarded, %d mirrored entries, %d pairs written out",
+				len(probs), plan.MIPStats.LPSolves, plan.MIPStats.Nodes, n[presolved], n[guarded], entered, writtenOut)
 		})
 	}
 }

@@ -72,10 +72,42 @@ const (
 	Oracle
 )
 
-// SolveTraced solves p with kernel k and returns every pivot in order.
-func SolveTraced(p *Problem, k Kernel) (*Solution, []Pivot, error) {
-	var trace []Pivot
-	sc := &Scratch{observe: func(r, c int) { trace = append(trace, Pivot{Enter: c, Leave: r}) }}
+// Trace is what SolveTraced records of a solve: every pivot in order,
+// and how often each mirror outcome occurred. MirrorEntered counts >=-row
+// artificials that entered the basis while mirrored, MirrorWrittenOut
+// the surplus/artificial pairs written out for good because a member
+// entered with a scaled pivot element x*(1/x) != 1. The oracle mirrors
+// nothing. Phase1End, when phase 1 ends feasible, is the whole tableau
+// at that point, before the artificials are retired: every column
+// (each still-mirrored artificial written out as -col(surplus)) and
+// then the objective row.
+type Trace struct {
+	Pivots                          []Pivot
+	MirrorEntered, MirrorWrittenOut int
+	Phase1End                       []float64
+}
+
+// SolveTraced solves p with kernel k and returns its trace.
+func SolveTraced(p *Problem, k Kernel) (*Solution, Trace, error) {
+	var tr Trace
+	sc := &Scratch{
+		observe: func(r, c int) { tr.Pivots = append(tr.Pivots, Pivot{Enter: c, Leave: r}) },
+		onMirror: func(forGood bool) {
+			if forGood {
+				tr.MirrorWrittenOut++
+			} else {
+				tr.MirrorEntered++
+			}
+		},
+		atPhase1End: func(t *tableau) {
+			for j := t.artAt; j < t.total; j++ {
+				if t.mirrored(j) {
+					t.writeOut(j)
+				}
+			}
+			tr.Phase1End = append(append([]float64(nil), t.a...), t.obj...)
+		},
+	}
 	switch k {
 	case GoLoop:
 		sc.axpy = axpyNegGo
@@ -84,7 +116,13 @@ func SolveTraced(p *Problem, k Kernel) (*Solution, []Pivot, error) {
 		sc.unchecked = true
 	}
 	sol, err := p.SolveWith(sc)
-	return sol, trace, err
+	return sol, tr, err
+}
+
+// Clone returns an independent copy of the problem (constraint rows are
+// shared: they are immutable after AddConstraint).
+func (p *Problem) Clone() *Problem {
+	return p.CloneInto(&Problem{})
 }
 
 // CaptureSolves returns a clone of every problem solved while f runs.

@@ -18,17 +18,25 @@
 // scaled pivot row, each as col_j -= f*p_j with f the pivot column: in
 // an AVX2 kernel (VMULPD then VSUBPD, no FMA) on amd64 hosts where CPUID
 // reports AVX2, chosen once at package init, and in a Go loop everywhere
-// else. The artificial columns are dropped once phase 1 ends. Every
-// updated entry gets the textbook kernel's one rounded multiply and one
-// rounded subtract of the same operands (multiplication commutes), and
-// an entry the textbook kernel skips or leaves out can differ only in
-// the sign of a zero, which no comparison reads. The pass that scales the
-// pivot row skips the basic columns other than the leaving one: each is
-// an exact unit vector with its one in another row, so its entry there
-// is a zero that scaling could change only in sign. So neither the
-// layout nor the kernel changes the sequence of pivots or the float bits
-// of any result; the dense textbook kernel is kept as a test-only oracle
-// that holds them to it.
+// else. Every updated entry gets the textbook kernel's one rounded
+// multiply and one rounded subtract of the same operands (multiplication
+// commutes), and an entry the textbook kernel skips or leaves out can
+// differ only in the sign of a zero, which no comparison reads. The pass
+// that scales the pivot row skips the basic columns other than the
+// leaving one: each is an exact unit vector with its one in another row,
+// so its entry there is a zero that scaling could change only in sign.
+//
+// Each phase prices out its starting basis one contiguous column at a
+// time. A >= row's artificial column is the exact negation of the row's
+// surplus column (IEEE rounding is symmetric under negation) until one
+// of the two enters with a scaled pivot element x*(1/x) != 1, so phase 1
+// neither stores nor updates it: its pivot-row entry is read off the
+// surplus, and the column is written out when the artificial enters or
+// the pair splits. The artificial columns are dropped once phase 1 ends.
+// So neither the layout nor the kernel changes the sequence of pivots or
+// the float bits of any result; the dense textbook kernel, which keeps
+// and updates every column, is kept as a test-only oracle that holds
+// them to it.
 //
 // Two checks stop solves whose outcome is already decided, without
 // changing any pivot before they fire. A row whose activity range over
@@ -179,24 +187,11 @@ func (p *Problem) Constraint(i int) (terms []Term, rel Rel, rhs float64) {
 	return c.terms, c.rel, c.rhs
 }
 
-// Clone returns an independent copy of the problem (constraint rows are
-// shared: they are immutable after AddConstraint).
-func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		n:           p.n,
-		objective:   append([]float64(nil), p.objective...),
-		constraints: append([]constraint(nil), p.constraints...),
-		lower:       append([]float64(nil), p.lower...),
-		upper:       append([]float64(nil), p.upper...),
-		buildErr:    p.buildErr,
-	}
-	return q
-}
-
 // CloneInto copies p into dst, reusing dst's backing slices where their
-// capacity allows (constraint rows are shared, as in Clone). It returns
-// dst. Callers that clone once per branch-and-bound node use this with a
-// per-worker scratch Problem to avoid four allocations per node.
+// capacity allows (constraint rows are shared: they are immutable after
+// AddConstraint). It returns dst. Callers that clone once per
+// branch-and-bound node use this with a per-worker scratch Problem to
+// avoid four allocations per node.
 func (p *Problem) CloneInto(dst *Problem) *Problem {
 	dst.n = p.n
 	dst.objective = append(dst.objective[:0], p.objective...)
@@ -247,23 +242,30 @@ type Scratch struct {
 	// pivot path of a solve it never stops.
 	Abort func() bool
 
-	a     []float64
-	obj   []float64
-	basis []int
-	basic []bool
-	nz    []int
-	rows  []rowSpec
-	terms []Term
+	a      []float64
+	obj    []float64
+	basis  []int
+	basic  []bool
+	nz     []int
+	factor []float64
+	mirror []int
+	rows   []rowSpec
+	terms  []Term
 
 	// Test hooks (export_test.go): observe sees every pivot as (row,
 	// column) before it is applied; dense replaces the sparse kernel and
-	// the artificial-column compaction with the retained dense oracle;
-	// axpy replaces the sparse kernel's column update axpyNeg; unchecked
-	// turns off the presolve and the breakdown guard.
-	observe   func(r, c int)
-	dense     func(t *tableau, r, c int)
-	axpy      func(y, x []float64, p float64)
-	unchecked bool
+	// the artificial-column compaction and mirroring with the retained
+	// dense oracle; axpy replaces the sparse kernel's column update
+	// axpyNeg; onMirror sees a mirrored artificial enter (false) and a
+	// pair written out for good (true); atPhase1End sees the tableau when
+	// phase 1 ends feasible, before the artificials are retired;
+	// unchecked turns off the presolve and the breakdown guard.
+	observe     func(r, c int)
+	dense       func(t *tableau, r, c int)
+	axpy        func(y, x []float64, p float64)
+	onMirror    func(forGood bool)
+	atPhase1End func(t *tableau)
+	unchecked   bool
 }
 
 // solveHook, when non-nil, sees every problem SolveWith is about to

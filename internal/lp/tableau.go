@@ -9,6 +9,18 @@ import "math"
 // The entries are stored column-major, so a column is one contiguous
 // length-m vector. Phase 2 retires the artificial columns, moving the RHS
 // to column artAt.
+//
+// A >= row's artificial starts as the exact negation of the row's
+// surplus column, and every pivot that enters neither keeps it so: the
+// pivot scales both row-r entries by the same inverse and gives both
+// columns the same update with negated operands, and IEEE rounding is
+// symmetric under negation. While a pair is mirrored the artificial's
+// column is not stored or updated: its row-r entry is read as the
+// negated surplus entry, and the whole column is written out as
+// -col(surplus) when the artificial enters. A pivot that enters either
+// member with a scaled pivot element x*(1/x) != 1 leaves rounding
+// residue in the other instead of an exact zero, so it writes the pair
+// out for good.
 type tableau struct {
 	p *Problem
 
@@ -23,16 +35,23 @@ type tableau struct {
 	basis []int     // basic variable per row
 	basic []bool    // whether each column is basic (the RHS never is)
 	nz    []int     // nonzero columns of the current pivot row
+	// factor holds priceOut's per-row multipliers.
+	factor []float64
+	// mirror holds, for each member of a mirrored surplus/artificial
+	// pair, the other member's column; -1 elsewhere, the RHS included.
+	mirror []int
 
 	iter    int
 	maxIter int
 	pivots  int
 
-	abort   func() bool
-	observe func(r, c int)
-	dense   func(t *tableau, r, c int)
-	axpy    func(y, x []float64, p float64)
-	guard   bool // stop with Numerical on a basic value below -feasTol
+	abort       func() bool
+	observe     func(r, c int)
+	dense       func(t *tableau, r, c int)
+	axpy        func(y, x []float64, p float64)
+	onMirror    func(forGood bool)
+	atPhase1End func(t *tableau)
+	guard       bool // stop with Numerical on a basic value below -feasTol
 }
 
 // abortEvery is the pivot interval at which a solve polls its abort
@@ -162,24 +181,33 @@ func newTableau(p *Problem, sc *Scratch) *tableau {
 	sc.obj = growFloats(sc.obj, total+1)
 	sc.basis = growInts(sc.basis, m)
 	sc.basic = growBools(sc.basic, total+1)
+	sc.factor = growFloats(sc.factor, m)
+	sc.mirror = growInts(sc.mirror, total+1)
+	for j := range sc.mirror {
+		sc.mirror[j] = -1
+	}
 	t := &tableau{
-		p:       p,
-		m:       m,
-		total:   total,
-		nArt:    nArt,
-		artAt:   p.n + nSlack,
-		priced:  total,
-		a:       sc.a,
-		obj:     sc.obj,
-		basis:   sc.basis,
-		basic:   sc.basic,
-		nz:      sc.nz[:0],
-		maxIter: 200 * (m + p.n + 10),
-		abort:   sc.Abort,
-		observe: sc.observe,
-		dense:   sc.dense,
-		axpy:    sc.axpy,
-		guard:   !sc.unchecked,
+		p:           p,
+		m:           m,
+		total:       total,
+		nArt:        nArt,
+		artAt:       p.n + nSlack,
+		priced:      total,
+		a:           sc.a,
+		obj:         sc.obj,
+		basis:       sc.basis,
+		basic:       sc.basic,
+		nz:          sc.nz[:0],
+		factor:      sc.factor,
+		mirror:      sc.mirror,
+		maxIter:     200 * (m + p.n + 10),
+		abort:       sc.Abort,
+		observe:     sc.observe,
+		dense:       sc.dense,
+		axpy:        sc.axpy,
+		onMirror:    sc.onMirror,
+		atPhase1End: sc.atPhase1End,
+		guard:       !sc.unchecked,
 	}
 	if t.axpy == nil {
 		t.axpy = axpyNeg
@@ -202,6 +230,9 @@ func newTableau(p *Problem, sc *Scratch) *tableau {
 			slack++
 			t.set(r, art, 1)
 			t.basis[r] = art
+			if t.dense == nil {
+				t.mirror[slack-1], t.mirror[art] = art, slack-1
+			}
 			art++
 		case EQ:
 			t.set(r, art, 1)
@@ -219,18 +250,13 @@ func (t *tableau) phase1() Status {
 	if t.nArt == 0 {
 		return Optimal
 	}
-	// Objective: sum of artificials. Price out the artificial basics.
-	for j := range t.obj {
-		t.obj[j] = 0
-	}
-	for j := t.artAt; j < t.total; j++ {
-		t.obj[j] = 1
-	}
-	for r := 0; r < t.m; r++ {
-		if t.basis[r] >= t.artAt {
-			t.subtractRow(r, 1)
+	// Objective: sum of artificials, priced out over the artificial basis.
+	t.priceOut(func(j int) float64 {
+		if j >= t.artAt && j < t.total {
+			return 1
 		}
-	}
+		return 0
+	})
 	st := t.iterate()
 	if st == Unbounded {
 		// The phase-1 objective is bounded below by zero: a ray means
@@ -266,6 +292,9 @@ func (t *tableau) phase1() Status {
 			t.set(r, t.total, 0)
 		}
 	}
+	if t.atPhase1End != nil {
+		t.atPhase1End(t)
+	}
 	t.retireArtificials()
 	return Optimal
 }
@@ -284,6 +313,9 @@ func (t *tableau) retireArtificials() {
 	if t.dense != nil {
 		return
 	}
+	for j := range t.mirror {
+		t.mirror[j] = -1
+	}
 	copy(t.col(t.artAt), t.col(t.total))
 	t.a = t.a[:t.m*(t.artAt+1)]
 	t.obj = t.obj[:t.artAt+1]
@@ -293,26 +325,38 @@ func (t *tableau) retireArtificials() {
 
 // phase2 optimizes the real objective from the feasible basis.
 func (t *tableau) phase2() Status {
-	for j := range t.obj {
-		t.obj[j] = 0
-	}
-	for j := 0; j < t.p.n; j++ {
-		t.obj[j] = t.p.objective[j]
-	}
-	for r := 0; r < t.m; r++ {
-		b := t.basis[r]
-		if b < t.p.n && t.p.objective[b] != 0 {
-			t.subtractRow(r, t.p.objective[b])
+	t.priceOut(func(j int) float64 {
+		if j < t.p.n {
+			return t.p.objective[j]
 		}
-	}
+		return 0
+	})
 	return t.iterate()
 }
 
-// subtractRow does obj -= factor * row r (pricing out a basic column).
-func (t *tableau) subtractRow(r int, factor float64) {
-	for j, k := 0, r; j < len(t.obj); j, k = j+1, k+t.m {
-		t.obj[j] -= factor * t.a[k]
+// priceOut sets obj to the reduced costs of the objective cost over the
+// current basis: obj[j] = cost(j) - sum over rows r of
+// cost(basis[r])*a[r][j], skipping rows whose basic column costs
+// nothing. It runs one contiguous column at a time, and each obj[j] gets
+// its subtractions in row order, so the bits are those of subtracting
+// whole rows one after another. The row list borrows the pivot-row
+// index, which is free until the next pivot.
+func (t *tableau) priceOut(cost func(j int) float64) {
+	rows, factor := t.nz[:0], t.factor[:0]
+	for r, b := range t.basis {
+		if f := cost(b); f != 0 {
+			rows = append(rows, r)
+			factor = append(factor, f)
+		}
 	}
+	for j := range t.obj {
+		v, col := cost(j), t.col(j)
+		for k, r := range rows {
+			v -= factor[k] * col[r]
+		}
+		t.obj[j] = v
+	}
+	t.nz = rows
 }
 
 // iterate runs simplex pivots until optimality, unboundedness, the
@@ -348,6 +392,12 @@ func (t *tableau) iterate() Status {
 		if enter < 0 {
 			return Optimal
 		}
+		if t.mirrored(enter) {
+			t.writeOut(enter)
+			if t.onMirror != nil {
+				t.onMirror(false)
+			}
+		}
 
 		// Ratio test.
 		leave := -1
@@ -380,6 +430,19 @@ func (t *tableau) iterate() Status {
 	return IterLimit
 }
 
+// mirrored reports whether column j is an artificial whose column is
+// not stored: it reads as the negation of its surplus column.
+func (t *tableau) mirrored(j int) bool { return j >= t.artAt && t.mirror[j] >= 0 }
+
+// writeOut stores mirrored artificial column j as the exact negation of
+// its surplus column.
+func (t *tableau) writeOut(j int) {
+	src := t.col(t.mirror[j])
+	for i, v := range src {
+		t.a[j*t.m+i] = -v
+	}
+}
+
 // pivot makes column c basic in row r. It scales row r, then updates
 // each nonzero column j of the scaled row as one vector,
 // col_j -= f*p_j, where f is column c with its row-r entry zeroed and p_j
@@ -392,8 +455,12 @@ func (t *tableau) iterate() Status {
 // of a zero, which no comparison reads. The row pass skips every basic
 // column but basis[r]: each is an exact unit vector with its one in
 // another row, so its row-r entry is a zero that scaling could change
-// only in sign, and it is never updated. So the sparse update takes the
-// dense kernel's pivot path with the same float bits.
+// only in sign, and it is never updated. A mirrored artificial's row-r
+// entry is the negated scaled surplus entry, stored in its own column
+// (the one entry of it ever read) before f[r] is zeroed, which matters
+// when the surplus is column c; the column update skips it. So the
+// sparse update takes the dense kernel's pivot path with the same float
+// bits.
 func (t *tableau) pivot(r, c int) {
 	t.pivots++
 	if t.observe != nil {
@@ -405,13 +472,26 @@ func (t *tableau) pivot(r, c int) {
 	}
 	m, a := t.m, t.a
 	inv := 1 / a[c*m+r]
+	if o := t.mirror[c]; o >= 0 && a[c*m+r]*inv != 1 {
+		if c < t.artAt {
+			t.writeOut(o) // c is the surplus; an entering artificial is written out already
+		}
+		t.mirror[c], t.mirror[o] = -1, -1
+		if t.onMirror != nil {
+			t.onMirror(true)
+		}
+	}
 	nz := t.nz[:0]
 	basic, leaving := t.basic[:t.total+1], t.basis[r]
 	for j, k := 0, r; j <= t.total; j, k = j+1, k+m {
 		if basic[j] && j != leaving {
 			continue
 		}
-		a[k] *= inv
+		if t.mirrored(j) {
+			a[k] = -a[t.mirror[j]*m+r] // the surplus precedes j: scaled, or a basic zero
+		} else {
+			a[k] *= inv
+		}
 		if a[k] != 0 {
 			nz = append(nz, j)
 		}
@@ -428,7 +508,9 @@ func (t *tableau) pivot(r, c int) {
 		}
 		col := t.col(j)
 		p := col[r]
-		axpy(col, f, p)
+		if !t.mirrored(j) {
+			axpy(col, f, p)
+		}
 		if g != 0 {
 			t.obj[j] -= g * p
 		}
