@@ -83,8 +83,10 @@ type Options struct {
 	ProfileOptions profile.Options
 	// Parallelism bounds the worker goroutines of the MIP stage-count
 	// sweep, when MIP.Parallelism is unset (0 means GOMAXPROCS, 1 means
-	// serial). Plans are identical at every level; the cross mapping
-	// search is always serial.
+	// a serial sweep). Each MILP also solves the two child LPs of every
+	// branch-and-bound node on a second goroutine, so a plan may use up
+	// to 2 × Parallelism cores. Plans are identical at every level; the
+	// cross mapping search is always serial.
 	Parallelism int
 	// Faults injects a degraded-hardware scenario into the simulated
 	// server (Mobius and GPipe only; nil means nominal hardware). The

@@ -239,7 +239,10 @@ var ErrBadProblem = errors.New("lp: invalid problem")
 type Scratch struct {
 	// Abort, when non-nil, is polled every 64 pivots; returning true
 	// stops the solve with Status IterLimit. It does not change the
-	// pivot path of a solve it never stops.
+	// pivot path of a solve it never stops. Solves on different scratches
+	// may share one Abort and poll it at the same time (package milp
+	// solves sibling LPs so), so a shared Abort must be safe for
+	// concurrent calls.
 	Abort func() bool
 
 	a      []float64

@@ -3,6 +3,17 @@
 // for the Gurobi Optimizer used by the paper to solve the MIP partition
 // problem (§3.2): instances there are small after layer-similarity
 // compression, so a straightforward exact search suffices.
+//
+// Like Gurobi's, the search uses a second core: the two child LPs of
+// every node are solved side by side, the x >= ceil side on a helper
+// goroutine. This is exact. The search always solves both children (only
+// an LP build error stops it between them), and a child LP is a function
+// of the problem and its bounds alone, with no incumbent and no shared
+// state. Everything that reads or moves the search state (the effort
+// counters, the rounding heuristic, node pushes, pruning and the node,
+// clock and cancel checks) runs after the join on the calling goroutine,
+// in side order. Nodes, LP solves, pivots and solutions are therefore the
+// same bits as a one-core search's; only wall-clock time moves.
 package milp
 
 import (
@@ -37,20 +48,30 @@ type Options struct {
 	// search early (the result is then best-effort, as if a node or time
 	// limit had been hit). It lets a caller running several solves
 	// concurrently stop work whose outcome it already knows it will
-	// discard.
+	// discard. The two child LPs of a node run concurrently, so Cancel
+	// may be called from two goroutines at once and must be safe for
+	// that.
 	Cancel func() bool
 	// Scratch, when non-nil, supplies pooled working memory for the
-	// per-node LP clone and simplex tableau. One scratch serves one
-	// worker goroutine across any number of Solve calls; concurrent
+	// per-node LP clones and simplex tableaus. One scratch serves one
+	// Solve at a time across any number of Solve calls; concurrent
 	// sharing is not safe.
 	Scratch *Scratch
 }
 
-// Scratch pools the branch-and-bound working memory: the LP problem
-// clone mutated per node and the simplex solver's tableau. Reuse across
-// sequential Solve calls is safe and removes the dominant allocations of
-// the search; concurrent sharing is not safe.
+// Scratch pools the branch-and-bound working memory: two LP workspaces,
+// one per child side of a node, each an LP problem clone mutated per
+// solve and a simplex tableau. Reuse across sequential Solve calls is
+// safe and removes the dominant allocations of the search; concurrent
+// sharing is not safe.
 type Scratch struct {
+	// ws[0] serves the root, the rounding LPs and each node's x <= floor
+	// child; ws[1] serves the x >= ceil child on the helper goroutine.
+	ws [2]workspace
+}
+
+// workspace is the pooled memory of one LP solve at a time.
+type workspace struct {
 	lp   lp.Scratch
 	prob lp.Problem
 }
@@ -113,6 +134,21 @@ func (h nodeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(*node)) }
 func (h *nodeHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
+// branch solves the two child LPs of a node by calling solve(side, w)
+// for side 0 and side 1, each with the index w of the workspace to use:
+// side 1 on a helper goroutine with workspace 1, beside side 0 on the
+// calling goroutine with workspace 0. It returns when both are solved.
+// Only tests replace it, with the one-core order.
+var branch = func(solve func(side, w int)) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		solve(1, 1)
+	}()
+	solve(0, 0)
+	<-done
+}
+
 // Solve minimizes p subject to the variables in intVars taking integer
 // values.
 func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
@@ -126,9 +162,12 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	sc.lp.Abort = opts.Cancel
-	relax := func(fixes map[int][2]float64) (*lp.Solution, error) {
-		q := p.CloneInto(&sc.prob)
+	sc.ws[0].lp.Abort = opts.Cancel
+	sc.ws[1].lp.Abort = opts.Cancel
+	// solve solves the relaxation under fixes in workspace w. It touches
+	// nothing else, so the two children of a node may run it at once.
+	solve := func(w *workspace, fixes map[int][2]float64) (*lp.Solution, error) {
+		q := p.CloneInto(&w.prob)
 		for v, b := range fixes {
 			lo, hi := q.Bounds(v)
 			if b[0] > lo {
@@ -139,16 +178,23 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 			}
 			q.SetBounds(v, lo, hi)
 		}
-		sol, err := q.SolveWith(&sc.lp)
+		return q.SolveWith(&w.lp)
+	}
+	// count adds a solved LP to the effort counters.
+	count := func(sol *lp.Solution) {
+		res.LPSolves++
+		res.LPPivots += sol.Phase1Pivots + sol.Phase2Pivots
+		if sol.Status == lp.Numerical {
+			res.LPNumerical++
+		}
+		if sol.Rows*sol.Cols > res.LPRows*res.LPCols {
+			res.LPRows, res.LPCols = sol.Rows, sol.Cols
+		}
+	}
+	relax := func(fixes map[int][2]float64) (*lp.Solution, error) {
+		sol, err := solve(&sc.ws[0], fixes)
 		if err == nil {
-			res.LPSolves++
-			res.LPPivots += sol.Phase1Pivots + sol.Phase2Pivots
-			if sol.Status == lp.Numerical {
-				res.LPNumerical++
-			}
-			if sol.Rows*sol.Cols > res.LPRows*res.LPCols {
-				res.LPRows, res.LPCols = sol.Rows, sol.Cols
-			}
+			count(sol)
 		}
 		return sol, err
 	}
@@ -274,42 +320,44 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		}
 		res.Nodes++
 
-		lo, hi := math.Inf(-1), math.Floor(nd.frac)
-		for side := 0; side < 2; side++ {
-			fixes := map[int][2]float64{}
+		// Side 0 is x <= floor(frac), side 1 is x >= ceil(frac).
+		var fixes [2]map[int][2]float64
+		for side, b := range [2][2]float64{{math.Inf(-1), math.Floor(nd.frac)}, {math.Ceil(nd.frac), math.Inf(1)}} {
+			f := map[int][2]float64{}
 			for k, v := range nd.fixes {
-				fixes[k] = v
+				f[k] = v
 			}
-			prev, ok := fixes[nd.branch]
+			prev, ok := f[nd.branch]
 			if !ok {
 				prev = [2]float64{math.Inf(-1), math.Inf(1)}
 			}
-			nlo, nhi := prev[0], prev[1]
-			if lo > nlo {
-				nlo = lo
+			if b[0] > prev[0] {
+				prev[0] = b[0]
 			}
-			if hi < nhi {
-				nhi = hi
+			if b[1] < prev[1] {
+				prev[1] = b[1]
 			}
-			fixes[nd.branch] = [2]float64{nlo, nhi}
-
-			sol, err := relax(fixes)
-			if err != nil {
-				return nil, err
+			f[nd.branch] = prev
+			fixes[side] = f
+		}
+		var sols [2]*lp.Solution
+		var errs [2]error
+		branch(func(side, w int) { sols[side], errs[side] = solve(&sc.ws[w], fixes[side]) })
+		for side, sol := range sols {
+			if errs[side] != nil {
+				return nil, errs[side]
 			}
+			count(sol)
 			switch {
 			case sol.Status == lp.Optimal && sol.Objective < res.Objective-1e-9:
-				tryRound(sol.X, fixes)
-				pushNode(sol.Objective, fixes, sol.X)
+				tryRound(sol.X, fixes[side])
+				pushNode(sol.Objective, fixes[side], sol.X)
 			case sol.Status != lp.Optimal && sol.Status != lp.Infeasible:
 				// Limits, a cancel or a breakdown stopped this child's LP:
 				// its subtree was never bounded, so the search proves
 				// nothing.
 				exhausted = false
 			}
-
-			// Second side: x >= ceil(frac).
-			lo, hi = math.Ceil(nd.frac), math.Inf(1)
 		}
 	}
 

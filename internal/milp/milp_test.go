@@ -1,10 +1,12 @@
 package milp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,10 +14,9 @@ import (
 	"mobius/internal/lp"
 )
 
-func TestPureIntegerKnapsack(t *testing.T) {
-	// max 8a+11b+6c+4d s.t. 5a+7b+4c+3d <= 14, vars in {0,1}
-	// -> min negative; optimum a=b=c=0? Classic answer: a=1,b=1,c=0,d=0 is
-	// 19 weight 12; a=0,b=1,c=1,d=1 = 21 weight 14. Optimal 21.
+// knapsack is max 8a+11b+6c+4d s.t. 5a+7b+4c+3d <= 14 over binaries,
+// as a minimisation.
+func knapsack() *lp.Problem {
 	p := lp.NewProblem(4)
 	costs := []float64{-8, -11, -6, -4}
 	weights := []float64{5, 7, 4, 3}
@@ -26,7 +27,13 @@ func TestPureIntegerKnapsack(t *testing.T) {
 		terms = append(terms, lp.Term{Var: i, Coeff: weights[i]})
 	}
 	p.AddConstraint(terms, lp.LE, 14)
-	res, err := Solve(p, []int{0, 1, 2, 3}, Options{})
+	return p
+}
+
+func TestPureIntegerKnapsack(t *testing.T) {
+	// The negated optimum: a=1,b=1,c=0,d=0 is 19 at weight 12;
+	// a=0,b=1,c=1,d=1 is 21 at weight 14. Optimal 21.
+	res, err := Solve(knapsack(), []int{0, 1, 2, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +91,17 @@ func TestInfeasibleInteger(t *testing.T) {
 	}
 }
 
-func TestIncumbentSeedPrunes(t *testing.T) {
+// coverThree is min x+y s.t. x+y >= 3.
+func coverThree() *lp.Problem {
 	p := lp.NewProblem(2)
 	p.SetObjectiveCoeff(0, 1)
 	p.SetObjectiveCoeff(1, 1)
 	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, lp.GE, 3)
+	return p
+}
+
+func TestIncumbentSeedPrunes(t *testing.T) {
+	p := coverThree()
 	noSeed, err := Solve(p, []int{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,23 +157,28 @@ func TestZeroIncumbentIsHonored(t *testing.T) {
 	}
 }
 
+// randomKnapsack is a knapsack over n binaries with values in [1, 10)
+// and weights in [1, 1+spread) drawn from seed, and capacity cap. It
+// returns the problem and its integer variables, all of them.
+func randomKnapsack(seed int64, n int, spread, cap float64) (*lp.Problem, []int) {
+	r := rand.New(rand.NewSource(seed))
+	p := lp.NewProblem(n)
+	var terms []lp.Term
+	ints := make([]int, n)
+	for i := 0; i < n; i++ {
+		p.SetObjectiveCoeff(i, -(1 + r.Float64()*spread))
+		p.SetBounds(i, 0, 1)
+		terms = append(terms, lp.Term{Var: i, Coeff: 1 + r.Float64()*spread})
+		ints[i] = i
+	}
+	p.AddConstraint(terms, lp.LE, cap)
+	return p, ints
+}
+
 func TestNodeLimitReturnsIncumbent(t *testing.T) {
 	// A knapsack-ish problem with enough integer vars to need nodes; with
 	// MaxNodes 1 the rounding heuristic should still deliver something.
-	r := rand.New(rand.NewSource(7))
-	const n = 12
-	p := lp.NewProblem(n)
-	var terms []lp.Term
-	for i := 0; i < n; i++ {
-		p.SetObjectiveCoeff(i, -(1 + r.Float64()*9))
-		p.SetBounds(i, 0, 1)
-		terms = append(terms, lp.Term{Var: i, Coeff: 1 + r.Float64()*9})
-	}
-	p.AddConstraint(terms, lp.LE, 20)
-	ints := make([]int, n)
-	for i := range ints {
-		ints[i] = i
-	}
+	p, ints := randomKnapsack(7, 12, 9, 20)
 	res, err := Solve(p, ints, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -173,49 +191,64 @@ func TestNodeLimitReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// randomMILP draws a small integer program from seed: 2..4 integer
+// variables in [0, ub] with quarter-step costs, and 1..3 LE rows with
+// non-negative quarter-step coefficients, which keep it bounded and
+// feasible (x = 0 always works). It returns the problem with its costs
+// and rows for enumeration.
+func randomMILP(seed int64) (p *lp.Problem, ub float64, costs []float64, rows []randomRow) {
+	r := rand.New(rand.NewSource(seed))
+	n := 2 + r.Intn(3)
+	ub = 3.0
+	p = lp.NewProblem(n)
+	costs = make([]float64, n)
+	for i := range costs {
+		costs[i] = math.Round((r.Float64()*4-2)*4) / 4
+		p.SetObjectiveCoeff(i, costs[i])
+		p.SetBounds(i, 0, ub)
+	}
+	m := 1 + r.Intn(3)
+	for k := 0; k < m; k++ {
+		var terms []lp.Term
+		coeff := make([]float64, n)
+		for i := 0; i < n; i++ {
+			c := math.Round(r.Float64()*3*4) / 4
+			coeff[i] = c
+			if c != 0 {
+				terms = append(terms, lp.Term{Var: i, Coeff: c})
+			}
+		}
+		rhs := math.Round(r.Float64()*10*4) / 4
+		rows = append(rows, randomRow{coeff, rhs})
+		if len(terms) > 0 {
+			p.AddConstraint(terms, lp.LE, rhs)
+		}
+	}
+	return p, ub, costs, rows
+}
+
+// randomRow is one LE row of a randomMILP instance.
+type randomRow struct {
+	coeff []float64
+	rhs   float64
+}
+
+// allInts lists the variables of p: every one is integer.
+func allInts(p *lp.Problem) []int {
+	ints := make([]int, p.NumVars())
+	for i := range ints {
+		ints[i] = i
+	}
+	return ints
+}
+
 // TestRandomMILPAgainstBruteForce cross-checks branch and bound against
 // exhaustive enumeration on small random integer programs.
 func TestRandomMILPAgainstBruteForce(t *testing.T) {
 	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(3) // 2..4 integer vars in [0,3]
-		ub := 3.0
-		p := lp.NewProblem(n)
-		costs := make([]float64, n)
-		for i := range costs {
-			costs[i] = math.Round((r.Float64()*4-2)*4) / 4
-			p.SetObjectiveCoeff(i, costs[i])
-			p.SetBounds(i, 0, ub)
-		}
-		// A couple of random LE constraints with non-negative coeffs keep
-		// the problem bounded and feasible (x=0 always works).
-		m := 1 + r.Intn(3)
-		type row struct {
-			coeff []float64
-			rhs   float64
-		}
-		var rows []row
-		for k := 0; k < m; k++ {
-			var terms []lp.Term
-			coeff := make([]float64, n)
-			for i := 0; i < n; i++ {
-				c := math.Round(r.Float64()*3*4) / 4
-				coeff[i] = c
-				if c != 0 {
-					terms = append(terms, lp.Term{Var: i, Coeff: c})
-				}
-			}
-			rhs := math.Round(r.Float64()*10*4) / 4
-			rows = append(rows, row{coeff, rhs})
-			if len(terms) > 0 {
-				p.AddConstraint(terms, lp.LE, rhs)
-			}
-		}
-		ints := make([]int, n)
-		for i := range ints {
-			ints[i] = i
-		}
-		res, err := Solve(p, ints, Options{})
+		p, ub, costs, rows := randomMILP(seed)
+		n := len(costs)
+		res, err := Solve(p, allInts(p), Options{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -298,20 +331,7 @@ func TestGapToleranceAcceptsNearOptimal(t *testing.T) {
 func TestTimeLimitHonored(t *testing.T) {
 	// A hard knapsack with a 1ns budget must still return something
 	// sensible (rounding incumbent or IterLimit) and quickly.
-	r := rand.New(rand.NewSource(3))
-	const n = 16
-	p := lp.NewProblem(n)
-	var terms []lp.Term
-	for i := 0; i < n; i++ {
-		p.SetObjectiveCoeff(i, -(1 + r.Float64()))
-		p.SetBounds(i, 0, 1)
-		terms = append(terms, lp.Term{Var: i, Coeff: 1 + r.Float64()})
-	}
-	p.AddConstraint(terms, lp.LE, 8)
-	ints := make([]int, n)
-	for i := range ints {
-		ints[i] = i
-	}
+	p, ints := randomKnapsack(3, 16, 1, 8)
 	start := time.Now()
 	res, err := Solve(p, ints, Options{TimeLimit: time.Nanosecond})
 	if err != nil {
@@ -390,8 +410,11 @@ func TestRepeatedRoundingSkipsLP(t *testing.T) {
 // LP poll after the search starts branching — and lets everything else
 // run. The search still finds the optimum, but the aborted child's
 // subtree was never bounded, so the result must not claim a proof.
-// Same problem as TestRepeatedRoundingSkipsLP: the aborted child is the
-// y <= 0 side of the first node.
+// Same problem as TestRepeatedRoundingSkipsLP. The two children of the
+// first node poll concurrently, so the aborted child is whichever side
+// polls first: aborting y <= 0 leaves the optimum to the y >= 1 subtree,
+// and aborting y >= 1 leaves it to y <= 0 itself, so either way the
+// search ends at -1 unproven.
 func TestAbortedChildLPIsNotProven(t *testing.T) {
 	p := lp.NewProblem(2)
 	p.SetObjectiveCoeff(0, -1)
@@ -401,26 +424,24 @@ func TestAbortedChildLPIsNotProven(t *testing.T) {
 	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, lp.LE, 1.5)
 
 	// The node loop polls Cancel from Solve itself; the LP polls it from
-	// inside package lp. Tell them apart by the caller.
-	branching, aborted := false, 0
+	// inside package lp, on either goroutine. Tell them apart by the
+	// caller, and let exactly one LP poll after branching win the abort.
+	var branching atomic.Bool
+	var aborted atomic.Int32
 	cancel := func() bool {
 		pc, _, _, _ := runtime.Caller(1)
-		fromSolve := strings.HasSuffix(runtime.FuncForPC(pc).Name(), "milp.Solve")
-		switch {
-		case fromSolve:
-			branching = true
-		case branching && aborted == 0:
-			aborted++
-			return true
+		if strings.HasSuffix(runtime.FuncForPC(pc).Name(), "milp.Solve") {
+			branching.Store(true)
+			return false
 		}
-		return false
+		return branching.Load() && aborted.CompareAndSwap(0, 1)
 	}
 	res, err := Solve(p, []int{0, 1}, Options{Cancel: cancel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aborted != 1 {
-		t.Fatalf("aborted %d child LPs, want exactly 1", aborted)
+	if n := aborted.Load(); n != 1 {
+		t.Fatalf("aborted %d child LPs, want exactly 1", n)
 	}
 	if res.Status != lp.Optimal || res.Objective != -1 {
 		t.Fatalf("status %v objective %g, want optimum -1", res.Status, res.Objective)
@@ -428,4 +449,96 @@ func TestAbortedChildLPIsNotProven(t *testing.T) {
 	if res.Proven {
 		t.Error("a search that dropped an aborted child LP claims Proven")
 	}
+}
+
+// TestSiblingLPsMatchSerial holds the concurrent sibling split to the
+// one-core order bit for bit: status, solution and objective float bits,
+// nodes, proof and every effort counter, over random instances and the
+// knapsack, incumbent and node-limit problems above, some under node
+// limits, an incumbent and a gap so that the search stops or prunes.
+func TestSiblingLPsMatchSerial(t *testing.T) {
+	type instance struct {
+		name string
+		p    *lp.Problem
+		ints []int
+		opts Options
+	}
+	var cases []instance
+	for seed := int64(0); seed < 300; seed++ {
+		p, _, _, _ := randomMILP(seed)
+		opts := Options{}
+		switch seed % 3 {
+		case 1:
+			opts.MaxNodes = 1 + int(seed%5)
+		case 2:
+			opts.Incumbent, opts.IncumbentSet, opts.GapTol = -1, true, 0.05
+		}
+		cases = append(cases, instance{fmt.Sprintf("random%d", seed), p, allInts(p), opts})
+	}
+	nodeLimit, nodeLimitInts := randomKnapsack(7, 12, 9, 20)
+	hard, hardInts := randomKnapsack(3, 16, 1, 8)
+	cases = append(cases,
+		instance{"knapsack", knapsack(), []int{0, 1, 2, 3}, Options{}},
+		instance{"cover", coverThree(), []int{0, 1}, Options{}},
+		instance{"coverSeeded", coverThree(), []int{0, 1}, Options{Incumbent: 3, IncumbentSet: true}},
+		instance{"nodeLimit1", nodeLimit, nodeLimitInts, Options{MaxNodes: 1}},
+		instance{"nodeLimitOpen", nodeLimit, nodeLimitInts, Options{}},
+		instance{"timeLimitKnapsack", hard, hardInts, Options{}},
+	)
+	sc := NewScratch()
+	branched := 0
+	for _, c := range cases {
+		for _, pooled := range []bool{false, true} {
+			opts := c.opts
+			if pooled {
+				opts.Scratch = sc
+			}
+			want, err := solveSerial(c.p, c.ints, opts)
+			if err != nil {
+				t.Fatalf("%s: serial: %v", c.name, err)
+			}
+			got, err := Solve(c.p, c.ints, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if diff := resultDiff(got, want); diff != "" {
+				t.Errorf("%s (pooled %v): concurrent vs serial: %s", c.name, pooled, diff)
+			}
+			if want.Nodes > 0 {
+				branched++
+			}
+		}
+	}
+	// About half the random instances are integral at the root or pruned
+	// there; the rest, and every named problem, branch.
+	if branched < len(cases)/2 {
+		t.Errorf("only %d of %d solves branched", branched, 2*len(cases))
+	}
+}
+
+// resultDiff describes the first difference between two results, float
+// bits included, or returns "".
+func resultDiff(a, b *Result) string {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	switch {
+	case a.Status != b.Status:
+		return fmt.Sprintf("status %v vs %v", a.Status, b.Status)
+	case !same(a.Objective, b.Objective):
+		return fmt.Sprintf("objective %v vs %v", a.Objective, b.Objective)
+	case len(a.X) != len(b.X):
+		return fmt.Sprintf("x %v vs %v", a.X, b.X)
+	case a.Nodes != b.Nodes || a.Proven != b.Proven:
+		return fmt.Sprintf("nodes %d proven %v vs nodes %d proven %v", a.Nodes, a.Proven, b.Nodes, b.Proven)
+	case a.LPSolves != b.LPSolves || a.LPPivots != b.LPPivots || a.LPNumerical != b.LPNumerical ||
+		a.LPRows != b.LPRows || a.LPCols != b.LPCols:
+		return fmt.Sprintf("effort %d LPs %d pivots %d numerical %dx%d vs %d LPs %d pivots %d numerical %dx%d",
+			a.LPSolves, a.LPPivots, a.LPNumerical, a.LPRows, a.LPCols,
+			b.LPSolves, b.LPPivots, b.LPNumerical, b.LPRows, b.LPCols)
+	}
+	for i := range a.X {
+		if !same(a.X[i], b.X[i]) {
+			return fmt.Sprintf("x[%d] %v vs %v", i, a.X[i], b.X[i])
+		}
+	}
+	return ""
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"testing"
+	"time"
 
 	"mobius/internal/hw"
 	"mobius/internal/lp"
@@ -29,6 +30,31 @@ func BenchmarkMIPPartitionSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMIPBranching measures the branch-and-bound layer: one
+// uncached serial sweep of the 3B model on Topo 2+2 with the options of
+// a benchmark cold plan (Parallelism 1, the time limit lifted so the
+// node limit alone bounds each MILP). Its search is 11 nodes, 48 LP
+// solves and 26,550 pivots (internal/lp/testdata/effort.golden), most of
+// them in node children, which each MILP solves two at a time. It
+// reports the nodes, LP solves and pivots with the time.
+func BenchmarkMIPBranching(b *testing.B) {
+	params := planParams(b, model.GPT3B, 2, 2)
+	opts := MIPOptions{Parallelism: 1, DisableCache: true, TimeLimit: 10 * time.Minute}
+	var stats *MIPStats
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, stats, err = MIP(params, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(stats.Nodes), "nodes")
+	b.ReportMetric(float64(stats.LPSolves), "lps")
+	b.ReportMetric(float64(stats.LPPivots), "pivots")
 }
 
 // BenchmarkLPRoot measures the largest single LP of a Table 3 cold plan:
@@ -62,22 +88,7 @@ func BenchmarkLPRoot(b *testing.B) {
 // at S = 24 stages with the planning parameters core.PlanMobius derives
 // for that shape, and returns it with those parameters.
 func root51B(tb testing.TB) (*lp.Problem, Params) {
-	topo := hw.Commodity(hw.RTX3090Ti, 4, 4)
-	prof, err := profile.Run(model.GPT51B, hw.RTX3090Ti, profile.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	bw := topo.GPUs[0].Spec.LinkBW
-	for _, rc := range topo.RootComplexBW {
-		bw = min(bw, rc)
-	}
-	params := Params{
-		Profile:   prof,
-		NumGPUs:   topo.NumGPUs(),
-		GPUMem:    topo.GPUMem(0) * 0.92,
-		Bandwidth: bw,
-		Latency:   topo.TransferLatency,
-	}.withDefaults()
+	params := planParams(tb, model.GPT51B, 4, 4).withDefaults()
 	bs, err := gatherBlockStats(params)
 	if err != nil {
 		tb.Fatal(err)
@@ -87,4 +98,26 @@ func root51B(tb testing.TB) (*lp.Problem, Params) {
 		tb.Fatal("S = 24 does not fit")
 	}
 	return p, params
+}
+
+// planParams returns the partition parameters core.PlanMobius derives
+// for model m on the RTX 3090 Ti commodity topology with the given GPUs
+// per root complex, at its default microbatch count.
+func planParams(tb testing.TB, m model.Config, groups ...int) Params {
+	topo := hw.Commodity(hw.RTX3090Ti, groups...)
+	prof, err := profile.Run(m, hw.RTX3090Ti, profile.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bw := topo.GPUs[0].Spec.LinkBW
+	for _, rc := range topo.RootComplexBW {
+		bw = min(bw, rc)
+	}
+	return Params{
+		Profile:   prof,
+		NumGPUs:   topo.NumGPUs(),
+		GPUMem:    topo.GPUMem(0) * 0.92,
+		Bandwidth: bw,
+		Latency:   topo.TransferLatency,
+	}
 }

@@ -32,10 +32,12 @@ type MIPOptions struct {
 	NodeLimit int
 	TimeLimit time.Duration
 	// Parallelism is the number of candidate stage counts solved
-	// concurrently (0 means GOMAXPROCS, 1 means serial). The sweep result
-	// is identical at every level: candidate solves are independent, the
-	// shared incumbent bound is sealed before the fan-out, and results are
-	// replayed in candidate order.
+	// concurrently (0 means GOMAXPROCS, 1 means a serial sweep). Each
+	// MILP also solves the two child LPs of every node on a second
+	// goroutine, so a sweep may use up to 2 × Parallelism cores. The
+	// sweep result is identical at every level: candidate solves are
+	// independent, the shared incumbent bound is sealed before the
+	// fan-out, and results are replayed in candidate order.
 	Parallelism int
 	// DisableCache forces a fresh solve. MIP results are otherwise
 	// memoized per (model, GPU, N, M, G, B, options) for the lifetime of
@@ -331,6 +333,9 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		par = 1
 	}
 
+	// abort is polled by every worker's LPs, up to two at a time per
+	// MILP (a node's sibling LPs run concurrently); an atomic load and
+	// ctx.Err are safe for that.
 	var cancelled atomic.Bool
 	abort := func() bool { return cancelled.Load() || ctx.Err() != nil }
 	work := make(chan int)
