@@ -21,7 +21,11 @@ race:
 # loop is the only column update (plain vet's asmdecl check covers the
 # amd64 assembly), the lp and milp suites uncached, the milp and
 # partition suites under the race detector (a MILP solves each node's
-# two child LPs on two goroutines; about 10 s), then the
+# two child LPs on two goroutines, and the sweep solves its candidates'
+# root LPs two at a time before any branch and bound; about 40 s, most
+# of it the root phase's differential against the inline roots), the
+# plan deadline and goroutine-leak tests under the race detector
+# (deadlines that expire inside the root phase; about 5 s), then the
 # dense-oracle differential over every LP a serial cold plan
 # solves for each Table 3 model on Topo 2+2, 1+3 and 4+4 (the oracle runs
 # without the presolve and the breakdown guard: a checked solve's pivots
@@ -43,6 +47,7 @@ check-lp:
 	GOARCH=arm64 $(GO) vet ./internal/lp/
 	$(GO) test -count=1 ./internal/lp/ ./internal/milp/
 	$(GO) test -race -count=1 ./internal/milp/ ./internal/partition/
+	$(GO) test -race -count=1 -run 'TestPlanCancellationLeaksNoGoroutines|TestDeadlineInterruptsRootLP' ./internal/core/
 	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle|TestColdPlanFingerprints' -v ./internal/lp/
 
 # check-faults is the fault-matrix smoke test: link degradation windows,

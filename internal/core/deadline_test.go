@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -144,31 +145,37 @@ func TestRunWithExpiredContextStillSimulates(t *testing.T) {
 }
 
 // TestDeadlineInterruptsRootLP plans 51B on Topo 4+4, whose S = 24 root
-// LP alone takes about a second (some 1,790 pivots before the simplex's
-// breakdown guard stops it), under a 100 ms deadline. The sweep's cancel
-// reaches into the simplex every 64 pivots, so the plan must degrade to
-// the fallback within a second of the deadline instead of waiting the
-// root LP out.
+// LP alone takes about 300 ms on a 2-vCPU host (some 1,790 pivots before
+// the simplex's breakdown guard stops it), under a 100 ms deadline, with
+// a serial sweep and with the default pool. The roots are solved in the
+// sweep's root phase, two at a time, and the sweep's cancel reaches into
+// the simplex every 64 pivots, so the plan must degrade to the fallback
+// within a second of the deadline instead of waiting the root LPs out.
 func TestDeadlineInterruptsRootLP(t *testing.T) {
 	const deadline = 100 * time.Millisecond
 	topo := hw.Commodity(hw.RTX3090Ti, 4, 4)
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	start := time.Now()
-	plan, err := PlanMobiusCtx(ctx, Options{
-		Model:    model.GPT51B,
-		Topology: topo,
-		MIP:      partition.MIPOptions{DisableCache: true},
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Fallback {
-		t.Skip("solver beat the deadline; nothing to interrupt")
-	}
-	if elapsed > deadline+time.Second {
-		t.Errorf("plan returned %v after a %v deadline, want within 1s of it", elapsed.Round(time.Millisecond), deadline)
+	for _, par := range []int{1, 0} {
+		t.Run(fmt.Sprintf("parallelism%d", par), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			start := time.Now()
+			plan, err := PlanMobiusCtx(ctx, Options{
+				Model:       model.GPT51B,
+				Topology:    topo,
+				MIP:         partition.MIPOptions{DisableCache: true},
+				Parallelism: par,
+			})
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plan.Fallback {
+				t.Skip("solver beat the deadline; nothing to interrupt")
+			}
+			if elapsed > deadline+time.Second {
+				t.Errorf("plan returned %v after a %v deadline, want within 1s of it", elapsed.Round(time.Millisecond), deadline)
+			}
+		})
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // TestPlanCancellationLeaksNoGoroutines audits PlanMobiusCtx's worker
 // shutdown: planning with contexts that are cancelled before, during and
 // after the MIP sweep must leave no worker or feeder goroutines behind.
-// The sweep joins its pool on every exit path (including the patience
-// break and the all-or-nothing cancellation return), so the goroutine
-// count must return to its pre-planning baseline.
+// The sweep joins its root phase and its pool on every exit path
+// (including the patience break and the all-or-nothing cancellation
+// return), so the goroutine count must return to its pre-planning
+// baseline.
 func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	// Warm the profiler/caches once so the baseline is not polluted by
@@ -27,8 +28,18 @@ func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
+	plan := func(ctx context.Context, opts Options) *Plan {
+		plan, err := PlanMobiusCtx(ctx, opts)
+		if err != nil {
+			t.Fatalf("%s, parallelism %d: %v", opts.Model.Name, opts.Parallelism, err)
+		}
+		if err := plan.Validate(opts.Topology); err != nil {
+			t.Fatalf("%s, parallelism %d: invalid plan: %v", opts.Model.Name, opts.Parallelism, err)
+		}
+		return plan
+	}
 	run := func(ctx context.Context, m model.Config, par int) {
-		opts := Options{
+		plan(ctx, Options{
 			Model:    m,
 			Topology: topo,
 			// Uncached so every iteration re-runs the pool; a small node
@@ -36,14 +47,7 @@ func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 			// shutdown, not solution quality.
 			MIP:         partition.MIPOptions{DisableCache: true, NodeLimit: 25, MaxStages: 12},
 			Parallelism: par,
-		}
-		plan, err := PlanMobiusCtx(ctx, opts)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if err := plan.Validate(topo); err != nil {
-			t.Fatalf("parallelism %d: invalid plan: %v", par, err)
-		}
+		})
 	}
 
 	for _, par := range []int{1, 4, 8} {
@@ -62,6 +66,24 @@ func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 		// Unbounded run: the patience break cancels in-flight candidates;
 		// they too must be joined.
 		run(context.Background(), model.GPT8B, par)
+	}
+
+	// Deadline that expires inside the root phase: 51B on Topo 4+4
+	// solves its two roots side by side for about 300 ms before any
+	// branch and bound. Both root goroutines must be joined.
+	wide := hw.Commodity(hw.RTX3090Ti, 4, 4)
+	for _, par := range []int{1, 8} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		p := plan(ctx, Options{
+			Model:       model.GPT51B,
+			Topology:    wide,
+			MIP:         partition.MIPOptions{DisableCache: true},
+			Parallelism: par,
+		})
+		cancel()
+		if !p.Fallback {
+			t.Errorf("51B on Topo 4+4, parallelism %d: planned within a 20 ms deadline", par)
+		}
 	}
 
 	deadline := time.Now().Add(3 * time.Second)

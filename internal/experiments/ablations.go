@@ -124,8 +124,9 @@ func Figure11() (*Table, error) {
 // Figure12 reproduces the Mobius overhead breakdown: profiling time (with
 // layer similarity), MIP solving time, and cross-mapping search time, on
 // Topo 1+3. Profiling is the simulated GPU time of the compressed
-// profile; solver and mapping are real wall-clock times with the cache
-// disabled.
+// profile; the MIP solve is the solver time summed over candidates
+// (MIPStats.SolveTime, which can exceed the sweep's wall-clock time)
+// and the mapping a real wall-clock time, with the cache disabled.
 func Figure12() (*Table, error) {
 	topo := hw.Commodity(hw.RTX3090Ti, 1, 3)
 	t := &Table{

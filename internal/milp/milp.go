@@ -13,7 +13,10 @@
 // counters, the rounding heuristic, node pushes, pruning and the node,
 // clock and cancel checks) runs after the join on the calling goroutine,
 // in side order. Nodes, LP solves, pivots and solutions are therefore the
-// same bits as a one-core search's; only wall-clock time moves.
+// same bits as a one-core search's; only wall-clock time moves. A caller
+// with several searches to run can also solve their roots ahead of
+// them, two at a time (Scratch.SolveRoot), and hand each search its
+// solved root (Options.Root).
 package milp
 
 import (
@@ -33,7 +36,11 @@ const intTol = 1e-6
 type Options struct {
 	// MaxNodes caps the number of branch-and-bound nodes (default 5000).
 	MaxNodes int
-	// TimeLimit caps wall-clock solve time (default 10s).
+	// TimeLimit caps wall-clock solve time, the root LP's included
+	// (default 10s when zero). A negative limit leaves no time: the
+	// search stops after the root and its rounding LP. With Root set, the
+	// root was solved before Solve was called, so the caller passes what
+	// is left of its limit after that solve, negative if none is.
 	TimeLimit time.Duration
 	// Incumbent seeds the upper bound with a known feasible objective so
 	// the search can prune immediately. It counts only when IncumbentSet
@@ -57,6 +64,11 @@ type Options struct {
 	// Solve at a time across any number of Solve calls; concurrent
 	// sharing is not safe.
 	Scratch *Scratch
+	// Root, when non-nil, is the problem's LP relaxation already solved
+	// by Scratch.SolveRoot. Solve counts it as its first LP, where it
+	// would count a root it solved itself, and searches on from it; the
+	// result is the same bits as a Solve that solves its own root.
+	Root *lp.Solution
 }
 
 // Scratch pools the branch-and-bound working memory: two LP workspaces,
@@ -67,6 +79,7 @@ type Options struct {
 type Scratch struct {
 	// ws[0] serves the root, the rounding LPs and each node's x <= floor
 	// child; ws[1] serves the x >= ceil child on the helper goroutine.
+	// SolveRoot solves a root ahead of its Solve in either.
 	ws [2]workspace
 }
 
@@ -74,6 +87,33 @@ type Scratch struct {
 type workspace struct {
 	lp   lp.Scratch
 	prob lp.Problem
+}
+
+// solve solves the relaxation of p under fixes. It touches nothing but
+// w, so the two children of a node may run it at once.
+func (w *workspace) solve(p *lp.Problem, fixes map[int][2]float64) (*lp.Solution, error) {
+	q := p.CloneInto(&w.prob)
+	for v, b := range fixes {
+		lo, hi := q.Bounds(v)
+		if b[0] > lo {
+			lo = b[0]
+		}
+		if b[1] < hi {
+			hi = b[1]
+		}
+		q.SetBounds(v, lo, hi)
+	}
+	return q.SolveWith(&w.lp)
+}
+
+// SolveRoot solves the LP relaxation of p in workspace w (0 or 1) of s,
+// polling cancel as Solve polls Options.Cancel, for a later Solve of p
+// with Options.Root. It is the solve Solve would run for its root, so
+// the result is the same bits. Two goroutines may call it at once with
+// different workspaces, but not beside a Solve on s.
+func (s *Scratch) SolveRoot(p *lp.Problem, w int, cancel func() bool) (*lp.Solution, error) {
+	s.ws[w].lp.Abort = cancel
+	return s.ws[w].solve(p, nil)
 }
 
 // NewScratch returns an empty scratch that grows to the largest problem
@@ -84,7 +124,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 5000
 	}
-	if o.TimeLimit <= 0 {
+	if o.TimeLimit == 0 {
 		o.TimeLimit = 10 * time.Second
 	}
 	if !o.IncumbentSet {
@@ -164,22 +204,6 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	}
 	sc.ws[0].lp.Abort = opts.Cancel
 	sc.ws[1].lp.Abort = opts.Cancel
-	// solve solves the relaxation under fixes in workspace w. It touches
-	// nothing else, so the two children of a node may run it at once.
-	solve := func(w *workspace, fixes map[int][2]float64) (*lp.Solution, error) {
-		q := p.CloneInto(&w.prob)
-		for v, b := range fixes {
-			lo, hi := q.Bounds(v)
-			if b[0] > lo {
-				lo = b[0]
-			}
-			if b[1] < hi {
-				hi = b[1]
-			}
-			q.SetBounds(v, lo, hi)
-		}
-		return q.SolveWith(&w.lp)
-	}
 	// count adds a solved LP to the effort counters.
 	count := func(sol *lp.Solution) {
 		res.LPSolves++
@@ -192,7 +216,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		}
 	}
 	relax := func(fixes map[int][2]float64) (*lp.Solution, error) {
-		sol, err := solve(&sc.ws[0], fixes)
+		sol, err := sc.ws[0].solve(p, fixes)
 		if err == nil {
 			count(sol)
 		}
@@ -266,10 +290,14 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		}
 	}
 
-	root, err := relax(nil)
-	if err != nil {
-		return nil, err
+	root := opts.Root
+	if root == nil {
+		var err error
+		if root, err = sc.ws[0].solve(p, nil); err != nil {
+			return nil, err
+		}
 	}
+	count(root)
 	switch root.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
@@ -302,7 +330,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 
 	exhausted := true
 	for open.Len() > 0 {
-		if res.Nodes >= opts.MaxNodes || time.Now().After(deadline) {
+		if res.Nodes >= opts.MaxNodes || opts.TimeLimit < 0 || time.Now().After(deadline) {
 			exhausted = false
 			break
 		}
@@ -342,7 +370,7 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		}
 		var sols [2]*lp.Solution
 		var errs [2]error
-		branch(func(side, w int) { sols[side], errs[side] = solve(&sc.ws[w], fixes[side]) })
+		branch(func(side, w int) { sols[side], errs[side] = sc.ws[w].solve(p, fixes[side]) })
 		for side, sol := range sols {
 			if errs[side] != nil {
 				return nil, errs[side]

@@ -542,3 +542,76 @@ func resultDiff(a, b *Result) string {
 	}
 	return ""
 }
+
+// TestSolvedRootMatchesInline holds a search handed its root by
+// Options.Root, solved ahead in either workspace by Scratch.SolveRoot,
+// to the search that solves its own root, bit for bit, over the
+// instances of TestSiblingLPsMatchSerial's random set and the named
+// problems.
+func TestSolvedRootMatchesInline(t *testing.T) {
+	type instance struct {
+		name string
+		p    *lp.Problem
+		ints []int
+		opts Options
+	}
+	var cases []instance
+	for seed := int64(0); seed < 100; seed++ {
+		p, _, _, _ := randomMILP(seed)
+		opts := Options{}
+		if seed%2 == 1 {
+			opts.MaxNodes = 1 + int(seed%5)
+		}
+		cases = append(cases, instance{fmt.Sprintf("random%d", seed), p, allInts(p), opts})
+	}
+	infeasible := lp.NewProblem(1)
+	infeasible.SetBounds(0, 0, 1)
+	infeasible.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}}, lp.GE, 2)
+	cases = append(cases,
+		instance{"knapsack", knapsack(), []int{0, 1, 2, 3}, Options{}},
+		instance{"coverSeeded", coverThree(), []int{0, 1}, Options{Incumbent: 3, IncumbentSet: true}},
+		instance{"infeasible", infeasible, []int{0}, Options{}},
+	)
+	sc := NewScratch()
+	for _, c := range cases {
+		want, err := Solve(c.p, c.ints, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for w := 0; w < 2; w++ {
+			root, err := sc.SolveRoot(c.p, w, nil)
+			if err != nil {
+				t.Fatalf("%s: root: %v", c.name, err)
+			}
+			opts := c.opts
+			opts.Root, opts.Scratch = root, sc
+			got, err := Solve(c.p, c.ints, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if diff := resultDiff(got, want); diff != "" {
+				t.Errorf("%s (root in workspace %d): solved root vs inline: %s", c.name, w, diff)
+			}
+		}
+	}
+}
+
+// TestSolvedRootUsedWholeLimit hands a search a root whose solve used
+// more than the whole time limit, as a negative TimeLimit: the search
+// must explore no node rather than take the 10 s default, and still
+// round the root.
+func TestSolvedRootUsedWholeLimit(t *testing.T) {
+	p, ints := randomKnapsack(3, 16, 1, 8)
+	root, err := NewScratch().SolveRoot(p, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(p, ints, Options{Root: root, TimeLimit: -time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != 0 || res.Proven || res.LPSolves != 2 {
+		t.Errorf("%d nodes, %d LPs, proven %v; want the root and its rounding LP only, unproven",
+			res.Nodes, res.LPSolves, res.Proven)
+	}
+}

@@ -57,6 +57,29 @@ func BenchmarkMIPBranching(b *testing.B) {
 	b.ReportMetric(float64(stats.LPPivots), "pivots")
 }
 
+// BenchmarkMIPRoots measures the root phase: one uncached serial sweep
+// of the 51B model on Topo 4+4 with the options of a benchmark cold plan
+// (Parallelism 1, the time limit lifted). Its search is the S = 16 and
+// S = 24 roots, which the sweep solves side by side, a rounding LP and
+// no node: 3 LP solves and 3,263 pivots (internal/lp/testdata/
+// effort.golden). It reports the LP solves and pivots with the time.
+func BenchmarkMIPRoots(b *testing.B) {
+	params := planParams(b, model.GPT51B, 4, 4)
+	opts := MIPOptions{Parallelism: 1, DisableCache: true, TimeLimit: 10 * time.Minute}
+	var stats *MIPStats
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, stats, err = MIP(params, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(stats.LPSolves), "lps")
+	b.ReportMetric(float64(stats.LPPivots), "pivots")
+}
+
 // BenchmarkLPRoot measures the largest single LP of a Table 3 cold plan:
 // the root relaxation of the 51B model on Topo 4+4 at S = 24 stages,
 // with the planning parameters core.PlanMobius derives for that shape.

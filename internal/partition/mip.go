@@ -28,14 +28,17 @@ type MIPOptions struct {
 	// 24)). Partitions with more stages than the cap are still covered by
 	// the min-stage comparison below.
 	MaxStages int
-	// NodeLimit and TimeLimit bound each MILP solve.
+	// NodeLimit and TimeLimit bound each MILP solve. TimeLimit includes
+	// the candidate's root relaxation, which the root phase solves.
 	NodeLimit int
 	TimeLimit time.Duration
-	// Parallelism is the number of candidate stage counts solved
-	// concurrently (0 means GOMAXPROCS, 1 means a serial sweep). Each
-	// MILP also solves the two child LPs of every node on a second
-	// goroutine, so a sweep may use up to 2 × Parallelism cores. The
-	// sweep result is identical at every level: candidate solves are
+	// Parallelism is the number of candidate stage counts searched
+	// concurrently (0 means GOMAXPROCS, 1 means a serial sweep after a
+	// two-wide root phase). Before any branch and bound the sweep solves
+	// every candidate's root relaxation, two at a time; each MILP then
+	// solves the two child LPs of every node on a second goroutine, so a
+	// sweep may use up to 2 × Parallelism cores. The sweep result is
+	// identical at every level: roots and candidate solves are
 	// independent, the shared incumbent bound is sealed before the
 	// fan-out, and results are replayed in candidate order.
 	Parallelism int
@@ -98,8 +101,10 @@ type MIPStats struct {
 	// candidate whose root broke down falls back to the balanced
 	// partition, as a limit-bound one does.
 	LPNumerical int
-	// SolveTime is the cumulative time spent in the MILP solver, summed
-	// over candidate solves (equals wall-clock when Parallelism is 1).
+	// SolveTime is the time spent in the MILP solver, summed over
+	// candidates: each one's root relaxation plus its search. Roots are
+	// solved two at a time, so the sum can exceed wall-clock time even
+	// when Parallelism is 1.
 	SolveTime time.Duration
 	// BestStageCount is the S of the returned partition.
 	BestStageCount int
@@ -311,6 +316,13 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		}
 	}
 
+	// Every candidate is formulated before the root phase below; a nil
+	// problem is an S for which a single block cannot fit some stage.
+	probs := make([]*lp.Problem, len(cands))
+	for i, s := range cands {
+		probs[i] = formulate(params, bs, s)
+	}
+
 	type solveRes struct {
 		part   *Partition
 		effort *milp.Result
@@ -333,11 +345,21 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		par = 1
 	}
 
-	// abort is polled by every worker's LPs, up to two at a time per
-	// MILP (a node's sibling LPs run concurrently); an atomic load and
-	// ctx.Err are safe for that.
+	// abort is polled by the root phase's two LPs and then by every
+	// worker's LPs, up to two at a time per MILP (a node's sibling LPs
+	// run concurrently); an atomic load and ctx.Err are safe for that.
 	var cancelled atomic.Bool
 	abort := func() bool { return cancelled.Load() || ctx.Err() != nil }
+
+	// The root phase solves every candidate's root relaxation before any
+	// branch and bound, two at a time, so that the second core is busy
+	// during the roots too. It runs in the first worker's scratch, whose
+	// two LP workspaces that worker's searches then reuse: no tableau
+	// memory is added. The roots of candidates a patience stop skips
+	// are solved but never counted.
+	first := milp.NewScratch()
+	roots := solveRoots(probs, first, abort)
+
 	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
@@ -346,15 +368,18 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 			defer wg.Done()
 			// Solver scratch is pooled per worker: every candidate this
 			// worker solves reuses one tableau and one LP clone.
-			sc := milp.NewScratch()
+			sc := first
+			if w > 0 {
+				sc = milp.NewScratch()
+			}
 			for i := range work {
 				if abort() {
 					results[i] <- solveRes{} // discarded by the replay
 					continue
 				}
 				start := time.Now()
-				part, res, err := solveOne(params, bs, cands[i], opts, bound, balanced[i], abort, sc)
-				results[i] <- solveRes{part: part, effort: res, dur: time.Since(start), err: err}
+				part, res, err := solveOne(params, cands[i], probs[i], roots[i], opts, bound, balanced[i], abort, sc)
+				results[i] <- solveRes{part: part, effort: res, dur: roots[i].dur + time.Since(start), err: err}
 			}
 		}()
 	}
@@ -427,27 +452,82 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 	return best, stats, nil
 }
 
-// solveOne formulates and solves the MILP for a fixed stage count S.
-// It returns a nil partition when the instance is infeasible. The
-// incumbent objective (already in the MILP's objective space) and the
-// balanced-heuristic fallback partition are computed by the caller so
-// they can be shared across concurrent solves; cancel is polled by
-// the solver to abandon work whose result the sweep will discard; sc is
-// the calling worker's pooled solver scratch. When limits are hit before
-// the MILP produces a partition, the balanced fallback — possibly nil —
-// stands in. res is the solver's result, for its effort counters; it is
-// nil when no solve ran.
-func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, res *milp.Result, err error) {
-	p := formulate(params, bs, S)
+// rootRes is one candidate's root relaxation solved by the root phase,
+// with its solve time and error; sol is nil for a root it did not solve.
+type rootRes struct {
+	sol *lp.Solution
+	dur time.Duration
+	err error
+}
+
+// solveRoots is the sweep's root phase: it solves the root relaxation of
+// every non-nil problem, two at a time, largest stage count (last
+// index) first, on the calling goroutine and one helper, in the two LP
+// workspaces of sc. Both poll abort before each root and inside it, and
+// take no further root once it is true. Roots are pure functions of
+// their problems, so each is the same bits as the root its MILP would
+// solve itself. Only tests replace it, with one that solves none, so
+// that each MILP solves its own root as before the root phase.
+var solveRoots = func(probs []*lp.Problem, sc *milp.Scratch, abort func() bool) []rootRes {
+	roots := make([]rootRes, len(probs))
+	var next atomic.Int64
+	next.Store(int64(len(probs)))
+	solve := func(w int) {
+		for !abort() {
+			i := int(next.Add(-1))
+			if i < 0 {
+				return
+			}
+			if probs[i] == nil {
+				continue
+			}
+			start := time.Now()
+			sol, err := sc.SolveRoot(probs[i], w, abort)
+			roots[i] = rootRes{sol: sol, dur: time.Since(start), err: err}
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		solve(1)
+	}()
+	solve(0)
+	<-done
+	return roots
+}
+
+// solveOne solves the MILP p formulated for a fixed stage count S from
+// its root, solved by the root phase (or, when root.sol is nil, by the
+// MILP itself). It returns a nil partition when the instance is
+// infeasible, p == nil among them. The incumbent objective (already in
+// the MILP's objective space) and the balanced-heuristic fallback
+// partition are computed by the caller so they can be shared across
+// concurrent solves; cancel is polled by the solver to abandon work
+// whose result the sweep will discard; sc is the calling worker's pooled
+// solver scratch. When limits are hit before the MILP produces a
+// partition, the balanced fallback — possibly nil — stands in. res is
+// the solver's result, for its effort counters; it is nil when no solve
+// ran.
+func solveOne(params Params, S int, p *lp.Problem, root rootRes, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, res *milp.Result, err error) {
 	if p == nil {
 		// A single block cannot fit some stage: infeasible S.
 		return nil, nil, nil
+	}
+	if root.err != nil {
+		return nil, nil, root.err
 	}
 	intVars := make([]int, S)
 	for j := 0; j < S; j++ {
 		intVars[j] = j
 	}
-	mopts := milp.Options{MaxNodes: opts.NodeLimit, TimeLimit: opts.TimeLimit, GapTol: mipGapTol, Scratch: sc}
+	mopts := milp.Options{MaxNodes: opts.NodeLimit, TimeLimit: opts.TimeLimit, GapTol: mipGapTol, Scratch: sc, Root: root.sol}
+	if root.sol != nil {
+		// The root's solve counts against the limit; one that used it
+		// all leaves the search none, never milp's default.
+		if mopts.TimeLimit -= root.dur; mopts.TimeLimit == 0 {
+			mopts.TimeLimit = -1
+		}
+	}
 	if !math.IsInf(incumbent, 1) {
 		mopts.Incumbent = incumbent
 		mopts.IncumbentSet = true

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -246,6 +248,72 @@ func TestMIPEffortCountersRepeat(t *testing.T) {
 			t.Errorf("parallelism %d: %d nodes, %d LPs, %d pivots, largest %dx%d; first run %d, %d, %d, %dx%d",
 				par, stats.Nodes, stats.LPSolves, stats.LPPivots, stats.LPRows, stats.LPCols,
 				first.Nodes, first.LPSolves, first.LPPivots, first.LPRows, first.LPCols)
+		}
+	}
+}
+
+// TestRootPhaseMatchesInline holds the root phase to the order before
+// it, where each MILP solved its own root: the stage sizes and every
+// MIPStats field but SolveTime, float bits included. It runs on the four
+// benchmark cold-plan shapes with their options (time limit lifted) and
+// on a node-bounded sweep of 51B on two GPUs whose S = 10 root is
+// infeasible, each with the root phase at Parallelism 1 and 2.
+func TestRootPhaseMatchesInline(t *testing.T) {
+	lifted := MIPOptions{DisableCache: true, TimeLimit: 10 * time.Minute}
+	bounded := lifted
+	bounded.NodeLimit, bounded.MaxStages = 10, 16
+	two := planParams(t, model.GPT51B, 2)
+	cases := []struct {
+		name   string
+		params Params
+		opts   MIPOptions
+	}{
+		{"3B_2p2", planParams(t, model.GPT3B, 2, 2), lifted},
+		{"8B_1p3", planParams(t, model.GPT8B, 1, 3), lifted},
+		{"15B_2p2", planParams(t, model.GPT15B, 2, 2), lifted},
+		{"51B_4p4", planParams(t, model.GPT51B, 4, 4), lifted},
+		{"51B_2", two, bounded},
+	}
+
+	// The bounded sweep's S = 10 candidate is formulated, but its root
+	// relaxation is infeasible.
+	withDefaults := two.withDefaults()
+	bs, err := gatherBlockStats(withDefaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol, err := formulate(withDefaults, bs, 10).Solve(); err != nil || sol.Status != lp.Infeasible {
+		t.Fatalf("51B on two GPUs, S = 10 root: %v, %v; want an infeasible LP", sol, err)
+	}
+
+	for _, c := range cases {
+		// The sweep before the root phase is the same at every
+		// parallelism level, so one serial run is the oracle for both.
+		opts := c.opts
+		opts.Parallelism = 1
+		wantPart, wantStats, err := mipInline(c.params, opts)
+		if err != nil {
+			t.Fatalf("%s: inline roots: %v", c.name, err)
+		}
+		wantStats.SolveTime = 0
+		for _, par := range []int{1, 2} {
+			opts.Parallelism = par
+			gotPart, gotStats, err := MIP(c.params, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if c.name == "51B_2" && !slices.Contains(gotStats.TriedStageCounts, 10) {
+				t.Fatalf("%s: tried %v, want S = 10 among them", c.name, gotStats.TriedStageCounts)
+			}
+			// %v prints the shortest decimal that parses back to the same
+			// float, so equal strings mean equal bits (and signs of zero).
+			if got, want := fmt.Sprintf("%+v", gotPart.Stages), fmt.Sprintf("%+v", wantPart.Stages); got != want {
+				t.Errorf("%s at Parallelism %d: stages\n%s\nwant\n%s", c.name, par, got, want)
+			}
+			gotStats.SolveTime = 0
+			if got, want := fmt.Sprintf("%+v", *gotStats), fmt.Sprintf("%+v", *wantStats); got != want {
+				t.Errorf("%s at Parallelism %d: stats\n%s\nwant\n%s", c.name, par, got, want)
+			}
 		}
 	}
 }
