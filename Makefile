@@ -22,20 +22,24 @@ race:
 # amd64 assembly), the lp and milp suites uncached, the milp and
 # partition suites under the race detector (a MILP solves each node's
 # two child LPs on two goroutines, and the sweep solves its candidates'
-# root LPs two at a time before any branch and bound; about 40 s, most
-# of it the root phase's differential against the inline roots), the
+# root LPs two at a time before any branch and bound; about 50 s, most
+# of it the root phase's differential against the inline roots and the
+# tier-1 subset of the pricing identity test), the
 # plan deadline and goroutine-leak tests under the race detector
 # (deadlines that expire inside the root phase; about 5 s), then the
 # dense-oracle differential over every LP a serial cold plan
 # solves for each Table 3 model on Topo 2+2, 1+3 and 4+4 (the oracle runs
-# without the presolve and the breakdown guard: a checked solve's pivots
-# must be a prefix of the oracle's, a guard stop must be on an LP the
-# oracle does not solve to optimality, a presolve rejection on one it
-# calls infeasible, and every other solve must match its status and
+# without the breakdown guard: a checked solve's pivots must be a prefix
+# of the oracle's, a guard stop must be on an LP the oracle does not
+# solve to optimality, and every other solve must match its status and
 # X/objective float bits; a solve whose phase 1 ends feasible must also
 # match the oracle's whole tableau there), then the twelve cold-plan
 # fingerprints against internal/lp/testdata/plans.golden and the search
-# effort behind them against internal/lp/testdata/effort.golden. On a
+# effort behind them against internal/lp/testdata/effort.golden, and
+# last the full grid of the identity the MILP's rounding heuristic
+# prices by: at fixed block counts the partition LP's optimum is the
+# evaluator's step time, for every Table 3 model on Topo 2+2 and 4+4 at
+# M = N and M = 8 and every candidate stage count (8-12 s). On a
 # 2-vCPU host it takes
 # about 4 minutes if the 3 s-limited 3B on 4+4 search stops before its
 # two node LPs that break down, and 15-18 if it reaches them, as it
@@ -49,6 +53,7 @@ check-lp:
 	$(GO) test -race -count=1 ./internal/milp/ ./internal/partition/
 	$(GO) test -race -count=1 -run 'TestPlanCancellationLeaksNoGoroutines|TestDeadlineInterruptsRootLP' ./internal/core/
 	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle|TestColdPlanFingerprints' -v ./internal/lp/
+	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -run 'TestPricerMatchesFixedLP' -v ./internal/partition/
 
 # check-faults is the fault-matrix smoke test: link degradation windows,
 # alone and combined (an unbounded window beside a bounded one on

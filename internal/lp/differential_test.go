@@ -16,35 +16,25 @@ import (
 	"mobius/internal/partition"
 )
 
-// check names the lp check, if any, that decided a solve early.
-type check int
-
-const (
-	noCheck check = iota
-	presolved
-	guarded
-)
-
-// verdict is what againstOracle found: the check that decided the
-// solve, if any, with both outcomes when one did, the solve's trace
+// verdict is what againstOracle found: whether the breakdown guard
+// stopped the solve, with both outcomes when it did, the solve's trace
 // without its tableau, and whether the tableaus were compared at the end
 // of phase 1.
 type verdict struct {
-	check   check
+	guarded bool
 	outcome string
 	trace   lp.Trace
 	phase1  bool
 }
 
 // againstOracle solves p with kernel k and with the oracle (the dense
-// kernel, presolve and breakdown guard off) and reports its verdict, or
-// the first way the two disagree. The solve's pivots must be a prefix of
-// the oracle's, and a solve whose phase 1 ends feasible must match the
-// oracle's whole tableau there, artificial columns included.
-// A guard stop must be on an LP the oracle does not solve to optimality;
-// a presolve rejection, with no pivot, on one the oracle calls
-// infeasible. Otherwise the two must be the same solve: pivot sequence,
-// status, effort counters, and the float bits of X and the objective.
+// kernel, breakdown guard off) and reports its verdict, or the first way
+// the two disagree. The solve's pivots must be a prefix of the oracle's,
+// and a solve whose phase 1 ends feasible must match the oracle's whole
+// tableau there, artificial columns included. A guard stop must be on an
+// LP the oracle does not solve to optimality. Otherwise the two must be
+// the same solve: pivot sequence, status, effort counters, and the float
+// bits of X and the objective.
 func againstOracle(p *lp.Problem, k lp.Kernel) (verdict, error) {
 	sol, tr, err := lp.SolveTraced(p, k)
 	if err != nil {
@@ -74,18 +64,11 @@ func againstOracle(p *lp.Problem, k lp.Kernel) (verdict, error) {
 		return v, fmt.Errorf("counted %d+%d pivots, traced %d", sol.Phase1Pivots, sol.Phase2Pivots, len(trace))
 	}
 	outcome := fmt.Sprintf("%v after %d pivots, oracle %v after %d", sol.Status, len(trace), ora.Status, len(oTrace))
-	switch {
-	case sol.Status == lp.Numerical:
+	if sol.Status == lp.Numerical {
 		if ora.Status == lp.Optimal {
 			return v, fmt.Errorf("guard stopped an LP the oracle solves: %s", outcome)
 		}
-		v.check, v.outcome = guarded, outcome
-		return v, nil
-	case sol.Status == lp.Infeasible && sol.Rows == 0 && ora.Rows > 0:
-		if ora.Status != lp.Infeasible || len(trace) > 0 {
-			return v, fmt.Errorf("presolve rejected an LP the oracle does not: %s", outcome)
-		}
-		v.check, v.outcome = presolved, outcome
+		v.guarded, v.outcome = true, outcome
 		return v, nil
 	}
 	if len(trace) != len(oTrace) {
@@ -209,10 +192,10 @@ func randomLP(r *rand.Rand) *lp.Problem {
 // TestSparseKernelMatchesDenseOracleRandom holds the solver to the dense
 // oracle on random LPs, once with the column update package init chose
 // and once with the Go loop, and checks the random suite reaches every
-// outcome the partition LPs can and both mirror outcomes: a mirrored
-// artificial entering, and a pair written out for good. A missing or
-// misplaced write-out shows in the tableau compared at the end of
-// phase 1.
+// outcome the partition LPs can (infeasible LPs among them, each with
+// the oracle's verdict) and both mirror outcomes: a mirrored artificial
+// entering, and a pair written out for good. A missing or misplaced
+// write-out shows in the tableau compared at the end of phase 1.
 func TestSparseKernelMatchesDenseOracleRandom(t *testing.T) {
 	for _, k := range []struct {
 		name   string
@@ -225,20 +208,22 @@ func TestSparseKernelMatchesDenseOracleRandom(t *testing.T) {
 func matchesOracleRandom(t *testing.T, kernel lp.Kernel) {
 	r := rand.New(rand.NewSource(13))
 	seen := map[lp.Status]int{}
-	caught := map[check]int{}
-	bothPhases, entered, writtenOut, phase1Ends := 0, 0, 0, 0
+	bothPhases, guarded, entered, writtenOut, phase1Ends := 0, 0, 0, 0, 0
 	for k := 0; k < 2000; k++ {
 		p := randomLP(r)
 		v, err := againstOracle(p, kernel)
 		if err != nil {
 			t.Fatalf("LP %d: %v", k, err)
 		}
-		caught[v.check]++
+		if v.guarded {
+			guarded++
+		}
 		entered += v.trace.MirrorEntered
 		writtenOut += v.trace.MirrorWrittenOut
 		if v.phase1 {
 			phase1Ends++
 		}
+		// Any status but Numerical is the oracle's verdict too.
 		sol, err := p.Solve()
 		if err != nil {
 			t.Fatal(err)
@@ -250,11 +235,8 @@ func matchesOracleRandom(t *testing.T, kernel lp.Kernel) {
 	}
 	for _, st := range []lp.Status{lp.Optimal, lp.Infeasible, lp.Unbounded} {
 		if seen[st] == 0 {
-			t.Errorf("no random LP ended %v (outcomes %v)", st, seen)
+			t.Errorf("no random LP ended %v with the oracle's verdict (outcomes %v)", st, seen)
 		}
-	}
-	if seen[lp.Infeasible] == caught[presolved] {
-		t.Errorf("the presolve decided all %d infeasible random LPs; none reached phase 1's verdict", caught[presolved])
 	}
 	if bothPhases == 0 {
 		t.Errorf("no random LP pivoted in both phases")
@@ -266,13 +248,13 @@ func matchesOracleRandom(t *testing.T, kernel lp.Kernel) {
 	if phase1Ends == 0 {
 		t.Errorf("no random LP compared its tableau at the end of phase 1")
 	}
-	t.Logf("outcomes %v, %d with pivots in both phases, %d presolved, %d guarded, %d mirrored entries, %d pairs written out, %d tableaus compared at the end of phase 1",
-		seen, bothPhases, caught[presolved], caught[guarded], entered, writtenOut, phase1Ends)
+	t.Logf("outcomes %v, %d with pivots in both phases, %d guarded, %d mirrored entries, %d pairs written out, %d tableaus compared at the end of phase 1",
+		seen, bothPhases, guarded, entered, writtenOut, phase1Ends)
 }
 
 // TestSparseKernelMatchesDenseOraclePartitionLPs captures every LP a
-// serial cold plan solves (roots, branch-and-bound children, rounding
-// LPs, and the roots of candidates the sweep starts and then cancels)
+// serial cold plan solves (roots, branch-and-bound children, and the
+// roots of candidates the sweep starts and then cancels)
 // and holds each one to the dense oracle. The search is a function of
 // its LP outcomes, and milp and the sweep treat Numerical like every
 // other non-optimal, non-infeasible status, so this holds the plans to
@@ -336,22 +318,21 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 			}
 			close(next)
 			wg.Wait()
-			n := map[check]int{}
-			entered, writtenOut := 0, 0
+			guarded, entered, writtenOut := 0, 0, 0
 			for k, err := range errs {
 				if err != nil {
 					t.Fatalf("LP %d of %d: %v", k, len(probs), err)
 				}
 				v := verdicts[k]
-				n[v.check]++
 				entered += v.trace.MirrorEntered
 				writtenOut += v.trace.MirrorWrittenOut
-				if v.check == guarded {
+				if v.guarded {
+					guarded++
 					t.Logf("LP %d: %s", k, v.outcome)
 				}
 			}
-			t.Logf("%d LPs (%d counted), %d nodes, %d presolved, %d guarded, %d mirrored entries, %d pairs written out",
-				len(probs), plan.MIPStats.LPSolves, plan.MIPStats.Nodes, n[presolved], n[guarded], entered, writtenOut)
+			t.Logf("%d LPs (%d counted), %d nodes, %d guarded, %d mirrored entries, %d pairs written out",
+				len(probs), plan.MIPStats.LPSolves, plan.MIPStats.Nodes, guarded, entered, writtenOut)
 		})
 	}
 }

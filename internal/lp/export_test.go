@@ -67,8 +67,7 @@ const (
 	// GoLoop is the sparse kernel with the column update forced to the
 	// Go loop axpyNegGo.
 	GoLoop
-	// Oracle is the dense kernel, without the presolve and the breakdown
-	// guard.
+	// Oracle is the dense kernel, without the breakdown guard.
 	Oracle
 )
 

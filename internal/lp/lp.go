@@ -38,13 +38,11 @@
 // and updates every column, is kept as a test-only oracle that holds
 // them to it.
 //
-// Two checks stop solves whose outcome is already decided, without
-// changing any pivot before they fire. A row whose activity range over
-// the variable bounds misses its right-hand side makes the LP Infeasible
-// before a tableau is built. A basic value below -feasTol, seen by the
-// ratio test, or a phase-1 ray means the tableau has broken down, and
-// the solve stops with Numerical: the pivots after a breakdown can only
-// end in a status nobody can trust.
+// One check stops solves whose outcome is already decided, without
+// changing any pivot before it fires. A basic value below -feasTol, seen
+// by the ratio test, or a phase-1 ray means the tableau has broken down,
+// and the solve stops with Numerical: the pivots after a breakdown can
+// only end in a status nobody can trust.
 package lp
 
 import (
@@ -214,7 +212,7 @@ type Solution struct {
 	Phase1Pivots, Phase2Pivots int
 	// Rows and Cols size the tableau: constraint rows plus one row per
 	// finite upper bound, by structural, slack and artificial columns.
-	// Both are zero when the row-activity presolve decided the LP.
+	// Both are zero when conflicting variable bounds decided the LP.
 	Rows, Cols int
 }
 
@@ -222,9 +220,8 @@ const (
 	eps      = 1e-9
 	pivotEps = 1e-8
 	// feasTol is the primal feasibility tolerance: phase 1 calls an LP
-	// infeasible when its artificials sum to more, the presolve when a
-	// row misses its right-hand side by more, and a basic value below
-	// -feasTol is a breakdown.
+	// infeasible when its artificials sum to more, and a basic value
+	// below -feasTol is a breakdown.
 	feasTol = 1e-6
 )
 
@@ -262,7 +259,7 @@ type Scratch struct {
 	// axpyNeg; onMirror sees a mirrored artificial enter (false) and a
 	// pair written out for good (true); atPhase1End sees the tableau when
 	// phase 1 ends feasible, before the artificials are retired;
-	// unchecked turns off the presolve and the breakdown guard.
+	// unchecked turns off the breakdown guard.
 	observe     func(r, c int)
 	dense       func(t *tableau, r, c int)
 	axpy        func(y, x []float64, p float64)
@@ -310,9 +307,6 @@ func (p *Problem) SolveWith(sc *Scratch) (*Solution, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	if !sc.unchecked && p.rowInfeasible() {
-		return &Solution{Status: Infeasible}, nil
-	}
 	t := newTableau(p, sc)
 	sol := &Solution{Rows: t.m, Cols: t.total}
 	sol.Status = t.phase1()
@@ -327,42 +321,6 @@ func (p *Problem) SolveWith(sc *Scratch) (*Solution, error) {
 	}
 	sc.nz = t.nz // keep the grown pivot-row index for the next solve
 	return sol, nil
-}
-
-// rowInfeasible reports whether some row cannot be met anywhere in the
-// variable bounds: its activity range misses the right-hand side by more
-// than feasTol. The range is summed term by term, so duplicate terms only
-// widen it. A zero coefficient is skipped and an infinite upper bound is
-// tracked apart from the finite sum, so 0·∞ and ∞−∞ never occur.
-func (p *Problem) rowInfeasible() bool {
-	for _, c := range p.constraints {
-		var lo, hi float64
-		loInf, hiInf := false, false
-		for _, tm := range c.terms {
-			l, u := p.lower[tm.Var], p.upper[tm.Var]
-			switch {
-			case tm.Coeff > 0:
-				lo += tm.Coeff * l
-				if math.IsInf(u, 1) {
-					hiInf = true
-				} else {
-					hi += tm.Coeff * u
-				}
-			case tm.Coeff < 0:
-				hi += tm.Coeff * l
-				if math.IsInf(u, 1) {
-					loInf = true
-				} else {
-					lo += tm.Coeff * u
-				}
-			}
-		}
-		if (c.rel != GE && !loInf && lo > c.rhs+feasTol) ||
-			(c.rel != LE && !hiInf && hi < c.rhs-feasTol) {
-			return true
-		}
-	}
-	return false
 }
 
 func dot(a, b []float64) float64 {

@@ -378,49 +378,6 @@ func TestAbortPolledEvery64Pivots(t *testing.T) {
 	}
 }
 
-// TestPresolveRejectsInfeasibleFixing: an LP that fixes x + y <= 1.5 at
-// x = y = 1, as a rounding heuristic does, is infeasible from the row's
-// activity alone: no tableau is built and no pivot made. Without the
-// presolve, phase 1 reaches the same verdict.
-func TestPresolveRejectsInfeasibleFixing(t *testing.T) {
-	p := NewProblem(2)
-	p.SetObjectiveCoeff(0, -1)
-	p.SetObjectiveCoeff(1, -1)
-	p.SetBounds(0, 1, 1)
-	p.SetBounds(1, 1, 1)
-	p.AddConstraint([]Term{{0, 1}, {1, 1}}, LE, 1.5)
-	sol, err := p.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Infeasible || sol.Phase1Pivots+sol.Phase2Pivots != 0 || sol.Rows != 0 {
-		t.Errorf("%v after %d pivots on a %dx%d tableau, want infeasible with no tableau",
-			sol.Status, sol.Phase1Pivots+sol.Phase2Pivots, sol.Rows, sol.Cols)
-	}
-	sol, err = p.SolveWith(&Scratch{unchecked: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Infeasible || sol.Rows == 0 {
-		t.Errorf("unchecked: %v on a %dx%d tableau, want infeasible from phase 1", sol.Status, sol.Rows, sol.Cols)
-	}
-}
-
-// TestPresolveSkipsUndecidableRows: rows that reach an unbounded
-// variable, through a zero coefficient (0·∞) or through terms of both
-// signs (∞−∞), decide nothing, so the solve goes to the tableau.
-func TestPresolveSkipsUndecidableRows(t *testing.T) {
-	p := NewProblem(3)
-	p.SetObjectiveCoeff(1, 1)
-	p.SetBounds(1, 0, 2)
-	p.AddConstraint([]Term{{0, 0}, {1, 1}}, GE, 1)
-	p.AddConstraint([]Term{{0, 0}, {1, -1}}, LE, -1)
-	p.AddConstraint([]Term{{0, 1}, {2, -1}}, EQ, 5)
-	p.AddConstraint([]Term{{0, 0}, {1, 1}}, EQ, 1)
-	sol := solveOK(t, p)
-	wantObj(t, sol, 1)
-}
-
 // TestPhase1RayIsNumerical: the phase-1 objective is bounded below by
 // zero, so a phase-1 ray is a numerical breakdown. A coefficient below
 // the pivot tolerance makes one: the column prices in (reduced cost

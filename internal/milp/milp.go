@@ -2,7 +2,10 @@
 // and bound over the internal/lp simplex solver. Together they stand in
 // for the Gurobi Optimizer used by the paper to solve the MIP partition
 // problem (§3.2): instances there are small after layer-similarity
-// compression, so a straightforward exact search suffices.
+// compression, so a straightforward exact search suffices. The caller
+// supplies the objective at an integer point (for the partition MIP, the
+// schedule evaluator), and the rounding heuristic prices its points with
+// it rather than with an LP.
 //
 // Like Gurobi's, the search uses a second core: the two child LPs of
 // every node are solved side by side, the x >= ceil side on a helper
@@ -10,19 +13,19 @@
 // an LP build error stops it between them), and a child LP is a function
 // of the problem and its bounds alone, with no incumbent and no shared
 // state. Everything that reads or moves the search state (the effort
-// counters, the rounding heuristic, node pushes, pruning and the node,
-// clock and cancel checks) runs after the join on the calling goroutine,
-// in side order. Nodes, LP solves, pivots and solutions are therefore the
-// same bits as a one-core search's; only wall-clock time moves. A caller
-// with several searches to run can also solve their roots ahead of
-// them, two at a time (Scratch.SolveRoot), and hand each search its
-// solved root (Options.Root).
+// counters, the rounding heuristic and its pricing, node pushes, pruning
+// and the node, clock and cancel checks) runs after the join on the
+// calling goroutine, in side order. Nodes, LP solves, pivots and
+// solutions are therefore the same bits as a one-core search's; only
+// wall-clock time moves. A caller with several searches to run can also
+// solve their roots ahead of them, two at a time (Scratch.SolveRoot), and
+// hand each search its solved root (Options.Root).
 package milp
 
 import (
 	"container/heap"
-	"encoding/binary"
 	"math"
+	"slices"
 	"time"
 
 	"mobius/internal/lp"
@@ -38,9 +41,10 @@ type Options struct {
 	MaxNodes int
 	// TimeLimit caps wall-clock solve time, the root LP's included
 	// (default 10s when zero). A negative limit leaves no time: the
-	// search stops after the root and its rounding LP. With Root set, the
-	// root was solved before Solve was called, so the caller passes what
-	// is left of its limit after that solve, negative if none is.
+	// search stops after the root and the pricing of its rounding. With
+	// Root set, the root was solved before Solve was called, so the
+	// caller passes what is left of its limit after that solve, negative
+	// if none is.
 	TimeLimit time.Duration
 	// Incumbent seeds the upper bound with a known feasible objective so
 	// the search can prune immediately. It counts only when IncumbentSet
@@ -77,8 +81,8 @@ type Options struct {
 // safe and removes the dominant allocations of the search; concurrent
 // sharing is not safe.
 type Scratch struct {
-	// ws[0] serves the root, the rounding LPs and each node's x <= floor
-	// child; ws[1] serves the x >= ceil child on the helper goroutine.
+	// ws[0] serves the root and each node's x <= floor child; ws[1]
+	// serves the x >= ceil child on the helper goroutine.
 	// SolveRoot solves a root ahead of its Solve in either.
 	ws [2]workspace
 }
@@ -139,7 +143,9 @@ type Result struct {
 	// whether optimality was certified), Infeasible when no integer point
 	// exists, IterLimit when limits were hit, or the root LP broke down
 	// (lp.Numerical), with no incumbent.
-	Status    lp.Status
+	Status lp.Status
+	// X is the incumbent's integer point: the value of each integer
+	// variable, in intVars order. It carries no continuous variable.
 	X         []float64
 	Objective float64
 	// Nodes is the number of explored branch-and-bound nodes.
@@ -147,9 +153,9 @@ type Result struct {
 	// Proven is true when the search space was exhausted, certifying
 	// optimality of X.
 	Proven bool
-	// LPSolves counts the LP relaxations solved: the root, the
-	// branch-and-bound children and the rounding heuristic's LPs.
-	// LPPivots totals their simplex pivots over both phases.
+	// LPSolves counts the LP relaxations solved: the root and the
+	// branch-and-bound children. LPPivots totals their simplex pivots
+	// over both phases.
 	LPSolves, LPPivots int
 	// LPRows and LPCols size the largest LP solved (by rows × columns).
 	LPRows, LPCols int
@@ -190,8 +196,13 @@ var branch = func(solve func(side, w int)) {
 }
 
 // Solve minimizes p subject to the variables in intVars taking integer
-// values.
-func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
+// values. price is the objective at an integer point: given a value for
+// each integer variable, in intVars order, it returns the least
+// objective of p with those variables fixed there, or ok = false if no
+// point of p has them. The rounding heuristic prices each rounded LP
+// solution through it instead of solving an LP. price runs on the
+// calling goroutine and must not keep x.
+func Solve(p *lp.Problem, intVars []int, price func(x []float64) (obj float64, ok bool), opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	deadline := time.Now().Add(opts.TimeLimit)
 
@@ -215,13 +226,6 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 			res.LPRows, res.LPCols = sol.Rows, sol.Cols
 		}
 	}
-	relax := func(fixes map[int][2]float64) (*lp.Solution, error) {
-		sol, err := sc.ws[0].solve(p, fixes)
-		if err == nil {
-			count(sol)
-		}
-		return sol, err
-	}
 	// withEffort carries the LP counters onto a result other than res.
 	withEffort := func(r *Result) *Result {
 		r.LPSolves, r.LPPivots, r.LPRows, r.LPCols = res.LPSolves, res.LPPivots, res.LPRows, res.LPCols
@@ -243,49 +247,25 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		return best, bestVal
 	}
 
-	// tryRound fixes every integer variable at the rounding of x and
-	// re-solves; a feasible result becomes an incumbent. That LP depends
-	// only on the rounded vector, so a repeated vector would be a
-	// bitwise-identical solve that cannot improve the incumbent again:
-	// rounded records the vectors already solved, by their float bits.
-	rounded := map[string]bool{}
-	var key []byte
+	// tryRound prices the rounding of x as an incumbent when every
+	// rounded integer variable lies within its bounds and the node's
+	// fixes. A point priced before cannot improve the incumbent again.
+	point := make([]float64, len(intVars))
 	tryRound := func(x []float64, fixes map[int][2]float64) {
-		rf := map[int][2]float64{}
-		for v, b := range fixes {
-			rf[v] = b
-		}
-		key = key[:0]
-		feasibleRound := true
-		for _, v := range intVars {
+		for i, v := range intVars {
 			r := math.Round(x[v])
 			lo, hi := p.Bounds(v)
-			if b, ok := rf[v]; ok {
-				if b[0] > lo {
-					lo = b[0]
-				}
-				if b[1] < hi {
-					hi = b[1]
-				}
+			if b, ok := fixes[v]; ok {
+				lo, hi = max(lo, b[0]), min(hi, b[1])
 			}
 			if r < lo-intTol || r > hi+intTol {
-				feasibleRound = false
-				break
+				return
 			}
-			rf[v] = [2]float64{r, r}
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(r))
+			point[i] = r
 		}
-		if !feasibleRound || rounded[string(key)] {
-			return
-		}
-		rounded[string(key)] = true
-		sol, err := relax(rf)
-		if err != nil || sol.Status != lp.Optimal {
-			return
-		}
-		if sol.Objective < res.Objective-1e-9 {
-			res.Objective = sol.Objective
-			bestX = sol.X
+		if obj, ok := price(point); ok && obj < res.Objective-1e-9 {
+			res.Objective = obj
+			bestX = slices.Clone(point)
 			res.Status = lp.Optimal
 		}
 	}
@@ -317,7 +297,10 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 			// Integral LP solution: direct incumbent.
 			if bound < res.Objective-1e-9 {
 				res.Objective = bound
-				bestX = x
+				bestX = make([]float64, len(intVars))
+				for i, v := range intVars {
+					bestX[i] = math.Round(x[v])
+				}
 				res.Status = lp.Optimal
 			}
 			return

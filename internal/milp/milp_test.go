@@ -30,10 +30,33 @@ func knapsack() *lp.Problem {
 	return p
 }
 
+// fixedLP prices an integer point of p as Solve's pricer: it solves p's
+// LP with each variable of ints fixed at its value there, within its
+// bounds, and returns the optimum, or ok = false if that LP has none.
+func fixedLP(p *lp.Problem, ints []int) func(x []float64) (float64, bool) {
+	return func(x []float64) (float64, bool) {
+		q := p.CloneInto(&lp.Problem{})
+		for i, v := range ints {
+			lo, hi := q.Bounds(v)
+			q.SetBounds(v, max(lo, x[i]), min(hi, x[i]))
+		}
+		sol, err := q.Solve()
+		if err != nil || sol.Status != lp.Optimal {
+			return 0, false
+		}
+		return sol.Objective, true
+	}
+}
+
+// solveFixed is Solve pricing integer points with fixedLP.
+func solveFixed(p *lp.Problem, ints []int, opts Options) (*Result, error) {
+	return Solve(p, ints, fixedLP(p, ints), opts)
+}
+
 func TestPureIntegerKnapsack(t *testing.T) {
 	// The negated optimum: a=1,b=1,c=0,d=0 is 19 at weight 12;
 	// a=0,b=1,c=1,d=1 is 21 at weight 14. Optimal 21.
-	res, err := Solve(knapsack(), []int{0, 1, 2, 3}, Options{})
+	res, err := solveFixed(knapsack(), []int{0, 1, 2, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +74,7 @@ func TestIntegerRoundingMatters(t *testing.T) {
 	p.SetObjectiveCoeff(0, -1)
 	p.SetObjectiveCoeff(1, -1)
 	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 2}, {Var: 1, Coeff: 2}}, lp.LE, 5)
-	res, err := Solve(p, []int{0, 1}, Options{})
+	res, err := solveFixed(p, []int{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +91,15 @@ func TestMixedIntegerContinuous(t *testing.T) {
 	p.SetObjectiveCoeff(1, 1)
 	p.AddConstraint([]lp.Term{{Var: 1, Coeff: 1}, {Var: 0, Coeff: -1.5}}, lp.GE, -1)
 	p.AddConstraint([]lp.Term{{Var: 1, Coeff: 1}, {Var: 0, Coeff: 2}}, lp.GE, 4)
-	res, err := Solve(p, []int{0}, Options{})
+	res, err := solveFixed(p, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Objective-2) > 1e-6 {
 		t.Fatalf("objective %g, want 2 (x=%v)", res.Objective, res.X)
+	}
+	if len(res.X) != 1 || (res.X[0] != 1 && res.X[0] != 2) {
+		t.Fatalf("x=%v, want the integer variable alone, n = 1 or 2", res.X)
 	}
 }
 
@@ -82,7 +108,7 @@ func TestInfeasibleInteger(t *testing.T) {
 	p := lp.NewProblem(1)
 	p.SetObjectiveCoeff(0, 1)
 	p.SetBounds(0, 0.4, 0.6)
-	res, err := Solve(p, []int{0}, Options{})
+	res, err := solveFixed(p, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +128,11 @@ func coverThree() *lp.Problem {
 
 func TestIncumbentSeedPrunes(t *testing.T) {
 	p := coverThree()
-	noSeed, err := Solve(p, []int{0, 1}, Options{})
+	noSeed, err := solveFixed(p, []int{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := Solve(p, []int{0, 1}, Options{Incumbent: 3.0, IncumbentSet: true})
+	seeded, err := solveFixed(p, []int{0, 1}, Options{Incumbent: 3.0, IncumbentSet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +161,7 @@ func TestZeroIncumbentIsHonored(t *testing.T) {
 		return p
 	}
 
-	seeded, err := Solve(build(), []int{0, 1}, Options{Incumbent: 0, IncumbentSet: true})
+	seeded, err := solveFixed(build(), []int{0, 1}, Options{Incumbent: 0, IncumbentSet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +174,7 @@ func TestZeroIncumbentIsHonored(t *testing.T) {
 
 	// The zero value of Options still means "no incumbent": the solve must
 	// find the optimum normally.
-	unset, err := Solve(build(), []int{0, 1}, Options{})
+	unset, err := solveFixed(build(), []int{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +205,7 @@ func TestNodeLimitReturnsIncumbent(t *testing.T) {
 	// A knapsack-ish problem with enough integer vars to need nodes; with
 	// MaxNodes 1 the rounding heuristic should still deliver something.
 	p, ints := randomKnapsack(7, 12, 9, 20)
-	res, err := Solve(p, ints, Options{MaxNodes: 1})
+	res, err := solveFixed(p, ints, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +274,7 @@ func TestRandomMILPAgainstBruteForce(t *testing.T) {
 	check := func(seed int64) bool {
 		p, ub, costs, rows := randomMILP(seed)
 		n := len(costs)
-		res, err := Solve(p, allInts(p), Options{})
+		res, err := solveFixed(p, allInts(p), Options{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -301,7 +327,7 @@ func TestIntegerSolutionRespectsTolerance(t *testing.T) {
 	p := lp.NewProblem(1)
 	p.SetObjectiveCoeff(0, 1)
 	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}}, lp.GE, 2.3)
-	res, err := Solve(p, []int{0}, Options{})
+	res, err := solveFixed(p, []int{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +342,7 @@ func TestGapToleranceAcceptsNearOptimal(t *testing.T) {
 	p.SetObjectiveCoeff(0, 1)
 	p.SetObjectiveCoeff(1, 1)
 	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, lp.GE, 10)
-	res, err := Solve(p, []int{0, 1}, Options{Incumbent: 10.4, IncumbentSet: true, GapTol: 0.05})
+	res, err := solveFixed(p, []int{0, 1}, Options{Incumbent: 10.4, IncumbentSet: true, GapTol: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +359,7 @@ func TestTimeLimitHonored(t *testing.T) {
 	// sensible (rounding incumbent or IterLimit) and quickly.
 	p, ints := randomKnapsack(3, 16, 1, 8)
 	start := time.Now()
-	res, err := Solve(p, ints, Options{TimeLimit: time.Nanosecond})
+	res, err := solveFixed(p, ints, Options{TimeLimit: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +385,7 @@ func TestNonOptimalRootReturnsIterLimit(t *testing.T) {
 	phase2.SetObjectiveCoeff(1, -1)
 	phase2.AddConstraint([]lp.Term{{Var: 0, Coeff: 2}, {Var: 1, Coeff: 2}}, lp.LE, 5)
 	for name, p := range map[string]*lp.Problem{"phase1": phase1, "phase2": phase2} {
-		res, err := Solve(p, []int{0, 1}, Options{Cancel: func() bool { return true }})
+		res, err := solveFixed(p, []int{0, 1}, Options{Cancel: func() bool { return true }})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -373,48 +399,16 @@ func TestNonOptimalRootReturnsIterLimit(t *testing.T) {
 	}
 }
 
-// TestRepeatedRoundingSkipsLP pins the rounding memo on a search whose
-// up-branch child rounds to the vector the root already rounded to:
-// max x+y s.t. x+y <= 1.5 over binaries. The root (1, 0.5) rounds to
-// (1, 1), which is infeasible; the child y >= 1 at (0.5, 1) rounds to
-// (1, 1) again, and that LP is not solved a second time.
-func TestRepeatedRoundingSkipsLP(t *testing.T) {
-	p := lp.NewProblem(2)
-	p.SetObjectiveCoeff(0, -1)
-	p.SetObjectiveCoeff(1, -1)
-	p.SetBounds(0, 0, 1)
-	p.SetBounds(1, 0, 1)
-	p.AddConstraint([]lp.Term{{Var: 0, Coeff: 1}, {Var: 1, Coeff: 1}}, lp.LE, 1.5)
-	res, err := Solve(p, []int{0, 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != lp.Optimal || !res.Proven || res.Objective != -1 {
-		t.Fatalf("status %v proven %v objective %g, want proven optimum -1", res.Status, res.Proven, res.Objective)
-	}
-	// Root, its rounding, 2 nodes x 2 children, and one rounding of the
-	// down child (1, 0): 7. Solving the repeated (1, 1) would make 8.
-	if res.Nodes != 2 || res.LPSolves != 7 {
-		t.Errorf("%d nodes, %d LP solves; want 2 nodes, 7 LP solves", res.Nodes, res.LPSolves)
-	}
-	// The infeasible rounding LP (x+y = 2 > 1.5) never builds a tableau:
-	// the row-activity presolve rejects it. The largest tableau is the
-	// root's: a row and two upper-bound rows, by 2 structural and 3 slack
-	// columns.
-	if res.LPPivots <= 0 || res.LPRows != 3 || res.LPCols != 5 {
-		t.Errorf("effort %d pivots, largest LP %dx%d; want pivots and a 3x5 tableau", res.LPPivots, res.LPRows, res.LPCols)
-	}
-}
-
 // TestAbortedChildLPIsNotProven aborts exactly one child LP — the first
 // LP poll after the search starts branching — and lets everything else
 // run. The search still finds the optimum, but the aborted child's
 // subtree was never bounded, so the result must not claim a proof.
-// Same problem as TestRepeatedRoundingSkipsLP. The two children of the
-// first node poll concurrently, so the aborted child is whichever side
-// polls first: aborting y <= 0 leaves the optimum to the y >= 1 subtree,
-// and aborting y >= 1 leaves it to y <= 0 itself, so either way the
-// search ends at -1 unproven.
+// The problem is max x+y s.t. x+y <= 1.5 over binaries, whose root
+// (1, 0.5) branches on y. The two children of the first node poll
+// concurrently, so the aborted child is whichever side polls first:
+// aborting y <= 0 leaves the optimum to the y >= 1 subtree, and aborting
+// y >= 1 leaves it to y <= 0 itself, so either way the search ends at -1
+// unproven.
 func TestAbortedChildLPIsNotProven(t *testing.T) {
 	p := lp.NewProblem(2)
 	p.SetObjectiveCoeff(0, -1)
@@ -436,7 +430,7 @@ func TestAbortedChildLPIsNotProven(t *testing.T) {
 		}
 		return branching.Load() && aborted.CompareAndSwap(0, 1)
 	}
-	res, err := Solve(p, []int{0, 1}, Options{Cancel: cancel})
+	res, err := solveFixed(p, []int{0, 1}, Options{Cancel: cancel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +491,7 @@ func TestSiblingLPsMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: serial: %v", c.name, err)
 			}
-			got, err := Solve(c.p, c.ints, opts)
+			got, err := solveFixed(c.p, c.ints, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -574,7 +568,7 @@ func TestSolvedRootMatchesInline(t *testing.T) {
 	)
 	sc := NewScratch()
 	for _, c := range cases {
-		want, err := Solve(c.p, c.ints, c.opts)
+		want, err := solveFixed(c.p, c.ints, c.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -585,7 +579,7 @@ func TestSolvedRootMatchesInline(t *testing.T) {
 			}
 			opts := c.opts
 			opts.Root, opts.Scratch = root, sc
-			got, err := Solve(c.p, c.ints, opts)
+			got, err := solveFixed(c.p, c.ints, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -599,19 +593,24 @@ func TestSolvedRootMatchesInline(t *testing.T) {
 // TestSolvedRootUsedWholeLimit hands a search a root whose solve used
 // more than the whole time limit, as a negative TimeLimit: the search
 // must explore no node rather than take the 10 s default, and still
-// round the root.
+// price the rounding of the root.
 func TestSolvedRootUsedWholeLimit(t *testing.T) {
 	p, ints := randomKnapsack(3, 16, 1, 8)
 	root, err := NewScratch().SolveRoot(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(p, ints, Options{Root: root, TimeLimit: -time.Nanosecond})
+	priced, fixed := 0, fixedLP(p, ints)
+	price := func(x []float64) (float64, bool) {
+		priced++
+		return fixed(x)
+	}
+	res, err := Solve(p, ints, price, Options{Root: root, TimeLimit: -time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Nodes != 0 || res.Proven || res.LPSolves != 2 {
-		t.Errorf("%d nodes, %d LPs, proven %v; want the root and its rounding LP only, unproven",
-			res.Nodes, res.LPSolves, res.Proven)
+	if res.Nodes != 0 || res.Proven || res.LPSolves != 1 || priced != 1 {
+		t.Errorf("%d nodes, %d LPs, %d points priced, proven %v; want the root and the pricing of its rounding only, unproven",
+			res.Nodes, res.LPSolves, priced, res.Proven)
 	}
 }

@@ -35,8 +35,8 @@ func BenchmarkMIPPartitionSweep(b *testing.B) {
 // BenchmarkMIPBranching measures the branch-and-bound layer: one
 // uncached serial sweep of the 3B model on Topo 2+2 with the options of
 // a benchmark cold plan (Parallelism 1, the time limit lifted so the
-// node limit alone bounds each MILP). Its search is 11 nodes, 48 LP
-// solves and 26,550 pivots (internal/lp/testdata/effort.golden), most of
+// node limit alone bounds each MILP). Its search is 11 nodes, 28 LP
+// solves and 24,830 pivots (internal/lp/testdata/effort.golden), most of
 // them in node children, which each MILP solves two at a time. It
 // reports the nodes, LP solves and pivots with the time.
 func BenchmarkMIPBranching(b *testing.B) {
@@ -60,9 +60,9 @@ func BenchmarkMIPBranching(b *testing.B) {
 // BenchmarkMIPRoots measures the root phase: one uncached serial sweep
 // of the 51B model on Topo 4+4 with the options of a benchmark cold plan
 // (Parallelism 1, the time limit lifted). Its search is the S = 16 and
-// S = 24 roots, which the sweep solves side by side, a rounding LP and
-// no node: 3 LP solves and 3,263 pivots (internal/lp/testdata/
-// effort.golden). It reports the LP solves and pivots with the time.
+// S = 24 roots, which the sweep solves side by side, and no node: 2 LP
+// solves and 3,263 pivots (internal/lp/testdata/effort.golden). It
+// reports the LP solves and pivots with the time.
 func BenchmarkMIPRoots(b *testing.B) {
 	params := planParams(b, model.GPT51B, 4, 4)
 	opts := MIPOptions{Parallelism: 1, DisableCache: true, TimeLimit: 10 * time.Minute}

@@ -52,11 +52,9 @@ func Evaluate(params Params, part *Partition) (*Schedule, error) {
 
 	// Memory constraint (4): every stage must fit on its GPU in both
 	// passes.
-	for _, st := range part.Stages {
-		if st.MemFwd() > G || st.MemBwd() > G {
-			sch.StepTime = Infeasible
-			return sch, nil
-		}
+	if !fitsMemory(part, G) {
+		sch.StepTime = Infeasible
+		return sch, nil
 	}
 
 	stg := part.Stages
@@ -71,19 +69,19 @@ func Evaluate(params Params, part *Partition) (*Schedule, error) {
 		} else {
 			prev := stg[j-N] // previous stage on the same GPU
 			dPrev := prev.FwdTime + sch.TF[j-N][M-1] - sch.TF[j-N][0]
-			pf := minf(stg[j].UploadFwd(), maxf(0, G-prev.MemFwd()), B*dPrev)
+			pf := min(stg[j].UploadFwd(), max(0, G-prev.MemFwd()), B*dPrev)
 			sch.PrefetchF[j] = pf
 			ready = sch.TF[j-N][M-1] + prev.FwdTime + L + (stg[j].UploadFwd()-pf)/B
 		}
 		for m := 0; m < M; m++ {
 			t := ready
 			if m > 0 {
-				t = maxf(t, sch.TF[j][m-1]+stg[j].FwdTime) // constraint (10)
+				t = max(t, sch.TF[j][m-1]+stg[j].FwdTime) // constraint (10)
 			}
 			if j > 0 {
 				// Constraint (8): upstream activation arrival, charged a
 				// per-hop setup latency.
-				t = maxf(t, sch.TF[j-1][m]+stg[j-1].FwdTime+L+stg[j].ActInBytes/B)
+				t = max(t, sch.TF[j-1][m]+stg[j-1].FwdTime+L+stg[j].ActInBytes/B)
 			}
 			sch.TF[j][m] = t
 		}
@@ -96,21 +94,21 @@ func Evaluate(params Params, part *Partition) (*Schedule, error) {
 		if j < S-N {
 			nxt := stg[j+N] // stage executed before this one on the same GPU
 			dNxt := nxt.BwdTime + sch.TB[j+N][M-1] - sch.TB[j+N][0]
-			pb := minf(stg[j].UploadBwd(M), maxf(0, G-nxt.MemBwd()), B*dNxt)
+			pb := min(stg[j].UploadBwd(M), max(0, G-nxt.MemBwd()), B*dNxt)
 			sch.PrefetchB[j] = pb
 			ready = sch.TB[j+N][M-1] + nxt.BwdTime + L + (stg[j].UploadBwd(M)-pb)/B
 		}
 		for m := 0; m < M; m++ {
 			t := ready
 			if j == S-1 && m == 0 {
-				t = maxf(t, sch.TF[S-1][M-1]+stg[S-1].FwdTime) // constraint (11)
+				t = max(t, sch.TF[S-1][M-1]+stg[S-1].FwdTime) // constraint (11)
 			}
 			if m > 0 {
-				t = maxf(t, sch.TB[j][m-1]+stg[j].BwdTime)
+				t = max(t, sch.TB[j][m-1]+stg[j].BwdTime)
 			}
 			if j < S-1 {
 				// Activation-gradient arrival from the downstream stage.
-				t = maxf(t, sch.TB[j+1][m]+stg[j+1].BwdTime+L+stg[j].ActOutBytes/B)
+				t = max(t, sch.TB[j+1][m]+stg[j+1].BwdTime+L+stg[j].ActOutBytes/B)
 			}
 			sch.TB[j][m] = t
 		}
@@ -118,23 +116,6 @@ func Evaluate(params Params, part *Partition) (*Schedule, error) {
 
 	sch.StepTime = sch.TB[0][M-1] + stg[0].BwdTime
 	return sch, nil
-}
-
-func minf(vals ...float64) float64 {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // StepTime is a convenience wrapper returning only the step duration.

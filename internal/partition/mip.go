@@ -13,6 +13,7 @@ import (
 	"mobius/internal/lp"
 	"mobius/internal/milp"
 	"mobius/internal/model"
+	"mobius/internal/profile"
 )
 
 // ErrCancelled reports a planning context cancelled or past its deadline.
@@ -284,14 +285,7 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		return nil
 	}
 
-	maxB := maxLayersPerStage(params)
-	var cands []int
-	for s := params.NumGPUs; s <= opts.MaxStages; s += params.NumGPUs {
-		if s*maxB < bs.blocks {
-			continue // cannot fit the model into s stages
-		}
-		cands = append(cands, s)
-	}
+	cands := stageCounts(params, bs.blocks, opts.MaxStages)
 
 	// Balanced-heuristic partitions for every candidate, computed before
 	// the fan-out; each is its candidate's fallback and seeds the shared
@@ -378,7 +372,7 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 					continue
 				}
 				start := time.Now()
-				part, res, err := solveOne(params, cands[i], probs[i], roots[i], opts, bound, balanced[i], abort, sc)
+				part, res, err := solveOne(params, bs, cands[i], probs[i], roots[i], opts, bound, balanced[i], abort, sc)
 				results[i] <- solveRes{part: part, effort: res, dur: roots[i].dur + time.Since(start), err: err}
 			}
 		}()
@@ -452,6 +446,20 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 	return best, stats, nil
 }
 
+// stageCounts lists the candidate stage counts S of the sweep: the
+// multiples of the GPU count up to maxStages into which the blocks fit.
+func stageCounts(params Params, blocks, maxStages int) []int {
+	maxB := maxLayersPerStage(params)
+	var cands []int
+	for s := params.NumGPUs; s <= maxStages; s += params.NumGPUs {
+		if s*maxB < blocks {
+			continue // cannot fit the model into s stages
+		}
+		cands = append(cands, s)
+	}
+	return cands
+}
+
 // rootRes is one candidate's root relaxation solved by the root phase,
 // with its solve time and error; sol is nil for a root it did not solve.
 type rootRes struct {
@@ -498,17 +506,17 @@ var solveRoots = func(probs []*lp.Problem, sc *milp.Scratch, abort func() bool) 
 
 // solveOne solves the MILP p formulated for a fixed stage count S from
 // its root, solved by the root phase (or, when root.sol is nil, by the
-// MILP itself). It returns a nil partition when the instance is
-// infeasible, p == nil among them. The incumbent objective (already in
-// the MILP's objective space) and the balanced-heuristic fallback
-// partition are computed by the caller so they can be shared across
-// concurrent solves; cancel is polled by the solver to abandon work
-// whose result the sweep will discard; sc is the calling worker's pooled
-// solver scratch. When limits are hit before the MILP produces a
-// partition, the balanced fallback — possibly nil — stands in. res is
-// the solver's result, for its effort counters; it is nil when no solve
-// ran.
-func solveOne(params Params, S int, p *lp.Problem, root rootRes, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, res *milp.Result, err error) {
+// MILP itself), pricing its integer points with pricer. It returns a nil
+// partition when the instance is infeasible, p == nil among them. The
+// incumbent objective (already in the MILP's objective space) and the
+// balanced-heuristic fallback partition are computed by the caller so
+// they can be shared across concurrent solves; cancel is polled by the
+// solver to abandon work whose result the sweep will discard; sc is the
+// calling worker's pooled solver scratch. When limits are hit before the
+// MILP produces a partition, the balanced fallback — possibly nil —
+// stands in. res is the solver's result, for its effort counters; it is
+// nil when no solve ran.
+func solveOne(params Params, bs *blockStats, S int, p *lp.Problem, root rootRes, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, res *milp.Result, err error) {
 	if p == nil {
 		// A single block cannot fit some stage: infeasible S.
 		return nil, nil, nil
@@ -536,7 +544,7 @@ func solveOne(params Params, S int, p *lp.Problem, root rootRes, opts MIPOptions
 		mopts.Cancel = cancel
 	}
 
-	res, err = milp.Solve(p, intVars, mopts)
+	res, err = milp.Solve(p, intVars, pricer(params, bs), mopts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -545,18 +553,42 @@ func solveOne(params Params, S int, p *lp.Problem, root rootRes, opts MIPOptions
 		// heuristic so the sweep still has a candidate for this S.
 		return balanced, res, nil
 	}
-
-	sizes := make([]int, S)
-	for j := 0; j < S; j++ {
-		sizes[j] = int(math.Round(res.X[j]))
-	}
-	sizes[0]++   // embedding layer
-	sizes[S-1]++ // head layer
-	part, err = FromBoundaries(params.Profile, sizes, AlgoMIP)
+	part, err = fromBlockCounts(params.Profile, res.X)
 	if err != nil {
 		return nil, res, err
 	}
 	return part, res, nil
+}
+
+// pricer returns the MILP's objective at an integer point, for
+// milp.Solve: given the block count of each stage, the step time of that
+// partition less the embedding's backward time, or ok = false when the
+// counts make no partition or a stage exceeds GPU memory.
+func pricer(params Params, bs *blockStats) func(n []float64) (float64, bool) {
+	return func(n []float64) (float64, bool) {
+		part, err := fromBlockCounts(params.Profile, n)
+		if err != nil {
+			return 0, false
+		}
+		t, err := StepTime(params, part)
+		if err != nil || math.IsInf(t, 1) {
+			return 0, false
+		}
+		return t - bs.tbEmb, true
+	}
+}
+
+// fromBlockCounts builds the MIP partition whose stage j holds n[j]
+// transformer blocks (rounded to the nearest integer), the embedding
+// joining the first stage and the head the last.
+func fromBlockCounts(prof *profile.Profile, n []float64) (*Partition, error) {
+	sizes := make([]int, len(n))
+	for j, v := range n {
+		sizes[j] = int(math.Round(v))
+	}
+	sizes[0]++            // embedding layer
+	sizes[len(sizes)-1]++ // head layer
+	return FromBoundaries(prof, sizes, AlgoMIP)
 }
 
 // formulate builds the MILP of §3.2 for a fixed stage count S. Its

@@ -158,6 +158,9 @@ func FromBoundaries(prof *profile.Profile, sizes []int, algorithm string) (*Part
 		if n <= 0 {
 			return nil, fmt.Errorf("partition: non-positive stage size %d", n)
 		}
+		if at+n > prof.NumLayers() {
+			return nil, fmt.Errorf("partition: stage sizes %v overrun the %d layers", sizes, prof.NumLayers())
+		}
 		p.Stages = append(p.Stages, buildStage(prof, at, at+n-1))
 		at += n
 	}

@@ -3,6 +3,8 @@ package partition
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -221,6 +223,132 @@ func TestMIPObjectiveMatchesEvaluator(t *testing.T) {
 	if math.Abs(tEval-stats.StepTime) > 1e-6*math.Max(1, tEval) {
 		t.Fatalf("evaluator %g vs stats %g", tEval, stats.StepTime)
 	}
+}
+
+// TestPricerMatchesFixedLP pins the identity the MILP's rounding
+// heuristic rests on. Fix the block counts n of formulate(S), within
+// their memory bounds, and solve that LP: its objective plus the
+// embedding's backward time is the step time of the partition with
+// those counts, which the pricer returns less that time, to 1e-12
+// relative; where one side is infeasible, so is the other. The points
+// are, for every candidate S, the balanced split of the blocks, random
+// moves of one block from it, a stage pushed past its memory bound with
+// the block count kept, and one block too many and too few. By default
+// it covers 3B and 8B on Topo 2+2 and 4+4 at M = N; with MOBIUS_CHECK_LP
+// set (make check-lp), every Table 3 model on both topologies at M = N
+// and M = 8.
+func TestPricerMatchesFixedLP(t *testing.T) {
+	models := []model.Config{model.GPT3B, model.GPT8B}
+	microbatches := []int{0} // M = N
+	if os.Getenv("MOBIUS_CHECK_LP") != "" {
+		models, microbatches = model.Table3(), []int{0, 8}
+	}
+	for _, m := range models {
+		for _, groups := range [][]int{{2, 2}, {4, 4}} {
+			for _, mb := range microbatches {
+				params := planParams(t, m, groups...)
+				if mb == params.NumGPUs {
+					continue // M = 8 is M = N on eight GPUs
+				}
+				params.Microbatches = mb
+				params = params.withDefaults()
+				name := fmt.Sprintf("%s_%d+%d_M%d", m.Name, groups[0], groups[1], params.Microbatches)
+				t.Run(name, func(t *testing.T) { pricerMatchesFixedLP(t, params) })
+			}
+		}
+	}
+}
+
+func pricerMatchesFixedLP(t *testing.T, params Params) {
+	bs, err := gatherBlockStats(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := pricer(params, bs)
+	r := rand.New(rand.NewSource(int64(1000*params.NumGPUs + params.Microbatches + bs.blocks)))
+	feasible, infeasible, worst := 0, 0, 0.0
+	for _, S := range stageCounts(params, bs.blocks, MIPOptions{}.withDefaults(bs.blocks).MaxStages) {
+		p := formulate(params, bs, S)
+		if p == nil {
+			continue
+		}
+		for _, n := range fixedPoints(p, S, bs.blocks, r) {
+			q := p.CloneInto(&lp.Problem{})
+			for j, v := range n {
+				lo, hi := q.Bounds(j)
+				q.SetBounds(j, max(lo, v), min(hi, v))
+			}
+			sol, err := q.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj, ok := price(n)
+			switch {
+			case sol.Status == lp.Optimal && ok:
+				feasible++
+				got, want := sol.Objective+bs.tbEmb, obj+bs.tbEmb
+				rel := math.Abs(got-want) / want
+				worst = max(worst, rel)
+				if rel > 1e-12 {
+					t.Errorf("S = %d, n = %v: fixed LP step %v, evaluator %v (relative error %.3g)", S, n, got, want, rel)
+				}
+			case sol.Status == lp.Infeasible && !ok:
+				infeasible++
+			default:
+				t.Errorf("S = %d, n = %v: fixed LP %v (objective %v), pricer ok = %v (%v)", S, n, sol.Status, sol.Objective, ok, obj)
+			}
+		}
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Errorf("%d feasible and %d infeasible points; want both", feasible, infeasible)
+	}
+	t.Logf("%d feasible points, largest relative error %.3g; %d infeasible points", feasible, worst, infeasible)
+}
+
+// fixedPoints returns the block counts TestPricerMatchesFixedLP fixes in
+// p, the MILP for S stages: the balanced split of the blocks, four
+// random moves of one block from it, the split with one stage pushed a
+// block past its memory bound by taking blocks from the others (when
+// they have enough), and the split with a block added to and taken from
+// the last stage.
+func fixedPoints(p *lp.Problem, S, blocks int, r *rand.Rand) [][]float64 {
+	balanced := make([]float64, S)
+	for j := range balanced {
+		balanced[j] = float64(blocks / S)
+		if j < blocks%S {
+			balanced[j]++
+		}
+	}
+	points := [][]float64{balanced}
+	for k := 0; k < 4; k++ {
+		n := slices.Clone(balanced)
+		from, to := r.Intn(S), r.Intn(S-1)
+		if to >= from {
+			to++
+		}
+		n[from]--
+		n[to]++
+		points = append(points, n)
+	}
+	over := slices.Clone(balanced)
+	j := r.Intn(S)
+	_, hi := p.Bounds(j)
+	for k := range over {
+		lo, _ := p.Bounds(k)
+		for k != j && over[j] <= hi && over[k] > lo {
+			over[k]--
+			over[j]++
+		}
+	}
+	if over[j] > hi {
+		points = append(points, over)
+	}
+	for _, d := range []float64{1, -1} {
+		n := slices.Clone(balanced)
+		n[S-1] += d
+		points = append(points, n)
+	}
+	return points
 }
 
 // TestMIPEffortCountersRepeat checks the LP effort counters are a
@@ -458,13 +586,28 @@ func TestMIPStageCountMultipleOfGPUs(t *testing.T) {
 	}
 }
 
+// TestFromBoundariesRejectsBadSizes: stage sizes that do not cover the
+// profile's layers exactly, one by one, are an error, never a panic;
+// sizes that do make a partition.
 func TestFromBoundariesRejectsBadSizes(t *testing.T) {
 	p := testParams(t, model.GPT8B, 4)
-	if _, err := FromBoundaries(p.Profile, []int{0, 42}, "bad"); err == nil {
-		t.Fatal("zero stage size must fail")
-	}
-	if _, err := FromBoundaries(p.Profile, []int{3, 3}, "bad"); err == nil {
-		t.Fatal("non-covering sizes must fail")
+	layers := p.Profile.NumLayers()
+	for _, c := range []struct {
+		name  string
+		sizes []int
+		ok    bool
+	}{
+		{"match", []int{layers - 5, 5}, true},
+		{"zero", []int{0, layers}, false},
+		{"short", []int{3, 3}, false},
+		{"overrun", []int{layers - 5, 6}, false},
+		{"overrun mid-stage", []int{layers - 5, 3, 3}, false},
+		{"past the end", []int{layers, 1}, false},
+	} {
+		part, err := FromBoundaries(p.Profile, c.sizes, "test")
+		if (err == nil) != c.ok || (part != nil) != c.ok {
+			t.Errorf("%s %v: partition %v, error %v; want ok %v", c.name, c.sizes, part != nil, err, c.ok)
+		}
 	}
 }
 

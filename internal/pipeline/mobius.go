@@ -172,7 +172,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// Reserve whatever memory fits beside the previous stage
 			// (constraint 5) and prefetch the matching share of the
 			// upload; the rest waits for the previous stage to be freed.
-			resv := minf(stg[j].MemFwd(), maxf(0, gpuMem(j)-prev.MemFwd()))
+			resv := min(stg[j].MemFwd(), max(0, gpuMem(j)-prev.MemFwd()))
 			if cfg.DisablePrefetch {
 				resv = 0
 			}
@@ -247,10 +247,10 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// Still resident from forward; grow to the backward footprint.
 			extra := stg[j].MemBwd() - stg[j].MemFwd()
 			sb.Dep(sb.F(j, M-1))
-			ready = sb.Alloc(sb.Name("gradAllocB", j, ""), mem, maxf(0, extra))
+			ready = sb.Alloc(sb.Name("gradAllocB", j, ""), mem, max(0, extra))
 		} else {
 			nxt := stg[j+N] // executes before this stage in backward order
-			resv := minf(stg[j].MemBwd(), maxf(0, gpuMem(j)-nxt.MemBwd()))
+			resv := min(stg[j].MemBwd(), max(0, gpuMem(j)-nxt.MemBwd()))
 			if cfg.DisablePrefetch {
 				resv = 0
 			}
@@ -361,18 +361,4 @@ func (st *MobiusStep) Run(faults *fault.Spec, checksums sim.ChecksumConfig) (*Re
 		return nil, err
 	}
 	return res, nil
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
