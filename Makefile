@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build vet test race check check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench bench bench-json bench-plan-json bench-cluster-json
+.PHONY: build fmt vet test race check check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench bench bench-json bench-plan-json bench-cluster-json
 
 build:
 	$(GO) build ./...
+
+# fmt fails when gofmt would reformat any tracked Go file, listing them.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -155,14 +160,15 @@ check-store:
 check-bench:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# check is the tier-1 gate: everything must compile, vet clean, pass the
-# test suite under the race detector (the planning pipeline is
-# concurrent, so plain `go test` alone is not enough), and survive the
+# check is the tier-1 gate: everything must compile, be gofmt-clean, vet
+# clean, pass the test suite under the race detector (the planning
+# pipeline is concurrent, so plain `go test` alone is not enough), and
+# survive the
 # LP differential gate, the fault matrix, the recovery matrix, the chaos
 # matrix, the performance smoke gate, the planning-service gate, the
 # multi-tenant fleet gate, the persistence gate, and the benchmark
 # module's own vet and tests.
-check: build vet race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench
+check: build fmt vet race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ ./internal/lp/

@@ -46,14 +46,8 @@ func main() {
 		return
 	}
 
-	var m model.Config
-	found := false
-	for _, c := range model.Table3() {
-		if c.Name == *modelName {
-			m, found = c, true
-		}
-	}
-	if !found {
+	m, ok := model.ByName(*modelName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *modelName)
 		os.Exit(2)
 	}

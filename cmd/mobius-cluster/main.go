@@ -94,14 +94,8 @@ func main() {
 	flag.Var(&restarts, "restart", "server bounce as server@seconds (repeatable); the server rejoins after -restart-latency")
 	flag.Parse()
 
-	var m model.Config
-	found := false
-	for _, c := range model.Table3() {
-		if c.Name == *modelName {
-			m, found = c, true
-		}
-	}
-	if !found {
+	m, ok := model.ByName(*modelName)
+	if !ok {
 		fail("unknown model %q", *modelName)
 	}
 	topo, err := hw.ParseSpec(*topoSpec)

@@ -40,13 +40,11 @@ func fail(format string, args ...any) {
 }
 
 func parseModel(name string) model.Config {
-	for _, m := range model.Table3() {
-		if m.Name == name {
-			return m
-		}
+	m, ok := model.ByName(name)
+	if !ok {
+		fail("unknown model %q (want 3B, 8B, 15B or 51B)", name)
 	}
-	fail("unknown model %q (want 3B, 8B, 15B or 51B)", name)
-	return model.Config{}
+	return m
 }
 
 func parseTopo(spec string) *hw.Topology {

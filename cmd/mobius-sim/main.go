@@ -64,14 +64,8 @@ func main() {
 	rollback := flag.Int("rollback", 0, "simulate a numeric-guard rollback: the 1-based step whose result is rejected (selects the rollback recovery policy; mobius multi-step runs only)")
 	flag.Parse()
 
-	var m model.Config
-	found := false
-	for _, c := range model.Table3() {
-		if c.Name == *modelName {
-			m, found = c, true
-		}
-	}
-	if !found {
+	m, ok := model.ByName(*modelName)
+	if !ok {
 		fail("unknown model %q", *modelName)
 	}
 

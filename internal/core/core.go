@@ -463,16 +463,11 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 		if report.Plan, err = planMobius(ctx, opts); err != nil {
 			return nil, err
 		}
-		res, err = pipeline.RunMobius(opts.Topology, pipeline.MobiusConfig{
-			Partition:               report.Plan.Partition,
-			Mapping:                 report.Plan.Mapping,
-			Microbatches:            opts.Microbatches,
-			DisablePrefetchPriority: opts.DisablePrefetchPriority,
-			DisablePrefetch:         opts.DisablePrefetch,
-			Faults:                  opts.Faults,
-			Checkpoint:              opts.Checkpoint,
-			Checksums:               opts.Checksums,
-		})
+		var st *pipeline.MobiusStep
+		if st, err = buildMobius(opts, report.Plan); err != nil {
+			return nil, err
+		}
+		res, err = st.Run(opts.Faults, opts.Checksums)
 	case SystemGPipe:
 		res, err = pipeline.RunGPipe(opts.Topology, pipeline.GPipeConfig{Profile: prof, Microbatches: opts.Microbatches, Faults: opts.Faults, Checksums: opts.Checksums})
 	case SystemDSPipeline:
@@ -502,6 +497,19 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 
 	fillReport(report, res, opts.Topology)
 	return report, nil
+}
+
+// buildMobius builds the Mobius step the options and the plan describe;
+// RunCtx and NewMobiusSession both build through it.
+func buildMobius(opts Options, plan *Plan) (*pipeline.MobiusStep, error) {
+	return pipeline.BuildMobius(opts.Topology, pipeline.MobiusConfig{
+		Partition:               plan.Partition,
+		Mapping:                 plan.Mapping,
+		Microbatches:            opts.Microbatches,
+		DisablePrefetchPriority: opts.DisablePrefetchPriority,
+		DisablePrefetch:         opts.DisablePrefetch,
+		Checkpoint:              opts.Checkpoint,
+	})
 }
 
 // fillReport copies a pipeline result into a step report and derives the

@@ -15,25 +15,24 @@ import (
 // search and the topology/DAG construction are paid once at session
 // creation; each Run replays the built schedule through sim.Reset, so a
 // sweep over fault scenarios costs one construction plus one simulation
-// per cell.
+// per cell. A Run reports what RunCtx reports for the same options,
+// faults and checksums.
 type MobiusSession struct {
 	opts Options
 	plan *Plan
 	step *pipeline.MobiusStep
 }
 
-// NewMobiusSession plans the model on the topology and builds the step.
-// The Faults and Checksums fields of opts are ignored — they vary per
-// Run. Options that shape the plan or the DAG (partition algorithm,
-// microbatches, prefetch knobs, checkpoint clause) are fixed for the
-// session's lifetime.
+// NewMobiusSession plans the model on the topology and builds the step
+// the way RunCtx does. The Faults and Checksums fields of opts are
+// ignored: they are arguments of each Run. Options that shape the plan
+// or the DAG (partition algorithm, microbatches, prefetch knobs,
+// checkpoint clause) are fixed for the session's lifetime.
 func NewMobiusSession(opts Options) (*MobiusSession, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	opts.Faults = nil
-	opts.Checksums = sim.ChecksumConfig{}
 	if states := opts.Model.ModelStatesBytes(); states > opts.Topology.DRAMBytes {
 		return nil, fmt.Errorf("core: model states (%.0f GB) exceed DRAM capacity (%.0f GB)",
 			states/1e9, opts.Topology.DRAMBytes/1e9)
@@ -42,14 +41,7 @@ func NewMobiusSession(opts Options) (*MobiusSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	step, err := pipeline.BuildMobius(opts.Topology, pipeline.MobiusConfig{
-		Partition:               plan.Partition,
-		Mapping:                 plan.Mapping,
-		Microbatches:            opts.Microbatches,
-		DisablePrefetchPriority: opts.DisablePrefetchPriority,
-		DisablePrefetch:         opts.DisablePrefetch,
-		Checkpoint:              opts.Checkpoint,
-	})
+	step, err := buildMobius(opts, plan)
 	if err != nil {
 		return nil, err
 	}

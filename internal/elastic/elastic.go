@@ -510,13 +510,16 @@ func recoveryPlan(cfg Config, full *core.Plan, surv *hw.Topology, mb int) (*core
 
 // runStep simulates one Mobius step and returns its duration.
 func runStep(cfg Config, topo *hw.Topology, plan *core.Plan, mb int, spec *fault.Spec, ck *pipeline.CheckpointWrite) (float64, error) {
-	res, err := pipeline.RunMobius(topo, pipeline.MobiusConfig{
+	st, err := pipeline.BuildMobius(topo, pipeline.MobiusConfig{
 		Partition:    plan.Partition,
 		Mapping:      plan.Mapping,
 		Microbatches: mb,
-		Faults:       spec,
 		Checkpoint:   ck,
 	})
+	if err != nil {
+		return 0, err
+	}
+	res, err := st.Run(spec, sim.ChecksumConfig{})
 	if err != nil {
 		return 0, err
 	}
@@ -533,13 +536,16 @@ func runStep(cfg Config, topo *hw.Topology, plan *core.Plan, mb int, spec *fault
 // returns the structured loss plus the elapsed step-local time up to
 // detection.
 func runFailingStep(cfg Config, topo *hw.Topology, plan *core.Plan, mb int, spec *fault.Spec, ck *pipeline.CheckpointWrite) (*sim.ResourceLostError, float64, error) {
-	res, err := pipeline.RunMobius(topo, pipeline.MobiusConfig{
+	st, err := pipeline.BuildMobius(topo, pipeline.MobiusConfig{
 		Partition:    plan.Partition,
 		Mapping:      plan.Mapping,
 		Microbatches: mb,
-		Faults:       spec,
 		Checkpoint:   ck,
 	})
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := st.Run(spec, sim.ChecksumConfig{})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -423,7 +423,8 @@ func TestParseJSONDefaultsAndErrors(t *testing.T) {
 	if topo.GPUs[0].Spec.Name != RTX3090Ti.Name || topo.GPUMem(0) != 24*GB {
 		t.Fatalf("defaults: %+v", topo.GPUs[0].Spec)
 	}
-	for _, bad := range []string{`{`, `{}`, `{"groups": [0]}`, `{"groups": [999]}`} {
+	for _, bad := range []string{`{`, `{}`, `{"groups": [0]}`, `{"groups": [999]}`,
+		`{"groups": [9223372036854775807, 9223372036854775807, 2]}`} {
 		if _, err := ParseJSON([]byte(bad)); err == nil {
 			t.Errorf("%q must fail", bad)
 		}

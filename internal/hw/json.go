@@ -55,10 +55,12 @@ func ParseJSON(data []byte) (*Topology, error) {
 		if g <= 0 {
 			return nil, fmt.Errorf("hw: non-positive GPU group in %v", tj.Groups)
 		}
+		// Bound each group against what is left, so huge groups cannot
+		// wrap the sum back under the limit.
+		if g > maxSpecGPUs-total {
+			return nil, fmt.Errorf("hw: topology JSON exceeds %d GPUs", maxSpecGPUs)
+		}
 		total += g
-	}
-	if total > maxSpecGPUs {
-		return nil, fmt.Errorf("hw: topology JSON exceeds %d GPUs", maxSpecGPUs)
 	}
 
 	spec := GPUSpec{

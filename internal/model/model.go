@@ -71,6 +71,17 @@ var (
 // Table3 lists the four evaluation models in paper order.
 func Table3() []Config { return []Config{GPT3B, GPT8B, GPT15B, GPT51B} }
 
+// ByName returns the Table 3 model with the given name ("3B", "8B",
+// "15B" or "51B").
+func ByName(name string) (Config, bool) {
+	for _, c := range Table3() {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Config{}, false
+}
+
 // Bytes-per-element constants for mixed-precision training (§3.1): FP16
 // parameters and gradients on GPU; FP32 master weights plus Adam moments
 // (12 bytes/param) stay in DRAM.

@@ -144,6 +144,15 @@ func TestWithMicrobatch(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	if c, ok := ByName("15B"); !ok || c != GPT15B {
+		t.Fatalf("ByName(15B) = %v, %v; want GPT15B", c, ok)
+	}
+	if c, ok := ByName("15b"); ok || c != (Config{}) {
+		t.Fatalf("ByName(15b) = %v, %v; want no match", c, ok)
+	}
+}
+
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad := GPT8B
 	bad.Layers = 0

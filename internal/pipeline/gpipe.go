@@ -24,8 +24,10 @@ type GPipeConfig struct {
 	// Faults, when non-nil, degrades the simulated hardware (see the
 	// fault package).
 	Faults *fault.Spec
-	// Checksums enables end-to-end transfer integrity (see
-	// MobiusConfig.Checksums).
+	// Checksums enables end-to-end transfer integrity: every transfer
+	// pays a per-byte checksum cost, detected corruptions retransmit
+	// within a bounded budget, and exhaustion halts the step with a
+	// structured sim.CorruptionError.
 	Checksums sim.ChecksumConfig
 }
 
@@ -99,17 +101,16 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 	// Forward.
 	for j := 0; j < N; j++ {
 		for m := 0; m < M; m++ {
-			var deps []*sim.Task
+			var prev, act *sim.Task
 			if m > 0 {
-				deps = append(deps, F[j][m-1])
+				prev = F[j][m-1]
 			}
 			if j > 0 {
-				act := s.Transfer(nm.Name2("A", j, ".", m), srv.DownloadEngine[j-1],
+				act = s.Transfer(nm.Name2("A", j, ".", m), srv.DownloadEngine[j-1],
 					srv.Route(hw.GPUEnd(j-1), hw.GPUEnd(j)), stg[j].ActInBytes, prioActivation, F[j-1][m])
 				act.Tag = tag(trace.KindActTransfer, j-1, j, j, m)
-				deps = append(deps, act)
 			}
-			F[j][m] = s.Compute(nm.Name2("F", j, ".", m), srv.ComputeEngines[j], stg[j].FwdTime, deps...)
+			F[j][m] = s.Compute(nm.Name2("F", j, ".", m), srv.ComputeEngines[j], stg[j].FwdTime, prev, act)
 			F[j][m].Tag = tag(trace.KindCompute, j, -1, j, m)
 		}
 	}
@@ -117,19 +118,19 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 	// Backward.
 	for j := N - 1; j >= 0; j-- {
 		for m := 0; m < M; m++ {
-			var deps []*sim.Task
+			var prev, gr *sim.Task
 			if m > 0 {
-				deps = append(deps, B[j][m-1])
+				prev = B[j][m-1]
 			}
 			if j == N-1 {
-				deps = append(deps, F[N-1][M-1])
+				// The last stage starts backward once forward drains.
+				gr = F[N-1][M-1]
 			} else {
-				gr := s.Transfer(nm.Name2("G", j, ".", m), srv.DownloadEngine[j+1],
+				gr = s.Transfer(nm.Name2("G", j, ".", m), srv.DownloadEngine[j+1],
 					srv.Route(hw.GPUEnd(j+1), hw.GPUEnd(j)), stg[j].ActOutBytes, prioActivation, B[j+1][m])
 				gr.Tag = tag(trace.KindActTransfer, j+1, j, j, m)
-				deps = append(deps, gr)
 			}
-			B[j][m] = s.Compute(nm.Name2("B", j, ".", m), srv.ComputeEngines[j], stg[j].BwdTime, deps...)
+			B[j][m] = s.Compute(nm.Name2("B", j, ".", m), srv.ComputeEngines[j], stg[j].BwdTime, prev, gr)
 			B[j][m].Tag = tag(trace.KindCompute, j, -1, j, m)
 		}
 	}

@@ -11,7 +11,10 @@ import (
 	"mobius/internal/trace"
 )
 
-// MobiusConfig describes one Mobius training step.
+// MobiusConfig describes the schedule of one Mobius training step: what
+// BuildMobius turns into a DAG. The fault scenario and checksum settings
+// are not part of it; they vary per execution and are passed to
+// MobiusStep.Run.
 type MobiusConfig struct {
 	Partition *partition.Partition
 	Mapping   *mapping.Mapping
@@ -25,15 +28,6 @@ type MobiusConfig struct {
 	// knob): uploads start only after the previous stage is freed, so no
 	// communication hides under computation.
 	DisablePrefetch bool
-	// Faults, when non-nil, degrades the simulated hardware (see the
-	// fault package). The schedule itself is unchanged — faults model
-	// unplanned degradation of the machine the plan targeted.
-	Faults *fault.Spec
-	// Checksums enables end-to-end transfer integrity: every transfer
-	// pays a per-byte checksum cost, detected corruptions retransmit
-	// within a bounded budget, and exhaustion halts the step with a
-	// structured sim.CorruptionError.
-	Checksums sim.ChecksumConfig
 	// Checkpoint, when non-nil, appends a periodic state snapshot to the
 	// step: each stage's proportional share of the snapshot flows from
 	// DRAM to the checkpoint destination right after that stage's
@@ -70,22 +64,9 @@ type MobiusStep struct {
 // Server exposes the simulated hardware backing the step.
 func (st *MobiusStep) Server() *hw.Server { return st.srv }
 
-// RunMobius simulates one Mobius training step on the topology and
-// returns the measured result. It is BuildMobius followed by a single
-// Run; callers executing the same schedule repeatedly should build once
-// and call Run per configuration.
-func RunMobius(topo *hw.Topology, cfg MobiusConfig) (*Result, error) {
-	st, err := BuildMobius(topo, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return st.Run(cfg.Faults, cfg.Checksums)
-}
-
 // BuildMobius constructs the simulated server and the step DAG for the
-// configuration. The DAG shape depends only on the partition, mapping,
-// microbatch count, prefetch knobs and checkpoint clause; the Faults and
-// Checksums fields of cfg are ignored here — they are per-Run inputs.
+// configuration. Faults and checksums are not part of the schedule; they
+// are inputs of MobiusStep.Run.
 //
 // The emitted DAG follows §3.1: stages live in DRAM; each GPU executes
 // its stages in pipeline order, swapping them in ahead of time where
@@ -138,11 +119,18 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		return prioUploadBase + cfg.Mapping.UploadPriority(j)
 	}
 
-	// The DAG streams out through a StreamBuilder: dependencies are staged
-	// one at a time (same order the old variadic calls listed them, so the
-	// emitted schedule is bitwise-identical), stage×microbatch handles
-	// live in flat arrays, and names format through a reused buffer.
-	sb := NewStreamBuilder(srv.Sim, S, M)
+	// The DAG is emitted with the simulator's constructors. Optional
+	// predecessors ("previous microbatch, if any") are passed as nil,
+	// which the constructors skip. The stage×microbatch handles live in
+	// flat slices indexed j*M+m, and names format through a reused buffer.
+	s := srv.Sim
+	fwd := make([]*sim.Task, S*M)
+	bwd := make([]*sim.Task, S*M)
+	off := make([]*sim.Task, S*M) // nil where a stage emits no checkpoint
+	freeF := make([]*sim.Task, S)
+	freeB := make([]*sim.Task, S)
+	deps := make([]*sim.Task, 0, M+1) // freeF's last forward and offloads
+	var nm Namer
 
 	tag := func(kind trace.Kind, gpu, peer, stage, mb int) trace.Tag {
 		return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: stage, Microbatch: mb}
@@ -162,9 +150,8 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		var ready *sim.Task
 		if j < N {
 			// First-round stages upload at step start.
-			alloc := sb.Alloc(sb.Name("allocF", j, ""), mem, stg[j].MemFwd())
-			sb.Dep(alloc)
-			xfer := sb.Transfer(sb.Name("C", j, ""), up, dramToGPU, stg[j].UploadFwd(), uploadPrio(j))
+			alloc := s.Alloc(nm.Name("allocF", j, ""), mem, stg[j].MemFwd())
+			xfer := s.Transfer(nm.Name("C", j, ""), up, dramToGPU, stg[j].UploadFwd(), uploadPrio(j), alloc)
 			xfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
 			ready = xfer
 		} else {
@@ -179,58 +166,46 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			pf := stg[j].UploadFwd() * resv / stg[j].MemFwd()
 			// Prefetch starts once the previous stage has begun computing
 			// (its first microbatch forward is the observable trigger).
-			sb.Dep(sb.F(j-N, 0))
-			preAlloc := sb.Alloc(sb.Name("allocPreF", j, ""), mem, resv)
-			sb.Dep(preAlloc)
-			preXfer := sb.Transfer(sb.Name("C", j, ".pre"), up, dramToGPU, pf, uploadPrio(j))
+			preAlloc := s.Alloc(nm.Name("allocPreF", j, ""), mem, resv, fwd[(j-N)*M])
+			preXfer := s.Transfer(nm.Name("C", j, ".pre"), up, dramToGPU, pf, uploadPrio(j), preAlloc)
 			preXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
-			sb.Dep(sb.FreeF(j - N))
-			restAlloc := sb.Alloc(sb.Name("allocRestF", j, ""), mem, stg[j].MemFwd()-resv)
-			sb.Dep(restAlloc).Dep(preXfer)
-			restXfer := sb.Transfer(sb.Name("C", j, ".rest"), up, dramToGPU, stg[j].UploadFwd()-pf, uploadPrio(j))
+			restAlloc := s.Alloc(nm.Name("allocRestF", j, ""), mem, stg[j].MemFwd()-resv, freeF[j-N])
+			restXfer := s.Transfer(nm.Name("C", j, ".rest"), up, dramToGPU, stg[j].UploadFwd()-pf, uploadPrio(j), restAlloc, preXfer)
 			restXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
-			sb.Dep(preXfer).Dep(restXfer)
-			ready = sb.After(sb.Name("readyF", j, ""))
+			ready = s.After(nm.Name("readyF", j, ""), preXfer, restXfer)
 		}
 
 		for m := 0; m < M; m++ {
-			var act *sim.Task
+			var act, prevF *sim.Task
 			if j > 0 {
 				// Boundary activation from the upstream stage, staged
 				// through DRAM on commodity servers.
 				src := gpuOf(j - 1)
-				sb.Dep(sb.F(j-1, m))
-				act = sb.Transfer(sb.Name2("A", j, ".", m), srv.DownloadEngine[src],
-					srv.Route(hw.GPUEnd(src), hw.GPUEnd(g)), stg[j].ActInBytes, prioActivation)
+				act = s.Transfer(nm.Name2("A", j, ".", m), srv.DownloadEngine[src],
+					srv.Route(hw.GPUEnd(src), hw.GPUEnd(g)), stg[j].ActInBytes, prioActivation, fwd[(j-1)*M+m])
 				act.Tag = tag(trace.KindActTransfer, src, g, j, m)
 			}
-			sb.Dep(ready)
 			if m > 0 {
-				sb.Dep(sb.F(j, m-1))
+				prevF = fwd[j*M+m-1]
 			}
-			sb.Dep(act)
-			f := sb.Compute(sb.Name2("F", j, ".", m), srv.ComputeEngines[g], stg[j].FwdTime)
+			f := s.Compute(nm.Name2("F", j, ".", m), srv.ComputeEngines[g], stg[j].FwdTime, ready, prevF, act)
 			f.Tag = tag(trace.KindCompute, g, -1, j, m)
-			sb.SetF(j, m, f)
+			fwd[j*M+m] = f
 
 			// Offload the boundary checkpoint for the backward pass.
 			if stg[j].ActOutBytes > 0 {
-				sb.Dep(f)
-				off := sb.Transfer(sb.Name2("O", j, ".", m), srv.DownloadEngine[g],
-					srv.Route(hw.GPUEnd(g), hw.DRAMEnd), stg[j].ActOutBytes, prioGradFlush)
-				off.Tag = tag(trace.KindActOffload, g, -1, j, m)
-				sb.SetOff(j, m, off)
+				o := s.Transfer(nm.Name2("O", j, ".", m), srv.DownloadEngine[g],
+					srv.Route(hw.GPUEnd(g), hw.DRAMEnd), stg[j].ActOutBytes, prioGradFlush, f)
+				o.Tag = tag(trace.KindActOffload, g, -1, j, m)
+				off[j*M+m] = o
 			}
 		}
 
 		// Free the stage after its last microbatch (and its offloads) —
 		// except the final round, which stays resident for backward.
 		if j < S-N {
-			sb.Dep(sb.F(j, M-1))
-			for m := 0; m < M; m++ {
-				sb.Dep(sb.Off(j, m))
-			}
-			sb.SetFreeF(j, sb.Free(sb.Name("freeF", j, ""), mem, stg[j].MemFwd()))
+			deps = append(append(deps[:0], fwd[j*M+M-1]), off[j*M:j*M+M]...)
+			freeF[j] = s.Free(nm.Name("freeF", j, ""), mem, stg[j].MemFwd(), deps...)
 		}
 	}
 
@@ -246,8 +221,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		if j >= S-N {
 			// Still resident from forward; grow to the backward footprint.
 			extra := stg[j].MemBwd() - stg[j].MemFwd()
-			sb.Dep(sb.F(j, M-1))
-			ready = sb.Alloc(sb.Name("gradAllocB", j, ""), mem, max(0, extra))
+			ready = s.Alloc(nm.Name("gradAllocB", j, ""), mem, max(0, extra), fwd[j*M+M-1])
 		} else {
 			nxt := stg[j+N] // executes before this stage in backward order
 			resv := min(stg[j].MemBwd(), max(0, gpuMem(j)-nxt.MemBwd()))
@@ -257,60 +231,46 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// The pre/rest pair carries the parameters; checkpointed
 			// activations are re-uploaded per microbatch below.
 			pb := stg[j].ParamBytes * resv / stg[j].MemBwd()
-			sb.Dep(sb.B(j+N, 0))
-			preAlloc := sb.Alloc(sb.Name("allocPreB", j, ""), mem, resv)
-			sb.Dep(preAlloc)
-			preXfer := sb.Transfer(sb.Name("CB", j, ".pre"), up, dramToGPU, pb, uploadPrio(j))
+			preAlloc := s.Alloc(nm.Name("allocPreB", j, ""), mem, resv, bwd[(j+N)*M])
+			preXfer := s.Transfer(nm.Name("CB", j, ".pre"), up, dramToGPU, pb, uploadPrio(j), preAlloc)
 			preXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
-			sb.Dep(sb.FreeB(j + N))
-			restAlloc := sb.Alloc(sb.Name("allocRestB", j, ""), mem, stg[j].MemBwd()-resv)
-			sb.Dep(restAlloc).Dep(preXfer)
-			restXfer := sb.Transfer(sb.Name("CB", j, ".rest"), up, dramToGPU, stg[j].ParamBytes-pb, uploadPrio(j))
+			restAlloc := s.Alloc(nm.Name("allocRestB", j, ""), mem, stg[j].MemBwd()-resv, freeB[j+N])
+			restXfer := s.Transfer(nm.Name("CB", j, ".rest"), up, dramToGPU, stg[j].ParamBytes-pb, uploadPrio(j), restAlloc, preXfer)
 			restXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
-			sb.Dep(preXfer).Dep(restXfer)
-			ready = sb.After(sb.Name("readyB", j, ""))
+			ready = s.After(nm.Name("readyB", j, ""), preXfer, restXfer)
 		}
 
 		for m := 0; m < M; m++ {
-			var gr, actUp *sim.Task
+			var gr, actUp, prevB *sim.Task
 			if j < S-1 {
 				// Activation gradient from the downstream stage.
 				src := gpuOf(j + 1)
-				sb.Dep(sb.B(j+1, m))
-				gr = sb.Transfer(sb.Name2("G", j, ".", m), srv.DownloadEngine[src],
-					srv.Route(hw.GPUEnd(src), hw.GPUEnd(g)), stg[j].ActOutBytes, prioActivation)
+				gr = s.Transfer(nm.Name2("G", j, ".", m), srv.DownloadEngine[src],
+					srv.Route(hw.GPUEnd(src), hw.GPUEnd(g)), stg[j].ActOutBytes, prioActivation, bwd[(j+1)*M+m])
 				gr.Tag = tag(trace.KindActTransfer, src, g, j, m)
+			} else {
+				// Constraint (11): backward starts after forward drains.
+				gr = fwd[S*M-1]
 			}
 			// Re-upload the input checkpoint for recomputation.
-			if j > 0 && stg[j].ActInBytes > 0 && sb.Off(j-1, m) != nil {
-				sb.Dep(sb.Off(j-1, m)).Dep(ready)
-				actUp = sb.Transfer(sb.Name2("AU", j, ".", m), up, dramToGPU, stg[j].ActInBytes, prioActivation)
+			if j > 0 && stg[j].ActInBytes > 0 && off[(j-1)*M+m] != nil {
+				actUp = s.Transfer(nm.Name2("AU", j, ".", m), up, dramToGPU, stg[j].ActInBytes, prioActivation, off[(j-1)*M+m], ready)
 				actUp.Tag = tag(trace.KindActUpload, g, -1, j, m)
 			}
-			sb.Dep(ready)
 			if m > 0 {
-				sb.Dep(sb.B(j, m-1))
+				prevB = bwd[j*M+m-1]
 			}
-			if j == S-1 {
-				// Constraint (11): backward starts after forward drains.
-				sb.Dep(sb.F(S-1, M-1))
-			} else {
-				sb.Dep(gr)
-			}
-			sb.Dep(actUp)
-			bt := sb.Compute(sb.Name2("B", j, ".", m), srv.ComputeEngines[g], stg[j].BwdTime)
+			bt := s.Compute(nm.Name2("B", j, ".", m), srv.ComputeEngines[g], stg[j].BwdTime, ready, prevB, gr, actUp)
 			bt.Tag = tag(trace.KindCompute, g, -1, j, m)
-			sb.SetB(j, m, bt)
+			bwd[j*M+m] = bt
 		}
 
 		// Flush accumulated gradients to DRAM for the CPU optimizer, then
 		// free the stage.
-		sb.Dep(sb.B(j, M-1))
-		flush := sb.Transfer(sb.Name("GF", j, ""), down, srv.Route(hw.GPUEnd(g), hw.DRAMEnd),
-			stg[j].GradBytes, prioGradFlush)
+		flush := s.Transfer(nm.Name("GF", j, ""), down, srv.Route(hw.GPUEnd(g), hw.DRAMEnd),
+			stg[j].GradBytes, prioGradFlush, bwd[j*M+M-1])
 		flush.Tag = tag(trace.KindGradFlush, g, -1, j, -1)
-		sb.Dep(flush)
-		sb.SetFreeB(j, sb.Free(sb.Name("freeB", j, ""), mem, stg[j].MemBwd()))
+		freeB[j] = s.Free(nm.Name("freeB", j, ""), mem, stg[j].MemBwd(), flush)
 
 		// Snapshot the stage's share of the training state once its
 		// gradients have landed in DRAM (the CPU optimizer updates the
@@ -325,8 +285,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			if totalParam > 0 {
 				share = cfg.Checkpoint.Bytes * stg[j].ParamBytes / totalParam
 			}
-			sb.Dep(flush)
-			ck := sb.Transfer(sb.Name("CK", j, ""), nil, srv.Route(hw.DRAMEnd, dst), share, prioGradFlush)
+			ck := s.Transfer(nm.Name("CK", j, ""), nil, srv.Route(hw.DRAMEnd, dst), share, prioGradFlush, flush)
 			ck.Tag = tag(trace.KindCheckpoint, -1, -1, j, -1)
 		}
 	}

@@ -50,7 +50,7 @@ func TestMobiusBadRouteSurfaces(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	cfg := planMobius(t, model.GPT3B, topo, mapping.SchemeSequential, 4)
 	cfg.Checkpoint = &CheckpointWrite{Bytes: 1e9, ToSSD: true}
-	_, err := RunMobius(topo, cfg)
+	_, err := runMobius(topo, cfg)
 	if err == nil || !strings.Contains(err.Error(), "no SSD tier") {
 		t.Fatalf("checkpoint to a missing SSD tier: err = %v", err)
 	}

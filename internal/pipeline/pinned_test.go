@@ -147,7 +147,7 @@ func stepGrid(t *testing.T) []stepPrint {
 				} {
 					cfg := base
 					v.edit(&cfg)
-					res, err := RunMobius(topo, cfg)
+					res, err := runMobius(topo, cfg)
 					if err != nil {
 						t.Fatalf("%s%s: %v", label, v.name, err)
 					}

@@ -10,8 +10,18 @@ import (
 	"mobius/internal/model"
 	"mobius/internal/partition"
 	"mobius/internal/profile"
+	"mobius/internal/sim"
 	"mobius/internal/trace"
 )
+
+// runMobius builds the step and runs it once on nominal hardware.
+func runMobius(topo *hw.Topology, cfg MobiusConfig) (*Result, error) {
+	st, err := BuildMobius(topo, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return st.Run(nil, sim.ChecksumConfig{})
+}
 
 func planMobius(t *testing.T, cfg model.Config, topo *hw.Topology, scheme string, stages int) MobiusConfig {
 	t.Helper()
@@ -49,7 +59,7 @@ func planMobius(t *testing.T, cfg model.Config, topo *hw.Topology, scheme string
 func TestMobiusRunsToCompletion(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	cfg := planMobius(t, model.GPT15B, topo, mapping.SchemeCross, 8)
-	res, err := RunMobius(topo, cfg)
+	res, err := runMobius(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +84,7 @@ func TestMobiusTrafficNearPaperAnalysis(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	for _, mc := range []model.Config{model.GPT8B, model.GPT15B} {
 		cfg := planMobius(t, mc, topo, mapping.SchemeCross, 8)
-		res, err := RunMobius(topo, cfg)
+		res, err := runMobius(topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +98,7 @@ func TestMobiusTrafficNearPaperAnalysis(t *testing.T) {
 func TestMobiusMemoryNeverExceeded(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	cfg := planMobius(t, model.GPT15B, topo, mapping.SchemeCross, 8)
-	res, err := RunMobius(topo, cfg)
+	res, err := runMobius(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestMobiusMemoryNeverExceeded(t *testing.T) {
 func TestMobiusPipelineOrderRespected(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	cfg := planMobius(t, model.GPT8B, topo, mapping.SchemeCross, 8)
-	res, err := RunMobius(topo, cfg)
+	res, err := runMobius(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +193,7 @@ func TestMobiusCompetitiveWithGPipeWhenModelFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := planMobius(t, model.GPT3B, topo, mapping.SchemeCross, 8)
-	mb, err := RunMobius(topo, cfg)
+	mb, err := runMobius(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +209,11 @@ func TestCrossMappingNoSlowerThanSequential(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 4, 4)
 	seqCfg := planMobius(t, model.GPT15B, topo, mapping.SchemeSequential, 16)
 	crossCfg := planMobius(t, model.GPT15B, topo, mapping.SchemeCross, 16)
-	seq, err := RunMobius(topo, seqCfg)
+	seq, err := runMobius(topo, seqCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := RunMobius(topo, crossCfg)
+	cross, err := runMobius(topo, crossCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +230,7 @@ func TestMobiusOOMWhenStageTooBig(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := mapping.Sequential(topo, 1)
-	res, err := RunMobius(topo, MobiusConfig{Partition: part, Mapping: m, Microbatches: 4})
+	res, err := runMobius(topo, MobiusConfig{Partition: part, Mapping: m, Microbatches: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +242,11 @@ func TestMobiusOOMWhenStageTooBig(t *testing.T) {
 func TestMobiusDeterministic(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 1, 3)
 	cfg := planMobius(t, model.GPT8B, topo, mapping.SchemeCross, 8)
-	a, err := RunMobius(topo, cfg)
+	a, err := runMobius(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMobius(topo, cfg)
+	b, err := runMobius(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +262,7 @@ func TestMobiusScalesAcrossGPUCounts(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		topo := hw.Commodity(hw.RTX3090Ti, n/2, n-n/2)
 		cfg := planMobius(t, model.GPT15B.WithMicrobatch(1), topo, mapping.SchemeCross, 4*n)
-		res, err := RunMobius(topo, cfg)
+		res, err := runMobius(topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +305,7 @@ func TestSimulatorMatchesAnalyticEvaluator(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, _ := mapping.Cross(context.Background(), topo, stages)
-		res, err := RunMobius(topo, MobiusConfig{Partition: part, Mapping: m, Microbatches: 4})
+		res, err := runMobius(topo, MobiusConfig{Partition: part, Mapping: m, Microbatches: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +323,7 @@ func TestSimulatorMatchesAnalyticEvaluator(t *testing.T) {
 func TestMobiusTrafficAccountingIdentity(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	cfg := planMobius(t, model.GPT15B, topo, mapping.SchemeCross, 8)
-	res, err := RunMobius(topo, cfg)
+	res, err := runMobius(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,16 +197,11 @@ func (p *PlanRequest) options() (core.Options, error) {
 		MappingScheme:  p.MappingScheme,
 	}
 	if p.ModelName != "" {
-		found := false
-		for _, m := range model.Table3() {
-			if m.Name == p.ModelName {
-				opts.Model, found = m, true
-				break
-			}
-		}
-		if !found {
+		m, ok := model.ByName(p.ModelName)
+		if !ok {
 			return opts, fmt.Errorf("plansvc: unknown model %q (want a Table 3 name or a full model_config)", p.ModelName)
 		}
+		opts.Model = m
 	}
 	if opts.Topology == nil {
 		if p.Topo == "" {
