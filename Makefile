@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test race check check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench bench bench-json bench-plan-json bench-cluster-json
+.PHONY: build fmt vet deps test race check check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench bench bench-json bench-plan-json bench-cluster-json
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# deps fails when the planning service depends on the elastic-recovery
+# simulator: recovery plans through core, never the other way round.
+deps:
+	@if $(GO) list -deps ./internal/plansvc/ | grep -qx 'mobius/internal/elastic'; then \
+		echo "internal/plansvc depends on internal/elastic"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -112,8 +118,8 @@ check-perf:
 # deadline-stopped cross mapping search, alone and inside a plan, also
 # under the race detector, and a short native-fuzz smoke of the /v1/plan
 # handler over a greedy inner planner.
-# -short skips the two MIP-heavy tests (a plan independent of cache
-# history, zero-solve elastic recovery); plain `make race` runs them.
+# -short skips the one MIP-heavy test (a plan independent of cache
+# history); plain `make race` runs it.
 check-plansvc:
 	$(GO) test -race -count=1 ./internal/resil/
 	$(GO) test -race -short -count=1 ./internal/plansvc/
@@ -148,7 +154,7 @@ check-cluster:
 check-store:
 	$(GO) test -race -count=1 ./internal/planstore/
 	$(GO) test -race -run 'TestServerFail|TestRestart|TestWithoutCluster' -count=1 ./internal/fault/
-	$(GO) test -race -run 'TestWarmRestart|TestValidateDrop|TestCorruptStore|TestMetricsEndpoint|TestPrewarmDepth' -count=1 ./internal/plansvc/
+	$(GO) test -race -run 'TestWarmRestart|TestValidateDrop|TestCorruptStore|TestMetricsEndpoint' -count=1 ./internal/plansvc/
 	$(GO) test -race -run 'TestClusterRestart|TestClusterWarmRestart|TestClusterColdRestart' -count=1 ./internal/cluster/
 	$(GO) test -run xxx -fuzz 'FuzzStoreLoad' -fuzztime 10s ./internal/planstore/
 	$(GO) test -run xxx -fuzz 'FuzzStoreChaosInvariants' -fuzztime 10s ./internal/planstore/
@@ -161,14 +167,14 @@ check-bench:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # check is the tier-1 gate: everything must compile, be gofmt-clean, vet
-# clean, pass the test suite under the race detector (the planning
+# clean, keep the planning service free of the recovery simulator, pass the test suite under the race detector (the planning
 # pipeline is concurrent, so plain `go test` alone is not enough), and
 # survive the
 # LP differential gate, the fault matrix, the recovery matrix, the chaos
 # matrix, the performance smoke gate, the planning-service gate, the
 # multi-tenant fleet gate, the persistence gate, and the benchmark
 # module's own vet and tests.
-check: build fmt vet race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench
+check: build fmt vet deps race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ ./internal/lp/

@@ -5,18 +5,15 @@
 //
 //	mobius-plan -model 15B -topo 2+2
 //	mobius-plan -model 51B -topo 4+4 -algo min-stage -mapping sequential
-//	mobius-plan -model 15B -topo 2+2 -prewarm -cache-stats
+//	mobius-plan -model 15B -topo 2+2 -cache-stats
 //	mobius-plan -model 15B -topo 2+2 -cache-dir /var/lib/mobius/plans
 //
 // Planning goes through the hardened plan service (internal/plansvc):
 // cached, single-flighted, and degrading to the greedy floor rather
-// than failing when a -deadline expires. -prewarm additionally plans
-// every single-GPU-loss survivor topology so a subsequent elastic
-// re-plan is a cache lookup; -prewarm-depth 2 extends that to every
-// GPU-pair loss. -cache-dir persists the cache across invocations
-// (crash-safe, checksummed records; damaged records quarantine and the
-// plan re-solves): a second run on the same directory serves from disk
-// without a solve.
+// than failing when a -deadline expires. -cache-dir persists the cache
+// across invocations (crash-safe, checksummed records; damaged records
+// quarantine and the plan re-solves): a second run on the same
+// directory serves from disk without a solve.
 package main
 
 import (
@@ -63,8 +60,6 @@ func main() {
 	mbs := flag.Int("mbs", 0, "microbatch size override (0 = Table 3 default)")
 	asJSON := flag.Bool("json", false, "emit the plan as JSON instead of text")
 	deadline := flag.Duration("deadline", 0, "planning deadline; on expiry the plan degrades to the greedy fallback (0 = none)")
-	prewarm := flag.Bool("prewarm", false, "also pre-plan every single-GPU-loss survivor topology (elastic recovery becomes a cache lookup)")
-	prewarmDepth := flag.Int("prewarm-depth", 1, "survivor enumeration depth for -prewarm: 1 = single losses, 2 = also GPU-pair losses")
 	cacheStats := flag.Bool("cache-stats", false, "print plan service counters after planning")
 	cacheDir := flag.String("cache-dir", "", "persist the plan cache in this directory (warm-started on launch)")
 	flag.Parse()
@@ -111,13 +106,6 @@ func main() {
 	}
 
 	// Side reports go to stderr so -json keeps stdout machine-readable.
-	if *prewarm {
-		rep, err := svc.PrewarmDepth(ctx, opts, *prewarmDepth)
-		if err != nil {
-			fail("prewarm: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "%s\n", rep)
-	}
 	if *cacheStats {
 		if store != nil {
 			store.Flush() // settle the write-behind queue so the counters are final

@@ -88,17 +88,6 @@ type Config struct {
 	// PlanDeadline bounds each planning call; past it the plan degrades
 	// to the deterministic greedy fallback (core.PlanMobiusCtx).
 	PlanDeadline time.Duration
-	// Microbatches is M per step (default: the GPU count of the full
-	// topology); it stays constant after recovery so the global batch
-	// size — and hence training semantics — is preserved.
-	Microbatches int
-	// Planner, when non-nil, computes every plan of the run — the full
-	// machine's and the recovery's — in place of direct PlanMobiusCtx
-	// calls. With a prewarmed plansvc.Service here, the recovery re-plan
-	// is a cache lookup and ReplanSeconds collapses to microseconds;
-	// plans are pure functions of their inputs, so a correct Planner
-	// never changes what is planned, only what it costs.
-	Planner core.Planner
 }
 
 // RecoveryReport prices one elastic run. All durations are simulated
@@ -289,10 +278,10 @@ func Run(cfg Config) (*RecoveryReport, error) {
 		clone := *topo
 		topo = (&clone).WithSSD(hw.CommoditySSDBW, hw.CommoditySSDBytes)
 	}
-	M := cfg.Microbatches
-	if M <= 0 {
-		M = topo.NumGPUs()
-	}
+	// M is the full machine's GPU count on every step, the survivors'
+	// included, so a recovery keeps the global batch size and with it
+	// the training semantics.
+	M := topo.NumGPUs()
 	every := cfg.CheckpointEvery
 	if cfg.Policy == PolicyRestart {
 		// Restart-from-scratch is the no-checkpoint baseline.
@@ -315,14 +304,14 @@ func Run(cfg Config) (*RecoveryReport, error) {
 		return nil, err
 	}
 	ck := &pipeline.CheckpointWrite{Bytes: ckBytes, ToSSD: cfg.CheckpointDest == DestSSD}
-	plain, err := runStep(cfg, topo, plan, M, base, nil)
+	plain, err := stepTime(topo, plan, M, base, nil)
 	if err != nil {
 		return nil, err
 	}
 	rep.PlainStep = plain
 	rep.CkptStep = plain
 	if every > 0 {
-		if rep.CkptStep, err = runStep(cfg, topo, plan, M, base, ck); err != nil {
+		if rep.CkptStep, err = stepTime(topo, plan, M, base, ck); err != nil {
 			return nil, err
 		}
 	}
@@ -369,14 +358,20 @@ func Run(cfg Config) (*RecoveryReport, error) {
 	// Replay the failing step with the onset shifted into step-local time;
 	// the simulator halts it with a structured loss.
 	failSpec := shiftPermanent(base, perms[0], perms[0].At-elapsed)
-	lost, halted, err := runFailingStep(cfg, topo, plan, M, failSpec, ckWhen(every, failStep, ck))
+	failed, err := runStep(topo, plan, M, failSpec, ckWhen(every, failStep, ck))
 	if err != nil {
 		return nil, err
 	}
+	if failed.OOM {
+		return nil, fmt.Errorf("elastic: failing step OOMs on %q: %s", topo.Name, failed.OOMCause)
+	}
+	if failed.Lost == nil {
+		return nil, fmt.Errorf("elastic: permanent failure did not halt the step it lands in (onset inside a %gs step)", failed.StepTime)
+	}
 	rep.Failure = perms[0].String()
 	rep.FailedStep = failStep
-	rep.Lost = lost
-	rep.DetectedAt = elapsed + halted
+	rep.Lost = failed.Lost
+	rep.DetectedAt = elapsed + failed.StepTime
 	rep.StepsCompleted = failStep - 1
 	if every > 0 {
 		rep.ResumeStep = ((failStep - 1) / every) * every
@@ -416,13 +411,13 @@ func Run(cfg Config) (*RecoveryReport, error) {
 	}
 
 	// Price a survivor step and finish the timeline.
-	rep.SurvivorStep, err = runStep(cfg, surv, survPlan, M, survSpec, nil)
+	rep.SurvivorStep, err = stepTime(surv, survPlan, M, survSpec, nil)
 	if err != nil {
 		return nil, err
 	}
 	rep.SurvivorCkptStep = rep.SurvivorStep
 	if every > 0 {
-		if rep.SurvivorCkptStep, err = runStep(cfg, surv, survPlan, M, survSpec, ck); err != nil {
+		if rep.SurvivorCkptStep, err = stepTime(surv, survPlan, M, survSpec, ck); err != nil {
 			return nil, err
 		}
 	}
@@ -478,15 +473,11 @@ func planOn(cfg Config, topo *hw.Topology, mb int) (*core.Plan, error) {
 		ctx, cancel = context.WithTimeout(ctx, cfg.PlanDeadline)
 		defer cancel()
 	}
-	opts := core.Options{
+	return core.PlanMobiusCtx(ctx, core.Options{
 		Model:        cfg.Model,
 		Topology:     topo,
 		Microbatches: mb,
-	}
-	if cfg.Planner != nil {
-		return cfg.Planner.PlanMobius(ctx, opts)
-	}
-	return core.PlanMobiusCtx(ctx, opts)
+	})
 }
 
 // recoveryPlan derives the plan the run resumes with, per policy:
@@ -508,8 +499,9 @@ func recoveryPlan(cfg Config, full *core.Plan, surv *hw.Topology, mb int) (*core
 	return p, nil
 }
 
-// runStep simulates one Mobius step and returns its duration.
-func runStep(cfg Config, topo *hw.Topology, plan *core.Plan, mb int, spec *fault.Spec, ck *pipeline.CheckpointWrite) (float64, error) {
+// runStep builds one Mobius step of plan on topo and runs it under
+// spec, without checksums.
+func runStep(topo *hw.Topology, plan *core.Plan, mb int, spec *fault.Spec, ck *pipeline.CheckpointWrite) (*pipeline.Result, error) {
 	st, err := pipeline.BuildMobius(topo, pipeline.MobiusConfig{
 		Partition:    plan.Partition,
 		Mapping:      plan.Mapping,
@@ -517,9 +509,14 @@ func runStep(cfg Config, topo *hw.Topology, plan *core.Plan, mb int, spec *fault
 		Checkpoint:   ck,
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	res, err := st.Run(spec, sim.ChecksumConfig{})
+	return st.Run(spec, sim.ChecksumConfig{})
+}
+
+// stepTime runs one step that must complete and returns its duration.
+func stepTime(topo *hw.Topology, plan *core.Plan, mb int, spec *fault.Spec, ck *pipeline.CheckpointWrite) (float64, error) {
+	res, err := runStep(topo, plan, mb, spec, ck)
 	if err != nil {
 		return 0, err
 	}
@@ -530,32 +527,6 @@ func runStep(cfg Config, topo *hw.Topology, plan *core.Plan, mb int, spec *fault
 		return 0, fmt.Errorf("elastic: unexpected resource loss in a fault-free step: %v", res.Lost)
 	}
 	return res.StepTime, nil
-}
-
-// runFailingStep replays the step the permanent onset lands in and
-// returns the structured loss plus the elapsed step-local time up to
-// detection.
-func runFailingStep(cfg Config, topo *hw.Topology, plan *core.Plan, mb int, spec *fault.Spec, ck *pipeline.CheckpointWrite) (*sim.ResourceLostError, float64, error) {
-	st, err := pipeline.BuildMobius(topo, pipeline.MobiusConfig{
-		Partition:    plan.Partition,
-		Mapping:      plan.Mapping,
-		Microbatches: mb,
-		Checkpoint:   ck,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := st.Run(spec, sim.ChecksumConfig{})
-	if err != nil {
-		return nil, 0, err
-	}
-	if res.OOM {
-		return nil, 0, fmt.Errorf("elastic: failing step OOMs on %q: %s", topo.Name, res.OOMCause)
-	}
-	if res.Lost == nil {
-		return nil, 0, fmt.Errorf("elastic: permanent failure did not halt the step it lands in (onset inside a %gs step)", res.StepTime)
-	}
-	return res.Lost, res.StepTime, nil
 }
 
 // MigrationSeconds prices restoring a checkpoint snapshot over the real

@@ -46,7 +46,7 @@ func TestReplanEveryModelEverySingleLoss(t *testing.T) {
 		for _, topo := range topos {
 			for g := 0; g < topo.NumGPUs(); g++ {
 				spec := &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: g, At: 1}}}
-				surv, gpuMap, err := SurvivingTopology(topo, spec)
+				surv, gpuMap, _, err := survive(topo, spec)
 				if err != nil {
 					t.Fatalf("%s/%s lose gpu%d: %v", m.Name, topo.Name, g, err)
 				}

@@ -8,19 +8,14 @@ import (
 	"mobius/internal/hw"
 )
 
-// SurvivingTopology derives the machine left after the spec's permanent
-// failures: the dead GPUs (fault.Spec.DeadGPUs) are removed, root
-// complexes left without GPUs disappear, and GPU ids and root-complex
-// indices are renumbered densely so the planner sees an ordinary
-// topology. The returned gpuMap translates old GPU ids to new ones (-1
-// for a dead GPU). DRAM, NVLink, the SSD tier and the transfer latency
-// carry over unchanged — the host side of the machine survives a device
-// failure.
-func SurvivingTopology(topo *hw.Topology, spec *fault.Spec) (*hw.Topology, []int, error) {
-	surv, gpuMap, _, err := survive(topo, spec)
-	return surv, gpuMap, err
-}
-
+// survive derives the machine left after the spec's permanent failures:
+// the dead GPUs (fault.Spec.DeadGPUs) are removed, root complexes left
+// without GPUs disappear, and GPU ids and root-complex indices are
+// renumbered densely so the planner sees an ordinary topology. gpuMap
+// and rcMap translate old GPU ids and root-complex indices to new ones
+// (-1 for dead hardware). DRAM, NVLink, the SSD tier and the transfer
+// latency carry over unchanged — the host side of the machine survives
+// a device failure.
 func survive(topo *hw.Topology, spec *fault.Spec) (*hw.Topology, []int, []int, error) {
 	if !spec.HasPermanent() {
 		return nil, nil, nil, fmt.Errorf("elastic: spec declares no permanent failure to survive")

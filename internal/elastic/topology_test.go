@@ -14,7 +14,7 @@ import (
 func TestSurvivingTopologyRenumbers(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 1, 3)
 	spec := &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: 0, At: 1}}}
-	surv, gpuMap, err := SurvivingTopology(topo, spec)
+	surv, gpuMap, _, err := survive(topo, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestSurvivingTopologyRenumbers(t *testing.T) {
 func TestSurvivingTopologyLinkFailTakesWholeComplex(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	spec := &fault.Spec{LinkFails: []fault.LinkFailFault{{Link: "rc0", At: 1}}}
-	surv, gpuMap, err := SurvivingTopology(topo, spec)
+	surv, gpuMap, _, err := survive(topo, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSurvivingTopologyLinkFailTakesWholeComplex(t *testing.T) {
 func TestSurvivingTopologyDRAMBusNotSurvivable(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	spec := &fault.Spec{LinkFails: []fault.LinkFailFault{{Link: "drambus", At: 1}}}
-	if _, _, err := SurvivingTopology(topo, spec); err == nil {
+	if _, _, _, err := survive(topo, spec); err == nil {
 		t.Fatal("drambus failure should not be survivable")
 	}
 }

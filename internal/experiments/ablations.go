@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/hw"
 	"mobius/internal/mapping"
 	"mobius/internal/model"
 	"mobius/internal/partition"
-	"mobius/internal/profile"
 )
 
 // Figure9 reproduces the partition-algorithm ablation: per-step time of
@@ -123,10 +120,12 @@ func Figure11() (*Table, error) {
 
 // Figure12 reproduces the Mobius overhead breakdown: profiling time (with
 // layer similarity), MIP solving time, and cross-mapping search time, on
-// Topo 1+3. Profiling is the simulated GPU time of the compressed
-// profile; the MIP solve is the solver time summed over candidates
+// Topo 1+3. Each row reads the plan core.PlanMobius returns with the
+// partition cache disabled, so it reports the search the planner runs.
+// Profiling is the simulated GPU time of the compressed profile; the
+// MIP solve is the solver time summed over candidates
 // (MIPStats.SolveTime, which can exceed the sweep's wall-clock time)
-// and the mapping a real wall-clock time, with the cache disabled.
+// and the mapping a real wall-clock time.
 func Figure12() (*Table, error) {
 	topo := hw.Commodity(hw.RTX3090Ti, 1, 3)
 	t := &Table{
@@ -134,31 +133,16 @@ func Figure12() (*Table, error) {
 		Header: []string{"model", "profiling (s)", "MIP solve (s)", "cross map (s)", "stages", "B&B nodes"},
 	}
 	for _, m := range []model.Config{model.GPT8B, model.GPT15B, model.GPT51B} {
-		prof, err := profile.Run(m, hw.RTX3090Ti, profile.Options{})
+		plan, err := core.PlanMobius(core.Options{Model: m, Topology: topo, MIP: partition.MIPOptions{DisableCache: true}})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: figure 12 profile %s: %w", m.Name, err)
+			return nil, fmt.Errorf("experiments: figure 12 plan %s: %w", m.Name, err)
 		}
-		params := partition.Params{
-			Profile:   prof,
-			NumGPUs:   topo.NumGPUs(),
-			GPUMem:    topo.GPUMem(0) * core.UsableMemFraction,
-			Bandwidth: core.PlanBandwidth(topo),
-		}
-		part, stats, err := partition.MIP(params, partition.MIPOptions{DisableCache: true})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figure 12 partition %s: %w", m.Name, err)
-		}
-		start := time.Now()
-		if _, err := mapping.Cross(context.Background(), topo, part.NumStages()); err != nil {
-			return nil, fmt.Errorf("experiments: figure 12 mapping %s: %w", m.Name, err)
-		}
-		mapTime := time.Since(start)
 		t.Add(m.Name,
-			fmt.Sprintf("%.2f", prof.Cost),
-			fmt.Sprintf("%.2f", stats.SolveTime.Seconds()),
-			fmt.Sprintf("%.4f", mapTime.Seconds()),
-			fmt.Sprintf("%d", part.NumStages()),
-			fmt.Sprintf("%d", stats.Nodes))
+			fmt.Sprintf("%.2f", plan.Profile.Cost),
+			fmt.Sprintf("%.2f", plan.MIPStats.SolveTime.Seconds()),
+			fmt.Sprintf("%.4f", plan.CrossMapTime.Seconds()),
+			fmt.Sprintf("%d", plan.Partition.NumStages()),
+			fmt.Sprintf("%d", plan.MIPStats.Nodes))
 	}
 	t.Note("paper: overheads are negligible against fine-tuning runs of hours to days;")
 	t.Note("8B and 15B profile in similar time thanks to layer similarity")

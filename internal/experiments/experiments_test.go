@@ -128,6 +128,29 @@ func TestFigure9MIPNeverWorse(t *testing.T) {
 	}
 }
 
+// TestFigure12ReportsThePlannersSearch: Figure 12 times the search the
+// planner runs, so its stage count is the plan's. The 51B row is left
+// out: its node count depends on the MIP's wall-clock limit.
+func TestFigure12ReportsThePlannersSearch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans three models on Topo 1+3")
+	}
+	topo := hw.Commodity(hw.RTX3090Ti, 1, 3)
+	rows := map[string][]string{}
+	for _, row := range mustTable(t, Figure12).Rows {
+		rows[row[0]] = row
+	}
+	for _, m := range []model.Config{model.GPT8B, model.GPT15B} {
+		plan, err := core.PlanMobius(core.Options{Model: m, Topology: topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rows[m.Name][4], fmt.Sprint(plan.Partition.NumStages()); got != want {
+			t.Errorf("%s: Figure 12 reports %s stages, the planner picks %s", m.Name, got, want)
+		}
+	}
+}
+
 func TestFigure10CrossHelpsOn8GPUs(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 4, 4)
 	m := model.GPT15B.WithMicrobatch(1)

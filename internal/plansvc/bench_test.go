@@ -9,8 +9,7 @@ import (
 )
 
 // BenchmarkPlanCacheHit is the steady-state planning latency of a
-// warmed service: canonicalization + validated cache lookup. This is
-// the cost an elastic recovery pays for its re-plan once prewarmed.
+// warmed service: canonicalization + validated cache lookup.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	svc := New(Config{})
 	opts := balancedOpts(model.GPT3B)

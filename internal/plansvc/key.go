@@ -15,9 +15,7 @@
 //   - a deadline-aware degradation ladder — validated hit, then a cold
 //     MIP solve, then the deterministic greedy fallback — with a
 //     circuit breaker that trips to greedy-only after repeated deadline
-//     blowups and half-opens on a probe;
-//   - speculative pre-planning of every surviving single-GPU-loss
-//     topology, so an elastic recovery's re-plan is a cache lookup.
+//     blowups and half-opens on a probe.
 //
 // The package's chaos test drives the ladder under -race with seeded
 // requests whose deadline has already expired.

@@ -46,8 +46,6 @@ type Metrics struct {
 	BreakerProbes  uint64
 	BreakerShorted uint64
 
-	// PrewarmPlans counts distinct keys planned by Prewarm calls.
-	PrewarmPlans uint64
 	// CacheEntries is the live entry count at snapshot time.
 	CacheEntries uint64
 

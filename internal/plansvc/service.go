@@ -51,8 +51,7 @@ const (
 
 // Service is the hardened planning front end; see the package comment
 // for the contract. It implements core.Planner, so core.Options.Planner
-// and elastic.Config.Planner can route everything through one shared
-// instance. All methods are safe for concurrent use, and the plans a
+// can route every plan through one shared instance. All methods are safe for concurrent use, and the plans a
 // Service returns must be treated as immutable — they are shared across
 // requests.
 type Service struct {

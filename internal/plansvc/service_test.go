@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"mobius/internal/core"
-	"mobius/internal/elastic"
-	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
 	"mobius/internal/partition"
@@ -423,8 +421,9 @@ func TestDeadlineBreakerLadder(t *testing.T) {
 }
 
 // TestPlanIndependentOfCacheHistory: the plan a key gets does not
-// depend on what the service planned before it. The 15B survivor of
-// losing GPU 1 on Topo 2+2 is planned on a fresh service, then on a
+// depend on what the service planned before it. The 15B plan for Topo
+// 1+2 (the machine left after losing GPU 1 on Topo 2+2, at the intact
+// machine's four microbatches) is planned on a fresh service, then on a
 // service that first planned the intact 4-GPU shape; both must return
 // the same plan.
 func TestPlanIndependentOfCacheHistory(t *testing.T) {
@@ -433,7 +432,7 @@ func TestPlanIndependentOfCacheHistory(t *testing.T) {
 	}
 	ctx := context.Background()
 	full := core.Options{Model: model.GPT15B, Topology: topo22(), Microbatches: 4}
-	surv, _, err := elastic.SurvivingTopology(full.Topology, &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: 1}}})
+	surv, err := hw.ParseSpec("1+2")
 	if err != nil {
 		t.Fatal(err)
 	}

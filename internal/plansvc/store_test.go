@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"mobius/internal/core"
-	"mobius/internal/elastic"
-	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
 	"mobius/internal/partition"
@@ -92,71 +90,6 @@ func TestWarmRestartZeroSolves(t *testing.T) {
 	checkConservation(t, m)
 	if err := svc2.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWarmRestartCoversPrewarmedSurvivors: a depth-2 prewarm persisted
-// before the crash means the restarted service replans every single- and
-// double-GPU-loss survivor — and every link-loss survivor — with zero
-// solves. The paper's recovery-latency argument survives a process
-// restart.
-func TestWarmRestartCoversPrewarmedSurvivors(t *testing.T) {
-	dir := t.TempDir()
-	opts := balancedOpts(model.GPT3B)
-
-	st1 := storeAt(t, dir)
-	svc1 := New(Config{Store: st1})
-	rep, err := svc1.PrewarmDepth(context.Background(), opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GPUPairLosses != 6 { // C(4,2) on the 2+2 box
-		t.Fatalf("enumerated %d GPU-pair losses, want 6", rep.GPUPairLosses)
-	}
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2 := storeAt(t, dir)
-	svc2 := New(Config{Store: st2})
-	if m := svc2.Metrics(); m.WarmStartEntries == 0 {
-		t.Fatal("restart adopted nothing")
-	}
-
-	var specs []*fault.Spec
-	n := opts.Topology.NumGPUs()
-	for g := 0; g < n; g++ {
-		specs = append(specs, &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: g}}})
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			specs = append(specs, &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: i}, {GPU: j}}})
-		}
-	}
-	for _, link := range []string{"gpu0.link", "gpu3.link", "rc0", "rc1"} {
-		specs = append(specs, &fault.Spec{LinkFails: []fault.LinkFailFault{{Link: link}}})
-	}
-	for _, spec := range specs {
-		surv, _, err := elastic.SurvivingTopology(opts.Topology, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Fingerprint(), err)
-		}
-		sopts := opts
-		sopts.Topology = surv
-		sopts.Microbatches = opts.Topology.NumGPUs()
-		key, err := KeyOf(sopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !svc2.Has(key) {
-			t.Fatalf("survivor %s not warm after restart", key)
-		}
-		if _, err := svc2.PlanMobius(context.Background(), sopts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m := svc2.Metrics(); m.Solves != 0 {
-		t.Fatalf("restarted service solved %d time(s) for prewarmed survivors, want exactly 0", m.Solves)
 	}
 }
 
@@ -320,47 +253,4 @@ func TestMetricsEndpointExposesStore(t *testing.T) {
 	if _, ok := raw["store"]; ok {
 		t.Fatal("store block present without a configured store")
 	}
-}
-
-// TestPrewarmDepth2DoubleFaultZeroSolve is the in-memory double-fault
-// contract (no store involved): after a depth-2 prewarm, the re-plan for
-// any two simultaneous GPU losses is a cache hit.
-func TestPrewarmDepth2DoubleFaultZeroSolve(t *testing.T) {
-	svc := New(Config{})
-	opts := balancedOpts(model.GPT3B)
-	rep, err := svc.PrewarmDepth(context.Background(), opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GPUPairLosses != 6 {
-		t.Fatalf("enumerated %d pair losses, want 6", rep.GPUPairLosses)
-	}
-	before := svc.Metrics().Solves
-	n := opts.Topology.NumGPUs()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			spec := &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: i}, {GPU: j}}}
-			surv, _, err := elastic.SurvivingTopology(opts.Topology, spec)
-			if err != nil {
-				t.Fatalf("gpus %d+%d: %v", i, j, err)
-			}
-			sopts := opts
-			sopts.Topology = surv
-			sopts.Microbatches = opts.Topology.NumGPUs()
-			key, err := KeyOf(sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !svc.Has(key) {
-				t.Errorf("pair (%d,%d) survivor not prewarmed", i, j)
-			}
-			if _, err := svc.PlanMobius(context.Background(), sopts); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if after := svc.Metrics().Solves; after != before {
-		t.Fatalf("double-fault re-plans performed %d solve(s); want 0", after-before)
-	}
-	checkConservation(t, svc.Metrics())
 }
