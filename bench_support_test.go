@@ -30,7 +30,7 @@ func BenchmarkSubstrate_Simulator(b *testing.B) {
 			if f%2 == 0 {
 				r = rc2
 			}
-			s.Transfer("t", nil, sim.Path(r), float64(1+f)*1e8, f%3)
+			s.Transfer(s.Name("t"), nil, sim.Path(r), float64(1+f)*1e8, f%3)
 		}
 		if _, err := s.Run(); err != nil {
 			b.Fatal(err)

@@ -387,7 +387,9 @@ type StepReport struct {
 	// BandwidthCDF is the byte-weighted achieved-bandwidth distribution
 	// over all transfers (Figures 2, 7, 11).
 	BandwidthCDF trace.CDF
-	// HostLinkCDF restricts the CDF to GPU<->DRAM transfers (Figure 16).
+	// HostLinkCDF restricts the CDF to GPU<->DRAM transfers (Figure 16):
+	// flows with a GPU and no peer GPU, which leaves out GPU-to-GPU
+	// traffic and host-side checkpoint writes.
 	HostLinkCDF trace.CDF
 	// NonOverlapFraction is the share of step time spent on
 	// communication not hidden by compute, averaged over GPUs (Figure 8).
@@ -527,7 +529,7 @@ func fillReport(report *StepReport, res *pipeline.Result, topo *hw.Topology) {
 	if !res.OOM && res.Recorder != nil {
 		report.TrafficBytes = res.Recorder.TotalBytes(nil)
 		report.BandwidthCDF = res.Recorder.BandwidthCDF(nil)
-		report.HostLinkCDF = res.Recorder.BandwidthCDF(func(tag trace.Tag) bool { return tag.PeerGPU < 0 })
+		report.HostLinkCDF = res.Recorder.BandwidthCDF(func(tag trace.Tag) bool { return tag.GPU >= 0 && tag.PeerGPU < 0 })
 		report.NonOverlapFraction = res.Recorder.NonOverlappedCommFraction(topo.NumGPUs(), res.StepTime)
 	}
 }

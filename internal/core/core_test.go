@@ -3,12 +3,15 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"mobius/internal/hw"
 	"mobius/internal/mapping"
 	"mobius/internal/model"
 	"mobius/internal/partition"
+	"mobius/internal/pipeline"
+	"mobius/internal/trace"
 )
 
 func topo22() *hw.Topology { return hw.Commodity(hw.RTX3090Ti, 2, 2) }
@@ -247,5 +250,37 @@ func TestDSPipelineModeOOMsOnLargeModels(t *testing.T) {
 	}
 	if !r.OOM {
 		t.Fatal("DeepSpeed pipeline mode must OOM on 15B")
+	}
+}
+
+// TestHostLinkCDFExcludesCheckpointWrites runs a checkpointed 3B Mobius
+// step on Topo 2+2 and requires HostLinkCDF to be the bandwidth CDF of
+// its GPU<->DRAM flows alone: the DRAM-to-DRAM snapshot writes touch no
+// GPU link and must stay out of it.
+func TestHostLinkCDFExcludesCheckpointWrites(t *testing.T) {
+	opts := Options{Model: model.GPT3B, Topology: hw.Commodity(hw.RTX3090Ti, 2, 2)}
+	opts.Planner = greedyPlanner(t, opts)
+	opts.Checkpoint = &pipeline.CheckpointWrite{Bytes: model.GPT3B.ModelStatesBytes()}
+	rep, err := Run(SystemMobius, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostLink := map[trace.Kind]bool{
+		trace.KindParamUpload: true, trace.KindActOffload: true,
+		trace.KindActUpload: true, trace.KindGradFlush: true,
+	}
+	checkpoints := 0
+	for _, f := range rep.Recorder.Flows {
+		if f.Tag.Kind == trace.KindCheckpoint {
+			checkpoints++
+		}
+	}
+	if checkpoints == 0 {
+		t.Fatal("the checkpointed step recorded no checkpoint writes")
+	}
+	want := rep.Recorder.BandwidthCDF(func(tag trace.Tag) bool { return hostLink[tag.Kind] })
+	if !reflect.DeepEqual(rep.HostLinkCDF, want) {
+		t.Fatalf("HostLinkCDF (median %.4g B/s) is not the CDF of the GPU<->DRAM flows (median %.4g B/s)",
+			rep.HostLinkCDF.Median(), want.Median())
 	}
 }

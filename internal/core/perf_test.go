@@ -51,16 +51,19 @@ func BenchmarkStepMobius15B(b *testing.B) {
 	benchStep(b, SystemMobius, model.GPT15B, hw.Commodity(hw.RTX3090Ti, 2, 2))
 }
 
-// Allocation ceilings for one simulated step on Topo 2+2: DeepSpeed-hetero
-// and Mobius on 15B, measured after the step path dropped its reflective
-// sorts and per-task Sprintf (5,616 and 372 allocs/op on linux/amd64,
-// go1.24; the parent measured 7,611 and 505), and GPipe on 3B, the largest
-// Table 3 model it fits (528), each plus about 3% slack. Allocation counts
-// do not depend on machine speed, so the gate holds on any machine.
+// Allocation ceilings for one simulated step: DeepSpeed-hetero and
+// Mobius on 15B, Topo 2+2, GPipe on 3B, Topo 2+2, the largest Table 3
+// model it fits, and DeepSpeed-hetero on 51B, Topo 4+4, the costliest
+// step. Measured after tasks stopped carrying names, boxed tags and
+// pointers (357, 191, 360 and 553 allocs/op on linux/amd64, go1.24;
+// 5,616, 372, 528 and 19,947 before), each plus about 3% slack.
+// Allocation counts do not depend on machine speed, so the gate holds on
+// any machine.
 const (
-	dsHeteroStepAllocCeiling = 5800
-	mobiusStepAllocCeiling   = 385
-	gpipeStepAllocCeiling    = 545
+	dsHeteroStepAllocCeiling    = 368
+	mobiusStepAllocCeiling      = 197
+	gpipeStepAllocCeiling       = 371
+	dsHetero51BStepAllocCeiling = 570
 )
 
 // TestStepAllocCeilings is the step gate of `make check-perf`: one
@@ -70,17 +73,19 @@ func TestStepAllocCeilings(t *testing.T) {
 	if os.Getenv("MOBIUS_CHECK_PERF") == "" {
 		t.Skip("set MOBIUS_CHECK_PERF=1 (or run `make check-perf`) to run the performance smoke gate")
 	}
-	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
+	topo22, topo44 := hw.Commodity(hw.RTX3090Ti, 2, 2), hw.Commodity(hw.RTX3090Ti, 4, 4)
 	for _, c := range []struct {
 		system  System
 		model   model.Config
+		topo    *hw.Topology
 		ceiling float64
 	}{
-		{SystemDSHetero, model.GPT15B, dsHeteroStepAllocCeiling},
-		{SystemMobius, model.GPT15B, mobiusStepAllocCeiling},
-		{SystemGPipe, model.GPT3B, gpipeStepAllocCeiling},
+		{SystemDSHetero, model.GPT15B, topo22, dsHeteroStepAllocCeiling},
+		{SystemMobius, model.GPT15B, topo22, mobiusStepAllocCeiling},
+		{SystemGPipe, model.GPT3B, topo22, gpipeStepAllocCeiling},
+		{SystemDSHetero, model.GPT51B, topo44, dsHetero51BStepAllocCeiling},
 	} {
-		opts := Options{Model: c.model, Topology: topo}
+		opts := Options{Model: c.model, Topology: c.topo}
 		if c.system == SystemMobius {
 			opts.Planner = greedyPlanner(t, opts)
 		}
@@ -89,9 +94,9 @@ func TestStepAllocCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s %s on %s: %.0f allocs/step (ceiling %.0f)", c.system, c.model.Name, topo.Name, allocs, c.ceiling)
+		t.Logf("%s %s on %s: %.0f allocs/step (ceiling %.0f)", c.system, c.model.Name, c.topo.Name, allocs, c.ceiling)
 		if allocs > c.ceiling {
-			t.Errorf("%s step allocates %.0f times, over its ceiling of %.0f", c.system, allocs, c.ceiling)
+			t.Errorf("%s %s on %s allocates %.0f times, over its ceiling of %.0f", c.system, c.model.Name, c.topo.Name, allocs, c.ceiling)
 		}
 	}
 }

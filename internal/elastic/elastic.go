@@ -550,7 +550,7 @@ func MigrationSeconds(surv *hw.Topology, spec *fault.Spec, bytes float64, dest D
 	if dest == DestSSD {
 		src = hw.SSDEnd
 	}
-	srv.Sim.Transfer("migrate", nil, srv.Route(src, hw.DRAMEnd), bytes, 0)
+	srv.Sim.Transfer(srv.Sim.Name("migrate"), nil, srv.Route(src, hw.DRAMEnd), bytes, 0)
 	if err := srv.RouteErr(); err != nil {
 		return 0, err
 	}

@@ -49,19 +49,23 @@ func (s *Spec) validateCorruptions() error {
 	return nil
 }
 
-// corruptionPolicy implements sim.CorruptionPolicy: the first rule
-// matching the transfer's route decides whether this delivery attempt is
-// corrupted, drawn from the deterministic per-(seed, task, rule, attempt)
-// hash.
-func (inj *Injection) corruptionPolicy(t *sim.Task, attempt int) bool {
+// corruptionPolicy returns the sim.CorruptionPolicy Apply installs on s:
+// the first rule matching the transfer's route, which s keeps, decides
+// whether this delivery attempt is corrupted, drawn from the
+// deterministic per-(seed, task, rule, attempt) hash.
+func (inj *Injection) corruptionPolicy(s *sim.Sim) sim.CorruptionPolicy {
+	return func(t *sim.Task, attempt int) bool { return inj.corrupts(s.PathOf(t), t.ID(), attempt) }
+}
+
+func (inj *Injection) corrupts(path []sim.PathElem, id, attempt int) bool {
 	for ri, rule := range inj.Spec.Corruptions {
-		if !matchesRoute(rule.Match, t.Path()) {
+		if !matchesRoute(rule.Match, path) {
 			continue
 		}
 		if rule.Probability <= 0 {
 			return false
 		}
-		if resil.Hash01(inj.Spec.Seed^corruptionSalt, uint64(t.ID()), uint64(ri), uint64(attempt)) < rule.Probability {
+		if resil.Hash01(inj.Spec.Seed^corruptionSalt, uint64(id), uint64(ri), uint64(attempt)) < rule.Probability {
 			inj.Corruptions++
 			return true
 		}

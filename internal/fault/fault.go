@@ -187,7 +187,7 @@ func Apply(srv *hw.Server, spec *Spec) (*Injection, error) {
 	}
 
 	if len(spec.Corruptions) > 0 {
-		srv.Sim.CorruptionPolicy = inj.corruptionPolicy
+		srv.Sim.CorruptionPolicy = inj.corruptionPolicy(srv.Sim)
 	}
 	return inj, nil
 }

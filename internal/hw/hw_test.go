@@ -199,7 +199,7 @@ func TestStagedTransferBandwidthEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := srv.Sim
-	tr := s.Transfer("staged", nil, srv.Route(GPUEnd(0), GPUEnd(1)), 13.1*GB, 0)
+	tr := s.Transfer(s.Name("staged"), nil, srv.Route(GPUEnd(0), GPUEnd(1)), 13.1*GB, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestSSDRouting(t *testing.T) {
 		t.Fatalf("SSD->DRAM hops: %d", len(p))
 	}
 	// SSD is the narrowest hop: a 3.5 GB transfer takes ~1s + latency.
-	tr := srv.Sim.Transfer("up", nil, srv.Route(SSDEnd, GPUEnd(1)), CommoditySSDBW, 0)
+	tr := srv.Sim.Transfer(srv.Sim.Name("up"), nil, srv.Route(SSDEnd, GPUEnd(1)), CommoditySSDBW, 0)
 	end, err := srv.Sim.Run()
 	if err != nil {
 		t.Fatal(err)

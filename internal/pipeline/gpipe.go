@@ -96,7 +96,7 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 		return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: stage, Microbatch: mb}
 	}
 
-	var nm Namer
+	nA, nF, nG, nB := s.Name("A", "."), s.Name("F", "."), s.Name("G", "."), s.Name("B", ".")
 
 	// Forward.
 	for j := 0; j < N; j++ {
@@ -106,12 +106,12 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 				prev = F[j][m-1]
 			}
 			if j > 0 {
-				act = s.Transfer(nm.Name2("A", j, ".", m), srv.DownloadEngine[j-1],
+				act = s.Transfer(nA.With(j, m), srv.DownloadEngine[j-1],
 					srv.Route(hw.GPUEnd(j-1), hw.GPUEnd(j)), stg[j].ActInBytes, prioActivation, F[j-1][m])
-				act.Tag = tag(trace.KindActTransfer, j-1, j, j, m)
+				act.SetTag(tag(trace.KindActTransfer, j-1, j, j, m))
 			}
-			F[j][m] = s.Compute(nm.Name2("F", j, ".", m), srv.ComputeEngines[j], stg[j].FwdTime, prev, act)
-			F[j][m].Tag = tag(trace.KindCompute, j, -1, j, m)
+			F[j][m] = s.Compute(nF.With(j, m), srv.ComputeEngines[j], stg[j].FwdTime, prev, act)
+			F[j][m].SetTag(tag(trace.KindCompute, j, -1, j, m))
 		}
 	}
 
@@ -126,12 +126,12 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 				// The last stage starts backward once forward drains.
 				gr = F[N-1][M-1]
 			} else {
-				gr = s.Transfer(nm.Name2("G", j, ".", m), srv.DownloadEngine[j+1],
+				gr = s.Transfer(nG.With(j, m), srv.DownloadEngine[j+1],
 					srv.Route(hw.GPUEnd(j+1), hw.GPUEnd(j)), stg[j].ActOutBytes, prioActivation, B[j+1][m])
-				gr.Tag = tag(trace.KindActTransfer, j+1, j, j, m)
+				gr.SetTag(tag(trace.KindActTransfer, j+1, j, j, m))
 			}
-			B[j][m] = s.Compute(nm.Name2("B", j, ".", m), srv.ComputeEngines[j], stg[j].BwdTime, prev, gr)
-			B[j][m].Tag = tag(trace.KindCompute, j, -1, j, m)
+			B[j][m] = s.Compute(nB.With(j, m), srv.ComputeEngines[j], stg[j].BwdTime, prev, gr)
+			B[j][m].SetTag(tag(trace.KindCompute, j, -1, j, m))
 		}
 	}
 

@@ -122,15 +122,26 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 	// The DAG is emitted with the simulator's constructors. Optional
 	// predecessors ("previous microbatch, if any") are passed as nil,
 	// which the constructors skip. The stage×microbatch handles live in
-	// flat slices indexed j*M+m, and names format through a reused buffer.
+	// flat slices indexed j*M+m. Task names are recipes over patterns
+	// interned once here ("F3.7" is nF.With(3, 7)); the simulator formats
+	// them only for errors.
 	s := srv.Sim
+	var (
+		nAllocF, nAllocPreF, nAllocRestF = s.Name("allocF"), s.Name("allocPreF"), s.Name("allocRestF")
+		nC, nCPre, nCRest, nReadyF       = s.Name("C"), s.Name("C", ".pre"), s.Name("C", ".rest"), s.Name("readyF")
+		nA, nF, nO, nFreeF               = s.Name("A", "."), s.Name("F", "."), s.Name("O", "."), s.Name("freeF")
+		nGradAllocB                      = s.Name("gradAllocB")
+		nAllocPreB, nAllocRestB          = s.Name("allocPreB"), s.Name("allocRestB")
+		nCBPre, nCBRest, nReadyB         = s.Name("CB", ".pre"), s.Name("CB", ".rest"), s.Name("readyB")
+		nG, nAU, nB                      = s.Name("G", "."), s.Name("AU", "."), s.Name("B", ".")
+		nGF, nFreeB, nCK                 = s.Name("GF"), s.Name("freeB"), s.Name("CK")
+	)
 	fwd := make([]*sim.Task, S*M)
 	bwd := make([]*sim.Task, S*M)
 	off := make([]*sim.Task, S*M) // nil where a stage emits no checkpoint
 	freeF := make([]*sim.Task, S)
 	freeB := make([]*sim.Task, S)
 	deps := make([]*sim.Task, 0, M+1) // freeF's last forward and offloads
-	var nm Namer
 
 	tag := func(kind trace.Kind, gpu, peer, stage, mb int) trace.Tag {
 		return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: stage, Microbatch: mb}
@@ -150,9 +161,9 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		var ready *sim.Task
 		if j < N {
 			// First-round stages upload at step start.
-			alloc := s.Alloc(nm.Name("allocF", j, ""), mem, stg[j].MemFwd())
-			xfer := s.Transfer(nm.Name("C", j, ""), up, dramToGPU, stg[j].UploadFwd(), uploadPrio(j), alloc)
-			xfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
+			alloc := s.Alloc(nAllocF.With(j), mem, stg[j].MemFwd())
+			xfer := s.Transfer(nC.With(j), up, dramToGPU, stg[j].UploadFwd(), uploadPrio(j), alloc)
+			xfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
 			ready = xfer
 		} else {
 			prev := stg[j-N]
@@ -166,13 +177,13 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			pf := stg[j].UploadFwd() * resv / stg[j].MemFwd()
 			// Prefetch starts once the previous stage has begun computing
 			// (its first microbatch forward is the observable trigger).
-			preAlloc := s.Alloc(nm.Name("allocPreF", j, ""), mem, resv, fwd[(j-N)*M])
-			preXfer := s.Transfer(nm.Name("C", j, ".pre"), up, dramToGPU, pf, uploadPrio(j), preAlloc)
-			preXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
-			restAlloc := s.Alloc(nm.Name("allocRestF", j, ""), mem, stg[j].MemFwd()-resv, freeF[j-N])
-			restXfer := s.Transfer(nm.Name("C", j, ".rest"), up, dramToGPU, stg[j].UploadFwd()-pf, uploadPrio(j), restAlloc, preXfer)
-			restXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
-			ready = s.After(nm.Name("readyF", j, ""), preXfer, restXfer)
+			preAlloc := s.Alloc(nAllocPreF.With(j), mem, resv, fwd[(j-N)*M])
+			preXfer := s.Transfer(nCPre.With(j), up, dramToGPU, pf, uploadPrio(j), preAlloc)
+			preXfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
+			restAlloc := s.Alloc(nAllocRestF.With(j), mem, stg[j].MemFwd()-resv, freeF[j-N])
+			restXfer := s.Transfer(nCRest.With(j), up, dramToGPU, stg[j].UploadFwd()-pf, uploadPrio(j), restAlloc, preXfer)
+			restXfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
+			ready = s.After(nReadyF.With(j), preXfer, restXfer)
 		}
 
 		for m := 0; m < M; m++ {
@@ -181,22 +192,22 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 				// Boundary activation from the upstream stage, staged
 				// through DRAM on commodity servers.
 				src := gpuOf(j - 1)
-				act = s.Transfer(nm.Name2("A", j, ".", m), srv.DownloadEngine[src],
+				act = s.Transfer(nA.With(j, m), srv.DownloadEngine[src],
 					srv.Route(hw.GPUEnd(src), hw.GPUEnd(g)), stg[j].ActInBytes, prioActivation, fwd[(j-1)*M+m])
-				act.Tag = tag(trace.KindActTransfer, src, g, j, m)
+				act.SetTag(tag(trace.KindActTransfer, src, g, j, m))
 			}
 			if m > 0 {
 				prevF = fwd[j*M+m-1]
 			}
-			f := s.Compute(nm.Name2("F", j, ".", m), srv.ComputeEngines[g], stg[j].FwdTime, ready, prevF, act)
-			f.Tag = tag(trace.KindCompute, g, -1, j, m)
+			f := s.Compute(nF.With(j, m), srv.ComputeEngines[g], stg[j].FwdTime, ready, prevF, act)
+			f.SetTag(tag(trace.KindCompute, g, -1, j, m))
 			fwd[j*M+m] = f
 
 			// Offload the boundary checkpoint for the backward pass.
 			if stg[j].ActOutBytes > 0 {
-				o := s.Transfer(nm.Name2("O", j, ".", m), srv.DownloadEngine[g],
+				o := s.Transfer(nO.With(j, m), srv.DownloadEngine[g],
 					srv.Route(hw.GPUEnd(g), hw.DRAMEnd), stg[j].ActOutBytes, prioGradFlush, f)
-				o.Tag = tag(trace.KindActOffload, g, -1, j, m)
+				o.SetTag(tag(trace.KindActOffload, g, -1, j, m))
 				off[j*M+m] = o
 			}
 		}
@@ -205,7 +216,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		// except the final round, which stays resident for backward.
 		if j < S-N {
 			deps = append(append(deps[:0], fwd[j*M+M-1]), off[j*M:j*M+M]...)
-			freeF[j] = s.Free(nm.Name("freeF", j, ""), mem, stg[j].MemFwd(), deps...)
+			freeF[j] = s.Free(nFreeF.With(j), mem, stg[j].MemFwd(), deps...)
 		}
 	}
 
@@ -221,7 +232,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		if j >= S-N {
 			// Still resident from forward; grow to the backward footprint.
 			extra := stg[j].MemBwd() - stg[j].MemFwd()
-			ready = s.Alloc(nm.Name("gradAllocB", j, ""), mem, max(0, extra), fwd[j*M+M-1])
+			ready = s.Alloc(nGradAllocB.With(j), mem, max(0, extra), fwd[j*M+M-1])
 		} else {
 			nxt := stg[j+N] // executes before this stage in backward order
 			resv := min(stg[j].MemBwd(), max(0, gpuMem(j)-nxt.MemBwd()))
@@ -231,13 +242,13 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// The pre/rest pair carries the parameters; checkpointed
 			// activations are re-uploaded per microbatch below.
 			pb := stg[j].ParamBytes * resv / stg[j].MemBwd()
-			preAlloc := s.Alloc(nm.Name("allocPreB", j, ""), mem, resv, bwd[(j+N)*M])
-			preXfer := s.Transfer(nm.Name("CB", j, ".pre"), up, dramToGPU, pb, uploadPrio(j), preAlloc)
-			preXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
-			restAlloc := s.Alloc(nm.Name("allocRestB", j, ""), mem, stg[j].MemBwd()-resv, freeB[j+N])
-			restXfer := s.Transfer(nm.Name("CB", j, ".rest"), up, dramToGPU, stg[j].ParamBytes-pb, uploadPrio(j), restAlloc, preXfer)
-			restXfer.Tag = tag(trace.KindParamUpload, g, -1, j, -1)
-			ready = s.After(nm.Name("readyB", j, ""), preXfer, restXfer)
+			preAlloc := s.Alloc(nAllocPreB.With(j), mem, resv, bwd[(j+N)*M])
+			preXfer := s.Transfer(nCBPre.With(j), up, dramToGPU, pb, uploadPrio(j), preAlloc)
+			preXfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
+			restAlloc := s.Alloc(nAllocRestB.With(j), mem, stg[j].MemBwd()-resv, freeB[j+N])
+			restXfer := s.Transfer(nCBRest.With(j), up, dramToGPU, stg[j].ParamBytes-pb, uploadPrio(j), restAlloc, preXfer)
+			restXfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
+			ready = s.After(nReadyB.With(j), preXfer, restXfer)
 		}
 
 		for m := 0; m < M; m++ {
@@ -245,32 +256,32 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			if j < S-1 {
 				// Activation gradient from the downstream stage.
 				src := gpuOf(j + 1)
-				gr = s.Transfer(nm.Name2("G", j, ".", m), srv.DownloadEngine[src],
+				gr = s.Transfer(nG.With(j, m), srv.DownloadEngine[src],
 					srv.Route(hw.GPUEnd(src), hw.GPUEnd(g)), stg[j].ActOutBytes, prioActivation, bwd[(j+1)*M+m])
-				gr.Tag = tag(trace.KindActTransfer, src, g, j, m)
+				gr.SetTag(tag(trace.KindActTransfer, src, g, j, m))
 			} else {
 				// Constraint (11): backward starts after forward drains.
 				gr = fwd[S*M-1]
 			}
 			// Re-upload the input checkpoint for recomputation.
 			if j > 0 && stg[j].ActInBytes > 0 && off[(j-1)*M+m] != nil {
-				actUp = s.Transfer(nm.Name2("AU", j, ".", m), up, dramToGPU, stg[j].ActInBytes, prioActivation, off[(j-1)*M+m], ready)
-				actUp.Tag = tag(trace.KindActUpload, g, -1, j, m)
+				actUp = s.Transfer(nAU.With(j, m), up, dramToGPU, stg[j].ActInBytes, prioActivation, off[(j-1)*M+m], ready)
+				actUp.SetTag(tag(trace.KindActUpload, g, -1, j, m))
 			}
 			if m > 0 {
 				prevB = bwd[j*M+m-1]
 			}
-			bt := s.Compute(nm.Name2("B", j, ".", m), srv.ComputeEngines[g], stg[j].BwdTime, ready, prevB, gr, actUp)
-			bt.Tag = tag(trace.KindCompute, g, -1, j, m)
+			bt := s.Compute(nB.With(j, m), srv.ComputeEngines[g], stg[j].BwdTime, ready, prevB, gr, actUp)
+			bt.SetTag(tag(trace.KindCompute, g, -1, j, m))
 			bwd[j*M+m] = bt
 		}
 
 		// Flush accumulated gradients to DRAM for the CPU optimizer, then
 		// free the stage.
-		flush := s.Transfer(nm.Name("GF", j, ""), down, srv.Route(hw.GPUEnd(g), hw.DRAMEnd),
+		flush := s.Transfer(nGF.With(j), down, srv.Route(hw.GPUEnd(g), hw.DRAMEnd),
 			stg[j].GradBytes, prioGradFlush, bwd[j*M+M-1])
-		flush.Tag = tag(trace.KindGradFlush, g, -1, j, -1)
-		freeB[j] = s.Free(nm.Name("freeB", j, ""), mem, stg[j].MemBwd(), flush)
+		flush.SetTag(tag(trace.KindGradFlush, g, -1, j, -1))
+		freeB[j] = s.Free(nFreeB.With(j), mem, stg[j].MemBwd(), flush)
 
 		// Snapshot the stage's share of the training state once its
 		// gradients have landed in DRAM (the CPU optimizer updates the
@@ -285,8 +296,8 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			if totalParam > 0 {
 				share = cfg.Checkpoint.Bytes * stg[j].ParamBytes / totalParam
 			}
-			ck := s.Transfer(nm.Name("CK", j, ""), nil, srv.Route(hw.DRAMEnd, dst), share, prioGradFlush, flush)
-			ck.Tag = tag(trace.KindCheckpoint, -1, -1, j, -1)
+			ck := s.Transfer(nCK.With(j), nil, srv.Route(hw.DRAMEnd, dst), share, prioGradFlush, flush)
+			ck.SetTag(tag(trace.KindCheckpoint, -1, -1, j, -1))
 		}
 	}
 

@@ -21,9 +21,10 @@ func benchFlowSim(nFlows int) *Sim {
 		links[i] = s.NewResource("link", 26.2e9)
 	}
 	var tasks []*Task
+	name := s.Name("t")
 	for f := 0; f < nFlows; f++ {
 		path := Path(links[f%len(links)], rc[f%len(rc)])
-		tasks = append(tasks, s.Transfer("t", nil, path, float64(1+f)*1e8, f%4))
+		tasks = append(tasks, s.Transfer(name, nil, path, float64(1+f)*1e8, f%4))
 	}
 	for _, t := range tasks {
 		s.beginFlow(t)
@@ -55,6 +56,7 @@ func BenchmarkSimRecomputeRates(b *testing.B) {
 // while ~groups×streams flows stay concurrently active. Paths are built
 // through the interning constructor, as the hardware layer does.
 func buildChurn(s *Sim, groups, streams, chain int) {
+	name := s.Name("t")
 	for g := 0; g < groups; g++ {
 		rc := s.NewResource("rc", 13.1e9)
 		links := make([]*Resource, 4)
@@ -70,7 +72,7 @@ func buildChurn(s *Sim, groups, streams, chain int) {
 				// perturb every component at every event and hide the
 				// locality the incremental scheduler exploits.
 				bytes := float64(1+(g*5+st*7+k)%13) * 64e6
-				prev = s.Transfer("t", nil, s.Path(links[st%len(links)], rc), bytes, st%4, prev)
+				prev = s.Transfer(name, nil, s.Path(links[st%len(links)], rc), bytes, st%4, prev)
 			}
 		}
 	}
@@ -95,7 +97,7 @@ func benchConstruct(b *testing.B, groups, streams, chain int) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		buildChurn(s, groups, streams, chain)
-		if len(s.tasks) == 0 {
+		if s.NumTasks() == 0 {
 			b.Fatal("no tasks built")
 		}
 	}

@@ -183,7 +183,7 @@ func (s *Sim) recycleComponent(c *component) {
 // component's member list, and the component is marked dirty. Empty-path
 // flows are unconstrained and never join a component.
 func (s *Sim) componentAdmit(f *flow) {
-	path := f.task.path
+	path := f.path
 	if len(path) == 0 {
 		return
 	}
@@ -215,10 +215,10 @@ func (s *Sim) componentAdmit(f *flow) {
 // union-find cannot express, so they feed the component's rebuild
 // counter; a component drained of its last flow is retired on the spot.
 func (s *Sim) componentFinish(f *flow) {
-	if len(f.task.path) == 0 {
+	if len(f.path) == 0 {
 		return
 	}
-	root := s.findRoot(f.task.path[0].Res)
+	root := s.findRoot(f.path[0].Res)
 	c := root.comp
 	last := len(c.flows) - 1
 	moved := c.flows[last]
@@ -247,11 +247,11 @@ func (s *Sim) rebuildComponent(c *component) {
 	// flow's path — and a dangling comp pointer there would resurrect the
 	// recycled component on a later capacity event.
 	if len(fs) > 0 {
-		root := s.findRoot(fs[0].task.path[0].Res)
+		root := s.findRoot(fs[0].path[0].Res)
 		root.comp = nil
 	}
 	for _, f := range fs {
-		for _, pe := range f.task.path {
+		for _, pe := range f.path {
 			pe.Res.ufGen = 0
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // admitForTest arms all dependency-free tasks and drains the cascade so
 // their flows are active, mirroring what Run's seeding does.
 func admitForTest(s *Sim) {
-	for _, t := range s.tasks {
+	for _, t := range s.taskList() {
 		if t.state == statePending && t.waiting == 0 {
 			s.ready = append(s.ready, t)
 		}
@@ -22,8 +22,8 @@ func TestComponentsDisjointResourcesStaySeparate(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("r1", 1e9)
 	r2 := s.NewResource("r2", 1e9)
-	s.Transfer("a", nil, Path(r1), 1e9, 0)
-	s.Transfer("b", nil, Path(r2), 1e9, 0)
+	s.Transfer(s.Name("a"), nil, Path(r1), 1e9, 0)
+	s.Transfer(s.Name("b"), nil, Path(r2), 1e9, 0)
 	admitForTest(s)
 	if s.findRoot(r1) == s.findRoot(r2) {
 		t.Fatal("flows on disjoint resources must be in separate components")
@@ -38,9 +38,9 @@ func TestComponentsBridgeFlowMerges(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("r1", 1e9)
 	r2 := s.NewResource("r2", 1e9)
-	s.Transfer("a", nil, Path(r1), 1e9, 0)
-	s.Transfer("b", nil, Path(r2), 1e9, 0)
-	s.Transfer("bridge", nil, Path(r1, r2), 1e9, 0)
+	s.Transfer(s.Name("a"), nil, Path(r1), 1e9, 0)
+	s.Transfer(s.Name("b"), nil, Path(r2), 1e9, 0)
+	s.Transfer(s.Name("bridge"), nil, Path(r1, r2), 1e9, 0)
 	admitForTest(s)
 	root := s.findRoot(r1)
 	if root != s.findRoot(r2) {
@@ -62,9 +62,9 @@ func TestComponentsRebuildSplitsAfterBridgeFinishes(t *testing.T) {
 	r1 := s.NewResource("r1", 10e9)
 	r2 := s.NewResource("r2", 10e9)
 	// Long-lived flows on each side, short bridge that merges them.
-	s.Transfer("a", nil, Path(r1), 100e9, 0)
-	s.Transfer("b", nil, Path(r2), 100e9, 0)
-	s.Transfer("bridge", nil, Path(r1, r2), 1e6, 0)
+	s.Transfer(s.Name("a"), nil, Path(r1), 100e9, 0)
+	s.Transfer(s.Name("b"), nil, Path(r2), 100e9, 0)
+	s.Transfer(s.Name("bridge"), nil, Path(r1, r2), 1e6, 0)
 	admitForTest(s)
 	s.recomputeRates()
 	if s.findRoot(r1) != s.findRoot(r2) {
@@ -92,8 +92,8 @@ func TestComponentRecomputeIsLocal(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("r1", 10e9)
 	r2 := s.NewResource("r2", 10e9)
-	s.Transfer("a", nil, Path(r1), 100e9, 0)
-	s.Transfer("b", nil, Path(r2), 100e9, 0)
+	s.Transfer(s.Name("a"), nil, Path(r1), 100e9, 0)
+	s.Transfer(s.Name("b"), nil, Path(r2), 100e9, 0)
 	admitForTest(s)
 	s.recomputeRates()
 
@@ -102,7 +102,7 @@ func TestComponentRecomputeIsLocal(t *testing.T) {
 	fa.nextRate = -1
 	fb.nextRate = -1
 	// Perturb only r2's component.
-	s.Transfer("b2", nil, Path(r2), 1e9, 0)
+	s.Transfer(s.Name("b2"), nil, Path(r2), 1e9, 0)
 	admitForTest(s)
 	s.recomputeRates()
 	if fa.nextRate != -1 {
@@ -119,8 +119,8 @@ func TestCapacityEventDirtiesOnlyItsComponent(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("r1", 10e9)
 	r2 := s.NewResource("r2", 10e9)
-	s.Transfer("a", nil, Path(r1), 100e9, 0)
-	s.Transfer("b", nil, Path(r2), 100e9, 0)
+	s.Transfer(s.Name("a"), nil, Path(r1), 100e9, 0)
+	s.Transfer(s.Name("b"), nil, Path(r2), 100e9, 0)
 	admitForTest(s)
 	s.recomputeRates()
 	fa, fb := s.flows[0], s.flows[1]
@@ -143,7 +143,7 @@ func TestFlowHeapOrdering(t *testing.T) {
 	var h flowHeap
 	var flows []*flow
 	for i := 0; i < 200; i++ {
-		f := &flow{task: &Task{id: i}, heapIdx: -1}
+		f := &flow{task: &Task{id: int32(i)}, heapIdx: -1}
 		f.pred = Time(r.Float64() * 100)
 		if i%17 == 0 {
 			f.pred = math.Inf(1) // starved flows sink to the bottom
@@ -192,10 +192,10 @@ func TestLazySettlementExactness(t *testing.T) {
 	e := s.NewEngine("e")
 	// Computes create events that previously swept every flow; the flow
 	// itself runs at a constant rate through all of them.
-	s.Transfer("t", nil, Path(rc), 20e9, 0)
-	prev := s.Compute("c0", e, 0.3)
+	s.Transfer(s.Name("t"), nil, Path(rc), 20e9, 0)
+	prev := s.Compute(s.Name("c0"), e, 0.3)
 	for i := 0; i < 4; i++ {
-		prev = s.Compute("c", e, 0.3, prev)
+		prev = s.Compute(s.Name("c"), e, 0.3, prev)
 	}
 	end, err := s.Run()
 	if err != nil {
@@ -215,7 +215,7 @@ func TestFlowStructPooling(t *testing.T) {
 	rc := s.NewResource("rc", 10e9)
 	var prev *Task
 	for i := 0; i < 6; i++ {
-		prev = s.Transfer("t", nil, Path(rc), 1e9, 0, prev)
+		prev = s.Transfer(s.Name("t"), nil, Path(rc), 1e9, 0, prev)
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -122,10 +122,10 @@ func (s *Sim) injectCorruption(t *Task) (extra Time) {
 			retr = defaultMaxRetransmits
 			t.corruptExhausted = true
 		}
-		t.retransmits = retr
-		t.corruptAttempts = n
+		t.retransmits = uint8(retr)
+		t.corruptAttempts = uint8(n)
 		wait := defaultRetransmitBackoff * Time((uint64(1)<<retr)-1)
-		ck := float64(retr) * t.bytes * DefaultChecksumCostPerByte
+		ck := float64(retr) * t.size * DefaultChecksumCostPerByte
 		return wait + Time(ck)
 	}
 	if s.CorruptionPolicy(t, 0) {
@@ -143,21 +143,24 @@ func (s *Sim) injectCorruption(t *Task) (extra Time) {
 func (s *Sim) finalizeIntegrity() {
 	st := IntegrityStats{}
 	if s.Checksums.Enabled || s.CorruptionPolicy != nil {
-		for _, t := range s.tasks {
-			if t.corruptAttempts > 0 {
-				st.CorruptedAttempts += t.corruptAttempts
-				if t.silentCorrupt {
-					st.SilentCorruptions++
-				} else {
-					st.Retransmits += t.retransmits
-					st.RetransmitWait += defaultRetransmitBackoff * Time((uint64(1)<<t.retransmits)-1)
+		for _, c := range s.taskChunks {
+			for i := range c {
+				t := &c[i]
+				if t.corruptAttempts > 0 {
+					st.CorruptedAttempts += int(t.corruptAttempts)
+					if t.silentCorrupt {
+						st.SilentCorruptions++
+					} else {
+						st.Retransmits += int(t.retransmits)
+						st.RetransmitWait += defaultRetransmitBackoff * Time((uint64(1)<<t.retransmits)-1)
+					}
 				}
-			}
-			if t.checksumCharged {
-				st.ChecksumCost += Time(float64(1+t.retransmits) * t.bytes * DefaultChecksumCostPerByte)
-			}
-			if t.tainted && t.state == stateFinished {
-				st.TaintedTasks++
+				if t.checksumCharged {
+					st.ChecksumCost += Time(float64(1+int(t.retransmits)) * t.size * DefaultChecksumCostPerByte)
+				}
+				if t.tainted && t.state == stateFinished {
+					st.TaintedTasks++
+				}
 			}
 		}
 	}

@@ -53,12 +53,12 @@ func timelineOf(s *Sim) []timelineEvent {
 		finish bool
 	}
 	var evs []event
-	for _, t := range s.tasks {
+	for _, t := range s.taskList() {
 		if started(t) {
-			evs = append(evs, event{t.id, t.startAt, false})
+			evs = append(evs, event{int(t.id), t.startAt, false})
 		}
 		if t.state == stateFinished {
-			evs = append(evs, event{t.id, t.endAt, true})
+			evs = append(evs, event{int(t.id), t.endAt, true})
 		}
 	}
 	slices.SortFunc(evs, func(a, b event) int {
@@ -168,19 +168,19 @@ func diffScenario(r *rand.Rand, s *Sim) {
 			}
 			switch r.Intn(10) {
 			case 0:
-				prev = s.Compute("c", engines[r.Intn(len(engines))], r.Float64()*0.2, deps...)
+				prev = s.Compute(s.Name("c"), engines[r.Intn(len(engines))], r.Float64()*0.2, deps...)
 			case 1:
 				amt := 1 + r.Float64()*50
-				a := s.Alloc("a", pool, amt, deps...)
-				prev = s.Free("f", pool, amt, a)
+				a := s.Alloc(s.Name("a"), pool, amt, deps...)
+				prev = s.Free(s.Name("f"), pool, amt, a)
 			case 2:
 				// Zero-byte transfer (instant completion path).
-				prev = s.Transfer("z", nil, Path(groups[g].rc), 0, r.Intn(4), deps...)
+				prev = s.Transfer(s.Name("z"), nil, Path(groups[g].rc), 0, r.Intn(4), deps...)
 			case 3:
 				// Bridge: crosses this group's and another group's rc.
 				og := (g + 1 + r.Intn(nGroups)) % nGroups
 				path := Path(groups[g].rc, groups[og].rc)
-				prev = s.Transfer("bridge", nil, path, (0.5+r.Float64())*1e9, r.Intn(4), deps...)
+				prev = s.Transfer(s.Name("bridge"), nil, path, (0.5+r.Float64())*1e9, r.Intn(4), deps...)
 			default:
 				link := groups[g].links[r.Intn(len(groups[g].links))]
 				var path []PathElem
@@ -195,7 +195,7 @@ func diffScenario(r *rand.Rand, s *Sim) {
 					eng = engines[r.Intn(len(engines))]
 				}
 				bytes := (0.1 + r.Float64()*2) * 1e9
-				prev = s.Transfer("t", eng, path, bytes, r.Intn(4), deps...)
+				prev = s.Transfer(s.Name("t"), eng, path, bytes, r.Intn(4), deps...)
 			}
 		}
 	}
@@ -269,13 +269,13 @@ func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 				}
 				switch r.Intn(10) {
 				case 0:
-					prev = s.Compute("c", eng, r.Float64()*0.2, deps...)
+					prev = s.Compute(s.Name("c"), eng, r.Float64()*0.2, deps...)
 				case 1:
 					amt := 1 + r.Float64()*50
-					a := s.Alloc("a", pool, amt, deps...)
-					prev = s.Free("f", pool, amt, a)
+					a := s.Alloc(s.Name("a"), pool, amt, deps...)
+					prev = s.Free(s.Name("f"), pool, amt, a)
 				case 2:
-					prev = s.Transfer("z", nil, Path(rc), 0, r.Intn(4), deps...)
+					prev = s.Transfer(s.Name("z"), nil, Path(rc), 0, r.Intn(4), deps...)
 				default:
 					link := links[r.Intn(len(links))]
 					var path []PathElem
@@ -289,7 +289,7 @@ func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 						taskEng = eng
 					}
 					bytes := (0.1 + r.Float64()*2) * 1e9
-					prev = s.Transfer("t", taskEng, path, bytes, r.Intn(4), deps...)
+					prev = s.Transfer(s.Name("t"), taskEng, path, bytes, r.Intn(4), deps...)
 				}
 			}
 		}
@@ -347,18 +347,18 @@ func diffScenarioSkewed(r *rand.Rand, s *Sim) {
 				}
 				switch r.Intn(10) {
 				case 0:
-					prev = s.Compute("c", eng, r.Float64()*0.2, deps...)
+					prev = s.Compute(s.Name("c"), eng, r.Float64()*0.2, deps...)
 				case 1:
 					amt := 1 + r.Float64()*50
-					a := s.Alloc("a", pool, amt, deps...)
-					prev = s.Free("f", pool, amt, a)
+					a := s.Alloc(s.Name("a"), pool, amt, deps...)
+					prev = s.Free(s.Name("f"), pool, amt, a)
 				case 2:
-					prev = s.Transfer("z", nil, Path(rc), 0, r.Intn(4), deps...)
+					prev = s.Transfer(s.Name("z"), nil, Path(rc), 0, r.Intn(4), deps...)
 				default:
 					link := links[r.Intn(len(links))]
 					path := Path(link, rc)
 					bytes := (0.1 + r.Float64()*2) * 1e9
-					prev = s.Transfer("t", nil, path, bytes, r.Intn(4), deps...)
+					prev = s.Transfer(s.Name("t"), nil, path, bytes, r.Intn(4), deps...)
 				}
 			}
 		}
@@ -390,7 +390,7 @@ func captureRecord(s *Sim, makespan Time, err error) runRecord {
 	if err != nil {
 		rec.errText = err.Error()
 	}
-	for _, t := range s.tasks {
+	for _, t := range s.taskList() {
 		rec.taskStarts = append(rec.taskStarts, math.Float64bits(t.startAt))
 		rec.taskEnds = append(rec.taskEnds, math.Float64bits(t.endAt))
 	}

@@ -13,7 +13,7 @@ import (
 // the DAG, in one global sort by (end time, task id).
 func oracleFinished(s *Sim) []*Task {
 	var out []*Task
-	for _, t := range s.tasks {
+	for _, t := range s.taskList() {
 		if t.state == stateFinished {
 			out = append(out, t)
 		}
@@ -53,10 +53,10 @@ func checkFinished(t *testing.T, label string, s *Sim) int {
 func addWork(r *rand.Rand, s *Sim, res []*Resource, engs []*Engine, n int) {
 	for i := 0; i < n; i++ {
 		var deps []*Task
-		for k := r.Intn(3); k > 0 && len(s.tasks) > 0; k-- {
-			deps = append(deps, s.tasks[r.Intn(len(s.tasks))])
+		for k := r.Intn(3); k > 0 && s.NumTasks() > 0; k-- {
+			deps = append(deps, s.task(int32(r.Intn(s.NumTasks()))))
 		}
-		name := fmt.Sprintf("w%d", len(s.tasks))
+		name := s.Name(fmt.Sprintf("w%d", s.NumTasks()))
 		switch r.Intn(3) {
 		case 0:
 			s.Compute(name, engs[r.Intn(len(engs))], Time(r.Intn(4))*1e-3, deps...)
@@ -152,7 +152,7 @@ func TestSortFinishedMatchesGlobalSort(t *testing.T) {
 		tasks := make([]Task, n)
 		got := make([]*Task, n)
 		for i := range tasks {
-			tasks[i].id = i
+			tasks[i].id = int32(i)
 			tasks[i].endAt = Time(r.Intn(8)) * 0.25
 			got[i] = &tasks[i]
 		}

@@ -27,6 +27,12 @@
 // completed tasks in (end time, task id) order, each task carries its
 // start and end times, and each resource the bytes it carried.
 //
+// Tasks hold no Go pointer, so the task arena is memory the garbage
+// collector never scans: a task names its engine, pool and path by index
+// into the Sim's tables, its successors by id, and carries its Tag by
+// value (SetTag). Its name is a recipe over a pattern the Sim interns
+// (Name, With), formatted only when an error or a caller asks (TaskName).
+//
 // All times are float64 seconds and all sizes float64 bytes. The simulator
 // is fully deterministic: ties are broken by task creation order.
 //
@@ -36,8 +42,9 @@
 // event re-runs the fair-sharing computation only for the components it
 // perturbed (component.go). Flow progress is settled lazily when a flow's
 // rate changes (flow.go), and the next event is picked from an indexed
-// min-heap of predicted completion times (flowheap.go), so per-event cost
-// scales with the perturbation, not with the number of active flows. The
+// min-heap of predicted completion times (flowheap.go) and a typed heap
+// of compute completions (taskheap.go), so per-event cost scales with
+// the perturbation, not with the number of active flows. The
 // pre-incremental global recompute is retained as a test-only oracle that
 // the differential tests hold bitwise-equal to the incremental scheduler.
 package sim

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Engine is an exclusive serial executor: a GPU compute engine or a DMA
 // copy engine. At most one task runs on an engine at a time. Ready tasks
 // queue and are dispatched highest-priority first, then in ready order.
@@ -27,43 +25,4 @@ func (e *Engine) Busy() bool { return e.current != nil }
 func (e *Engine) Current() *Task { return e.current }
 
 // QueueLen returns the number of tasks waiting for the engine.
-func (e *Engine) QueueLen() int { return e.queue.Len() }
-
-func (e *Engine) push(t *Task) { heap.Push(&e.queue, t) }
-
-func (e *Engine) pop() *Task {
-	if e.queue.Len() == 0 {
-		return nil
-	}
-	return heap.Pop(&e.queue).(*Task)
-}
-
-// engineQueue orders tasks by priority (descending), then by the time they
-// became ready, then by creation order for determinism.
-type engineQueue []*Task
-
-func (q engineQueue) Len() int { return len(q) }
-
-func (q engineQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	if a.readyAt != b.readyAt {
-		return a.readyAt < b.readyAt
-	}
-	return a.id < b.id
-}
-
-func (q engineQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *engineQueue) Push(x any) { *q = append(*q, x.(*Task)) }
-
-func (q *engineQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return t
-}
+func (e *Engine) QueueLen() int { return len(e.queue) }

@@ -8,7 +8,9 @@ import "math"
 // are settled only when the rate actually changes or the flow completes,
 // with lastUpdate recording the instant the stored remaining was exact.
 type flow struct {
-	task      *Task
+	task *Task
+	// path is the task's resource path, read from Sim.paths at admission.
+	path      []PathElem
 	remaining float64
 	rate      float64
 
@@ -60,7 +62,7 @@ func (s *Sim) settleFlow(f *flow) {
 	dt := s.now - f.lastUpdate
 	if dt > 0 && f.rate != 0 {
 		f.remaining -= f.rate * dt
-		for _, pe := range f.task.path {
+		for _, pe := range f.path {
 			pe.Res.carried += f.rate * pe.Weight * dt
 		}
 	}
@@ -120,10 +122,10 @@ func (s *Sim) recomputeRates() {
 		s.resolveDirty(false)
 		s.compVisit++
 		for _, f := range s.flows {
-			if len(f.task.path) == 0 {
+			if len(f.path) == 0 {
 				continue
 			}
-			c := s.findRoot(f.task.path[0].Res).comp
+			c := s.findRoot(f.path[0].Res).comp
 			if c == nil || c.visit == s.compVisit {
 				continue
 			}
@@ -273,7 +275,7 @@ func (s *Sim) waterFill(class []*flow) {
 			if fixed[i] {
 				continue
 			}
-			for _, pe := range f.task.path {
+			for _, pe := range f.path {
 				if pe.Res.demand == 0 {
 					res = append(res, pe.Res)
 				}
@@ -319,7 +321,7 @@ func (s *Sim) waterFill(class []*flow) {
 				continue
 			}
 			binding := false
-			for _, pe := range f.task.path {
+			for _, pe := range f.path {
 				if pe.Res.binding {
 					binding = true
 					break
@@ -332,7 +334,7 @@ func (s *Sim) waterFill(class []*flow) {
 			fixed[i] = true
 			unfixed--
 			progress = true
-			for _, pe := range f.task.path {
+			for _, pe := range f.path {
 				pe.Res.residual -= minShare * pe.Weight
 				if pe.Res.residual < 0 {
 					pe.Res.residual = 0

@@ -55,10 +55,10 @@ func (sc fairnessScenario) rates() ([]float64, []*Resource) {
 		for h, ri := range hops {
 			path = append(path, PathElem{Res: res[ri], Weight: sc.weight[i][h]})
 		}
-		s.Transfer("f", nil, path, 1e12, sc.prios[i])
+		s.Transfer(s.Name("f"), nil, path, 1e12, sc.prios[i])
 	}
 	// Arm the flows without running to completion: seed ready queue.
-	for _, t := range s.tasks {
+	for _, t := range s.taskList() {
 		if t.waiting == 0 {
 			s.ready = append(s.ready, t)
 		}
@@ -159,9 +159,9 @@ func TestEqualFlowsGetEqualRates(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 12e9)
 	for i := 0; i < 5; i++ {
-		s.Transfer("f", nil, Path(rc), 1e12, 0)
+		s.Transfer(s.Name("f"), nil, Path(rc), 1e12, 0)
 	}
-	for _, task := range s.tasks {
+	for _, task := range s.taskList() {
 		if task.waiting == 0 {
 			s.ready = append(s.ready, task)
 		}
@@ -195,13 +195,13 @@ func TestRandomDAGsComplete(t *testing.T) {
 			}
 			switch r.Intn(3) {
 			case 0:
-				prev = s.Compute("c", engines[r.Intn(nEng)], r.Float64(), deps...)
+				prev = s.Compute(s.Name("c"), engines[r.Intn(nEng)], r.Float64(), deps...)
 			case 1:
-				prev = s.Transfer("t", nil, Path(res), r.Float64()*1e9, r.Intn(2), deps...)
+				prev = s.Transfer(s.Name("t"), nil, Path(res), r.Float64()*1e9, r.Intn(2), deps...)
 			case 2:
 				amt := 1 + r.Float64()*30
-				a := s.Alloc("a", pool, amt, deps...)
-				prev = s.Free("f", pool, amt, a)
+				a := s.Alloc(s.Name("a"), pool, amt, deps...)
+				prev = s.Free(s.Name("f"), pool, amt, a)
 			}
 		}
 		_, err := s.Run()

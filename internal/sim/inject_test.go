@@ -11,7 +11,7 @@ import (
 func TestScheduledCapacityDegradationSplitsTransfer(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Transfer("t", nil, Path(link), 20e9, 0)
+	s.Transfer(s.Name("t"), nil, Path(link), 20e9, 0)
 	// 10 GB move in the first second; the remaining 10 GB crawl at 5 GB/s.
 	s.ScheduleCapacity(link, 1, 5e9)
 	end, err := s.Run()
@@ -26,7 +26,7 @@ func TestScheduledCapacityDegradationSplitsTransfer(t *testing.T) {
 func TestCapacityWindowRestores(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Transfer("t", nil, Path(link), 30e9, 0)
+	s.Transfer(s.Name("t"), nil, Path(link), 30e9, 0)
 	s.ScheduleCapacity(link, 1, 2e9)
 	s.ScheduleCapacity(link, 2, 10e9)
 	end, err := s.Run()
@@ -42,7 +42,7 @@ func TestCapacityWindowRestores(t *testing.T) {
 func TestCapacityEventBeforeFlowStart(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Transfer("t", nil, Path(link), 10e9, 0)
+	s.Transfer(s.Name("t"), nil, Path(link), 10e9, 0)
 	s.ScheduleCapacity(link, 0, 2.5e9)
 	end, err := s.Run()
 	if err != nil {
@@ -57,7 +57,7 @@ func TestCapacityEventBeforeFlowStart(t *testing.T) {
 func TestOversizedAllocIsStructuredOOM(t *testing.T) {
 	s := New()
 	pool := s.NewMemPool("gpu0.mem", 10)
-	s.Alloc("activations", pool, 20)
+	s.Alloc(s.Name("activations"), pool, 20)
 	_, err := s.Run()
 	var oom *OOMError
 	if !errors.As(err, &oom) {
@@ -74,8 +74,8 @@ func TestOversizedAllocIsStructuredOOM(t *testing.T) {
 func TestShrunkenPoolTriggersOOM(t *testing.T) {
 	s := New()
 	pool := s.NewMemPool("dram", 30)
-	weights := s.Alloc("weights", pool, 20)
-	s.Alloc("states", pool, 50, weights)
+	weights := s.Alloc(s.Name("weights"), pool, 20)
+	s.Alloc(s.Name("states"), pool, 50, weights)
 	_, err := s.Run()
 	var oom *OOMError
 	if !errors.As(err, &oom) {
@@ -91,8 +91,8 @@ func TestShrunkenPoolTriggersOOM(t *testing.T) {
 func TestOverFreeIsStructuredAccountError(t *testing.T) {
 	s := New()
 	pool := s.NewMemPool("dram", 100)
-	a := s.Alloc("a", pool, 10)
-	s.Free("double-free", pool, 25, a)
+	a := s.Alloc(s.Name("a"), pool, 10)
+	s.Free(s.Name("double-free"), pool, 25, a)
 	_, err := s.Run()
 	var acc *MemAccountError
 	if !errors.As(err, &acc) {
@@ -112,8 +112,8 @@ func TestCapacityEventsDeterministic(t *testing.T) {
 		e := s.NewEngine("gpu0")
 		s.ScheduleCapacity(link, 0.5, 2e9)
 		s.ScheduleCapacity(link, 1.5, 8e9)
-		c := s.Compute("c", e, 1)
-		tr := s.Transfer("t", nil, Path(link), 12e9, 0, c)
+		c := s.Compute(s.Name("c"), e, 1)
+		tr := s.Transfer(s.Name("t"), nil, Path(link), 12e9, 0, c)
 		return s, c, tr
 	}
 	s1, c1, t1 := build()

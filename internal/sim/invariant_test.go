@@ -31,7 +31,7 @@ func (s *Sim) CheckInvariants() []error {
 		bad("clock is %v", s.now)
 	}
 
-	for _, t := range s.tasks {
+	for _, t := range s.taskList() {
 		switch t.state {
 		case statePending:
 			continue
@@ -65,15 +65,15 @@ func (s *Sim) CheckInvariants() []error {
 	// match exactly; halted runs may have flowed only part of it.
 	expected := make([]float64, len(s.resources))
 	halted := s.err != nil || s.pending > 0
-	for _, t := range s.tasks {
-		if t.kind != KindTransfer || !t.flowStarted || t.bytes <= 0 {
+	for _, t := range s.taskList() {
+		if t.kind != KindTransfer || !t.flowStarted || t.size <= 0 {
 			continue
 		}
 		if t.state != stateFinished && !halted {
 			bad("%v flow started but never finished in a completed run", t)
 		}
-		for _, pe := range t.path {
-			expected[pe.Res.id] += pe.Weight * t.bytes * float64(1+t.retransmits)
+		for _, pe := range s.PathOf(t) {
+			expected[pe.Res.id] += pe.Weight * t.size * float64(1+int(t.retransmits))
 		}
 	}
 	for _, r := range s.resources {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // This file is the event loop of the simulator: clock, ready worklist,
 // engine dispatch, active flows, and the compute and flow completion
@@ -22,7 +19,7 @@ func (s *Sim) prepare() {
 	}
 	s.dirtyComps = s.dirtyComps[:0]
 	for _, f := range s.flows {
-		f.task = nil
+		f.task, f.path = nil, nil
 		s.flowPool = append(s.flowPool, f)
 	}
 	s.flows = s.flows[:0]
@@ -56,9 +53,11 @@ func (s *Sim) run() {
 	s.applyFailEvents()
 
 	// Seed the worklist with dependency-free tasks.
-	for _, t := range s.tasks {
-		if t.state == statePending && t.waiting == 0 {
-			s.ready = append(s.ready, t)
+	for _, c := range s.taskChunks {
+		for i := range c {
+			if t := &c[i]; t.state == statePending && t.waiting == 0 {
+				s.ready = append(s.ready, t)
+			}
 		}
 	}
 	s.drain()
@@ -110,7 +109,7 @@ func (s *Sim) advance(t Time) {
 	// Complete finished computes; transfer tasks surfacing here have
 	// finished their setup latency and now begin flowing.
 	for len(s.computes) > 0 && s.computes[0].endAt <= s.now+timeEpsilon {
-		task := heap.Pop(&s.computes).(*Task)
+		task := s.computes.pop()
 		if task.kind == KindTransfer {
 			s.beginFlow(task)
 			continue
@@ -150,7 +149,7 @@ func (s *Sim) advance(t Time) {
 		// batch no longer references them, and a completion may admit new
 		// flows that reuse the structs immediately.
 		for _, f := range done {
-			f.task = nil
+			f.task, f.path = nil, nil
 			s.flowPool = append(s.flowPool, f)
 		}
 		for _, task := range tasks {
@@ -168,9 +167,9 @@ func (s *Sim) advance(t Time) {
 // engine and dispatches the next queued task on that engine.
 func (s *Sim) finishEngineTask(t *Task) {
 	s.complete(t)
-	if t.engine != nil && t.engine.current == t {
-		t.engine.current = nil
-		if nxt := t.engine.pop(); nxt != nil {
+	if e := s.engineOf(t); e != nil && e.current == t {
+		e.current = nil
+		if nxt := e.queue.pop(); nxt != nil {
 			s.startOnEngine(nxt)
 		}
 	}
@@ -206,7 +205,7 @@ func (s *Sim) drain() {
 		// the loop is safe.
 		for _, e := range s.kicked {
 			for e.current == nil {
-				nxt := e.pop()
+				nxt := e.queue.pop()
 				if nxt == nil {
 					break
 				}
@@ -238,24 +237,26 @@ func (s *Sim) drainOne(t *Task) {
 		t.startAt = s.now
 		s.complete(t)
 	case KindAlloc:
-		if t.amount > t.pool.capacity+memEpsilon {
+		p := s.pools[t.pool]
+		if t.size > p.capacity+memEpsilon {
 			// The request can never be satisfied: a structured OOM
 			// beats an eventual deadlock report.
-			s.fail(&OOMError{Pool: t.pool.name, Task: t.name, Need: t.amount, Capacity: t.pool.capacity})
+			s.fail(&OOMError{Pool: p.name, Task: s.TaskName(t), Need: t.size, Capacity: p.capacity})
 			return
 		}
-		if t.pool.tryAlloc(t) {
+		if p.tryAlloc(t) {
 			t.startAt = s.now
 			s.complete(t)
 		} else {
 			t.state = stateRunning
-			t.pool.waiters = append(t.pool.waiters, t)
+			p.waiters = append(p.waiters, t)
 		}
 	case KindFree:
 		t.startAt = s.now
-		woken, below := t.pool.release(t.amount)
+		p := s.pools[t.pool]
+		woken, below := p.release(t.size)
 		if below > 0 {
-			s.fail(&MemAccountError{Pool: t.pool.name, Task: t.name, Freed: t.amount, Below: below})
+			s.fail(&MemAccountError{Pool: p.name, Task: s.TaskName(t), Freed: t.size, Below: below})
 			return
 		}
 		s.complete(t)
@@ -264,14 +265,15 @@ func (s *Sim) drainOne(t *Task) {
 			s.complete(w)
 		}
 	case KindCompute, KindTransfer:
-		if t.engine == nil {
+		e := s.engineOf(t)
+		if e == nil {
 			s.startOnEngine(t)
 			return
 		}
-		t.engine.push(t)
-		if t.engine.current == nil && !t.engine.kicked {
-			t.engine.kicked = true
-			s.kicked = append(s.kicked, t.engine)
+		e.queue.push(t)
+		if e.current == nil && !e.kicked {
+			e.kicked = true
+			s.kicked = append(s.kicked, e)
 		}
 	}
 }
@@ -280,33 +282,33 @@ func (s *Sim) drainOne(t *Task) {
 func (s *Sim) startOnEngine(t *Task) {
 	t.state = stateRunning
 	t.startAt = s.now
-	if t.engine != nil {
-		t.engine.current = t
+	if e := s.engineOf(t); e != nil {
+		e.current = t
 	}
 
 	switch t.kind {
 	case KindCompute:
-		t.endAt = s.now + t.duration
-		heap.Push(&s.computes, t)
+		t.endAt = s.now + t.size
+		s.computes.push(t)
 	case KindTransfer:
 		lat := s.TransferLatency
-		if t.bytes > 0 {
+		if t.size > 0 {
 			if s.Checksums.Enabled {
 				// Detection price of the first delivery attempt;
 				// retransmitted attempts are charged inside
 				// injectCorruption. Recorded on the task; the run-level
 				// totals are derived by finalizeIntegrity.
 				t.checksumCharged = true
-				lat += Time(t.bytes * DefaultChecksumCostPerByte)
+				lat += Time(t.size * DefaultChecksumCostPerByte)
 			}
 			if s.CorruptionPolicy != nil {
 				lat += s.injectCorruption(t)
 			}
 		}
-		if lat > 0 && t.bytes > 0 {
+		if lat > 0 && t.size > 0 {
 			// Setup phase: occupy the engine for the latency, then flow.
 			t.endAt = s.now + lat
-			heap.Push(&s.computes, t)
+			s.computes.push(t)
 			return
 		}
 		s.beginFlow(t)
@@ -322,14 +324,15 @@ func (s *Sim) beginFlow(t *Task) {
 	t.flowStarted = true
 	f := s.takeFlow()
 	f.task = t
+	f.path = s.PathOf(t)
 	// Retransmitted attempts re-flow the payload, so detected corruption
 	// consumes real path bandwidth, not just setup latency.
-	f.remaining = t.bytes * float64(1+t.retransmits)
+	f.remaining = t.size * float64(1+int(t.retransmits))
 	f.rate = 0
 	f.lastUpdate = s.now
-	if t.bytes <= 0 || len(t.path) == 0 {
+	if t.size <= 0 || len(f.path) == 0 {
 		f.rate = infiniteRate
-		if t.bytes <= 0 {
+		if t.size <= 0 {
 			// Zero-byte transfer: complete in the same instant via the
 			// flow set so engine release ordering stays uniform.
 			f.remaining = 0
@@ -383,7 +386,8 @@ func (s *Sim) complete(t *Task) {
 	t.endAt = s.now
 	s.pending--
 	s.finished = append(s.finished, t)
-	for _, succ := range t.succs {
+	for _, id := range s.succsOf(t) {
+		succ := s.task(id)
 		if t.tainted {
 			// Silent corruption poisons everything downstream.
 			succ.tainted = true
@@ -394,7 +398,7 @@ func (s *Sim) complete(t *Task) {
 		}
 	}
 	if t.corruptExhausted {
-		s.fail(&CorruptionError{Task: t.name, At: s.now, Attempts: 1 + t.retransmits})
+		s.fail(&CorruptionError{Task: s.TaskName(t), At: s.now, Attempts: 1 + int(t.retransmits)})
 	}
 }
 

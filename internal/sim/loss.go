@@ -92,7 +92,7 @@ func (s *Sim) collectVictims(ev failEvent) []string {
 	seen := make(map[*Task]bool)
 	var victims []*Task
 	for _, f := range s.flows {
-		for _, pe := range f.task.path {
+		for _, pe := range f.path {
 			if dead[pe.Res] && !seen[f.task] {
 				seen[f.task] = true
 				victims = append(victims, f.task)
@@ -110,7 +110,7 @@ func (s *Sim) collectVictims(ev failEvent) []string {
 	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
 	names := make([]string, len(victims))
 	for i, t := range victims {
-		names[i] = t.name
+		names[i] = s.TaskName(t)
 	}
 	return names
 }

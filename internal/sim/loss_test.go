@@ -11,7 +11,7 @@ import (
 func TestFailureHaltsInFlightFlow(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 100)
-	s.Transfer("xfer", nil, Path(link), 1000, 0) // would take 10s
+	s.Transfer(s.Name("xfer"), nil, Path(link), 1000, 0) // would take 10s
 	s.ScheduleFailure(4, "link", []*Resource{link}, nil)
 
 	end, err := s.Run()
@@ -35,7 +35,7 @@ func TestFailureHaltsInFlightFlow(t *testing.T) {
 func TestFailureHaltsEngineOccupant(t *testing.T) {
 	s := New()
 	e := s.NewEngine("gpu0.compute")
-	s.Compute("fwd", e, 10)
+	s.Compute(s.Name("fwd"), e, 10)
 	s.ScheduleFailure(3, "gpu0", nil, []*Engine{e})
 
 	_, err := s.Run()
@@ -53,7 +53,7 @@ func TestFailureHaltsEngineOccupant(t *testing.T) {
 func TestFailureAfterMakespanNeverFires(t *testing.T) {
 	s := New()
 	e := s.NewEngine("gpu0.compute")
-	s.Compute("fwd", e, 2)
+	s.Compute(s.Name("fwd"), e, 2)
 	s.ScheduleFailure(100, "gpu0", nil, []*Engine{e})
 
 	end, err := s.Run()
@@ -71,8 +71,8 @@ func TestFailureAfterMakespanNeverFires(t *testing.T) {
 func TestFailureSameInstantCompletionWins(t *testing.T) {
 	s := New()
 	e := s.NewEngine("gpu0.compute")
-	a := s.Compute("done-at-onset", e, 3)
-	s.Compute("starts-at-onset", e, 5, a)
+	a := s.Compute(s.Name("done-at-onset"), e, 3)
+	s.Compute(s.Name("starts-at-onset"), e, 5, a)
 	s.ScheduleFailure(3, "gpu0", nil, []*Engine{e})
 
 	_, err := s.Run()
@@ -96,7 +96,7 @@ func TestFailureDeduplicatesVictims(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 100)
 	e := s.NewEngine("gpu0.upload")
-	s.Transfer("xfer", e, Path(link), 1000, 0)
+	s.Transfer(s.Name("xfer"), e, Path(link), 1000, 0)
 	s.ScheduleFailure(4, "gpu0", []*Resource{link}, []*Engine{e})
 
 	_, err := s.Run()

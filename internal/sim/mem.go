@@ -61,7 +61,7 @@ func (p *MemPool) tryAlloc(t *Task) bool {
 	if len(p.waiters) > 0 {
 		return false
 	}
-	return p.allocNow(t.amount)
+	return p.allocNow(t.size)
 }
 
 func (p *MemPool) allocNow(amount float64) bool {
@@ -92,7 +92,7 @@ func (p *MemPool) release(amount float64) (woken []*Task, below float64) {
 	}
 	for len(p.waiters) > 0 {
 		head := p.waiters[0]
-		if !p.allocNow(head.amount) {
+		if !p.allocNow(head.size) {
 			break
 		}
 		p.waiters = p.waiters[1:]

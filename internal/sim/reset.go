@@ -12,19 +12,22 @@ package sim
 // state and resets the event loop, keeping scheduled fault events
 // intact.
 func (s *Sim) rewind() {
-	for _, t := range s.tasks {
-		t.state = statePending
-		t.waiting = t.initWaiting
-		t.readyAt = 0
-		t.startAt = 0
-		t.endAt = 0
-		t.flowStarted = false
-		t.retransmits = 0
-		t.tainted = false
-		t.corruptExhausted = false
-		t.corruptAttempts = 0
-		t.silentCorrupt = false
-		t.checksumCharged = false
+	for _, c := range s.taskChunks {
+		for i := range c {
+			t := &c[i]
+			t.state = statePending
+			t.waiting = t.initWaiting
+			t.readyAt = 0
+			t.startAt = 0
+			t.endAt = 0
+			t.flowStarted = false
+			t.retransmits = 0
+			t.tainted = false
+			t.corruptExhausted = false
+			t.corruptAttempts = 0
+			t.silentCorrupt = false
+			t.checksumCharged = false
+		}
 	}
 	for _, r := range s.resources {
 		r.capacity = r.baseCapacity
@@ -49,7 +52,7 @@ func (s *Sim) rewind() {
 		p.waiters = p.waiters[:0]
 	}
 	s.prepare()
-	s.pending = len(s.tasks)
+	s.pending = s.numTasks
 	s.ran = false
 	s.integrity = IntegrityStats{}
 }

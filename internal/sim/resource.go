@@ -80,7 +80,8 @@ type pathKey struct {
 
 // Path is the interning variant of the package-level Path constructor:
 // structurally identical paths (same resources, same merged weights)
-// return the same shared []PathElem slice. DAG builders that route many
+// return the same shared []PathElem slice, an entry of the table a
+// transfer's path index points into. DAG builders that route many
 // transfers over the same few hardware paths (every pipeline schedule
 // does) construct each distinct path once instead of once per transfer.
 // Paths longer than five merged hops are passed through uninterned.
@@ -111,15 +112,35 @@ func (s *Sim) Path(resources ...*Resource) []PathElem {
 			k.n++
 		}
 	}
-	if q, ok := s.pathCache[k]; ok {
-		return q
+	if id, ok := s.pathCache[k]; ok {
+		return s.paths[id]
 	}
 	p := Path(resources...)
 	if s.pathCache == nil {
-		s.pathCache = make(map[pathKey][]PathElem)
+		s.pathCache = make(map[pathKey]int32)
 	}
-	s.pathCache[k] = p
+	s.pathCache[k] = s.pathIndex(p)
 	return p
+}
+
+// pathIndex returns the index of path in the table, adding it on first
+// sight. A path is found by the address of its first element, so every
+// transfer handed the same slice shares one entry and reads the very
+// elements it was given.
+func (s *Sim) pathIndex(path []PathElem) int32 {
+	if len(path) == 0 {
+		return noIndex
+	}
+	if id, ok := s.pathIDs[&path[0]]; ok && len(s.paths[id]) == len(path) {
+		return id
+	}
+	id := int32(len(s.paths))
+	s.paths = append(s.paths, path)
+	if s.pathIDs == nil {
+		s.pathIDs = make(map[*PathElem]int32)
+	}
+	s.pathIDs[&path[0]] = id
+	return id
 }
 
 // Path is a convenience constructor for a unit-weight path, merging

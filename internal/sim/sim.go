@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -14,7 +15,6 @@ import (
 type Sim struct {
 	now     Time
 	pending int
-	tasks   []*Task
 
 	// finished lists the tasks of the current run in completion order;
 	// Run sorts each run of equal end times by task id (see Finished).
@@ -85,7 +85,7 @@ type Sim struct {
 	compVisit  uint64
 
 	// Scratch reused across events (allocation-free steady state).
-	prioScratch    []int
+	prioScratch    []int32
 	classBuckets   [][]*flow
 	fixedScratch   []bool
 	resScratch     []*Resource
@@ -97,17 +97,35 @@ type Sim struct {
 	flowPool       []*flow
 	flowSlab       []flow
 
-	// Arenas DAG construction carves from: Task structs, successor-edge
-	// slices, and the hardware registry (resources, engines, pools) all
-	// come from chunked slabs instead of one allocation per object;
-	// pathCache backs the Path interning method (resource.go).
-	taskSlab  []Task
-	succSlab  []*Task
-	resSlab   []Resource
-	engSlab   []Engine
-	poolSlab  []MemPool
-	pathCache map[pathKey][]PathElem
+	// The DAG. Tasks live in chunks of taskChunk, so a *Task stays valid
+	// as the DAG grows and task id i sits at taskChunks[i/taskChunk];
+	// Task holds no pointer, so the chunks are memory the garbage
+	// collector never scans. succs is the successor slab every task's
+	// run of successor ids is carved from.
+	taskChunks [][]Task
+	numTasks   int
+	succs      []int32
+
+	// The hardware registry comes from chunked slabs instead of one
+	// allocation per object.
+	resSlab  []Resource
+	engSlab  []Engine
+	poolSlab []MemPool
+
+	// paths is the table a transfer's path index points into. pathIDs
+	// finds a path slice's index by its first element's address;
+	// pathCache interns paths built by the Path method (resource.go).
+	paths     [][]PathElem
+	pathIDs   map[*PathElem]int32
+	pathCache map[pathKey]int32
+
+	// labels are the name patterns Name interns, found by labelIDs.
+	labels   [][maxNameInts + 1]string
+	labelIDs map[[maxNameInts + 1]string]int32
 }
+
+// taskChunk is the number of tasks one arena chunk holds.
+const taskChunk = 256
 
 // New creates an empty simulator. Its union-find generation starts at 1,
 // so the zero generation of a fresh Resource never reads as current.
@@ -154,73 +172,84 @@ func (s *Sim) NewMemPool(name string, capacity float64) *MemPool {
 }
 
 // NumTasks reports how many tasks the DAG holds.
-func (s *Sim) NumTasks() int { return len(s.tasks) }
+func (s *Sim) NumTasks() int { return s.numTasks }
 
-// allocTask carves a Task from the arena: DAG construction allocates one
-// 256-task chunk at a time instead of one object per task.
-func (s *Sim) allocTask() *Task {
-	if len(s.taskSlab) == 0 {
-		s.taskSlab = make([]Task, 256)
+// task returns the task with the given id.
+func (s *Sim) task(id int32) *Task { return &s.taskChunks[id/taskChunk][id%taskChunk] }
+
+// succsOf returns t's successor ids.
+func (s *Sim) succsOf(t *Task) []int32 { return s.succs[t.succOff : t.succOff+t.succLen] }
+
+// newTask carves the next task from the arena, one chunk of taskChunk
+// tasks at a time, and links it behind deps.
+func (s *Sim) newTask(name Name, kind TaskKind, deps []*Task) *Task {
+	if s.numTasks%taskChunk == 0 {
+		s.taskChunks = append(s.taskChunks, make([]Task, 0, taskChunk))
 	}
-	t := &s.taskSlab[0]
-	s.taskSlab = s.taskSlab[1:]
-	return t
-}
-
-// succCarve cuts a zero-length, cap-n successor slice from the shared
-// slab; growth beyond succHeapCap falls back to ordinary heap appends
-// (rare wide fan-out), keeping slab waste bounded.
-const succHeapCap = 16
-
-func (s *Sim) succCarve(n int) []*Task {
-	if len(s.succSlab) < n {
-		s.succSlab = make([]*Task, 2048)
-	}
-	out := s.succSlab[:0:n]
-	s.succSlab = s.succSlab[n:]
-	return out
-}
-
-// appendSucc records t as a successor of d. Small successor lists are
-// carved from the slab (one allocation per 2048 edges instead of one per
-// task with successors); lists past succHeapCap grow on the heap.
-func (s *Sim) appendSucc(d, t *Task) {
-	if len(d.succs) == cap(d.succs) && cap(d.succs) < succHeapCap {
-		nc := cap(d.succs) * 2
-		if nc == 0 {
-			nc = 2
-		}
-		ns := s.succCarve(nc)
-		ns = append(ns, d.succs...)
-		d.succs = ns
-	}
-	d.succs = append(d.succs, t)
-}
-
-func (s *Sim) newTask(name string, kind TaskKind, deps []*Task) *Task {
-	t := s.allocTask()
-	t.id = len(s.tasks)
-	t.name = name
-	t.kind = kind
+	last := len(s.taskChunks) - 1
+	s.taskChunks[last] = append(s.taskChunks[last], Task{
+		id:     int32(s.numTasks),
+		engine: noIndex,
+		pool:   noIndex,
+		path:   noIndex,
+		name:   name,
+		kind:   kind,
+	})
+	t := &s.taskChunks[last][len(s.taskChunks[last])-1]
+	s.numTasks++
 	for _, d := range deps {
 		if d == nil {
 			continue
 		}
-		s.appendSucc(d, t)
+		s.appendSucc(d, t.id)
 		t.waiting++
 	}
 	t.initWaiting = t.waiting
-	s.tasks = append(s.tasks, t)
 	s.pending++
 	return t
 }
 
+// appendSucc records task id as a successor of d. A task's successors
+// are a run in the shared slab whose capacity doubles from 1: a full run
+// that ends the slab grows in place, any other moves to the end and
+// leaves its old slots unused.
+func (s *Sim) appendSucc(d *Task, id int32) {
+	n := d.succLen
+	if n == succCap(n) {
+		c := max(1, 2*n)
+		if need := len(s.succs) + int(c); need > cap(s.succs) {
+			// Double the slab: append's gentler growth for large
+			// slices would copy it several times more per build.
+			grown := make([]int32, len(s.succs), max(need, 2*cap(s.succs), 1024))
+			copy(grown, s.succs)
+			s.succs = grown
+		}
+		if d.succOff+n != int32(len(s.succs)) {
+			off := int32(len(s.succs))
+			s.succs = append(s.succs, s.succs[d.succOff:d.succOff+n]...)
+			d.succOff = off
+		}
+		s.succs = append(s.succs, make([]int32, c-n)...)
+	}
+	s.succs[d.succOff+n] = id
+	d.succLen = n + 1
+}
+
+// succCap is the capacity of a successor run holding n ids: 0 for none,
+// else the least power of two at least n.
+func succCap(n int32) int32 {
+	if n == 0 {
+		return 0
+	}
+	return int32(1) << bits.Len32(uint32(n-1))
+}
+
 // Compute adds a task that occupies engine e for duration d once all deps
 // have finished.
-func (s *Sim) Compute(name string, e *Engine, d Time, deps ...*Task) *Task {
+func (s *Sim) Compute(name Name, e *Engine, d Time, deps ...*Task) *Task {
 	t := s.newTask(name, KindCompute, deps)
-	t.engine = e
-	t.duration = d
+	t.engine = engineIndex(e)
+	t.size = d
 	return t
 }
 
@@ -228,35 +257,58 @@ func (s *Sim) Compute(name string, e *Engine, d Time, deps ...*Task) *Task {
 // finished. If engine is non-nil the transfer occupies it exclusively for
 // its whole duration (a DMA copy engine). priority selects both the engine
 // queue order and the bandwidth class.
-func (s *Sim) Transfer(name string, engine *Engine, path []PathElem, bytes float64, priority int, deps ...*Task) *Task {
+func (s *Sim) Transfer(name Name, engine *Engine, path []PathElem, bytes float64, priority int, deps ...*Task) *Task {
 	t := s.newTask(name, KindTransfer, deps)
-	t.engine = engine
-	t.path = path
-	t.bytes = bytes
-	t.priority = priority
+	t.engine = engineIndex(engine)
+	t.path = s.pathIndex(path)
+	t.size = bytes
+	t.priority = int32(priority)
 	return t
 }
 
 // Alloc adds a task that completes once amount bytes can be reserved in
 // pool. Waiters are served FIFO.
-func (s *Sim) Alloc(name string, pool *MemPool, amount float64, deps ...*Task) *Task {
+func (s *Sim) Alloc(name Name, pool *MemPool, amount float64, deps ...*Task) *Task {
 	t := s.newTask(name, KindAlloc, deps)
-	t.pool = pool
-	t.amount = amount
+	t.pool = int32(pool.id)
+	t.size = amount
 	return t
 }
 
 // Free adds a task that returns amount bytes to pool once deps finish.
-func (s *Sim) Free(name string, pool *MemPool, amount float64, deps ...*Task) *Task {
+func (s *Sim) Free(name Name, pool *MemPool, amount float64, deps ...*Task) *Task {
 	t := s.newTask(name, KindFree, deps)
-	t.pool = pool
-	t.amount = amount
+	t.pool = int32(pool.id)
+	t.size = amount
 	return t
 }
 
 // After adds a zero-duration join node over deps.
-func (s *Sim) After(name string, deps ...*Task) *Task {
+func (s *Sim) After(name Name, deps ...*Task) *Task {
 	return s.newTask(name, KindVirtual, deps)
+}
+
+func engineIndex(e *Engine) int32 {
+	if e == nil {
+		return noIndex
+	}
+	return int32(e.id)
+}
+
+// engineOf returns the engine t occupies, or nil.
+func (s *Sim) engineOf(t *Task) *Engine {
+	if t.engine == noIndex {
+		return nil
+	}
+	return s.engines[t.engine]
+}
+
+// PathOf returns the resource path of a transfer task (nil otherwise).
+func (s *Sim) PathOf(t *Task) []PathElem {
+	if t.path == noIndex {
+		return nil
+	}
+	return s.paths[t.path]
 }
 
 // errRunTwice is Run's answer to a second call without Reset.
@@ -342,42 +394,20 @@ func (s *Sim) deadlockError() error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim: deadlock with %d pending tasks at t=%g", s.pending, s.now)
 	n := 0
-	for _, t := range s.tasks {
-		if t.state == stateFinished {
-			continue
+	for _, c := range s.taskChunks {
+		for i := range c {
+			t := &c[i]
+			if t.state == stateFinished {
+				continue
+			}
+			if n < 8 {
+				fmt.Fprintf(&b, "\n  task %d %q (%s) state=%d waiting=%d", t.id, s.TaskName(t), t.kind, t.state, t.waiting)
+			}
+			n++
 		}
-		if n < 8 {
-			fmt.Fprintf(&b, "\n  %v state=%d waiting=%d", t, t.state, t.waiting)
-		}
-		n++
 	}
 	if n > 8 {
 		fmt.Fprintf(&b, "\n  ... and %d more", n-8)
 	}
 	return fmt.Errorf("%s", b.String())
-}
-
-// computeHeap orders running compute tasks by completion time.
-type computeHeap []*Task
-
-func (h computeHeap) Len() int { return len(h) }
-
-func (h computeHeap) Less(i, j int) bool {
-	if h[i].endAt != h[j].endAt {
-		return h[i].endAt < h[j].endAt
-	}
-	return h[i].id < h[j].id
-}
-
-func (h computeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *computeHeap) Push(x any) { *h = append(*h, x.(*Task)) }
-
-func (h *computeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
 }

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// taskList lists the DAG's tasks in id order.
+func (s *Sim) taskList() []*Task {
+	ts := make([]*Task, 0, s.NumTasks())
+	for _, c := range s.taskChunks {
+		for i := range c {
+			ts = append(ts, &c[i])
+		}
+	}
+	return ts
+}
+
 func almost(t *testing.T, got, want, tol float64, msg string) {
 	t.Helper()
 	if math.Abs(got-want) > tol {
@@ -15,7 +26,7 @@ func almost(t *testing.T, got, want, tol float64, msg string) {
 func TestSingleCompute(t *testing.T) {
 	s := New()
 	e := s.NewEngine("gpu0")
-	s.Compute("c", e, 2.5)
+	s.Compute(s.Name("c"), e, 2.5)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -26,9 +37,9 @@ func TestSingleCompute(t *testing.T) {
 func TestComputeChain(t *testing.T) {
 	s := New()
 	e := s.NewEngine("gpu0")
-	a := s.Compute("a", e, 1)
-	b := s.Compute("b", e, 2, a)
-	s.Compute("c", e, 3, b)
+	a := s.Compute(s.Name("a"), e, 1)
+	b := s.Compute(s.Name("b"), e, 2, a)
+	s.Compute(s.Name("c"), e, 3, b)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +50,8 @@ func TestComputeChain(t *testing.T) {
 func TestEngineSerializesIndependentTasks(t *testing.T) {
 	s := New()
 	e := s.NewEngine("gpu0")
-	s.Compute("a", e, 1)
-	s.Compute("b", e, 1)
+	s.Compute(s.Name("a"), e, 1)
+	s.Compute(s.Name("b"), e, 1)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +63,8 @@ func TestParallelEngines(t *testing.T) {
 	s := New()
 	e1 := s.NewEngine("gpu0")
 	e2 := s.NewEngine("gpu1")
-	s.Compute("a", e1, 5)
-	s.Compute("b", e2, 3)
+	s.Compute(s.Name("a"), e1, 5)
+	s.Compute(s.Name("b"), e2, 3)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +77,9 @@ func TestEnginePriorityOrder(t *testing.T) {
 	e := s.NewEngine("gpu0")
 	link := s.NewResource("link", 1)
 	// Block the engine so both transfers queue, then check dispatch order.
-	gate := s.Compute("gate", e, 1)
-	lo := s.Transfer("lo", e, Path(link), 1, 0, gate)
-	hi := s.Transfer("hi", e, Path(link), 1, 5, gate)
+	gate := s.Compute(s.Name("gate"), e, 1)
+	lo := s.Transfer(s.Name("lo"), e, Path(link), 1, 0, gate)
+	hi := s.Transfer(s.Name("hi"), e, Path(link), 1, 5, gate)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestEnginePriorityOrder(t *testing.T) {
 func TestSingleTransferBandwidth(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 16e9)
-	tr := s.Transfer("t", nil, Path(link), 32e9, 0)
+	tr := s.Transfer(s.Name("t"), nil, Path(link), 32e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +104,7 @@ func TestTransferBottleneckedByNarrowestHop(t *testing.T) {
 	s := New()
 	wide := s.NewResource("wide", 16e9)
 	narrow := s.NewResource("narrow", 4e9)
-	s.Transfer("t", nil, Path(wide, narrow), 8e9, 0)
+	s.Transfer(s.Name("t"), nil, Path(wide, narrow), 8e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +115,8 @@ func TestTransferBottleneckedByNarrowestHop(t *testing.T) {
 func TestTwoFlowsShareFairly(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
-	s.Transfer("a", nil, Path(rc), 10e9, 0)
-	s.Transfer("b", nil, Path(rc), 10e9, 0)
+	s.Transfer(s.Name("a"), nil, Path(rc), 10e9, 0)
+	s.Transfer(s.Name("b"), nil, Path(rc), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +128,8 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 func TestUnequalFlowsMaxMin(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
-	small := s.Transfer("small", nil, Path(rc), 5e9, 0)
-	big := s.Transfer("big", nil, Path(rc), 15e9, 0)
+	small := s.Transfer(s.Name("small"), nil, Path(rc), 5e9, 0)
+	big := s.Transfer(s.Name("big"), nil, Path(rc), 15e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +144,8 @@ func TestUnequalFlowsMaxMin(t *testing.T) {
 func TestStrictPriorityPreemptsBandwidth(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
-	hi := s.Transfer("hi", nil, Path(rc), 10e9, 1)
-	lo := s.Transfer("lo", nil, Path(rc), 10e9, 0)
+	hi := s.Transfer(s.Name("hi"), nil, Path(rc), 10e9, 1)
+	lo := s.Transfer(s.Name("lo"), nil, Path(rc), 10e9, 0)
 	_, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +160,7 @@ func TestWeightedPathDoubleCrossing(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
 	// Staged same-root-complex GPU-to-GPU copy crosses rc twice.
-	s.Transfer("staged", nil, Path(rc, rc), 10e9, 0)
+	s.Transfer(s.Name("staged"), nil, Path(rc, rc), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +184,8 @@ func TestDisjointResourcesDoNotContend(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("rc1", 10e9)
 	r2 := s.NewResource("rc2", 10e9)
-	a := s.Transfer("a", nil, Path(r1), 10e9, 0)
-	b := s.Transfer("b", nil, Path(r2), 10e9, 0)
+	a := s.Transfer(s.Name("a"), nil, Path(r1), 10e9, 0)
+	b := s.Transfer(s.Name("b"), nil, Path(r2), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +200,8 @@ func TestSharedMiddleHop(t *testing.T) {
 	l1 := s.NewResource("l1", 16e9)
 	l2 := s.NewResource("l2", 16e9)
 	rc := s.NewResource("rc", 12e9)
-	a := s.Transfer("a", nil, Path(l1, rc), 12e9, 0)
-	b := s.Transfer("b", nil, Path(l2, rc), 12e9, 0)
+	a := s.Transfer(s.Name("a"), nil, Path(l1, rc), 12e9, 0)
+	b := s.Transfer(s.Name("b"), nil, Path(l2, rc), 12e9, 0)
 	_, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +216,8 @@ func TestComputeAndTransferOverlap(t *testing.T) {
 	e := s.NewEngine("gpu0.compute")
 	ce := s.NewEngine("gpu0.upload")
 	link := s.NewResource("link", 10e9)
-	c := s.Compute("c", e, 2)
-	tr := s.Transfer("t", ce, Path(link), 10e9, 0)
+	c := s.Compute(s.Name("c"), e, 2)
+	tr := s.Transfer(s.Name("t"), ce, Path(link), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +231,8 @@ func TestCopyEngineSerializesTransfers(t *testing.T) {
 	s := New()
 	ce := s.NewEngine("gpu0.upload")
 	link := s.NewResource("link", 10e9)
-	s.Transfer("a", ce, Path(link), 10e9, 0)
-	s.Transfer("b", ce, Path(link), 10e9, 0)
+	s.Transfer(s.Name("a"), ce, Path(link), 10e9, 0)
+	s.Transfer(s.Name("b"), ce, Path(link), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -234,11 +245,11 @@ func TestMemPoolBlocksUntilFree(t *testing.T) {
 	s := New()
 	e := s.NewEngine("gpu0")
 	pool := s.NewMemPool("mem", 10)
-	a1 := s.Alloc("a1", pool, 8)
-	c1 := s.Compute("c1", e, 3, a1)
-	f1 := s.Free("f1", pool, 8, c1)
-	a2 := s.Alloc("a2", pool, 8) // must wait for f1
-	c2 := s.Compute("c2", e, 1, a2)
+	a1 := s.Alloc(s.Name("a1"), pool, 8)
+	c1 := s.Compute(s.Name("c1"), e, 3, a1)
+	f1 := s.Free(s.Name("f1"), pool, 8, c1)
+	a2 := s.Alloc(s.Name("a2"), pool, 8) // must wait for f1
+	c2 := s.Compute(s.Name("c2"), e, 1, a2)
 	_ = f1
 	end, err := s.Run()
 	if err != nil {
@@ -252,18 +263,18 @@ func TestMemPoolBlocksUntilFree(t *testing.T) {
 func TestMemPoolFIFOOrder(t *testing.T) {
 	s := New()
 	pool := s.NewMemPool("mem", 10)
-	hold := s.Alloc("hold", pool, 10)
-	relTrigger := s.After("trigger", hold)
+	hold := s.Alloc(s.Name("hold"), pool, 10)
+	relTrigger := s.After(s.Name("trigger"), hold)
 	// Two waiters; first asks 6, second asks 3. Strict FIFO means the 3
 	// cannot jump the queue even when it would fit first.
-	w1 := s.Alloc("w1", pool, 6, relTrigger)
-	w2 := s.Alloc("w2", pool, 3, relTrigger)
+	w1 := s.Alloc(s.Name("w1"), pool, 6, relTrigger)
+	w2 := s.Alloc(s.Name("w2"), pool, 3, relTrigger)
 	// Free 5 at t=1 (not enough for w1), then 5 more at t=2.
 	e := s.NewEngine("clock")
-	t1 := s.Compute("t1", e, 1)
-	t2 := s.Compute("t2", e, 1, t1)
-	s.Free("f1", pool, 5, t1)
-	s.Free("f2", pool, 5, t2)
+	t1 := s.Compute(s.Name("t1"), e, 1)
+	t2 := s.Compute(s.Name("t2"), e, 1, t1)
+	s.Free(s.Name("f1"), pool, 5, t1)
+	s.Free(s.Name("f2"), pool, 5, t2)
 	_, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -277,9 +288,9 @@ func TestMemPoolFIFOOrder(t *testing.T) {
 func TestMemPoolPeak(t *testing.T) {
 	s := New()
 	pool := s.NewMemPool("mem", 100)
-	a := s.Alloc("a", pool, 60)
-	b := s.Alloc("b", pool, 30, a)
-	s.Free("fa", pool, 60, b)
+	a := s.Alloc(s.Name("a"), pool, 60)
+	b := s.Alloc(s.Name("b"), pool, 30, a)
+	s.Free(s.Name("fa"), pool, 60, b)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +301,7 @@ func TestMemPoolPeak(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	s := New()
 	pool := s.NewMemPool("mem", 10)
-	s.Alloc("too-big", pool, 20)
+	s.Alloc(s.Name("too-big"), pool, 20)
 	_, err := s.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
@@ -300,8 +311,8 @@ func TestDeadlockDetected(t *testing.T) {
 func TestZeroByteTransferCompletes(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 1)
-	a := s.Transfer("zero", nil, Path(link), 0, 0)
-	b := s.Compute("after", s.NewEngine("e"), 1, a)
+	a := s.Transfer(s.Name("zero"), nil, Path(link), 0, 0)
+	b := s.Compute(s.Name("after"), s.NewEngine("e"), 1, a)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +323,7 @@ func TestZeroByteTransferCompletes(t *testing.T) {
 
 func TestEmptyPathTransferIsUnconstrained(t *testing.T) {
 	s := New()
-	s.Transfer("free", nil, nil, 1e12, 0)
+	s.Transfer(s.Name("free"), nil, nil, 1e12, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -326,10 +337,10 @@ func TestVirtualJoin(t *testing.T) {
 	s := New()
 	e1 := s.NewEngine("e1")
 	e2 := s.NewEngine("e2")
-	a := s.Compute("a", e1, 1)
-	b := s.Compute("b", e2, 2)
-	j := s.After("join", a, b)
-	c := s.Compute("c", e1, 1, j)
+	a := s.Compute(s.Name("a"), e1, 1)
+	b := s.Compute(s.Name("b"), e2, 2)
+	j := s.After(s.Name("join"), a, b)
+	c := s.Compute(s.Name("c"), e1, 1, j)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -344,8 +355,8 @@ func TestDependencyOnFinishedTask(t *testing.T) {
 	// a successor.
 	s := New()
 	e := s.NewEngine("e")
-	a := s.Compute("a", e, 1)
-	b := s.Compute("b", e, 1, a, nil) // nil dep ignored
+	a := s.Compute(s.Name("a"), e, 1)
+	b := s.Compute(s.Name("b"), e, 1, a, nil) // nil dep ignored
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -361,8 +372,8 @@ func TestFinishedSeesLifecycle(t *testing.T) {
 	s := New()
 	e := s.NewEngine("e")
 	link := s.NewResource("link", 1e9)
-	a := s.Compute("a", e, 1)
-	tr := s.Transfer("t", nil, Path(link), 1e9, 0, a)
+	a := s.Compute(s.Name("a"), e, 1)
+	tr := s.Transfer(s.Name("t"), nil, Path(link), 1e9, 0, a)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +404,7 @@ func TestDeterministicReplay(t *testing.T) {
 			if i%2 == 1 {
 				r = rc2
 			}
-			tasks = append(tasks, s.Transfer("t", nil, Path(r), float64(1+i)*1e9, i%3))
+			tasks = append(tasks, s.Transfer(s.Name("t"), nil, Path(r), float64(1+i)*1e9, i%3))
 		}
 		return s, tasks
 	}
@@ -415,8 +426,8 @@ func TestDeterministicReplay(t *testing.T) {
 func TestResourceUtilizationAccounting(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
-	s.Transfer("a", nil, Path(rc), 10e9, 0)
-	s.Transfer("b", nil, Path(rc), 10e9, 0)
+	s.Transfer(s.Name("a"), nil, Path(rc), 10e9, 0)
+	s.Transfer(s.Name("b"), nil, Path(rc), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +437,7 @@ func TestResourceUtilizationAccounting(t *testing.T) {
 	// Weighted double-crossing counts twice.
 	s2 := New()
 	rc2 := s2.NewResource("rc", 10e9)
-	s2.Transfer("staged", nil, Path(rc2, rc2), 5e9, 0)
+	s2.Transfer(s2.Name("staged"), nil, Path(rc2, rc2), 5e9, 0)
 	if _, err := s2.Run(); err != nil {
 		t.Fatal(err)
 	}

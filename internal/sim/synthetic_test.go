@@ -77,6 +77,7 @@ func BuildSynthetic(s *Sim, spec SyntheticSpec) int {
 	sp := spec.withDefaults()
 	var linkScratch []*Resource
 	total, island := 0, 0
+	head, hop := s.Name("hd"), s.Name("fl")
 
 	// emitIsland adds one island with up to streams chains, stopping after
 	// flowsCap transfers; returns how many it emitted.
@@ -90,9 +91,9 @@ func BuildSynthetic(s *Sim, spec SyntheticSpec) int {
 		eng := s.NewEngine("eng")
 		emitted := 0
 		for st := 0; st < streams && emitted < flowsCap; st++ {
-			prev := s.Compute("hd", eng, synthDur(island, st))
+			prev := s.Compute(head, eng, synthDur(island, st))
 			for k := 0; k < sp.Chain && emitted < flowsCap; k++ {
-				prev = s.Transfer("fl", nil, s.Path(links[st%len(links)], rc), synthBytes(island, st, k), st%4, prev)
+				prev = s.Transfer(hop, nil, s.Path(links[st%len(links)], rc), synthBytes(island, st, k), st%4, prev)
 				emitted++
 			}
 		}

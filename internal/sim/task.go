@@ -6,7 +6,7 @@ import "fmt"
 type Time = float64
 
 // TaskKind identifies what a task does when it runs.
-type TaskKind int
+type TaskKind uint8
 
 // Task kinds.
 const (
@@ -33,7 +33,7 @@ func (k TaskKind) String() string {
 	return fmt.Sprintf("TaskKind(%d)", int(k))
 }
 
-type taskState int
+type taskState uint8
 
 const (
 	statePending  taskState = iota // waiting on dependencies
@@ -42,82 +42,117 @@ const (
 	stateFinished                  // done
 )
 
+// noIndex marks a task without an engine, pool or path.
+const noIndex = -1
+
 // Task is a node in the simulated work DAG. Tasks are created through the
 // Sim builder methods (Compute, Transfer, Alloc, Free, After) and must not
 // be constructed directly.
+//
+// A Task holds no Go pointer: its engine, pool and path are indices into
+// the Sim's tables, its successors a run in the Sim's successor slab, its
+// tag a value in int32s and its name a recipe the Sim formats on demand
+// (TaskName).
+// The task arena is therefore memory the garbage collector never scans;
+// TestTaskHoldsNoPointers keeps it that way.
 type Task struct {
-	id   int
-	name string
-	kind TaskKind
-
-	// Compute fields.
-	engine   *Engine
-	duration Time
-
-	// Transfer fields.
-	path        []PathElem
-	bytes       float64
-	flowStarted bool
-
-	// Alloc/Free fields.
-	pool   *MemPool
-	amount float64
-
-	// Priority orders engine queues and flow bandwidth classes.
-	// Larger values run first.
-	priority int
-
-	// Dependency bookkeeping. initWaiting is the dependency count at
-	// creation; rewind/Reset restore waiting from it when re-running a
-	// reused DAG.
-	waiting     int
-	initWaiting int
-	succs       []*Task
-
-	state   taskState
 	readyAt Time
 	startAt Time
 	endAt   Time
 
+	// size is the compute duration, the transfer payload in bytes, or
+	// the alloc/free amount in bytes, by kind.
+	size float64
+
+	// The caller's tag (SetTag), meaningful when tagged is set: Tag's
+	// fields in int32s.
+	tagKind, tagGPU, tagPeerGPU, tagStage, tagMicrobatch int32
+
+	id     int32
+	engine int32 // index into Sim.engines, or noIndex
+	pool   int32 // index into Sim.pools, or noIndex
+	path   int32 // index into Sim.paths, or noIndex for an empty path
+
+	// Priority orders engine queues and flow bandwidth classes.
+	// Larger values run first.
+	priority int32
+
+	// Dependency bookkeeping. initWaiting is the dependency count at
+	// creation; rewind/Reset restore waiting from it when re-running a
+	// reused DAG. The successors are Sim.succs[succOff : succOff+succLen].
+	waiting     int32
+	initWaiting int32
+	succOff     int32
+	succLen     int32
+
+	name Name
+
+	kind        TaskKind
+	state       taskState
+	tagged      bool
+	flowStarted bool
+
 	// Corruption bookkeeping (see corrupt.go). finalizeIntegrity derives
 	// the run-level IntegrityStats from these per-task counters in task-id
 	// order, making the aggregate independent of event interleaving.
-	retransmits      int  // detected-corruption retransmits performed
-	tainted          bool // carries (or consumed) a silently corrupted payload
-	corruptExhausted bool // every delivery attempt in the budget corrupted
-	corruptAttempts  int  // delivery attempts that arrived corrupted
-	silentCorrupt    bool // accepted a corrupted payload (checksums off)
-	checksumCharged  bool // paid the per-attempt checksum latency
-
-	// Tag carries caller metadata. It is read back from the finished
-	// tasks after Run (Sim.Finished); the trace package records the tasks
-	// tagged with a trace.Tag.
-	Tag any
+	retransmits      uint8 // detected-corruption retransmits performed
+	corruptAttempts  uint8 // delivery attempts that arrived corrupted
+	tainted          bool  // carries (or consumed) a silently corrupted payload
+	corruptExhausted bool  // every delivery attempt in the budget corrupted
+	silentCorrupt    bool  // accepted a corrupted payload (checksums off)
+	checksumCharged  bool  // paid the per-attempt checksum latency
 }
 
 // ID returns the task's creation-order identifier.
-func (t *Task) ID() int { return t.id }
-
-// Name returns the task's human-readable label.
-func (t *Task) Name() string { return t.name }
+func (t *Task) ID() int { return int(t.id) }
 
 // Kind returns what the task does.
 func (t *Task) Kind() TaskKind { return t.kind }
 
 // Bytes returns the payload size of a transfer task (0 otherwise).
-func (t *Task) Bytes() float64 { return t.bytes }
+func (t *Task) Bytes() float64 {
+	if t.kind != KindTransfer {
+		return 0
+	}
+	return t.size
+}
 
 // Duration returns the fixed duration of a compute task (0 otherwise).
-func (t *Task) Duration() Time { return t.duration }
+func (t *Task) Duration() Time {
+	if t.kind != KindCompute {
+		return 0
+	}
+	return t.size
+}
 
 // Priority returns the task's scheduling priority.
-func (t *Task) Priority() int { return t.priority }
+func (t *Task) Priority() int { return int(t.priority) }
 
-// Engine returns the engine the task occupies, or nil.
-func (t *Task) Engine() *Engine { return t.engine }
+// SetTag attaches caller metadata to the task; the trace package records
+// the tagged tasks a run finished. Every field must be within int32.
+func (t *Task) SetTag(tag Tag) {
+	t.tagged = true
+	t.tagKind, t.tagGPU, t.tagPeerGPU = tagField(int(tag.Kind)), tagField(tag.GPU), tagField(tag.PeerGPU)
+	t.tagStage, t.tagMicrobatch = tagField(tag.Stage), tagField(tag.Microbatch)
+}
 
-// Path returns the resource path of a transfer task.
-func (t *Task) Path() []PathElem { return t.path }
+func tagField(v int) int32 {
+	if int(int32(v)) != v {
+		panic(fmt.Sprintf("sim: tag field %d overflows int32", v))
+	}
+	return int32(v)
+}
+
+// Tag returns the task's metadata and whether SetTag attached any.
+func (t *Task) Tag() (Tag, bool) {
+	return Tag{
+		Kind:       TagKind(t.tagKind),
+		GPU:        int(t.tagGPU),
+		PeerGPU:    int(t.tagPeerGPU),
+		Stage:      int(t.tagStage),
+		Microbatch: int(t.tagMicrobatch),
+	}, t.tagged
+}
 
 // Start returns the time the task started running. Valid after Run.
 func (t *Task) Start() Time { return t.startAt }
@@ -130,12 +165,65 @@ func (t *Task) Finished() bool { return t.state == stateFinished }
 
 // Retransmits returns the number of detected-corruption retransmissions
 // this transfer performed (checksums on).
-func (t *Task) Retransmits() int { return t.retransmits }
+func (t *Task) Retransmits() int { return int(t.retransmits) }
 
 // Tainted reports whether the task carried — or transitively consumed —
 // a silently corrupted payload (checksums off).
 func (t *Task) Tainted() bool { return t.tainted }
 
 func (t *Task) String() string {
-	return fmt.Sprintf("task %d %q (%s)", t.id, t.name, t.kind)
+	return fmt.Sprintf("task %d (%s)", t.id, t.kind)
+}
+
+// Tag is the metadata schedulers attach to simulator tasks (SetTag); the
+// trace package records tagged tasks and re-exports it as trace.Tag.
+type Tag struct {
+	Kind TagKind
+	// GPU owns the work: the computing GPU, or the GPU side of a
+	// DRAM transfer. For GPU-to-GPU transfers it is the source; host-side
+	// transfers that touch no GPU (checkpoint writes) carry -1.
+	GPU int
+	// PeerGPU is the destination of a GPU-to-GPU transfer, else -1.
+	PeerGPU int
+	// Stage and Microbatch locate the work in the pipeline (-1 when not
+	// applicable).
+	Stage, Microbatch int
+}
+
+// TagKind classifies a tagged task for traffic accounting; the trace
+// package re-exports it as trace.Kind.
+type TagKind int
+
+// Tag kinds.
+const (
+	TagCompute     TagKind = iota
+	TagParamUpload         // DRAM -> GPU stage parameters
+	TagActOffload          // GPU -> DRAM checkpointed activations
+	TagActUpload           // DRAM -> GPU activations for backward
+	TagActTransfer         // GPU -> GPU boundary activations / act gradients
+	TagGradFlush           // GPU -> DRAM gradients
+	TagCollective          // ZeRO all-gather / all-reduce traffic
+	TagCheckpoint          // DRAM -> DRAM/SSD periodic state snapshot
+)
+
+func (k TagKind) String() string {
+	switch k {
+	case TagCompute:
+		return "compute"
+	case TagParamUpload:
+		return "param-upload"
+	case TagActOffload:
+		return "act-offload"
+	case TagActUpload:
+		return "act-upload"
+	case TagActTransfer:
+		return "act-transfer"
+	case TagGradFlush:
+		return "grad-flush"
+	case TagCollective:
+		return "collective"
+	case TagCheckpoint:
+		return "checkpoint"
+	}
+	return "unknown"
 }

@@ -17,31 +17,34 @@ type Sample struct {
 // bandwidth CDFs the weight is the transferred byte count, matching the
 // paper's "fraction of data transferred at bandwidth <= x" plots.
 type CDF struct {
-	values []float64
-	cumul  []float64 // cumulative weight up to and including values[i]
+	// points are the kept samples in ascending value order, each Weight
+	// replaced by the cumulative weight up to and including it.
+	points []Sample
 	totalW float64
 }
 
 // NewCDF builds a CDF from samples; zero- or negative-weight samples are
-// dropped.
-func NewCDF(samples []Sample) CDF {
-	kept := make([]Sample, 0, len(samples))
+// dropped. samples is left as it was.
+func NewCDF(samples []Sample) CDF { return cdfOf(slices.Clone(samples)) }
+
+// cdfOf builds the CDF of samples in place: it drops zero- and
+// negative-weight samples, sorts the rest within the caller's buffer and
+// accumulates their weights there, so the CDF owns the buffer.
+func cdfOf(samples []Sample) CDF {
+	kept := samples[:0]
 	for _, s := range samples {
 		if s.Weight > 0 {
 			kept = append(kept, s)
 		}
 	}
-	slices.SortFunc(kept, func(a, b Sample) int { return compareLess(a.Value, b.Value) })
-	n := len(kept)
-	if n == 0 {
+	if len(kept) == 0 {
 		return CDF{}
 	}
-	buf := make([]float64, 2*n)
-	c := CDF{values: buf[:n:n], cumul: buf[n:]}
-	for i, s := range kept {
-		c.totalW += s.Weight
-		c.values[i] = s.Value
-		c.cumul[i] = c.totalW
+	slices.SortFunc(kept, func(a, b Sample) int { return compareLess(a.Value, b.Value) })
+	c := CDF{points: kept}
+	for i := range kept {
+		c.totalW += kept[i].Weight
+		kept[i].Weight = c.totalW
 	}
 	return c
 }
@@ -68,15 +71,16 @@ func (c CDF) FractionAtOrBelow(x float64) float64 {
 	if c.Empty() {
 		return 0
 	}
-	i := sort.SearchFloat64s(c.values, x)
+	p := c.points
+	i := sort.Search(len(p), func(i int) bool { return p[i].Value >= x })
 	// Include equal values.
-	for i < len(c.values) && c.values[i] <= x {
+	for i < len(p) && p[i].Value <= x {
 		i++
 	}
 	if i == 0 {
 		return 0
 	}
-	return c.cumul[i-1] / c.totalW
+	return p[i-1].Weight / c.totalW
 }
 
 // FractionAbove returns P[X > x].
@@ -88,11 +92,12 @@ func (c CDF) Quantile(q float64) float64 {
 		return 0
 	}
 	target := q * c.totalW
-	i := sort.SearchFloat64s(c.cumul, target)
-	if i >= len(c.values) {
-		i = len(c.values) - 1
+	p := c.points
+	i := sort.Search(len(p), func(i int) bool { return p[i].Weight >= target })
+	if i >= len(p) {
+		i = len(p) - 1
 	}
-	return c.values[i]
+	return p[i].Value
 }
 
 // Median returns the 0.5 quantile.
@@ -103,7 +108,7 @@ func (c CDF) Max() float64 {
 	if c.Empty() {
 		return 0
 	}
-	return c.values[len(c.values)-1]
+	return c.points[len(c.points)-1].Value
 }
 
 // Points returns up to n evenly spaced (value, fraction) pairs for

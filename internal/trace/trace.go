@@ -3,7 +3,9 @@
 // traffic accounting (Figure 6), and compute/communication overlap
 // analysis (the non-overlapped communication time of Figure 8). Every
 // metric aggregates what one run leaves behind, so a Recorder reads the
-// run's finished tasks once Sim.Run returns.
+// run's finished tasks once Sim.Run returns. Schedulers tag the tasks
+// they want recorded (sim.Task.SetTag); Tag and Kind are the simulator's
+// own types, re-exported here, and a task carries its tag by value.
 package trace
 
 import (
@@ -13,54 +15,24 @@ import (
 )
 
 // Kind classifies a traced task for traffic accounting.
-type Kind int
+type Kind = sim.TagKind
 
 // Task kinds attached via Tag.
 const (
-	KindCompute     Kind = iota
-	KindParamUpload      // DRAM -> GPU stage parameters
-	KindActOffload       // GPU -> DRAM checkpointed activations
-	KindActUpload        // DRAM -> GPU activations for backward
-	KindActTransfer      // GPU -> GPU boundary activations / act gradients
-	KindGradFlush        // GPU -> DRAM gradients
-	KindCollective       // ZeRO all-gather / all-reduce traffic
-	KindCheckpoint       // DRAM -> DRAM/SSD periodic state snapshot
+	KindCompute     = sim.TagCompute
+	KindParamUpload = sim.TagParamUpload // DRAM -> GPU stage parameters
+	KindActOffload  = sim.TagActOffload  // GPU -> DRAM checkpointed activations
+	KindActUpload   = sim.TagActUpload   // DRAM -> GPU activations for backward
+	KindActTransfer = sim.TagActTransfer // GPU -> GPU boundary activations / act gradients
+	KindGradFlush   = sim.TagGradFlush   // GPU -> DRAM gradients
+	KindCollective  = sim.TagCollective  // ZeRO all-gather / all-reduce traffic
+	KindCheckpoint  = sim.TagCheckpoint  // DRAM -> DRAM/SSD periodic state snapshot
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindCompute:
-		return "compute"
-	case KindParamUpload:
-		return "param-upload"
-	case KindActOffload:
-		return "act-offload"
-	case KindActUpload:
-		return "act-upload"
-	case KindActTransfer:
-		return "act-transfer"
-	case KindGradFlush:
-		return "grad-flush"
-	case KindCollective:
-		return "collective"
-	case KindCheckpoint:
-		return "checkpoint"
-	}
-	return "unknown"
-}
-
-// Tag is the metadata schedulers attach to simulator tasks (Task.Tag).
-type Tag struct {
-	Kind Kind
-	// GPU owns the work: the computing GPU, or the GPU side of a
-	// DRAM transfer. For GPU-to-GPU transfers it is the source.
-	GPU int
-	// PeerGPU is the destination of a GPU-to-GPU transfer, else -1.
-	PeerGPU int
-	// Stage and Microbatch locate the work in the pipeline (-1 when not
-	// applicable).
-	Stage, Microbatch int
-}
+// Tag is the metadata schedulers attach to simulator tasks
+// (sim.Task.SetTag): the task's kind, GPU, peer GPU, stage and
+// microbatch, stored by value in the task.
+type Tag = sim.Tag
 
 // FlowRecord is one completed transfer.
 type FlowRecord struct {
@@ -84,9 +56,9 @@ type ComputeRecord struct {
 	Start, End float64
 }
 
-// Recorder holds the flow and compute records of one run's tasks tagged
-// with a trace.Tag, in the run's (end time, task id) completion order.
-// Untagged tasks are ignored.
+// Recorder holds the flow and compute records of one run's tagged tasks,
+// in the run's (end time, task id) completion order. Untagged tasks are
+// ignored.
 type Recorder struct {
 	Flows    []FlowRecord
 	Computes []ComputeRecord
@@ -118,7 +90,7 @@ func (r *Recorder) Grow(flows, computes int) {
 // Transfers with payload become flow records, computes compute records.
 func (r *Recorder) Record(finished []*sim.Task) {
 	for _, t := range finished {
-		tag, ok := t.Tag.(Tag)
+		tag, ok := t.Tag()
 		if !ok {
 			continue
 		}
@@ -148,14 +120,24 @@ func (r *Recorder) TotalBytes(match func(Tag) bool) float64 {
 // BandwidthCDF builds the byte-weighted CDF of achieved flow bandwidth
 // over flows matching the filter, reproducing the methodology of
 // Figures 2 and 7: "fraction of data transferred at bandwidth <= x".
+// The CDF is built in one buffer sized to the matching flows.
 func (r *Recorder) BandwidthCDF(match func(Tag) bool) CDF {
-	samples := make([]Sample, 0, len(r.Flows))
+	n := len(r.Flows)
+	if match != nil {
+		n = 0
+		for _, f := range r.Flows {
+			if match(f.Tag) {
+				n++
+			}
+		}
+	}
+	samples := make([]Sample, 0, n)
 	for _, f := range r.Flows {
 		if match == nil || match(f.Tag) {
 			samples = append(samples, Sample{Value: f.Bandwidth(), Weight: f.Bytes})
 		}
 	}
-	return NewCDF(samples)
+	return cdfOf(samples)
 }
 
 // interval is a half-open time span.

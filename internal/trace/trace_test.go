@@ -16,11 +16,11 @@ func TestRecorderCapturesTaggedTasks(t *testing.T) {
 	e := s.NewEngine("gpu0")
 	link := s.NewResource("link", 10e9)
 
-	c := s.Compute("fwd", e, 1)
-	c.Tag = Tag{Kind: KindCompute, GPU: 0, PeerGPU: -1}
-	tr := s.Transfer("up", nil, sim.Path(link), 10e9, 0)
-	tr.Tag = Tag{Kind: KindParamUpload, GPU: 0, PeerGPU: -1}
-	s.Compute("untagged", e, 1, c)
+	c := s.Compute(s.Name("fwd"), e, 1)
+	c.SetTag(Tag{Kind: KindCompute, GPU: 0, PeerGPU: -1})
+	tr := s.Transfer(s.Name("up"), nil, sim.Path(link), 10e9, 0)
+	tr.SetTag(Tag{Kind: KindParamUpload, GPU: 0, PeerGPU: -1})
+	s.Compute(s.Name("untagged"), e, 1, c)
 
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func finishedNames(s *sim.Sim) []string {
 		for len(names) <= t.ID() {
 			names = append(names, "")
 		}
-		names[t.ID()] = t.Name()
+		names[t.ID()] = s.TaskName(t)
 	}
 	return names
 }

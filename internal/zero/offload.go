@@ -42,7 +42,11 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 	s := srv.Sim
 	fromDRAM, toDRAM := hostRoutes(srv, hw.DRAMEnd)
 	p2p := peerRoutes(srv)
-	var nm pipeline.Namer
+	var (
+		nF, nO, nAU, nB = s.Name("F", ".g"), s.Name("O", ".g"), s.Name("AU", ".g"), s.Name("B", ".g")
+		nRS, nGF        = s.Name("RS", ".g", "-"), s.Name("GF", ".g")
+		nPU, nPX        = s.Name("PU", ".g"), s.Name("PX", ".g", "-")
+	)
 
 	// Forward: parameters are resident, so only compute + checkpoints.
 	fwdDone := make([][]*sim.Task, L)
@@ -53,13 +57,13 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 			if l > 0 {
 				deps = append(deps, fwdDone[l-1][g])
 			}
-			c := s.Compute(nm.Name2("F", l, ".g", g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
-			c.Tag = layerTag(trace.KindCompute, g, -1, l)
+			c := s.Compute(nF.With(l, g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
+			c.SetTag(layerTag(trace.KindCompute, g, -1, l))
 			fwdDone[l][g] = c
 			if layers[l].ActOutBytes > 0 {
-				off := s.Transfer(nm.Name2("O", l, ".g", g), srv.DownloadEngine[g],
+				off := s.Transfer(nO.With(l, g), srv.DownloadEngine[g],
 					toDRAM[g], layers[l].ActOutBytes, 0, c)
-				off.Tag = layerTag(trace.KindActOffload, g, -1, l)
+				off.SetTag(layerTag(trace.KindActOffload, g, -1, l))
 			}
 		}
 	}
@@ -80,13 +84,13 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 				deps = append(deps, fwdDone[L-1]...)
 			}
 			if l > 0 && layers[l-1].ActOutBytes > 0 {
-				au := s.Transfer(nm.Name2("AU", l, ".g", g), srv.UploadEngines[g],
+				au := s.Transfer(nAU.With(l, g), srv.UploadEngines[g],
 					fromDRAM[g], layers[l-1].ActOutBytes, 0, deps...)
-				au.Tag = layerTag(trace.KindActUpload, g, -1, l)
+				au.SetTag(layerTag(trace.KindActUpload, g, -1, l))
 				deps = append(deps, au)
 			}
-			c := s.Compute(nm.Name2("B", l, ".g", g), srv.ComputeEngines[g], layers[l].BwdTime, deps...)
-			c.Tag = layerTag(trace.KindCompute, g, -1, l)
+			c := s.Compute(nB.With(l, g), srv.ComputeEngines[g], layers[l].BwdTime, deps...)
+			c.SetTag(layerTag(trace.KindCompute, g, -1, l))
 			bwdDone[l][g] = c
 
 			// Reduce-scatter: this GPU sends the other GPUs' shards.
@@ -95,26 +99,26 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 				if h == g {
 					continue
 				}
-				ex := s.Transfer(nm.Name3("RS", l, ".g", g, "-", h), srv.DownloadEngine[g],
+				ex := s.Transfer(nRS.With(l, g, h), srv.DownloadEngine[g],
 					p2p[g*N+h], shard, 0, c)
-				ex.Tag = layerTag(trace.KindCollective, g, h, l)
+				ex.SetTag(layerTag(trace.KindCollective, g, h, l))
 				rs = append(rs, ex)
 			}
 			// Flush the reduced shard, then pull the refreshed shard and
 			// exchange it with the peers (the parameter refresh path).
-			gf := s.Transfer(nm.Name2("GF", l, ".g", g), srv.DownloadEngine[g],
+			gf := s.Transfer(nGF.With(l, g), srv.DownloadEngine[g],
 				toDRAM[g], shard, 0, append(rs, c)...)
-			gf.Tag = layerTag(trace.KindGradFlush, g, -1, l)
-			pu := s.Transfer(nm.Name2("PU", l, ".g", g), srv.UploadEngines[g],
+			gf.SetTag(layerTag(trace.KindGradFlush, g, -1, l))
+			pu := s.Transfer(nPU.With(l, g), srv.UploadEngines[g],
 				fromDRAM[g], shard, 0, gf)
-			pu.Tag = layerTag(trace.KindParamUpload, g, -1, l)
+			pu.SetTag(layerTag(trace.KindParamUpload, g, -1, l))
 			for h := 0; h < N; h++ {
 				if h == g {
 					continue
 				}
-				ex := s.Transfer(nm.Name3("PX", l, ".g", g, "-", h), srv.DownloadEngine[g],
+				ex := s.Transfer(nPX.With(l, g, h), srv.DownloadEngine[g],
 					p2p[g*N+h], shard, 0, pu)
-				ex.Tag = layerTag(trace.KindCollective, g, h, l)
+				ex.SetTag(layerTag(trace.KindCollective, g, h, l))
 			}
 		}
 	}

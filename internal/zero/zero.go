@@ -89,108 +89,114 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint, system, schedule 
 	// DRAM; with the SSD tier every GPU flushes its full gradients even
 	// on a P2P server (a fidelity question tracked in ROADMAP.md).
 	reduceScatter := tier.IsDRAM() && topo.HasP2P()
-	var nm pipeline.Namer
 
 	// gather emits the parameter-gather flows for layer l, named
 	// prefix+l: N shard uploads plus N*(N-1) shard exchanges, gated on
-	// the trigger task.
+	// the trigger task. done collects them for the join, reused across
+	// gathers.
+	done := make([]*sim.Task, 0, N*N)
 	gather := func(prefix string, l int, trigger *sim.Task) *sim.Task {
 		shard := layers[l].ParamBytes / float64(N)
-		done := make([]*sim.Task, 0, N*N)
+		shardName, agName := s.Name(prefix, ".shard"), s.Name(prefix, ".ag", "-")
+		done = done[:0]
 		for g := 0; g < N; g++ {
-			up := s.Transfer(nm.Name2(prefix, l, ".shard", g), srv.UploadEngines[g],
+			up := s.Transfer(shardName.With(l, g), srv.UploadEngines[g],
 				fromTier[g], shard, 0, trigger)
-			up.Tag = layerTag(trace.KindParamUpload, g, -1, l)
+			up.SetTag(layerTag(trace.KindParamUpload, g, -1, l))
 			done = append(done, up)
 			for h := 0; h < N; h++ {
 				if h == g {
 					continue
 				}
-				ex := s.Transfer(nm.Name3(prefix, l, ".ag", g, "-", h), srv.DownloadEngine[g],
+				ex := s.Transfer(agName.With(l, g, h), srv.DownloadEngine[g],
 					p2p[g*N+h], shard, 0, up)
-				ex.Tag = layerTag(trace.KindCollective, g, h, l)
+				ex.SetTag(layerTag(trace.KindCollective, g, h, l))
 				done = append(done, ex)
 			}
 		}
-		return s.After(nm.Name(prefix, l, ".done"), done...)
+		return s.After(s.Name(prefix, ".done").With(l), done...)
 	}
+	var (
+		nF, nO, nFwdDrain = s.Name("F", ".g"), s.Name("O", ".g"), s.Name("fwdDrain")
+		nAU, nB, nRS, nGF = s.Name("AU", ".g"), s.Name("B", ".g"), s.Name("RS", ".g", "-"), s.Name("GF", ".g")
+	)
 
-	// Forward.
-	fwdDone := make([][]*sim.Task, L) // per layer, per GPU
+	// Forward. The per-layer, per-GPU handles live in flat slices
+	// indexed l*N+g; deps is the dependency list every task reuses.
+	fwdDone := make([]*sim.Task, L*N)
+	deps := make([]*sim.Task, 0, N+1)
 	for l := 0; l < L; l++ {
 		var trigger *sim.Task
 		if l >= gatherWindow {
 			// The gather window: layer l's gather may start once layer
 			// l-gatherWindow finished computing on GPU 0 (all GPUs
 			// advance in lockstep in data parallelism).
-			trigger = fwdDone[l-gatherWindow][0]
+			trigger = fwdDone[(l-gatherWindow)*N]
 		}
 		gf := gather("gf", l, trigger)
-		fwdDone[l] = make([]*sim.Task, N)
 		for g := 0; g < N; g++ {
-			deps := []*sim.Task{gf}
+			deps = append(deps[:0], gf)
 			if l > 0 {
-				deps = append(deps, fwdDone[l-1][g])
+				deps = append(deps, fwdDone[(l-1)*N+g])
 			}
-			c := s.Compute(nm.Name2("F", l, ".g", g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
-			c.Tag = layerTag(trace.KindCompute, g, -1, l)
-			fwdDone[l][g] = c
+			c := s.Compute(nF.With(l, g), srv.ComputeEngines[g], layers[l].FwdTime, deps...)
+			c.SetTag(layerTag(trace.KindCompute, g, -1, l))
+			fwdDone[l*N+g] = c
 			if layers[l].ActOutBytes > 0 {
-				off := s.Transfer(nm.Name2("O", l, ".g", g), srv.DownloadEngine[g],
+				off := s.Transfer(nO.With(l, g), srv.DownloadEngine[g],
 					toDRAM[g], layers[l].ActOutBytes, 0, c)
-				off.Tag = layerTag(trace.KindActOffload, g, -1, l)
+				off.SetTag(layerTag(trace.KindActOffload, g, -1, l))
 			}
 		}
 	}
 
 	// Backward.
-	bwdDone := make([][]*sim.Task, L)
+	bwdDone := make([]*sim.Task, L*N)
 	for l := L - 1; l >= 0; l-- {
 		var trigger *sim.Task
 		if l+gatherWindow < L {
-			trigger = bwdDone[l+gatherWindow][0]
+			trigger = bwdDone[(l+gatherWindow)*N]
 		} else {
 			// The first backward gathers wait for the forward to drain.
-			trigger = s.After(nm.Name("fwdDrain", l, ""), fwdDone[L-1]...)
+			trigger = s.After(nFwdDrain.With(l), fwdDone[(L-1)*N:]...)
 		}
 		gb := gather("gb", l, trigger)
-		bwdDone[l] = make([]*sim.Task, N)
 		for g := 0; g < N; g++ {
-			deps := []*sim.Task{gb}
+			deps = append(deps[:0], gb)
 			if l < L-1 {
-				deps = append(deps, bwdDone[l+1][g])
+				deps = append(deps, bwdDone[(l+1)*N+g])
 			}
 			// Re-upload the checkpointed input activation.
 			if l > 0 && layers[l-1].ActOutBytes > 0 {
-				au := s.Transfer(nm.Name2("AU", l, ".g", g), srv.UploadEngines[g],
+				au := s.Transfer(nAU.With(l, g), srv.UploadEngines[g],
 					fromDRAM[g], layers[l-1].ActOutBytes, 0, gb)
-				au.Tag = layerTag(trace.KindActUpload, g, -1, l)
+				au.SetTag(layerTag(trace.KindActUpload, g, -1, l))
 				deps = append(deps, au)
 			}
-			c := s.Compute(nm.Name2("B", l, ".g", g), srv.ComputeEngines[g], layers[l].BwdTime, deps...)
-			c.Tag = layerTag(trace.KindCompute, g, -1, l)
-			bwdDone[l][g] = c
+			c := s.Compute(nB.With(l, g), srv.ComputeEngines[g], layers[l].BwdTime, deps...)
+			c.SetTag(layerTag(trace.KindCompute, g, -1, l))
+			bwdDone[l*N+g] = c
 			// Every GPU flushes its layer gradient to the tier (the
 			// all-reduce-through-host path of Eq. 2: N copies of the
 			// layer gradient), or, after a reduce-scatter, only its
-			// reduced shard.
+			// reduced shard; the flush waits on the exchanges, then c.
 			flush := layers[l].GradBytes
-			var rs []*sim.Task
+			deps = deps[:0]
 			if reduceScatter {
 				flush /= float64(N)
 				for h := 0; h < N; h++ {
 					if h == g {
 						continue
 					}
-					ex := s.Transfer(nm.Name3("RS", l, ".g", g, "-", h), srv.DownloadEngine[g],
+					ex := s.Transfer(nRS.With(l, g, h), srv.DownloadEngine[g],
 						p2p[g*N+h], flush, 0, c)
-					ex.Tag = layerTag(trace.KindCollective, g, h, l)
-					rs = append(rs, ex)
+					ex.SetTag(layerTag(trace.KindCollective, g, h, l))
+					deps = append(deps, ex)
 				}
 			}
-			gf := s.Transfer(nm.Name2("GF", l, ".g", g), srv.DownloadEngine[g],
-				toTier[g], flush, 0, append(rs, c)...)
-			gf.Tag = layerTag(trace.KindGradFlush, g, -1, l)
+			gf := s.Transfer(nGF.With(l, g), srv.DownloadEngine[g],
+				toTier[g], flush, 0, append(deps, c)...)
+			gf.SetTag(layerTag(trace.KindGradFlush, g, -1, l))
 		}
 	}
 
