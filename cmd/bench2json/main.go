@@ -54,11 +54,11 @@ type ScalePoint struct {
 
 // Scaling is a derived how-does-it-grow series: all sub-benchmarks of
 // one family and mode that differ only in a size parameter
-// (`BenchmarkSimContention/flows=64/steady` and its 256/1024 siblings),
+// (`BenchmarkSimContention/flows=64/run` and its 256/1024 siblings),
 // with points sorted by size. Reading whether a cost stays linear in
 // flow count then takes a glance at the JSON, not a calculator.
 type Scaling struct {
-	Name   string       `json:"name"`  // family + mode, e.g. "BenchmarkSimContention/steady"
+	Name   string       `json:"name"`  // family + mode, e.g. "BenchmarkSimContention/run"
 	Param  string       `json:"param"` // size-parameter name, e.g. "flows"
 	Points []ScalePoint `json:"points"`
 }

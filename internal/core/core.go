@@ -105,9 +105,9 @@ type Options struct {
 	// sim.CorruptionError when the budget is exhausted.
 	Checksums sim.ChecksumConfig
 	// Planner, when non-nil, computes the Mobius plan in place of a
-	// direct PlanMobiusCtx call: RunCtx and NewMobiusSession route
-	// planning through it, so an experiment grid or an elastic run can
-	// share one caching plansvc.Service. Plans are pure functions of the
+	// direct PlanMobiusCtx call: RunCtx routes planning through it, so
+	// an experiment grid or an elastic run can share one caching
+	// plansvc.Service. Plans are pure functions of the
 	// planning inputs, so a correct Planner never changes results — only
 	// cost and failure behavior.
 	Planner Planner `json:"-"`
@@ -466,7 +466,14 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 			return nil, err
 		}
 		var st *pipeline.MobiusStep
-		if st, err = buildMobius(opts, report.Plan); err != nil {
+		if st, err = pipeline.BuildMobius(opts.Topology, pipeline.MobiusConfig{
+			Partition:               report.Plan.Partition,
+			Mapping:                 report.Plan.Mapping,
+			Microbatches:            opts.Microbatches,
+			DisablePrefetchPriority: opts.DisablePrefetchPriority,
+			DisablePrefetch:         opts.DisablePrefetch,
+			Checkpoint:              opts.Checkpoint,
+		}); err != nil {
 			return nil, err
 		}
 		res, err = st.Run(opts.Faults, opts.Checksums)
@@ -499,19 +506,6 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 
 	fillReport(report, res, opts.Topology)
 	return report, nil
-}
-
-// buildMobius builds the Mobius step the options and the plan describe;
-// RunCtx and NewMobiusSession both build through it.
-func buildMobius(opts Options, plan *Plan) (*pipeline.MobiusStep, error) {
-	return pipeline.BuildMobius(opts.Topology, pipeline.MobiusConfig{
-		Partition:               plan.Partition,
-		Mapping:                 plan.Mapping,
-		Microbatches:            opts.Microbatches,
-		DisablePrefetchPriority: opts.DisablePrefetchPriority,
-		DisablePrefetch:         opts.DisablePrefetch,
-		Checkpoint:              opts.Checkpoint,
-	})
 }
 
 // fillReport copies a pipeline result into a step report and derives the

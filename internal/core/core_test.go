@@ -1,16 +1,19 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
 
+	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/mapping"
 	"mobius/internal/model"
 	"mobius/internal/partition"
 	"mobius/internal/pipeline"
+	"mobius/internal/sim"
 	"mobius/internal/trace"
 )
 
@@ -282,5 +285,49 @@ func TestHostLinkCDFExcludesCheckpointWrites(t *testing.T) {
 	if !reflect.DeepEqual(rep.HostLinkCDF, want) {
 		t.Fatalf("HostLinkCDF (median %.4g B/s) is not the CDF of the GPU<->DRAM flows (median %.4g B/s)",
 			rep.HostLinkCDF.Median(), want.Median())
+	}
+}
+
+// TestMobiusVariantsMoveStep holds RunCtx to every option and fault it
+// passes to the Mobius step: each variant must change the step against
+// the nominal one, so none of them is silently dropped between the
+// options and the simulator.
+func TestMobiusVariantsMoveStep(t *testing.T) {
+	// Eight balanced stages on four GPUs: the second round of stages is
+	// prefetched, so the prefetch knobs change the step.
+	base := Options{Model: model.GPT3B, Topology: topo22(), PartitionAlgo: partition.AlgoBalanced, BalancedStages: 8}
+	nominal, err := RunCtx(context.Background(), SystemMobius, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc0 := &fault.Spec{Links: []fault.LinkFault{{Link: "rc0", Multiplier: 0.25, End: nominal.StepTime / 2}}}
+	corrupt := &fault.Spec{Seed: 7, Corruptions: []fault.CorruptionFault{{Match: "*", Probability: 0.05}}}
+	for _, c := range []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"no-prefetch", func(o *Options) { o.DisablePrefetch = true }},
+		{"no-priority", func(o *Options) { o.DisablePrefetchPriority = true }},
+		{"checkpoint", func(o *Options) {
+			o.Checkpoint = &pipeline.CheckpointWrite{Bytes: o.Model.ModelStatesBytes()}
+		}},
+		{"rc0-window", func(o *Options) { o.Faults = rc0 }},
+		{"corruption-checksums", func(o *Options) {
+			o.Faults = corrupt
+			o.Checksums = sim.ChecksumConfig{Enabled: true}
+		}},
+	} {
+		opts := base
+		c.edit(&opts)
+		got, err := RunCtx(context.Background(), SystemMobius, opts)
+		if err != nil {
+			t.Fatalf("%s: RunCtx: %v", c.name, err)
+		}
+		if got.StepTime == nominal.StepTime {
+			t.Errorf("%s: step time %v equals the nominal step's", c.name, got.StepTime)
+		}
+		if c.name == "corruption-checksums" && got.Integrity.Retransmits == 0 {
+			t.Errorf("%s: no retransmit; the corruption never fired", c.name)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"mobius/internal/model"
 	"mobius/internal/plansvc"
 	"mobius/internal/sim"
-	"mobius/internal/trace"
 )
 
 // planService is the shared planner for every experiment cell. The
@@ -290,21 +289,4 @@ func Figure8() (*Table, error) {
 	}
 	t.Note("paper: Mobius reduces the non-overlapped proportion by up to 46%%")
 	return sr.table(t)
-}
-
-// TrafficByKind decomposes one system's step traffic by transfer kind,
-// an auxiliary view; only the package's tests read it.
-func TrafficByKind(r *core.StepReport) map[trace.Kind]float64 {
-	out := map[trace.Kind]float64{}
-	if r.Recorder == nil {
-		return out
-	}
-	for _, k := range []trace.Kind{
-		trace.KindParamUpload, trace.KindActOffload, trace.KindActUpload,
-		trace.KindActTransfer, trace.KindGradFlush, trace.KindCollective,
-	} {
-		kind := k
-		out[k] = r.Recorder.TotalBytes(func(tag trace.Tag) bool { return tag.Kind == kind })
-	}
-	return out
 }

@@ -202,6 +202,22 @@ func TestFigure13Converges(t *testing.T) {
 	}
 }
 
+// TrafficByKind decomposes one system's step traffic by transfer kind.
+func TrafficByKind(r *core.StepReport) map[trace.Kind]float64 {
+	out := map[trace.Kind]float64{}
+	if r.Recorder == nil {
+		return out
+	}
+	for _, k := range []trace.Kind{
+		trace.KindParamUpload, trace.KindActOffload, trace.KindActUpload,
+		trace.KindActTransfer, trace.KindGradFlush, trace.KindCollective,
+	} {
+		kind := k
+		out[k] = r.Recorder.TotalBytes(func(tag trace.Tag) bool { return tag.Kind == kind })
+	}
+	return out
+}
+
 func TestTrafficByKindDecomposes(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	r := mustRun(core.SystemMobius, core.Options{Model: model.GPT8B, Topology: topo})

@@ -40,17 +40,8 @@ func Integrity() (*Table, error) {
 		Title:  "Integrity: detection overhead vs silent exposure (3B, Topo 2+2)",
 		Header: []string{"corruption", "checksums", "step (s)", "overhead", "retransmits", "silent", "tainted"},
 	}
-	// One session serves the whole grid: the plan and the built step are
-	// shared, and each cell replays the schedule under its own fault and
-	// checksum configuration via sim.Reset.
-	ses, err := core.NewMobiusSession(core.Options{Model: m, Topology: topo})
-	if err != nil {
-		return nil, err
-	}
-	base, err := ses.Run(nil, sim.ChecksumConfig{})
-	if err != nil {
-		return nil, err
-	}
+	sr := &stepRunner{}
+	base := sr.run(core.SystemMobius, core.Options{Model: m, Topology: topo})
 	baseStep := base.StepTime
 	for _, prob := range []float64{0, 0.05, 0.2} {
 		spec := integritySpec(prob)
@@ -61,10 +52,7 @@ func Integrity() (*Table, error) {
 				cs = sim.ChecksumConfig{Enabled: true}
 				label = "on"
 			}
-			r, err := ses.Run(spec, cs)
-			if err != nil {
-				return nil, err
-			}
+			r := sr.run(core.SystemMobius, core.Options{Model: m, Topology: topo, Faults: spec, Checksums: cs})
 			step, overhead := secs(r.StepTime), ratio(r.StepTime/baseStep)
 			if r.Corruption != nil {
 				step = fmt.Sprintf("halted@%.2f", r.StepTime)
@@ -80,5 +68,5 @@ func Integrity() (*Table, error) {
 	t.Note("corruptions retransmit (budget 2), an exhausted budget halts the step instead")
 	t.Note("of completing wrong; without checksums, tainted counts finished tasks downstream")
 	t.Note("of a silently corrupted transfer — work a real run would have to throw away")
-	return t, nil
+	return sr.table(t)
 }

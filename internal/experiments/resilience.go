@@ -5,7 +5,6 @@ import (
 	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
-	"mobius/internal/sim"
 )
 
 // resilienceSpec is the degradation scenario of the resilience
@@ -41,26 +40,10 @@ func Resilience() (*Table, error) {
 	for _, m := range []model.Config{model.GPT3B, model.GPT8B} {
 		deg := map[core.System]float64{}
 		for _, sys := range []core.System{core.SystemGPipe, core.SystemMobius} {
-			var nom, faulted *core.StepReport
-			if sys == core.SystemMobius {
-				// Nominal and degraded are the same built schedule; one
-				// session replays it via sim.Reset instead of re-planning.
-				ses, err := core.NewMobiusSession(core.Options{Model: m, Topology: topo})
-				if err != nil {
-					return nil, err
-				}
-				if nom, err = ses.Run(nil, sim.ChecksumConfig{}); err != nil {
-					return nil, err
-				}
-				if faulted, err = ses.Run(spec, sim.ChecksumConfig{}); err != nil {
-					return nil, err
-				}
-			} else {
-				nom = sr.run(sys, core.Options{Model: m, Topology: topo})
-				faulted = sr.run(sys, core.Options{Model: m, Topology: topo, Faults: spec})
-				if sr.err != nil {
-					return nil, sr.err
-				}
+			nom := sr.run(sys, core.Options{Model: m, Topology: topo})
+			faulted := sr.run(sys, core.Options{Model: m, Topology: topo, Faults: spec})
+			if sr.err != nil {
+				return nil, sr.err
 			}
 			if nom.OOM || faulted.OOM {
 				t.Add(m.Name, string(sys), "OOM", "OOM", "-")

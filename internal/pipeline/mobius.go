@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"mobius/internal/fault"
@@ -48,18 +49,19 @@ type CheckpointWrite struct {
 }
 
 // MobiusStep is a built Mobius schedule: the topology instantiated on a
-// simulator and the step DAG constructed. One step can be executed many
-// times under different fault and checksum configurations — each Run
-// rewinds the simulator (sim.Reset) instead of rebuilding topology and
-// DAG, the shape the simulator's chaos tests and the experiment grids
-// rely on.
+// simulator and the step DAG constructed, ready to run once.
 type MobiusStep struct {
 	srv *hw.Server
 	rec *trace.Recorder
 	// oom records that the static memory pre-check failed; the DAG was
-	// never built and every Run reports OOM.
+	// never built and Run reports OOM.
 	oom bool
+	// ran records that Run was called.
+	ran bool
 }
+
+// errStepRan is Run's answer to a second call.
+var errStepRan = errors.New("pipeline: MobiusStep.Run called twice")
 
 // Server exposes the simulated hardware backing the step.
 func (st *MobiusStep) Server() *hw.Server { return st.srv }
@@ -104,7 +106,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 	}
 
 	// OOM pre-check (constraint 4). The check is static, so the step is
-	// built DAG-less and every Run reports OOM.
+	// built DAG-less and Run reports OOM.
 	for j := 0; j < S; j++ {
 		if stg[j].MemFwd() > gpuMem(j) || stg[j].MemBwd() > gpuMem(j) {
 			st.oom = true
@@ -308,16 +310,13 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 }
 
 // Run executes the built step under the given fault and checksum
-// configuration and returns the measured result. The simulator is reset
-// first — task states, resource/engine/pool state, previously injected
-// faults and the trace recorder are cleared while the topology and DAG
-// survive — so repeated Runs replay the schedule bitwise instead of
-// paying construction again. Results from earlier Runs keep their scalar
-// fields, but share the step's recorder and server: read trace data
-// before the next Run.
+// configuration and returns the measured result. A step runs once: a
+// second Run returns an error before it injects any fault.
 func (st *MobiusStep) Run(faults *fault.Spec, checksums sim.ChecksumConfig) (*Result, error) {
-	st.rec.Reset()
-	st.srv.Sim.Reset()
+	if st.ran {
+		return nil, errStepRan
+	}
+	st.ran = true
 	res := &Result{System: "Mobius", Recorder: st.rec, Server: st.srv}
 	st.srv.Sim.Checksums = checksums
 	if err := applyFaults(st.srv, faults, res); err != nil {

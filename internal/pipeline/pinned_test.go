@@ -136,6 +136,7 @@ func stepGrid(t *testing.T) []stepPrint {
 				}
 				label := m.Name + "/" + topo.Name + "/" + scheme + "/"
 				base := MobiusConfig{Partition: part, Mapping: mp}
+				var nominal float64
 				for _, v := range []struct {
 					name string
 					edit func(*MobiusConfig)
@@ -151,19 +152,14 @@ func stepGrid(t *testing.T) []stepPrint {
 					if err != nil {
 						t.Fatalf("%s%s: %v", label, v.name, err)
 					}
+					if v.name == "nominal" {
+						nominal = res.StepTime
+					}
 					cells = append(cells, printStep(label+v.name, res))
 				}
 
-				// The fault variants replay one built step through Run.
-				st, err := BuildMobius(topo, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nominal, err := st.Run(nil, sim.ChecksumConfig{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				half := nominal.StepTime / 2
+				// Each fault variant builds the nominal schedule afresh.
+				half := nominal / 2
 				for _, v := range []struct {
 					name      string
 					faults    *fault.Spec
@@ -176,6 +172,10 @@ func stepGrid(t *testing.T) []stepPrint {
 					{"exhausted", &fault.Spec{Seed: 9, Corruptions: []fault.CorruptionFault{{Match: "*", Probability: 0.25}}}, sim.ChecksumConfig{Enabled: true}},
 					{"gpu-loss", &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: 1, At: half}}}, sim.ChecksumConfig{}},
 				} {
+					st, err := BuildMobius(topo, base)
+					if err != nil {
+						t.Fatal(err)
+					}
 					res, err := st.Run(v.faults, v.checksums)
 					if err != nil {
 						t.Fatalf("%s%s: %v", label, v.name, err)

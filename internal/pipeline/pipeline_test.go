@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/mapping"
 	"mobius/internal/model"
@@ -236,6 +238,54 @@ func TestMobiusOOMWhenStageTooBig(t *testing.T) {
 	}
 	if !res.OOM {
 		t.Fatal("oversized stage must OOM")
+	}
+}
+
+// TestMobiusStepRunsOnce pins the run-once contract of a built step: a
+// second Run is an error, for a step that completed and for one the
+// memory pre-check built DAG-less, and it leaves the first result alone.
+func TestMobiusStepRunsOnce(t *testing.T) {
+	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
+	prof, err := profile.Run(model.GPT51B, hw.RTX3090Ti, profile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	giant, err := partition.FromBoundaries(prof, []int{prof.NumLayers()}, "giant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := mapping.Sequential(topo, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc0 := &fault.Spec{Links: []fault.LinkFault{{Link: "rc0", Multiplier: 0.25}}}
+	for _, c := range []struct {
+		name string
+		cfg  MobiusConfig
+		oom  bool
+	}{
+		{"completed", planMobius(t, model.GPT3B, topo, mapping.SchemeCross, 8), false},
+		{"oom", MobiusConfig{Partition: giant, Mapping: seq, Microbatches: 4}, true},
+	} {
+		st, err := BuildMobius(topo, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := st.Run(nil, sim.ChecksumConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if first.OOM != c.oom {
+			t.Fatalf("%s: OOM %v, want %v", c.name, first.OOM, c.oom)
+		}
+		step, records := first.StepTime, len(first.Recorder.Flows)
+		again, err := st.Run(rc0, sim.ChecksumConfig{})
+		if !errors.Is(err, errStepRan) || again != nil {
+			t.Fatalf("%s: second Run returned %v, %v; want errStepRan", c.name, again, err)
+		}
+		if first.StepTime != step || len(first.Recorder.Flows) != records || first.Faults != nil {
+			t.Errorf("%s: second Run changed the first result", c.name)
+		}
 	}
 }
 

@@ -103,19 +103,16 @@ func benchConstruct(b *testing.B, groups, streams, chain int) {
 	}
 }
 
-// benchSteady measures execution alone: the topology and DAG are built
-// once and every iteration replays them through Reset+Run, the shape the
-// chaos harness and experiment grids use.
-func benchSteady(b *testing.B, groups, streams, chain int) {
-	s := New()
-	buildChurn(s, groups, streams, chain)
-	if _, err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
+// benchRun measures execution alone: every iteration builds a fresh
+// topology and DAG with the timer stopped, so only Run is timed and only
+// its allocations are counted.
+func benchRun(b *testing.B, groups, streams, chain int) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Reset()
+		b.StopTimer()
+		s := New()
+		buildChurn(s, groups, streams, chain)
+		b.StartTimer()
 		if _, err := s.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -128,8 +125,8 @@ func benchSteady(b *testing.B, groups, streams, chain int) {
 // re-waterfills the perturbed island per event, so its per-flow cost stays
 // flat while the oracle (global recompute, the pre-incremental behavior)
 // grows linearly per event — quadratic in total work. The construct and
-// steady sub-benchmarks split the historical build-plus-run shape into
-// its construction and execution halves.
+// run sub-benchmarks split the historical build-plus-run shape into its
+// construction and execution halves.
 func BenchmarkSimContention(b *testing.B) {
 	for _, streams := range []int{8, 32, 128} {
 		flows := 8 * streams
@@ -147,8 +144,8 @@ func BenchmarkSimContention(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("flows=%d/steady", flows), func(b *testing.B) {
-			benchSteady(b, 8, streams, 8)
+		b.Run(fmt.Sprintf("flows=%d/run", flows), func(b *testing.B) {
+			benchRun(b, 8, streams, 8)
 		})
 	}
 }
@@ -158,7 +155,7 @@ func BenchmarkSimContention(b *testing.B) {
 // event perturbs a one-flow component. This is the best case for
 // component-local recomputation and the worst for a global sweep. With
 // only 8 transfers per island the historical whole-run shape is dominated
-// by construction; the construct/steady split reports the two costs
+// by construction; the construct/run split reports the two costs
 // separately.
 func BenchmarkSimSparse(b *testing.B) {
 	for _, groups := range []int{64, 256, 1024} {
@@ -176,8 +173,8 @@ func BenchmarkSimSparse(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("links=%d/steady", groups), func(b *testing.B) {
-			benchSteady(b, groups, 1, 8)
+		b.Run(fmt.Sprintf("links=%d/run", groups), func(b *testing.B) {
+			benchRun(b, groups, 1, 8)
 		})
 	}
 }

@@ -12,14 +12,14 @@ package sim_test
 //   - with checksums on, no corruption is ever silent; with checksums
 //     off, no retransmit or verification cost is ever charged and every
 //     injected corruption taints at least its own delivery;
-//   - replaying the same seed reproduces the run bit for bit.
+//   - a second fresh build of the same seed reproduces the run bit for
+//     bit.
 //
-// The harness plans once and reuses the plan across seeds, and builds
-// the simulated topology and step DAG once, replaying them via sim.Reset
-// for every scenario and replay — so a single chaos run is a few
-// simulated steps with no construction cost, cheap enough for a fuzz
-// target. It lives in the external test package because it drives the
-// simulator through pipeline, which imports sim.
+// The harness plans once and reuses the plan across seeds; each step
+// builds its own topology and DAG from that plan, so a single chaos run
+// is a few simulated steps with no planning cost, cheap enough for a
+// fuzz target. It lives in the external test package because it drives
+// the simulator through pipeline, which imports sim.
 
 import (
 	"context"
@@ -45,11 +45,6 @@ type chaosHarness struct {
 	Partition    *partition.Partition
 	Mapping      *mapping.Mapping
 	Microbatches int
-
-	// built is the constructed Mobius step, created on first use and
-	// replayed via sim.Reset for every subsequent step: one topology and
-	// DAG construction serves all seeds, scenarios and replays.
-	built *pipeline.MobiusStep
 }
 
 // newChaosHarness plans GPT-3B on the default commodity server (2 root
@@ -163,8 +158,8 @@ func (r *chaosReport) String() string {
 }
 
 // Run executes the chaos scenario for a seed — checksums on, checksums
-// off, and a bitwise replay of each — and returns a non-nil error when
-// any invariant is violated.
+// off, and a second fresh build of each — and returns a non-nil error
+// when any invariant is violated.
 func (h *chaosHarness) Run(seed int64) (*chaosReport, error) {
 	spec := h.Spec(seed)
 	if err := spec.Validate(); err != nil {
@@ -204,7 +199,8 @@ func (h *chaosHarness) Run(seed int64) (*chaosReport, error) {
 			seed, off.Integrity.SilentCorruptions, off.Integrity.TaintedTasks)
 	}
 
-	// Replay determinism: the same seed reproduces both runs bit for bit.
+	// Replay determinism: a second build of the same seed reproduces both
+	// runs bit for bit.
 	for _, rerun := range []struct {
 		name      string
 		checksums bool
@@ -223,26 +219,23 @@ func (h *chaosHarness) Run(seed int64) (*chaosReport, error) {
 	return &chaosReport{Seed: seed, Spec: spec, Detected: on, Exposed: off}, nil
 }
 
-// step runs one Mobius step under the scenario and checks the simulator's
-// own global invariants (clock sanity, event ordering, per-link traffic
-// conservation including retransmit amplification).
+// step builds and runs one Mobius step under the scenario and checks the
+// simulator's own global invariants (clock sanity, event ordering,
+// per-link traffic conservation including retransmit amplification).
 func (h *chaosHarness) step(spec *fault.Spec, checksums bool) (chaosRunStats, error) {
-	if h.built == nil {
-		st, err := pipeline.BuildMobius(h.Topo, pipeline.MobiusConfig{
-			Partition:    h.Partition,
-			Mapping:      h.Mapping,
-			Microbatches: h.Microbatches,
-		})
-		if err != nil {
-			return chaosRunStats{}, err
-		}
-		h.built = st
+	built, err := pipeline.BuildMobius(h.Topo, pipeline.MobiusConfig{
+		Partition:    h.Partition,
+		Mapping:      h.Mapping,
+		Microbatches: h.Microbatches,
+	})
+	if err != nil {
+		return chaosRunStats{}, err
 	}
 	var cs sim.ChecksumConfig
 	if checksums {
 		cs = sim.ChecksumConfig{Enabled: true}
 	}
-	res, err := h.built.Run(spec, cs)
+	res, err := built.Run(spec, cs)
 	if err != nil {
 		return chaosRunStats{}, err
 	}

@@ -19,9 +19,9 @@ package sim
 // purity: it recomputes every live component on every event and must
 // produce bitwise-identical schedules.
 //
-// The state lives on Sim. Resources carry the union-find links, and a
-// fresh run draws a fresh generation, so links written by a previous run
-// always read as stale.
+// The state lives on Sim. Resources carry the union-find links; a
+// resource whose generation is not the run's (ufGen) reads as a fresh
+// singleton.
 
 // component is a connected set of active flows: the union of their paths
 // is disjoint from every other component's. flows is unordered (O(1)
@@ -60,15 +60,15 @@ type component struct {
 // parent; the walk cuts such stale edges instead of following them. Path
 // halving keeps chains short.
 func (s *Sim) findRoot(r *Resource) *Resource {
-	if r.ufGen != s.ufGen {
-		r.ufGen = s.ufGen
+	if r.ufGen != ufGen {
+		r.ufGen = ufGen
 		r.ufParent = r
 		r.ufRank = 0
 		r.comp = nil
 	}
 	for r.ufParent != r {
 		p := r.ufParent
-		if p.ufGen != s.ufGen {
+		if p.ufGen != ufGen {
 			// The parent was invalidated out from under r: r's own flows
 			// are gone (rebuild re-admits every live flow's resources), so
 			// restart it as a bare singleton.
@@ -77,7 +77,7 @@ func (s *Sim) findRoot(r *Resource) *Resource {
 			r.comp = nil
 			return r
 		}
-		if gp := p.ufParent; gp.ufGen == s.ufGen {
+		if gp := p.ufParent; gp.ufGen == ufGen {
 			r.ufParent = gp
 		}
 		r = r.ufParent
@@ -120,7 +120,7 @@ func (s *Sim) mergeComponents(dst, src *component) {
 		dst.flows = append(dst.flows, f)
 	}
 	for _, r := range src.resources {
-		if r.listedGen == s.ufGen && r.listedComp == src {
+		if r.listedComp == src {
 			r.listedComp = dst
 		}
 		dst.resources = append(dst.resources, r)
@@ -166,7 +166,7 @@ func (s *Sim) recycleComponent(c *component) {
 	// Unlist only resources still pointing here: one that has since been
 	// re-admitted into a younger component stays on that list.
 	for i, r := range c.resources {
-		if r.listedGen == s.ufGen && r.listedComp == c {
+		if r.listedComp == c {
 			r.listedComp = nil
 		}
 		c.resources[i] = nil
@@ -198,8 +198,7 @@ func (s *Sim) componentAdmit(f *flow) {
 	}
 	for _, pe := range path {
 		r := pe.Res
-		if r.listedGen != s.ufGen || r.listedComp != c {
-			r.listedGen = s.ufGen
+		if r.listedComp != c {
 			r.listedComp = c
 			c.resources = append(c.resources, r)
 		}

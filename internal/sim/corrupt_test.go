@@ -37,10 +37,10 @@ func TestDetectedCorruptionRetransmits(t *testing.T) {
 	// Payload flows twice (2s), plus two checksum passes (0.8s) and the
 	// 1ms backoff before the retransmit.
 	almost(t, end, 2+0.8+0.001, 1e-9, "retransmitted payload")
-	if tr.Retransmits() != 1 {
-		t.Fatalf("retransmits: got %d, want 1", tr.Retransmits())
+	if int(tr.retransmits) != 1 {
+		t.Fatalf("retransmits: got %d, want 1", int(tr.retransmits))
 	}
-	if tr.Tainted() {
+	if tr.tainted {
 		t.Fatal("detected corruption must not taint")
 	}
 	st := s.Integrity()
@@ -96,11 +96,11 @@ func TestSilentCorruptionTaintsDownstream(t *testing.T) {
 	}
 	almost(t, end, 3, 1e-9, "silent corruption costs no extra time")
 	for _, tk := range []*Task{up, fwd, down} {
-		if !tk.Tainted() {
+		if !tk.tainted {
 			t.Fatalf("%v should be tainted", tk)
 		}
 	}
-	if clean.Tainted() {
+	if clean.tainted {
 		t.Fatal("independent task must stay clean")
 	}
 	st := s.Integrity()

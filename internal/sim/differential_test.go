@@ -501,28 +501,3 @@ func TestDifferentialReplayDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestRewindReplayBitwise pins topology reuse: rewinding an executed
-// simulator and re-running the same DAG — the shape Reset gives the
-// chaos harness and experiment grids — must replay every observable bit,
-// including scheduled faults.
-func TestRewindReplayBitwise(t *testing.T) {
-	for _, seed := range []int64{3, 17, 42, 58} {
-		for _, build := range []func(*rand.Rand, *Sim){diffScenario, diffScenarioIsolated} {
-			r := rand.New(rand.NewSource(seed))
-			s := New()
-			build(r, s)
-
-			makespan, err := s.Run()
-			first := captureRecord(s, makespan, err)
-
-			s.rewind()
-			makespan, err = s.Run()
-			second := captureRecord(s, makespan, err)
-			diffRecords(t, seed, first, second)
-			if t.Failed() {
-				t.Fatalf("seed %d: rewind replay diverged (stopping)", seed)
-			}
-		}
-	}
-}

@@ -22,7 +22,7 @@
 // constructors on Sim (Compute, Transfer, Alloc, Free and the virtual join
 // After). A Transfer becomes a flow across a path of Resources once its
 // dependencies complete and its copy engine is free. Run executes the DAG
-// to completion and returns the makespan; a Sim runs once per Reset.
+// to completion and returns the makespan; a Sim runs once.
 // Results are read from the finished DAG after Run: Finished lists the
 // completed tasks in (end time, task id) order, each task carries its
 // start and end times, and each resource the bytes it carried.

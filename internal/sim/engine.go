@@ -17,12 +17,3 @@ type Engine struct {
 
 // Name returns the engine's label.
 func (e *Engine) Name() string { return e.name }
-
-// Busy reports whether a task currently occupies the engine.
-func (e *Engine) Busy() bool { return e.current != nil }
-
-// Current returns the task occupying the engine, or nil.
-func (e *Engine) Current() *Task { return e.current }
-
-// QueueLen returns the number of tasks waiting for the engine.
-func (e *Engine) QueueLen() int { return len(e.queue) }

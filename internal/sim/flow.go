@@ -102,7 +102,7 @@ func (s *Sim) settleAllFlows() {
 // produce identical schedules — the differential tests assert exactly
 // that.
 //
-// The computation is allocation-free in steady state: it reuses the
+// The computation allocates nothing per event: it reuses the
 // scratch slices on Sim and the scratch fields on Resource
 // (residual/demand reset per component fill, the per-round binding
 // flag) instead of

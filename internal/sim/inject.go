@@ -52,7 +52,7 @@ func (s *Sim) applyCapEvents() {
 // crosses it. A capacity change on an idle resource perturbs nobody: the
 // new capacity is simply what the next admission will water-fill against.
 func (s *Sim) touchResource(r *Resource) {
-	if r.ufGen != s.ufGen {
+	if r.ufGen != ufGen {
 		return
 	}
 	if root := s.findRoot(r); root.comp != nil {

@@ -80,7 +80,7 @@ func TestLatencyWithPriorityClasses(t *testing.T) {
 func TestEngineAccessors(t *testing.T) {
 	s := New()
 	e := s.NewEngine("e")
-	if e.Busy() || e.Current() != nil || e.QueueLen() != 0 {
+	if e.current != nil || len(e.queue) != 0 {
 		t.Fatal("fresh engine must be idle")
 	}
 	if e.Name() != "e" {
@@ -90,7 +90,7 @@ func TestEngineAccessors(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Busy() {
+	if e.current != nil {
 		t.Fatal("engine busy after run")
 	}
 }
@@ -101,7 +101,7 @@ func TestTaskAccessors(t *testing.T) {
 	link := s.NewResource("l", 1e9)
 	c := s.Compute(s.Name("c"), e, 1)
 	tr := s.Transfer(s.Name("t"), e, Path(link), 5e8, 3, c)
-	if tr.Kind() != KindTransfer || tr.Bytes() != 5e8 || tr.Priority() != 3 || s.engineOf(tr) != e {
+	if tr.Kind() != KindTransfer || tr.Bytes() != 5e8 || tr.priority != 3 || s.engineOf(tr) != e {
 		t.Fatal("transfer accessors")
 	}
 	if c.Kind() != KindCompute || c.Duration() != 1 {

@@ -8,43 +8,6 @@ import "math"
 // union-find component structure it drives live in flow.go and
 // component.go.
 
-// prepare resets the event-loop state for a fresh run, recycling flow
-// and component structs and drawing a fresh union-find generation; rewind
-// (reset.go) calls it after restoring task, resource, engine, and pool
-// state. A new Sim starts in the prepared state.
-func (s *Sim) prepare() {
-	for _, c := range s.dirtyComps {
-		c.dirty = false
-		s.recycleComponent(c)
-	}
-	s.dirtyComps = s.dirtyComps[:0]
-	for _, f := range s.flows {
-		f.task, f.path = nil, nil
-		s.flowPool = append(s.flowPool, f)
-	}
-	s.flows = s.flows[:0]
-	for i := range s.computes {
-		s.computes[i] = nil
-	}
-	s.computes = s.computes[:0]
-	for i := range s.flowQueue.items {
-		s.flowQueue.items[i] = nil
-	}
-	s.flowQueue.items = s.flowQueue.items[:0]
-	s.ready = s.ready[:0]
-	s.readyHead = 0
-	s.finished = s.finished[:0]
-	s.ratesDirty = false
-	s.err = nil
-	s.now = 0
-	s.nextCap, s.nextFail = 0, 0
-
-	// A fresh generation: union-find marks a previous run left on the
-	// Resource structs read as stale, never as current. The component
-	// visit epoch only ever grows, so it needs no reset.
-	s.ufGen++
-}
-
 // run executes the event loop to completion, structured failure, or
 // deadlock (pending tasks left with no event to fire; Run derives the
 // deadlock error from the leftover state).
@@ -360,8 +323,7 @@ func (s *Sim) removeFromFlowList(f *flow) {
 }
 
 // takeFlow recycles a flow struct from the pool, or carves one from the
-// slab, cutting steady-state GC pressure on DAGs with many
-// transfers (and construction-time allocation churn on reruns).
+// slab, cutting GC pressure on DAGs with many transfers.
 func (s *Sim) takeFlow() *flow {
 	if n := len(s.flowPool); n > 0 {
 		f := s.flowPool[n-1]

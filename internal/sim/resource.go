@@ -9,10 +9,6 @@ type Resource struct {
 	name     string
 	capacity float64
 
-	// baseCapacity is the construction-time capacity; rewind/Reset
-	// restore it (scheduled capacity events mutate capacity mid-run).
-	baseCapacity float64
-
 	// residual is scratch state used during rate computation.
 	residual float64
 	// demand is scratch: sum of weights of unfixed flows on this resource.
@@ -32,11 +28,9 @@ type Resource struct {
 	ufGen    uint64
 	comp     *component
 
-	// listedComp/listedGen track which component's cached resource list
-	// this resource sits on (see component.resources); the generation
-	// guard makes entries written by a previous run read as absent.
+	// listedComp is the component whose cached resource list this
+	// resource sits on (see component.resources), or nil.
 	listedComp *component
-	listedGen  uint64
 }
 
 // Name returns the resource's label.

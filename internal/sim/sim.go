@@ -56,7 +56,7 @@ type Sim struct {
 	failEvents []failEvent
 	nextFail   int
 
-	// ran records that Run executed the DAG since the last Reset.
+	// ran records that Run executed the DAG.
 	ran bool
 
 	// err is the first structured failure of the last run (invariant
@@ -75,16 +75,14 @@ type Sim struct {
 	computes   computeHeap
 	flowQueue  flowHeap
 
-	// Component state (component.go). ufGen advances once per fresh run
-	// and compVisit once per oracle sweep; neither is ever reset, so a
-	// mark a previous run left on a Resource or component can never read
-	// as current.
+	// Component state (component.go). compVisit advances once per
+	// oracle sweep and is never reset, so a mark a previous sweep left on
+	// a component can never read as current.
 	dirtyComps []*component
 	compPool   []*component
-	ufGen      uint64
 	compVisit  uint64
 
-	// Scratch reused across events (allocation-free steady state).
+	// Scratch reused across events (no allocation per event).
 	prioScratch    []int32
 	classBuckets   [][]*flow
 	fixedScratch   []bool
@@ -127,9 +125,14 @@ type Sim struct {
 // taskChunk is the number of tasks one arena chunk holds.
 const taskChunk = 256
 
-// New creates an empty simulator. Its union-find generation starts at 1,
-// so the zero generation of a fresh Resource never reads as current.
-func New() *Sim { return &Sim{ufGen: 1} }
+// ufGen is the union-find generation of the run (component.go). A
+// Resource starts at generation zero, and a per-component rebuild zeroes
+// the generation of the resources it invalidates, so a resource reads as
+// current only once the run has touched it.
+const ufGen = 1
+
+// New creates an empty simulator.
+func New() *Sim { return &Sim{} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
@@ -142,7 +145,7 @@ func (s *Sim) NewResource(name string, capacity float64) *Resource {
 	}
 	r := &s.resSlab[0]
 	s.resSlab = s.resSlab[1:]
-	r.id, r.name, r.capacity, r.baseCapacity = len(s.resources), name, capacity, capacity
+	r.id, r.name, r.capacity = len(s.resources), name, capacity
 	s.resources = append(s.resources, r)
 	return r
 }
@@ -204,7 +207,6 @@ func (s *Sim) newTask(name Name, kind TaskKind, deps []*Task) *Task {
 		s.appendSucc(d, t.id)
 		t.waiting++
 	}
-	t.initWaiting = t.waiting
 	s.pending++
 	return t
 }
@@ -311,8 +313,8 @@ func (s *Sim) PathOf(t *Task) []PathElem {
 	return s.paths[t.path]
 }
 
-// errRunTwice is Run's answer to a second call without Reset.
-var errRunTwice = errors.New("sim: Run called twice without Reset")
+// errRunTwice is Run's answer to a second call.
+var errRunTwice = errors.New("sim: Run called twice")
 
 // Run executes the DAG to completion and returns the makespan. It returns
 // an error when the DAG deadlocks (tasks remain but no event can fire) or
@@ -320,9 +322,9 @@ var errRunTwice = errors.New("sim: Run called twice without Reset")
 // capacity yields an *OOMError, a Free returning more bytes than are
 // allocated yields a *MemAccountError.
 //
-// A Sim runs once per Reset: a second Run without Reset returns an error
-// and leaves the finished run untouched. After Run, the run's results are
-// read from its tasks (Finished, Task.Start, Task.End) and resources.
+// A Sim runs once: a second Run returns an error and leaves the finished
+// run untouched. After Run, the run's results are read from its tasks
+// (Finished, Task.Start, Task.End) and resources.
 func (s *Sim) Run() (Time, error) {
 	if s.ran {
 		return s.now, errRunTwice
@@ -344,11 +346,10 @@ func (s *Sim) Run() (Time, error) {
 	return s.now, nil
 }
 
-// Finished returns the tasks the last Run completed, ordered by (end
-// time, task id): a canonical order shared by the incremental scheduler
-// and the test oracle. A halted or deadlocked run lists only the tasks
-// that finished before it stopped. The slice is the simulator's own and
-// is reused by the next run after Reset.
+// Finished returns the tasks Run completed, ordered by (end time, task
+// id): a canonical order shared by the incremental scheduler and the
+// test oracle. A halted or deadlocked run lists only the tasks that
+// finished before it stopped. The slice is the simulator's own.
 func (s *Sim) Finished() []*Task { return s.finished }
 
 // sortFinished puts a run's completions in (end time, task id) order.

@@ -366,8 +366,8 @@ func TestDependencyOnFinishedTask(t *testing.T) {
 }
 
 // TestFinishedSeesLifecycle reads a run back from its finished tasks, and
-// pins the run-once contract: a second Run without Reset is an error that
-// leaves the result alone, and Reset makes the DAG runnable again.
+// pins the run-once contract: a second Run is an error that leaves the
+// result alone.
 func TestFinishedSeesLifecycle(t *testing.T) {
 	s := New()
 	e := s.NewEngine("e")
@@ -385,11 +385,7 @@ func TestFinishedSeesLifecycle(t *testing.T) {
 	almost(t, tr.Start(), 1, 1e-9, "transfer starts after compute")
 	almost(t, tr.End(), 2, 1e-9, "transfer end")
 	if again, err := s.Run(); err == nil || again != end || len(s.Finished()) != 2 {
-		t.Fatalf("second Run without Reset: end %g, err %v, %d finished", again, err, len(s.Finished()))
-	}
-	s.Reset()
-	if again, err := s.Run(); err != nil || again != end || len(s.Finished()) != 2 {
-		t.Fatalf("Run after Reset: end %g, err %v, %d finished", again, err, len(s.Finished()))
+		t.Fatalf("second Run: end %g, err %v, %d finished", again, err, len(s.Finished()))
 	}
 }
 

@@ -77,13 +77,11 @@ type Task struct {
 	// Larger values run first.
 	priority int32
 
-	// Dependency bookkeeping. initWaiting is the dependency count at
-	// creation; rewind/Reset restore waiting from it when re-running a
-	// reused DAG. The successors are Sim.succs[succOff : succOff+succLen].
-	waiting     int32
-	initWaiting int32
-	succOff     int32
-	succLen     int32
+	// Dependency bookkeeping: waiting counts unfinished dependencies.
+	// The successors are Sim.succs[succOff : succOff+succLen].
+	waiting int32
+	succOff int32
+	succLen int32
 
 	name Name
 
@@ -125,9 +123,6 @@ func (t *Task) Duration() Time {
 	return t.size
 }
 
-// Priority returns the task's scheduling priority.
-func (t *Task) Priority() int { return int(t.priority) }
-
 // SetTag attaches caller metadata to the task; the trace package records
 // the tagged tasks a run finished. Every field must be within int32.
 func (t *Task) SetTag(tag Tag) {
@@ -162,14 +157,6 @@ func (t *Task) End() Time { return t.endAt }
 
 // Finished reports whether the task completed.
 func (t *Task) Finished() bool { return t.state == stateFinished }
-
-// Retransmits returns the number of detected-corruption retransmissions
-// this transfer performed (checksums on).
-func (t *Task) Retransmits() int { return int(t.retransmits) }
-
-// Tainted reports whether the task carried — or transitively consumed —
-// a silently corrupted payload (checksums off).
-func (t *Task) Tainted() bool { return t.tainted }
 
 func (t *Task) String() string {
 	return fmt.Sprintf("task %d (%s)", t.id, t.kind)

@@ -68,14 +68,6 @@ type Recorder struct {
 // sim.Run.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Reset clears the collected records, keeping the backing arrays, so a
-// recorder can be reused across sim.Reset replays of the same schedule
-// without accumulating stale records.
-func (r *Recorder) Reset() {
-	r.Flows = r.Flows[:0]
-	r.Computes = r.Computes[:0]
-}
-
 // Grow reserves room for flows more flow records and computes more
 // compute records, so a scheduler that knows the size of its DAG records
 // a step without regrowing the buffers.
@@ -161,15 +153,6 @@ func normalize(iv []interval) []interval {
 		out = append(out, x)
 	}
 	return out
-}
-
-// unionLength returns the total measure of the union of intervals.
-func unionLength(iv []interval) float64 {
-	var total float64
-	for _, x := range normalize(iv) {
-		total += x.b - x.a
-	}
-	return total
 }
 
 // subtractLength returns the measure of union(A) \ union(B).
@@ -264,15 +247,4 @@ func (r *Recorder) NonOverlappedCommFraction(numGPUs int, stepTime float64) floa
 		sum += subtractLength(buckets[2*g], buckets[2*g+1])
 	}
 	return sum / (float64(numGPUs) * stepTime)
-}
-
-// ComputeBusy returns the total compute-busy time of a GPU.
-func (r *Recorder) ComputeBusy(gpu int) float64 {
-	var iv []interval
-	for _, c := range r.Computes {
-		if c.Tag.GPU == gpu {
-			iv = append(iv, interval{c.Start, c.End})
-		}
-	}
-	return unionLength(iv)
 }

@@ -109,12 +109,13 @@ func TestCDFEmptyAndRender(t *testing.T) {
 	}
 }
 
+// TestUnionLength measures a union as the union minus nothing.
 func TestUnionLength(t *testing.T) {
 	iv := []interval{{0, 2}, {1, 3}, {5, 6}}
-	if got := unionLength(iv); got != 4 {
+	if got := subtractLength(iv, nil); got != 4 {
 		t.Fatalf("union: %g", got)
 	}
-	if got := unionLength(nil); got != 0 {
+	if got := subtractLength(nil, nil); got != 0 {
 		t.Fatalf("empty union: %g", got)
 	}
 }
@@ -196,18 +197,6 @@ func TestNonOverlappedComm(t *testing.T) {
 	frac := r.NonOverlappedCommFraction(2, 10)
 	if math.Abs(frac-(2+4)/20.0) > 1e-12 {
 		t.Fatalf("fraction: %g", frac)
-	}
-}
-
-func TestComputeBusy(t *testing.T) {
-	r := NewRecorder()
-	r.Computes = []ComputeRecord{
-		{Tag: Tag{GPU: 0}, Start: 0, End: 2},
-		{Tag: Tag{GPU: 0}, Start: 1, End: 3},
-		{Tag: Tag{GPU: 1}, Start: 0, End: 9},
-	}
-	if got := r.ComputeBusy(0); got != 3 {
-		t.Fatalf("busy: %g", got)
 	}
 }
 
