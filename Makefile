@@ -37,34 +37,42 @@ race:
 # of it the root phase's differential against the inline roots and the
 # tier-1 subset of the pricing identity test), the
 # plan deadline and goroutine-leak tests under the race detector
-# (deadlines that expire inside the root phase; about 5 s), then the
+# (deadlines that expire inside the root phase; about 10 s), then the
 # dense-oracle differential over every LP a serial cold plan
-# solves for each Table 3 model on Topo 2+2, 1+3 and 4+4 (the oracle runs
+# solves for each Table 3 model on Topo 2+2, 1+3 and 4+4, or, for the
+# four plans the root bound of ROADMAP item "Solve the partition program
+# exactly with a combinatorial branch and bound" resolves with no LP
+# (51B on all three, 15B on 4+4), over the roots of their candidates
+# formulated directly, 51B's S = 24 root on 4+4 among them (the oracle runs
 # without the breakdown guard: a checked solve's pivots must be a prefix
 # of the oracle's, a guard stop must be on an LP the oracle does not
 # solve to optimality, and every other solve must match its status and
 # X/objective float bits; a solve whose phase 1 ends feasible must also
 # match the oracle's whole tableau there), then the twelve cold-plan
 # fingerprints against internal/lp/testdata/plans.golden and the search
-# effort behind them against internal/lp/testdata/effort.golden, and
-# last the full grid of the identity the MILP's rounding heuristic
-# prices by: at fixed block counts the partition LP's optimum is the
-# evaluator's step time, for every Table 3 model on Topo 2+2 and 4+4 at
-# M = N and M = 8 and every candidate stage count (8-12 s). On a
-# 2-vCPU host it takes
-# about 4 minutes if the 3 s-limited 3B on 4+4 search stops before its
-# two node LPs that break down, and 15-18 if it reaches them, as it
-# does with the AVX2 column update: the guard stops each after
-# 2,000-2,700 pivots, but unchecked the dense tableau pivots both on to
-# the iteration limit (263,200 pivots; the 3B on 4+4 differential takes
-# 11-13.5 minutes side by side).
+# effort behind them against internal/lp/testdata/effort.golden (about
+# 6 s), and last the full grid of the identity the MILP's rounding
+# heuristic prices by: at fixed block counts the partition LP's optimum
+# is the evaluator's step time, for every Table 3 model on Topo 2+2 and
+# 4+4 at M = N and M = 8 and every candidate stage count (8-12 s), the
+# root bound against brute force over every block-count vector of 2,205
+# small instances (about 3 s), and the sweep with the bound against the
+# sweep without it for every Table 3 model on Topo 2+2, 1+3 and 4+4 at
+# M = N and M = 8 (about 6 minutes, nearly all of it the M = 8 sweeps on
+# 2+2, each solved twice). On a 2-vCPU host it takes about 10 minutes if
+# the 3 s-limited 3B on 4+4 search stops before its two node LPs that
+# break down, and 16-20 if it reaches them, as it does with the AVX2
+# column update: the guard stops each after 2,000-2,700 pivots, but
+# unchecked the dense tableau pivots both on to the iteration limit
+# (263,200 pivots; the 3B on 4+4 differential takes 6-13.5 minutes side
+# by side, 6, 8.5 and 9.5 in three runs on one host).
 check-lp:
 	GOARCH=arm64 $(GO) vet ./internal/lp/
 	$(GO) test -count=1 ./internal/lp/ ./internal/milp/
 	$(GO) test -race -count=1 ./internal/milp/ ./internal/partition/
 	$(GO) test -race -count=1 -run 'TestPlanCancellationLeaksNoGoroutines|TestDeadlineInterruptsRootLP' ./internal/core/
 	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle|TestColdPlanFingerprints' -v ./internal/lp/
-	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -run 'TestPricerMatchesFixedLP' -v ./internal/partition/
+	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 60m -run 'TestPricerMatchesFixedLP|TestRootBoundBelowExhaustiveOptimum|TestPrunedSweepMatchesUnpruned' -v ./internal/partition/
 
 # check-faults is the fault-matrix smoke test: link degradation windows,
 # alone and combined (an unbounded window beside a bounded one on

@@ -141,8 +141,8 @@ func main() {
 	fmt.Printf("profile:   %d layers, %d similarity groups, cost %.2fs\n",
 		plan.Profile.NumLayers(), plan.Profile.GroupsProfiled, plan.Profile.Cost)
 	if st := plan.MIPStats; st != nil {
-		fmt.Printf("MIP:       tried S=%v, %d nodes, %d LPs (%d numerical), %d pivots, largest LP %dx%d, %v solve time\n",
-			st.TriedStageCounts, st.Nodes, st.LPSolves, st.LPNumerical, st.LPPivots, st.LPRows, st.LPCols, st.SolveTime.Round(1e6))
+		fmt.Printf("MIP:       tried S=%v (%v resolved by the root bound), %d nodes, %d LPs (%d numerical), %d pivots, largest LP %dx%d, %v solve time\n",
+			st.TriedStageCounts, st.PrunedStageCounts, st.Nodes, st.LPSolves, st.LPNumerical, st.LPPivots, st.LPRows, st.LPCols, st.SolveTime.Round(1e6))
 	}
 	fmt.Printf("partition: %d stages (%s)\n", plan.Partition.NumStages(), plan.Partition.Algorithm)
 	for j, s := range plan.Partition.Stages {

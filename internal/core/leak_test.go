@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,10 +20,15 @@ import (
 // return), so the goroutine count must return to its pre-planning
 // baseline.
 func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
-	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
+	// 3B on two GPUs sweeps twelve candidates, S = 2 to 24, each left to
+	// its MILP by the root bound, and its patience rule stops the sweep
+	// before S = 24, so several workers run and the break cancels work
+	// that is in flight or queued.
+	topo := hw.Commodity(hw.RTX3090Ti, 2)
+	const maxStages = 24
 	// Warm the profiler/caches once so the baseline is not polluted by
 	// lazily started runtime helpers.
-	if _, err := PlanMobius(Options{Model: model.GPT8B, Topology: topo}); err != nil {
+	if _, err := PlanMobius(Options{Model: model.GPT3B, Topology: topo}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
@@ -38,14 +44,14 @@ func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 		}
 		return plan
 	}
-	run := func(ctx context.Context, m model.Config, par int) {
-		plan(ctx, Options{
-			Model:    m,
+	run := func(ctx context.Context, par int) *Plan {
+		return plan(ctx, Options{
+			Model:    model.GPT3B,
 			Topology: topo,
 			// Uncached so every iteration re-runs the pool; a small node
 			// budget keeps the unbounded solves short — the test is about
 			// shutdown, not solution quality.
-			MIP:         partition.MIPOptions{DisableCache: true, NodeLimit: 25, MaxStages: 12},
+			MIP:         partition.MIPOptions{DisableCache: true, NodeLimit: 25, MaxStages: maxStages},
 			Parallelism: par,
 		})
 	}
@@ -55,34 +61,53 @@ func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 		// even starts.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		run(ctx, model.GPT15B, par)
+		run(ctx, par)
 
 		// Deadline that expires mid-sweep: workers must be joined before
 		// the degraded plan is returned.
 		ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		run(ctx2, model.GPT15B, par)
+		if p := run(ctx2, par); !p.Fallback {
+			t.Errorf("3B on two GPUs, parallelism %d: planned within a 5 ms deadline", par)
+		}
 		cancel2()
 
 		// Unbounded run: the patience break cancels in-flight candidates;
-		// they too must be joined.
-		run(context.Background(), model.GPT8B, par)
+		// they too must be joined. It must have solved two candidates or
+		// more, with branching, and stopped before the last.
+		st := run(context.Background(), par).MIPStats
+		if st == nil || st.PrunedStageCounts != nil || len(st.TriedStageCounts) < 2 || st.Nodes == 0 ||
+			slices.Contains(st.TriedStageCounts, maxStages) {
+			t.Errorf("3B on two GPUs, parallelism %d: %+v; want two MILPs or more, with nodes, and a patience stop before S = %d",
+				par, st, maxStages)
+		}
 	}
 
-	// Deadline that expires inside the root phase: 51B on Topo 4+4
-	// solves its two roots side by side for about 300 ms before any
-	// branch and bound. Both root goroutines must be joined.
+	// Deadline that expires inside the root phase: 8B on Topo 4+4 solves
+	// its S = 8, 16 and 24 roots side by side, the last an 866-row LP of
+	// about 370 ms, before any branch and bound. Both root goroutines
+	// must be joined. A run without the deadline (one node per MILP)
+	// checks first that the root phase has two roots or more to solve.
 	wide := hw.Commodity(hw.RTX3090Ti, 4, 4)
+	check := plan(context.Background(), Options{
+		Model:       model.GPT8B,
+		Topology:    wide,
+		MIP:         partition.MIPOptions{DisableCache: true, NodeLimit: 1},
+		Parallelism: 1,
+	}).MIPStats
+	if check == nil || check.PrunedStageCounts != nil || len(check.TriedStageCounts) < 2 || check.LPSolves < len(check.TriedStageCounts) {
+		t.Fatalf("8B on Topo 4+4: %+v; want two root LPs or more", check)
+	}
 	for _, par := range []int{1, 8} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		p := plan(ctx, Options{
-			Model:       model.GPT51B,
+			Model:       model.GPT8B,
 			Topology:    wide,
 			MIP:         partition.MIPOptions{DisableCache: true},
 			Parallelism: par,
 		})
 		cancel()
 		if !p.Fallback {
-			t.Errorf("51B on Topo 4+4, parallelism %d: planned within a 20 ms deadline", par)
+			t.Errorf("8B on Topo 4+4, parallelism %d: planned within a 20 ms deadline", par)
 		}
 	}
 

@@ -259,18 +259,26 @@ func matchesOracleRandom(t *testing.T, kernel lp.Kernel) {
 // its LP outcomes, and milp and the sweep treat Numerical like every
 // other non-optimal, non-infeasible status, so this holds the plans to
 // the oracle too. By default
-// it covers one small sweep; with MOBIUS_CHECK_LP set (make check-lp) it
+// it covers two small sweeps; with MOBIUS_CHECK_LP set (make check-lp) it
 // covers a default cold plan of every Table 3 model on Topo 2+2, 1+3 and
 // 4+4. The default per-MILP time limit keeps that bounded; which LPs a
-// limit-bound solve reaches depends on the machine, and every one of them
-// is compared.
+// limit-bound solve reaches depends on the machine, and every one of
+// them is compared. A cold plan may capture no LP only when the root
+// bound resolved its sweep; the roots of the candidates it resolved are
+// then formulated directly (partition.Relaxation) and compared instead.
+// Among them is the S = 24 root of 51B on Topo 4+4, the largest LP the
+// sweep formulates and the one the simplex stops as numerical, which no
+// cold plan solves since the bound.
 func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 	type shape struct {
 		m         model.Config
 		topo      string
 		maxStages int
 	}
-	shapes := []shape{{model.GPT8B, "2+2", 8}}
+	// At MaxStages 8 the root bound resolves 8B on Topo 2+2 with no LP,
+	// so the roots of its candidates are compared; at MaxStages 12 it
+	// leaves 3B there its S = 4, 8 and 12 candidates to their MILPs.
+	shapes := []shape{{model.GPT8B, "2+2", 8}, {model.GPT3B, "2+2", 12}}
 	if os.Getenv("MOBIUS_CHECK_LP") != "" {
 		shapes = nil
 		for _, m := range model.Table3() {
@@ -280,7 +288,8 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 		}
 	}
 	for _, sh := range shapes {
-		t.Run(fmt.Sprintf("%s_%s", sh.m.Name, sh.topo), func(t *testing.T) {
+		name := fmt.Sprintf("%s_%s", sh.m.Name, sh.topo)
+		t.Run(name, func(t *testing.T) {
 			topo, err := hw.ParseSpec(sh.topo)
 			if err != nil {
 				t.Fatal(err)
@@ -296,8 +305,38 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan.MIPStats == nil || len(probs) < plan.MIPStats.LPSolves {
-				t.Fatalf("captured %d LPs, plan reports %+v", len(probs), plan.MIPStats)
+			st := plan.MIPStats
+			if st == nil || len(probs) < st.LPSolves {
+				t.Fatalf("captured %d LPs, plan reports %+v", len(probs), st)
+			}
+			summary := fmt.Sprintf("%d counted, %d nodes", st.LPSolves, st.Nodes)
+			if len(probs) == 0 {
+				if st.PrunedStageCounts == nil {
+					t.Fatalf("captured no LP, but the bound resolved none of %v", st.TriedStageCounts)
+				}
+				// The planning parameters of core.PlanMobius at the
+				// default microbatch count. The sweep they drive must
+				// resolve to the plan's step time, bit for bit, so a
+				// field core derives and this copy misses fails here.
+				params := partition.Params{
+					Profile:   plan.Profile,
+					NumGPUs:   topo.NumGPUs(),
+					GPUMem:    topo.GPUMem(0) * core.UsableMemFraction,
+					Bandwidth: core.PlanBandwidth(topo),
+					Latency:   topo.TransferLatency,
+				}
+				_, again, err := partition.MIP(params, opts.MIP)
+				if err != nil || math.Float64bits(again.StepTime) != math.Float64bits(st.StepTime) {
+					t.Fatalf("the parameters rebuilt from the topology sweep to %+v, %v; the plan's step is %v", again, err, st.StepTime)
+				}
+				for _, S := range st.PrunedStageCounts {
+					p, err := partition.Relaxation(params, S)
+					if err != nil || p == nil {
+						t.Fatalf("S = %d: %v, %v", S, p, err)
+					}
+					probs = append(probs, p)
+				}
+				summary += fmt.Sprintf(", roots of resolved %v", st.PrunedStageCounts)
 			}
 			// The oracle side dominates; compare on every CPU.
 			errs := make([]error, len(probs))
@@ -331,8 +370,11 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 					t.Logf("LP %d: %s", k, v.outcome)
 				}
 			}
-			t.Logf("%d LPs (%d counted), %d nodes, %d guarded, %d mirrored entries, %d pairs written out",
-				len(probs), plan.MIPStats.LPSolves, plan.MIPStats.Nodes, guarded, entered, writtenOut)
+			if name == "51B_4+4" && guarded == 0 {
+				t.Error("the breakdown guard stopped none of the roots, S = 24 among them")
+			}
+			t.Logf("%d LPs (%s), %d guarded, %d mirrored entries, %d pairs written out",
+				len(probs), summary, guarded, entered, writtenOut)
 		})
 	}
 }

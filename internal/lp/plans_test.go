@@ -28,7 +28,8 @@ var update = flag.Bool("update", false, "regenerate testdata/plans.golden and te
 // keep every pivot must leave both files alone: the effort file catches
 // a kernel that reaches the same plans through different pivots. It
 // runs under MOBIUS_CHECK_LP (make check-lp): the twelve plans take
-// 15–18 s on a 2-vCPU host.
+// about 6 s on a 2-vCPU host, since the root bound resolves the 15B on
+// Topo 4+4 and the three 51B sweeps with no LP.
 func TestColdPlanFingerprints(t *testing.T) {
 	if os.Getenv("MOBIUS_CHECK_LP") == "" && !*update {
 		t.Skip("set MOBIUS_CHECK_LP=1 (make check-lp) to plan every Table 3 shape")

@@ -59,19 +59,22 @@ func BenchmarkMIPBranching(b *testing.B) {
 
 // BenchmarkMIPRoots measures the root phase: one uncached serial sweep
 // of the 51B model on Topo 4+4 with the options of a benchmark cold plan
-// (Parallelism 1, the time limit lifted). Its search is the S = 16 and
-// S = 24 roots, which the sweep solves side by side, and no node: 2 LP
-// solves and 3,263 pivots (internal/lp/testdata/effort.golden). It
-// reports the LP solves and pivots with the time.
+// (Parallelism 1, the time limit lifted) and the root bound off. The
+// bound resolves that sweep with no LP, so a cold plan no longer runs
+// this search; without the bound it is the S = 16 and S = 24 roots,
+// which the sweep solves side by side, and no node: 2 LP solves and
+// 3,263 pivots, one of them stopped as numerical. It reports the LP
+// solves and pivots with the time.
 func BenchmarkMIPRoots(b *testing.B) {
 	params := planParams(b, model.GPT51B, 4, 4)
 	opts := MIPOptions{Parallelism: 1, DisableCache: true, TimeLimit: 10 * time.Minute}
+	sweep := unpruned(MIP)
 	var stats *MIPStats
 	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, stats, err = MIP(params, opts); err != nil {
+		if _, stats, err = sweep(params, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,8 +87,9 @@ func BenchmarkMIPRoots(b *testing.B) {
 // the root relaxation of the 51B model on Topo 4+4 at S = 24 stages,
 // with the planning parameters core.PlanMobius derives for that shape.
 // The relaxation is feasible, but the tableau breaks down on it and the
-// solve stops as numerical after about 1,790 pivots, so the sweep falls
-// back to the min-stage partition. It reports the tableau size, the
+// solve stops as numerical after about 1,790 pivots. A cold plan no
+// longer solves it: the root bound proves the min-stage partition
+// better than every candidate first. It reports the tableau size, the
 // pivot count and the status (lp.Status as a number; 4 is numerical)
 // with the time.
 func BenchmarkLPRoot(b *testing.B) {

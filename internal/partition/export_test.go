@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math"
+
 	"mobius/internal/lp"
 	"mobius/internal/milp"
 )
@@ -13,4 +15,17 @@ func mipInline(params Params, opts MIPOptions) (*Partition, *MIPStats, error) {
 		return make([]rootRes, len(probs))
 	}
 	return MIP(params, opts)
+}
+
+// unpruned returns mip with the root bound proving nothing, so that the
+// sweep solves the MILP of every candidate with a partition.
+func unpruned(mip func(Params, MIPOptions) (*Partition, *MIPStats, error)) func(Params, MIPOptions) (*Partition, *MIPStats, error) {
+	return func(params Params, opts MIPOptions) (*Partition, *MIPStats, error) {
+		defer func(b func(Params, *blockStats, int) (float64, bool)) { pruneBound = b }(pruneBound)
+		pruneBound = func(params Params, bs *blockStats, S int) (float64, bool) {
+			_, ok := rootBound(params, bs, S)
+			return math.Inf(-1), ok
+		}
+		return mip(params, opts)
+	}
 }

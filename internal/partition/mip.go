@@ -88,8 +88,12 @@ const mipPatience = 2
 // MIPStats reports the solver effort, feeding the Figure 12 overhead
 // experiment.
 type MIPStats struct {
-	// TriedStageCounts lists the candidate S values formulated and solved.
+	// TriedStageCounts lists the candidate S values the sweep resolved,
+	// by a MILP or by the root bound, in sweep order.
 	TriedStageCounts []int
+	// PrunedStageCounts lists the candidates among them that the root
+	// bound resolved with no LP (see rootBound).
+	PrunedStageCounts []int `json:"-"`
 	// Nodes is the total branch-and-bound node count across candidates.
 	Nodes int
 	// LPSolves and LPPivots total the LP relaxations solved across
@@ -112,7 +116,7 @@ type MIPStats struct {
 	// StepTime is the modelled step duration of the returned partition.
 	StepTime float64
 	// Proven is true when every explored candidate was solved to
-	// certified optimality.
+	// certified optimality or resolved by the root bound.
 	Proven bool
 	// UsedMinStageFallback is true when the min-stage partition (beyond
 	// MaxStages) beat every MIP candidate — the regime of Figure 9's
@@ -287,6 +291,75 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 
 	cands := stageCounts(params, bs.blocks, opts.MaxStages)
 
+	// The min-stage decomposition can exceed MaxStages (one block per
+	// stage); the paper observes the MIP solution degenerates to it when
+	// blocks barely fit in GPU memory. It is compared after the sweep.
+	ms, err := MinStage(params)
+	if err != nil || len(ms.Stages) <= opts.MaxStages {
+		ms = nil
+	}
+
+	// Whatever a candidate's MILP returns is a block-count vector with S
+	// stages or its balanced fallback, whose step time is at least the
+	// root bound plus tbEmb. When min-stage beats that strictly for every
+	// candidate, it wins the comparison below whatever the MILPs return:
+	// the sweep is resolved without formulating anything. A candidate the
+	// bound finds no partition for is one formulate rejects too.
+	if ms != nil {
+		tMS, err := StepTime(params, ms)
+		if err != nil {
+			return nil, nil, err
+		}
+		var pruned []int
+		for _, s := range cands {
+			lb, ok := pruneBound(params, bs, s)
+			if !ok {
+				continue
+			}
+			if !(lb+bs.tbEmb > tMS) {
+				pruned = nil
+				break
+			}
+			pruned = append(pruned, s)
+		}
+		if pruned != nil {
+			stats.TriedStageCounts, stats.PrunedStageCounts = cands, pruned
+		}
+	}
+	if stats.PrunedStageCounts == nil {
+		if err := sweep(ctx, params, bs, opts, cands, stats, consider); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	if ms != nil {
+		if err := consider(ms, len(ms.Stages), false); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// A deadline that expired mid-sweep invalidates the whole result, even
+	// if some candidates finished: which ones did is timing-dependent, and
+	// the contract is all-or-nothing (see ErrCancelled).
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCancelled, err)
+	}
+
+	if best == nil {
+		return nil, nil, fmt.Errorf("partition: no feasible partition found (GPU memory %g GB too small?)", params.GPUMem/1e9)
+	}
+	return best, stats, nil
+}
+
+// pruneBound is the root bound the sweep is resolved by. Only tests
+// replace it, with one that proves nothing, so that every candidate
+// with a partition runs its MILP.
+var pruneBound = rootBound
+
+// sweep solves the MILP of every candidate stage count in cands and
+// hands the results to consider in candidate order, with the patience
+// stop, adding their effort to stats.
+func sweep(ctx context.Context, params Params, bs *blockStats, opts MIPOptions, cands []int, stats *MIPStats, consider func(*Partition, int, bool) error) error {
 	// Balanced-heuristic partitions for every candidate, computed before
 	// the fan-out; each is its candidate's fallback and seeds the shared
 	// incumbent bound. The bound is sealed at the minimum over all seeds:
@@ -400,7 +473,7 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		r := <-results[i]
 		if r.err != nil {
 			cancelled.Store(true)
-			return nil, nil, r.err
+			return r.err
 		}
 		stats.SolveTime += r.dur
 		stats.addEffort(r.effort)
@@ -411,7 +484,7 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		before := stats.StepTime
 		if err := consider(r.part, cands[i], true); err != nil {
 			cancelled.Store(true)
-			return nil, nil, err
+			return err
 		}
 		if stats.StepTime < before {
 			sinceImprove = 0
@@ -423,27 +496,7 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 			}
 		}
 	}
-
-	// The min-stage decomposition can exceed MaxStages (one block per
-	// stage); the paper observes the MIP solution degenerates to it when
-	// blocks barely fit in GPU memory. Compare explicitly.
-	if ms, err := MinStage(params); err == nil && len(ms.Stages) > opts.MaxStages {
-		if err := consider(ms, len(ms.Stages), false); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// A deadline that expired mid-sweep invalidates the whole result, even
-	// if some candidates finished: which ones did is timing-dependent, and
-	// the contract is all-or-nothing (see ErrCancelled).
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCancelled, err)
-	}
-
-	if best == nil {
-		return nil, nil, fmt.Errorf("partition: no feasible partition found (GPU memory %g GB too small?)", params.GPUMem/1e9)
-	}
-	return best, stats, nil
+	return nil
 }
 
 // stageCounts lists the candidate stage counts S of the sweep: the
@@ -591,6 +644,25 @@ func fromBlockCounts(prof *profile.Profile, n []float64) (*Partition, error) {
 	return FromBoundaries(prof, sizes, AlgoMIP)
 }
 
+// Relaxation returns the MILP of §3.2 for a fixed stage count S exactly
+// as the sweep formulates it for a candidate it solves, the root LP
+// relaxation of that candidate, or nil when a single block cannot fit
+// some stage. Its variables [0, S) are the per-stage block counts. No
+// program calls it: it exists so that the LP's differential tests can
+// solve the roots of candidates the root bound resolves, which no cold
+// plan solves.
+func Relaxation(params Params, S int) (*lp.Problem, error) {
+	params = params.withDefaults()
+	if err := params.validate(); err != nil {
+		return nil, err
+	}
+	bs, err := gatherBlockStats(params)
+	if err != nil {
+		return nil, err
+	}
+	return formulate(params, bs, S), nil
+}
+
 // formulate builds the MILP of §3.2 for a fixed stage count S. Its
 // integer variables are the per-stage block counts, variables [0, S);
 // the objective is the step time less the embedding's backward time. It
@@ -616,44 +688,14 @@ func formulate(params Params, bs *blockStats, S int) *lp.Problem {
 
 	p := lp.NewProblem(totalVars)
 
-	// Per-stage constants (embedding on stage 0, head on stage S-1).
-	cF := make([]float64, S)
-	cB := make([]float64, S)
-	cP := make([]float64, S) // constant parameter GB beyond blocks
-	w := make([]float64, S)
-	actIn := make([]float64, S)
-	actOut := make([]float64, S)
-	for j := 0; j < S; j++ {
-		w[j] = bs.wBlk
-		actIn[j] = bs.act
-		actOut[j] = bs.act
+	c := newStageConsts(bs, S)
+	cF, cB, cP, w, actIn, actOut := c.cF, c.cB, c.cP, c.w, c.actIn, c.actOut
+	lo, hi := c.blockBounds(params, bs)
+	if lo == nil {
+		return nil
 	}
-	cF[0] += bs.tfEmb
-	cB[0] += bs.tbEmb
-	cP[0] += bs.pEmb
-	w[0] = math.Max(w[0], bs.wEmb)
-	cF[S-1] += bs.tfHead
-	cB[S-1] += bs.tbHead
-	cP[S-1] += bs.pHead
-	w[S-1] = math.Max(w[S-1], bs.wHead)
-	actIn[0] = 0    // stage 0 receives raw token ids (negligible)
-	actOut[S-1] = 0 // the head emits only the loss
-
-	// Integer block-count bounds from the memory constraint (4):
-	// MemFwd_j = pBlk*n + cP + w + 2*actOut <= G
-	// MemBwd_j = 2*(pBlk*n + cP) + w + 2*actIn <= G.
 	for j := 0; j < S; j++ {
-		capFwd := (G - cP[j] - w[j] - 2*actOut[j]) / bs.pBlk
-		capBwd := (G - 2*cP[j] - w[j] - 2*actIn[j]) / (2 * bs.pBlk)
-		hi := math.Floor(math.Min(capFwd, capBwd) + 1e-9)
-		lo := 1.0
-		if j == 0 || j == S-1 {
-			lo = 0 // embedding/head alone is a valid stage
-		}
-		if hi < lo {
-			return nil
-		}
-		p.SetBounds(nVarAt(j), lo, hi)
+		p.SetBounds(nVarAt(j), lo[j], hi[j])
 	}
 
 	// Total blocks.

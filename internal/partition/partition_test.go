@@ -1,11 +1,13 @@
 package partition
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -202,8 +204,16 @@ func TestMIPPartitionBeatsBaselines(t *testing.T) {
 		if len(stats.TriedStageCounts) == 0 {
 			t.Errorf("%s: no candidates tried", cfg.Name)
 		}
-		if stats.SolveTime <= 0 {
-			t.Errorf("%s: zero solve time", cfg.Name)
+		// Either an LP ran and its time is charged, or the root bound
+		// resolved every candidate in favour of min-stage and none is.
+		switch {
+		case stats.LPSolves > 0:
+			if stats.SolveTime <= 0 {
+				t.Errorf("%s: %d LPs in zero solve time", cfg.Name, stats.LPSolves)
+			}
+		case !slices.Equal(stats.PrunedStageCounts, stats.TriedStageCounts) || !stats.UsedMinStageFallback || stats.SolveTime != 0:
+			t.Errorf("%s: no LP, pruned %v of %v, min-stage %v, solve time %v; want every candidate pruned, min-stage and no time",
+				cfg.Name, stats.PrunedStageCounts, stats.TriedStageCounts, stats.UsedMinStageFallback, stats.SolveTime)
 		}
 	}
 }
@@ -354,18 +364,21 @@ func fixedPoints(p *lp.Problem, S, blocks int, r *rand.Rand) [][]float64 {
 // TestMIPEffortCountersRepeat checks the LP effort counters are a
 // function of the planning problem alone: two serial uncached sweeps,
 // and a parallel one, report the same node, LP and pivot counts and the
-// same largest LP.
+// same largest LP. The root bound leaves all six of this sweep's
+// candidates to their MILPs, which branch, so the parallel sweep runs
+// two workers.
 func TestMIPEffortCountersRepeat(t *testing.T) {
 	p := testParams(t, model.GPT8B, 4)
 	var first *MIPStats
 	for _, par := range []int{1, 1, 2} {
-		_, stats, err := MIP(p, MIPOptions{DisableCache: true, MaxStages: 12, Parallelism: par, TimeLimit: 10 * time.Minute})
+		_, stats, err := MIP(p, MIPOptions{DisableCache: true, Parallelism: par, TimeLimit: 10 * time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.LPSolves < len(stats.TriedStageCounts) || stats.LPPivots <= 0 || stats.LPRows <= 0 || stats.LPCols <= stats.LPRows {
-			t.Fatalf("implausible effort: %d LPs, %d pivots, largest %dx%d over %d candidates",
-				stats.LPSolves, stats.LPPivots, stats.LPRows, stats.LPCols, len(stats.TriedStageCounts))
+		solved := len(stats.TriedStageCounts) - len(stats.PrunedStageCounts)
+		if solved < 2 || stats.Nodes == 0 || stats.LPSolves < solved || stats.LPPivots <= 0 || stats.LPRows <= 0 || stats.LPCols <= stats.LPRows {
+			t.Fatalf("implausible effort: %d nodes, %d LPs, %d pivots, largest %dx%d over %d solved candidates",
+				stats.Nodes, stats.LPSolves, stats.LPPivots, stats.LPRows, stats.LPCols, solved)
 		}
 		if first == nil {
 			first = stats
@@ -385,22 +398,26 @@ func TestMIPEffortCountersRepeat(t *testing.T) {
 // MIPStats field but SolveTime, float bits included. It runs on the four
 // benchmark cold-plan shapes with their options (time limit lifted) and
 // on a node-bounded sweep of 51B on two GPUs whose S = 10 root is
-// infeasible, each with the root phase at Parallelism 1 and 2.
+// infeasible, each with the root phase at Parallelism 1 and 2. The root
+// bound resolves both 51B sweeps with no LP, so they run with the bound
+// off on both sides, to keep in the root phase the S = 24 root of 51B on
+// Topo 4+4, which stops as numerical, and the infeasible S = 10 root.
 func TestRootPhaseMatchesInline(t *testing.T) {
 	lifted := MIPOptions{DisableCache: true, TimeLimit: 10 * time.Minute}
 	bounded := lifted
 	bounded.NodeLimit, bounded.MaxStages = 10, 16
 	two := planParams(t, model.GPT51B, 2)
 	cases := []struct {
-		name   string
-		params Params
-		opts   MIPOptions
+		name    string
+		params  Params
+		opts    MIPOptions
+		unbound bool
 	}{
-		{"3B_2p2", planParams(t, model.GPT3B, 2, 2), lifted},
-		{"8B_1p3", planParams(t, model.GPT8B, 1, 3), lifted},
-		{"15B_2p2", planParams(t, model.GPT15B, 2, 2), lifted},
-		{"51B_4p4", planParams(t, model.GPT51B, 4, 4), lifted},
-		{"51B_2", two, bounded},
+		{"3B_2p2", planParams(t, model.GPT3B, 2, 2), lifted, false},
+		{"8B_1p3", planParams(t, model.GPT8B, 1, 3), lifted, false},
+		{"15B_2p2", planParams(t, model.GPT15B, 2, 2), lifted, false},
+		{"51B_4p4", planParams(t, model.GPT51B, 4, 4), lifted, true},
+		{"51B_2", two, bounded, true},
 	}
 
 	// The bounded sweep's S = 10 candidate is formulated, but its root
@@ -415,23 +432,33 @@ func TestRootPhaseMatchesInline(t *testing.T) {
 	}
 
 	for _, c := range cases {
+		inline, phased := mipInline, MIP
+		if c.unbound {
+			inline, phased = unpruned(inline), unpruned(phased)
+		}
 		// The sweep before the root phase is the same at every
 		// parallelism level, so one serial run is the oracle for both.
 		opts := c.opts
 		opts.Parallelism = 1
-		wantPart, wantStats, err := mipInline(c.params, opts)
+		wantPart, wantStats, err := inline(c.params, opts)
 		if err != nil {
 			t.Fatalf("%s: inline roots: %v", c.name, err)
 		}
 		wantStats.SolveTime = 0
 		for _, par := range []int{1, 2} {
 			opts.Parallelism = par
-			gotPart, gotStats, err := MIP(c.params, opts)
+			gotPart, gotStats, err := phased(c.params, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			if c.name == "51B_2" && !slices.Contains(gotStats.TriedStageCounts, 10) {
-				t.Fatalf("%s: tried %v, want S = 10 among them", c.name, gotStats.TriedStageCounts)
+			if gotStats.LPSolves == 0 {
+				t.Fatalf("%s: no LP ran, so the root phase solved nothing", c.name)
+			}
+			if c.name == "51B_4p4" && gotStats.LPNumerical == 0 {
+				t.Fatalf("%s: no LP stopped as numerical", c.name)
+			}
+			if c.name == "51B_2" && (!slices.Contains(gotStats.TriedStageCounts, 10) || slices.Contains(gotStats.PrunedStageCounts, 10)) {
+				t.Fatalf("%s: tried %v, pruned %v; want S = 10 solved", c.name, gotStats.TriedStageCounts, gotStats.PrunedStageCounts)
 			}
 			// %v prints the shortest decimal that parses back to the same
 			// float, so equal strings mean equal bits (and signs of zero).
@@ -802,5 +829,18 @@ func TestGreedyPrefersFewestStagesThatFit(t *testing.T) {
 	}
 	if part.NumStages() != 4 {
 		t.Fatalf("3B fits one stage per GPU; greedy chose %d stages", part.NumStages())
+	}
+}
+
+// TestPrunedStageCountsNotPersisted: MIPStats is persisted as JSON in
+// every plan-store record, and the candidates the root bound resolved
+// are not part of that record format.
+func TestPrunedStageCountsNotPersisted(t *testing.T) {
+	b, err := json.Marshal(MIPStats{TriedStageCounts: []int{8, 16}, PrunedStageCounts: []int{8, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "Pruned") {
+		t.Errorf("MIPStats JSON %s carries the pruned candidates", b)
 	}
 }
