@@ -127,7 +127,10 @@ check-perf:
 # replay and the concurrent fan-out), all under the race detector, then the
 # deadline-stopped cross mapping search, alone and inside a plan, also
 # under the race detector, and a short native-fuzz smoke of the /v1/plan
-# handler over a greedy inner planner.
+# handler over a greedy inner planner, seeded with requests at and over
+# every bound: GPUs, layers, microbatches, balanced stages, and the
+# model.Config.Validate bound on model_config dimensions whose block,
+# embedding or head parameter count overflows int64.
 # -short skips the one MIP-heavy test (a plan independent of cache
 # history); plain `make race` runs it.
 check-plansvc:

@@ -19,7 +19,7 @@ func benchConfig(cache *StepCache) Config {
 	cfg.Servers = 3
 	cfg.HorizonS = 600
 	cfg.Prewarm = true
-	cfg.Paranoid = false
+	cfg.paranoid = false
 	cfg.Cache = cache
 	cfg.Faults = &fault.Spec{ServerFails: []fault.ServerFailFault{{Server: 0, At: 200}}}
 	return cfg

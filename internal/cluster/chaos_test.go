@@ -80,7 +80,7 @@ func (h *clusterHarness) ClusterScenario(seed int64) Config {
 		Seed:     seed,
 		QueueCap: 2 + rng.Intn(7),
 		Prewarm:  rng.Intn(2) == 0,
-		Paranoid: true,
+		paranoid: true,
 		Cache:    h.Cache,
 	}
 	nClasses := 2 + rng.Intn(2)

@@ -164,9 +164,10 @@ type Config struct {
 	// cache hits: the zero-solve recovery path.
 	Prewarm bool
 
-	// Paranoid audits the job-conservation identity against every
-	// job's actual state after every event, not just at the end.
-	Paranoid bool
+	// paranoid audits the job-conservation identity against every
+	// job's actual state after every event, not just at the end. Only
+	// the package's tests turn it on.
+	paranoid bool
 
 	// Cache shares step-time pricing across runs (optional); the
 	// overload and restart sweeps reuse one so every run prices each
@@ -329,7 +330,7 @@ func Run(cfg Config) (*Report, error) {
 		if err := r.handle(e); err != nil {
 			return nil, err
 		}
-		if cfg.Paranoid {
+		if cfg.paranoid {
 			if err := r.audit(); err != nil {
 				return nil, fmt.Errorf("cluster: paranoid audit after event %d (t=%.6f): %w", r.nEvents, r.now, err)
 			}

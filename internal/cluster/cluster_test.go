@@ -39,7 +39,7 @@ func baseConfig(classes ...Class) Config {
 		Classes:  classes,
 		HorizonS: 300,
 		Seed:     7,
-		Paranoid: true,
+		paranoid: true,
 		Cache:    sharedCache,
 	}
 }

@@ -31,7 +31,7 @@ func TestClusterDifferentialSingleJob(t *testing.T) {
 		Classes:  []Class{cl},
 		HorizonS: 200,
 		Seed:     3,
-		Paranoid: true,
+		paranoid: true,
 		Cache:    NewStepCache(), // cold: pricing happens inside this run
 	}
 	rep, err := Run(cfg)

@@ -98,7 +98,7 @@ func TestClusterFingerprintsPinned(t *testing.T) {
 	}
 	paranoid := func() Config {
 		cfg := benchFleet(3, "", sharedCache)
-		cfg.Paranoid = true
+		cfg.paranoid = true
 		return cfg
 	}
 	for _, c := range []struct {

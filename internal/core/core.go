@@ -372,16 +372,18 @@ func fallbackPlan(plan *Plan, params partition.Params, opts Options, cause error
 	return plan, nil
 }
 
-// StepReport is the measured outcome of simulating one training step.
+// StepReport is the measured outcome of simulating one training step: the
+// builder's pipeline.Result plus what core adds, the system label, the
+// workload, the plan and the trace-based aggregates.
 type StepReport struct {
+	pipeline.Result
+
 	System   System
 	Model    model.Config
 	Topology *hw.Topology
+	// Plan holds the Mobius plan when System == SystemMobius.
+	Plan *Plan
 
-	// StepTime is the simulated step duration; meaningless when OOM.
-	StepTime float64
-	// OOM reports the schedule did not fit in GPU memory.
-	OOM bool
 	// TrafficBytes is the total data moved during the step (Figure 6).
 	TrafficBytes float64
 	// BandwidthCDF is the byte-weighted achieved-bandwidth distribution
@@ -394,31 +396,6 @@ type StepReport struct {
 	// NonOverlapFraction is the share of step time spent on
 	// communication not hidden by compute, averaged over GPUs (Figure 8).
 	NonOverlapFraction float64
-	// Plan holds the Mobius plan when System == SystemMobius.
-	Plan *Plan
-	// Recorder exposes the raw trace.
-	Recorder *trace.Recorder
-	// Server exposes the simulated hardware (resource utilization,
-	// memory peaks) after the run.
-	Server *hw.Server
-	// FaultInjection records the applied fault scenario and the
-	// corruptions it injected; nil for nominal runs.
-	FaultInjection *fault.Injection
-	// OOMCause describes the structured OOM event when OOM is true and
-	// the failure surfaced during simulation (sim.OOMError) rather than
-	// in the pre-run memory check.
-	OOMCause string
-	// ResourceLost is set when a scheduled permanent failure halted the
-	// step mid-flight; StepTime then holds the elapsed time up to
-	// detection. The elastic package turns this into a recovery.
-	ResourceLost *sim.ResourceLostError
-	// Corruption is set when a transfer exhausted its retransmit budget
-	// under end-to-end checksums; StepTime holds the elapsed time up to
-	// the failed delivery.
-	Corruption *sim.CorruptionError
-	// Integrity aggregates checksum costs, retransmits and silent
-	// corruption exposure for the step.
-	Integrity sim.IntegrityStats
 }
 
 // Run plans (when needed) and simulates one training step of the given
@@ -483,7 +460,7 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 		// DeepSpeed's pipeline mode keeps all model states in GPU memory;
 		// it shares GPipe's execution model and OOM behaviour (§4,
 		// "Baselines").
-		res, err = pipeline.RunGPipe(opts.Topology, pipeline.GPipeConfig{Profile: prof, Microbatches: opts.Microbatches, SystemName: string(SystemDSPipeline)})
+		res, err = pipeline.RunGPipe(opts.Topology, pipeline.GPipeConfig{Profile: prof, Microbatches: opts.Microbatches})
 	case SystemDSHetero:
 		res, err = zero.Run(opts.Topology, zero.Config{Profile: prof})
 	case SystemZeROOffload:
@@ -508,18 +485,10 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 	return report, nil
 }
 
-// fillReport copies a pipeline result into a step report and derives the
+// fillReport embeds a pipeline result in a step report and derives the
 // trace-based aggregates (traffic, bandwidth CDFs, overlap fraction).
 func fillReport(report *StepReport, res *pipeline.Result, topo *hw.Topology) {
-	report.StepTime = res.StepTime
-	report.OOM = res.OOM
-	report.OOMCause = res.OOMCause
-	report.ResourceLost = res.Lost
-	report.Corruption = res.Corruption
-	report.Integrity = res.Integrity
-	report.Recorder = res.Recorder
-	report.Server = res.Server
-	report.FaultInjection = res.Faults
+	report.Result = *res
 	if !res.OOM && res.Recorder != nil {
 		report.TrafficBytes = res.Recorder.TotalBytes(nil)
 		report.BandwidthCDF = res.Recorder.BandwidthCDF(nil)

@@ -365,12 +365,12 @@ func Run(cfg Config) (*RecoveryReport, error) {
 	if failed.OOM {
 		return nil, fmt.Errorf("elastic: failing step OOMs on %q: %s", topo.Name, failed.OOMCause)
 	}
-	if failed.Lost == nil {
+	if failed.ResourceLost == nil {
 		return nil, fmt.Errorf("elastic: permanent failure did not halt the step it lands in (onset inside a %gs step)", failed.StepTime)
 	}
 	rep.Failure = perms[0].String()
 	rep.FailedStep = failStep
-	rep.Lost = failed.Lost
+	rep.Lost = failed.ResourceLost
 	rep.DetectedAt = elapsed + failed.StepTime
 	rep.StepsCompleted = failStep - 1
 	if every > 0 {
@@ -523,8 +523,8 @@ func stepTime(topo *hw.Topology, plan *core.Plan, mb int, spec *fault.Spec, ck *
 	if res.OOM {
 		return 0, fmt.Errorf("elastic: step OOMs on %q: %s", topo.Name, res.OOMCause)
 	}
-	if res.Lost != nil {
-		return 0, fmt.Errorf("elastic: unexpected resource loss in a fault-free step: %v", res.Lost)
+	if res.ResourceLost != nil {
+		return 0, fmt.Errorf("elastic: unexpected resource loss in a fault-free step: %v", res.ResourceLost)
 	}
 	return res.StepTime, nil
 }

@@ -7,6 +7,8 @@ package model
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"mobius/internal/hw"
 )
@@ -108,7 +110,39 @@ func (c Config) Validate() error {
 	// Note: head divisibility is deliberately not required here — the
 	// paper's own 51B config (hidden 9216, 80 heads) does not divide
 	// evenly, and the analytic cost model does not depend on head size.
+	return c.checkParams()
+}
+
+// checkParams rejects dimensions whose block (12·h²+13·h), embedding
+// (V·h+S·h), head (V·h+2·h) or total parameter count overflows the int64
+// that Layer.Params and TotalParams compute it in, naming the dimension.
+func (c Config) checkParams() error {
+	h, v := int64(c.Hidden), int64(c.VocabSize)
+	w, ok := mulAdd(12, h, blockParamConst)
+	block, ok2 := mulAdd(h, w, 0)
+	if !ok || !ok2 {
+		return fmt.Errorf("model %q: hidden %d overflows a block's int64 parameter count (12·h²+13·h)", c.Name, c.Hidden)
+	}
+	vh, ok := mulAdd(v, h, 0)
+	emb, ok2 := mulAdd(int64(c.SeqLen), h, vh)
+	head, ok3 := mulAdd(2, h, vh)
+	if !ok || !ok2 || !ok3 {
+		return fmt.Errorf("model %q: vocab size %d and sequence length %d at hidden %d overflow the embedding's or head's int64 parameter count (V·h+S·h, V·h+2·h)",
+			c.Name, c.VocabSize, c.SeqLen, c.Hidden)
+	}
+	ends, ok := mulAdd(1, emb, head)
+	if _, ok2 := mulAdd(int64(c.Layers), block, ends); !ok || !ok2 {
+		return fmt.Errorf("model %q: %d layers of hidden %d overflow the int64 total parameter count", c.Name, c.Layers, c.Hidden)
+	}
 	return nil
+}
+
+// mulAdd returns a·b+c for non-negative operands and whether it fits in
+// an int64.
+func mulAdd(a, b, c int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	sum, carry := bits.Add64(lo, uint64(c), 0)
+	return int64(sum), hi == 0 && carry == 0 && sum <= math.MaxInt64
 }
 
 // Layer is one vertical slice of the model: the unit of the partition

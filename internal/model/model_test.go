@@ -1,6 +1,9 @@
 package model
 
 import (
+	"math"
+	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -163,6 +166,48 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad2.MicrobatchSize = 0
 	if err := bad2.Validate(); err == nil {
 		t.Error("zero microbatch must fail")
+	}
+}
+
+// TestValidateBoundsParamCounts holds Validate to the int64 the cost
+// model counts parameters in: hidden 876,706,527 is the largest whose
+// block (12·h²+13·h) fits, and every rejection names its dimension.
+func TestValidateBoundsParamCounts(t *testing.T) {
+	tiny := Config{Name: "edge", Layers: 1, Hidden: 876706527, Heads: 1, VocabSize: 1, SeqLen: 1, MicrobatchSize: 1}
+	if err := tiny.Validate(); err != nil {
+		t.Fatalf("hidden 876706527: %v", err)
+	}
+	block := func(h int64) *big.Int { // 12·h²+13·h, exactly
+		b := big.NewInt(h)
+		return b.Mul(b, big.NewInt(12*h+13))
+	}
+	if p := tiny.LayerSeq()[1].Params(); big.NewInt(p).Cmp(block(876706527)) != 0 {
+		t.Fatalf("hidden 876706527: block has %d parameters, want %v", p, block(876706527))
+	}
+	if block(876706528).IsInt64() {
+		t.Fatal("hidden 876706528: block count fits int64; the boundary moved")
+	}
+	if n := tiny.TotalParams(); n <= 0 {
+		t.Fatalf("hidden 876706527: total %d parameters", n)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"block", func(c *Config) { c.Hidden = 876706528 }, "hidden 876706528"},
+		{"huge hidden", func(c *Config) { c.Hidden = 1000000000 }, "hidden 1000000000"},
+		{"vocab x hidden", func(c *Config) { c.Hidden, c.VocabSize = 1<<24, 1<<40 }, "vocab size 1099511627776"},
+		{"vocab + seq", func(c *Config) { c.Hidden, c.VocabSize, c.SeqLen = 1<<24, 1<<39, 1<<39 }, "sequence length 549755813888"},
+		{"head", func(c *Config) { c.Hidden, c.VocabSize = 1, math.MaxInt64-1 }, "vocab size 9223372036854775806"},
+		{"total", func(c *Config) { c.Hidden, c.Layers = 1<<28, 256 }, "256 layers"},
+	} {
+		cfg := tiny
+		c.edit(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -17,10 +17,6 @@ import (
 type GPipeConfig struct {
 	Profile      *profile.Profile
 	Microbatches int
-	// SystemName labels the result; "GPipe" by default. "DeepSpeed
-	// (pipeline)" uses the same execution model in the paper's
-	// evaluation.
-	SystemName string
 	// Faults, when non-nil, degrades the simulated hardware (see the
 	// fault package).
 	Faults *fault.Spec
@@ -44,10 +40,6 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 	if cfg.Profile == nil {
 		return nil, fmt.Errorf("pipeline: profile is required")
 	}
-	name := cfg.SystemName
-	if name == "" {
-		name = "GPipe"
-	}
 	N := topo.NumGPUs()
 	M := cfg.Microbatches
 	if M <= 0 {
@@ -58,7 +50,7 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{System: name, Recorder: trace.NewRecorder(), Server: srv}
+	res := &Result{Recorder: trace.NewRecorder(), Server: srv}
 	srv.Sim.Checksums = cfg.Checksums
 	if err := applyFaults(srv, cfg.Faults, res); err != nil {
 		return nil, err
@@ -135,8 +127,5 @@ func RunGPipe(topo *hw.Topology, cfg GPipeConfig) (*Result, error) {
 		}
 	}
 
-	if err := finishRun(srv, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return Finish(srv, res)
 }

@@ -317,7 +317,7 @@ func (st *MobiusStep) Run(faults *fault.Spec, checksums sim.ChecksumConfig) (*Re
 		return nil, errStepRan
 	}
 	st.ran = true
-	res := &Result{System: "Mobius", Recorder: st.rec, Server: st.srv}
+	res := &Result{Recorder: st.rec, Server: st.srv}
 	st.srv.Sim.Checksums = checksums
 	if err := applyFaults(st.srv, faults, res); err != nil {
 		return nil, err
@@ -326,8 +326,5 @@ func (st *MobiusStep) Run(faults *fault.Spec, checksums sim.ChecksumConfig) (*Re
 		res.OOM = true
 		return res, nil
 	}
-	if err := finishRun(st.srv, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return Finish(st.srv, res)
 }

@@ -37,7 +37,7 @@ func printStep(label string, res *Result) stepPrint {
 	switch {
 	case res.OOM:
 		p.outcome = "oom"
-	case res.Lost != nil:
+	case res.ResourceLost != nil:
 		p.outcome = "lost"
 	case res.Corruption != nil:
 		p.outcome = "corruption"

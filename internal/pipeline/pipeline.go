@@ -3,7 +3,9 @@
 // memory, multiple stages per GPU, prefetching into reserved memory,
 // activation offload and gradient flush — and the GPipe baseline
 // (all-in-GPU-memory pipeline parallelism), which also stands in for
-// "DeepSpeed with pipeline parallelism" in the evaluation.
+// "DeepSpeed with pipeline parallelism" in the evaluation. Every simulated
+// step, the zero baselines' included, ends in Finish and is read back from
+// one Result.
 package pipeline
 
 import (
@@ -16,10 +18,9 @@ import (
 	"mobius/internal/trace"
 )
 
-// Result is the outcome of simulating one training step.
+// Result is the outcome of simulating one training step, the record every
+// step builder returns; core.StepReport embeds it.
 type Result struct {
-	// System labels the scheduler that produced the result.
-	System string
 	// StepTime is the simulated duration of one training step in seconds.
 	StepTime float64
 	// OOM reports that the schedule cannot fit in GPU memory; StepTime is
@@ -29,23 +30,25 @@ type Result struct {
 	// allocation larger than its pool, sim.OOMError); empty when the
 	// pre-run memory check caught the overflow.
 	OOMCause string
-	// Lost is set when a scheduled permanent failure halted the step
-	// mid-flight; StepTime then holds the elapsed time up to detection,
-	// not a completed step.
-	Lost *sim.ResourceLostError
+	// ResourceLost is set when a scheduled permanent failure halted the
+	// step mid-flight; StepTime then holds the elapsed time up to
+	// detection, not a completed step.
+	ResourceLost *sim.ResourceLostError
 	// Corruption is set when a transfer exhausted its retransmit budget
-	// under end-to-end checksums; like Lost, StepTime holds the elapsed
-	// time up to the failed delivery.
+	// under end-to-end checksums; like ResourceLost, StepTime holds the
+	// elapsed time up to the failed delivery.
 	Corruption *sim.CorruptionError
 	// Integrity aggregates the step's corruption/checksum accounting
 	// (zero-valued when neither checksums nor corruption were configured).
 	Integrity sim.IntegrityStats
 	// Recorder holds the collected flow/compute records.
 	Recorder *trace.Recorder
-	// Server exposes the simulated hardware for memory inspection.
+	// Server exposes the simulated hardware (resource utilization,
+	// memory peaks) after the run.
 	Server *hw.Server
-	// Faults records the applied fault injection, nil for nominal runs.
-	Faults *fault.Injection
+	// FaultInjection records the applied fault scenario and the
+	// corruptions it injected; nil for nominal runs.
+	FaultInjection *fault.Injection
 }
 
 // TotalTraffic returns all transferred bytes during the step.
@@ -54,19 +57,6 @@ func (r *Result) TotalTraffic() float64 {
 		return 0
 	}
 	return r.Recorder.TotalBytes(nil)
-}
-
-func (r *Result) String() string {
-	if r.OOM {
-		return fmt.Sprintf("%s: OOM", r.System)
-	}
-	if r.Lost != nil {
-		return fmt.Sprintf("%s: halted at %.3fs (%s)", r.System, r.StepTime, r.Lost)
-	}
-	if r.Corruption != nil {
-		return fmt.Sprintf("%s: halted at %.3fs (%s)", r.System, r.StepTime, r.Corruption)
-	}
-	return fmt.Sprintf("%s: %.3fs/step, %.2f GB moved", r.System, r.StepTime, r.TotalTraffic()/1e9)
 }
 
 // Transfer priority classes. Higher runs first at shared resources.
@@ -86,22 +76,24 @@ func applyFaults(srv *hw.Server, spec *fault.Spec, res *Result) error {
 	if err != nil {
 		return err
 	}
-	res.Faults = inj
+	res.FaultInjection = inj
 	return nil
 }
 
-// finishRun validates the routed DAG, executes the simulation and records
-// its finished tasks into res.Recorder. A structured OOM (an allocation
-// larger than its whole pool) degrades the result to OOM instead of
-// failing the call; a permanent failure halting the step surfaces as Result.Lost and
-// an exhausted retransmit budget as Result.Corruption, both with the
-// elapsed time up to detection; every other simulation error — deadlock,
-// memory accounting — is returned. The trace records and the simulator's
-// integrity accounting are captured on every path so callers can read
-// retransmit counts and silent-corruption exposure even from failed steps.
-func finishRun(srv *hw.Server, res *Result) error {
+// Finish validates the routed DAG, executes the simulation and records its
+// finished tasks into res.Recorder; every step builder (Mobius, GPipe and
+// the zero baselines) ends here. A structured OOM (an allocation larger
+// than its whole pool) degrades the result to OOM instead of failing the
+// call; a permanent failure halting the step surfaces as
+// Result.ResourceLost and an exhausted retransmit budget as
+// Result.Corruption, both with the elapsed time up to detection; every
+// other simulation error — deadlock, memory accounting — is returned. The
+// trace records and the simulator's integrity accounting are captured on
+// every path so callers can read retransmit counts and silent-corruption
+// exposure even from failed steps.
+func Finish(srv *hw.Server, res *Result) (*Result, error) {
 	if err := srv.RouteErr(); err != nil {
-		return fmt.Errorf("pipeline: %s schedule: %w", res.System, err)
+		return nil, fmt.Errorf("pipeline: schedule: %w", err)
 	}
 	end, err := srv.Sim.Run()
 	res.Recorder.Record(srv.Sim.Finished())
@@ -111,22 +103,22 @@ func finishRun(srv *hw.Server, res *Result) error {
 		if errors.As(err, &oom) {
 			res.OOM = true
 			res.OOMCause = oom.Error()
-			return nil
+			return res, nil
 		}
 		var lost *sim.ResourceLostError
 		if errors.As(err, &lost) {
-			res.Lost = lost
+			res.ResourceLost = lost
 			res.StepTime = end
-			return nil
+			return res, nil
 		}
 		var corr *sim.CorruptionError
 		if errors.As(err, &corr) {
 			res.Corruption = corr
 			res.StepTime = end
-			return nil
+			return res, nil
 		}
-		return fmt.Errorf("pipeline: %s schedule: %w", res.System, err)
+		return nil, fmt.Errorf("pipeline: schedule: %w", err)
 	}
 	res.StepTime = end
-	return nil
+	return res, nil
 }

@@ -283,7 +283,7 @@ func TestMobiusStepRunsOnce(t *testing.T) {
 		if !errors.Is(err, errStepRan) || again != nil {
 			t.Fatalf("%s: second Run returned %v, %v; want errStepRan", c.name, again, err)
 		}
-		if first.StepTime != step || len(first.Recorder.Flows) != records || first.Faults != nil {
+		if first.StepTime != step || len(first.Recorder.Flows) != records || first.FaultInjection != nil {
 			t.Errorf("%s: second Run changed the first result", c.name)
 		}
 	}

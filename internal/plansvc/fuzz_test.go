@@ -22,7 +22,8 @@ import (
 // ErrorResponse (every other status), may only serve a plan for a
 // topology of at most maxPlanGPUs GPUs, and must hand every solve a
 // deadline at most maxPlanDeadline away. Seeds are valid requests of each
-// form, requests at and over every limit, and malformed bodies, plus the
+// form, requests at and over every limit (the model_config parameter
+// counts that overflow int64 included), and malformed bodies, plus the
 // checked-in corpus under testdata/fuzz/FuzzPlanRequest.
 func FuzzPlanRequest(f *testing.F) {
 	full, err := json.Marshal(PlanRequest{ModelName: "3B", Topology: hw.Commodity(hw.RTX3090Ti, 2, 2)})
@@ -40,6 +41,9 @@ func FuzzPlanRequest(f *testing.F) {
 	f.Add([]byte(`{"model":"3B","topo":"dc","mapping_scheme":"sequential","deadline_ms":1}`))
 	f.Add([]byte(`{"model":"3B","topo":"5+4"}`))
 	f.Add([]byte(`{"model":"3B","topo":"2+2","microbatches":33}`))
+	for _, tc := range overflowBodies {
+		f.Add([]byte(tc.body))
+	}
 	f.Add([]byte(`{"model": `))
 	f.Add([]byte(``))
 

@@ -238,6 +238,42 @@ func TestServeRejectsOversizedTopology(t *testing.T) {
 	}
 }
 
+// overflowBodies are plan requests whose model_config parameter counts
+// overflow int64: a block at hidden 1e9 (12·h²+13·h), and an embedding
+// whose vocab size × hidden does. Each names the dimension Validate
+// rejects it for.
+var overflowBodies = map[string]struct{ body, dim string }{
+	"block": {`{"model_config":{"Name":"wide","Layers":2,"Hidden":1000000000,"Heads":1,"VocabSize":50257,"SeqLen":512,"MicrobatchSize":1},"topo":"2+2"}`,
+		"hidden 1000000000"},
+	"vocab": {`{"model_config":{"Name":"vocab","Layers":2,"Hidden":4096,"Heads":32,"VocabSize":4000000000000000,"SeqLen":512,"MicrobatchSize":1},"topo":"2+2"}`,
+		"vocab size 4000000000000000"},
+}
+
+// TestServeRejectsOverflowingModel: a model_config whose block,
+// embedding or head parameter count overflows int64 is a structured 400
+// naming the dimension, and never reaches the planner (it used to wrap
+// to a negative parameter count and fail partitioning with a 422).
+func TestServeRejectsOverflowingModel(t *testing.T) {
+	svc := New(Config{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	for name, tc := range overflowBodies {
+		resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if er := requireErrorResponse(t, name, resp); !strings.Contains(er.Error, tc.dim) {
+			t.Errorf("%s: error %q, want it to name %s", name, er.Error, tc.dim)
+		}
+	}
+	if m := svc.Metrics(); m.Requests != 0 {
+		t.Errorf("overflowing models reached the planner: %d requests", m.Requests)
+	}
+}
+
 // TestServeUnencodablePlanIs422: a balanced 51B plan on 2+2 is
 // infeasible, so its predicted step is +Inf, which JSON cannot encode.
 // The handler must answer with a structured 422, not a 200 with an

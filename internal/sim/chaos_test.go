@@ -242,8 +242,8 @@ func (h *chaosHarness) step(spec *fault.Spec, checksums bool) (chaosRunStats, er
 	if res.OOM {
 		return chaosRunStats{}, fmt.Errorf("unexpected OOM: %s", res.OOMCause)
 	}
-	if res.Lost != nil {
-		return chaosRunStats{}, fmt.Errorf("unexpected resource loss: %v", res.Lost)
+	if res.ResourceLost != nil {
+		return chaosRunStats{}, fmt.Errorf("unexpected resource loss: %v", res.ResourceLost)
 	}
 	if errs := res.Server.Sim.CheckInvariants(); len(errs) > 0 {
 		return chaosRunStats{}, fmt.Errorf("simulator invariants violated: %w", errors.Join(errs...))

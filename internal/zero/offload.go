@@ -15,7 +15,7 @@ import (
 // bounded by a single GPU's memory — the limitation ZeRO-Infinity (and
 // Mobius) remove.
 func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
-	srv, res, err := newStep(topo, cfg, "ZeRO-Offload")
+	srv, res, err := newStep(topo, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -123,5 +123,5 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 		}
 	}
 
-	return finish(srv, res, "offload schedule")
+	return pipeline.Finish(srv, res)
 }

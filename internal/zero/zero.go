@@ -50,7 +50,7 @@ type Config struct {
 // Run simulates one DeepSpeed-ZeRO-3-with-heterogeneous-memory training
 // step on the topology, with DRAM as the offload tier.
 func Run(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
-	return runZeRO3(topo, cfg, hw.DRAMEnd, "DeepSpeed (hetero)", "schedule")
+	return runZeRO3(topo, cfg, hw.DRAMEnd)
 }
 
 // RunInfinityNVMe simulates ZeRO-Infinity with NVMe offload [36] (§5):
@@ -65,13 +65,13 @@ func RunInfinityNVMe(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 	if !topo.HasSSD() {
 		return nil, fmt.Errorf("zero: topology %q has no NVMe tier (use WithSSD)", topo.Name)
 	}
-	return runZeRO3(topo, cfg, hw.SSDEnd, "ZeRO-Infinity (NVMe)", "nvme schedule")
+	return runZeRO3(topo, cfg, hw.SSDEnd)
 }
 
 // runZeRO3 builds and simulates one ZeRO-3 step whose parameter shards
-// and gradients live on tier; schedule names the step in errors.
-func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint, system, schedule string) (*pipeline.Result, error) {
-	srv, res, err := newStep(topo, cfg, system)
+// and gradients live on tier.
+func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint) (*pipeline.Result, error) {
+	srv, res, err := newStep(topo, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -202,12 +202,13 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint, system, schedule 
 
 	// 2LN computes; every other task but a few joins is a transfer.
 	res.Recorder.Grow(s.NumTasks()-2*L*N, 2*L*N)
-	return finish(srv, res, schedule)
+	return pipeline.Finish(srv, res)
 }
 
 // newStep checks cfg and builds the server one step runs on, with an
-// empty trace recorder that finish fills from the run's finished tasks.
-func newStep(topo *hw.Topology, cfg Config, system string) (*hw.Server, *pipeline.Result, error) {
+// empty trace recorder that pipeline.Finish fills from the run's finished
+// tasks.
+func newStep(topo *hw.Topology, cfg Config) (*hw.Server, *pipeline.Result, error) {
 	if cfg.Profile == nil {
 		return nil, nil, errNoProfile
 	}
@@ -215,22 +216,7 @@ func newStep(topo *hw.Topology, cfg Config, system string) (*hw.Server, *pipelin
 	if err != nil {
 		return nil, nil, err
 	}
-	return srv, &pipeline.Result{System: system, Recorder: trace.NewRecorder(), Server: srv}, nil
-}
-
-// finish simulates the schedule built on srv and records its finished
-// tasks into res; schedule names it in errors.
-func finish(srv *hw.Server, res *pipeline.Result, schedule string) (*pipeline.Result, error) {
-	if err := srv.RouteErr(); err != nil {
-		return nil, fmt.Errorf("zero: %s: %w", schedule, err)
-	}
-	end, err := srv.Sim.Run()
-	res.Recorder.Record(srv.Sim.Finished())
-	if err != nil {
-		return nil, fmt.Errorf("zero: %s: %w", schedule, err)
-	}
-	res.StepTime = end
-	return res, nil
+	return srv, &pipeline.Result{Recorder: trace.NewRecorder(), Server: srv}, nil
 }
 
 // layerTag tags a baseline task; baselines have no microbatch axis.
