@@ -190,14 +190,15 @@ check-bench:
 check: build fmt vet deps race check-lp check-faults check-recovery check-chaos check-perf check-plansvc check-cluster check-store check-bench
 
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ ./internal/lp/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ ./internal/lp/ ./internal/core/
 
 # bench-json regenerates BENCH_sim.json: the simulator, mapping,
-# partition and LP column-update benchmarks parsed into a diffable JSON
-# document (see cmd/bench2json). Run on an idle machine; EXPERIMENTS.md
-# documents the methodology and the recorded pre-optimization baselines.
+# partition, LP column-update and whole-step (core.Run) benchmarks
+# parsed into a diffable JSON document (see cmd/bench2json). Run on an
+# idle machine; EXPERIMENTS.md documents the methodology and the
+# recorded pre-optimization baselines.
 bench-json:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ ./internal/lp/ | $(GO) run ./cmd/bench2json -o BENCH_sim.json
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/ ./internal/lp/ ./internal/core/ | $(GO) run ./cmd/bench2json -o BENCH_sim.json
 
 # bench-plan-json regenerates BENCH_plan.json: the planning-service
 # latency benchmarks (cache hit, key derivation, greedy floor) plus the

@@ -31,6 +31,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"mobius/internal/core"
@@ -39,11 +40,19 @@ import (
 	"mobius/internal/hw"
 	"mobius/internal/model"
 	"mobius/internal/sim"
+	"mobius/internal/trace"
 )
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
+}
+
+// renderBandwidthCDF draws a bandwidth CDF in GB/s over an axis that
+// spans the commodity root complex's 13.1 GB/s, or the fastest flow when
+// a faster topology beats it, so no bar clips.
+func renderBandwidthCDF(c trace.CDF) string {
+	return c.Render(math.Max(c.Max(), 13.1*hw.GBps), hw.GBps, 60)
 }
 
 func main() {
@@ -196,7 +205,7 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("\nbandwidth CDF (all transfers):\n%s\n", report.BandwidthCDF.Render(13.1e9, 60))
+	fmt.Printf("\nbandwidth CDF (all transfers, GB/s):\n%s\n", renderBandwidthCDF(report.BandwidthCDF()))
 	if report.Server != nil {
 		fmt.Println("root complex utilization over the step:")
 		for i, rc := range report.Server.RootComplexes {

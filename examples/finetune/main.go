@@ -43,5 +43,5 @@ func main() {
 	if best.Plan != nil {
 		fmt.Printf("plan: %d stages, mapping %v\n", best.Plan.Partition.NumStages(), best.Plan.Mapping.Perm)
 	}
-	fmt.Printf("communication exposed (not hidden by compute): %.0f%%\n", best.NonOverlapFraction*100)
+	fmt.Printf("communication exposed (not hidden by compute): %.0f%%\n", best.NonOverlapFraction()*100)
 }

@@ -29,6 +29,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(report)
-	fmt.Printf("median transfer bandwidth: %.1f GB/s\n", report.BandwidthCDF.Median()/1e9)
+	fmt.Printf("median transfer bandwidth: %.1f GB/s\n", report.BandwidthCDF().Median()/1e9)
 	fmt.Printf("price: $%.5f per step on this server\n", mobius.PricePerStep(topo, report.StepTime))
 }

@@ -19,7 +19,6 @@ import (
 	"mobius/internal/pipeline"
 	"mobius/internal/profile"
 	"mobius/internal/sim"
-	"mobius/internal/trace"
 	"mobius/internal/zero"
 )
 
@@ -374,7 +373,9 @@ func fallbackPlan(plan *Plan, params partition.Params, opts Options, cause error
 
 // StepReport is the measured outcome of simulating one training step: the
 // builder's pipeline.Result plus what core adds, the system label, the
-// workload, the plan and the trace-based aggregates.
+// workload, the plan and the step's traffic. The bandwidth CDFs and the
+// overlap fraction are methods of the embedded Result, computed when
+// read.
 type StepReport struct {
 	pipeline.Result
 
@@ -386,16 +387,6 @@ type StepReport struct {
 
 	// TrafficBytes is the total data moved during the step (Figure 6).
 	TrafficBytes float64
-	// BandwidthCDF is the byte-weighted achieved-bandwidth distribution
-	// over all transfers (Figures 2, 7, 11).
-	BandwidthCDF trace.CDF
-	// HostLinkCDF restricts the CDF to GPU<->DRAM transfers (Figure 16):
-	// flows with a GPU and no peer GPU, which leaves out GPU-to-GPU
-	// traffic and host-side checkpoint writes.
-	HostLinkCDF trace.CDF
-	// NonOverlapFraction is the share of step time spent on
-	// communication not hidden by compute, averaged over GPUs (Figure 8).
-	NonOverlapFraction float64
 }
 
 // Run plans (when needed) and simulates one training step of the given
@@ -481,19 +472,16 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 		return nil, err
 	}
 
-	fillReport(report, res, opts.Topology)
+	fillReport(report, res)
 	return report, nil
 }
 
-// fillReport embeds a pipeline result in a step report and derives the
-// trace-based aggregates (traffic, bandwidth CDFs, overlap fraction).
-func fillReport(report *StepReport, res *pipeline.Result, topo *hw.Topology) {
+// fillReport embeds a pipeline result in a step report and sums the
+// step's traffic.
+func fillReport(report *StepReport, res *pipeline.Result) {
 	report.Result = *res
 	if !res.OOM && res.Recorder != nil {
 		report.TrafficBytes = res.Recorder.TotalBytes(nil)
-		report.BandwidthCDF = res.Recorder.BandwidthCDF(nil)
-		report.HostLinkCDF = res.Recorder.BandwidthCDF(func(tag trace.Tag) bool { return tag.GPU >= 0 && tag.PeerGPU < 0 })
-		report.NonOverlapFraction = res.Recorder.NonOverlappedCommFraction(topo.NumGPUs(), res.StepTime)
 	}
 }
 
@@ -502,5 +490,5 @@ func (r *StepReport) String() string {
 		return fmt.Sprintf("%-22s %-4s %-10s OOM", r.System, r.Model.Name, r.Topology.Name)
 	}
 	return fmt.Sprintf("%-22s %-4s %-10s %8.2fs/step  %7.1f GB moved  %4.0f%% comm exposed",
-		r.System, r.Model.Name, r.Topology.Name, r.StepTime, r.TrafficBytes/1e9, r.NonOverlapFraction*100)
+		r.System, r.Model.Name, r.Topology.Name, r.StepTime, r.TrafficBytes/1e9, r.NonOverlapFraction()*100)
 }

@@ -107,11 +107,12 @@ func Figure11() (*Table, error) {
 			m := c.m.WithMicrobatch(mbs)
 			seq := sr.run(core.SystemMobius, core.Options{Model: m, Topology: topo, MappingScheme: mapping.SchemeSequential})
 			cross := sr.run(core.SystemMobius, core.Options{Model: m, Topology: topo, MappingScheme: mapping.SchemeCross})
+			seqCDF, crossCDF := seq.BandwidthCDF(), cross.BandwidthCDF()
 			t.Add(m.Name, fmt.Sprintf("%d", mbs),
-				fmt.Sprintf("%.2f", seq.BandwidthCDF.Median()/1e9),
-				fmt.Sprintf("%.2f", cross.BandwidthCDF.Median()/1e9),
-				pct(seq.BandwidthCDF.FractionAbove(12e9)),
-				pct(cross.BandwidthCDF.FractionAbove(12e9)))
+				fmt.Sprintf("%.2f", seqCDF.Median()/1e9),
+				fmt.Sprintf("%.2f", crossCDF.Median()/1e9),
+				pct(seqCDF.FractionAbove(12e9)),
+				pct(crossCDF.FractionAbove(12e9)))
 		}
 	}
 	t.Note("paper: with cross mapping more data transfers at higher bandwidth")

@@ -28,7 +28,7 @@ func Charts() map[string]func() (string, error) {
 
 // cdfPoints samples a trace CDF into (GB/s, fraction) pairs.
 func cdfPoints(r *core.StepReport, n int) [][2]float64 {
-	pts := r.BandwidthCDF.Points(n)
+	pts := r.BandwidthCDF().Points(n)
 	out := make([][2]float64, 0, len(pts))
 	for _, p := range pts {
 		out = append(out, [2]float64{p[0] / 1e9, p[1]})

@@ -168,15 +168,15 @@ func Prewarm(parallelism int) {
 func Figure2() (*Table, error) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	sr := &stepRunner{}
-	r := sr.run(core.SystemDSHetero, core.Options{Model: model.GPT15B, Topology: topo})
+	cdf := sr.run(core.SystemDSHetero, core.Options{Model: model.GPT15B, Topology: topo}).BandwidthCDF()
 	t := &Table{
 		Title:  "Figure 2: DeepSpeed bandwidth CDF (15B, 4x3090-Ti, 2+2)",
 		Header: []string{"quantile", "bandwidth GB/s"},
 	}
 	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		t.Add(fmt.Sprintf("p%02.0f", q*100), fmt.Sprintf("%.2f", r.BandwidthCDF.Quantile(q)/1e9))
+		t.Add(fmt.Sprintf("p%02.0f", q*100), fmt.Sprintf("%.2f", cdf.Quantile(q)/1e9))
 	}
-	t.Note("max observed bandwidth %.1f GB/s (root complex capacity 13.1)", r.BandwidthCDF.Max()/1e9)
+	t.Note("max observed bandwidth %.1f GB/s (root complex capacity 13.1)", cdf.Max()/1e9)
 	t.Note("paper: most data below ~6 GB/s, half the root complex bandwidth")
 	return sr.table(t)
 }
@@ -260,11 +260,12 @@ func Figure7() (*Table, error) {
 		for _, topo := range commodityTopologies() {
 			ds := sr.run(core.SystemDSHetero, core.Options{Model: m, Topology: topo})
 			mob := sr.run(core.SystemMobius, core.Options{Model: m, Topology: topo})
+			dsCDF, mobCDF := ds.BandwidthCDF(), mob.BandwidthCDF()
 			t.Add(m.Name, topo.Name,
-				fmt.Sprintf("%.2f", ds.BandwidthCDF.Median()/1e9),
-				fmt.Sprintf("%.2f", mob.BandwidthCDF.Median()/1e9),
-				pct(ds.BandwidthCDF.FractionAbove(12e9)),
-				pct(mob.BandwidthCDF.FractionAbove(12e9)))
+				fmt.Sprintf("%.2f", dsCDF.Median()/1e9),
+				fmt.Sprintf("%.2f", mobCDF.Median()/1e9),
+				pct(dsCDF.FractionAbove(12e9)),
+				pct(mobCDF.FractionAbove(12e9)))
 		}
 	}
 	t.Note("paper: Mobius moves >half its data above 12 GB/s; DeepSpeed mostly below 6 GB/s")
@@ -283,8 +284,8 @@ func Figure8() (*Table, error) {
 		for _, topo := range commodityTopologies() {
 			ds := sr.run(core.SystemDSHetero, core.Options{Model: m, Topology: topo})
 			mob := sr.run(core.SystemMobius, core.Options{Model: m, Topology: topo})
-			t.Add(m.Name, topo.Name, pct(ds.NonOverlapFraction), pct(mob.NonOverlapFraction),
-				pct((ds.NonOverlapFraction-mob.NonOverlapFraction)/ds.NonOverlapFraction))
+			dsFrac, mobFrac := ds.NonOverlapFraction(), mob.NonOverlapFraction()
+			t.Add(m.Name, topo.Name, pct(dsFrac), pct(mobFrac), pct((dsFrac-mobFrac)/dsFrac))
 		}
 	}
 	t.Note("paper: Mobius reduces the non-overlapped proportion by up to 46%%")

@@ -62,7 +62,7 @@ func TestFigure2ShowsContention(t *testing.T) {
 	r := mustRun(core.SystemDSHetero, core.Options{Model: model.GPT15B, Topology: topo})
 	// The motivating observation: DeepSpeed's median transfer runs at or
 	// below ~half the root complex bandwidth.
-	if med := r.BandwidthCDF.Median(); med > 7.5e9 {
+	if med := r.BandwidthCDF().Median(); med > 7.5e9 {
 		t.Errorf("DeepSpeed median bandwidth %.2f GB/s, expected heavy contention", med/1e9)
 	}
 	if tab := mustTable(t, Figure2); len(tab.Rows) == 0 {
@@ -103,10 +103,11 @@ func TestFigure8OverlapGap(t *testing.T) {
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 	ds := mustRun(core.SystemDSHetero, core.Options{Model: model.GPT15B, Topology: topo})
 	mob := mustRun(core.SystemMobius, core.Options{Model: model.GPT15B, Topology: topo})
-	if ds.NonOverlapFraction < 0.5 {
-		t.Errorf("DeepSpeed non-overlap %.2f, paper reports ~0.7-0.8", ds.NonOverlapFraction)
+	dsFrac := ds.NonOverlapFraction()
+	if dsFrac < 0.5 {
+		t.Errorf("DeepSpeed non-overlap %.2f, paper reports ~0.7-0.8", dsFrac)
 	}
-	if mob.NonOverlapFraction >= ds.NonOverlapFraction {
+	if mob.NonOverlapFraction() >= dsFrac {
 		t.Error("Mobius must hide more communication than DeepSpeed")
 	}
 }

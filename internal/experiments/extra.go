@@ -179,10 +179,10 @@ func Figure16() (*Table, error) {
 	sr := &stepRunner{}
 	for _, m := range []model.Config{model.GPT8B.WithMicrobatch(2), model.GPT15B.WithMicrobatch(2)} {
 		for _, sys := range []core.System{core.SystemDSHetero, core.SystemMobius} {
-			r := sr.run(sys, core.Options{Model: m, Topology: dc})
+			cdf := sr.run(sys, core.Options{Model: m, Topology: dc}).HostLinkCDF()
 			t.Add(m.Name, string(sys),
-				fmt.Sprintf("%.2f", r.HostLinkCDF.Median()/1e9),
-				fmt.Sprintf("%.2f", r.HostLinkCDF.Quantile(0.9)/1e9))
+				fmt.Sprintf("%.2f", cdf.Median()/1e9),
+				fmt.Sprintf("%.2f", cdf.Quantile(0.9)/1e9))
 		}
 	}
 	t.Note("paper: on the DC server the contention gap between the systems narrows,")

@@ -438,3 +438,36 @@ func TestParseJSONDefaultsAndErrors(t *testing.T) {
 		t.Fatal("SSD not attached")
 	}
 }
+
+// TestParseJSONRejectsMalformedFields holds ParseJSON to an error naming
+// the field for a negative value, which used to take the default, an
+// efficiency above 100% of peak, and a bandwidth that overflows to +Inf
+// bytes/s, both of which used to be accepted.
+func TestParseJSONRejectsMalformedFields(t *testing.T) {
+	for _, c := range []struct{ json, field string }{
+		{`{"groups": [2, 2], "root_complex_gbps": -13.1}`, "root_complex_gbps"},
+		{`{"groups": [2, 2], "transfer_latency_ms": -5}`, "transfer_latency_ms"},
+		{`{"groups": [2, 2], "nvlink_gbps": -300}`, "nvlink_gbps"},
+		{`{"groups": [2, 2], "ssd_gbps": -3.5}`, "ssd_gbps"},
+		{`{"groups": [2, 2], "dram_gb": -512}`, "dram_gb"},
+		{`{"groups": [2], "gpu": {"mem_gb": -24}}`, "gpu.mem_gb"},
+		{`{"groups": [2], "gpu": {"efficiency": 7}}`, "gpu.efficiency"},
+		{`{"groups": [2], "gpu": {"efficiency": -0.05}}`, "gpu.efficiency"},
+		{`{"groups": [2, 2], "root_complex_gbps": 1e300}`, "root_complex_gbps"},
+		{`{"groups": [2], "gpu": {"fp16_tflops": 1e300}}`, "gpu.fp16_tflops"},
+		{`{"groups": [2], "ssd_gbps": 3.5, "ssd_gb": 1e300}`, "ssd_gb"},
+	} {
+		topo, err := ParseJSON([]byte(c.json))
+		if err == nil {
+			t.Errorf("%s: accepted as %+v", c.json, topo)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name %s", c.json, err, c.field)
+		}
+	}
+	// A full-efficiency GPU is the top of the accepted range.
+	if _, err := ParseJSON([]byte(`{"groups": [2], "gpu": {"efficiency": 1}}`)); err != nil {
+		t.Errorf("efficiency 1: %v", err)
+	}
+}

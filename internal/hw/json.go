@@ -3,6 +3,7 @@ package hw
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // topologyJSON is the on-disk description of a custom server, so users
@@ -41,11 +42,16 @@ type gpuJSON struct {
 }
 
 // ParseJSON builds a topology from a JSON description. Missing optional
-// fields fall back to commodity defaults.
+// fields fall back to commodity defaults; a negative field, an
+// efficiency above 1 or a value that overflows once converted to bytes,
+// bytes/s or FLOP/s is an error naming the field.
 func ParseJSON(data []byte) (*Topology, error) {
 	var tj topologyJSON
 	if err := json.Unmarshal(data, &tj); err != nil {
 		return nil, fmt.Errorf("hw: bad topology JSON: %w", err)
+	}
+	if err := tj.check(); err != nil {
+		return nil, err
 	}
 	if len(tj.Groups) == 0 {
 		return nil, fmt.Errorf("hw: topology JSON needs at least one GPU group")
@@ -97,6 +103,39 @@ func ParseJSON(data []byte) (*Topology, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// check rejects the numeric fields ParseJSON would otherwise replace or
+// accept silently: a negative value (which would take the default), an
+// efficiency outside (0, 1] (zero means the default) and a value whose
+// conversion to bytes, bytes/s or FLOP/s is not finite.
+func (tj *topologyJSON) check() error {
+	if e := tj.GPU.Efficiency; e < 0 || e > 1 {
+		return fmt.Errorf("hw: topology JSON field gpu.efficiency is %g, outside (0, 1]", e)
+	}
+	for _, f := range []struct {
+		name     string
+		v, scale float64
+	}{
+		{"gpu.mem_gb", tj.GPU.MemGB, GB},
+		{"gpu.fp16_tflops", tj.GPU.FP16TFLOPS, 1e12},
+		{"gpu.link_gbps", tj.GPU.LinkGBps, GBps},
+		{"gpu.price_usd", tj.GPU.PriceUSD, 1},
+		{"root_complex_gbps", tj.RootComplexGBps, GBps},
+		{"dram_gb", tj.DRAMGB, GB},
+		{"transfer_latency_ms", tj.TransferLatencyMS, 1e-3},
+		{"nvlink_gbps", tj.NVLinkGBps, GBps},
+		{"ssd_gbps", tj.SSDGBps, GBps},
+		{"ssd_gb", tj.SSDGB, GB},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("hw: topology JSON field %s is negative (%g)", f.name, f.v)
+		}
+		if math.IsInf(f.v*f.scale, 0) {
+			return fmt.Errorf("hw: topology JSON field %s is %g, which overflows once converted", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func orStr(v, def string) string {

@@ -59,6 +59,38 @@ func (r *Result) TotalTraffic() float64 {
 	return r.Recorder.TotalBytes(nil)
 }
 
+// The aggregates below compute from the step's records on each call, so
+// a caller that never reads them never pays for them. Each is zero for
+// an OOM step or a result without records.
+
+// BandwidthCDF is the byte-weighted achieved-bandwidth distribution over
+// all transfers (Figures 2, 7, 11).
+func (r *Result) BandwidthCDF() trace.CDF {
+	if r.OOM || r.Recorder == nil {
+		return trace.CDF{}
+	}
+	return r.Recorder.BandwidthCDF(nil)
+}
+
+// HostLinkCDF restricts the bandwidth CDF to GPU<->DRAM transfers
+// (Figure 16): flows with a GPU and no peer GPU, which leaves out
+// GPU-to-GPU traffic and host-side checkpoint writes.
+func (r *Result) HostLinkCDF() trace.CDF {
+	if r.OOM || r.Recorder == nil {
+		return trace.CDF{}
+	}
+	return r.Recorder.BandwidthCDF(func(tag trace.Tag) bool { return tag.GPU >= 0 && tag.PeerGPU < 0 })
+}
+
+// NonOverlapFraction is the share of step time spent on communication
+// not hidden by compute, averaged over the server's GPUs (Figure 8).
+func (r *Result) NonOverlapFraction() float64 {
+	if r.OOM || r.Recorder == nil || r.Server == nil {
+		return 0
+	}
+	return r.Recorder.NonOverlappedCommFraction(r.Server.Topo.NumGPUs(), r.StepTime)
+}
+
 // Transfer priority classes. Higher runs first at shared resources.
 const (
 	prioGradFlush  = 0  // background: gradient flush, activation offload

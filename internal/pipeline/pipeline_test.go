@@ -183,6 +183,25 @@ func TestGPipeTrainsSmallModelOnly(t *testing.T) {
 	}
 }
 
+// TestAggregatesZeroWithoutRecords holds the read-time aggregates to
+// their zero values on a result with no records or server, as a
+// zero-valued report carries, and on an OOM step.
+func TestAggregatesZeroWithoutRecords(t *testing.T) {
+	prof, _ := profile.Run(model.GPT15B, hw.RTX3090Ti, profile.Options{})
+	oom, err := RunGPipe(hw.Commodity(hw.RTX3090Ti, 2, 2), GPipeConfig{Profile: prof, Microbatches: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !oom.OOM {
+		t.Fatal("GPipe must OOM on 15B")
+	}
+	for name, r := range map[string]*Result{"empty": {}, "oom": oom} {
+		if !r.BandwidthCDF().Empty() || !r.HostLinkCDF().Empty() || r.NonOverlapFraction() != 0 {
+			t.Errorf("%s result: aggregates %v, %v, %v; want zero", name, r.BandwidthCDF(), r.HostLinkCDF(), r.NonOverlapFraction())
+		}
+	}
+}
+
 func TestMobiusCompetitiveWithGPipeWhenModelFits(t *testing.T) {
 	// On the 3B model (the largest GPipe can hold) Mobius must stay in
 	// the same ballpark as GPipe: its stage uploads hide under compute,

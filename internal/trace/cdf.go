@@ -127,9 +127,10 @@ func (c CDF) Points(n int) [][2]float64 {
 }
 
 // Render draws an ASCII CDF over [0, xMax] with the given width, one row
-// per quartile marker, for terminal reports.
-func (c CDF) Render(xMax float64, width int) string {
-	if c.Empty() || xMax <= 0 || width <= 0 {
+// per quartile marker, for terminal reports. Each row prints its value
+// in multiples of unit (1e9 prints bytes/s as GB/s).
+func (c CDF) Render(xMax, unit float64, width int) string {
+	if c.Empty() || xMax <= 0 || unit <= 0 || width <= 0 {
 		return "(no data)"
 	}
 	var b strings.Builder
@@ -139,7 +140,7 @@ func (c CDF) Render(xMax float64, width int) string {
 		if pos > width {
 			pos = width
 		}
-		fmt.Fprintf(&b, "p%02.0f |%s%s| %6.2f\n", q*100, strings.Repeat("=", pos), strings.Repeat(" ", width-pos), v)
+		fmt.Fprintf(&b, "p%02.0f |%s%s| %6.2f\n", q*100, strings.Repeat("=", pos), strings.Repeat(" ", width-pos), v/unit)
 	}
 	return b.String()
 }

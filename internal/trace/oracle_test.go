@@ -160,7 +160,7 @@ func checkFraction(t *testing.T, label string, got float64, r *trace.Recorder, n
 // Table 3 model on Topo 2+2, 1+3 and 4+4, for DeepSpeed-hetero and for
 // Mobius on its greedy plan, to the oracles bit for bit.
 func TestStepAggregatesMatchOracle(t *testing.T) {
-	hostLink := func(tag trace.Tag) bool { return tag.PeerGPU < 0 }
+	hostLink := func(tag trace.Tag) bool { return tag.GPU >= 0 && tag.PeerGPU < 0 }
 	ran, ties := 0, 0
 	for _, m := range model.Table3() {
 		for _, groups := range [][]int{{2, 2}, {1, 3}, {4, 4}} {
@@ -184,9 +184,9 @@ func TestStepAggregatesMatchOracle(t *testing.T) {
 					continue
 				}
 				rec := rep.Recorder
-				ties += checkCDF(t, label+" bandwidth CDF", rep.BandwidthCDF, samplesOf(rec, nil))
-				ties += checkCDF(t, label+" host-link CDF", rep.HostLinkCDF, samplesOf(rec, hostLink))
-				checkFraction(t, label, rep.NonOverlapFraction, rec, topo.NumGPUs(), rep.StepTime)
+				ties += checkCDF(t, label+" bandwidth CDF", rep.BandwidthCDF(), samplesOf(rec, nil))
+				ties += checkCDF(t, label+" host-link CDF", rep.HostLinkCDF(), samplesOf(rec, hostLink))
+				checkFraction(t, label, rep.NonOverlapFraction(), rec, topo.NumGPUs(), rep.StepTime)
 				ran++
 			}
 		}

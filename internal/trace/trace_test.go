@@ -97,11 +97,11 @@ func TestCDFEmptyAndRender(t *testing.T) {
 	if !c.Empty() || c.Median() != 0 || c.FractionAtOrBelow(1) != 0 {
 		t.Fatal("empty CDF misbehaves")
 	}
-	if c.Render(10, 20) != "(no data)" {
+	if c.Render(10, 1, 20) != "(no data)" {
 		t.Fatal("empty render")
 	}
 	full := NewCDF([]Sample{{Value: 5, Weight: 1}})
-	if full.Render(10, 20) == "" {
+	if full.Render(10, 1, 20) == "" {
 		t.Fatal("render empty string")
 	}
 	if pts := full.Points(4); len(pts) != 4 {
