@@ -32,10 +32,13 @@ race:
 # loop is the only column update (plain vet's asmdecl check covers the
 # amd64 assembly), the lp and milp suites uncached, the milp and
 # partition suites under the race detector (a MILP solves each node's
-# two child LPs on two goroutines, and the sweep solves its candidates'
-# root LPs two at a time before any branch and bound; about 50 s, most
-# of it the root phase's differential against the inline roots and the
-# tier-1 subset of the pricing identity test), the
+# two child LPs on two goroutines, the sweep solves its candidates'
+# root LPs two at a time before any branch and bound, and then solves
+# the candidate its replay waits on beside workers that solve ahead of
+# it; about 50 s, most of it the root phase's differential against the
+# inline roots, the tier-1 subset of the pricing identity test and the
+# lazy sweep's differential against the eager one at Parallelism 1 and
+# 2), the
 # plan deadline and goroutine-leak tests under the race detector
 # (deadlines that expire inside the root phase; about 10 s), then the
 # dense-oracle differential over every LP a serial cold plan
@@ -56,10 +59,13 @@ race:
 # is the evaluator's step time, for every Table 3 model on Topo 2+2 and
 # 4+4 at M = N and M = 8 and every candidate stage count (8-12 s), the
 # root bound against brute force over every block-count vector of 2,205
-# small instances (about 3 s), and the sweep with the bound against the
-# sweep without it for every Table 3 model on Topo 2+2, 1+3 and 4+4 at
-# M = N and M = 8 (about 6 minutes, nearly all of it the M = 8 sweeps on
-# 2+2, each solved twice). On a 2-vCPU host it takes about 10 minutes if
+# small instances (about 3 s), the lazy sweep's replay against the
+# eager replay over every outcome of every list of up to three
+# candidates and a sample of longer ones (about 1 s), and the lazy sweep
+# against the eager one, which solves every candidate it reaches, for
+# every Table 3 model on Topo 2+2, 1+3 and 4+4 at M = N and on Topo 2+2
+# at M = 2N, at Parallelism 1 and 2 (6-7.5 minutes, nearly all of it the
+# M = 2N sweeps). On a 2-vCPU host it takes about 10 minutes if
 # the 3 s-limited 3B on 4+4 search stops before its two node LPs that
 # break down, and 16-20 if it reaches them, as it does with the AVX2
 # column update: the guard stops each after 2,000-2,700 pivots, but
@@ -72,7 +78,7 @@ check-lp:
 	$(GO) test -race -count=1 ./internal/milp/ ./internal/partition/
 	$(GO) test -race -count=1 -run 'TestPlanCancellationLeaksNoGoroutines|TestDeadlineInterruptsRootLP' ./internal/core/
 	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 120m -run 'TestSparseKernelMatchesDenseOracle|TestColdPlanFingerprints' -v ./internal/lp/
-	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 60m -run 'TestPricerMatchesFixedLP|TestRootBoundBelowExhaustiveOptimum|TestPrunedSweepMatchesUnpruned' -v ./internal/partition/
+	MOBIUS_CHECK_LP=1 $(GO) test -count=1 -timeout 60m -run 'TestPricerMatchesFixedLP|TestRootBoundBelowExhaustiveOptimum|TestReplayMatchesEagerReplay|TestLazySweepMatchesEager' -v ./internal/partition/
 
 # check-faults is the fault-matrix smoke test: link degradation windows,
 # alone and combined (an unbounded window beside a bounded one on

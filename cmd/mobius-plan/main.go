@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"mobius/internal/core"
 	"mobius/internal/hw"
@@ -141,8 +142,16 @@ func main() {
 	fmt.Printf("profile:   %d layers, %d similarity groups, cost %.2fs\n",
 		plan.Profile.NumLayers(), plan.Profile.GroupsProfiled, plan.Profile.Cost)
 	if st := plan.MIPStats; st != nil {
-		fmt.Printf("MIP:       tried S=%v (%v resolved by the root bound), %d nodes, %d LPs (%d numerical), %d pivots, largest LP %dx%d, %v solve time\n",
-			st.TriedStageCounts, st.PrunedStageCounts, st.Nodes, st.LPSolves, st.LPNumerical, st.LPPivots, st.LPRows, st.LPCols, st.SolveTime.Round(1e6))
+		// A plan loaded from the store carries no resolutions.
+		tried := make([]string, len(st.TriedStageCounts))
+		for i, S := range st.TriedStageCounts {
+			tried[i] = fmt.Sprintf("S=%d", S)
+			if i < len(st.Resolutions) {
+				tried[i] += " " + st.Resolutions[i].String()
+			}
+		}
+		fmt.Printf("MIP:       tried %s; %d nodes, %d LPs (%d numerical), %d pivots, largest LP %dx%d, %v solve time\n",
+			strings.Join(tried, ", "), st.Nodes, st.LPSolves, st.LPNumerical, st.LPPivots, st.LPRows, st.LPCols, st.SolveTime.Round(1e6))
 	}
 	fmt.Printf("partition: %d stages (%s)\n", plan.Partition.NumStages(), plan.Partition.Algorithm)
 	for j, s := range plan.Partition.Stages {

@@ -36,6 +36,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"mobius/internal/fault"
 	"mobius/internal/hw"
@@ -90,6 +91,15 @@ type Class struct {
 func (c Class) withDefaults(i int) (Class, error) {
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("class%d", i)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"arrival rate", c.RatePerS}, {"token rate", c.TokenRatePerS}, {"token burst", c.TokenBurst},
+		{"deadline", c.DeadlineS}, {"degrade-after", c.DegradeAfterS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return c, fmt.Errorf("cluster: class %q: %s %g is not finite", c.Name, f.name, f.v)
+		}
 	}
 	if c.RatePerS <= 0 {
 		return c, fmt.Errorf("cluster: class %q: arrival rate %g must be positive", c.Name, c.RatePerS)
@@ -194,8 +204,8 @@ func (c Config) withDefaults() (Config, error) {
 		cls[i] = cc
 	}
 	c.Classes = cls
-	if c.HorizonS <= 0 {
-		return c, fmt.Errorf("cluster: horizon must be positive (got %g)", c.HorizonS)
+	if !(c.HorizonS > 0) || math.IsInf(c.HorizonS, 1) {
+		return c, fmt.Errorf("cluster: horizon must be positive and finite (got %g)", c.HorizonS)
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8

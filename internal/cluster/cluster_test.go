@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"mobius/internal/fault"
 	"mobius/internal/hw"
@@ -368,6 +370,56 @@ func TestClusterConfigValidation(t *testing.T) {
 		mut(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
+		}
+	}
+}
+
+// TestClusterRejectsNonFinite: every non-finite float of the config and
+// its fleet fault spec is an error naming its field. Each case runs
+// under a deadline, since an unchecked NaN or infinite horizon or
+// arrival rate spins the arrival loop forever.
+func TestClusterRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	restart := func(at, latency float64) *fault.Spec {
+		return &fault.Spec{ServerRestarts: []fault.ServerRestartFault{{Server: 0, At: at, RestartLatencyS: latency}}}
+	}
+	for _, c := range []struct {
+		name, field string
+		mut         func(*Config)
+	}{
+		{"NaN horizon", "horizon", func(c *Config) { c.HorizonS = nan }},
+		{"infinite horizon", "horizon", func(c *Config) { c.HorizonS = inf }},
+		{"infinite rate", "arrival rate", func(c *Config) { c.Classes[0].RatePerS = inf }},
+		{"NaN rate", "arrival rate", func(c *Config) { c.Classes[0].RatePerS = nan }},
+		{"NaN token rate", "token rate", func(c *Config) { c.Classes[0].TokenRatePerS = nan }},
+		{"infinite token burst", "token burst", func(c *Config) { c.Classes[0].TokenBurst = inf }},
+		{"NaN deadline", "deadline", func(c *Config) { c.Classes[0].DeadlineS = nan }},
+		{"infinite degrade", "degrade-after", func(c *Config) { c.Classes[0].DegradeAfterS = inf }},
+		{"NaN fail onset", "server_fails[0] (server 1): at_s", func(c *Config) {
+			c.Faults = &fault.Spec{ServerFails: []fault.ServerFailFault{{Server: 1, At: nan}}}
+		}},
+		{"NaN restart onset", "server_restarts[0] (server 0): at_s", func(c *Config) { c.Faults = restart(nan, 0) }},
+		{"NaN restart latency", "restart_latency_s", func(c *Config) { c.Faults = restart(10, nan) }},
+		{"infinite restart latency", "restart_latency_s", func(c *Config) { c.Faults = restart(10, inf) }},
+		{"NaN fault horizon", "horizon_s", func(c *Config) {
+			c.Faults = &fault.Spec{HorizonS: nan, ServerFails: []fault.ServerFailFault{{Server: 1, At: 10}}}
+		}},
+	} {
+		cfg := baseConfig(cheapClass("a", 0, model.GPT3B, 0.1))
+		cfg.Classes = append([]Class(nil), cfg.Classes...)
+		c.mut(&cfg)
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), "finite") {
+				t.Errorf("%s: %v; want an error naming %q as not finite", c.name, err, c.field)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Run still running after 10 s", c.name)
 		}
 	}
 }

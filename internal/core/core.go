@@ -80,14 +80,16 @@ type Options struct {
 	MIP partition.MIPOptions
 	// ProfileOptions control layer profiling.
 	ProfileOptions profile.Options
-	// Parallelism bounds the worker goroutines of the MIP stage-count
-	// sweep, when MIP.Parallelism is unset (0 means GOMAXPROCS, 1 means
-	// a serial sweep after a two-wide root phase). The sweep solves every
-	// candidate's root relaxation two at a time before any branch and
-	// bound, and each MILP solves the two child LPs of every node on a
-	// second goroutine, so a plan may use up to 2 × Parallelism cores.
-	// Plans are identical at every level; the cross mapping search is
-	// always serial.
+	// Parallelism bounds the concurrent candidate MILPs of the MIP
+	// stage-count sweep, when MIP.Parallelism is unset (0 means
+	// GOMAXPROCS, 1 means one at a time after a two-wide root phase,
+	// each only when the sweep waits on it; above 1, workers also solve
+	// ahead of it). The sweep solves every candidate's root relaxation
+	// two at a time before any branch and bound, and each MILP solves
+	// the two child LPs of every node on a second goroutine, so a plan
+	// may use up to 2 × Parallelism cores. Plans and their MIP effort
+	// are identical at every level; the cross mapping search is always
+	// serial.
 	Parallelism int
 	// Faults injects a degraded-hardware scenario into the simulated
 	// server (Mobius and GPipe only; nil means nominal hardware). The

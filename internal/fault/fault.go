@@ -18,6 +18,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mobius/internal/hw"
@@ -73,6 +74,9 @@ type LinkFault struct {
 // check names against a topology — that happens in Apply, where the
 // server is known.
 func (s *Spec) Validate() error {
+	if err := s.validateFinite(); err != nil {
+		return err
+	}
 	byLink := map[string][]LinkFault{}
 	for i, l := range s.Links {
 		if l.Link == "" {
@@ -111,6 +115,41 @@ func (s *Spec) Validate() error {
 		return err
 	}
 	return s.validatePermanent()
+}
+
+// validateFinite rejects NaN and ±Inf in every numeric field, naming
+// the field: the range checks compare, and NaN fails every comparison,
+// so it would pass each one.
+func (s *Spec) validateFinite() error {
+	var err error
+	check := func(v float64, format string, args ...any) {
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("fault: "+format+" %g is not finite", append(args, v)...)
+		}
+	}
+	check(s.HorizonS, "horizon_s")
+	for i, l := range s.Links {
+		check(l.Multiplier, "links[%d] (%s): multiplier", i, l.Link)
+		check(l.Start, "links[%d] (%s): start_s", i, l.Link)
+		check(l.End, "links[%d] (%s): end_s", i, l.Link)
+	}
+	for i, c := range s.Corruptions {
+		check(c.Probability, "corruptions[%d] (%s): probability", i, c.Match)
+	}
+	for i, f := range s.ServerFails {
+		check(f.At, "server_fails[%d] (server %d): at_s", i, f.Server)
+	}
+	for i, f := range s.ServerRestarts {
+		check(f.At, "server_restarts[%d] (server %d): at_s", i, f.Server)
+		check(f.RestartLatencyS, "server_restarts[%d] (server %d): restart_latency_s", i, f.Server)
+	}
+	for i, g := range s.GPUFails {
+		check(g.At, "gpu_fails[%d] (gpu %d): at_s", i, g.GPU)
+	}
+	for i, l := range s.LinkFails {
+		check(l.At, "link_fails[%d] (%s): at_s", i, l.Link)
+	}
+	return err
 }
 
 func endLabel(end float64) string {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -172,6 +173,33 @@ func TestApplyRejectsUnknownNames(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Apply(buildServer(t), c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("want error containing %q, got %v", c.want, err)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN and ±Inf fail every range check's
+// comparison, so each float field is checked for finiteness first; the
+// error names the field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		field string
+		spec  Spec
+	}{
+		{"horizon_s", Spec{HorizonS: nan}},
+		{"links[0] (rc0): multiplier", Spec{Links: []LinkFault{{Link: "rc0", Multiplier: nan}}}},
+		{"links[0] (rc0): start_s", Spec{Links: []LinkFault{{Link: "rc0", Multiplier: 0.5, Start: nan}}}},
+		{"links[0] (rc0): end_s", Spec{Links: []LinkFault{{Link: "rc0", Multiplier: 0.5, End: inf}}}},
+		{"corruptions[0] (*): probability", Spec{Corruptions: []CorruptionFault{{Match: "*", Probability: nan}}}},
+		{"server_fails[0] (server 1): at_s", Spec{ServerFails: []ServerFailFault{{Server: 1, At: nan}}}},
+		{"server_restarts[0] (server 0): at_s", Spec{ServerRestarts: []ServerRestartFault{{At: -inf}}}},
+		{"server_restarts[0] (server 0): restart_latency_s", Spec{ServerRestarts: []ServerRestartFault{{At: 1, RestartLatencyS: nan}}}},
+		{"gpu_fails[0] (gpu 2): at_s", Spec{GPUFails: []GPUFailFault{{GPU: 2, At: nan}}}},
+		{"link_fails[0] (rc1): at_s", Spec{LinkFails: []LinkFailFault{{Link: "rc1", At: inf}}}},
+	} {
+		err := c.spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field+" ") || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("%s: %v; want an error naming it as not finite", c.field, err)
 		}
 	}
 }

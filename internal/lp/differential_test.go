@@ -310,8 +310,14 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 				t.Fatalf("captured %d LPs, plan reports %+v", len(probs), st)
 			}
 			summary := fmt.Sprintf("%d counted, %d nodes", st.LPSolves, st.Nodes)
+			var resolved []int
+			for i, how := range st.Resolutions {
+				if how == partition.RootBound {
+					resolved = append(resolved, st.TriedStageCounts[i])
+				}
+			}
 			if len(probs) == 0 {
-				if st.PrunedStageCounts == nil {
+				if resolved == nil {
 					t.Fatalf("captured no LP, but the bound resolved none of %v", st.TriedStageCounts)
 				}
 				// The planning parameters of core.PlanMobius at the
@@ -329,14 +335,14 @@ func TestSparseKernelMatchesDenseOraclePartitionLPs(t *testing.T) {
 				if err != nil || math.Float64bits(again.StepTime) != math.Float64bits(st.StepTime) {
 					t.Fatalf("the parameters rebuilt from the topology sweep to %+v, %v; the plan's step is %v", again, err, st.StepTime)
 				}
-				for _, S := range st.PrunedStageCounts {
+				for _, S := range resolved {
 					p, err := partition.Relaxation(params, S)
 					if err != nil || p == nil {
 						t.Fatalf("S = %d: %v, %v", S, p, err)
 					}
 					probs = append(probs, p)
 				}
-				summary += fmt.Sprintf(", roots of resolved %v", st.PrunedStageCounts)
+				summary += fmt.Sprintf(", roots of resolved %v", resolved)
 			}
 			// The oracle side dominates; compare on every CPU.
 			errs := make([]error, len(probs))

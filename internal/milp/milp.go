@@ -165,6 +165,30 @@ type Result struct {
 	LPNumerical int
 }
 
+// AddLP adds a solved LP to the effort counters of r.
+func (r *Result) AddLP(sol *lp.Solution) {
+	r.LPSolves++
+	r.LPPivots += sol.Phase1Pivots + sol.Phase2Pivots
+	if sol.Status == lp.Numerical {
+		r.LPNumerical++
+	}
+	if sol.Rows*sol.Cols > r.LPRows*r.LPCols {
+		r.LPRows, r.LPCols = sol.Rows, sol.Cols
+	}
+}
+
+// Cutoff is the LP bound at or above which the search prunes a node
+// against an incumbent objective inc, with relative gap tolerance
+// gapTol. A root whose bound reaches the cutoff of the incumbent Solve
+// starts from is never branched on: rounding it can only lower the
+// cutoff further below the root's bound.
+func Cutoff(inc, gapTol float64) float64 {
+	if gapTol > 0 && !math.IsInf(inc, 1) {
+		return inc - gapTol*math.Abs(inc)
+	}
+	return inc - 1e-9
+}
+
 type node struct {
 	bound  float64            // LP relaxation objective (lower bound)
 	fixes  map[int][2]float64 // variable bound overrides
@@ -215,17 +239,6 @@ func Solve(p *lp.Problem, intVars []int, price func(x []float64) (obj float64, o
 	}
 	sc.ws[0].lp.Abort = opts.Cancel
 	sc.ws[1].lp.Abort = opts.Cancel
-	// count adds a solved LP to the effort counters.
-	count := func(sol *lp.Solution) {
-		res.LPSolves++
-		res.LPPivots += sol.Phase1Pivots + sol.Phase2Pivots
-		if sol.Status == lp.Numerical {
-			res.LPNumerical++
-		}
-		if sol.Rows*sol.Cols > res.LPRows*res.LPCols {
-			res.LPRows, res.LPCols = sol.Rows, sol.Cols
-		}
-	}
 	// withEffort carries the LP counters onto a result other than res.
 	withEffort := func(r *Result) *Result {
 		r.LPSolves, r.LPPivots, r.LPRows, r.LPCols = res.LPSolves, res.LPPivots, res.LPRows, res.LPCols
@@ -277,7 +290,7 @@ func Solve(p *lp.Problem, intVars []int, price func(x []float64) (obj float64, o
 			return nil, err
 		}
 	}
-	count(root)
+	res.AddLP(root)
 	switch root.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
@@ -322,11 +335,7 @@ func Solve(p *lp.Problem, intVars []int, price func(x []float64) (obj float64, o
 			break
 		}
 		nd := heap.Pop(open).(*node)
-		cutoff := res.Objective - 1e-9
-		if opts.GapTol > 0 && !math.IsInf(res.Objective, 1) {
-			cutoff = res.Objective - opts.GapTol*math.Abs(res.Objective)
-		}
-		if nd.bound >= cutoff {
+		if nd.bound >= Cutoff(res.Objective, opts.GapTol) {
 			continue // pruned by incumbent (within gap tolerance)
 		}
 		res.Nodes++
@@ -358,7 +367,7 @@ func Solve(p *lp.Problem, intVars []int, price func(x []float64) (obj float64, o
 			if errs[side] != nil {
 				return nil, errs[side]
 			}
-			count(sol)
+			res.AddLP(sol)
 			switch {
 			case sol.Status == lp.Optimal && sol.Objective < res.Objective-1e-9:
 				tryRound(sol.X, fixes[side])

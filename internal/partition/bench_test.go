@@ -33,14 +33,27 @@ func BenchmarkMIPPartitionSweep(b *testing.B) {
 }
 
 // BenchmarkMIPBranching measures the branch-and-bound layer: one
-// uncached serial sweep of the 3B model on Topo 2+2 with the options of
+// uncached serial sweep of the 15B model on Topo 2+2 with the options of
 // a benchmark cold plan (Parallelism 1, the time limit lifted so the
-// node limit alone bounds each MILP). Its search is 11 nodes, 28 LP
-// solves and 24,830 pivots (internal/lp/testdata/effort.golden), most of
-// them in node children, which each MILP solves two at a time. It
-// reports the nodes, LP solves and pivots with the time.
+// node limit alone bounds each MILP). Its S = 24 candidate branches, and
+// the sweep is 6 nodes, 18 LP solves and 22,048 pivots
+// (internal/lp/testdata/effort.golden), most of them in node children,
+// which each MILP solves two at a time. It reports the nodes, LP solves
+// and pivots with the time.
 func BenchmarkMIPBranching(b *testing.B) {
-	params := planParams(b, model.GPT3B, 2, 2)
+	benchmarkSweep(b, planParams(b, model.GPT15B, 2, 2))
+}
+
+// BenchmarkMIPSweep3B measures one uncached serial sweep of the 3B model
+// on Topo 2+2, with the options of BenchmarkMIPBranching: the sweep whose
+// S = 20 candidate its root LP resolves, so that only S = 24 branches.
+// It is 1 node, 8 LP solves and 6,183 pivots, where the eager sweep was
+// 11 nodes, 28 LP solves and 24,830 pivots.
+func BenchmarkMIPSweep3B(b *testing.B) {
+	benchmarkSweep(b, planParams(b, model.GPT3B, 2, 2))
+}
+
+func benchmarkSweep(b *testing.B, params Params) {
 	opts := MIPOptions{Parallelism: 1, DisableCache: true, TimeLimit: 10 * time.Minute}
 	var stats *MIPStats
 	var err error
@@ -59,16 +72,16 @@ func BenchmarkMIPBranching(b *testing.B) {
 
 // BenchmarkMIPRoots measures the root phase: one uncached serial sweep
 // of the 51B model on Topo 4+4 with the options of a benchmark cold plan
-// (Parallelism 1, the time limit lifted) and the root bound off. The
+// (Parallelism 1, the time limit lifted) and the sweep eager. The root
 // bound resolves that sweep with no LP, so a cold plan no longer runs
-// this search; without the bound it is the S = 16 and S = 24 roots,
+// this search; eager, it is the S = 16 and S = 24 roots,
 // which the sweep solves side by side, and no node: 2 LP solves and
 // 3,263 pivots, one of them stopped as numerical. It reports the LP
 // solves and pivots with the time.
 func BenchmarkMIPRoots(b *testing.B) {
 	params := planParams(b, model.GPT51B, 4, 4)
 	opts := MIPOptions{Parallelism: 1, DisableCache: true, TimeLimit: 10 * time.Minute}
-	sweep := unpruned(MIP)
+	sweep := eager(MIP)
 	var stats *MIPStats
 	var err error
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -115,97 +116,119 @@ func forEachBlockCount(S, blocks int, f func(n []float64)) {
 	rec(0, blocks)
 }
 
-// TestPrunedSweepMatchesUnpruned holds the sweep with the root bound to
-// the sweep without it: the same stages, BestStageCount, StepTime bits
-// and UsedMinStageFallback. A sweep the bound resolves runs no LP; one
-// it leaves is the unpruned sweep, with the same candidates, nodes, LPs
-// and pivots. The time limit is lifted, so only the node limit
-// bounds a MILP and neither side depends on the host's speed. By default
-// it covers 51B on Topo 4+4 and 8B on Topo 2+2 at M = N; with
-// MOBIUS_CHECK_LP set (make check-lp), every Table 3 model on Topo 2+2,
-// 1+3 and 4+4 at M = N and M = 8. A shape whose planning parameters
-// equal an earlier one's (1+3 plans as 2+2 does, and M = 8 is M = N on
-// 4+4) is the same sweep, and runs once.
-func TestPrunedSweepMatchesUnpruned(t *testing.T) {
+// TestLazySweepMatchesEager holds the lazy sweep to the eager one, which
+// solves the MILP of every candidate the patience rule reaches, in
+// order: the same stage sizes, step time bits, S, min-stage flag and
+// tried candidates, at Parallelism 1 and 2, and the same MIPStats at
+// both levels but for SolveTime. Every tried candidate the lazy sweep
+// solved must come back with the eager sweep's step bits, and every one
+// it resolved by a bound must have an interval that holds the eager
+// sweep's result for it. The time limit is lifted, so only the node
+// limit bounds a MILP and neither side depends on the host's speed. By
+// default it covers 3B on Topo 2+2, whose S = 20 candidate its root
+// resolves, 51B on Topo 4+4, which the root bound resolves whole, and a
+// 3B on Topo 2+2 sweep at M = 8 with one node per MILP, whose S = 8
+// candidate its root resolves while the eager sweep hands it its
+// balanced fallback; with MOBIUS_CHECK_LP set (make check-lp), also
+// every Table 3 model on Topo 2+2, 1+3 and 4+4 at M = N, and on Topo 2+2
+// at M = 2N. A shape whose planning parameters equal an earlier one's
+// (1+3 plans as 2+2 does) is the same sweep, and runs once.
+func TestLazySweepMatchesEager(t *testing.T) {
 	type shape struct {
-		m      model.Config
-		groups []int
-		M      int
+		m        model.Config
+		groups   []int
+		M, nodes int
 	}
-	shapes := []shape{{model.GPT51B, []int{4, 4}, 0}, {model.GPT8B, []int{2, 2}, 0}}
+	shapes := []shape{{model.GPT3B, []int{2, 2}, 0, 0}, {model.GPT51B, []int{4, 4}, 0, 0}, {model.GPT3B, []int{2, 2}, 8, 1}}
 	if os.Getenv("MOBIUS_CHECK_LP") != "" {
-		shapes = nil
 		for _, m := range model.Table3() {
 			for _, groups := range [][]int{{2, 2}, {1, 3}, {4, 4}} {
-				for _, M := range []int{0, 8} {
-					shapes = append(shapes, shape{m, groups, M})
-				}
+				shapes = append(shapes, shape{m, groups, 0, 0})
 			}
+			shapes = append(shapes, shape{m, []int{2, 2}, 8, 0})
 		}
 	}
-	opts := MIPOptions{DisableCache: true, TimeLimit: 10 * time.Minute}
-	pruned := 0
+	bounded := 0
 	seen := map[string]bool{}
 	for _, sh := range shapes {
 		params := planParams(t, sh.m, sh.groups...)
 		params.Microbatches = sh.M
 		params = params.withDefaults()
+		opts := MIPOptions{DisableCache: true, TimeLimit: 10 * time.Minute, NodeLimit: sh.nodes}
 		name := fmt.Sprintf("%s %v M=%d", sh.m.Name, sh.groups, params.Microbatches)
-		key := fmt.Sprintf("%s %d %d %v %v %v", sh.m.Name, params.NumGPUs, params.Microbatches, params.GPUMem, params.Bandwidth, params.Latency)
+		key := fmt.Sprintf("%s %d %d %v %v %v %d", sh.m.Name, params.NumGPUs, params.Microbatches, params.GPUMem, params.Bandwidth, params.Latency, sh.nodes)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		start := time.Now()
-		wantPart, w, err := unpruned(MIP)(params, opts)
-		if err != nil {
-			t.Fatalf("%s: unpruned: %v", name, err)
-		}
-		mid := time.Now()
-		gotPart, g, err := MIP(params, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got, want := fmt.Sprintf("%+v", gotPart.Stages), fmt.Sprintf("%+v", wantPart.Stages); got != want {
-			t.Errorf("%s: stages\n%s\nwant\n%s", name, got, want)
-		}
-		if g.BestStageCount != w.BestStageCount || math.Float64bits(g.StepTime) != math.Float64bits(w.StepTime) ||
-			g.UsedMinStageFallback != w.UsedMinStageFallback {
-			t.Errorf("%s: S = %d, step %v, min-stage %v; unpruned S = %d, step %v, min-stage %v",
-				name, g.BestStageCount, g.StepTime, g.UsedMinStageFallback, w.BestStageCount, w.StepTime, w.UsedMinStageFallback)
-		}
-		if len(w.PrunedStageCounts) != 0 {
-			t.Errorf("%s: the unpruned sweep pruned %v", name, w.PrunedStageCounts)
-		}
-		for _, s := range g.PrunedStageCounts {
-			if !slices.Contains(g.TriedStageCounts, s) {
-				t.Errorf("%s: pruned S = %d is not among the tried %v", name, s, g.TriedStageCounts)
+		sweep := func(par int, lazily bool) (*Partition, *MIPStats, []*cand) {
+			defer func() { lazy = true }()
+			lazy = lazily
+			opts.Parallelism = par
+			part, st, cs, err := mipSolve(context.Background(), params, opts)
+			if err != nil {
+				t.Fatalf("%s at Parallelism %d, lazy %v: %v", name, par, lazily, err)
 			}
+			return part, st, cs
 		}
-		// The bound resolves a sweep whole or leaves it alone: a sweep it
-		// leaves is the unpruned one, effort included.
-		if len(g.PrunedStageCounts) == 0 && (g.Nodes != w.Nodes || g.LPSolves != w.LPSolves || g.LPPivots != w.LPPivots ||
-			!slices.Equal(g.TriedStageCounts, w.TriedStageCounts)) {
-			t.Errorf("%s: tried %v, %d nodes, %d LPs, %d pivots; unpruned %v, %d, %d, %d",
-				name, g.TriedStageCounts, g.Nodes, g.LPSolves, g.LPPivots, w.TriedStageCounts, w.Nodes, w.LPSolves, w.LPPivots)
+		start := time.Now()
+		wantPart, w, wcs := sweep(1, false)
+		if len(w.resolvedBy(RootBound))+len(w.resolvedBy(RootLP)) != 0 {
+			t.Errorf("%s: the eager sweep resolved %v by a bound", name, w.Resolutions)
 		}
-		if len(g.PrunedStageCounts) != 0 && (g.LPSolves != 0 || !g.UsedMinStageFallback) {
-			t.Errorf("%s: pruned %v, yet %d LPs, min-stage %v", name, g.PrunedStageCounts, g.LPSolves, g.UsedMinStageFallback)
+		eagerTime := time.Since(start)
+		var first *MIPStats
+		for _, par := range []int{1, 2} {
+			start := time.Now()
+			gotPart, g, cs := sweep(par, true)
+			if got, want := fmt.Sprintf("%+v", gotPart.Stages), fmt.Sprintf("%+v", wantPart.Stages); got != want {
+				t.Errorf("%s at Parallelism %d: stages\n%s\nwant\n%s", name, par, got, want)
+			}
+			if g.BestStageCount != w.BestStageCount || math.Float64bits(g.StepTime) != math.Float64bits(w.StepTime) ||
+				g.UsedMinStageFallback != w.UsedMinStageFallback || !slices.Equal(g.TriedStageCounts, w.TriedStageCounts) {
+				t.Errorf("%s at Parallelism %d: S = %d, step %v, min-stage %v, tried %v; eager S = %d, step %v, min-stage %v, tried %v",
+					name, par, g.BestStageCount, g.StepTime, g.UsedMinStageFallback, g.TriedStageCounts,
+					w.BestStageCount, w.StepTime, w.UsedMinStageFallback, w.TriedStageCounts)
+			}
+			if g.Nodes > w.Nodes || g.LPSolves > w.LPSolves {
+				t.Errorf("%s at Parallelism %d: %d nodes, %d LPs; eager %d, %d", name, par, g.Nodes, g.LPSolves, w.Nodes, w.LPSolves)
+			}
+			for i := range min(len(g.TriedStageCounts), len(w.TriedStageCounts)) {
+				c, e := cs[i], wcs[i]
+				s := c.span()
+				switch {
+				case !e.done || e.err != nil:
+					t.Errorf("%s: the eager sweep left S = %d unsolved: %v", name, e.S, e.err)
+				case c.done && (c.part == nil) != (e.part == nil):
+					t.Errorf("%s at Parallelism %d: S = %d came back %v, eagerly %v", name, par, c.S, c.part != nil, e.part != nil)
+				case c.done && math.Float64bits(c.t) != math.Float64bits(e.t):
+					t.Errorf("%s at Parallelism %d: S = %d came back at %v, eagerly %v", name, par, c.S, c.t, e.t)
+				case !c.done && (e.part == nil && !s.none || e.part != nil && !(s.lo <= e.t && e.t <= s.hi)):
+					t.Errorf("%s at Parallelism %d: S = %d, resolved by its %v in [%v, %v] (none %v), came back eagerly at %v (partition %v)",
+						name, par, c.S, c.how, s.lo, s.hi, s.none, e.t, e.part != nil)
+				}
+			}
+			g.SolveTime = 0
+			if first == nil {
+				first = g
+			} else if got, want := fmt.Sprintf("%+v", *g), fmt.Sprintf("%+v", *first); got != want {
+				t.Errorf("%s at Parallelism %d: stats\n%s\nat Parallelism 1\n%s", name, par, got, want)
+			}
+			t.Logf("%s at Parallelism %d: S = %d, %v; eager %d nodes, %d LPs in %v; lazy %d, %d in %v",
+				name, par, g.BestStageCount, g.Resolutions, w.Nodes, w.LPSolves, eagerTime.Round(time.Millisecond),
+				g.Nodes, g.LPSolves, time.Since(start).Round(time.Millisecond))
 		}
-		pruned += len(g.PrunedStageCounts)
-		t.Logf("%s: S = %d; unpruned %v, %d nodes, %d LPs; pruned %v of %v, %d nodes, %d LPs, %v",
-			name, g.BestStageCount, mid.Sub(start).Round(time.Millisecond), w.Nodes, w.LPSolves,
-			g.PrunedStageCounts, g.TriedStageCounts, g.Nodes, g.LPSolves, time.Since(mid).Round(time.Millisecond))
+		bounded += len(first.resolvedBy(RootBound)) + len(first.resolvedBy(RootLP))
 	}
-	if pruned == 0 {
-		t.Error("the bound resolved no candidate on any shape")
+	if bounded == 0 {
+		t.Error("no bound resolved a candidate on any shape")
 	}
 }
 
 // TestRootBoundResolvesMinStagePlans pins the four default plans that
 // are min-stage: 51B on Topo 2+2, 1+3 and 4+4 and 15B on Topo 4+4. The
 // root bound proves min-stage better than every candidate, so the sweep
-// formulates nothing: every tried candidate is pruned, no LP runs, no
+// formulates nothing: the root bound resolves every tried candidate, no LP runs, no
 // solve time is charged, and the sweep is proven.
 func TestRootBoundResolvesMinStagePlans(t *testing.T) {
 	for _, sh := range []struct {
@@ -219,8 +242,8 @@ func TestRootBoundResolvesMinStagePlans(t *testing.T) {
 			t.Fatalf("%s %v: %v", sh.m.Name, sh.groups, err)
 		}
 		if !st.UsedMinStageFallback || !st.Proven || st.LPSolves != 0 || st.SolveTime != 0 ||
-			len(st.TriedStageCounts) == 0 || !slices.Equal(st.PrunedStageCounts, st.TriedStageCounts) {
-			t.Errorf("%s %v: %+v; want every candidate pruned and min-stage chosen", sh.m.Name, sh.groups, *st)
+			len(st.TriedStageCounts) == 0 || !slices.Equal(st.resolvedBy(RootBound), st.TriedStageCounts) {
+			t.Errorf("%s %v: %+v; want every candidate resolved by the root bound and min-stage chosen", sh.m.Name, sh.groups, *st)
 		}
 	}
 }

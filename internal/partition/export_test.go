@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"math"
-
 	"mobius/internal/lp"
 	"mobius/internal/milp"
 )
@@ -17,15 +15,24 @@ func mipInline(params Params, opts MIPOptions) (*Partition, *MIPStats, error) {
 	return MIP(params, opts)
 }
 
-// unpruned returns mip with the root bound proving nothing, so that the
-// sweep solves the MILP of every candidate with a partition.
-func unpruned(mip func(Params, MIPOptions) (*Partition, *MIPStats, error)) func(Params, MIPOptions) (*Partition, *MIPStats, error) {
+// eager returns mip with the sweep resolving no candidate by a bound:
+// it solves the MILP of every candidate the patience rule reaches, in
+// order, as the sweep did before it was lazy.
+func eager(mip func(Params, MIPOptions) (*Partition, *MIPStats, error)) func(Params, MIPOptions) (*Partition, *MIPStats, error) {
 	return func(params Params, opts MIPOptions) (*Partition, *MIPStats, error) {
-		defer func(b func(Params, *blockStats, int) (float64, bool)) { pruneBound = b }(pruneBound)
-		pruneBound = func(params Params, bs *blockStats, S int) (float64, bool) {
-			_, ok := rootBound(params, bs, S)
-			return math.Inf(-1), ok
-		}
+		defer func() { lazy = true }()
+		lazy = false
 		return mip(params, opts)
 	}
+}
+
+// resolvedBy returns the tried stage counts the sweep resolved by r.
+func (s *MIPStats) resolvedBy(r Resolution) []int {
+	var out []int
+	for i, how := range s.Resolutions {
+		if how == r {
+			out = append(out, s.TriedStageCounts[i])
+		}
+	}
+	return out
 }

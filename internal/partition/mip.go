@@ -1,11 +1,13 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,15 +35,19 @@ type MIPOptions struct {
 	// the candidate's root relaxation, which the root phase solves.
 	NodeLimit int
 	TimeLimit time.Duration
-	// Parallelism is the number of candidate stage counts searched
-	// concurrently (0 means GOMAXPROCS, 1 means a serial sweep after a
-	// two-wide root phase). Before any branch and bound the sweep solves
-	// every candidate's root relaxation, two at a time; each MILP then
-	// solves the two child LPs of every node on a second goroutine, so a
-	// sweep may use up to 2 × Parallelism cores. The sweep result is
-	// identical at every level: roots and candidate solves are
-	// independent, the shared incumbent bound is sealed before the
-	// fan-out, and results are replayed in candidate order.
+	// Parallelism is the number of candidate MILPs solved concurrently
+	// (0 means GOMAXPROCS, 1 means one at a time after a two-wide root
+	// phase, each only when the sweep waits on it). Above 1, workers
+	// take the candidate the sweep waits on first and otherwise solve
+	// ahead of it, and the sweep may never use those solves. Before any
+	// branch and bound the sweep solves every candidate's root
+	// relaxation, two at a time; each MILP then solves the two child LPs
+	// of every node on a second goroutine, so a sweep may use up to
+	// 2 × Parallelism cores. The sweep result is identical at every
+	// level: roots and candidate solves are independent, the shared
+	// incumbent bound is sealed before the fan-out, and only the solves
+	// the sweep waits on, in an order fixed by the candidates' bounds,
+	// are used and counted.
 	Parallelism int
 	// DisableCache forces a fresh solve. MIP results are otherwise
 	// memoized per (model, GPU, N, M, G, B, options) for the lifetime of
@@ -88,40 +94,85 @@ const mipPatience = 2
 // MIPStats reports the solver effort, feeding the Figure 12 overhead
 // experiment.
 type MIPStats struct {
-	// TriedStageCounts lists the candidate S values the sweep resolved,
-	// by a MILP or by the root bound, in sweep order.
+	// TriedStageCounts lists the candidate S values the sweep's patience
+	// rule reached, in sweep order, however each was resolved.
 	TriedStageCounts []int
-	// PrunedStageCounts lists the candidates among them that the root
-	// bound resolved with no LP (see rootBound).
-	PrunedStageCounts []int `json:"-"`
+	// Resolutions says how the sweep resolved each of TriedStageCounts.
+	Resolutions []Resolution `json:"-"`
 	// Nodes is the total branch-and-bound node count across candidates.
 	Nodes int
-	// LPSolves and LPPivots total the LP relaxations solved across
-	// candidates and their simplex pivots.
+	// LPSolves and LPPivots total the LP relaxations counted across
+	// candidates and their simplex pivots: a solved candidate's MILP, and
+	// the root LP of one its root resolved. Candidates the patience stop
+	// skips count nothing, nor do solves the sweep ran ahead but never
+	// used.
 	LPSolves, LPPivots int
-	// LPRows and LPCols size the largest LP solved (by rows × columns),
+	// LPRows and LPCols size the largest LP counted (by rows × columns),
 	// as simplex tableau rows and columns.
 	LPRows, LPCols int
 	// LPNumerical counts the LPs stopped on a numerical breakdown; a
 	// candidate whose root broke down falls back to the balanced
 	// partition, as a limit-bound one does.
 	LPNumerical int
-	// SolveTime is the time spent in the MILP solver, summed over
-	// candidates: each one's root relaxation plus its search. Roots are
-	// solved two at a time, so the sum can exceed wall-clock time even
-	// when Parallelism is 1.
+	// SolveTime is the time spent in the MILP solver on the counted LPs,
+	// summed over candidates: each solved one's root relaxation plus its
+	// search, and the root of each one its root resolved. Roots are
+	// solved two at a time, and candidates beside each other, so the sum
+	// can exceed wall-clock time even when Parallelism is 1.
 	SolveTime time.Duration
 	// BestStageCount is the S of the returned partition.
 	BestStageCount int
 	// StepTime is the modelled step duration of the returned partition.
 	StepTime float64
-	// Proven is true when every explored candidate was solved to
-	// certified optimality or resolved by the root bound.
+	// Proven is true when every tried candidate was solved to certified
+	// optimality or resolved by a bound.
 	Proven bool
 	// UsedMinStageFallback is true when the min-stage partition (beyond
 	// MaxStages) beat every MIP candidate — the regime of Figure 9's
 	// second observation.
 	UsedMinStageFallback bool
+}
+
+// Resolution is how the sweep resolved a candidate stage count.
+type Resolution uint8
+
+const (
+	// MILPProven: its MILP returned a partition certified optimal within
+	// the gap tolerance.
+	MILPProven Resolution = iota
+	// MILPUnproven: its MILP returned a partition when a limit stopped it.
+	MILPUnproven
+	// BalancedFallback: its MILP found no partition faster than the
+	// sealed incumbent, or none before a limit, and the balanced
+	// partition stood in.
+	BalancedFallback
+	// NoPartition: no partition with S stages came back, from the
+	// formulation or the MILP.
+	NoPartition
+	// RootLP: its root LP's bound proved that its MILP cannot change the
+	// plan, and no search ran.
+	RootLP
+	// RootBound: rootBound proved that its MILP cannot change the plan,
+	// and no LP ran.
+	RootBound
+)
+
+func (r Resolution) String() string {
+	switch r {
+	case MILPProven:
+		return "MILP"
+	case MILPUnproven:
+		return "MILP (unproven)"
+	case BalancedFallback:
+		return "balanced"
+	case NoPartition:
+		return "no partition"
+	case RootLP:
+		return "root LP"
+	case RootBound:
+		return "root bound"
+	}
+	return fmt.Sprintf("Resolution(%d)", uint8(r))
 }
 
 // addEffort adds one MILP solve's node and LP counters and folds its
@@ -231,7 +282,7 @@ func MIPCtx(ctx context.Context, params Params, opts MIPOptions) (*Partition, *M
 			return e.part, e.stats, e.err
 		}
 		mipCacheMu.Unlock()
-		part, stats, err := mipSolve(ctx, params, opts)
+		part, stats, _, err := mipSolve(ctx, params, opts)
 		if errors.Is(err, ErrCancelled) {
 			return part, stats, err // a timed-out sweep is not a reusable result
 		}
@@ -240,7 +291,8 @@ func MIPCtx(ctx context.Context, params Params, opts MIPOptions) (*Partition, *M
 		mipCacheMu.Unlock()
 		return part, stats, err
 	}
-	return mipSolve(ctx, params, opts)
+	part, stats, _, err := mipSolve(ctx, params, opts)
+	return part, stats, err
 }
 
 type mipKey struct {
@@ -264,117 +316,180 @@ var (
 	mipCache   = map[mipKey]mipCacheEntry{}
 )
 
-func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, *MIPStats, error) {
+// mipSolve is MIPCtx uncached, on defaulted and validated params. It
+// returns the sweep's candidates beside the partition and its stats.
+func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, *MIPStats, []*cand, error) {
 	bs, err := gatherBlockStats(params)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	opts = opts.withDefaults(bs.blocks)
-
-	stats := &MIPStats{Proven: true, StepTime: Infeasible}
-	var best *Partition
-
-	consider := func(p *Partition, s int, fromMIP bool) error {
-		t, err := StepTime(params, p)
-		if err != nil {
-			return err
-		}
-		if t < stats.StepTime {
-			stats.StepTime = t
-			stats.BestStageCount = s
-			stats.UsedMinStageFallback = !fromMIP
-			best = p
-			best.Algorithm = AlgoMIP
-		}
-		return nil
-	}
-
 	cands := stageCounts(params, bs.blocks, opts.MaxStages)
 
 	// The min-stage decomposition can exceed MaxStages (one block per
 	// stage); the paper observes the MIP solution degenerates to it when
 	// blocks barely fit in GPU memory. It is compared after the sweep.
+	tMS := math.Inf(1)
 	ms, err := MinStage(params)
 	if err != nil || len(ms.Stages) <= opts.MaxStages {
 		ms = nil
+	} else if tMS, err = StepTime(params, ms); err != nil {
+		return nil, nil, nil, err
 	}
 
-	// Whatever a candidate's MILP returns is a block-count vector with S
-	// stages or its balanced fallback, whose step time is at least the
-	// root bound plus tbEmb. When min-stage beats that strictly for every
-	// candidate, it wins the comparison below whatever the MILPs return:
-	// the sweep is resolved without formulating anything. A candidate the
-	// bound finds no partition for is one formulate rejects too.
-	if ms != nil {
-		tMS, err := StepTime(params, ms)
-		if err != nil {
-			return nil, nil, err
-		}
-		var pruned []int
-		for _, s := range cands {
-			lb, ok := pruneBound(params, bs, s)
-			if !ok {
-				continue
-			}
-			if !(lb+bs.tbEmb > tMS) {
-				pruned = nil
-				break
-			}
-			pruned = append(pruned, s)
-		}
-		if pruned != nil {
-			stats.TriedStageCounts, stats.PrunedStageCounts = cands, pruned
-		}
-	}
-	if stats.PrunedStageCounts == nil {
-		if err := sweep(ctx, params, bs, opts, cands, stats, consider); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if ms != nil {
-		if err := consider(ms, len(ms.Stages), false); err != nil {
-			return nil, nil, err
-		}
-	}
-
+	cs, v, err := sweep(ctx, params, bs, opts, cands, tMS)
 	// A deadline that expired mid-sweep invalidates the whole result, even
 	// if some candidates finished: which ones did is timing-dependent, and
 	// the contract is all-or-nothing (see ErrCancelled).
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCancelled, err)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrCancelled, cerr)
+	}
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
-	if best == nil {
-		return nil, nil, fmt.Errorf("partition: no feasible partition found (GPU memory %g GB too small?)", params.GPUMem/1e9)
+	stats := &MIPStats{Proven: true, StepTime: Infeasible}
+	for _, c := range cs[:v.tried] {
+		stats.TriedStageCounts = append(stats.TriedStageCounts, c.S)
+		stats.Resolutions = append(stats.Resolutions, c.how)
+		stats.SolveTime += c.dur
+		stats.addEffort(c.effort)
 	}
-	return best, stats, nil
+	if v.failed {
+		return nil, nil, nil, cs[v.chosen].err
+	}
+	var best *Partition
+	switch {
+	case v.chosen == len(cs):
+		best, stats.UsedMinStageFallback = ms, true
+		stats.StepTime, stats.BestStageCount = tMS, len(ms.Stages)
+	case v.chosen >= 0:
+		c := cs[v.chosen]
+		best, stats.StepTime, stats.BestStageCount = c.part, c.t, c.S
+	default:
+		return nil, nil, nil, fmt.Errorf("partition: no feasible partition found (GPU memory %g GB too small?)", params.GPUMem/1e9)
+	}
+	best.Algorithm = AlgoMIP
+	return best, stats, cs, nil
 }
 
-// pruneBound is the root bound the sweep is resolved by. Only tests
-// replace it, with one that proves nothing, so that every candidate
-// with a partition runs its MILP.
-var pruneBound = rootBound
+// lazy lets the sweep resolve a candidate by its bounds. Only tests
+// clear it, for the eager sweep: every candidate the patience rule
+// reaches is solved, in order.
+var lazy = true
 
-// sweep solves the MILP of every candidate stage count in cands and
-// hands the results to consider in candidate order, with the patience
-// stop, adding their effort to stats.
-func sweep(ctx context.Context, params Params, bs *blockStats, opts MIPOptions, cands []int, stats *MIPStats, consider func(*Partition, int, bool) error) error {
+// cand is one candidate stage count of the sweep, with what is known of
+// the step time its solveOne returns and, once resolved, the result.
+type cand struct {
+	S        int
+	prob     *lp.Problem
+	root     rootRes
+	balanced *Partition
+	// tBal is the balanced fallback's step time; hasBal is false when
+	// there is none, or it cannot be priced.
+	tBal   float64
+	hasBal bool
+	// Every partition the MILP returns has a step time of at least lb
+	// and below hi, the sealed incumbent's step time.
+	lb, hi float64
+
+	done   bool
+	how    Resolution
+	part   *Partition
+	t      float64 // the step time of part
+	err    error
+	effort *milp.Result // the LPs counted for it, if any
+	dur    time.Duration
+}
+
+// span returns what the replay knows of the candidate's outcome.
+func (c *cand) span() span {
+	switch {
+	case c.done && c.err != nil:
+		return span{resolved: true, failed: true}
+	case c.done && c.part == nil:
+		return span{resolved: true, none: true}
+	case c.done:
+		return span{resolved: true, lo: c.t, hi: c.t}
+	case !lazy:
+		return span{none: true, lo: math.Inf(-1), hi: math.Inf(1)}
+	}
+	s := span{none: !c.hasBal, lo: c.lb, hi: c.hi}
+	if c.hasBal {
+		s.lo, s.hi = math.Min(s.lo, c.tBal), math.Max(s.hi, c.tBal)
+	}
+	return s
+}
+
+// solved is one candidate's solveOne: its partition (nil for none), the
+// solver's result, the time taken with its root, and its error.
+type solved struct {
+	part *Partition
+	res  *milp.Result
+	dur  time.Duration
+	err  error
+}
+
+// resolve records the candidate's solve r.
+func (c *cand) resolve(params Params, r solved) {
+	c.done, c.part, c.effort, c.dur = true, r.part, r.res, r.dur
+	switch {
+	case r.err != nil:
+		c.err = r.err
+		return
+	case r.part == nil:
+		c.how = NoPartition
+		return
+	case r.part == c.balanced:
+		c.how = BalancedFallback
+	case r.res.Proven:
+		c.how = MILPProven
+	default:
+		c.how = MILPUnproven
+	}
+	c.t, c.err = StepTime(params, r.part)
+}
+
+// sweep resolves the candidate stage counts ss lazily: each solves
+// its MILP only when the replay cannot reach the sweep's verdict
+// without it. It returns the candidates and the verdict, which is the
+// one the replay of every candidate's solve reaches.
+//
+// A candidate is resolved in one of four ways: by rootBound or by its
+// root LP, whose bound (with the balanced fallback and the sealed
+// incumbent) proves its outcome cannot change the verdict; by its MILP,
+// when the MILP cannot branch; or by its MILP on demand. The order of
+// demand is fixed: first every candidate is bounded by rootBound, and
+// when that decides, nothing is formulated; then the root phase solves
+// every root LP and every candidate whose MILP cannot branch is solved;
+// then the unresolved candidate with the lowest bound; then whatever the
+// replay is stuck on, until it decides. The workers solve unresolved
+// candidates ahead in ascending bound, but only the solves in that
+// order are used, so the verdict and the effort are the same at every
+// parallelism level.
+func sweep(ctx context.Context, params Params, bs *blockStats, opts MIPOptions, ss []int, tMS float64) ([]*cand, verdict, error) {
 	// Balanced-heuristic partitions for every candidate, computed before
 	// the fan-out; each is its candidate's fallback and seeds the shared
 	// incumbent bound. The bound is sealed at the minimum over all seeds:
 	// every solve prunes against the same value no matter when it starts,
 	// so the sweep result is identical at every parallelism level
 	// (mid-flight tightening would make pruning timing-dependent).
-	balanced := make([]*Partition, len(cands))
+	cs := make([]*cand, len(ss))
 	bound := math.Inf(1)
-	for i, s := range cands {
+	for i, s := range ss {
+		c := &cand{S: s}
+		cs[i] = c
 		b, err := Balanced(params, s)
 		if err != nil {
 			continue
 		}
-		balanced[i] = b
-		if t, err := StepTime(params, b); err == nil && !math.IsInf(t, 1) {
+		c.balanced = b
+		t, err := StepTime(params, b)
+		if err != nil {
+			continue
+		}
+		c.tBal, c.hasBal = t, true
+		if !math.IsInf(t, 1) {
 			// Seed with slack: the analytic evaluator and the LP agree on
 			// the model, but the seed must never over-prune the optimum.
 			if inc := (t - bs.tbEmb) * 1.001; inc < bound {
@@ -382,121 +497,187 @@ func sweep(ctx context.Context, params Params, bs *blockStats, opts MIPOptions, 
 			}
 		}
 	}
-
-	// Every candidate is formulated before the root phase below; a nil
-	// problem is an S for which a single block cannot fit some stage.
-	probs := make([]*lp.Problem, len(cands))
-	for i, s := range cands {
-		probs[i] = formulate(params, bs, s)
+	// A MILP's partition beats the incumbent by 1e-9; one it cannot find
+	// leaves the balanced fallback. rootBound bounds any partition with S
+	// stages; one it finds none for is one formulate rejects too.
+	for _, c := range cs {
+		c.hi = bound + bs.tbEmb
+		lb, ok := rootBound(params, bs, c.S)
+		if !ok {
+			c.resolve(params, solved{})
+			continue
+		}
+		c.lb = lb + bs.tbEmb
+	}
+	decide := func() (verdict, int) {
+		spans := make([]span, len(cs))
+		for i, c := range cs {
+			spans[i] = c.span()
+		}
+		v, stuck := replay(spans, tMS)
+		if !lazy && stuck >= 0 {
+			stuck = slices.IndexFunc(cs, func(c *cand) bool { return !c.done })
+		}
+		return v, stuck
+	}
+	// finish records how the candidates left unresolved were resolved:
+	// by a root LP, whose effort counts as the proof, or by rootBound.
+	finish := func(v verdict) ([]*cand, verdict, error) {
+		for _, c := range cs {
+			switch {
+			case c.done:
+			case c.root.sol != nil:
+				c.how, c.effort, c.dur = RootLP, &milp.Result{Proven: true}, c.root.dur
+				c.effort.AddLP(c.root.sol)
+			default:
+				c.how = RootBound
+			}
+		}
+		return cs, v, nil
+	}
+	if v, stuck := decide(); stuck < 0 {
+		return finish(v)
 	}
 
-	type solveRes struct {
-		part   *Partition
-		effort *milp.Result
-		dur    time.Duration
-		err    error
+	var cancelled atomic.Bool
+	// abort is polled by the root phase's two LPs and then by every
+	// solve's LPs, up to two at a time per MILP (a node's sibling LPs run
+	// concurrently); an atomic load and ctx.Err are safe for that.
+	abort := func() bool { return cancelled.Load() || ctx.Err() != nil }
+
+	// The root phase solves every candidate's root relaxation, two at a
+	// time, so that the second core is busy during the roots too. It runs
+	// in the scratch this goroutine then solves its candidates in.
+	probs := make([]*lp.Problem, len(cs))
+	for i, c := range cs {
+		if !c.done {
+			c.prob = formulate(params, bs, c.S)
+			probs[i] = c.prob
+		}
 	}
-	results := make([]chan solveRes, len(cands))
-	for i := range results {
-		results[i] = make(chan solveRes, 1)
+	first := milp.NewScratch()
+	roots := solveRoots(probs, first, abort)
+	solve := func(c *cand, sc *milp.Scratch) solved {
+		start := time.Now()
+		part, res, err := solveOne(params, bs, c.S, c.prob, c.root, opts, bound, c.balanced, abort, sc)
+		return solved{part, res, c.root.dur + time.Since(start), err}
+	}
+	cutoff := milp.Cutoff(bound, mipGapTol)
+	for i, c := range cs {
+		if c.done || abort() {
+			continue
+		}
+		c.root = roots[i]
+		if sol := c.root.sol; c.root.err == nil && (sol == nil || sol.Status == lp.Optimal && sol.Objective < cutoff) {
+			// Its MILP may branch; until it must, its root bounds it (a
+			// root the root phase left is solved by the MILP).
+			if sol != nil {
+				c.lb = math.Max(c.lb, sol.Objective-boundSlack*math.Abs(sol.Objective)+bs.tbEmb)
+			}
+			continue
+		}
+		// Its MILP stops at the root: solve it now, with no further LP.
+		c.resolve(params, solve(c, first))
+	}
+	if abort() {
+		return nil, verdict{}, nil
+	}
+	v, stuck := decide()
+	if stuck < 0 {
+		return finish(v)
+	}
+
+	// The unresolved candidates in ascending bound: the reference order
+	// solves the first one next, and the workers solve ahead in this
+	// order. claimed marks a candidate some goroutine solves, and
+	// finished[i] closes once results[i] holds candidate i's solve.
+	var ahead []int
+	for i, c := range cs {
+		if !c.done {
+			ahead = append(ahead, i)
+		}
+	}
+	slices.SortStableFunc(ahead, func(a, b int) int { return cmp.Compare(cs[a].span().lo, cs[b].span().lo) })
+	results := make([]solved, len(cs))
+	claimed := make([]atomic.Bool, len(cs))
+	finished := make([]chan struct{}, len(cs))
+	for i := range finished {
+		finished[i] = make(chan struct{})
+	}
+	run := func(i int, sc *milp.Scratch) {
+		results[i] = solve(cs[i], sc)
+		close(finished[i])
 	}
 
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(cands) {
-		par = len(cands)
+	par = min(par, len(ahead))
+	// want is the candidate the replay waits on. With one solve at a time
+	// this goroutine solves it, in the root phase's scratch. Otherwise par
+	// workers each take it when it is unclaimed and else the next
+	// unclaimed candidate in bound order, each in its own scratch, and
+	// this goroutine only waits and replays: a worker's solve is used only
+	// once the replay waits on it.
+	var want atomic.Int64
+	want.Store(int64(ahead[0]))
+	next := func() int {
+		if w := int(want.Load()); claimed[w].CompareAndSwap(false, true) {
+			return w
+		}
+		for _, i := range ahead {
+			if claimed[i].CompareAndSwap(false, true) {
+				return i
+			}
+		}
+		return -1
 	}
-	if par < 1 {
-		par = 1
-	}
-
-	// abort is polled by the root phase's two LPs and then by every
-	// worker's LPs, up to two at a time per MILP (a node's sibling LPs
-	// run concurrently); an atomic load and ctx.Err are safe for that.
-	var cancelled atomic.Bool
-	abort := func() bool { return cancelled.Load() || ctx.Err() != nil }
-
-	// The root phase solves every candidate's root relaxation before any
-	// branch and bound, two at a time, so that the second core is busy
-	// during the roots too. It runs in the first worker's scratch, whose
-	// two LP workspaces that worker's searches then reuse: no tableau
-	// memory is added. The roots of candidates a patience stop skips
-	// are solved but never counted.
-	first := milp.NewScratch()
-	roots := solveRoots(probs, first, abort)
-
-	work := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	for w := 0; w < par && par > 1; w++ {
+		sc := first
+		if w > 0 {
+			sc = milp.NewScratch()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Solver scratch is pooled per worker: every candidate this
-			// worker solves reuses one tableau and one LP clone.
-			sc := first
-			if w > 0 {
-				sc = milp.NewScratch()
-			}
-			for i := range work {
-				if abort() {
-					results[i] <- solveRes{} // discarded by the replay
-					continue
+			for !abort() {
+				i := next()
+				if i < 0 {
+					return // every candidate the replay can wait on is claimed
 				}
-				start := time.Now()
-				part, res, err := solveOne(params, bs, cands[i], probs[i], roots[i], opts, bound, balanced[i], abort, sc)
-				results[i] <- solveRes{part: part, effort: res, dur: roots[i].dur + time.Since(start), err: err}
+				run(i, sc)
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := range cands {
-			work <- i
-		}
-		close(work)
-	}()
-	// All exit paths join the pool: workers poll abort between nodes, so a
-	// cancelled sweep shuts down promptly and leaks nothing (the replay
-	// below sets cancelled before every early return).
+	// All exit paths join the pool: solves poll abort between nodes and
+	// inside LPs, so a decided or cancelled sweep shuts down promptly and
+	// leaks nothing.
 	defer wg.Wait()
+	defer cancelled.Store(true)
 
-	// Replay completed solves in candidate order, applying the serial
-	// patience rule, so both the chosen partition and the reported stats
-	// are independent of completion timing. Once the sweep outcome is
-	// sealed, in-flight and unstarted solves are cancelled; their results
-	// would be discarded anyway.
-	sinceImprove := 0
-	for i := range cands {
-		r := <-results[i]
-		if r.err != nil {
-			cancelled.Store(true)
-			return r.err
+	for {
+		w := int(want.Load())
+		if par == 1 {
+			run(w, first)
 		}
-		stats.SolveTime += r.dur
-		stats.addEffort(r.effort)
-		stats.TriedStageCounts = append(stats.TriedStageCounts, cands[i])
-		if r.part == nil {
-			continue // infeasible for this S
+		// Workers stop taking candidates once ctx is done, so the one
+		// waited on may never be solved.
+		select {
+		case <-finished[w]:
+		case <-ctx.Done():
 		}
-		before := stats.StepTime
-		if err := consider(r.part, cands[i], true); err != nil {
-			cancelled.Store(true)
-			return err
+		if abort() {
+			return nil, verdict{}, nil
 		}
-		if stats.StepTime < before {
-			sinceImprove = 0
-		} else {
-			sinceImprove++
-			if sinceImprove >= mipPatience {
-				cancelled.Store(true)
-				break
-			}
+		cs[w].resolve(params, results[w])
+		v, stuck := decide()
+		if stuck < 0 {
+			return finish(v)
 		}
+		want.Store(int64(stuck))
 	}
-	return nil
 }
 
 // stageCounts lists the candidate stage counts S of the sweep: the

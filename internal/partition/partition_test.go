@@ -211,9 +211,9 @@ func TestMIPPartitionBeatsBaselines(t *testing.T) {
 			if stats.SolveTime <= 0 {
 				t.Errorf("%s: %d LPs in zero solve time", cfg.Name, stats.LPSolves)
 			}
-		case !slices.Equal(stats.PrunedStageCounts, stats.TriedStageCounts) || !stats.UsedMinStageFallback || stats.SolveTime != 0:
-			t.Errorf("%s: no LP, pruned %v of %v, min-stage %v, solve time %v; want every candidate pruned, min-stage and no time",
-				cfg.Name, stats.PrunedStageCounts, stats.TriedStageCounts, stats.UsedMinStageFallback, stats.SolveTime)
+		case !slices.Equal(stats.resolvedBy(RootBound), stats.TriedStageCounts) || !stats.UsedMinStageFallback || stats.SolveTime != 0:
+			t.Errorf("%s: no LP, %v resolved by the root bound of %v, min-stage %v, solve time %v; want every candidate resolved by it, min-stage and no time",
+				cfg.Name, stats.resolvedBy(RootBound), stats.TriedStageCounts, stats.UsedMinStageFallback, stats.SolveTime)
 		}
 	}
 }
@@ -364,9 +364,8 @@ func fixedPoints(p *lp.Problem, S, blocks int, r *rand.Rand) [][]float64 {
 // TestMIPEffortCountersRepeat checks the LP effort counters are a
 // function of the planning problem alone: two serial uncached sweeps,
 // and a parallel one, report the same node, LP and pivot counts and the
-// same largest LP. The root bound leaves all six of this sweep's
-// candidates to their MILPs, which branch, so the parallel sweep runs
-// two workers.
+// same largest LP. No bound resolves this sweep's S = 24 candidate,
+// whose MILP branches, so the parallel sweep runs a worker ahead.
 func TestMIPEffortCountersRepeat(t *testing.T) {
 	p := testParams(t, model.GPT8B, 4)
 	var first *MIPStats
@@ -375,7 +374,7 @@ func TestMIPEffortCountersRepeat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solved := len(stats.TriedStageCounts) - len(stats.PrunedStageCounts)
+		solved := len(stats.TriedStageCounts) - len(stats.resolvedBy(RootBound))
 		if solved < 2 || stats.Nodes == 0 || stats.LPSolves < solved || stats.LPPivots <= 0 || stats.LPRows <= 0 || stats.LPCols <= stats.LPRows {
 			t.Fatalf("implausible effort: %d nodes, %d LPs, %d pivots, largest %dx%d over %d solved candidates",
 				stats.Nodes, stats.LPSolves, stats.LPPivots, stats.LPRows, stats.LPCols, solved)
@@ -398,26 +397,28 @@ func TestMIPEffortCountersRepeat(t *testing.T) {
 // MIPStats field but SolveTime, float bits included. It runs on the four
 // benchmark cold-plan shapes with their options (time limit lifted) and
 // on a node-bounded sweep of 51B on two GPUs whose S = 10 root is
-// infeasible, each with the root phase at Parallelism 1 and 2. The root
-// bound resolves both 51B sweeps with no LP, so they run with the bound
-// off on both sides, to keep in the root phase the S = 24 root of 51B on
-// Topo 4+4, which stops as numerical, and the infeasible S = 10 root.
+// infeasible, each with the root phase at Parallelism 1 and 2. Both
+// sides run the eager sweep, which resolves no candidate by a bound, so
+// that every candidate the patience rule reaches runs its MILP from the
+// root either side solved: the bounds would resolve some on the phased
+// side by roots the inline side never solves, and would keep out of the
+// root phase the S = 24 root of 51B on Topo 4+4, which stops as
+// numerical, and the infeasible S = 10 root.
 func TestRootPhaseMatchesInline(t *testing.T) {
 	lifted := MIPOptions{DisableCache: true, TimeLimit: 10 * time.Minute}
 	bounded := lifted
 	bounded.NodeLimit, bounded.MaxStages = 10, 16
 	two := planParams(t, model.GPT51B, 2)
 	cases := []struct {
-		name    string
-		params  Params
-		opts    MIPOptions
-		unbound bool
+		name   string
+		params Params
+		opts   MIPOptions
 	}{
-		{"3B_2p2", planParams(t, model.GPT3B, 2, 2), lifted, false},
-		{"8B_1p3", planParams(t, model.GPT8B, 1, 3), lifted, false},
-		{"15B_2p2", planParams(t, model.GPT15B, 2, 2), lifted, false},
-		{"51B_4p4", planParams(t, model.GPT51B, 4, 4), lifted, true},
-		{"51B_2", two, bounded, true},
+		{"3B_2p2", planParams(t, model.GPT3B, 2, 2), lifted},
+		{"8B_1p3", planParams(t, model.GPT8B, 1, 3), lifted},
+		{"15B_2p2", planParams(t, model.GPT15B, 2, 2), lifted},
+		{"51B_4p4", planParams(t, model.GPT51B, 4, 4), lifted},
+		{"51B_2", two, bounded},
 	}
 
 	// The bounded sweep's S = 10 candidate is formulated, but its root
@@ -432,10 +433,7 @@ func TestRootPhaseMatchesInline(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		inline, phased := mipInline, MIP
-		if c.unbound {
-			inline, phased = unpruned(inline), unpruned(phased)
-		}
+		inline, phased := eager(mipInline), eager(MIP)
 		// The sweep before the root phase is the same at every
 		// parallelism level, so one serial run is the oracle for both.
 		opts := c.opts
@@ -457,8 +455,8 @@ func TestRootPhaseMatchesInline(t *testing.T) {
 			if c.name == "51B_4p4" && gotStats.LPNumerical == 0 {
 				t.Fatalf("%s: no LP stopped as numerical", c.name)
 			}
-			if c.name == "51B_2" && (!slices.Contains(gotStats.TriedStageCounts, 10) || slices.Contains(gotStats.PrunedStageCounts, 10)) {
-				t.Fatalf("%s: tried %v, pruned %v; want S = 10 solved", c.name, gotStats.TriedStageCounts, gotStats.PrunedStageCounts)
+			if c.name == "51B_2" && !slices.Contains(gotStats.TriedStageCounts, 10) {
+				t.Fatalf("%s: tried %v; want S = 10 solved", c.name, gotStats.TriedStageCounts)
 			}
 			// %v prints the shortest decimal that parses back to the same
 			// float, so equal strings mean equal bits (and signs of zero).
@@ -832,15 +830,15 @@ func TestGreedyPrefersFewestStagesThatFit(t *testing.T) {
 	}
 }
 
-// TestPrunedStageCountsNotPersisted: MIPStats is persisted as JSON in
-// every plan-store record, and the candidates the root bound resolved
-// are not part of that record format.
-func TestPrunedStageCountsNotPersisted(t *testing.T) {
-	b, err := json.Marshal(MIPStats{TriedStageCounts: []int{8, 16}, PrunedStageCounts: []int{8, 16}})
+// TestResolutionsNotPersisted: MIPStats is persisted as JSON in every
+// plan-store record, and how the sweep resolved each candidate is not
+// part of that record format.
+func TestResolutionsNotPersisted(t *testing.T) {
+	b, err := json.Marshal(MIPStats{TriedStageCounts: []int{8, 16}, Resolutions: []Resolution{RootBound, RootLP}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(b), "Pruned") {
-		t.Errorf("MIPStats JSON %s carries the pruned candidates", b)
+	if strings.Contains(string(b), "Resolution") {
+		t.Errorf("MIPStats JSON %s carries the resolutions", b)
 	}
 }
