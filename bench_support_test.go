@@ -23,14 +23,14 @@ func mipNoCacheOptions() partition.MIPOptions {
 func BenchmarkSubstrate_Simulator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New()
-		rc1 := s.NewResource("rc1", 13.1e9)
-		rc2 := s.NewResource("rc2", 13.1e9)
+		rc1 := s.NewPath(s.NewResource("rc1", 13.1e9))
+		rc2 := s.NewPath(s.NewResource("rc2", 13.1e9))
 		for f := 0; f < 64; f++ {
 			r := rc1
 			if f%2 == 0 {
 				r = rc2
 			}
-			s.Transfer(s.Name("t"), nil, sim.Path(r), float64(1+f)*1e8, f%3)
+			s.Transfer(s.Name("t"), nil, r, float64(1+f)*1e8, f%3)
 		}
 		if _, err := s.Run(); err != nil {
 			b.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/hw"
@@ -53,6 +54,29 @@ func parseTopo(spec string) *hw.Topology {
 	return topo
 }
 
+// planArgs are the parsed flags check validates before planning.
+type planArgs struct {
+	mbs      int
+	deadline time.Duration
+	scheme   string
+	topo     *hw.Topology
+}
+
+// check refuses flag values the planner cannot honour, naming the flag,
+// and a cross mapping over more than plansvc.MaxPlanGPUs GPUs, whose
+// search would not return.
+func (a planArgs) check() error {
+	switch {
+	case a.mbs < 0:
+		return fmt.Errorf("-mbs %d: want 0 (Table 3 default) or a positive microbatch size", a.mbs)
+	case a.deadline < 0:
+		return fmt.Errorf("-deadline %v: want 0 (none) or a positive duration", a.deadline)
+	case a.scheme == mapping.SchemeCross || a.scheme == "": // "" plans cross
+		return plansvc.CheckPlanGPUs(a.topo)
+	}
+	return nil
+}
+
 func main() {
 	modelName := flag.String("model", "15B", "model: 3B, 8B, 15B, 51B")
 	topoSpec := flag.String("topo", "2+2", "GPUs per root complex (e.g. 4, 2+2, 1+3) or 'dc'")
@@ -66,10 +90,13 @@ func main() {
 	flag.Parse()
 
 	m := parseModel(*modelName)
+	topo := parseTopo(*topoSpec)
+	if err := (planArgs{mbs: *mbs, deadline: *deadline, scheme: *scheme, topo: topo}).check(); err != nil {
+		fail("%v", err)
+	}
 	if *mbs > 0 {
 		m = m.WithMicrobatch(*mbs)
 	}
-	topo := parseTopo(*topoSpec)
 
 	opts := core.Options{
 		Model:         m,

@@ -33,12 +33,14 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/elastic"
 	"mobius/internal/fault"
 	"mobius/internal/hw"
 	"mobius/internal/model"
+	"mobius/internal/plansvc"
 	"mobius/internal/sim"
 	"mobius/internal/trace"
 )
@@ -55,12 +57,44 @@ func renderBandwidthCDF(c trace.CDF) string {
 	return c.Render(math.Max(c.Max(), 13.1*hw.GBps), hw.GBps, 60)
 }
 
+// maxWidth caps the timeline: one row per GPU lane is width bytes.
+const maxWidth = 1000
+
+// simArgs are the parsed flags check validates before anything runs.
+type simArgs struct {
+	system                            core.System
+	topo                              *hw.Topology
+	width, steps, ckptEvery, rollback int
+	planDeadline                      time.Duration
+}
+
+// check refuses flag values the run cannot honour, naming the flag, and
+// a Mobius run on a topology whose cross mapping search would not return
+// (more than plansvc.MaxPlanGPUs GPUs).
+func (a simArgs) check() error {
+	switch {
+	case a.width < 0 || a.width > maxWidth:
+		return fmt.Errorf("-width %d: want 0 (no timeline) to %d characters", a.width, maxWidth)
+	case a.steps < 1:
+		return fmt.Errorf("-steps %d: want at least 1", a.steps)
+	case a.ckptEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: want 0 (never) or a positive step count", a.ckptEvery)
+	case a.rollback < 0:
+		return fmt.Errorf("-rollback %d: want 0 (none) or a 1-based step", a.rollback)
+	case a.planDeadline < 0:
+		return fmt.Errorf("-plan-deadline %v: want 0 (none) or a positive duration", a.planDeadline)
+	case a.system == core.SystemMobius:
+		return plansvc.CheckPlanGPUs(a.topo)
+	}
+	return nil
+}
+
 func main() {
 	modelName := flag.String("model", "15B", "model: 3B, 8B, 15B, 51B")
 	topoSpec := flag.String("topo", "2+2", "GPUs per root complex (e.g. 4, 2+2, 1+3) or 'dc'")
 	topoFile := flag.String("topo-file", "", "JSON topology description (overrides -topo)")
 	system := flag.String("system", "mobius", "system: mobius, gpipe, ds-pipeline, ds-hetero, zero-offload, zero-nvme")
-	width := flag.Int("width", 100, "timeline width in characters")
+	width := flag.Int("width", 100, "timeline width in characters, at most 1000 (0 = no timeline)")
 	csvPath := flag.String("csv", "", "write the full event trace as CSV to this path")
 	faultsPath := flag.String("faults", "", "JSON fault spec injected into the simulated hardware (mobius/gpipe only)")
 	planDeadline := flag.Duration("plan-deadline", 0, "planning deadline; on expiry the Mobius plan degrades to the greedy fallback (0 = none)")
@@ -129,6 +163,10 @@ func main() {
 	}[*system]
 	if sys == "" {
 		fail("unknown system %q", *system)
+	}
+	if err := (simArgs{system: sys, topo: topo, width: *width, steps: *steps, ckptEvery: *ckptEvery,
+		rollback: *rollback, planDeadline: *planDeadline}).check(); err != nil {
+		fail("%v", err)
 	}
 
 	// The elastic path: multi-step runs, checkpointing, and recovery from

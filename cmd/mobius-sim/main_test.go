@@ -4,7 +4,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"mobius/internal/core"
+	"mobius/internal/hw"
 	"mobius/internal/trace"
 )
 
@@ -43,6 +46,46 @@ func TestBandwidthCDFInGBps(t *testing.T) {
 		}
 		if !slices.Equal(lens, c.wantLens) {
 			t.Errorf("%s: bar lengths %v, want %v", c.name, lens, c.wantLens)
+		}
+	}
+}
+
+// TestCheckArgs holds check to its refusals: each out-of-range number is
+// named by its flag, and only a Mobius run is refused a topology over
+// the plan service's GPU limit.
+func TestCheckArgs(t *testing.T) {
+	ok := simArgs{system: core.SystemMobius, topo: hw.Commodity(hw.RTX3090Ti, 4, 4), width: 100, steps: 1}
+	big := hw.Commodity(hw.RTX3090Ti, 64)
+	for _, c := range []struct {
+		name string
+		edit func(*simArgs)
+		want string // "" accepts
+	}{
+		{"defaults", func(*simArgs) {}, ""},
+		{"no timeline", func(a *simArgs) { a.width = 0 }, ""},
+		{"widest", func(a *simArgs) { a.width = 1000 }, ""},
+		{"elastic", func(a *simArgs) { a.steps, a.ckptEvery, a.rollback = 8, 2, 5 }, ""},
+		{"deadline", func(a *simArgs) { a.planDeadline = time.Millisecond }, ""},
+		{"huge width", func(a *simArgs) { a.width = 100000000 }, "-width"},
+		{"negative width", func(a *simArgs) { a.width = -1 }, "-width"},
+		{"negative steps", func(a *simArgs) { a.steps = -1 }, "-steps"},
+		{"zero steps", func(a *simArgs) { a.steps = 0 }, "-steps"},
+		{"negative checkpoint", func(a *simArgs) { a.ckptEvery = -3 }, "-checkpoint-every"},
+		{"negative rollback", func(a *simArgs) { a.rollback = -2 }, "-rollback"},
+		{"negative deadline", func(a *simArgs) { a.planDeadline = -time.Second }, "-plan-deadline"},
+		{"mobius on 64 GPUs", func(a *simArgs) { a.topo = big }, "8-GPU limit"},
+		{"mobius on 4+4+4+4", func(a *simArgs) { a.topo = hw.Commodity(hw.RTX3090Ti, 4, 4, 4, 4) }, "8-GPU limit"},
+		{"gpipe on 64 GPUs", func(a *simArgs) { a.system, a.topo = core.SystemGPipe, big }, ""},
+		{"ds-hetero on 64 GPUs", func(a *simArgs) { a.system, a.topo = core.SystemDSHetero, big }, ""},
+	} {
+		a := ok
+		c.edit(&a)
+		err := a.check()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
 		}
 	}
 }

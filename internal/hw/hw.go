@@ -297,16 +297,21 @@ type Server struct {
 	NVLinks       []*sim.Resource // per-GPU NVLink port; nil without NVLink
 	SSDBus        *sim.Resource   // nil without an NVMe tier
 
+	// routes is the route table: the path id of every (src, dst)
+	// endpoint pair Route has resolved, at src*(N+2)+dst over endpoint
+	// slots (endpointSlot), NoPath until its first Route.
+	routes []sim.PathID
+
 	// routeErr records the first invalid routing request (e.g. an SSD
-	// endpoint on a topology without an NVMe tier). Route used to panic;
-	// now schedulers build their DAG unconditionally and check RouteErr
-	// before running the simulation.
+	// endpoint on a topology without an NVMe tier). Schedulers build
+	// their DAG unconditionally and check RouteErr before running the
+	// simulation.
 	routeErr error
 }
 
 // RouteErr returns the first routing error recorded by Route, if any.
 // Callers that build transfer DAGs must check it before Sim.Run: a failed
-// Route returns an empty path, which would otherwise simulate as an
+// Route returns sim.NoPath, which would otherwise simulate as an
 // infinitely fast transfer.
 func (srv *Server) RouteErr() error { return srv.routeErr }
 
@@ -361,7 +366,8 @@ func Build(t *Topology) (*Server, error) {
 	}
 	s := sim.New()
 	s.TransferLatency = t.TransferLatency
-	srv := &Server{Topo: t, Sim: s}
+	n := t.NumGPUs() + 2 // GPUs, DRAM and the SSD
+	srv := &Server{Topo: t, Sim: s, routes: make([]sim.PathID, n*n)}
 	for i, bw := range t.RootComplexBW {
 		srv.RootComplexes = append(srv.RootComplexes, s.NewResource(fmt.Sprintf("rc%d", i), bw))
 	}
@@ -415,7 +421,8 @@ func (e Endpoint) String() string {
 	return fmt.Sprintf("gpu%d", e.gpu)
 }
 
-// Route returns the resource path a transfer from src to dst crosses.
+// Route returns the id of the simulator path a transfer from src to dst
+// crosses.
 //
 // On commodity servers (no GPUDirect P2P) every GPU-to-GPU copy is staged
 // through DRAM: it crosses the source GPU link and root complex, the DRAM
@@ -426,31 +433,61 @@ func (e Endpoint) String() string {
 // With P2P and NVLink, GPU-to-GPU transfers use the NVLink ports only,
 // while GPU<->DRAM traffic still crosses PCIe.
 //
-// Routes go through the simulator's interning path constructor: the few
-// distinct hardware paths of a topology are materialized once each, so a
-// schedule routing thousands of transfers allocates a handful of shared
-// path slices instead of one per transfer.
-func (srv *Server) Route(src, dst Endpoint) []sim.PathElem {
+// Each (src, dst) pair is resolved once per server: its first Route
+// registers the path with the simulator, and later calls read the id
+// back from the server's route table. A same-device copy is free
+// (sim.NoPath). An endpoint the topology lacks (a GPU outside it, or the
+// SSD without an NVMe tier) records RouteErr and yields sim.NoPath.
+func (srv *Server) Route(src, dst Endpoint) sim.PathID {
+	i, j := srv.endpointSlot(src), srv.endpointSlot(dst)
+	switch {
+	case i < 0 || j < 0:
+		srv.noteRouteErr(fmt.Errorf("hw: route %v -> %v: endpoint outside topology %q", src, dst, srv.Topo.Name))
+		return sim.NoPath
+	case (src.IsSSD() || dst.IsSSD()) && srv.SSDBus == nil:
+		srv.noteRouteErr(fmt.Errorf("hw: route %v -> %v: topology %q has no SSD tier", src, dst, srv.Topo.Name))
+		return sim.NoPath
+	}
+	slot := &srv.routes[i*(srv.Topo.NumGPUs()+2)+j]
+	if *slot == sim.NoPath {
+		*slot = srv.newRoute(src, dst)
+	}
+	return *slot
+}
+
+// endpointSlot is e's row (or column) in the route table: GPU id, then
+// DRAM, then the SSD; -1 for an endpoint outside the topology.
+func (srv *Server) endpointSlot(e Endpoint) int {
+	n := srv.Topo.NumGPUs()
+	switch {
+	case e.IsDRAM():
+		return n
+	case e.IsSSD():
+		return n + 1
+	case e.gpu < 0 || e.gpu >= n:
+		return -1
+	}
+	return e.gpu
+}
+
+// newRoute registers the path from src to dst, both on this server.
+func (srv *Server) newRoute(src, dst Endpoint) sim.PathID {
 	s := srv.Sim
 	if src.IsSSD() || dst.IsSSD() {
 		other := src
 		if other.IsSSD() {
 			other = dst
 		}
-		if srv.SSDBus == nil {
-			srv.noteRouteErr(fmt.Errorf("hw: route %v -> %v: topology %q has no SSD tier", src, dst, srv.Topo.Name))
-			return nil
-		}
 		if other.IsSSD() || other.IsDRAM() {
-			return s.Path(srv.DRAMBus, srv.SSDBus)
+			return s.NewPath(srv.DRAMBus, srv.SSDBus)
 		}
 		id := other.GPU()
 		rc := srv.RootComplexes[srv.Topo.GPUs[id].RootComplex]
-		return s.Path(srv.GPULinks[id], rc, srv.DRAMBus, srv.SSDBus)
+		return s.NewPath(srv.GPULinks[id], rc, srv.DRAMBus, srv.SSDBus)
 	}
 	switch {
 	case src.IsDRAM() && dst.IsDRAM():
-		return s.Path(srv.DRAMBus)
+		return s.NewPath(srv.DRAMBus)
 	case src.IsDRAM() != dst.IsDRAM():
 		g := src
 		if g.IsDRAM() {
@@ -458,17 +495,17 @@ func (srv *Server) Route(src, dst Endpoint) []sim.PathElem {
 		}
 		id := g.GPU()
 		rc := srv.RootComplexes[srv.Topo.GPUs[id].RootComplex]
-		return s.Path(srv.GPULinks[id], rc, srv.DRAMBus)
+		return s.NewPath(srv.GPULinks[id], rc, srv.DRAMBus)
 	default:
 		a, b := src.GPU(), dst.GPU()
 		if a == b {
-			return nil // same-device copy: free
+			return sim.NoPath // same-device copy: free
 		}
 		if srv.Topo.HasP2P() {
-			return s.Path(srv.NVLinks[a], srv.NVLinks[b])
+			return s.NewPath(srv.NVLinks[a], srv.NVLinks[b])
 		}
 		rcA := srv.RootComplexes[srv.Topo.GPUs[a].RootComplex]
 		rcB := srv.RootComplexes[srv.Topo.GPUs[b].RootComplex]
-		return s.Path(srv.GPULinks[a], rcA, srv.DRAMBus, rcB, srv.GPULinks[b])
+		return s.NewPath(srv.GPULinks[a], rcA, srv.DRAMBus, rcB, srv.GPULinks[b])
 	}
 }

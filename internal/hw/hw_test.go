@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mobius/internal/sim"
 )
 
 func TestCommodityTopologies(t *testing.T) {
@@ -112,12 +114,12 @@ func TestRouteGPUToDRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := srv.Route(GPUEnd(0), DRAMEnd)
+	p := srv.Sim.PathElems(srv.Route(GPUEnd(0), DRAMEnd))
 	if len(p) != 3 {
 		t.Fatalf("GPU->DRAM path should have 3 hops, got %d", len(p))
 	}
 	// Symmetric.
-	p2 := srv.Route(DRAMEnd, GPUEnd(0))
+	p2 := srv.Sim.PathElems(srv.Route(DRAMEnd, GPUEnd(0)))
 	if len(p2) != 3 {
 		t.Fatalf("DRAM->GPU path should have 3 hops, got %d", len(p2))
 	}
@@ -129,7 +131,7 @@ func TestRouteStagedCrossRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GPU0 (rc0) -> GPU2 (rc1): both RCs at weight 1.
-	p := srv.Route(GPUEnd(0), GPUEnd(2))
+	p := srv.Sim.PathElems(srv.Route(GPUEnd(0), GPUEnd(2)))
 	if len(p) != 5 {
 		t.Fatalf("cross-RC staged path should have 5 hops, got %d", len(p))
 	}
@@ -146,7 +148,7 @@ func TestRouteStagedSameRCDoubleWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// GPU0 -> GPU1 share rc0: the shared RC must carry weight 2.
-	p := srv.Route(GPUEnd(0), GPUEnd(1))
+	p := srv.Sim.PathElems(srv.Route(GPUEnd(0), GPUEnd(1)))
 	foundDouble := false
 	for _, pe := range p {
 		if pe.Res == srv.RootComplexes[0] && pe.Weight == 2 {
@@ -163,7 +165,7 @@ func TestRouteP2PUsesNVLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := srv.Route(GPUEnd(0), GPUEnd(1))
+	p := srv.Sim.PathElems(srv.Route(GPUEnd(0), GPUEnd(1)))
 	if len(p) != 2 {
 		t.Fatalf("P2P path should have 2 NVLink hops, got %d", len(p))
 	}
@@ -173,7 +175,7 @@ func TestRouteP2PUsesNVLink(t *testing.T) {
 		}
 	}
 	// DRAM traffic still crosses PCIe.
-	pd := srv.Route(GPUEnd(0), DRAMEnd)
+	pd := srv.Sim.PathElems(srv.Route(GPUEnd(0), DRAMEnd))
 	if len(pd) != 3 {
 		t.Fatalf("DC GPU->DRAM path should have 3 PCIe hops, got %d", len(pd))
 	}
@@ -184,7 +186,7 @@ func TestRouteSameGPUFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := srv.Route(GPUEnd(2), GPUEnd(2)); p != nil {
+	if p := srv.Sim.PathElems(srv.Route(GPUEnd(2), GPUEnd(2))); p != nil {
 		t.Fatalf("same-GPU route must be free, got %d hops", len(p))
 	}
 }
@@ -303,11 +305,11 @@ func TestSSDRouting(t *testing.T) {
 		t.Fatal("no SSD resource built")
 	}
 	// GPU <-> SSD crosses link, RC, DRAM bounce and SSD: 4 hops.
-	if p := srv.Route(GPUEnd(0), SSDEnd); len(p) != 4 {
+	if p := srv.Sim.PathElems(srv.Route(GPUEnd(0), SSDEnd)); len(p) != 4 {
 		t.Fatalf("GPU->SSD hops: %d", len(p))
 	}
 	// DRAM <-> SSD: 2 hops.
-	if p := srv.Route(SSDEnd, DRAMEnd); len(p) != 2 {
+	if p := srv.Sim.PathElems(srv.Route(SSDEnd, DRAMEnd)); len(p) != 2 {
 		t.Fatalf("SSD->DRAM hops: %d", len(p))
 	}
 	// SSD is the narrowest hop: a 3.5 GB transfer takes ~1s + latency.
@@ -328,8 +330,8 @@ func TestRouteWithoutSSDRecordsError(t *testing.T) {
 	if err := srv.RouteErr(); err != nil {
 		t.Fatalf("fresh server has route error: %v", err)
 	}
-	if path := srv.Route(GPUEnd(0), SSDEnd); path != nil {
-		t.Fatalf("invalid route returned a path: %v", path)
+	if id := srv.Route(GPUEnd(0), SSDEnd); id != sim.NoPath {
+		t.Fatalf("invalid route returned path %d: %v", id, srv.Sim.PathElems(id))
 	}
 	err := srv.RouteErr()
 	if err == nil {

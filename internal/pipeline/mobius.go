@@ -154,7 +154,6 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		g := gpuOf(j)
 		up := srv.UploadEngines[g]
 		mem := srv.GPUMems[g]
-		dramToGPU := srv.Route(hw.DRAMEnd, hw.GPUEnd(g))
 
 		// Stage swap-in with prefetch. The prefetchable share is bounded
 		// by the memory left beside the previous stage on this GPU
@@ -164,7 +163,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		if j < N {
 			// First-round stages upload at step start.
 			alloc := s.Alloc(nAllocF.With(j), mem, stg[j].MemFwd())
-			xfer := s.Transfer(nC.With(j), up, dramToGPU, stg[j].UploadFwd(), uploadPrio(j), alloc)
+			xfer := s.Transfer(nC.With(j), up, srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), stg[j].UploadFwd(), uploadPrio(j), alloc)
 			xfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
 			ready = xfer
 		} else {
@@ -180,10 +179,10 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// Prefetch starts once the previous stage has begun computing
 			// (its first microbatch forward is the observable trigger).
 			preAlloc := s.Alloc(nAllocPreF.With(j), mem, resv, fwd[(j-N)*M])
-			preXfer := s.Transfer(nCPre.With(j), up, dramToGPU, pf, uploadPrio(j), preAlloc)
+			preXfer := s.Transfer(nCPre.With(j), up, srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), pf, uploadPrio(j), preAlloc)
 			preXfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
 			restAlloc := s.Alloc(nAllocRestF.With(j), mem, stg[j].MemFwd()-resv, freeF[j-N])
-			restXfer := s.Transfer(nCRest.With(j), up, dramToGPU, stg[j].UploadFwd()-pf, uploadPrio(j), restAlloc, preXfer)
+			restXfer := s.Transfer(nCRest.With(j), up, srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), stg[j].UploadFwd()-pf, uploadPrio(j), restAlloc, preXfer)
 			restXfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
 			ready = s.After(nReadyF.With(j), preXfer, restXfer)
 		}
@@ -228,7 +227,6 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 		up := srv.UploadEngines[g]
 		down := srv.DownloadEngine[g]
 		mem := srv.GPUMems[g]
-		dramToGPU := srv.Route(hw.DRAMEnd, hw.GPUEnd(g))
 
 		var ready *sim.Task
 		if j >= S-N {
@@ -245,10 +243,10 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			// activations are re-uploaded per microbatch below.
 			pb := stg[j].ParamBytes * resv / stg[j].MemBwd()
 			preAlloc := s.Alloc(nAllocPreB.With(j), mem, resv, bwd[(j+N)*M])
-			preXfer := s.Transfer(nCBPre.With(j), up, dramToGPU, pb, uploadPrio(j), preAlloc)
+			preXfer := s.Transfer(nCBPre.With(j), up, srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), pb, uploadPrio(j), preAlloc)
 			preXfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
 			restAlloc := s.Alloc(nAllocRestB.With(j), mem, stg[j].MemBwd()-resv, freeB[j+N])
-			restXfer := s.Transfer(nCBRest.With(j), up, dramToGPU, stg[j].ParamBytes-pb, uploadPrio(j), restAlloc, preXfer)
+			restXfer := s.Transfer(nCBRest.With(j), up, srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), stg[j].ParamBytes-pb, uploadPrio(j), restAlloc, preXfer)
 			restXfer.SetTag(tag(trace.KindParamUpload, g, -1, j, -1))
 			ready = s.After(nReadyB.With(j), preXfer, restXfer)
 		}
@@ -267,7 +265,7 @@ func BuildMobius(topo *hw.Topology, cfg MobiusConfig) (*MobiusStep, error) {
 			}
 			// Re-upload the input checkpoint for recomputation.
 			if j > 0 && stg[j].ActInBytes > 0 && off[(j-1)*M+m] != nil {
-				actUp = s.Transfer(nAU.With(j, m), up, dramToGPU, stg[j].ActInBytes, prioActivation, off[(j-1)*M+m], ready)
+				actUp = s.Transfer(nAU.With(j, m), up, srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), stg[j].ActInBytes, prioActivation, off[(j-1)*M+m], ready)
 				actUp.SetTag(tag(trace.KindActUpload, g, -1, j, m))
 			}
 			if m > 0 {

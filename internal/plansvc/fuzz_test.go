@@ -20,7 +20,7 @@ import (
 // it asks for. The handler must never panic, must answer 200, 400, 413 or
 // 422 with a body that decodes as a PlanResponse (200) or an
 // ErrorResponse (every other status), may only serve a plan for a
-// topology of at most maxPlanGPUs GPUs, and must hand every solve a
+// topology of at most MaxPlanGPUs GPUs, and must hand every solve a
 // deadline at most maxPlanDeadline away. Seeds are valid requests of each
 // form, requests at and over every limit (the model_config parameter
 // counts that overflow int64 included), and malformed bodies, plus the
@@ -72,12 +72,12 @@ func FuzzPlanRequest(f *testing.F) {
 			if err := dec.Decode(&pr); err != nil {
 				t.Fatalf("200 body is not a PlanResponse: %v", err)
 			}
-			if len(pr.MappingPerm) > maxPlanGPUs {
+			if len(pr.MappingPerm) > MaxPlanGPUs {
 				t.Fatalf("served a plan over %d GPUs (perm %v)", len(pr.MappingPerm), pr.MappingPerm)
 			}
 			for _, st := range pr.Stages {
-				if st.GPU < 0 || st.GPU >= maxPlanGPUs {
-					t.Fatalf("served a stage on GPU %d, beyond the %d-GPU limit", st.GPU, maxPlanGPUs)
+				if st.GPU < 0 || st.GPU >= MaxPlanGPUs {
+					t.Fatalf("served a stage on GPU %d, beyond the %d-GPU limit", st.GPU, MaxPlanGPUs)
 				}
 			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:

@@ -53,13 +53,22 @@ type ErrorResponse struct {
 // plus a full model config fits in a few kilobytes.
 const maxPlanRequestBytes = 1 << 20
 
-// maxPlanGPUs bounds the topology a /v1/plan request may ask for, in
-// either form: the largest any caller plans is 4+4 (or dc8). It is input
-// validation: the cross mapping search grows factorially with the GPU
-// count (milliseconds on 4+4, seconds on 5+5, ten or more on 6+6), so a
-// larger topology could only ever be served the greedy floor once its
-// deadline ran out, and is refused before planning instead.
-const maxPlanGPUs = 8
+// MaxPlanGPUs bounds the topology a /v1/plan request may ask for, in
+// either form, and the topology the CLIs plan with cross mapping: the
+// largest any caller plans is 4+4 (or dc8). It is input validation: the
+// cross mapping search grows factorially with the GPU count
+// (milliseconds on 4+4, seconds on 5+5, ten or more on 6+6), so a larger
+// topology could only ever be served the greedy floor once its deadline
+// ran out, and is refused before planning instead.
+const MaxPlanGPUs = 8
+
+// CheckPlanGPUs refuses a topology of more than MaxPlanGPUs GPUs.
+func CheckPlanGPUs(topo *hw.Topology) error {
+	if n := topo.NumGPUs(); n > MaxPlanGPUs {
+		return fmt.Errorf("plansvc: topology has %d GPUs, over the %d-GPU limit of a plan request", n, MaxPlanGPUs)
+	}
+	return nil
+}
 
 // maxPlanDeadline bounds every /v1/plan solve, and is the whole budget of
 // a request that sets no deadline_ms. It is about 9x the slowest cold
@@ -216,8 +225,8 @@ func (p *PlanRequest) options() (core.Options, error) {
 	if err := opts.Topology.Validate(); err != nil {
 		return opts, err
 	}
-	if n := opts.Topology.NumGPUs(); n > maxPlanGPUs {
-		return opts, fmt.Errorf("plansvc: topology has %d GPUs, over the %d-GPU limit of a plan request", n, maxPlanGPUs)
+	if err := CheckPlanGPUs(opts.Topology); err != nil {
+		return opts, err
 	}
 	if n := opts.Model.Layers; n > maxPlanLayers {
 		return opts, fmt.Errorf("plansvc: model has %d layers, over the %d-layer limit of a plan request", n, maxPlanLayers)

@@ -20,11 +20,15 @@ func benchFlowSim(nFlows int) *Sim {
 	for i := range links {
 		links[i] = s.NewResource("link", 26.2e9)
 	}
+	// Link i always pairs with root complex i%2, so each link has one path.
+	paths := make([]PathID, len(links))
+	for i, l := range links {
+		paths[i] = s.NewPath(l, rc[i%len(rc)])
+	}
 	var tasks []*Task
 	name := s.Name("t")
 	for f := 0; f < nFlows; f++ {
-		path := Path(links[f%len(links)], rc[f%len(rc)])
-		tasks = append(tasks, s.Transfer(name, nil, path, float64(1+f)*1e8, f%4))
+		tasks = append(tasks, s.Transfer(name, nil, paths[f%len(links)], float64(1+f)*1e8, f%4))
 	}
 	for _, t := range tasks {
 		s.beginFlow(t)
@@ -53,15 +57,16 @@ func BenchmarkSimRecomputeRates(b *testing.B) {
 // (13.1 GB/s) plus four links (26.2 GB/s), each island carrying `streams`
 // chains of `chain` dependent transfers. Every completion admits the next
 // transfer in its chain, so the event loop sees constant component churn
-// while ~groups×streams flows stay concurrently active. Paths are built
-// through the interning constructor, as the hardware layer does.
+// while ~groups×streams flows stay concurrently active. Each island
+// registers its four (link, rc) paths once, as the hardware layer
+// registers each route once per server.
 func buildChurn(s *Sim, groups, streams, chain int) {
 	name := s.Name("t")
 	for g := 0; g < groups; g++ {
 		rc := s.NewResource("rc", 13.1e9)
-		links := make([]*Resource, 4)
-		for i := range links {
-			links[i] = s.NewResource("link", 26.2e9)
+		var paths [4]PathID
+		for i := range paths {
+			paths[i] = s.NewPath(s.NewResource("link", 26.2e9), rc)
 		}
 		for st := 0; st < streams; st++ {
 			var prev *Task
@@ -72,7 +77,7 @@ func buildChurn(s *Sim, groups, streams, chain int) {
 				// perturb every component at every event and hide the
 				// locality the incremental scheduler exploits.
 				bytes := float64(1+(g*5+st*7+k)%13) * 64e6
-				prev = s.Transfer(name, nil, s.Path(links[st%len(links)], rc), bytes, st%4, prev)
+				prev = s.Transfer(name, nil, paths[st%len(paths)], bytes, st%4, prev)
 			}
 		}
 	}

@@ -22,8 +22,8 @@ func TestComponentsDisjointResourcesStaySeparate(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("r1", 1e9)
 	r2 := s.NewResource("r2", 1e9)
-	s.Transfer(s.Name("a"), nil, Path(r1), 1e9, 0)
-	s.Transfer(s.Name("b"), nil, Path(r2), 1e9, 0)
+	s.Transfer(s.Name("a"), nil, s.NewPath(r1), 1e9, 0)
+	s.Transfer(s.Name("b"), nil, s.NewPath(r2), 1e9, 0)
 	admitForTest(s)
 	if s.findRoot(r1) == s.findRoot(r2) {
 		t.Fatal("flows on disjoint resources must be in separate components")
@@ -38,9 +38,9 @@ func TestComponentsBridgeFlowMerges(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("r1", 1e9)
 	r2 := s.NewResource("r2", 1e9)
-	s.Transfer(s.Name("a"), nil, Path(r1), 1e9, 0)
-	s.Transfer(s.Name("b"), nil, Path(r2), 1e9, 0)
-	s.Transfer(s.Name("bridge"), nil, Path(r1, r2), 1e9, 0)
+	s.Transfer(s.Name("a"), nil, s.NewPath(r1), 1e9, 0)
+	s.Transfer(s.Name("b"), nil, s.NewPath(r2), 1e9, 0)
+	s.Transfer(s.Name("bridge"), nil, s.NewPath(r1, r2), 1e9, 0)
 	admitForTest(s)
 	root := s.findRoot(r1)
 	if root != s.findRoot(r2) {
@@ -62,9 +62,9 @@ func TestComponentsRebuildSplitsAfterBridgeFinishes(t *testing.T) {
 	r1 := s.NewResource("r1", 10e9)
 	r2 := s.NewResource("r2", 10e9)
 	// Long-lived flows on each side, short bridge that merges them.
-	s.Transfer(s.Name("a"), nil, Path(r1), 100e9, 0)
-	s.Transfer(s.Name("b"), nil, Path(r2), 100e9, 0)
-	s.Transfer(s.Name("bridge"), nil, Path(r1, r2), 1e6, 0)
+	s.Transfer(s.Name("a"), nil, s.NewPath(r1), 100e9, 0)
+	s.Transfer(s.Name("b"), nil, s.NewPath(r2), 100e9, 0)
+	s.Transfer(s.Name("bridge"), nil, s.NewPath(r1, r2), 1e6, 0)
 	admitForTest(s)
 	s.recomputeRates()
 	if s.findRoot(r1) != s.findRoot(r2) {
@@ -92,8 +92,8 @@ func TestComponentRecomputeIsLocal(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("r1", 10e9)
 	r2 := s.NewResource("r2", 10e9)
-	s.Transfer(s.Name("a"), nil, Path(r1), 100e9, 0)
-	s.Transfer(s.Name("b"), nil, Path(r2), 100e9, 0)
+	s.Transfer(s.Name("a"), nil, s.NewPath(r1), 100e9, 0)
+	s.Transfer(s.Name("b"), nil, s.NewPath(r2), 100e9, 0)
 	admitForTest(s)
 	s.recomputeRates()
 
@@ -102,7 +102,7 @@ func TestComponentRecomputeIsLocal(t *testing.T) {
 	fa.nextRate = -1
 	fb.nextRate = -1
 	// Perturb only r2's component.
-	s.Transfer(s.Name("b2"), nil, Path(r2), 1e9, 0)
+	s.Transfer(s.Name("b2"), nil, s.NewPath(r2), 1e9, 0)
 	admitForTest(s)
 	s.recomputeRates()
 	if fa.nextRate != -1 {
@@ -119,8 +119,8 @@ func TestCapacityEventDirtiesOnlyItsComponent(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("r1", 10e9)
 	r2 := s.NewResource("r2", 10e9)
-	s.Transfer(s.Name("a"), nil, Path(r1), 100e9, 0)
-	s.Transfer(s.Name("b"), nil, Path(r2), 100e9, 0)
+	s.Transfer(s.Name("a"), nil, s.NewPath(r1), 100e9, 0)
+	s.Transfer(s.Name("b"), nil, s.NewPath(r2), 100e9, 0)
 	admitForTest(s)
 	s.recomputeRates()
 	fa, fb := s.flows[0], s.flows[1]
@@ -192,7 +192,7 @@ func TestLazySettlementExactness(t *testing.T) {
 	e := s.NewEngine("e")
 	// Computes create events that previously swept every flow; the flow
 	// itself runs at a constant rate through all of them.
-	s.Transfer(s.Name("t"), nil, Path(rc), 20e9, 0)
+	s.Transfer(s.Name("t"), nil, s.NewPath(rc), 20e9, 0)
 	prev := s.Compute(s.Name("c0"), e, 0.3)
 	for i := 0; i < 4; i++ {
 		prev = s.Compute(s.Name("c"), e, 0.3, prev)
@@ -215,7 +215,7 @@ func TestFlowStructPooling(t *testing.T) {
 	rc := s.NewResource("rc", 10e9)
 	var prev *Task
 	for i := 0; i < 6; i++ {
-		prev = s.Transfer(s.Name("t"), nil, Path(rc), 1e9, 0, prev)
+		prev = s.Transfer(s.Name("t"), nil, s.NewPath(rc), 1e9, 0, prev)
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ func TestChecksumCostAddsLatency(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
 	s.Checksums = ChecksumConfig{Enabled: true}
-	s.Transfer(s.Name("t"), nil, Path(link), 10e9, 0)
+	s.Transfer(s.Name("t"), nil, s.NewPath(link), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestDetectedCorruptionRetransmits(t *testing.T) {
 	link := s.NewResource("link", 10e9)
 	s.Checksums = ChecksumConfig{Enabled: true}
 	s.CorruptionPolicy = func(task *Task, attempt int) bool { return attempt == 0 }
-	tr := s.Transfer(s.Name("t"), nil, Path(link), 10e9, 0)
+	tr := s.Transfer(s.Name("t"), nil, s.NewPath(link), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestExhaustedRetransmitBudgetIsStructuredError(t *testing.T) {
 	link := s.NewResource("link", 10e9)
 	s.Checksums = ChecksumConfig{Enabled: true}
 	s.CorruptionPolicy = func(*Task, int) bool { return true }
-	s.Transfer(s.Name("grad-flush"), nil, Path(link), 10e9, 0)
+	s.Transfer(s.Name("grad-flush"), nil, s.NewPath(link), 10e9, 0)
 	_, err := s.Run()
 	var ce *CorruptionError
 	if !errors.As(err, &ce) {
@@ -86,9 +86,9 @@ func TestSilentCorruptionTaintsDownstream(t *testing.T) {
 	link := s.NewResource("link", 10e9)
 	e := s.NewEngine("gpu0")
 	s.CorruptionPolicy = func(task *Task, attempt int) bool { return s.TaskName(task) == "up" }
-	up := s.Transfer(s.Name("up"), nil, Path(link), 10e9, 0)
+	up := s.Transfer(s.Name("up"), nil, s.NewPath(link), 10e9, 0)
 	fwd := s.Compute(s.Name("fwd"), e, 1, up)
-	down := s.Transfer(s.Name("down"), nil, Path(link), 10e9, 0, fwd)
+	down := s.Transfer(s.Name("down"), nil, s.NewPath(link), 10e9, 0, fwd)
 	clean := s.Compute(s.Name("unrelated"), e, 1)
 	end, err := s.Run()
 	if err != nil {
@@ -119,7 +119,7 @@ func TestCorruptionPolicySkipsZeroByteTransfers(t *testing.T) {
 	link := s.NewResource("link", 10e9)
 	called := false
 	s.CorruptionPolicy = func(*Task, int) bool { called = true; return true }
-	s.Transfer(s.Name("ctl"), nil, Path(link), 0, 0)
+	s.Transfer(s.Name("ctl"), nil, s.NewPath(link), 0, 0)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCorruptionDeterministicReplay(t *testing.T) {
 		}
 		prev := (*Task)(nil)
 		for i := 0; i < 5; i++ {
-			prev = s.Transfer(s.Name("t"), nil, Path(link), 4e9, 0, prev)
+			prev = s.Transfer(s.Name("t"), nil, s.NewPath(link), 4e9, 0, prev)
 		}
 		return s
 	}

@@ -175,20 +175,20 @@ func diffScenario(r *rand.Rand, s *Sim) {
 				prev = s.Free(s.Name("f"), pool, amt, a)
 			case 2:
 				// Zero-byte transfer (instant completion path).
-				prev = s.Transfer(s.Name("z"), nil, Path(groups[g].rc), 0, r.Intn(4), deps...)
+				prev = s.Transfer(s.Name("z"), nil, s.NewPath(groups[g].rc), 0, r.Intn(4), deps...)
 			case 3:
 				// Bridge: crosses this group's and another group's rc.
 				og := (g + 1 + r.Intn(nGroups)) % nGroups
-				path := Path(groups[g].rc, groups[og].rc)
+				path := s.NewPath(groups[g].rc, groups[og].rc)
 				prev = s.Transfer(s.Name("bridge"), nil, path, (0.5+r.Float64())*1e9, r.Intn(4), deps...)
 			default:
 				link := groups[g].links[r.Intn(len(groups[g].links))]
-				var path []PathElem
+				var path PathID
 				if r.Intn(5) == 0 {
 					// Staged copy: crosses the root complex twice.
-					path = Path(link, groups[g].rc, groups[g].rc)
+					path = s.NewPath(link, groups[g].rc, groups[g].rc)
 				} else {
-					path = Path(link, groups[g].rc)
+					path = s.NewPath(link, groups[g].rc)
 				}
 				var eng *Engine
 				if r.Intn(4) == 0 {
@@ -275,14 +275,14 @@ func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 					a := s.Alloc(s.Name("a"), pool, amt, deps...)
 					prev = s.Free(s.Name("f"), pool, amt, a)
 				case 2:
-					prev = s.Transfer(s.Name("z"), nil, Path(rc), 0, r.Intn(4), deps...)
+					prev = s.Transfer(s.Name("z"), nil, s.NewPath(rc), 0, r.Intn(4), deps...)
 				default:
 					link := links[r.Intn(len(links))]
-					var path []PathElem
+					var path PathID
 					if r.Intn(5) == 0 {
-						path = Path(link, rc, rc)
+						path = s.NewPath(link, rc, rc)
 					} else {
-						path = Path(link, rc)
+						path = s.NewPath(link, rc)
 					}
 					var taskEng *Engine
 					if r.Intn(4) == 0 {
@@ -353,10 +353,10 @@ func diffScenarioSkewed(r *rand.Rand, s *Sim) {
 					a := s.Alloc(s.Name("a"), pool, amt, deps...)
 					prev = s.Free(s.Name("f"), pool, amt, a)
 				case 2:
-					prev = s.Transfer(s.Name("z"), nil, Path(rc), 0, r.Intn(4), deps...)
+					prev = s.Transfer(s.Name("z"), nil, s.NewPath(rc), 0, r.Intn(4), deps...)
 				default:
 					link := links[r.Intn(len(links))]
-					path := Path(link, rc)
+					path := s.NewPath(link, rc)
 					bytes := (0.1 + r.Float64()*2) * 1e9
 					prev = s.Transfer(s.Name("t"), nil, path, bytes, r.Intn(4), deps...)
 				}

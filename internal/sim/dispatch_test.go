@@ -61,7 +61,7 @@ func addWork(r *rand.Rand, s *Sim, res []*Resource, engs []*Engine, n int) {
 		case 0:
 			s.Compute(name, engs[r.Intn(len(engs))], Time(r.Intn(4))*1e-3, deps...)
 		case 1:
-			s.Transfer(name, nil, Path(res[r.Intn(len(res))]), float64(1+r.Intn(4))*1e6, r.Intn(2), deps...)
+			s.Transfer(name, nil, s.NewPath(res[r.Intn(len(res))]), float64(1+r.Intn(4))*1e6, r.Intn(2), deps...)
 		default:
 			s.After(name, deps...)
 		}

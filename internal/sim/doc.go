@@ -20,8 +20,9 @@
 //
 // Work is described as a DAG of Tasks, built with one set of
 // constructors on Sim (Compute, Transfer, Alloc, Free and the virtual join
-// After). A Transfer becomes a flow across a path of Resources once its
-// dependencies complete and its copy engine is free. Run executes the DAG
+// After). A Transfer crosses a path of Resources registered once with
+// NewPath and named by its PathID; it becomes a flow across that path
+// once its dependencies complete and its copy engine is free. Run executes the DAG
 // to completion and returns the makespan; a Sim runs once.
 // Results are read from the finished DAG after Run: Finished lists the
 // completed tasks in (end time, task id) order, each task carries its
@@ -29,7 +30,7 @@
 //
 // Tasks hold no Go pointer, so the task arena is memory the garbage
 // collector never scans: a task names its engine, pool and path by index
-// into the Sim's tables, its successors by id, and carries its Tag by
+// or id into the Sim's tables, its successors by id, and carries its Tag by
 // value (SetTag). Its name is a recipe over a pattern the Sim interns
 // (Name, With), formatted only when an error or a caller asks (TaskName).
 //

@@ -9,7 +9,7 @@ import "math"
 // with lastUpdate recording the instant the stored remaining was exact.
 type flow struct {
 	task *Task
-	// path is the task's resource path, read from Sim.paths at admission.
+	// path is the task's resource path, read by PathOf at admission.
 	path      []PathElem
 	remaining float64
 	rate      float64

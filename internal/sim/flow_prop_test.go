@@ -42,6 +42,16 @@ func genScenario(r *rand.Rand) fairnessScenario {
 	return fairnessScenario{caps: caps, flows: flows, prios: prios, weight: weight}
 }
 
+// weightedPath registers a path with arbitrary weights, which NewPath's
+// crossing counts cannot express.
+func (s *Sim) weightedPath(elems []PathElem) PathID {
+	if len(elems) == 0 {
+		return NoPath
+	}
+	s.paths = append(s.paths, elems)
+	return PathID(len(s.paths))
+}
+
 // rates runs the water-filling computation on a scenario and returns the
 // per-flow rates plus the resources.
 func (sc fairnessScenario) rates() ([]float64, []*Resource) {
@@ -55,7 +65,7 @@ func (sc fairnessScenario) rates() ([]float64, []*Resource) {
 		for h, ri := range hops {
 			path = append(path, PathElem{Res: res[ri], Weight: sc.weight[i][h]})
 		}
-		s.Transfer(s.Name("f"), nil, path, 1e12, sc.prios[i])
+		s.Transfer(s.Name("f"), nil, s.weightedPath(path), 1e12, sc.prios[i])
 	}
 	// Arm the flows without running to completion: seed ready queue.
 	for _, t := range s.taskList() {
@@ -159,7 +169,7 @@ func TestEqualFlowsGetEqualRates(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 12e9)
 	for i := 0; i < 5; i++ {
-		s.Transfer(s.Name("f"), nil, Path(rc), 1e12, 0)
+		s.Transfer(s.Name("f"), nil, s.NewPath(rc), 1e12, 0)
 	}
 	for _, task := range s.taskList() {
 		if task.waiting == 0 {
@@ -197,7 +207,7 @@ func TestRandomDAGsComplete(t *testing.T) {
 			case 0:
 				prev = s.Compute(s.Name("c"), engines[r.Intn(nEng)], r.Float64(), deps...)
 			case 1:
-				prev = s.Transfer(s.Name("t"), nil, Path(res), r.Float64()*1e9, r.Intn(2), deps...)
+				prev = s.Transfer(s.Name("t"), nil, s.NewPath(res), r.Float64()*1e9, r.Intn(2), deps...)
 			case 2:
 				amt := 1 + r.Float64()*30
 				a := s.Alloc(s.Name("a"), pool, amt, deps...)

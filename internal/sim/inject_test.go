@@ -11,7 +11,7 @@ import (
 func TestScheduledCapacityDegradationSplitsTransfer(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Transfer(s.Name("t"), nil, Path(link), 20e9, 0)
+	s.Transfer(s.Name("t"), nil, s.NewPath(link), 20e9, 0)
 	// 10 GB move in the first second; the remaining 10 GB crawl at 5 GB/s.
 	s.ScheduleCapacity(link, 1, 5e9)
 	end, err := s.Run()
@@ -26,7 +26,7 @@ func TestScheduledCapacityDegradationSplitsTransfer(t *testing.T) {
 func TestCapacityWindowRestores(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Transfer(s.Name("t"), nil, Path(link), 30e9, 0)
+	s.Transfer(s.Name("t"), nil, s.NewPath(link), 30e9, 0)
 	s.ScheduleCapacity(link, 1, 2e9)
 	s.ScheduleCapacity(link, 2, 10e9)
 	end, err := s.Run()
@@ -42,7 +42,7 @@ func TestCapacityWindowRestores(t *testing.T) {
 func TestCapacityEventBeforeFlowStart(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 10e9)
-	s.Transfer(s.Name("t"), nil, Path(link), 10e9, 0)
+	s.Transfer(s.Name("t"), nil, s.NewPath(link), 10e9, 0)
 	s.ScheduleCapacity(link, 0, 2.5e9)
 	end, err := s.Run()
 	if err != nil {
@@ -113,7 +113,7 @@ func TestCapacityEventsDeterministic(t *testing.T) {
 		s.ScheduleCapacity(link, 0.5, 2e9)
 		s.ScheduleCapacity(link, 1.5, 8e9)
 		c := s.Compute(s.Name("c"), e, 1)
-		tr := s.Transfer(s.Name("t"), nil, Path(link), 12e9, 0, c)
+		tr := s.Transfer(s.Name("t"), nil, s.NewPath(link), 12e9, 0, c)
 		return s, c, tr
 	}
 	s1, c1, t1 := build()

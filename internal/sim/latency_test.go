@@ -6,7 +6,7 @@ func TestTransferLatencyDelaysFlow(t *testing.T) {
 	s := New()
 	s.TransferLatency = 0.5
 	link := s.NewResource("link", 1e9)
-	tr := s.Transfer(s.Name("t"), nil, Path(link), 1e9, 0)
+	tr := s.Transfer(s.Name("t"), nil, s.NewPath(link), 1e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -20,8 +20,8 @@ func TestTransferLatencyOccupiesEngine(t *testing.T) {
 	s.TransferLatency = 0.5
 	ce := s.NewEngine("copy")
 	link := s.NewResource("link", 1e9)
-	s.Transfer(s.Name("a"), ce, Path(link), 1e9, 0)
-	b := s.Transfer(s.Name("b"), ce, Path(link), 1e9, 0)
+	s.Transfer(s.Name("a"), ce, s.NewPath(link), 1e9, 0)
+	b := s.Transfer(s.Name("b"), ce, s.NewPath(link), 1e9, 0)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestTransferLatencyZeroBytesIsInstant(t *testing.T) {
 	s := New()
 	s.TransferLatency = 0.5
 	link := s.NewResource("link", 1e9)
-	s.Transfer(s.Name("zero"), nil, Path(link), 0, 0)
+	s.Transfer(s.Name("zero"), nil, s.NewPath(link), 0, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +50,8 @@ func TestLatencyDoesNotConsumeBandwidth(t *testing.T) {
 	s := New()
 	s.TransferLatency = 1.0
 	rc := s.NewResource("rc", 10e9)
-	a := s.Transfer(s.Name("a"), nil, Path(rc), 10e9, 0)
-	b := s.Transfer(s.Name("b"), nil, Path(rc), 10e9, 0)
+	a := s.Transfer(s.Name("a"), nil, s.NewPath(rc), 10e9, 0)
+	b := s.Transfer(s.Name("b"), nil, s.NewPath(rc), 10e9, 0)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,8 @@ func TestLatencyWithPriorityClasses(t *testing.T) {
 	s := New()
 	s.TransferLatency = 0.25
 	rc := s.NewResource("rc", 10e9)
-	hi := s.Transfer(s.Name("hi"), nil, Path(rc), 10e9, 5)
-	lo := s.Transfer(s.Name("lo"), nil, Path(rc), 10e9, 0)
+	hi := s.Transfer(s.Name("hi"), nil, s.NewPath(rc), 10e9, 5)
+	lo := s.Transfer(s.Name("lo"), nil, s.NewPath(rc), 10e9, 0)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTaskAccessors(t *testing.T) {
 	e := s.NewEngine("e")
 	link := s.NewResource("l", 1e9)
 	c := s.Compute(s.Name("c"), e, 1)
-	tr := s.Transfer(s.Name("t"), e, Path(link), 5e8, 3, c)
+	tr := s.Transfer(s.Name("t"), e, s.NewPath(link), 5e8, 3, c)
 	if tr.Kind() != KindTransfer || tr.Bytes() != 5e8 || tr.priority != 3 || s.engineOf(tr) != e {
 		t.Fatal("transfer accessors")
 	}

@@ -11,7 +11,7 @@ import (
 func TestFailureHaltsInFlightFlow(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 100)
-	s.Transfer(s.Name("xfer"), nil, Path(link), 1000, 0) // would take 10s
+	s.Transfer(s.Name("xfer"), nil, s.NewPath(link), 1000, 0) // would take 10s
 	s.ScheduleFailure(4, "link", []*Resource{link}, nil)
 
 	end, err := s.Run()
@@ -96,7 +96,7 @@ func TestFailureDeduplicatesVictims(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 100)
 	e := s.NewEngine("gpu0.upload")
-	s.Transfer(s.Name("xfer"), e, Path(link), 1000, 0)
+	s.Transfer(s.Name("xfer"), e, s.NewPath(link), 1000, 0)
 	s.ScheduleFailure(4, "gpu0", []*Resource{link}, []*Engine{e})
 
 	_, err := s.Run()

@@ -111,8 +111,9 @@ func TestStreamConstructLean(t *testing.T) {
 		t.Errorf("streaming construction no longer ≥5x leaner than the pre-PR builder: %d vs %d allocs/op",
 			stream.AllocsPerOp(), int64(prePRConstructAllocs))
 	}
-	// Absolute ceiling at 10k flows: ~0.14 allocs/flow of slab chunks,
-	// path interning, and registry growth (measured ~1.4k; EXPERIMENTS.md).
+	// Absolute ceiling at 10k flows: slab chunks and registry growth, each
+	// island's four paths registered once into the path slab (measured
+	// 167; 1,379 when every path was its own slice; EXPERIMENTS.md).
 	if stream.AllocsPerOp() > 2000 {
 		t.Errorf("streaming construction allocates beyond the 10k-flow ceiling: %d allocs/op > 2000",
 			stream.AllocsPerOp())

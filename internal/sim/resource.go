@@ -60,88 +60,27 @@ type PathElem struct {
 	Weight float64
 }
 
-// pathKey is the comparable interning key for a merged path of up to
-// five hops (a staged cross-root-complex GPU-to-GPU copy: link, RC, DRAM
-// bus, RC, link): resource ids and weights, not strings, so interning
-// costs a small array compare/hash.
-type pathKey struct {
-	n    int
-	hops [5]struct {
-		res    int32
-		weight float64
-	}
-}
+// PathID names a path registered with NewPath; a transfer carries it
+// in place of the path's elements. The zero PathID, NoPath, is the empty
+// path: a transfer across it is unconstrained by any resource.
+type PathID int32
 
-// Path is the interning variant of the package-level Path constructor:
-// structurally identical paths (same resources, same merged weights)
-// return the same shared []PathElem slice, an entry of the table a
-// transfer's path index points into. DAG builders that route many
-// transfers over the same few hardware paths (every pipeline schedule
-// does) construct each distinct path once instead of once per transfer.
-// Paths longer than five merged hops are passed through uninterned.
-func (s *Sim) Path(resources ...*Resource) []PathElem {
-	// Build the interning key straight from the arguments — the merged
-	// slice is materialized only on a cache miss, so the hot hit path
-	// (every transfer after the first on a route) allocates nothing.
-	var k pathKey
-	for _, r := range resources {
-		if r == nil {
-			continue
-		}
-		merged := false
-		for i := 0; i < k.n; i++ {
-			if k.hops[i].res == int32(r.id) {
-				k.hops[i].weight++
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			if k.n == 5 {
-				// More than five merged hops: pass through uninterned.
-				return Path(resources...)
-			}
-			k.hops[k.n].res = int32(r.id)
-			k.hops[k.n].weight = 1
-			k.n++
-		}
-	}
-	if id, ok := s.pathCache[k]; ok {
-		return s.paths[id]
-	}
-	p := Path(resources...)
-	if s.pathCache == nil {
-		s.pathCache = make(map[pathKey]int32)
-	}
-	s.pathCache[k] = s.pathIndex(p)
-	return p
-}
+// NoPath is the empty path.
+const NoPath PathID = 0
 
-// pathIndex returns the index of path in the table, adding it on first
-// sight. A path is found by the address of its first element, so every
-// transfer handed the same slice shares one entry and reads the very
-// elements it was given.
-func (s *Sim) pathIndex(path []PathElem) int32 {
-	if len(path) == 0 {
-		return noIndex
+// NewPath registers the path across resources and returns its id. A
+// resource listed more than once becomes one element whose weight counts
+// its crossings, so the fair-share computation accounts for a double
+// crossing; nil resources are skipped, and a path with no resource left
+// is NoPath. Every call registers a new path: callers that route many
+// transfers over the same hops keep the id (hw.Server.Route does, per
+// endpoint pair).
+func (s *Sim) NewPath(resources ...*Resource) PathID {
+	// The elements are carved from a slab, like the hardware registry.
+	if cap(s.pathSlab)-len(s.pathSlab) < len(resources) {
+		s.pathSlab = make([]PathElem, 0, max(64, len(resources)))
 	}
-	if id, ok := s.pathIDs[&path[0]]; ok && len(s.paths[id]) == len(path) {
-		return id
-	}
-	id := int32(len(s.paths))
-	s.paths = append(s.paths, path)
-	if s.pathIDs == nil {
-		s.pathIDs = make(map[*PathElem]int32)
-	}
-	s.pathIDs[&path[0]] = id
-	return id
-}
-
-// Path is a convenience constructor for a unit-weight path, merging
-// duplicate resources into a single element with summed weight so the
-// fair-share computation accounts for double crossings correctly.
-func Path(resources ...*Resource) []PathElem {
-	out := make([]PathElem, 0, len(resources))
+	out := s.pathSlab[len(s.pathSlab):]
 	for _, r := range resources {
 		if r == nil {
 			continue
@@ -158,5 +97,19 @@ func Path(resources ...*Resource) []PathElem {
 			out = append(out, PathElem{Res: r, Weight: 1})
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return NoPath
+	}
+	s.pathSlab = s.pathSlab[:len(s.pathSlab)+len(out)]
+	s.paths = append(s.paths, out[:len(out):len(out)])
+	return PathID(len(s.paths))
+}
+
+// PathElems returns the elements of path id, in registration order; nil
+// for NoPath. The slice is the simulator's own.
+func (s *Sim) PathElems(id PathID) []PathElem {
+	if id == NoPath {
+		return nil
+	}
+	return s.paths[id-1]
 }

@@ -110,12 +110,10 @@ type Sim struct {
 	engSlab  []Engine
 	poolSlab []MemPool
 
-	// paths is the table a transfer's path index points into. pathIDs
-	// finds a path slice's index by its first element's address;
-	// pathCache interns paths built by the Path method (resource.go).
-	paths     [][]PathElem
-	pathIDs   map[*PathElem]int32
-	pathCache map[pathKey]int32
+	// paths holds the registered paths (resource.go), PathID i at
+	// paths[i-1], their elements carved from pathSlab.
+	paths    [][]PathElem
+	pathSlab []PathElem
 
 	// labels are the name patterns Name interns, found by labelIDs.
 	labels   [][maxNameInts + 1]string
@@ -194,7 +192,6 @@ func (s *Sim) newTask(name Name, kind TaskKind, deps []*Task) *Task {
 		id:     int32(s.numTasks),
 		engine: noIndex,
 		pool:   noIndex,
-		path:   noIndex,
 		name:   name,
 		kind:   kind,
 	})
@@ -255,14 +252,14 @@ func (s *Sim) Compute(name Name, e *Engine, d Time, deps ...*Task) *Task {
 	return t
 }
 
-// Transfer adds a task that moves bytes across path once all deps have
-// finished. If engine is non-nil the transfer occupies it exclusively for
+// Transfer adds a task that moves bytes across path, an id from NewPath,
+// once all deps have finished. If engine is non-nil the transfer occupies it exclusively for
 // its whole duration (a DMA copy engine). priority selects both the engine
 // queue order and the bandwidth class.
-func (s *Sim) Transfer(name Name, engine *Engine, path []PathElem, bytes float64, priority int, deps ...*Task) *Task {
+func (s *Sim) Transfer(name Name, engine *Engine, path PathID, bytes float64, priority int, deps ...*Task) *Task {
 	t := s.newTask(name, KindTransfer, deps)
 	t.engine = engineIndex(engine)
-	t.path = s.pathIndex(path)
+	t.path = path
 	t.size = bytes
 	t.priority = int32(priority)
 	return t
@@ -306,12 +303,7 @@ func (s *Sim) engineOf(t *Task) *Engine {
 }
 
 // PathOf returns the resource path of a transfer task (nil otherwise).
-func (s *Sim) PathOf(t *Task) []PathElem {
-	if t.path == noIndex {
-		return nil
-	}
-	return s.paths[t.path]
-}
+func (s *Sim) PathOf(t *Task) []PathElem { return s.PathElems(t.path) }
 
 // errRunTwice is Run's answer to a second call.
 var errRunTwice = errors.New("sim: Run called twice")

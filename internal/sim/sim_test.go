@@ -78,8 +78,8 @@ func TestEnginePriorityOrder(t *testing.T) {
 	link := s.NewResource("link", 1)
 	// Block the engine so both transfers queue, then check dispatch order.
 	gate := s.Compute(s.Name("gate"), e, 1)
-	lo := s.Transfer(s.Name("lo"), e, Path(link), 1, 0, gate)
-	hi := s.Transfer(s.Name("hi"), e, Path(link), 1, 5, gate)
+	lo := s.Transfer(s.Name("lo"), e, s.NewPath(link), 1, 0, gate)
+	hi := s.Transfer(s.Name("hi"), e, s.NewPath(link), 1, 5, gate)
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestEnginePriorityOrder(t *testing.T) {
 func TestSingleTransferBandwidth(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 16e9)
-	tr := s.Transfer(s.Name("t"), nil, Path(link), 32e9, 0)
+	tr := s.Transfer(s.Name("t"), nil, s.NewPath(link), 32e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestTransferBottleneckedByNarrowestHop(t *testing.T) {
 	s := New()
 	wide := s.NewResource("wide", 16e9)
 	narrow := s.NewResource("narrow", 4e9)
-	s.Transfer(s.Name("t"), nil, Path(wide, narrow), 8e9, 0)
+	s.Transfer(s.Name("t"), nil, s.NewPath(wide, narrow), 8e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +115,8 @@ func TestTransferBottleneckedByNarrowestHop(t *testing.T) {
 func TestTwoFlowsShareFairly(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
-	s.Transfer(s.Name("a"), nil, Path(rc), 10e9, 0)
-	s.Transfer(s.Name("b"), nil, Path(rc), 10e9, 0)
+	s.Transfer(s.Name("a"), nil, s.NewPath(rc), 10e9, 0)
+	s.Transfer(s.Name("b"), nil, s.NewPath(rc), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +128,8 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 func TestUnequalFlowsMaxMin(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
-	small := s.Transfer(s.Name("small"), nil, Path(rc), 5e9, 0)
-	big := s.Transfer(s.Name("big"), nil, Path(rc), 15e9, 0)
+	small := s.Transfer(s.Name("small"), nil, s.NewPath(rc), 5e9, 0)
+	big := s.Transfer(s.Name("big"), nil, s.NewPath(rc), 15e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +144,8 @@ func TestUnequalFlowsMaxMin(t *testing.T) {
 func TestStrictPriorityPreemptsBandwidth(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
-	hi := s.Transfer(s.Name("hi"), nil, Path(rc), 10e9, 1)
-	lo := s.Transfer(s.Name("lo"), nil, Path(rc), 10e9, 0)
+	hi := s.Transfer(s.Name("hi"), nil, s.NewPath(rc), 10e9, 1)
+	lo := s.Transfer(s.Name("lo"), nil, s.NewPath(rc), 10e9, 0)
 	_, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestWeightedPathDoubleCrossing(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
 	// Staged same-root-complex GPU-to-GPU copy crosses rc twice.
-	s.Transfer(s.Name("staged"), nil, Path(rc, rc), 10e9, 0)
+	s.Transfer(s.Name("staged"), nil, s.NewPath(rc, rc), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -170,9 +170,10 @@ func TestWeightedPathDoubleCrossing(t *testing.T) {
 }
 
 func TestPathMergesDuplicates(t *testing.T) {
-	r := &Resource{name: "r"}
-	p := Path(r, r, nil, r)
-	if len(p) != 1 {
+	s := New()
+	r := s.NewResource("r", 1)
+	p := s.PathElems(s.NewPath(r, r, nil, r))
+	if len(p) != 1 || p[0].Res != r {
 		t.Fatalf("want 1 merged element, got %d", len(p))
 	}
 	if p[0].Weight != 3 {
@@ -184,8 +185,8 @@ func TestDisjointResourcesDoNotContend(t *testing.T) {
 	s := New()
 	r1 := s.NewResource("rc1", 10e9)
 	r2 := s.NewResource("rc2", 10e9)
-	a := s.Transfer(s.Name("a"), nil, Path(r1), 10e9, 0)
-	b := s.Transfer(s.Name("b"), nil, Path(r2), 10e9, 0)
+	a := s.Transfer(s.Name("a"), nil, s.NewPath(r1), 10e9, 0)
+	b := s.Transfer(s.Name("b"), nil, s.NewPath(r2), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +201,8 @@ func TestSharedMiddleHop(t *testing.T) {
 	l1 := s.NewResource("l1", 16e9)
 	l2 := s.NewResource("l2", 16e9)
 	rc := s.NewResource("rc", 12e9)
-	a := s.Transfer(s.Name("a"), nil, Path(l1, rc), 12e9, 0)
-	b := s.Transfer(s.Name("b"), nil, Path(l2, rc), 12e9, 0)
+	a := s.Transfer(s.Name("a"), nil, s.NewPath(l1, rc), 12e9, 0)
+	b := s.Transfer(s.Name("b"), nil, s.NewPath(l2, rc), 12e9, 0)
 	_, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +218,7 @@ func TestComputeAndTransferOverlap(t *testing.T) {
 	ce := s.NewEngine("gpu0.upload")
 	link := s.NewResource("link", 10e9)
 	c := s.Compute(s.Name("c"), e, 2)
-	tr := s.Transfer(s.Name("t"), ce, Path(link), 10e9, 0)
+	tr := s.Transfer(s.Name("t"), ce, s.NewPath(link), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +232,8 @@ func TestCopyEngineSerializesTransfers(t *testing.T) {
 	s := New()
 	ce := s.NewEngine("gpu0.upload")
 	link := s.NewResource("link", 10e9)
-	s.Transfer(s.Name("a"), ce, Path(link), 10e9, 0)
-	s.Transfer(s.Name("b"), ce, Path(link), 10e9, 0)
+	s.Transfer(s.Name("a"), ce, s.NewPath(link), 10e9, 0)
+	s.Transfer(s.Name("b"), ce, s.NewPath(link), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +312,7 @@ func TestDeadlockDetected(t *testing.T) {
 func TestZeroByteTransferCompletes(t *testing.T) {
 	s := New()
 	link := s.NewResource("link", 1)
-	a := s.Transfer(s.Name("zero"), nil, Path(link), 0, 0)
+	a := s.Transfer(s.Name("zero"), nil, s.NewPath(link), 0, 0)
 	b := s.Compute(s.Name("after"), s.NewEngine("e"), 1, a)
 	end, err := s.Run()
 	if err != nil {
@@ -323,7 +324,7 @@ func TestZeroByteTransferCompletes(t *testing.T) {
 
 func TestEmptyPathTransferIsUnconstrained(t *testing.T) {
 	s := New()
-	s.Transfer(s.Name("free"), nil, nil, 1e12, 0)
+	s.Transfer(s.Name("free"), nil, NoPath, 1e12, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +374,7 @@ func TestFinishedSeesLifecycle(t *testing.T) {
 	e := s.NewEngine("e")
 	link := s.NewResource("link", 1e9)
 	a := s.Compute(s.Name("a"), e, 1)
-	tr := s.Transfer(s.Name("t"), nil, Path(link), 1e9, 0, a)
+	tr := s.Transfer(s.Name("t"), nil, s.NewPath(link), 1e9, 0, a)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +401,7 @@ func TestDeterministicReplay(t *testing.T) {
 			if i%2 == 1 {
 				r = rc2
 			}
-			tasks = append(tasks, s.Transfer(s.Name("t"), nil, Path(r), float64(1+i)*1e9, i%3))
+			tasks = append(tasks, s.Transfer(s.Name("t"), nil, s.NewPath(r), float64(1+i)*1e9, i%3))
 		}
 		return s, tasks
 	}
@@ -422,8 +423,8 @@ func TestDeterministicReplay(t *testing.T) {
 func TestResourceUtilizationAccounting(t *testing.T) {
 	s := New()
 	rc := s.NewResource("rc", 10e9)
-	s.Transfer(s.Name("a"), nil, Path(rc), 10e9, 0)
-	s.Transfer(s.Name("b"), nil, Path(rc), 10e9, 0)
+	s.Transfer(s.Name("a"), nil, s.NewPath(rc), 10e9, 0)
+	s.Transfer(s.Name("b"), nil, s.NewPath(rc), 10e9, 0)
 	end, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +434,7 @@ func TestResourceUtilizationAccounting(t *testing.T) {
 	// Weighted double-crossing counts twice.
 	s2 := New()
 	rc2 := s2.NewResource("rc", 10e9)
-	s2.Transfer(s2.Name("staged"), nil, Path(rc2, rc2), 5e9, 0)
+	s2.Transfer(s2.Name("staged"), nil, s2.NewPath(rc2, rc2), 5e9, 0)
 	if _, err := s2.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func synthDur(island, st int) Time {
 // the identical DAG.
 func BuildSynthetic(s *Sim, spec SyntheticSpec) int {
 	sp := spec.withDefaults()
-	var linkScratch []*Resource
+	var pathScratch []PathID
 	total, island := 0, 0
 	head, hop := s.Name("hd"), s.Name("fl")
 
@@ -83,17 +83,19 @@ func BuildSynthetic(s *Sim, spec SyntheticSpec) int {
 	// flowsCap transfers; returns how many it emitted.
 	emitIsland := func(streams, flowsCap int) int {
 		rc := s.NewResource("rc", 13.1e9)
-		links := linkScratch[:0]
+		// Each (link, rc) path is registered once, as hw registers a
+		// route once per server.
+		paths := pathScratch[:0]
 		for i := 0; i < sp.Links; i++ {
-			links = append(links, s.NewResource("ln", 26.2e9))
+			paths = append(paths, s.NewPath(s.NewResource("ln", 26.2e9), rc))
 		}
-		linkScratch = links
+		pathScratch = paths
 		eng := s.NewEngine("eng")
 		emitted := 0
 		for st := 0; st < streams && emitted < flowsCap; st++ {
 			prev := s.Compute(head, eng, synthDur(island, st))
 			for k := 0; k < sp.Chain && emitted < flowsCap; k++ {
-				prev = s.Transfer(hop, nil, s.Path(links[st%len(links)], rc), synthBytes(island, st, k), st%4, prev)
+				prev = s.Transfer(hop, nil, paths[st%len(paths)], synthBytes(island, st, k), st%4, prev)
 				emitted++
 			}
 		}

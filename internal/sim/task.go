@@ -42,15 +42,15 @@ const (
 	stateFinished                  // done
 )
 
-// noIndex marks a task without an engine, pool or path.
+// noIndex marks a task without an engine or pool.
 const noIndex = -1
 
 // Task is a node in the simulated work DAG. Tasks are created through the
 // Sim builder methods (Compute, Transfer, Alloc, Free, After) and must not
 // be constructed directly.
 //
-// A Task holds no Go pointer: its engine, pool and path are indices into
-// the Sim's tables, its successors a run in the Sim's successor slab, its
+// A Task holds no Go pointer: its engine and pool are indices into the
+// Sim's tables, its path a PathID, its successors a run in the Sim's successor slab, its
 // tag a value in int32s and its name a recipe the Sim formats on demand
 // (TaskName).
 // The task arena is therefore memory the garbage collector never scans;
@@ -69,9 +69,9 @@ type Task struct {
 	tagKind, tagGPU, tagPeerGPU, tagStage, tagMicrobatch int32
 
 	id     int32
-	engine int32 // index into Sim.engines, or noIndex
-	pool   int32 // index into Sim.pools, or noIndex
-	path   int32 // index into Sim.paths, or noIndex for an empty path
+	engine int32  // index into Sim.engines, or noIndex
+	pool   int32  // index into Sim.pools, or noIndex
+	path   PathID // NoPath for an empty path
 
 	// Priority orders engine queues and flow bandwidth classes.
 	// Larger values run first.

@@ -18,7 +18,7 @@ func TestRecorderCapturesTaggedTasks(t *testing.T) {
 
 	c := s.Compute(s.Name("fwd"), e, 1)
 	c.SetTag(Tag{Kind: KindCompute, GPU: 0, PeerGPU: -1})
-	tr := s.Transfer(s.Name("up"), nil, sim.Path(link), 10e9, 0)
+	tr := s.Transfer(s.Name("up"), nil, s.NewPath(link), 10e9, 0)
 	tr.SetTag(Tag{Kind: KindParamUpload, GPU: 0, PeerGPU: -1})
 	s.Compute(s.Name("untagged"), e, 1, c)
 

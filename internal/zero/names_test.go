@@ -2,7 +2,6 @@ package zero
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -122,26 +121,29 @@ func TestRunNamesMatchSprintf(t *testing.T) {
 	}
 }
 
-// TestBadRouteSurfaces pins that resolving routes once per step keeps
-// routing errors visible: a host route to an SSD tier the topology lacks
-// is recorded in srv.RouteErr, while every DRAM and GPU route is clean.
+// TestBadRouteSurfaces pins that routing errors stay visible when
+// builders route inline: a host route to an SSD tier the topology lacks
+// is recorded in srv.RouteErr and yields no path, while every DRAM and
+// GPU route is clean and only a same-GPU copy is free.
 func TestBadRouteSurfaces(t *testing.T) {
 	srv, err := hw.Build(hw.Commodity(hw.RTX3090Ti, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, down := hostRoutes(srv, hw.DRAMEnd)
-	p2p := peerRoutes(srv)
+	for g := 0; g < 4; g++ {
+		if srv.Route(hw.DRAMEnd, hw.GPUEnd(g)) == sim.NoPath || srv.Route(hw.GPUEnd(g), hw.DRAMEnd) == sim.NoPath {
+			t.Fatalf("GPU %d has no host route", g)
+		}
+		for h := 0; h < 4; h++ {
+			if free := srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)) == sim.NoPath; free != (g == h) {
+				t.Fatalf("route gpu%d -> gpu%d: free = %v", g, h, free)
+			}
+		}
+	}
 	if err := srv.RouteErr(); err != nil {
 		t.Fatalf("DRAM and GPU routes recorded an error: %v", err)
 	}
-	if slices.ContainsFunc(up, func(p []sim.PathElem) bool { return len(p) == 0 }) ||
-		slices.ContainsFunc(down, func(p []sim.PathElem) bool { return len(p) == 0 }) ||
-		len(p2p) != 16 || len(p2p[1]) == 0 || p2p[0] != nil {
-		t.Fatal("resolved routes are missing paths")
-	}
-	up, _ = hostRoutes(srv, hw.SSDEnd)
-	if up[0] != nil {
+	if srv.Route(hw.SSDEnd, hw.GPUEnd(0)) != sim.NoPath {
 		t.Fatal("a route to a missing SSD tier returned a path")
 	}
 	if err := srv.RouteErr(); err == nil || !strings.Contains(err.Error(), "SSD") {

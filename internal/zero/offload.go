@@ -40,8 +40,6 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 	}
 
 	s := srv.Sim
-	fromDRAM, toDRAM := hostRoutes(srv, hw.DRAMEnd)
-	p2p := peerRoutes(srv)
 	var (
 		nF, nO, nAU, nB = s.Name("F", ".g"), s.Name("O", ".g"), s.Name("AU", ".g"), s.Name("B", ".g")
 		nRS, nGF        = s.Name("RS", ".g", "-"), s.Name("GF", ".g")
@@ -62,7 +60,7 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 			fwdDone[l][g] = c
 			if layers[l].ActOutBytes > 0 {
 				off := s.Transfer(nO.With(l, g), srv.DownloadEngine[g],
-					toDRAM[g], layers[l].ActOutBytes, 0, c)
+					srv.Route(hw.GPUEnd(g), hw.DRAMEnd), layers[l].ActOutBytes, 0, c)
 				off.SetTag(layerTag(trace.KindActOffload, g, -1, l))
 			}
 		}
@@ -85,7 +83,7 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 			}
 			if l > 0 && layers[l-1].ActOutBytes > 0 {
 				au := s.Transfer(nAU.With(l, g), srv.UploadEngines[g],
-					fromDRAM[g], layers[l-1].ActOutBytes, 0, deps...)
+					srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), layers[l-1].ActOutBytes, 0, deps...)
 				au.SetTag(layerTag(trace.KindActUpload, g, -1, l))
 				deps = append(deps, au)
 			}
@@ -100,24 +98,24 @@ func RunOffload(topo *hw.Topology, cfg Config) (*pipeline.Result, error) {
 					continue
 				}
 				ex := s.Transfer(nRS.With(l, g, h), srv.DownloadEngine[g],
-					p2p[g*N+h], shard, 0, c)
+					srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)), shard, 0, c)
 				ex.SetTag(layerTag(trace.KindCollective, g, h, l))
 				rs = append(rs, ex)
 			}
 			// Flush the reduced shard, then pull the refreshed shard and
 			// exchange it with the peers (the parameter refresh path).
 			gf := s.Transfer(nGF.With(l, g), srv.DownloadEngine[g],
-				toDRAM[g], shard, 0, append(rs, c)...)
+				srv.Route(hw.GPUEnd(g), hw.DRAMEnd), shard, 0, append(rs, c)...)
 			gf.SetTag(layerTag(trace.KindGradFlush, g, -1, l))
 			pu := s.Transfer(nPU.With(l, g), srv.UploadEngines[g],
-				fromDRAM[g], shard, 0, gf)
+				srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), shard, 0, gf)
 			pu.SetTag(layerTag(trace.KindParamUpload, g, -1, l))
 			for h := 0; h < N; h++ {
 				if h == g {
 					continue
 				}
 				ex := s.Transfer(nPX.With(l, g, h), srv.DownloadEngine[g],
-					p2p[g*N+h], shard, 0, pu)
+					srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)), shard, 0, pu)
 				ex.SetTag(layerTag(trace.KindCollective, g, h, l))
 			}
 		}

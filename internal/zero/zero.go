@@ -79,12 +79,6 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint) (*pipeline.Result
 	N := topo.NumGPUs()
 	layers := cfg.Profile.Layers
 	L := len(layers)
-	fromTier, toTier := hostRoutes(srv, tier)
-	fromDRAM, toDRAM := fromTier, toTier
-	if !tier.IsDRAM() {
-		fromDRAM, toDRAM = hostRoutes(srv, hw.DRAMEnd)
-	}
-	p2p := peerRoutes(srv)
 	// DeepSpeed reduce-scatters over NVLink only when gradients go to
 	// DRAM; with the SSD tier every GPU flushes its full gradients even
 	// on a P2P server (a fidelity question tracked in ROADMAP.md).
@@ -101,7 +95,7 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint) (*pipeline.Result
 		done = done[:0]
 		for g := 0; g < N; g++ {
 			up := s.Transfer(shardName.With(l, g), srv.UploadEngines[g],
-				fromTier[g], shard, 0, trigger)
+				srv.Route(tier, hw.GPUEnd(g)), shard, 0, trigger)
 			up.SetTag(layerTag(trace.KindParamUpload, g, -1, l))
 			done = append(done, up)
 			for h := 0; h < N; h++ {
@@ -109,7 +103,7 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint) (*pipeline.Result
 					continue
 				}
 				ex := s.Transfer(agName.With(l, g, h), srv.DownloadEngine[g],
-					p2p[g*N+h], shard, 0, up)
+					srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)), shard, 0, up)
 				ex.SetTag(layerTag(trace.KindCollective, g, h, l))
 				done = append(done, ex)
 			}
@@ -144,7 +138,7 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint) (*pipeline.Result
 			fwdDone[l*N+g] = c
 			if layers[l].ActOutBytes > 0 {
 				off := s.Transfer(nO.With(l, g), srv.DownloadEngine[g],
-					toDRAM[g], layers[l].ActOutBytes, 0, c)
+					srv.Route(hw.GPUEnd(g), hw.DRAMEnd), layers[l].ActOutBytes, 0, c)
 				off.SetTag(layerTag(trace.KindActOffload, g, -1, l))
 			}
 		}
@@ -169,7 +163,7 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint) (*pipeline.Result
 			// Re-upload the checkpointed input activation.
 			if l > 0 && layers[l-1].ActOutBytes > 0 {
 				au := s.Transfer(nAU.With(l, g), srv.UploadEngines[g],
-					fromDRAM[g], layers[l-1].ActOutBytes, 0, gb)
+					srv.Route(hw.DRAMEnd, hw.GPUEnd(g)), layers[l-1].ActOutBytes, 0, gb)
 				au.SetTag(layerTag(trace.KindActUpload, g, -1, l))
 				deps = append(deps, au)
 			}
@@ -189,13 +183,13 @@ func runZeRO3(topo *hw.Topology, cfg Config, tier hw.Endpoint) (*pipeline.Result
 						continue
 					}
 					ex := s.Transfer(nRS.With(l, g, h), srv.DownloadEngine[g],
-						p2p[g*N+h], flush, 0, c)
+						srv.Route(hw.GPUEnd(g), hw.GPUEnd(h)), flush, 0, c)
 					ex.SetTag(layerTag(trace.KindCollective, g, h, l))
 					deps = append(deps, ex)
 				}
 			}
 			gf := s.Transfer(nGF.With(l, g), srv.DownloadEngine[g],
-				toTier[g], flush, 0, append(deps, c)...)
+				srv.Route(hw.GPUEnd(g), tier), flush, 0, append(deps, c)...)
 			gf.SetTag(layerTag(trace.KindGradFlush, g, -1, l))
 		}
 	}
@@ -222,31 +216,4 @@ func newStep(topo *hw.Topology, cfg Config) (*hw.Server, *pipeline.Result, error
 // layerTag tags a baseline task; baselines have no microbatch axis.
 func layerTag(kind trace.Kind, gpu, peer, layer int) trace.Tag {
 	return trace.Tag{Kind: kind, GPU: gpu, PeerGPU: peer, Stage: layer, Microbatch: -1}
-}
-
-// hostRoutes resolves the host -> GPU g (up) and GPU g -> host (down)
-// paths once per step. They go through srv.Route, so a routing error
-// still lands in srv.RouteErr.
-func hostRoutes(srv *hw.Server, host hw.Endpoint) (up, down [][]sim.PathElem) {
-	n := srv.Topo.NumGPUs()
-	up = make([][]sim.PathElem, n)
-	down = make([][]sim.PathElem, n)
-	for g := range up {
-		up[g] = srv.Route(host, hw.GPUEnd(g))
-		down[g] = srv.Route(hw.GPUEnd(g), host)
-	}
-	return up, down
-}
-
-// peerRoutes resolves every GPU g -> GPU h path once per step, at
-// [g*N+h].
-func peerRoutes(srv *hw.Server) [][]sim.PathElem {
-	n := srv.Topo.NumGPUs()
-	p := make([][]sim.PathElem, n*n)
-	for g := 0; g < n; g++ {
-		for h := 0; h < n; h++ {
-			p[g*n+h] = srv.Route(hw.GPUEnd(g), hw.GPUEnd(h))
-		}
-	}
-	return p
 }
