@@ -99,19 +99,21 @@ check-recovery:
 # (randomized corruption scenarios, invariants and replay determinism;
 # internal/sim/chaos_test.go) plus the seeded rollback accounting
 # identity (internal/elastic) under the race detector, followed by a
-# short native-fuzz smoke of the spec parser and the chaos invariants.
+# short native-fuzz smoke of the spec parser, the chaos invariants and
+# custom server topologies (every route crosses the DRAM bus but a P2P
+# NVLink pair's, and one transfer per endpoint pair finishes or stops
+# with the simulator's stall error; internal/hw/fuzz_test.go).
 check-chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/sim/ ./internal/elastic/
 	$(GO) test -run xxx -fuzz 'FuzzParseJSON' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz 'FuzzChaosInvariants' -fuzztime 10s ./internal/sim/
+	$(GO) test -run xxx -fuzz 'FuzzTopologyJSON' -fuzztime 10s ./internal/hw/
 
 # check-perf is the performance smoke gate: short in-process checks
-# asserting the incremental flow scheduler still beats the retained
-# global-recompute oracle, Run on a freshly built DAG allocates nothing
-# per event (its allocations grow by less than one per 16 added
-# transfers from 64 to 1024 concurrent flows), slab-backed construction
-# stays ≥5x leaner than the
-# pre-slab builder, one core.Run step of DeepSpeed-hetero and of Mobius
+# asserting Run on a freshly built DAG allocates nothing per event (its
+# allocations grow by less than one per 16 added transfers from 64 to
+# 1024 concurrent flows), slab-backed construction stays ≥5x leaner than
+# the pre-slab builder, one core.Run step of DeepSpeed-hetero and of Mobius
 # (greedy plan) on 15B, Topo 2+2, and of GPipe on 3B, Topo 2+2, stays
 # under its allocation ceiling, and so does one benchmark-shaped fleet
 # run with a cold step
@@ -119,7 +121,7 @@ check-chaos:
 # machine; see internal/sim/perf_test.go, internal/core/perf_test.go and
 # internal/cluster/perf_test.go).
 check-perf:
-	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestIncrementalBeatsOracle|TestEventLoopAllocFree|TestStreamConstructLean' -count=1 -timeout 30m -v ./internal/sim/
+	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestEventLoopAllocFree|TestStreamConstructLean' -count=1 -timeout 30m -v ./internal/sim/
 	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestStepAllocCeilings' -count=1 -v ./internal/core/
 	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestFleetAllocCeiling' -count=1 -v ./internal/cluster/
 

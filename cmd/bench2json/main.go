@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -29,18 +28,6 @@ type Result struct {
 	// Metrics holds every other unit on the line: MB/s from b.SetBytes
 	// and the custom units of b.ReportMetric.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Speedup is a derived ratio between two sub-benchmarks of the same
-// family: how much faster Mode ran than the family's incremental
-// (serial event-loop) baseline. Emitting these alongside the raw lines
-// keeps the headline claims (e.g. parallel vs serial) directly
-// readable from the JSON instead of needing a calculator.
-type Speedup struct {
-	Name     string  `json:"name"`     // family, i.e. benchmark name up to the last '/'
-	Baseline string  `json:"baseline"` // sub-benchmark used as the denominator
-	Mode     string  `json:"mode"`     // sub-benchmark being compared
-	Ratio    float64 `json:"ratio"`    // baseline ns/op divided by mode ns/op
 }
 
 // ScalePoint is one size sample of a scaling series: the parsed
@@ -69,47 +56,7 @@ type Document struct {
 	Goarch     string    `json:"goarch,omitempty"`
 	CPU        string    `json:"cpu,omitempty"`
 	Benchmarks []Result  `json:"benchmarks"`
-	Speedups   []Speedup `json:"speedups,omitempty"`
 	Scaling    []Scaling `json:"scaling,omitempty"`
-}
-
-// speedupBaseline is the sub-benchmark name every family is compared
-// against. Families without such a sibling get no speedup entries.
-const speedupBaseline = "incremental"
-
-// deriveSpeedups groups sub-benchmarks by family (the name up to the
-// last '/') and, for families that include the incremental baseline,
-// emits one ratio per sibling mode, preserving input order.
-func deriveSpeedups(benchmarks []Result) []Speedup {
-	baselines := make(map[string]float64)
-	for _, b := range benchmarks {
-		i := strings.LastIndex(b.Name, "/")
-		if i < 0 {
-			continue
-		}
-		if b.Name[i+1:] == speedupBaseline && b.NsPerOp > 0 {
-			baselines[b.Name[:i]] = b.NsPerOp
-		}
-	}
-	var out []Speedup
-	for _, b := range benchmarks {
-		i := strings.LastIndex(b.Name, "/")
-		if i < 0 {
-			continue
-		}
-		family, mode := b.Name[:i], b.Name[i+1:]
-		base, ok := baselines[family]
-		if !ok || mode == speedupBaseline || b.NsPerOp <= 0 {
-			continue
-		}
-		out = append(out, Speedup{
-			Name:     family,
-			Baseline: speedupBaseline,
-			Mode:     mode,
-			Ratio:    math.Round(base/b.NsPerOp*1000) / 1000,
-		})
-	}
-	return out
 }
 
 // scaleName matches a three-part benchmark name whose middle component
@@ -168,7 +115,7 @@ func deriveScaling(benchmarks []Result) []Scaling {
 // benchLine matches a result line's name, with any GOMAXPROCS suffix
 // cut, its iteration count and the rest: value-unit pairs, e.g.
 //
-//	BenchmarkSimContention/flows=256/incremental-8  472  2541625 ns/op  701360 B/op  7603 allocs/op
+//	BenchmarkSimContention/flows=256/run-8  472  2541625 ns/op  701360 B/op  7603 allocs/op
 //	BenchmarkLPRoot-2  1  1061234567 ns/op  2051 cols  1788 pivots  866.0 rows  4.000 status  5120 B/op  3 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
@@ -229,7 +176,6 @@ func parse(r io.Reader) (Document, error) {
 			doc.Benchmarks = append(doc.Benchmarks, res)
 		}
 	}
-	doc.Speedups = deriveSpeedups(doc.Benchmarks)
 	doc.Scaling = deriveScaling(doc.Benchmarks)
 	return doc, sc.Err()
 }

@@ -10,7 +10,7 @@ goarch: amd64
 pkg: mobius/internal/sim
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSimContention/flows=1024/construct-8     	     600	   2000000 ns/op	  900000 B/op	    9000 allocs/op
-BenchmarkSimContention/flows=1024/incremental-8   	     100	  10000000 ns/op	 1000000 B/op	   10000 allocs/op
+BenchmarkSimContention/flows=1024/run-8           	     100	  10000000 ns/op	 1000000 B/op	   10000 allocs/op
 BenchmarkSimContention/flows=1024/steady-8        	     200	   6000000 ns/op	       0 B/op	       0 allocs/op
 BenchmarkSimContention/flows=1024/parallel=4-8    	     250	   5000000 ns/op	     212 B/op	       6 allocs/op
 BenchmarkNoFamily-8                               	    1000	   1000000 ns/op
@@ -28,14 +28,14 @@ func TestParse(t *testing.T) {
 	if len(doc.Benchmarks) != 5 {
 		t.Fatalf("parsed %d benchmarks, want 5", len(doc.Benchmarks))
 	}
-	inc := doc.Benchmarks[1]
-	if inc.Name != "BenchmarkSimContention/flows=1024/incremental" {
-		t.Errorf("name = %q (GOMAXPROCS suffix should be stripped)", inc.Name)
+	run := doc.Benchmarks[1]
+	if run.Name != "BenchmarkSimContention/flows=1024/run" {
+		t.Errorf("name = %q (GOMAXPROCS suffix should be stripped)", run.Name)
 	}
-	if inc.NsPerOp != 10000000 || inc.AllocsPerOp != 10000 || inc.Iterations != 100 {
-		t.Errorf("incremental parsed as %+v", inc)
+	if run.NsPerOp != 10000000 || run.AllocsPerOp != 10000 || run.Iterations != 100 {
+		t.Errorf("run parsed as %+v", run)
 	}
-	if pkg := inc.Package; pkg != "mobius/internal/sim" {
+	if pkg := run.Package; pkg != "mobius/internal/sim" {
 		t.Errorf("package = %q", pkg)
 	}
 }
@@ -78,37 +78,6 @@ func TestParseKeepsEveryMetric(t *testing.T) {
 	}
 }
 
-func TestDeriveSpeedups(t *testing.T) {
-	doc, err := parse(strings.NewReader(sampleOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"construct":  5,
-		"steady":     1.667,
-		"parallel=4": 2,
-	}
-	if len(doc.Speedups) != len(want) {
-		t.Fatalf("got %d speedups (%+v), want %d", len(doc.Speedups), doc.Speedups, len(want))
-	}
-	for _, sp := range doc.Speedups {
-		if sp.Name != "BenchmarkSimContention/flows=1024" {
-			t.Errorf("family = %q", sp.Name)
-		}
-		if sp.Baseline != "incremental" {
-			t.Errorf("baseline = %q", sp.Baseline)
-		}
-		w, ok := want[sp.Mode]
-		if !ok {
-			t.Errorf("unexpected mode %q (incremental must not compare to itself)", sp.Mode)
-			continue
-		}
-		if sp.Ratio != w {
-			t.Errorf("mode %q ratio = %v, want %v", sp.Mode, sp.Ratio, w)
-		}
-	}
-}
-
 const scaleOutput = `goos: linux
 goarch: amd64
 pkg: mobius/internal/sim
@@ -116,7 +85,7 @@ BenchmarkSimScale/flows=100000/construct-8 	      24	  46700000 ns/op	 8000000 B
 BenchmarkSimScale/flows=10000/construct-8  	     270	   4350000 ns/op	 4600000 B/op	    1402 allocs/op
 BenchmarkSimScale/flows=10000/run-8        	      80	  13600000 ns/op	 5000000 B/op	    1500 allocs/op
 BenchmarkSimScale/flows=100000/run-8       	       8	 148000000 ns/op	50000000 B/op	   48201 allocs/op
-BenchmarkSimContention/flows=1024/incremental-8 	100	  10000000 ns/op
+BenchmarkSimContention/flows=1024/run-8 	100	  10000000 ns/op
 PASS
 `
 
@@ -165,15 +134,5 @@ func TestDeriveScalingDedupes(t *testing.T) {
 	}
 	if sps[0].Points[0].NsPerOp != 10 {
 		t.Errorf("first sample not kept: %+v", sps[0].Points[0])
-	}
-}
-
-func TestDeriveSpeedupsNoBaseline(t *testing.T) {
-	sps := deriveSpeedups([]Result{
-		{Name: "BenchmarkX/steady", NsPerOp: 10},
-		{Name: "BenchmarkFlat", NsPerOp: 20},
-	})
-	if len(sps) != 0 {
-		t.Fatalf("speedups without a baseline sibling: %+v", sps)
 	}
 }

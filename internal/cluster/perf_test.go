@@ -7,14 +7,15 @@ import (
 
 // fleetRunAllocCeiling bounds the allocations of one benchmark-shaped
 // fleet run (benchFleet, in-memory plan caches, a cold step cache).
-// Measured at 2,270 allocs/run on linux/amd64, go1.24, after each
-// server began resolving a route once into a path id, plus about 3%
-// slack; 2,345 before that, 3,105 before simulator tasks stopped
+// Measured at 2,226 allocs/run on linux/amd64, go1.24, after the
+// simulator began water-filling every active flow in one pass, plus
+// about 3% slack; 2,270 before that, 2,345 before each server resolved
+// a route once into a path id, 3,105 before simulator tasks stopped
 // carrying names, boxed tags and pointers, and 15,042 before each class
 // was keyed once per run and arrivals left the event heap. Most that remain are the step pricing's core.Run simulations.
 // Allocation counts do not depend on machine speed, so the gate holds on
 // any machine.
-const fleetRunAllocCeiling = 2338
+const fleetRunAllocCeiling = 2293
 
 // TestFleetAllocCeiling is the fleet gate of `make check-perf`: one
 // benchmark-shaped cluster.Run must stay under its allocation ceiling.

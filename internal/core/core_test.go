@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"mobius/internal/fault"
 	"mobius/internal/hw"
@@ -327,6 +329,34 @@ func TestMobiusVariantsMoveStep(t *testing.T) {
 		}
 		if c.name == "corruption-checksums" && got.Integrity.Retransmits == 0 {
 			t.Errorf("%s: no retransmit; the corruption never fired", c.name)
+		}
+	}
+}
+
+// TestHugeTransferLatencyStalls drives a step whose transfers start only
+// after a 1e17 s setup latency, where one ulp of the clock outlasts every
+// transfer: Mobius and DeepSpeed-hetero must each fail with the
+// simulator's *sim.StallError at once instead of spinning on the stalled
+// instant.
+func TestHugeTransferLatencyStalls(t *testing.T) {
+	topo, err := hw.ParseJSON([]byte(`{"groups":[2,2],"transfer_latency_ms":1e20}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []System{SystemMobius, SystemDSHetero} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(sys, Options{Model: model.GPT3B, Topology: topo, MIP: fastMIP()})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var stall *sim.StallError
+			if !errors.As(err, &stall) {
+				t.Fatalf("%s: want a *sim.StallError, got %v", sys, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: Run did not return within 30 s", sys)
 		}
 	}
 }

@@ -55,17 +55,19 @@ func BenchmarkStepMobius15B(b *testing.B) {
 // Allocation ceilings for one simulated step: DeepSpeed-hetero and
 // Mobius on 15B, Topo 2+2, GPipe on 3B, Topo 2+2, the largest Table 3
 // model it fits, and DeepSpeed-hetero on 51B, Topo 4+4, the costliest
-// step. Measured after each server began resolving a route once into a
-// path id whose elements come from a slab (322, 168, 348 and 465
-// allocs/op on linux/amd64, go1.24; 352, 186, 356 and 548 before, and
-// 5,616, 372, 528 and 19,947 before tasks stopped carrying names, boxed
-// tags and pointers), each plus about 3% slack. Allocation counts do not
-// depend on machine speed, so the gate holds on any machine.
+// step. Measured after the simulator began water-filling every active
+// flow in one pass instead of per connected component (310, 157, 339
+// and 450 allocs/op on linux/amd64, go1.24; 322, 168, 348 and 465
+// before, 352, 186, 356 and 548 before each server resolved a route
+// once into a path id, and 5,616, 372, 528 and 19,947 before tasks
+// stopped carrying names, boxed tags and pointers), each plus about 3%
+// slack. Allocation counts do not depend on machine speed, so the gate
+// holds on any machine.
 const (
-	dsHeteroStepAllocCeiling    = 332
-	mobiusStepAllocCeiling      = 173
-	gpipeStepAllocCeiling       = 358
-	dsHetero51BStepAllocCeiling = 479
+	dsHeteroStepAllocCeiling    = 320
+	mobiusStepAllocCeiling      = 162
+	gpipeStepAllocCeiling       = 350
+	dsHetero51BStepAllocCeiling = 464
 )
 
 // TestStepAllocCeilings is the step gate of `make check-perf`: one

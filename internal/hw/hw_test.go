@@ -443,8 +443,9 @@ func TestParseJSONDefaultsAndErrors(t *testing.T) {
 
 // TestParseJSONRejectsMalformedFields holds ParseJSON to an error naming
 // the field for a negative value, which used to take the default, an
-// efficiency above 100% of peak, and a bandwidth that overflows to +Inf
-// bytes/s, both of which used to be accepted.
+// efficiency above 100% of peak, a bandwidth that overflows to +Inf
+// bytes/s, and a bandwidth under 1 byte/s, over which a transfer never
+// finished: its completion time overflowed and the run deadlocked.
 func TestParseJSONRejectsMalformedFields(t *testing.T) {
 	for _, c := range []struct{ json, field string }{
 		{`{"groups": [2, 2], "root_complex_gbps": -13.1}`, "root_complex_gbps"},
@@ -458,6 +459,10 @@ func TestParseJSONRejectsMalformedFields(t *testing.T) {
 		{`{"groups": [2, 2], "root_complex_gbps": 1e300}`, "root_complex_gbps"},
 		{`{"groups": [2], "gpu": {"fp16_tflops": 1e300}}`, "gpu.fp16_tflops"},
 		{`{"groups": [2], "ssd_gbps": 3.5, "ssd_gb": 1e300}`, "ssd_gb"},
+		{`{"groups": [2, 2], "root_complex_gbps": 1e-320}`, "root_complex_gbps"},
+		{`{"groups": [2], "gpu": {"link_gbps": 1e-10}}`, "gpu.link_gbps"},
+		{`{"groups": [2, 2], "nvlink_gbps": 5e-324}`, "nvlink_gbps"},
+		{`{"groups": [2], "ssd_gbps": 1e-12}`, "ssd_gbps"},
 	} {
 		topo, err := ParseJSON([]byte(c.json))
 		if err == nil {

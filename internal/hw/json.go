@@ -43,8 +43,9 @@ type gpuJSON struct {
 
 // ParseJSON builds a topology from a JSON description. Missing optional
 // fields fall back to commodity defaults; a negative field, an
-// efficiency above 1 or a value that overflows once converted to bytes,
-// bytes/s or FLOP/s is an error naming the field.
+// efficiency above 1, a value that overflows once converted to bytes,
+// bytes/s or FLOP/s, or a bandwidth under 1 byte/s is an error naming
+// the field.
 func ParseJSON(data []byte) (*Topology, error) {
 	var tj topologyJSON
 	if err := json.Unmarshal(data, &tj); err != nil {
@@ -107,32 +108,38 @@ func ParseJSON(data []byte) (*Topology, error) {
 
 // check rejects the numeric fields ParseJSON would otherwise replace or
 // accept silently: a negative value (which would take the default), an
-// efficiency outside (0, 1] (zero means the default) and a value whose
-// conversion to bytes, bytes/s or FLOP/s is not finite.
+// efficiency outside (0, 1] (zero means the default), a value whose
+// conversion to bytes, bytes/s or FLOP/s is not finite, and a bandwidth
+// under 1 byte/s, over which a transfer's completion time could overflow
+// the simulator's clock.
 func (tj *topologyJSON) check() error {
 	if e := tj.GPU.Efficiency; e < 0 || e > 1 {
 		return fmt.Errorf("hw: topology JSON field gpu.efficiency is %g, outside (0, 1]", e)
 	}
 	for _, f := range []struct {
-		name     string
-		v, scale float64
+		name      string
+		v, scale  float64
+		bandwidth bool
 	}{
-		{"gpu.mem_gb", tj.GPU.MemGB, GB},
-		{"gpu.fp16_tflops", tj.GPU.FP16TFLOPS, 1e12},
-		{"gpu.link_gbps", tj.GPU.LinkGBps, GBps},
-		{"gpu.price_usd", tj.GPU.PriceUSD, 1},
-		{"root_complex_gbps", tj.RootComplexGBps, GBps},
-		{"dram_gb", tj.DRAMGB, GB},
-		{"transfer_latency_ms", tj.TransferLatencyMS, 1e-3},
-		{"nvlink_gbps", tj.NVLinkGBps, GBps},
-		{"ssd_gbps", tj.SSDGBps, GBps},
-		{"ssd_gb", tj.SSDGB, GB},
+		{"gpu.mem_gb", tj.GPU.MemGB, GB, false},
+		{"gpu.fp16_tflops", tj.GPU.FP16TFLOPS, 1e12, false},
+		{"gpu.link_gbps", tj.GPU.LinkGBps, GBps, true},
+		{"gpu.price_usd", tj.GPU.PriceUSD, 1, false},
+		{"root_complex_gbps", tj.RootComplexGBps, GBps, true},
+		{"dram_gb", tj.DRAMGB, GB, false},
+		{"transfer_latency_ms", tj.TransferLatencyMS, 1e-3, false},
+		{"nvlink_gbps", tj.NVLinkGBps, GBps, true},
+		{"ssd_gbps", tj.SSDGBps, GBps, true},
+		{"ssd_gb", tj.SSDGB, GB, false},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("hw: topology JSON field %s is negative (%g)", f.name, f.v)
 		}
 		if math.IsInf(f.v*f.scale, 0) {
 			return fmt.Errorf("hw: topology JSON field %s is %g, which overflows once converted", f.name, f.v)
+		}
+		if f.bandwidth && f.v > 0 && f.v*f.scale < 1 {
+			return fmt.Errorf("hw: topology JSON field %s is %g, under 1 byte/s", f.name, f.v)
 		}
 	}
 	return nil

@@ -37,13 +37,10 @@ func benchFlowSim(nFlows int) *Sim {
 }
 
 // BenchmarkSimRecomputeRates measures one full max-min fair rate
-// recomputation over a contended 64-flow set — the cost the incremental
-// scheduler avoids paying per event. Oracle mode forces the whole flow set
-// through water-filling, as the pre-incremental scheduler did on every
-// event.
+// recomputation over a contended 64-flow set, the water-fill an event
+// pays whenever it changes the flow set or a capacity.
 func BenchmarkSimRecomputeRates(b *testing.B) {
 	s := benchFlowSim(64)
-	s.rateOracle = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -56,8 +53,8 @@ func BenchmarkSimRecomputeRates(b *testing.B) {
 // contention and sparse benchmarks: `groups` islands of one root complex
 // (13.1 GB/s) plus four links (26.2 GB/s), each island carrying `streams`
 // chains of `chain` dependent transfers. Every completion admits the next
-// transfer in its chain, so the event loop sees constant component churn
-// while ~groups×streams flows stay concurrently active. Each island
+// transfer in its chain, so the event loop sees constant churn while
+// ~groups×streams flows stay concurrently active. Each island
 // registers its four (link, rc) paths once, as the hardware layer
 // registers each route once per server.
 func buildChurn(s *Sim, groups, streams, chain int) {
@@ -73,26 +70,11 @@ func buildChurn(s *Sim, groups, streams, chain int) {
 			for k := 0; k < chain; k++ {
 				// The group index staggers the byte pattern so completions
 				// across islands land at distinct instants, as they do in
-				// any real pipeline; a perfectly symmetric workload would
-				// perturb every component at every event and hide the
-				// locality the incremental scheduler exploits.
+				// any real pipeline.
 				bytes := float64(1+(g*5+st*7+k)%13) * 64e6
 				prev = s.Transfer(name, nil, paths[st%len(paths)], bytes, st%4, prev)
 			}
 		}
-	}
-}
-
-// runChurn executes one full churn simulation under the given scheduler
-// mode, rebuilding the topology and DAG from scratch (the historical
-// whole-run benchmark shape: construction cost included).
-func runChurn(b *testing.B, groups, streams, chain int, oracle bool) {
-	b.Helper()
-	s := New()
-	s.rateOracle = oracle
-	buildChurn(s, groups, streams, chain)
-	if _, err := s.Run(); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -124,60 +106,36 @@ func benchRun(b *testing.B, groups, streams, chain int) {
 	}
 }
 
-// BenchmarkSimContention is the many-flow contention case from the issue:
-// shared root complexes with 64..1024 concurrent flows (8 groups ×
-// streams/group × 8-deep chains). The incremental scheduler only
-// re-waterfills the perturbed island per event, so its per-flow cost stays
-// flat while the oracle (global recompute, the pre-incremental behavior)
-// grows linearly per event — quadratic in total work. The construct and
-// run sub-benchmarks split the historical build-plus-run shape into its
-// construction and execution halves.
+// BenchmarkSimContention is the many-flow contention case: isolated
+// islands of a root complex and its links with 64..1024 concurrent flows
+// (8 groups × streams/group × 8-deep chains). Every event re-water-fills
+// every active flow, so the per-event cost grows with the flow count. No
+// server builds isolated islands (every commodity path crosses the DRAM
+// bus); the benchmark keeps the cost of the one global fill visible. The
+// construct and run sub-benchmarks time construction and execution
+// separately.
 func BenchmarkSimContention(b *testing.B) {
 	for _, streams := range []int{8, 32, 128} {
 		flows := 8 * streams
 		b.Run(fmt.Sprintf("flows=%d/construct", flows), func(b *testing.B) {
 			benchConstruct(b, 8, streams, 8)
 		})
-		for _, mode := range []struct {
-			name   string
-			oracle bool
-		}{{"incremental", false}, {"oracle", true}} {
-			b.Run(fmt.Sprintf("flows=%d/%s", flows, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					runChurn(b, 8, streams, 8, mode.oracle)
-				}
-			})
-		}
 		b.Run(fmt.Sprintf("flows=%d/run", flows), func(b *testing.B) {
 			benchRun(b, 8, streams, 8)
 		})
 	}
 }
 
-// BenchmarkSimSparse is the sparse many-NVLink case: hundreds of
-// single-stream islands (a point-to-point NVLink mesh), where almost every
-// event perturbs a one-flow component. This is the best case for
-// component-local recomputation and the worst for a global sweep. With
-// only 8 transfers per island the historical whole-run shape is dominated
-// by construction; the construct/run split reports the two costs
-// separately.
+// BenchmarkSimSparse is the sparse many-link case: hundreds of
+// single-stream islands, where every event perturbs a one-flow island
+// yet re-water-fills every active flow: the worst case for one global
+// fill, and a topology no server builds. The construct and run
+// sub-benchmarks time construction and execution separately.
 func BenchmarkSimSparse(b *testing.B) {
 	for _, groups := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("links=%d/construct", groups), func(b *testing.B) {
 			benchConstruct(b, groups, 1, 8)
 		})
-		for _, mode := range []struct {
-			name   string
-			oracle bool
-		}{{"incremental", false}, {"oracle", true}} {
-			b.Run(fmt.Sprintf("links=%d/%s", groups, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					runChurn(b, groups, 1, 8, mode.oracle)
-				}
-			})
-		}
 		b.Run(fmt.Sprintf("links=%d/run", groups), func(b *testing.B) {
 			benchRun(b, groups, 1, 8)
 		})

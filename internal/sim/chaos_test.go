@@ -98,8 +98,7 @@ func (h *chaosHarness) Spec(seed int64) *fault.Spec {
 	// Validate rejects overlapping windows on the same link, and an
 	// unbounded window overlaps everything after it. Windows on different
 	// links overlap freely in time. Every window edge is a mid-transfer
-	// capacity event on one link, so bursts churn exactly the
-	// component-membership state the incremental flow scheduler maintains
+	// capacity event on one link, so bursts churn the flow rates mid-run
 	// (links sharing a root complex with live traffic, links going slow
 	// and recovering while other links' windows are still open).
 	links := append([]string(nil), chaosMatches[1:]...)
@@ -325,9 +324,8 @@ func FuzzChaosInvariants(f *testing.F) {
 	}
 	f.Add(int64(-1))
 	f.Add(int64(1 << 40))
-	// Seeds whose generated specs churn component membership in the
-	// incremental flow scheduler: bounded degradation windows on multiple
-	// links overlapping in time (capacity edges landing mid-transfer while
+	// Seeds whose generated specs churn the flow rates: bounded
+	// degradation windows on multiple links overlapping in time (capacity edges landing mid-transfer while
 	// other links' windows are still open), several also stacked on a
 	// whole-run unbounded degradation. Found by scanning Spec output for
 	// cross-link window overlap.

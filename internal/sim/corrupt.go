@@ -138,8 +138,7 @@ func (s *Sim) injectCorruption(t *Task) (extra Time) {
 
 // finalizeIntegrity derives the run-level IntegrityStats from the
 // per-task counters, scanning tasks in id order. Summation order is
-// therefore a property of the DAG, not of event interleaving — the
-// incremental and oracle schedulers produce bitwise-identical aggregates.
+// therefore a property of the DAG, not of event interleaving.
 func (s *Sim) finalizeIntegrity() {
 	st := IntegrityStats{}
 	if s.Checksums.Enabled || s.CorruptionPolicy != nil {

@@ -1,22 +1,29 @@
 package sim
 
 import (
+	"bufio"
 	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 )
 
-// This file is the differential gate of the incremental scheduler: for
-// randomized chaos topologies — shared root complexes, isolated links,
-// cross-group bridges that force component merges, degradation windows,
-// retries, corruption, permanent failures — the incremental
-// component-local scheduler must produce BITWISE-identical task
-// timelines, per-resource traffic, and invariant-check results to the
-// retained global recompute oracle. Any divergence, even one ulp, means
-// the component decomposition changed an observable schedule.
+var update = flag.Bool("update", false, "regenerate testdata/chaos.golden")
+
+// This file is the differential gate of the scheduler: for randomized
+// chaos topologies — shared root complexes, isolated links, cross-group
+// bridges, degradation windows, retries, corruption, permanent failures
+// — every run's task timeline, per-resource traffic and invariant-check
+// results are held to a recorded golden file, and a replay of the same
+// seed must reproduce them bit for bit.
 
 // timelineEvent is one task start or finish with the timestamp's exact
 // bit pattern.
@@ -99,12 +106,12 @@ type runRecord struct {
 }
 
 // diffScenario builds one randomized chaos topology and DAG into s. The
-// construction is a pure function of the rng stream so both scheduler
-// modes see identical inputs.
+// construction is a pure function of the rng stream, so a seed always
+// builds the same inputs.
 func diffScenario(r *rand.Rand, s *Sim) {
 	// Groups of resources: a shared root complex plus private links.
 	// Fixed "nice" capacities appear alongside random ones so exact
-	// cross-component rate ties (symmetric topologies) are exercised.
+	// cross-group rate ties (symmetric topologies) are exercised.
 	nGroups := 2 + r.Intn(4)
 	type group struct {
 		rc    *Resource
@@ -154,7 +161,7 @@ func diffScenario(r *rand.Rand, s *Sim) {
 
 	// Streams of chained transfers with interleaved computes and
 	// alloc/free pairs. Occasional bridge transfers cross two groups'
-	// root complexes, forcing union-find merges mid-run; double-weight
+	// root complexes, coupling their rates mid-run; double-weight
 	// crossings exercise weighted paths.
 	nStreams := 2 + r.Intn(10)
 	for st := 0; st < nStreams; st++ {
@@ -201,7 +208,7 @@ func diffScenario(r *rand.Rand, s *Sim) {
 	}
 
 	// Degradation windows: capacity drops with restores, overlapping in
-	// time across different resources, churning component rates mid-run.
+	// time across different resources, churning rates mid-run.
 	for i, n := 0, r.Intn(4); i < n; i++ {
 		res := allRes[r.Intn(len(allRes))]
 		at := r.Float64() * 0.5
@@ -218,8 +225,8 @@ func diffScenario(r *rand.Rand, s *Sim) {
 
 // diffScenarioIsolated builds a scenario whose groups share nothing — no
 // bridges, per-group engines and pools — so the run carries many
-// independent components at once, which the shared-state scenario above
-// mostly merges through its global engines and pool.
+// independent groups of flows at once, which the shared-state scenario
+// above mostly couples through its global engines and pool.
 func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 	if r.Intn(3) == 0 {
 		s.TransferLatency = Time(r.Float64() * 5e-4)
@@ -307,8 +314,8 @@ func diffScenarioIsolated(r *rand.Rand, s *Sim) {
 
 // diffScenarioSkewed builds an adversarially skewed isolated topology:
 // one giant group carrying most of the tasks plus a swarm of tiny
-// single-stream groups: one large, churning component beside a swarm of
-// short-lived tiny ones.
+// single-stream groups: one large, churning group of flows beside a
+// swarm of short-lived tiny ones.
 func diffScenarioSkewed(r *rand.Rand, s *Sim) {
 	if r.Intn(3) == 0 {
 		s.TransferLatency = Time(r.Float64() * 5e-4)
@@ -403,101 +410,231 @@ func captureRecord(s *Sim, makespan Time, err error) runRecord {
 	return rec
 }
 
-// runScenarioMode executes a seed's scenario under one scheduler mode —
-// oracle or incremental — and records every observable bit.
-func runScenarioMode(seed int64, oracle bool, build func(*rand.Rand, *Sim)) runRecord {
+// runScenario executes a seed's scenario and records every observable
+// bit.
+func runScenario(seed int64, build func(*rand.Rand, *Sim)) runRecord {
 	r := rand.New(rand.NewSource(seed))
 	s := New()
-	s.rateOracle = oracle
 	build(r, s)
 
 	makespan, err := s.Run()
 	return captureRecord(s, makespan, err)
 }
 
-// runScenario executes the seed's shared-state scenario.
-func runScenario(seed int64, oracle bool) runRecord {
-	return runScenarioMode(seed, oracle, diffScenario)
-}
-
-func diffRecords(t *testing.T, seed int64, inc, ora runRecord) {
+// diffRecords requires two runs of one seed to agree bit for bit.
+func diffRecords(t *testing.T, seed int64, a, b runRecord) {
 	t.Helper()
-	if inc.makespanBits != ora.makespanBits {
-		t.Errorf("seed %d: makespan diverged: %x vs %x (%g vs %g)", seed,
-			inc.makespanBits, ora.makespanBits,
-			math.Float64frombits(inc.makespanBits), math.Float64frombits(ora.makespanBits))
+	if a.makespanBits != b.makespanBits {
+		t.Errorf("seed %d: makespan diverged: %g vs %g", seed,
+			math.Float64frombits(a.makespanBits), math.Float64frombits(b.makespanBits))
 	}
-	if inc.errText != ora.errText {
-		t.Errorf("seed %d: error diverged:\n  incremental: %q\n  oracle:      %q", seed, inc.errText, ora.errText)
+	if a.errText != b.errText {
+		t.Errorf("seed %d: error diverged: %q vs %q", seed, a.errText, b.errText)
 	}
-	if len(inc.events) != len(ora.events) {
-		t.Fatalf("seed %d: event count diverged: %d vs %d", seed, len(inc.events), len(ora.events))
+	if !slices.Equal(a.events, b.events) {
+		t.Errorf("seed %d: timeline diverged", seed)
 	}
-	for i := range inc.events {
-		if inc.events[i] != ora.events[i] {
-			t.Fatalf("seed %d: event %d diverged: %+v vs %+v", seed, i, inc.events[i], ora.events[i])
-		}
+	if !slices.Equal(a.taskStarts, b.taskStarts) || !slices.Equal(a.taskEnds, b.taskEnds) {
+		t.Errorf("seed %d: task times diverged", seed)
 	}
-	for i := range inc.taskEnds {
-		if inc.taskStarts[i] != ora.taskStarts[i] || inc.taskEnds[i] != ora.taskEnds[i] {
-			t.Errorf("seed %d: task %d times diverged", seed, i)
-		}
+	if !slices.Equal(a.carried, b.carried) {
+		t.Errorf("seed %d: carried bytes diverged", seed)
 	}
-	for i := range inc.carried {
-		if inc.carried[i] != ora.carried[i] {
-			t.Errorf("seed %d: resource %d carried diverged: %g vs %g", seed, i,
-				math.Float64frombits(inc.carried[i]), math.Float64frombits(ora.carried[i]))
-		}
+	if !slices.Equal(a.invariants, b.invariants) {
+		t.Errorf("seed %d: invariant results diverged: %v vs %v", seed, a.invariants, b.invariants)
 	}
-	if len(inc.invariants) != len(ora.invariants) {
-		t.Errorf("seed %d: invariant results diverged: %v vs %v", seed, inc.invariants, ora.invariants)
-	} else {
-		for i := range inc.invariants {
-			if inc.invariants[i] != ora.invariants[i] {
-				t.Errorf("seed %d: invariant %d diverged: %q vs %q", seed, i, inc.invariants[i], ora.invariants[i])
-			}
-		}
-	}
-	// Neither mode may violate the simulator's own invariants on runs
-	// that completed or halted on a structured failure.
-	if len(inc.invariants) != 0 {
-		t.Errorf("seed %d: invariants violated: %v", seed, inc.invariants)
+	// No run may violate the simulator's own invariants, whether it
+	// completed or halted on a structured failure.
+	if len(a.invariants) != 0 {
+		t.Errorf("seed %d: invariants violated: %v", seed, a.invariants)
 	}
 }
 
-// TestDifferentialIncrementalVsOracle runs 64 randomized chaos topologies
-// from each scenario builder under both schedulers and requires
-// bit-for-bit identical behavior.
-func TestDifferentialIncrementalVsOracle(t *testing.T) {
-	for _, sc := range []struct {
-		name  string
-		build func(*rand.Rand, *Sim)
-	}{
-		{"shared", diffScenario},
-		{"isolated", diffScenarioIsolated},
-		{"skewed", diffScenarioSkewed},
-	} {
+// TestDifferentialReplayDeterminism pins that the scheduler is
+// self-deterministic: the same seed replays bit-identically.
+func TestDifferentialReplayDeterminism(t *testing.T) {
+	for _, seed := range []int64{3, 17, 42} {
+		a := runScenario(seed, diffScenario)
+		b := runScenario(seed, diffScenario)
+		diffRecords(t, seed, a, b)
+	}
+}
+
+// goldenPath holds every differential chaos run's observable record.
+const goldenPath = "testdata/chaos.golden"
+
+// diffScenarios are the differential scenario builders, in the order
+// the golden file lists their runs.
+var diffScenarios = []struct {
+	name  string
+	build func(*rand.Rand, *Sim)
+}{
+	{"shared", diffScenario},
+	{"isolated", diffScenarioIsolated},
+	{"skewed", diffScenarioSkewed},
+}
+
+// goldenRun is one line of the golden file: a run's record with the
+// timeline and the per-task times folded into digests, and each
+// resource's carried bytes kept as float bits so a comparison can
+// measure its distance in ulps.
+type goldenRun struct {
+	Scenario   string   `json:"scenario"`
+	Seed       int64    `json:"seed"`
+	Makespan   uint64   `json:"makespan"`
+	Err        string   `json:"err,omitempty"`
+	Timeline   string   `json:"timeline"`
+	Tasks      string   `json:"tasks"`
+	Invariants []string `json:"invariants,omitempty"`
+	Carried    []uint64 `json:"carried"`
+}
+
+func digest(words ...[]uint64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, ws := range words {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(ws)))
+		h.Write(buf[:])
+		for _, w := range ws {
+			binary.LittleEndian.PutUint64(buf[:], w)
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func goldenOf(name string, seed int64, rec runRecord) goldenRun {
+	var tl []uint64
+	for _, ev := range rec.events {
+		kind := uint64(0)
+		if ev.kind == "finish" {
+			kind = 1
+		}
+		tl = append(tl, uint64(ev.taskID), kind, ev.timeBit)
+	}
+	return goldenRun{
+		Scenario:   name,
+		Seed:       seed,
+		Makespan:   rec.makespanBits,
+		Err:        rec.errText,
+		Timeline:   digest(tl),
+		Tasks:      digest(rec.taskStarts, rec.taskEnds),
+		Invariants: rec.invariants,
+		Carried:    rec.carried,
+	}
+}
+
+// ulps is the distance in units in the last place between two
+// non-negative floats given by their bits.
+func ulps(a, b uint64) uint64 {
+	if a > b {
+		return a - b
+	}
+	return b - a
+}
+
+// TestDifferentialGolden holds every run of the three differential
+// scenario builders, 64 seeds each, to testdata/chaos.golden: makespan,
+// error text, timeline, task start and end times and invariant results
+// bit for bit, and each resource's carried bytes to within 4 ulps, the
+// float dust of settling flows in a different order. Regenerate with
+// go test ./internal/sim/ -run TestDifferentialGolden -args -update, only
+// at a commit that is meant to move schedules.
+func TestDifferentialGolden(t *testing.T) {
+	var got []goldenRun
+	for _, sc := range diffScenarios {
+		for seed := int64(1); seed <= 64; seed++ {
+			got = append(got, goldenOf(sc.name, seed, runScenario(seed, sc.build)))
+		}
+	}
+	if *update {
+		writeGolden(t, got)
+		return
+	}
+	want := readGolden(t)
+	if len(want) != len(got) {
+		t.Fatalf("%s lists %d runs, the scenarios make %d", goldenPath, len(want), len(got))
+	}
+	for i, sc := range diffScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 64; seed++ {
-				inc := runScenarioMode(seed, false, sc.build)
-				ora := runScenarioMode(seed, true, sc.build)
-				diffRecords(t, seed, inc, ora)
-				if t.Failed() {
-					t.Fatalf("seed %d: differential divergence (stopping)", seed)
-				}
+			for j := i * 64; j < (i+1)*64; j++ {
+				checkGolden(t, got[j], want[j])
 			}
 		})
 	}
 }
 
-// TestDifferentialReplayDeterminism pins that each mode is also
-// self-deterministic: the same seed replays bit-identically.
-func TestDifferentialReplayDeterminism(t *testing.T) {
-	for _, seed := range []int64{3, 17, 42} {
-		for _, oracle := range []bool{false, true} {
-			a := runScenario(seed, oracle)
-			b := runScenario(seed, oracle)
-			diffRecords(t, seed, a, b)
+func writeGolden(t *testing.T, runs []goldenRun) {
+	t.Helper()
+	f, err := os.Create(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w)
+	for _, g := range runs {
+		if err := enc.Encode(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readGolden(t *testing.T) []goldenRun {
+	t.Helper()
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	var runs []goldenRun
+	for dec.More() {
+		var g goldenRun
+		if err := dec.Decode(&g); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, g)
+	}
+	return runs
+}
+
+func checkGolden(t *testing.T, g, w goldenRun) {
+	t.Helper()
+	id := fmt.Sprintf("%s seed %d", g.Scenario, g.Seed)
+	if g.Scenario != w.Scenario || g.Seed != w.Seed {
+		t.Fatalf("%s: golden has %s seed %d in its place", id, w.Scenario, w.Seed)
+	}
+	if g.Makespan != w.Makespan {
+		t.Errorf("%s: makespan %g, golden %g", id, math.Float64frombits(g.Makespan), math.Float64frombits(w.Makespan))
+	}
+	if g.Err != w.Err {
+		t.Errorf("%s: error %q, golden %q", id, g.Err, w.Err)
+	}
+	if g.Timeline != w.Timeline {
+		t.Errorf("%s: timeline differs from the golden one", id)
+	}
+	if g.Tasks != w.Tasks {
+		t.Errorf("%s: task start or end times differ from the golden ones", id)
+	}
+	if !slices.Equal(g.Invariants, w.Invariants) {
+		t.Errorf("%s: invariants %q, golden %q", id, g.Invariants, w.Invariants)
+	}
+	if len(g.Invariants) != 0 {
+		t.Errorf("%s: invariants violated: %v", id, g.Invariants)
+	}
+	if len(g.Carried) != len(w.Carried) {
+		t.Fatalf("%s: %d resources, golden %d", id, len(g.Carried), len(w.Carried))
+	}
+	for r := range g.Carried {
+		if d := ulps(g.Carried[r], w.Carried[r]); d > 4 {
+			t.Errorf("%s: resource %d carried %g, golden %g (%d ulps apart)", id, r,
+				math.Float64frombits(g.Carried[r]), math.Float64frombits(w.Carried[r]), d)
 		}
 	}
 }

@@ -80,27 +80,16 @@ func workSim() (*Sim, []*Resource, []*Engine) {
 // TestDispatchMatchesGlobalSort holds Finished — the order the trace
 // recorder receives a run's tasks in — which sorts only each run of equal
 // end times, to one global sort by (end time, task id): on every
-// differential chaos topology under both scheduler modes, and on runs
-// whose first tasks were drained through the event loop before Run.
+// differential chaos topology, and on runs whose first tasks were
+// drained through the event loop before Run.
 func TestDispatchMatchesGlobalSort(t *testing.T) {
-	builders := []struct {
-		name  string
-		build func(*rand.Rand, *Sim)
-	}{
-		{"shared", diffScenario},
-		{"isolated", diffScenarioIsolated},
-		{"skewed", diffScenarioSkewed},
-	}
 	t.Run("chaos", func(t *testing.T) {
 		total := 0
-		for _, b := range builders {
+		for _, b := range diffScenarios {
 			for seed := int64(1); seed <= 64; seed++ {
-				for _, oracle := range []bool{false, true} {
-					s := New()
-					s.rateOracle = oracle
-					b.build(rand.New(rand.NewSource(seed)), s)
-					total += checkFinished(t, fmt.Sprintf("%s seed %d oracle=%v", b.name, seed, oracle), s)
-				}
+				s := New()
+				b.build(rand.New(rand.NewSource(seed)), s)
+				total += checkFinished(t, fmt.Sprintf("%s seed %d", b.name, seed), s)
 			}
 		}
 		if total == 0 {
@@ -115,7 +104,7 @@ func TestDispatchMatchesGlobalSort(t *testing.T) {
 			admitForTest(s)
 			checkFinished(t, fmt.Sprintf("work seed %d", seed), s)
 		}
-		for _, b := range builders {
+		for _, b := range diffScenarios {
 			for seed := int64(1); seed <= 16; seed++ {
 				s := New()
 				b.build(rand.New(rand.NewSource(seed)), s)

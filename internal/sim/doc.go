@@ -38,14 +38,14 @@
 // is fully deterministic: ties are broken by task creation order.
 //
 // One serial event loop (loop.go) executes the whole DAG; its state lives
-// on Sim. The loop is incremental: flows are grouped into connected
-// components by a union-find over the resources their paths touch, and an
-// event re-runs the fair-sharing computation only for the components it
-// perturbed (component.go). Flow progress is settled lazily when a flow's
-// rate changes (flow.go), and the next event is picked from an indexed
-// min-heap of predicted completion times (flowheap.go) and a typed heap
-// of compute completions (taskheap.go), so per-event cost scales with
-// the perturbation, not with the number of active flows. The
-// pre-incremental global recompute is retained as a test-only oracle that
-// the differential tests hold bitwise-equal to the incremental scheduler.
+// on Sim. An event that admits or finishes a flow or changes a capacity
+// re-runs the fair-sharing computation once over every active flow
+// (flow.go): on a commodity server every path but a P2P NVLink pair's
+// crosses the DRAM bus, so the active flows share one resource and no
+// event could leave part of them out. Flow progress is settled lazily
+// when a flow's rate changes, and the next event is picked from an
+// indexed min-heap of predicted completion times (flowheap.go) and a
+// typed heap of compute completions (taskheap.go). A clock grown so
+// large that one ulp outlasts a transfer cannot finish it; Run then
+// stops with a *StallError instead of picking the same instant forever.
 package sim

@@ -38,6 +38,11 @@ func TestStructuredErrorsRoundTripWrapping(t *testing.T) {
 			&CorruptionError{Task: "CK3", At: 1.25, Attempts: 3},
 			func(err error) (error, bool) { var e *CorruptionError; ok := errors.As(err, &e); return e, ok },
 		},
+		{
+			"StallError",
+			&StallError{At: 1e17, Task: "t"},
+			func(err error) (error, bool) { var e *StallError; ok := errors.As(err, &e); return e, ok },
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -26,10 +26,8 @@ type flow struct {
 	pred Time
 	// heapIdx is the flow's position in Sim.flowQueue (-1 when absent).
 	heapIdx int
-	// listIdx is the flow's position in the unordered Sim.flows list.
+	// listIdx is the flow's position in Sim.flows.
 	listIdx int
-	// compIdx is the flow's position in its component's member list.
-	compIdx int
 }
 
 // infiniteRate stands in for an unconstrained transfer (empty path).
@@ -82,7 +80,7 @@ func (s *Sim) settleAllFlows() {
 // changed, using strict-priority max-min fairness (progressive filling /
 // water-filling):
 //
-//  1. A component's flows are grouped by priority; higher classes are
+//  1. The active flows are grouped by priority; higher classes are
 //     served first against the residual capacity left by the classes
 //     above them.
 //  2. Within a class, rates are max-min fair: repeatedly find the most
@@ -93,103 +91,33 @@ func (s *Sim) settleAllFlows() {
 // payload byte, which models staged transfers that cross a root complex
 // twice.
 //
-// Water-filling runs component by component in every mode. Components
-// share no resources, so filling them separately is exact, and the
-// result is independent of which other components happen to be dirty at
-// the same instant. The incremental path fills only the components
-// marked dirty since the last call; the retained test-only oracle
-// (rateOracle) fills every live component on every event. Both must
-// produce identical schedules — the differential tests assert exactly
-// that.
+// One fill covers every active flow. On a server every path but a GPU
+// pair's on a P2P NVLink server crosses the DRAM bus, so the active
+// flows share one resource and no event could leave part of them
+// untouched.
 //
 // The computation allocates nothing per event: it reuses the
 // scratch slices on Sim and the scratch fields on Resource
-// (residual/demand reset per component fill, the per-round binding
-// flag) instead of
-// building maps per event, and relies on each component's flow list
-// providing a deterministic iteration order shared by all scheduler
-// modes, so no per-call sort is needed.
+// (residual/demand reset per fill, the per-round binding flag), and
+// serves the flows in the order of Sim.flows, so no per-call sort is
+// needed.
 func (s *Sim) recomputeRates() {
 	if !s.ratesDirty {
 		return
 	}
 	s.ratesDirty = false
-
-	if s.rateOracle {
-		// Oracle mode: drain the dirty queue for its side effects only
-		// (recycling dead components, recovering splits), then fill every
-		// live component, de-duplicated by visit epoch.
-		s.resolveDirty(false)
-		s.compVisit++
-		for _, f := range s.flows {
-			if len(f.path) == 0 {
-				continue
-			}
-			c := s.findRoot(f.path[0].Res).comp
-			if c == nil || c.visit == s.compVisit {
-				continue
-			}
-			c.visit = s.compVisit
-			s.fillComponent(c)
-		}
-		return
-	}
-
-	for _, c := range s.resolveDirty(true) {
-		s.fillComponent(c)
-	}
-}
-
-// resolveDirty drains the dirty-component queue: dead components are
-// recycled, components whose finish count outgrew their live size are
-// rebuilt (their replacements re-enter the queue and are drained by this
-// same call), and — when collect is set — the surviving components are
-// returned for filling.
-func (s *Sim) resolveDirty(collect bool) []*component {
-	work := s.compScratch[:0]
-	for i := 0; i < len(s.dirtyComps); i++ {
-		c := s.dirtyComps[i]
-		c.dirty = false
-		if c.dead {
-			s.recycleComponent(c)
-			continue
-		}
-		if c.finished > len(c.flows)+16 {
-			// Enough finishes that stale merges may be holding unrelated
-			// flows together: re-derive this component's partition. The
-			// rebuild appends its results to dirtyComps, so the loop picks
-			// them up.
-			s.rebuildComponent(c)
-			continue
-		}
-		if collect {
-			work = append(work, c)
-		}
-	}
-	s.dirtyComps = s.dirtyComps[:0]
-	s.compScratch = work
-	return work
-}
-
-// fillComponent runs the strict-priority water-fill over one component
-// and applies the resulting rates.
-func (s *Sim) fillComponent(c *component) {
-	set := c.flows
+	set := s.flows
 	if len(set) == 0 {
 		return
 	}
-
-	// Reset residual capacity on every resource the component touches,
-	// via the component's cached distinct-resource list (component.go) —
-	// a handful of entries instead of one visit per flow-hop.
-	for _, r := range c.resources {
+	for _, r := range s.resources {
 		r.residual = r.capacity
 		r.demand = 0
 	}
 
 	// Bucket the set by priority in ONE pass: each flow is appended to
 	// its class's reusable scratch slice, preserving the relative order
-	// within the component. The distinct class count is tiny, so the
+	// of the flow list. The distinct class count is tiny, so the
 	// per-flow class lookup is a short linear probe, not a map.
 	prios := s.prioScratch[:0]
 	buckets := s.classBuckets
@@ -233,8 +161,7 @@ func (s *Sim) fillComponent(c *component) {
 // applyRates promotes the water-fill results: every flow whose new rate
 // differs (bitwise) from its current one is settled at the old rate, then
 // re-keyed in the completion heap. Flows whose rate is reproduced exactly
-// are untouched, which is what makes a conservative (over-large)
-// recompute set behaviorally invisible.
+// are untouched: their prediction and heap position stay as they were.
 func (s *Sim) applyRates(set []*flow) {
 	for _, f := range set {
 		if f.nextRate == f.rate {
@@ -252,8 +179,8 @@ func (s *Sim) applyRates(set []*flow) {
 // are written to flow.nextRate; applyRates decides what actually changed.
 //
 // Per round, the binding-share search and the scratch clearing run over
-// the distinct resources the round's unfixed flows touch — a handful per
-// component — instead of re-walking every flow-hop. The set of
+// the distinct resources the round's unfixed flows touch — a handful on
+// a server — instead of re-walking every flow-hop. The set of
 // residual/demand quotients examined is unchanged and a float minimum is
 // order-independent, so the allocation stays bitwise-identical to the
 // per-hop formulation; only the freeze pass, whose flow order decides

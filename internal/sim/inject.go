@@ -35,28 +35,15 @@ func sortCapEvents(evs []capEvent) {
 }
 
 // applyCapEvents applies every capacity event due at (or before) the
-// clock and marks the affected resource's component dirty when anything
-// changed.
+// clock and marks the rates dirty when a capacity changed.
 func (s *Sim) applyCapEvents() {
 	for s.nextCap < len(s.capEvents) && s.capEvents[s.nextCap].at <= s.now+timeEpsilon {
 		ev := s.capEvents[s.nextCap]
 		s.nextCap++
 		if ev.res.capacity != ev.capacity {
 			ev.res.capacity = ev.capacity
-			s.touchResource(ev.res)
+			s.ratesDirty = true
 		}
-	}
-}
-
-// touchResource marks the component of r dirty, if any active flow
-// crosses it. A capacity change on an idle resource perturbs nobody: the
-// new capacity is simply what the next admission will water-fill against.
-func (s *Sim) touchResource(r *Resource) {
-	if r.ufGen != ufGen {
-		return
-	}
-	if root := s.findRoot(r); root.comp != nil {
-		s.markDirty(root.comp)
 	}
 }
 

@@ -4,9 +4,8 @@ import "math"
 
 // This file is the event loop of the simulator: clock, ready worklist,
 // engine dispatch, active flows, and the compute and flow completion
-// heaps. Its state lives on Sim (sim.go); rate computation and the
-// union-find component structure it drives live in flow.go and
-// component.go.
+// heaps. Its state lives on Sim (sim.go); rate computation lives in
+// flow.go.
 
 // run executes the event loop to completion, structured failure, or
 // deadlock (pending tasks left with no event to fire; Run derives the
@@ -50,10 +49,18 @@ func (s *Sim) run() {
 			// Deadlock: no event can fire.
 			break
 		}
-		if next < s.now {
+		if next <= s.now {
 			next = s.now
+			if !s.advance(next) {
+				// Nothing happened at the current instant, so the loop
+				// would pick it again forever: a flow's predicted
+				// completion rounded onto a clock too coarse to finish it.
+				s.fail(&StallError{At: s.now, Task: s.TaskName(s.flowQueue.top().task)})
+				break
+			}
+		} else {
+			s.advance(next)
 		}
-		s.advance(next)
 		s.drain()
 	}
 	// Settle lazy progress so utilization accounting and invariant checks
@@ -65,13 +72,17 @@ func (s *Sim) run() {
 // advance moves the clock to t and completes every compute and flow that
 // finishes at (or within epsilon of) t. Flow progress is lazy: nothing is
 // swept per event — a flow's remaining payload is settled only here (on
-// completion) or when its rate changes (applyRates).
-func (s *Sim) advance(t Time) {
+// completion) or when its rate changes (applyRates). It reports whether
+// anything happened: a task completed, a flow started, or a capacity or
+// failure event applied.
+func (s *Sim) advance(t Time) bool {
 	s.now = t
+	popped, cap, fail := false, s.nextCap, s.nextFail
 
 	// Complete finished computes; transfer tasks surfacing here have
 	// finished their setup latency and now begin flowing.
 	for len(s.computes) > 0 && s.computes[0].endAt <= s.now+timeEpsilon {
+		popped = true
 		task := s.computes.pop()
 		if task.kind == KindTransfer {
 			s.beginFlow(task)
@@ -95,8 +106,11 @@ func (s *Sim) advance(t Time) {
 		}
 		s.flowQueue.popTop()
 		s.settleFlow(f)
-		s.removeFromFlowList(f)
-		s.componentFinish(f)
+		if len(f.path) > 0 {
+			// The freed bandwidth redistributes to the survivors.
+			s.removeFromFlowList(f)
+			s.ratesDirty = true
+		}
 		done = append(done, f)
 	}
 	if len(done) > 0 {
@@ -124,6 +138,7 @@ func (s *Sim) advance(t Time) {
 
 	s.applyCapEvents()
 	s.applyFailEvents()
+	return popped || len(done) > 0 || s.nextCap != cap || s.nextFail != fail
 }
 
 // finishEngineTask completes a compute or transfer task, releases its
@@ -280,9 +295,8 @@ func (s *Sim) startOnEngine(t *Task) {
 
 // beginFlow admits a transfer task's payload into the fair-sharing flow
 // set (after any setup latency has elapsed): the flow joins the
-// active list, the completion heap, and — unless its path is empty — the
-// connected component its resources belong to, which is marked dirty for
-// the next rate recompute.
+// completion heap and, unless its path is empty, the active list, which
+// marks the rates dirty for the next recompute.
 func (s *Sim) beginFlow(t *Task) {
 	t.flowStarted = true
 	f := s.takeFlow()
@@ -303,12 +317,12 @@ func (s *Sim) beginFlow(t *Task) {
 	}
 	f.nextRate = f.rate
 	f.pred = f.predict()
-	// s.flows is unordered (O(1) admit and swap-remove); the canonical
-	// iteration order for rate computation lives in the component lists.
-	f.listIdx = len(s.flows)
-	s.flows = append(s.flows, f)
 	s.flowQueue.push(f)
-	s.componentAdmit(f)
+	if len(f.path) > 0 {
+		f.listIdx = len(s.flows)
+		s.flows = append(s.flows, f)
+		s.ratesDirty = true
+	}
 }
 
 // removeFromFlowList unlinks f from the active-flow list in O(1) by

@@ -5,54 +5,7 @@ import (
 	"testing"
 )
 
-// TestIncrementalBeatsOracle is the `make check-perf` smoke gate: a short
-// in-process benchmark of the contention workload under both scheduler
-// modes, asserting the incremental component-local path is still
-// meaningfully faster than (and allocates no more than) the global
-// recompute oracle. It guards against regressions that would silently
-// turn the incremental scheduler back into a global one — a recompute
-// path that marks everything dirty, a heap that degenerates, a dropped
-// pool — without depending on absolute machine speed.
-//
-// Gated behind MOBIUS_CHECK_PERF so the ordinary test run stays fast; the
-// threshold (1.5x) is far below the measured speedup (see
-// BENCH_sim.json) to keep the gate robust on loaded CI machines.
-func TestIncrementalBeatsOracle(t *testing.T) {
-	if os.Getenv("MOBIUS_CHECK_PERF") == "" {
-		t.Skip("set MOBIUS_CHECK_PERF=1 (or run `make check-perf`) to run the performance smoke gate")
-	}
-	run := func(oracle bool) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := New()
-				s.rateOracle = oracle
-				buildChurn(s, 8, 32, 8)
-				if _, err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	inc := run(false)
-	ora := run(true)
-	t.Logf("incremental: %d ns/op, %d allocs/op", inc.NsPerOp(), inc.AllocsPerOp())
-	t.Logf("oracle:      %d ns/op, %d allocs/op", ora.NsPerOp(), ora.AllocsPerOp())
-
-	if inc.NsPerOp()*3 > ora.NsPerOp()*2 {
-		t.Errorf("incremental scheduler no longer beats the global oracle by 1.5x: %d ns/op vs %d ns/op",
-			inc.NsPerOp(), ora.NsPerOp())
-	}
-	// Constant slack: the incremental path grows a few scratch slices the
-	// oracle never touches (dirty-component collection); what the gate
-	// rejects is per-event allocation, which scales far past this.
-	if inc.AllocsPerOp() > ora.AllocsPerOp()+16 {
-		t.Errorf("incremental scheduler allocates more than the oracle: %d vs %d allocs/op",
-			inc.AllocsPerOp(), ora.AllocsPerOp())
-	}
-}
-
-// TestEventLoopAllocFree is the second `make check-perf` gate: the event
+// TestEventLoopAllocFree is a `make check-perf` gate: the event
 // loop allocates nothing per event. Each contention workload is built
 // fresh outside the measurement (benchRun) and only Run is counted; what
 // Run allocates is the growth of its reused buffers (finished list, flow

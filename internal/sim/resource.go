@@ -18,19 +18,6 @@ type Resource struct {
 	binding bool
 	// carried accumulates the bytes that crossed the resource.
 	carried float64
-
-	// Union-find state grouping resources into connected components of
-	// active flows (see component.go). ufGen lazily invalidates the
-	// structure: a resource whose generation differs from the run's
-	// reads as a fresh singleton. comp is only meaningful on a root.
-	ufParent *Resource
-	ufRank   int
-	ufGen    uint64
-	comp     *component
-
-	// listedComp is the component whose cached resource list this
-	// resource sits on (see component.resources), or nil.
-	listedComp *component
 }
 
 // Name returns the resource's label.

@@ -11,7 +11,7 @@ import (
 
 // Sim owns the simulated hardware (resources, engines, pools) and the work
 // DAG, and executes the DAG to completion. The event loop lives in
-// loop.go, rate computation in flow.go and component.go.
+// loop.go, rate computation in flow.go.
 type Sim struct {
 	now     Time
 	pending int
@@ -42,12 +42,6 @@ type Sim struct {
 	// per-task counters by finalizeIntegrity when Run returns.
 	integrity IntegrityStats
 
-	// rateOracle switches rate computation to the retained global
-	// reference implementation (every live component, every event) —
-	// test-only; the differential tests assert it is schedule-identical
-	// to the incremental path.
-	rateOracle bool
-
 	// Scheduled capacity changes and permanent failures (fault
 	// injection), applied in time order; nextCap and nextFail are the
 	// event loop's cursors into them.
@@ -69,31 +63,28 @@ type Sim struct {
 	ready     []*Task
 	readyHead int
 
+	// flows lists the active flows whose path is not empty, in
+	// admission order with swap-removal (flow.listIdx): the order the
+	// water-fill serves them in. An empty-path flow is unconstrained and
+	// lives only in flowQueue.
 	flows []*flow
 
+	// ratesDirty marks the flow set or a capacity changed since the
+	// last water-fill.
 	ratesDirty bool
 	computes   computeHeap
 	flowQueue  flowHeap
 
-	// Component state (component.go). compVisit advances once per
-	// oracle sweep and is never reset, so a mark a previous sweep left on
-	// a component can never read as current.
-	dirtyComps []*component
-	compPool   []*component
-	compVisit  uint64
-
 	// Scratch reused across events (no allocation per event).
-	prioScratch    []int32
-	classBuckets   [][]*flow
-	fixedScratch   []bool
-	resScratch     []*Resource
-	compScratch    []*component
-	rebuildScratch []*flow
-	doneScratch    []*flow
-	doneTasks      []*Task
-	kicked         []*Engine
-	flowPool       []*flow
-	flowSlab       []flow
+	prioScratch  []int32
+	classBuckets [][]*flow
+	fixedScratch []bool
+	resScratch   []*Resource
+	doneScratch  []*flow
+	doneTasks    []*Task
+	kicked       []*Engine
+	flowPool     []*flow
+	flowSlab     []flow
 
 	// The DAG. Tasks live in chunks of taskChunk, so a *Task stays valid
 	// as the DAG grows and task id i sits at taskChunks[i/taskChunk];
@@ -122,12 +113,6 @@ type Sim struct {
 
 // taskChunk is the number of tasks one arena chunk holds.
 const taskChunk = 256
-
-// ufGen is the union-find generation of the run (component.go). A
-// Resource starts at generation zero, and a per-component rebuild zeroes
-// the generation of the resources it invalidates, so a resource reads as
-// current only once the run has touched it.
-const ufGen = 1
 
 // New creates an empty simulator.
 func New() *Sim { return &Sim{} }
@@ -312,7 +297,8 @@ var errRunTwice = errors.New("sim: Run called twice")
 // an error when the DAG deadlocks (tasks remain but no event can fire) or
 // when a structured failure occurs: an Alloc larger than its pool's total
 // capacity yields an *OOMError, a Free returning more bytes than are
-// allocated yields a *MemAccountError.
+// allocated yields a *MemAccountError, and a clock too coarse to finish a
+// transfer yields a *StallError.
 //
 // A Sim runs once: a second Run returns an error and leaves the finished
 // run untouched. After Run, the run's results are read from its tasks
@@ -339,8 +325,8 @@ func (s *Sim) Run() (Time, error) {
 }
 
 // Finished returns the tasks Run completed, ordered by (end time, task
-// id): a canonical order shared by the incremental scheduler and the
-// test oracle. A halted or deadlocked run lists only the tasks that
+// id), a canonical order independent of how same-instant events
+// interleave. A halted or deadlocked run lists only the tasks that
 // finished before it stopped. The slice is the simulator's own.
 func (s *Sim) Finished() []*Task { return s.finished }
 
@@ -379,6 +365,19 @@ func sortEngines(es []*Engine) {
 			es[j], es[j-1] = es[j-1], es[j]
 		}
 	}
+}
+
+// StallError reports a run whose clock outgrew a transfer: at At one ulp
+// of the clock is longer than the flow Task still has to go, so its
+// predicted completion rounds onto the current instant and finishing it
+// would take a step the clock cannot make.
+type StallError struct {
+	At   Time
+	Task string
+}
+
+func (e *StallError) Error() string {
+	return fmt.Sprintf("sim: clock stalled at t=%g: transfer %q cannot finish in a step of the clock", e.At, e.Task)
 }
 
 // deadlockError reports the first few stuck tasks to aid debugging

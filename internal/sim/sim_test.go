@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -307,6 +308,45 @@ func TestDeadlockDetected(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected deadlock error")
 	}
+}
+
+// TestClockStallIsStructuredError: past t ≈ 1e17 s one ulp of the clock
+// (16 s) outlasts a 1 GB transfer at 16 GB/s, so the flow's predicted
+// completion rounds onto the current instant and no advance finishes it.
+// Run must name the instant instead of picking it forever.
+func TestClockStallIsStructuredError(t *testing.T) {
+	s := New()
+	r := s.NewResource("link", 16e9)
+	e := s.NewEngine("e")
+	c := s.Compute(s.Name("c"), e, 1e17)
+	s.Transfer(s.Name("t"), nil, s.NewPath(r), 1e9, 0, c)
+	_, err := s.Run()
+	var stall *StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("want a *StallError, got %v", err)
+	}
+	if stall.At != 1e17 || stall.Task != "t" {
+		t.Fatalf("stall names t=%g, task %q; want t=1e17, task \"t\"", stall.At, stall.Task)
+	}
+	if errs := s.CheckInvariants(); len(errs) != 0 {
+		t.Fatalf("invariants: %v", errs)
+	}
+}
+
+// TestZeroDurationComputeIsNotAStall: a zero-duration compute that
+// finishes at the current instant and hands its engine to a queued
+// longer one leaves the compute heap as long as it was, yet the loop
+// progressed; Run must not mistake it for a stalled clock.
+func TestZeroDurationComputeIsNotAStall(t *testing.T) {
+	s := New()
+	e := s.NewEngine("e")
+	s.Compute(s.Name("c0"), e, 0)
+	s.Compute(s.Name("c1"), e, 1)
+	end, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	almost(t, end, 1, 0, "makespan")
 }
 
 func TestZeroByteTransferCompletes(t *testing.T) {
