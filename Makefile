@@ -125,15 +125,16 @@ check-perf:
 	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestStepAllocCeilings' -count=1 -v ./internal/core/
 	MOBIUS_CHECK_PERF=1 $(GO) test -run 'TestFleetAllocCeiling' -count=1 -v ./internal/cluster/
 
-# check-plansvc is the planning-service gate: the shared resilience
-# primitives (internal/resil: the decision hash and backoff held to
-# golden vectors, the breaker its ladder uses to its transition table),
-# the deterministic concurrency suite (cache keys, single-flight
-# coalescing and cancelled-leader handoff, corrupt-entry degradation,
-# the deadline/breaker ladder on a virtual clock, HTTP surface, and the
-# seed-derived deadline chaos matrix in chaos_test.go: serial bitwise
-# replay and the concurrent fan-out), all under the race detector, then the
-# deadline-stopped cross mapping search, alone and inside a plan, also
+# check-plansvc is the planning-service gate: the deterministic
+# concurrency suite (cache keys, single-flight coalescing and
+# cancelled-leader handoff, corrupt-entry degradation, dead-context
+# leads failing with context.Canceled, the HTTP surface with its 504 on
+# an expired deadline, and the seed-derived deadline chaos matrix in
+# chaos_test.go: serial bitwise replay and the concurrent fan-out; there
+# is no breaker ladder and no virtual clock), all under the race
+# detector, then the planner's cancellation errors — an already-cancelled
+# plan at parallelism 1 and 8, a cancelled core.RunCtx, and the
+# deadline-stopped cross mapping search, alone and inside a plan — also
 # under the race detector, and a short native-fuzz smoke of the /v1/plan
 # handler over a greedy inner planner, seeded with requests at and over
 # every bound: GPUs, layers, microbatches, balanced stages, and the
@@ -142,20 +143,21 @@ check-perf:
 # -short skips the one MIP-heavy test (a plan independent of cache
 # history); plain `make race` runs it.
 check-plansvc:
-	$(GO) test -race -count=1 ./internal/resil/
 	$(GO) test -race -short -count=1 ./internal/plansvc/
-	$(GO) test -race -run 'TestCross|TestPlanDeadline' -count=1 ./internal/mapping/ ./internal/core/
+	$(GO) test -race -run 'TestCross|TestPlanDeadline|TestCancelledPlan|TestRunWithExpiredContext' -count=1 ./internal/mapping/ ./internal/core/
 	$(GO) test -run xxx -fuzz 'FuzzPlanRequest' -fuzztime 10s ./internal/plansvc/
 
-# check-cluster is the fleet gate: the shared resilience primitives its
-# dispatch retries and per-server breakers are built on (internal/resil),
-# the multi-tenant cluster suite (conservation and fairness identities,
-# the admission/backpressure/degrade/shed ladder, server-loss recovery
-# with zero-solve re-landing, the bitwise differential against
-# single-job core.Run, and the seed-derived cluster chaos matrix in
-# chaos_test.go: serial bitwise replay, concurrent fan-out over a shared
-# step cache) plus the overload-sweep shape assertions, all under the
-# race detector.
+# check-cluster is the fleet gate: the resilience primitives its
+# dispatch retries and per-server breakers are built on (internal/resil:
+# the decision hash and backoff held to golden vectors, the breaker, on
+# virtual float seconds, to its transition table), the multi-tenant
+# cluster suite (conservation and fairness identities, the admission/
+# backpressure/degrade/shed ladder, the caps on servers and expected
+# arrivals, server-loss recovery with zero-solve re-landing, the bitwise
+# differential against single-job core.Run, and the seed-derived cluster
+# chaos matrix in chaos_test.go: serial bitwise replay, concurrent
+# fan-out over a shared step cache) plus the overload-sweep shape
+# assertions, all under the race detector.
 check-cluster:
 	$(GO) test -race -count=1 ./internal/resil/
 	$(GO) test -race -run 'TestCluster|TestJain|TestBucket' -count=1 ./internal/cluster/

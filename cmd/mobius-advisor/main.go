@@ -13,8 +13,8 @@
 // All planning flows through one hardened plan service
 // (internal/plansvc), so the menu's repeated shapes are solved once and
 // reused. -serve skips the ranking and instead exposes the service over
-// HTTP: POST /v1/plan plans (cached, single-flighted, degradation
-// ladder) and GET /v1/metrics reports the counters.
+// HTTP: POST /v1/plan plans (cached, single-flighted; a request past
+// its deadline_ms is a 504) and GET /v1/metrics reports the counters.
 package main
 
 import (
@@ -71,7 +71,7 @@ func main() {
 	}
 	if *cacheStats {
 		ms := svc.Metrics()
-		fmt.Printf("\nplansvc: %d requests, %d hits, %d solves, %d cached plans, breaker %s\n",
-			ms.Requests, ms.Hits, ms.Solves, ms.CacheEntries, svc.BreakerState())
+		fmt.Printf("\nplansvc: %d requests, %d hits, %d solves, %d cached plans\n",
+			ms.Requests, ms.Hits, ms.Solves, ms.CacheEntries)
 	}
 }

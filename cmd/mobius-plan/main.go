@@ -7,10 +7,12 @@
 //	mobius-plan -model 51B -topo 4+4 -algo min-stage -mapping sequential
 //	mobius-plan -model 15B -topo 2+2 -cache-stats
 //	mobius-plan -model 15B -topo 2+2 -cache-dir /var/lib/mobius/plans
+//	mobius-plan -model 8B -topo 4+4 -deadline 1s
 //
 // Planning goes through the hardened plan service (internal/plansvc):
-// cached, single-flighted, and degrading to the greedy floor rather
-// than failing when a -deadline expires. -cache-dir persists the cache
+// cached and single-flighted. A -deadline that expires cancels the plan:
+// the command exits 2 with an error naming the deadline and prints no
+// plan. -cache-dir persists the cache
 // across invocations (crash-safe, checksummed records; damaged records
 // quarantine and the plan re-solves): a second run on the same
 // directory serves from disk without a solve.
@@ -84,7 +86,7 @@ func main() {
 	scheme := flag.String("mapping", mapping.SchemeCross, "mapping scheme: cross, sequential")
 	mbs := flag.Int("mbs", 0, "microbatch size override (0 = Table 3 default)")
 	asJSON := flag.Bool("json", false, "emit the plan as JSON instead of text")
-	deadline := flag.Duration("deadline", 0, "planning deadline; on expiry the plan degrades to the greedy fallback (0 = none)")
+	deadline := flag.Duration("deadline", 0, "planning deadline; on expiry planning fails with an error (0 = none)")
 	cacheStats := flag.Bool("cache-stats", false, "print plan service counters after planning")
 	cacheDir := flag.String("cache-dir", "", "persist the plan cache in this directory (warm-started on launch)")
 	flag.Parse()
@@ -126,9 +128,6 @@ func main() {
 	if err != nil {
 		fail("planning failed: %v", err)
 	}
-	if plan.Fallback {
-		fmt.Printf("note: deadline expired (%s); this is the greedy fallback plan\n", plan.FallbackReason)
-	}
 	if err := plan.Validate(topo); err != nil {
 		fail("plan failed validation: %v", err)
 	}
@@ -139,8 +138,8 @@ func main() {
 			store.Flush() // settle the write-behind queue so the counters are final
 		}
 		ms := svc.Metrics()
-		fmt.Fprintf(os.Stderr, "plansvc:   %d requests, %d hits, %d solves, %d cached plans, breaker %s\n",
-			ms.Requests, ms.Hits, ms.Solves, ms.CacheEntries, svc.BreakerState())
+		fmt.Fprintf(os.Stderr, "plansvc:   %d requests, %d hits, %d solves, %d cached plans\n",
+			ms.Requests, ms.Hits, ms.Solves, ms.CacheEntries)
 		if sm := svc.StoreMetrics(); sm != nil {
 			fmt.Fprintf(os.Stderr, "planstore: %d adopted at start (%d hits served warm), %d persisted, %d deleted, %d queued",
 				ms.WarmStartEntries, ms.WarmHits, sm.Persisted, sm.Deletes, sm.QueueDepth)

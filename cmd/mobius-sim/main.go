@@ -6,7 +6,6 @@
 //	mobius-sim -model 15B -topo 2+2 -system mobius
 //	mobius-sim -model 8B -topo 4 -system ds-hetero
 //	mobius-sim -model 8B -topo 4+4 -faults degraded.json
-//	mobius-sim -model 51B -topo 4+4 -plan-deadline 1ms
 //
 // A fault spec with a permanent failure (gpu_fail/link_fail), or -steps
 // > 1, or -checkpoint-every > 0 switches to the multi-step elastic path
@@ -28,12 +27,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/elastic"
@@ -65,7 +62,6 @@ type simArgs struct {
 	system                            core.System
 	topo                              *hw.Topology
 	width, steps, ckptEvery, rollback int
-	planDeadline                      time.Duration
 }
 
 // check refuses flag values the run cannot honour, naming the flag, and
@@ -81,8 +77,6 @@ func (a simArgs) check() error {
 		return fmt.Errorf("-checkpoint-every %d: want 0 (never) or a positive step count", a.ckptEvery)
 	case a.rollback < 0:
 		return fmt.Errorf("-rollback %d: want 0 (none) or a 1-based step", a.rollback)
-	case a.planDeadline < 0:
-		return fmt.Errorf("-plan-deadline %v: want 0 (none) or a positive duration", a.planDeadline)
 	case a.system == core.SystemMobius:
 		return plansvc.CheckPlanGPUs(a.topo)
 	}
@@ -97,7 +91,6 @@ func main() {
 	width := flag.Int("width", 100, "timeline width in characters, at most 1000 (0 = no timeline)")
 	csvPath := flag.String("csv", "", "write the full event trace as CSV to this path")
 	faultsPath := flag.String("faults", "", "JSON fault spec injected into the simulated hardware (mobius/gpipe only)")
-	planDeadline := flag.Duration("plan-deadline", 0, "planning deadline; on expiry the Mobius plan degrades to the greedy fallback (0 = none)")
 	steps := flag.Int("steps", 1, "training steps; >1 simulates a multi-step run with elastic recovery (mobius only)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint the model states every k steps (0 = never; mobius only)")
 	ckptDest := flag.String("checkpoint-dest", "dram", "checkpoint destination: dram or ssd")
@@ -165,7 +158,7 @@ func main() {
 		fail("unknown system %q", *system)
 	}
 	if err := (simArgs{system: sys, topo: topo, width: *width, steps: *steps, ckptEvery: *ckptEvery,
-		rollback: *rollback, planDeadline: *planDeadline}).check(); err != nil {
+		rollback: *rollback}).check(); err != nil {
 		fail("%v", err)
 	}
 
@@ -194,7 +187,6 @@ func main() {
 			Faults:          spec,
 			Policy:          pol,
 			AnomalyStep:     *rollback,
-			PlanDeadline:    *planDeadline,
 		})
 		if err != nil {
 			fail("recovery simulation failed: %v", err)
@@ -203,14 +195,7 @@ func main() {
 		return
 	}
 
-	ctx := context.Background()
-	if *planDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *planDeadline)
-		defer cancel()
-	}
-
-	report, err := core.RunCtx(ctx, sys, core.Options{Model: m, Topology: topo, Faults: spec,
+	report, err := core.Run(sys, core.Options{Model: m, Topology: topo, Faults: spec,
 		Checksums: sim.ChecksumConfig{Enabled: *checksums}})
 	if err != nil {
 		fail("simulation failed: %v", err)
@@ -224,9 +209,6 @@ func main() {
 		fmt.Println(report)
 		fmt.Printf("%v\nraise -checksums retransmit budget tolerance by lowering -corruptions, or accept the halt\n", report.Corruption)
 		return
-	}
-	if report.Plan != nil && report.Plan.Fallback {
-		fmt.Printf("planning deadline expired (%s); using the greedy fallback plan\n", report.Plan.FallbackReason)
 	}
 	fmt.Println(report)
 	if report.FaultInjection != nil {

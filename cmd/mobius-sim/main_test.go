@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/hw"
@@ -65,14 +64,12 @@ func TestCheckArgs(t *testing.T) {
 		{"no timeline", func(a *simArgs) { a.width = 0 }, ""},
 		{"widest", func(a *simArgs) { a.width = 1000 }, ""},
 		{"elastic", func(a *simArgs) { a.steps, a.ckptEvery, a.rollback = 8, 2, 5 }, ""},
-		{"deadline", func(a *simArgs) { a.planDeadline = time.Millisecond }, ""},
 		{"huge width", func(a *simArgs) { a.width = 100000000 }, "-width"},
 		{"negative width", func(a *simArgs) { a.width = -1 }, "-width"},
 		{"negative steps", func(a *simArgs) { a.steps = -1 }, "-steps"},
 		{"zero steps", func(a *simArgs) { a.steps = 0 }, "-steps"},
 		{"negative checkpoint", func(a *simArgs) { a.ckptEvery = -3 }, "-checkpoint-every"},
 		{"negative rollback", func(a *simArgs) { a.rollback = -2 }, "-rollback"},
-		{"negative deadline", func(a *simArgs) { a.planDeadline = -time.Second }, "-plan-deadline"},
 		{"mobius on 64 GPUs", func(a *simArgs) { a.topo = big }, "8-GPU limit"},
 		{"mobius on 4+4+4+4", func(a *simArgs) { a.topo = hw.Commodity(hw.RTX3090Ti, 4, 4, 4, 4) }, "8-GPU limit"},
 		{"gpipe on 64 GPUs", func(a *simArgs) { a.system, a.topo = core.SystemGPipe, big }, ""},

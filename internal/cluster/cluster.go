@@ -185,9 +185,22 @@ type Config struct {
 	Cache *StepCache
 }
 
+// MaxServers and MaxExpectedArrivals bound the work behind one fleet
+// run, which is linear in its servers and in its expected arrivals,
+// HorizonS × Σ RatePerS (the whole trace is generated up front). At
+// either cap a run takes well under a second on a 2-vCPU host; the
+// benchmark's fleet has 4 servers and about 1,440 expected arrivals.
+const (
+	MaxServers          = 1024
+	MaxExpectedArrivals = 100_000
+)
+
 func (c Config) withDefaults() (Config, error) {
 	if c.Servers <= 0 {
 		return c, fmt.Errorf("cluster: servers must be positive (got %d)", c.Servers)
+	}
+	if c.Servers > MaxServers {
+		return c, fmt.Errorf("cluster: Servers %d is over the %d-server limit of a fleet run", c.Servers, MaxServers)
 	}
 	if c.Topology == nil {
 		c.Topology = hw.Commodity(hw.RTX3090Ti, 2, 2)
@@ -206,6 +219,14 @@ func (c Config) withDefaults() (Config, error) {
 	c.Classes = cls
 	if !(c.HorizonS > 0) || math.IsInf(c.HorizonS, 1) {
 		return c, fmt.Errorf("cluster: horizon must be positive and finite (got %g)", c.HorizonS)
+	}
+	var rate float64
+	for _, cl := range c.Classes {
+		rate += cl.RatePerS
+	}
+	if n := c.HorizonS * rate; n > MaxExpectedArrivals {
+		return c, fmt.Errorf("cluster: HorizonS %g s at %g arrivals/s expects %.4g arrivals, over the %d-arrival limit of a fleet run",
+			c.HorizonS, rate, n, MaxExpectedArrivals)
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8
@@ -742,6 +763,6 @@ const (
 )
 
 // newBreaker is a fresh server's closed dispatch breaker.
-func newBreaker() resil.Breaker[float64] {
-	return resil.Breaker[float64]{Threshold: breakerThreshold, Cooldown: breakerCooldownS}
+func newBreaker() resil.Breaker {
+	return resil.Breaker{Threshold: breakerThreshold, Cooldown: breakerCooldownS}
 }

@@ -423,3 +423,47 @@ func TestClusterRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterBoundsWork: a config whose servers or expected arrivals
+// (HorizonS × Σ RatePerS) exceed MaxServers or MaxExpectedArrivals is
+// refused up front with an error naming the field, and one exactly at
+// either cap is accepted. The first two rows are the fleets that used
+// to run away, mobius-cluster -horizon 1e12 and -servers 100000. Each
+// over-cap config is checked on withDefaults before Run sees it, so a
+// missing cap fails the test instead of generating 1e11 arrivals.
+func TestClusterBoundsWork(t *testing.T) {
+	for _, c := range []struct {
+		name, field string // field "" accepts
+		servers     int
+		horizon     float64
+	}{
+		{"horizon 1e12", "HorizonS", 2, 1e12},
+		{"100000 servers", "Servers", 100_000, 10},
+		{"arrivals at the cap", "", 2, MaxExpectedArrivals / 0.125},
+		{"arrivals past the cap", "HorizonS", 2, math.Nextafter(MaxExpectedArrivals/0.125, math.Inf(1))},
+		{"servers at the cap", "", MaxServers, 10},
+		{"servers past the cap", "Servers", MaxServers + 1, 10},
+	} {
+		// Two classes whose rates sum to 0.125/s, exact in binary.
+		cfg := baseConfig(cheapClass("a", 0, model.GPT3B, 0.0625), cheapClass("b", 1, model.GPT8B, 0.0625))
+		cfg.Servers, cfg.HorizonS = c.servers, c.horizon
+		_, err := cfg.withDefaults()
+		if c.field == "" {
+			if err != nil {
+				t.Errorf("%s: refused: %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: %v; want an error naming %s and its limit", c.name, err, c.field)
+			continue
+		}
+		start := time.Now()
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run accepted a config withDefaults refuses", c.name)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: refused after %v, want at once", c.name, d)
+		}
+	}
+}

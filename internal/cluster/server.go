@@ -41,7 +41,7 @@ type server struct {
 	dead     bool
 	detected bool
 
-	br resil.Breaker[float64]
+	br resil.Breaker
 }
 
 func newServer(id int, cfg Config) (*server, error) {

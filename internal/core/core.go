@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -116,8 +115,7 @@ type Options struct {
 
 // Planner computes Mobius execution plans. The default is the direct,
 // uncached PlanMobiusCtx; internal/plansvc implements Planner with a
-// content-addressed cache, single-flight deduplication, a degradation
-// ladder and a circuit breaker.
+// content-addressed cache and single-flight deduplication.
 type Planner interface {
 	PlanMobius(ctx context.Context, opts Options) (*Plan, error)
 }
@@ -191,10 +189,11 @@ type Plan struct {
 	// PredictedStep is the analytic step-time estimate of the partition
 	// evaluator.
 	PredictedStep float64
-	// Fallback is true when a planning deadline expired and the plan is
-	// the deterministic greedy fallback rather than the MIP optimum.
+	// Fallback is true when the plan is the deterministic greedy floor
+	// (GreedyPlan) rather than a solved plan; only the fleet's degrade
+	// policy asks for one. A planning deadline never produces it.
 	Fallback bool
-	// FallbackReason describes why the fallback engaged.
+	// FallbackReason describes why the floor was chosen.
 	FallbackReason string
 }
 
@@ -246,13 +245,11 @@ func PlanMobius(opts Options) (*Plan, error) {
 	return PlanMobiusCtx(context.Background(), opts)
 }
 
-// PlanMobiusCtx is PlanMobius honoring a context deadline: when ctx
-// expires before the MIP sweep and the cross mapping search complete,
-// the plan degrades to the guaranteed-feasible greedy partition with a
-// sequential mapping instead of failing. The fallback is a pure function
-// of the profile — no solver, no timing dependence — so every caller at
-// every parallelism level derives the identical degraded plan
-// (Plan.Fallback reports it).
+// PlanMobiusCtx is PlanMobius honoring a context deadline: when ctx is
+// done before the MIP sweep and the cross mapping search complete, it
+// returns no plan and an error that wraps both partition.ErrCancelled
+// and ctx.Err(). A plan never depends on how fast the host ran: it is
+// the full solve or nothing.
 func PlanMobiusCtx(ctx context.Context, opts Options) (*Plan, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -272,9 +269,6 @@ func PlanMobiusCtx(ctx context.Context, opts Options) (*Plan, error) {
 			mipOpts.Parallelism = opts.Parallelism
 		}
 		part, stats, err := partition.MIPCtx(ctx, params, mipOpts)
-		if errors.Is(err, partition.ErrCancelled) {
-			return fallbackPlan(plan, params, opts, err)
-		}
 		if err != nil {
 			return nil, err
 		}
@@ -303,12 +297,10 @@ func PlanMobiusCtx(ctx context.Context, opts Options) (*Plan, error) {
 	}
 	plan.CrossMapTime = time.Since(start)
 	// The cross mapping search stops on the deadline too. A deadline that
-	// expired after partitioning, in or after the mapping, degrades the
-	// whole plan, not just the mapping — mixing an optimal partition with
-	// a fallback mapping would make the result depend on where exactly
-	// the deadline hit.
+	// expired after partitioning, in or after the mapping, cancels the
+	// whole plan, as one that expires mid-sweep does.
 	if cerr := ctx.Err(); cerr != nil {
-		return fallbackPlan(plan, params, opts, cerr)
+		return nil, fmt.Errorf("%w: %w", partition.ErrCancelled, cerr)
 	}
 	if err != nil {
 		return nil, err
@@ -334,10 +326,10 @@ func planParams(prof *profile.Profile, opts Options) partition.Params {
 }
 
 // GreedyPlan computes the deterministic degraded plan directly: greedy
-// partition + sequential mapping, no solver involved. It is the plan
-// PlanMobiusCtx degrades to on an expired deadline and the floor of the
-// planning service's degradation ladder (internal/plansvc); reason is
-// recorded as the plan's FallbackReason.
+// partition + sequential mapping, no solver involved. It is the fleet's
+// greedy floor (internal/cluster degrades a job that queued past its
+// class's DegradeAfterS to it); reason is recorded as the plan's
+// FallbackReason.
 func GreedyPlan(opts Options, reason string) (*Plan, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -347,26 +339,16 @@ func GreedyPlan(opts Options, reason string) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fallbackPlan(&Plan{Profile: prof}, planParams(prof, opts), opts, errors.New(reason))
-}
-
-// fallbackPlan replaces whatever planning had produced so far with the
-// deterministic degraded plan: greedy partition + sequential mapping.
-func fallbackPlan(plan *Plan, params partition.Params, opts Options, cause error) (*Plan, error) {
+	params := planParams(prof, opts)
 	part, err := partition.Greedy(params)
 	if err != nil {
-		return nil, fmt.Errorf("core: planning cancelled (%v) and no feasible fallback exists: %w", cause, err)
+		return nil, err
 	}
 	mp, err := mapping.Sequential(opts.Topology, part.NumStages())
 	if err != nil {
 		return nil, err
 	}
-	plan.Partition = part
-	plan.Mapping = mp
-	plan.MIPStats = nil
-	plan.CrossMapTime = 0
-	plan.Fallback = true
-	plan.FallbackReason = cause.Error()
+	plan := &Plan{Profile: prof, Partition: part, Mapping: mp, Fallback: true, FallbackReason: reason}
 	if t, err := partition.StepTime(params, part); err == nil {
 		plan.PredictedStep = t
 	}
@@ -398,8 +380,8 @@ func Run(system System, opts Options) (*StepReport, error) {
 }
 
 // RunCtx is Run honoring a context for the planning phase: a deadline
-// that expires mid-planning degrades the Mobius plan to the greedy
-// fallback (see PlanMobiusCtx) instead of failing the run.
+// that expires mid-planning fails the Mobius run with PlanMobiusCtx's
+// cancellation error.
 func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {

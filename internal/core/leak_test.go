@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -44,8 +45,14 @@ func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 		}
 		return plan
 	}
-	run := func(ctx context.Context, par int) *Plan {
-		return plan(ctx, Options{
+	// cancelled plans under ctx, which must be done or expire mid-plan,
+	// and requires the cancellation error.
+	cancelled := func(ctx context.Context, what string, opts Options, cause error) {
+		p, err := PlanMobiusCtx(ctx, opts)
+		requireCancelled(t, fmt.Sprintf("%s, parallelism %d", what, opts.Parallelism), p, err, cause)
+	}
+	opts3B := func(par int) Options {
+		return Options{
 			Model:    model.GPT3B,
 			Topology: topo,
 			// Uncached so every iteration re-runs the pool; a small node
@@ -53,28 +60,25 @@ func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 			// shutdown, not solution quality.
 			MIP:         partition.MIPOptions{DisableCache: true, NodeLimit: 25, MaxStages: maxStages},
 			Parallelism: par,
-		})
+		}
 	}
 
 	for _, par := range []int{1, 4, 8} {
-		// Already-cancelled context: degrades to greedy before the pool
-		// even starts.
+		// Already-cancelled context: fails before the pool even starts.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		run(ctx, par)
+		cancelled(ctx, "3B on two GPUs", opts3B(par), context.Canceled)
 
 		// Deadline that expires mid-sweep: workers must be joined before
-		// the degraded plan is returned.
+		// the cancellation error is returned.
 		ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		if p := run(ctx2, par); !p.Fallback {
-			t.Errorf("3B on two GPUs, parallelism %d: planned within a 5 ms deadline", par)
-		}
+		cancelled(ctx2, "3B on two GPUs under a 5 ms deadline", opts3B(par), context.DeadlineExceeded)
 		cancel2()
 
 		// Unbounded run: the patience break cancels in-flight candidates;
 		// they too must be joined. It must have solved two candidates or
 		// more, with branching, and stopped before the last.
-		st := run(context.Background(), par).MIPStats
+		st := plan(context.Background(), opts3B(par)).MIPStats
 		if st == nil || solvedMILPs(st) < 2 || st.Nodes == 0 || slices.Contains(st.TriedStageCounts, maxStages) {
 			t.Errorf("3B on two GPUs, parallelism %d: %+v; want two MILPs or more, with nodes, and a patience stop before S = %d",
 				par, st, maxStages)
@@ -98,16 +102,13 @@ func TestPlanCancellationLeaksNoGoroutines(t *testing.T) {
 	}
 	for _, par := range []int{1, 8} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		p := plan(ctx, Options{
+		cancelled(ctx, "8B on Topo 4+4 under a 20 ms deadline", Options{
 			Model:       model.GPT8B,
 			Topology:    wide,
 			MIP:         partition.MIPOptions{DisableCache: true},
 			Parallelism: par,
-		})
+		}, context.DeadlineExceeded)
 		cancel()
-		if !p.Fallback {
-			t.Errorf("8B on Topo 4+4, parallelism %d: planned within a 20 ms deadline", par)
-		}
 	}
 
 	deadline := time.Now().Add(3 * time.Second)

@@ -10,7 +10,6 @@
 package elastic
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -85,9 +84,6 @@ type Config struct {
 	// the numeric guard rejects; the run rolls back to the last
 	// checkpoint before it. Mutually exclusive with permanent failures.
 	AnomalyStep int
-	// PlanDeadline bounds each planning call; past it the plan degrades
-	// to the deterministic greedy fallback (core.PlanMobiusCtx).
-	PlanDeadline time.Duration
 }
 
 // RecoveryReport prices one elastic run. All durations are simulated
@@ -134,10 +130,8 @@ type RecoveryReport struct {
 	SurvivorStep     float64
 	SurvivorCkptStep float64
 	// ReplanSeconds is the wall-clock planning time of the recovery
-	// plan, outside TotalTime; ReplanFallback reports the
-	// deadline-degraded greedy plan.
-	ReplanSeconds  float64
-	ReplanFallback bool
+	// plan, outside TotalTime.
+	ReplanSeconds float64
 	// MigrationBytes/MigrationSeconds price restoring the last snapshot
 	// into a consistent DRAM image for the new stage layout.
 	MigrationBytes   float64
@@ -210,7 +204,7 @@ func (r *RecoveryReport) String() string {
 	fmt.Fprintf(&b, "  total: %.3fs = fault-free %.3fs + ckpt %.3fs + lost work %.3fs + migrate %.3fs + slower steps %.3fs + ckpt(surv) %.3fs\n",
 		r.TotalTime, r.FaultFreeTime, r.CheckpointOverheadPre, r.LostWork,
 		r.MigrationSeconds, r.ResumePenalty, r.CheckpointOverheadPost)
-	fmt.Fprintf(&b, "  re-plan: %.3fs wall-clock, not in total (fallback=%v)\n", r.ReplanSeconds, r.ReplanFallback)
+	fmt.Fprintf(&b, "  re-plan: %.3fs wall-clock, not in total\n", r.ReplanSeconds)
 	return b.String()
 }
 
@@ -397,7 +391,6 @@ func Run(cfg Config) (*RecoveryReport, error) {
 		return nil, err
 	}
 	rep.ReplanSeconds = time.Since(replanStart).Seconds()
-	rep.ReplanFallback = survPlan.Fallback
 
 	// Migrate the last consistent snapshot into place (resume/replan).
 	// Restart re-initializes instead, which the fault-free baseline also
@@ -465,15 +458,9 @@ func shiftPermanent(base *fault.Spec, p fault.Permanent, at float64) *fault.Spec
 	return &out
 }
 
-// planOn plans Mobius on a topology under the configured deadline.
+// planOn plans Mobius on a topology.
 func planOn(cfg Config, topo *hw.Topology, mb int) (*core.Plan, error) {
-	ctx := context.Background()
-	if cfg.PlanDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.PlanDeadline)
-		defer cancel()
-	}
-	return core.PlanMobiusCtx(ctx, core.Options{
+	return core.PlanMobius(core.Options{
 		Model:        cfg.Model,
 		Topology:     topo,
 		Microbatches: mb,

@@ -1,11 +1,9 @@
 package elastic
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"testing"
-	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/fault"
@@ -27,10 +25,9 @@ func survivorShape(topo *hw.Topology) string {
 
 // TestReplanEveryModelEverySingleLoss is the re-planning property: for
 // every Table 3 model and every way to lose a single GPU from the
-// commodity topologies, the surviving topology is valid and the elastic
-// planner (MIP under a deadline, greedy fallback past it) produces a
-// plan that passes Plan.Validate — in particular, every stage fits the
-// survivors' usable memory.
+// commodity topologies, the surviving topology is valid and the MIP
+// plan PolicyReplan runs, solved with no deadline, passes Plan.Validate
+// — in particular, every stage fits the survivors' usable memory.
 func TestReplanEveryModelEverySingleLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans every model x survivor shape")
@@ -59,14 +56,12 @@ func TestReplanEveryModelEverySingleLoss(t *testing.T) {
 				}
 				planned[key] = true
 				t.Run(fmt.Sprintf("%s/%s/lose-gpu%d", m.Name, topo.Name, g), func(t *testing.T) {
-					ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-					defer cancel()
-					plan, err := core.PlanMobiusCtx(ctx, core.Options{Model: m, Topology: surv})
+					plan, err := core.PlanMobius(core.Options{Model: m, Topology: surv})
 					if err != nil {
 						t.Fatalf("re-plan on %s: %v", surv.Name, err)
 					}
 					if err := plan.Validate(surv); err != nil {
-						t.Fatalf("re-planned plan invalid on %s (fallback=%v): %v", surv.Name, plan.Fallback, err)
+						t.Fatalf("re-planned plan invalid on %s: %v", surv.Name, err)
 					}
 				})
 			}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"mobius/internal/elastic"
 	"mobius/internal/fault"
@@ -16,17 +15,13 @@ import (
 // different combinations of lost work, state migration and planning
 // time, swept over the checkpoint interval.
 func Recovery() (*Table, error) {
-	return recoveryTable(30 * time.Second)
-}
-
-func recoveryTable(deadline time.Duration) (*Table, error) {
 	const steps = 8
 	m := model.GPT3B
 	topo := hw.Commodity(hw.RTX3090Ti, 2, 2)
 
 	// Price a fault-free step so the failure onset lands mid-run (during
 	// step 6 of 8) at every checkpoint interval.
-	clean, err := elastic.Run(elastic.Config{Model: m, Topology: topo, Steps: 1, PlanDeadline: deadline})
+	clean, err := elastic.Run(elastic.Config{Model: m, Topology: topo, Steps: 1})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: recovery baseline: %w", err)
 	}
@@ -54,7 +49,6 @@ func recoveryTable(deadline time.Duration) (*Table, error) {
 			Steps:           steps,
 			CheckpointEvery: c.every,
 			Policy:          c.policy,
-			PlanDeadline:    deadline,
 			Faults:          &fault.Spec{GPUFails: []fault.GPUFailFault{{GPU: 1, At: onset}}},
 		})
 		if err != nil {

@@ -3,16 +3,14 @@ package experiments
 import (
 	"strconv"
 	"testing"
-	"time"
 )
 
-// TestRecoveryTableShape runs the recovery experiment with a short
-// planning deadline (the re-plans degrade to the greedy fallback, which
-// is fine — the table's structure and orderings are what's pinned):
-// restart plus {resume, replan} x three checkpoint intervals, recovery
-// is never free, and a denser checkpoint cadence never loses more work.
+// TestRecoveryTableShape runs the recovery experiment, every re-plan a
+// full MIP solve: restart plus {resume, replan} x three checkpoint
+// intervals, recovery is never free, and a denser checkpoint cadence
+// never loses more work.
 func TestRecoveryTableShape(t *testing.T) {
-	tab, err := recoveryTable(100 * time.Millisecond)
+	tab, err := Recovery()
 	if err != nil {
 		t.Fatal(err)
 	}

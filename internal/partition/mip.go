@@ -22,7 +22,8 @@ import (
 // The sweep never returns a partial best-effort partition in that case —
 // whether a candidate solve happened to finish is timing-dependent, and a
 // deadline hit must yield the same outcome at every parallelism level.
-// Callers degrade to the deterministic Greedy fallback instead.
+// The error wraps the context's error too, so errors.Is finds
+// context.DeadlineExceeded or context.Canceled behind it.
 var ErrCancelled = errors.New("partition: planning cancelled")
 
 // MIPOptions bound the MIP partition search.
@@ -259,7 +260,7 @@ func MIPCtx(ctx context.Context, params Params, opts MIPOptions) (*Partition, *M
 	// asked for a deadline-bounded answer and must get the deterministic
 	// cancellation outcome whether or not a previous run warmed the cache.
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCancelled, err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
 	if !opts.DisableCache {
 		// Parallelism does not change the result, so it is stripped from
@@ -342,7 +343,7 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 	// if some candidates finished: which ones did is timing-dependent, and
 	// the contract is all-or-nothing (see ErrCancelled).
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrCancelled, cerr)
+		return nil, nil, nil, fmt.Errorf("%w: %w", ErrCancelled, cerr)
 	}
 	if err != nil {
 		return nil, nil, nil, err

@@ -35,9 +35,10 @@ func BenchmarkPlanKey(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanGreedyFloor is the ladder floor: a full greedy plan
-// (profile + greedy partition + sequential mapping), the latency served
-// while the breaker is open.
+// BenchmarkPlanGreedyFloor is the fleet's greedy floor: a full greedy
+// plan (profile + greedy partition + sequential mapping), what
+// internal/cluster prices a job with once it queued past its class's
+// DegradeAfterS.
 func BenchmarkPlanGreedyFloor(b *testing.B) {
 	opts := balancedOpts(model.GPT8B)
 	b.ResetTimer()

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mobius/internal/core"
 	"mobius/internal/hw"
@@ -17,29 +16,26 @@ import (
 )
 
 // planHarness stress-tests the planning service the way the
-// simulator's chaos harness stresses the integrity layer: from a single seed it derives a
-// request sequence in which some requests arrive with an
-// already-cancelled context (the deadline rung a /v1/plan request with
-// a tiny deadline_ms reaches), drives it through a Service on a
-// virtual clock, and checks the invariants that must hold for every
-// seed:
+// simulator's chaos harness stresses the integrity layer: from a single
+// seed it derives a request sequence in which some requests arrive with
+// an already-cancelled context (what a /v1/plan request with a tiny
+// deadline_ms amounts to), drives it through a Service, and checks the
+// invariants that must hold for every seed:
 //
-//   - every request returns a plan that validates on its topology (a
-//     degraded request returns the greedy fallback, never an error);
+//   - every live request returns a plan that validates on its topology;
+//   - a dead-context request is a cache hit or fails with
+//     context.Canceled — it is never served a plan it did not solve;
 //   - request conservation: every request is accounted as exactly one
-//     of hit, led, coalesced or wait-abort;
-//   - ladder conservation: every led request either solved or took the
-//     greedy floor;
-//   - deadline accounting: every handoff is a dead-context lead, and
-//     every greedy answer is either a breaker short or a dead-context
-//     lead;
-//   - the cache never holds a degraded or invalid plan;
-//   - replaying the seed reproduces metrics, breaker state and the
-//     full returned-plan sequence bit for bit.
+//     of hit, solve, coalesced or wait-abort;
+//   - every handoff is a dead-context lead, and every dead-context lead
+//     hands off;
+//   - the cache never holds an invalid plan;
+//   - replaying the seed reproduces metrics and the full sequence of
+//     returned plans and errors bit for bit.
 type planHarness struct {
 	// Menu is the request set scenarios draw from; all requests are
 	// solver-free partition algorithms so thousands of chaos plans cost
-	// milliseconds, leaving the ladder logic — not the MIP — under
+	// milliseconds, leaving the service logic — not the MIP — under
 	// test.
 	Menu []core.Options
 }
@@ -61,17 +57,14 @@ func newPlanHarness() *planHarness {
 
 // planScenario is the derived configuration for one seed.
 type planScenario struct {
-	// Requests indexes the harness menu; Advances[i] is virtual time
-	// inserted before request i (letting breaker cooldowns elapse), and
-	// Dead[i] sends request i with an already-cancelled context.
+	// Requests indexes the harness menu, and Dead[i] sends request i
+	// with an already-cancelled context.
 	Requests []int
-	Advances []time.Duration
 	Dead     []bool
 }
 
 // PlanScenario derives the scenario for a seed. The dead-context rate
-// varies per seed, so some seeds trip the breaker repeatedly and others
-// never do.
+// varies per seed, so some seeds mostly miss and others mostly hit.
 func (h *planHarness) PlanScenario(seed int64) *planScenario {
 	rng := rand.New(rand.NewSource(seed))
 	deadRate := 0.2 + 0.6*rng.Float64()
@@ -79,18 +72,12 @@ func (h *planHarness) PlanScenario(seed int64) *planScenario {
 	n := 20 + rng.Intn(21)
 	for i := 0; i < n; i++ {
 		sc.Requests = append(sc.Requests, rng.Intn(len(h.Menu)))
-		var adv time.Duration
-		if rng.Intn(4) == 0 {
-			adv = time.Duration(rng.Intn(40)) * time.Second
-		}
-		sc.Advances = append(sc.Advances, adv)
 		sc.Dead = append(sc.Dead, rng.Float64() < deadRate)
 	}
 	return sc
 }
 
-// deadContext is an already-cancelled context: a request sent with it
-// reaches the ladder's deadline rung.
+// deadContext is an already-cancelled context.
 func deadContext() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -108,15 +95,12 @@ func (sc *planScenario) contextFor(i int, dead context.Context) context.Context 
 // planRunStats is the deterministic outcome of one scenario execution.
 type planRunStats struct {
 	Metrics Metrics
-	Breaker string
-	// PlanSeq fingerprints the full sequence of returned plans in
-	// request order; replays must reproduce it exactly.
+	// PlanSeq fingerprints the full sequence of returned plans and
+	// errors in request order; replays must reproduce it exactly.
 	PlanSeq string
-	// DeadLeads counts dead-context requests answered by the greedy
-	// floor: the ones that missed the cache and led.
-	DeadLeads uint64
-	// Greedy counts requests answered with a fallback plan.
-	Greedy uint64
+	// DeadLeads counts dead-context requests that missed the cache, led
+	// and failed; DeadHits counts those served from the cache.
+	DeadLeads, DeadHits uint64
 }
 
 // planReport is the outcome of one planning-chaos seed.
@@ -128,8 +112,8 @@ type planReport struct {
 
 func (r *planReport) String() string {
 	m := r.Stats.Metrics
-	return fmt.Sprintf("plan chaos seed %d: %d requests, %d solves, %d handoffs, %d greedy, %d trips (breaker %s)",
-		r.Seed, m.Requests, m.Solves, m.Handoffs, m.GreedyFallbacks, m.BreakerTrips, r.Stats.Breaker)
+	return fmt.Sprintf("plan chaos seed %d: %d requests, %d hits (%d dead-context), %d solves, %d handoffs",
+		r.Seed, m.Requests, m.Hits, r.Stats.DeadHits, m.Solves, m.Handoffs)
 }
 
 // RunPlanning executes the planning-chaos scenario for a seed — serial
@@ -154,37 +138,38 @@ func (h *planHarness) RunPlanning(seed int64) (*planReport, error) {
 	return &planReport{Seed: seed, Scenario: sc, Stats: first}, nil
 }
 
-// execute runs the scenario once on a fresh service and virtual clock.
+// execute runs the scenario once on a fresh service.
 func (h *planHarness) execute(sc *planScenario) (planRunStats, error) {
-	vc := newVirtualTime()
-	svc := New(Config{Now: vc.Now})
+	svc := New(Config{})
 	dead := deadContext()
 	var st planRunStats
 	seq := ""
 	for i, mi := range sc.Requests {
-		if sc.Advances[i] > 0 {
-			vc.Advance(sc.Advances[i])
-		}
 		opts := h.Menu[mi]
+		hits := svc.Metrics().Hits
 		plan, err := svc.PlanMobius(sc.contextFor(i, dead), opts)
-		if err != nil {
-			return planRunStats{}, fmt.Errorf("request %d: %w", i, err)
+		hit := svc.Metrics().Hits > hits
+		switch {
+		case err != nil && sc.Dead[i] && errors.Is(err, context.Canceled):
+			st.DeadLeads++
+			seq += err.Error()
+			continue
+		case err != nil:
+			return planRunStats{}, fmt.Errorf("request %d (dead context %v): %w", i, sc.Dead[i], err)
+		case sc.Dead[i] && !hit:
+			return planRunStats{}, fmt.Errorf("request %d: a dead-context request was served a plan it did not find in the cache", i)
+		case sc.Dead[i]:
+			st.DeadHits++
 		}
 		if verr := plan.Validate(opts.Topology); verr != nil {
 			return planRunStats{}, fmt.Errorf("request %d returned an invalid plan: %w", i, verr)
-		}
-		if plan.Fallback {
-			st.Greedy++
-			if sc.Dead[i] {
-				st.DeadLeads++
-			}
 		}
 		seq += Fingerprint(plan)
 	}
 	if err := svc.CheckInvariants(); err != nil {
 		return planRunStats{}, err
 	}
-	st.Metrics, st.Breaker, st.PlanSeq = svc.Metrics(), svc.BreakerState(), foldSeq(seq)
+	st.Metrics, st.PlanSeq = svc.Metrics(), foldSeq(seq)
 	return st, nil
 }
 
@@ -199,8 +184,8 @@ func foldSeq(s string) string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// checkPlanInvariants asserts the ladder conservation identities on a
-// quiescent serial run.
+// checkPlanInvariants asserts the accounting identities on a quiescent
+// serial run.
 func (h *planHarness) checkPlanInvariants(sc *planScenario, st planRunStats) error {
 	m := st.Metrics
 	if err := m.ConservationError(); err != nil {
@@ -213,52 +198,25 @@ func (h *planHarness) checkPlanInvariants(sc *planScenario, st planRunStats) err
 	if m.Coalesced != 0 || m.WaitAborts != 0 {
 		return fmt.Errorf("serial run coalesced=%d waitAborts=%d, want 0", m.Coalesced, m.WaitAborts)
 	}
-	// Every led request either solved or took the greedy floor; live
-	// requests run on context.Background, so the solver never degrades
-	// mid-flight.
-	if m.Led != m.Solves+m.GreedyFallbacks {
-		return fmt.Errorf("ladder conservation violated: Led %d != Solves %d + GreedyFallbacks %d", m.Led, m.Solves, m.GreedyFallbacks)
-	}
-	if m.DeadlineFallbacks != 0 {
-		return fmt.Errorf("deadline fallbacks on a virtual clock: %d", m.DeadlineFallbacks)
-	}
 	// Every handoff is a dead-context lead, and every dead-context lead
 	// hands off.
 	if m.Handoffs != st.DeadLeads {
 		return fmt.Errorf("handoff accounting violated: Handoffs %d != dead-context leads %d", m.Handoffs, st.DeadLeads)
-	}
-	// Every greedy answer is a breaker short or a dead-context lead: a
-	// live request degrades only when shorted.
-	if m.GreedyFallbacks != st.Greedy {
-		return fmt.Errorf("greedy accounting violated: GreedyFallbacks %d != fallback answers %d", m.GreedyFallbacks, st.Greedy)
-	}
-	if live := st.Greedy - st.DeadLeads; live > m.BreakerShorted || m.BreakerShorted > st.Greedy {
-		return fmt.Errorf("%d live greedy answer(s), %d breaker short(s), %d greedy answer(s): want live <= shorts <= greedy",
-			live, m.BreakerShorted, st.Greedy)
-	}
-	// The greedy answers not shorted are the deadline rung's breaker
-	// failures; every trip follows at least one.
-	if failures := m.GreedyFallbacks - m.BreakerShorted; m.BreakerTrips > failures {
-		return fmt.Errorf("breaker tripped %d time(s) on %d deadline failure(s)", m.BreakerTrips, failures)
-	}
-	// A breaker short implies the breaker tripped at least once.
-	if m.BreakerShorted > 0 && m.BreakerTrips == 0 {
-		return fmt.Errorf("breaker shorted %d request(s) without ever tripping", m.BreakerShorted)
 	}
 	return nil
 }
 
 // RunPlanningConcurrent re-executes the scenario's request set with
 // conc goroutines on a fresh service. Outcome counts are
-// schedule-dependent (the breaker is shared global state), but the
-// structural invariants are not: conservation, ladder accounting and
-// cache validity must hold under any interleaving, and the only errors
-// are dead-context waiters giving up (one per wait-abort) — this is the
-// -race surface for single-flight, handoff and breaker state.
+// schedule-dependent, but the structural invariants are not:
+// conservation and cache validity must hold under any interleaving,
+// live requests always get a valid plan, and the only errors are
+// dead-context requests failing with context.Canceled, each a waiter
+// giving up or a leader handing its key off — this is the -race surface
+// for single-flight and handoff.
 func (h *planHarness) RunPlanningConcurrent(seed int64, conc int) error {
 	sc := h.PlanScenario(seed)
-	vc := newVirtualTime()
-	svc := New(Config{Now: vc.Now})
+	svc := New(Config{})
 	dead := deadContext()
 	var wg sync.WaitGroup
 	errs := make([]error, conc)
@@ -298,57 +256,43 @@ func (h *planHarness) RunPlanningConcurrent(seed int64, conc int) error {
 	if err := m.ConservationError(); err != nil {
 		return fmt.Errorf("chaos: seed %d concurrent: %w", seed, err)
 	}
-	if m.Led != m.Solves+m.GreedyFallbacks {
-		return fmt.Errorf("chaos: seed %d concurrent: Led %d != Solves %d + GreedyFallbacks %d",
-			seed, m.Led, m.Solves, m.GreedyFallbacks)
-	}
-	if m.WaitAborts != aborted.Load() {
-		return fmt.Errorf("chaos: seed %d concurrent: WaitAborts %d != %d cancelled answers", seed, m.WaitAborts, aborted.Load())
+	if m.WaitAborts+m.Handoffs != aborted.Load() {
+		return fmt.Errorf("chaos: seed %d concurrent: WaitAborts %d + Handoffs %d != %d cancelled answers",
+			seed, m.WaitAborts, m.Handoffs, aborted.Load())
 	}
 	return nil
 }
 
 // TestPlanningChaosSeeds drives seed-derived deadline scenarios through
-// the planning service: a randomized request sequence with cooldown
-// gaps in which a seeded subset of requests arrives already cancelled.
-// Each seed asserts the conservation identities, cache validity, and a
-// bitwise replay.
+// the planning service: a randomized request sequence in which a seeded
+// subset of requests arrives already cancelled. Each seed asserts the
+// accounting identities, cache validity, and a bitwise replay.
 func TestPlanningChaosSeeds(t *testing.T) {
 	h := newPlanHarness()
-	var handoffs, trips, shorted, probes uint64
+	var deadLeads, deadHits uint64
 	for seed := int64(1); seed <= 24; seed++ {
 		rep, err := h.RunPlanning(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		m := rep.Stats.Metrics
-		handoffs += m.Handoffs
-		trips += m.BreakerTrips
-		shorted += m.BreakerShorted
-		probes += m.BreakerProbes
+		deadLeads += rep.Stats.DeadLeads
+		deadHits += rep.Stats.DeadHits
 		t.Log(rep)
 	}
-	// Coverage: across the seed sweep the scenarios must actually have
-	// exercised every rung of the ladder, or the harness is testing
-	// nothing.
-	if handoffs == 0 {
+	// Coverage: across the seed sweep a dead context must have both led
+	// and hit, or the harness is testing nothing.
+	if deadLeads == 0 {
 		t.Error("no seed led a request with a dead context")
 	}
-	if trips == 0 {
-		t.Error("no seed tripped the circuit breaker")
-	}
-	if shorted == 0 {
-		t.Error("no seed short-circuited a request on an open breaker")
-	}
-	if probes == 0 {
-		t.Error("no seed half-opened the breaker with a probe")
+	if deadHits == 0 {
+		t.Error("no seed served a dead-context request from the cache")
 	}
 }
 
 // TestPlanningChaosConcurrent runs the same scenarios with goroutine
 // fan-out. Outcome counts are schedule-dependent, so only structural
 // invariants are asserted — this is the -race surface for the
-// single-flight table and breaker.
+// single-flight table and the handoff.
 func TestPlanningChaosConcurrent(t *testing.T) {
 	h := newPlanHarness()
 	for seed := int64(1); seed <= 8; seed++ {

@@ -6,9 +6,9 @@ import "fmt"
 // quiescent snapshot; nil means every request is accounted for exactly
 // once.
 func (m Metrics) ConservationError() error {
-	if m.Requests != m.Hits+m.Led+m.Coalesced+m.WaitAborts {
-		return fmt.Errorf("plansvc: conservation violated: Requests %d != Hits %d + Led %d + Coalesced %d + WaitAborts %d",
-			m.Requests, m.Hits, m.Led, m.Coalesced, m.WaitAborts)
+	if m.Requests != m.Hits+m.Solves+m.Coalesced+m.WaitAborts {
+		return fmt.Errorf("plansvc: conservation violated: Requests %d != Hits %d + Solves %d + Coalesced %d + WaitAborts %d",
+			m.Requests, m.Hits, m.Solves, m.Coalesced, m.WaitAborts)
 	}
 	return nil
 }

@@ -11,14 +11,12 @@
 //     dozen keys, once;
 //   - single-flight deduplication: N concurrent requests for the same
 //     key cost one solve, and a leader whose own context dies hands the
-//     key off to a waiter instead of poisoning it;
-//   - a deadline-aware degradation ladder — validated hit, then a cold
-//     MIP solve, then the deterministic greedy fallback — with a
-//     circuit breaker that trips to greedy-only after repeated deadline
-//     blowups and half-opens on a probe.
+//     key off to a waiter instead of poisoning it.
 //
-// The package's chaos test drives the ladder under -race with seeded
-// requests whose deadline has already expired.
+// A deadline is a cancellation: a request whose context dies before
+// its plan is ready fails with the context's error (a 504 over HTTP) and
+// is never served a different plan. The package's chaos test drives
+// seeded requests whose context is already cancelled through it.
 package plansvc
 
 import (

@@ -3,7 +3,7 @@ package plansvc
 // Metrics counts what the service did. Every counter is cumulative; a
 // Snapshot is taken under the service lock, so the conservation identity
 //
-//	Requests == Hits + Led + Coalesced + WaitAborts
+//	Requests == Hits + Solves + Coalesced + WaitAborts
 //
 // holds exactly on any snapshot taken while no request is in flight
 // (each request terminates through exactly one of the four).
@@ -12,8 +12,9 @@ type Metrics struct {
 	Requests uint64
 	// Hits served a validated cached plan directly.
 	Hits uint64
-	// Led counts requests that performed the solve for their key.
-	Led uint64
+	// Solves counts requests that led the solve for their key: each
+	// calls the inner planner (full MIP + mapping) exactly once.
+	Solves uint64
 	// Coalesced counts requests served by another request's in-flight
 	// solve (single-flight waiters).
 	Coalesced uint64
@@ -21,30 +22,12 @@ type Metrics struct {
 	// leader finished.
 	WaitAborts uint64
 	// Handoffs counts leaders whose context died mid-solve and who
-	// handed the key to a waiter instead of publishing a degraded
-	// result.
+	// handed the key to a waiter instead of publishing their error.
 	Handoffs uint64
 
 	// ValidateDrops counts cached entries dropped because Plan.Validate
 	// failed on a hit (corrupt or stale entry degraded to a recompute).
 	ValidateDrops uint64
-
-	// Solves counts inner planner invocations (full MIP + mapping).
-	Solves uint64
-	// DeadlineFallbacks counts solves that came back deadline-degraded
-	// (Plan.Fallback set by the planner).
-	DeadlineFallbacks uint64
-	// GreedyFallbacks counts requests answered by the ladder's greedy
-	// floor without attempting a solve (breaker open, or deadline
-	// already expired).
-	GreedyFallbacks uint64
-
-	// BreakerTrips counts closed->open transitions; BreakerProbes
-	// counts half-open probe solves; BreakerShorted counts requests
-	// short-circuited to greedy while the breaker was open.
-	BreakerTrips   uint64
-	BreakerProbes  uint64
-	BreakerShorted uint64
 
 	// CacheEntries is the live entry count at snapshot time.
 	CacheEntries uint64

@@ -17,8 +17,9 @@ import (
 // PlanRequest is the wire form of a planning request. The model is
 // named (a Table 3 configuration) or given in full; the topology is a
 // compact spec ("2+2", "4", "dc") or a full structure. DeadlineMS
-// bounds the solve, never past maxPlanDeadline — past it the ladder
-// degrades, exactly as an in-process caller with a context deadline.
+// bounds the solve, never past maxPlanDeadline — past it the request
+// fails with 504, exactly as an in-process caller's context deadline
+// cancels its plan.
 type PlanRequest struct {
 	ModelName string       `json:"model,omitempty"`
 	Model     model.Config `json:"model_config,omitempty"`
@@ -34,14 +35,12 @@ type PlanRequest struct {
 
 // PlanResponse is the wire form of a served plan.
 type PlanResponse struct {
-	Key            string         `json:"key"`
-	Fingerprint    string         `json:"fingerprint"`
-	Algorithm      string         `json:"algorithm"`
-	Stages         []StageSummary `json:"stages"`
-	MappingPerm    []int          `json:"mapping_perm"`
-	PredictedStep  float64        `json:"predicted_step_s"`
-	Fallback       bool           `json:"fallback,omitempty"`
-	FallbackReason string         `json:"fallback_reason,omitempty"`
+	Key           string         `json:"key"`
+	Fingerprint   string         `json:"fingerprint"`
+	Algorithm     string         `json:"algorithm"`
+	Stages        []StageSummary `json:"stages"`
+	MappingPerm   []int          `json:"mapping_perm"`
+	PredictedStep float64        `json:"predicted_step_s"`
 }
 
 // ErrorResponse is the wire form of a structured error.
@@ -58,8 +57,8 @@ const maxPlanRequestBytes = 1 << 20
 // largest any caller plans is 4+4 (or dc8). It is input validation: the
 // cross mapping search grows factorially with the GPU count
 // (milliseconds on 4+4, seconds on 5+5, ten or more on 6+6), so a larger
-// topology could only ever be served the greedy floor once its deadline
-// ran out, and is refused before planning instead.
+// topology could only ever run into its deadline, and is refused before
+// planning instead.
 const MaxPlanGPUs = 8
 
 // CheckPlanGPUs refuses a topology of more than MaxPlanGPUs GPUs.
@@ -74,7 +73,7 @@ func CheckPlanGPUs(topo *hw.Topology) error {
 // a request that sets no deadline_ms. It is about 9x the slowest cold
 // plan with the MIP time limit lifted (15B on Topo 4+4, 6.9 s serial on
 // a 2-vCPU host), so it cuts no solve that would finish; a request that
-// runs into it is served the greedy floor with Fallback set.
+// runs into it fails with 504.
 const maxPlanDeadline = 60 * time.Second
 
 // maxPlanLayers bounds model_config.layers. Table 3's deepest model has
@@ -148,18 +147,20 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	plan, err := s.plan(ctx, req)
+	if errors.Is(err, context.DeadlineExceeded) {
+		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{err.Error()})
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{err.Error()})
 		return
 	}
 	resp := PlanResponse{
-		Key:            req.Key.String(),
-		Fingerprint:    Fingerprint(plan),
-		Algorithm:      plan.Partition.Algorithm,
-		MappingPerm:    plan.Mapping.Perm,
-		PredictedStep:  plan.PredictedStep,
-		Fallback:       plan.Fallback,
-		FallbackReason: plan.FallbackReason,
+		Key:           req.Key.String(),
+		Fingerprint:   Fingerprint(plan),
+		Algorithm:     plan.Partition.Algorithm,
+		MappingPerm:   plan.Mapping.Perm,
+		PredictedStep: plan.PredictedStep,
 	}
 	for j, st := range plan.Partition.Stages {
 		resp.Stages = append(resp.Stages, StageSummary{
@@ -176,9 +177,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Metrics
-		Breaker string             `json:"breaker"`
-		Store   *planstore.Metrics `json:"store,omitempty"`
-	}{s.Metrics(), s.BreakerState(), s.StoreMetrics()})
+		Store *planstore.Metrics `json:"store,omitempty"`
+	}{s.Metrics(), s.StoreMetrics()})
 }
 
 // writeJSON encodes v before writing any header, so a value JSON cannot

@@ -2,9 +2,9 @@ package plansvc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,33 +23,9 @@ func balancedOpts(m model.Config) core.Options {
 	return core.Options{Model: m, Topology: topo22(), PartitionAlgo: partition.AlgoBalanced, BalancedStages: 4}
 }
 
-// virtualTime is the injectable clock used by the deterministic tests:
-// it moves only on Advance, so breaker cooldowns take no wall time and
-// every replay sees the same timeline.
-type virtualTime struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newVirtualTime() *virtualTime {
-	return &virtualTime{t: time.Unix(1_700_000_000, 0)}
-}
-
-func (v *virtualTime) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.t
-}
-
-func (v *virtualTime) Advance(d time.Duration) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.t = v.t.Add(d)
-}
-
 // blockingPlanner is a stub inner planner: it serves a prebuilt plan,
 // counts invocations, and can hold solves until released. A solve whose
-// context dies while blocked degrades to the greedy fallback, like the
+// context dies while blocked fails with the context's error, like the
 // real planner.
 type blockingPlanner struct {
 	plan    *core.Plan
@@ -71,7 +47,7 @@ func (p *blockingPlanner) PlanMobius(ctx context.Context, opts core.Options) (*c
 		select {
 		case <-gate:
 		case <-ctx.Done():
-			return core.GreedyPlan(opts, "stub: context expired mid-solve")
+			return nil, ctx.Err()
 		}
 	}
 	return p.plan, nil
@@ -96,9 +72,8 @@ func stubPlan(t *testing.T) *core.Plan {
 // snapshot must satisfy.
 func checkConservation(t *testing.T, m Metrics) {
 	t.Helper()
-	if m.Requests != m.Hits+m.Led+m.Coalesced+m.WaitAborts {
-		t.Errorf("conservation violated: Requests %d != Hits %d + Led %d + Coalesced %d + WaitAborts %d",
-			m.Requests, m.Hits, m.Led, m.Coalesced, m.WaitAborts)
+	if err := m.ConservationError(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -228,8 +203,8 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	}
 	m := svc.Metrics()
 	checkConservation(t, m)
-	if m.Led != 1 {
-		t.Errorf("Led = %d, want 1", m.Led)
+	if m.Solves != 1 {
+		t.Errorf("Solves = %d, want 1", m.Solves)
 	}
 	// Requests that arrived after the leader published hit the cache;
 	// the rest coalesced. Either way nobody solved twice.
@@ -273,15 +248,12 @@ func TestCancelledLeaderHandsOff(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Kill the leader. Its stub solve degrades to greedy; the service
-	// must hand off instead of publishing that degraded plan.
+	// Kill the leader. Its stub solve fails with the leader's context
+	// error; the service must hand off instead of passing that error on.
 	cancelLeader()
 	lr := <-leaderDone
-	if lr.err != nil {
-		t.Fatalf("leader: %v", lr.err)
-	}
-	if !lr.plan.Fallback {
-		t.Fatalf("cancelled leader got a non-degraded plan")
+	if !errors.Is(lr.err, context.Canceled) || lr.plan != nil {
+		t.Fatalf("cancelled leader: plan %v, error %v; want context.Canceled", lr.plan, lr.err)
 	}
 
 	// The waiter re-leads; release its solve.
@@ -300,11 +272,8 @@ func TestCancelledLeaderHandsOff(t *testing.T) {
 	if m.Handoffs != 1 {
 		t.Errorf("Handoffs = %d, want 1", m.Handoffs)
 	}
-	if m.Led != 2 {
-		t.Errorf("Led = %d, want 2 (original leader + re-led waiter)", m.Led)
-	}
-	if stub.callCount() != 2 {
-		t.Errorf("inner solves = %d, want 2", stub.callCount())
+	if m.Solves != 2 || stub.callCount() != 2 {
+		t.Errorf("Solves = %d, inner calls = %d, want 2 (original leader + re-led waiter)", m.Solves, stub.callCount())
 	}
 }
 
@@ -353,70 +322,51 @@ func TestCorruptCacheEntryDegradesToRecompute(t *testing.T) {
 	}
 }
 
-// TestDeadlineBreakerLadder drives the breaker on its real trigger —
-// requests whose deadline expired before the solve — on a virtual
-// clock: three dead-context leads trip it, the next live request is
-// shorted to greedy, and after the cooldown a probe solves and closes
-// it. The scenario replays bitwise.
-func TestDeadlineBreakerLadder(t *testing.T) {
+// TestDeadContextLeadFails: a request whose deadline expired before
+// its solve leads, calls the real planner once, fails with an error
+// wrapping context.Canceled and the planner's cancellation, and hands
+// its key off uncached. A live request for the same key then solves and
+// caches it, after which a dead-context request is a plain cache hit.
+// The scenario replays bitwise.
+func TestDeadContextLeadFails(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	run := func() (Metrics, []string, []string) {
-		vt := newVirtualTime()
-		svc := New(Config{Now: vt.Now})
-		var states, prints []string
-		step := func(ctx context.Context, o core.Options, wantFallback bool, wantReason string) {
-			t.Helper()
-			plan, err := svc.PlanMobius(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plan.Fallback != wantFallback || !strings.Contains(plan.FallbackReason, wantReason) {
-				t.Fatalf("step %d: Fallback=%v reason %q, want %v containing %q",
-					len(states), plan.Fallback, plan.FallbackReason, wantFallback, wantReason)
-			}
-			states = append(states, svc.BreakerState())
-			prints = append(prints, Fingerprint(plan))
-		}
-
-		// Three leads on uncached keys, each already past its deadline:
-		// each takes the greedy floor and hands its key off; the third
-		// trips the breaker.
+	run := func() (Metrics, []string) {
+		svc := New(Config{})
+		var outcomes []string
 		for _, stages := range []int{4, 6, 8} {
 			o := balancedOpts(model.GPT3B)
 			o.BalancedStages = stages
-			step(dead, o, true, "deadline expired before solve")
+			plan, err := svc.PlanMobius(dead, o)
+			if !errors.Is(err, context.Canceled) || !errors.Is(err, partition.ErrCancelled) || plan != nil {
+				t.Fatalf("%d stages, dead context: plan %v, error %v; want a cancellation", stages, plan, err)
+			}
+			outcomes = append(outcomes, err.Error())
 		}
-		// Open: a live request shorts to greedy without touching the
-		// solver.
 		live := balancedOpts(model.GPT8B)
-		step(context.Background(), live, true, "circuit breaker open")
-		// Past the cooldown the same request becomes the probe, solves
-		// and closes the breaker.
-		vt.Advance(breakerCooldown + time.Second)
-		step(context.Background(), live, false, "")
-		return svc.Metrics(), states, prints
+		for _, ctx := range []context.Context{context.Background(), dead} {
+			plan, err := svc.PlanMobius(ctx, live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outcomes = append(outcomes, Fingerprint(plan))
+		}
+		return svc.Metrics(), outcomes
 	}
 
-	m, states, prints := run()
+	m, outcomes := run()
 	checkConservation(t, m)
-	want := Metrics{
-		Requests: 5, Led: 5, Handoffs: 3,
-		Solves: 1, GreedyFallbacks: 4, // 3 dead-context leads + 1 short
-		BreakerTrips: 1, BreakerProbes: 1, BreakerShorted: 1,
-		CacheEntries: 1,
-	}
+	want := Metrics{Requests: 5, Hits: 1, Solves: 4, Handoffs: 3, CacheEntries: 1}
 	if m != want {
 		t.Errorf("metrics\n got  %+v\n want %+v", m, want)
 	}
-	if wantStates := []string{"closed", "closed", "open", "open", "closed"}; !slices.Equal(states, wantStates) {
-		t.Errorf("breaker states %v, want %v", states, wantStates)
+	if outcomes[3] != outcomes[4] {
+		t.Errorf("the dead-context hit served %s, the live solve %s", outcomes[4], outcomes[3])
 	}
-
-	m2, states2, prints2 := run()
-	if m != m2 || !slices.Equal(states, states2) || !slices.Equal(prints, prints2) {
-		t.Errorf("replay diverged:\n first  %+v %v %v\n replay %+v %v %v", m, states, prints, m2, states2, prints2)
+	m2, outcomes2 := run()
+	if m != m2 || !slices.Equal(outcomes, outcomes2) {
+		t.Errorf("replay diverged:\n first  %+v %v\n replay %+v %v", m, outcomes, m2, outcomes2)
 	}
 }
 

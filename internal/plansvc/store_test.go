@@ -3,6 +3,7 @@ package plansvc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -96,7 +97,7 @@ func TestWarmRestartZeroSolves(t *testing.T) {
 // TestValidateDropCoherence: a cached entry that fails Plan.Validate on
 // a hit is dropped from memory and its record deleted from the store, so
 // a restart does not bring it back. The dropping request runs past its
-// deadline, so it takes the greedy floor and nothing re-persists the key.
+// deadline, so it fails and nothing re-persists the key.
 func TestValidateDropCoherence(t *testing.T) {
 	dir := t.TempDir()
 	st1 := storeAt(t, dir)
@@ -124,12 +125,8 @@ func TestValidateDropCoherence(t *testing.T) {
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	plan, err := svc1.PlanMobius(dead, victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Fallback {
-		t.Fatal("dead-context request after the drop was not served the greedy floor")
+	if plan, err := svc1.PlanMobius(dead, victim); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead-context request after the drop: plan %v, error %v; want context.Canceled", plan, err)
 	}
 	if m := svc1.Metrics(); m.ValidateDrops != 1 || m.CacheEntries != 1 {
 		t.Fatalf("ValidateDrops=%d CacheEntries=%d, want 1/1", m.ValidateDrops, m.CacheEntries)

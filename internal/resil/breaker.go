@@ -1,21 +1,21 @@
 package resil
 
 // Breaker is a closed/open/half-open circuit breaker on the caller's
-// clock: T is the time type (virtual float seconds in the fleet, a
-// time.Duration since the service started in plansvc) and every method
-// that needs the time takes it as now, so the breaker stores no clock.
+// clock, in virtual float seconds (the fleet's dispatch breakers): every
+// method that needs the time takes it as now, so the breaker stores no
+// clock.
 // Threshold consecutive failures while closed trip it open; once
 // Cooldown has passed since it opened, the next Allow admits exactly one
 // half-open probe. A probe's Success closes it, a probe's Failure
 // reopens it for a fresh cooldown. A Breaker is not safe for concurrent
 // use; callers serialize it.
-type Breaker[T ~int64 | ~float64] struct {
+type Breaker struct {
 	Threshold int
-	Cooldown  T
+	Cooldown  float64
 
 	state    breakerState
 	fails    int // consecutive failures while closed
-	openedAt T
+	openedAt float64
 }
 
 type breakerState int
@@ -30,7 +30,7 @@ const (
 // the half-open probe. An open breaker past its cooldown turns half-open
 // and admits this one request; while the probe is out, everything else
 // is rejected.
-func (b *Breaker[T]) Allow(now T) (ok, probe bool) {
+func (b *Breaker) Allow(now float64) (ok, probe bool) {
 	switch b.state {
 	case closed:
 		return true, false
@@ -45,7 +45,7 @@ func (b *Breaker[T]) Allow(now T) (ok, probe bool) {
 
 // Routable is Allow's verdict without the transition: closed, or open
 // past its cooldown (choosing it would probe). It never mutates.
-func (b *Breaker[T]) Routable(now T) bool {
+func (b *Breaker) Routable(now float64) bool {
 	switch b.state {
 	case closed:
 		return true
@@ -57,14 +57,14 @@ func (b *Breaker[T]) Routable(now T) bool {
 
 // Success records a request that went through; a probe's success closes
 // the breaker, and any success resets the failure count.
-func (b *Breaker[T]) Success() {
+func (b *Breaker) Success() {
 	b.state = closed
 	b.fails = 0
 }
 
 // Failure records a failed request and reports whether it tripped the
 // breaker open, a failed probe reopening it included.
-func (b *Breaker[T]) Failure(now T) (tripped bool) {
+func (b *Breaker) Failure(now float64) (tripped bool) {
 	if b.state == halfOpen {
 		b.state = open
 		b.openedAt = now
@@ -81,7 +81,7 @@ func (b *Breaker[T]) Failure(now T) (tripped bool) {
 }
 
 // State names the breaker's position: "closed", "open" or "half-open".
-func (b *Breaker[T]) State() string {
+func (b *Breaker) State() string {
 	switch b.state {
 	case open:
 		return "open"

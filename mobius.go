@@ -124,8 +124,7 @@ func DataCenter(spec GPUSpec, n int, nvlinkBW float64) *Topology {
 func Run(system System, opts Options) (*StepReport, error) { return core.Run(system, opts) }
 
 // RunCtx is Run honoring a context for the planning phase: a deadline
-// that expires mid-planning degrades the Mobius plan to the guaranteed-
-// feasible greedy fallback instead of failing the run.
+// that expires mid-planning fails the Mobius run with an error.
 func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, error) {
 	return core.RunCtx(ctx, system, opts)
 }
@@ -134,9 +133,8 @@ func RunCtx(ctx context.Context, system System, opts Options) (*StepReport, erro
 // mapping without running the simulation.
 func PlanMobius(opts Options) (*Plan, error) { return core.PlanMobius(opts) }
 
-// PlanMobiusCtx is PlanMobius honoring a context deadline; on expiry the
-// plan degrades to the deterministic greedy fallback (Plan.Fallback
-// reports it) rather than returning an error.
+// PlanMobiusCtx is PlanMobius honoring a context deadline; on expiry it
+// returns no plan and an error that wraps the context's error.
 func PlanMobiusCtx(ctx context.Context, opts Options) (*Plan, error) {
 	return core.PlanMobiusCtx(ctx, opts)
 }
